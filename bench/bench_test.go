@@ -2,12 +2,18 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 // benchmarkJSON is the part of BENCHMARK.json the tests compare with.
@@ -84,10 +90,17 @@ func TestQuickSet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binaries and runs every workload")
 	}
+	outDir := absOut(t)
+	before := processes(t)
 	cmd := exec.Command("bash", filepath.Join("bench", "run.sh"), "-quick", "-seconds", "1")
 	cmd.Dir = ".."
-	if out, err := cmd.CombinedOutput(); err != nil {
+	out, err := cmd.CombinedOutput()
+	left := startedSince(t, before, outDir)
+	if err != nil {
 		t.Fatalf("bench/run.sh -quick: %v\n%s", err, out)
+	}
+	if len(left) > 0 {
+		t.Errorf("bench/run.sh -quick left processes running:\n%s", describe(left))
 	}
 	data, err := os.ReadFile(filepath.Join("out", "result.json"))
 	if err != nil {
@@ -185,5 +198,239 @@ func checkTraceParents(t *testing.T, path string) {
 		if !zones[e.Parent] {
 			t.Fatalf("%s: exchange %d has parent %d, which is no scan.zone span", path, e.ID, e.Parent)
 		}
+	}
+}
+
+// processes reads /proc: every process's executable, working directory
+// and arguments, as one line by pid. The tests below use it to hold the
+// command to "nothing it starts outlives it", which the benchmark's
+// driver checks before it measures anything.
+func processes(t *testing.T) map[int]string {
+	t.Helper()
+	entries, err := os.ReadDir("/proc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := map[int]string{}
+	for _, e := range entries {
+		pid, err := strconv.Atoi(e.Name())
+		if err != nil {
+			continue
+		}
+		// A process may end while it is read, and a zombie has none of
+		// the three: whatever is missing stays empty.
+		dir := filepath.Join("/proc", e.Name())
+		exe, _ := os.Readlink(filepath.Join(dir, "exe"))
+		cwd, _ := os.Readlink(filepath.Join(dir, "cwd"))
+		argv, _ := os.ReadFile(filepath.Join(dir, "cmdline"))
+		procs[pid] = "exe=" + exe + " cwd=" + cwd + " argv=" + string(bytes.ReplaceAll(argv, []byte{0}, []byte{' '}))
+	}
+	return procs
+}
+
+// startedSince returns the processes that are not in before and either
+// name dir (as executable, working directory or argument) or are the Go
+// toolchain's telemetry process.
+func startedSince(t *testing.T, before map[int]string, dir string) map[int]string {
+	t.Helper()
+	started := map[int]string{}
+	for pid, desc := range processes(t) {
+		if _, old := before[pid]; !old && (strings.Contains(desc, dir) || strings.Contains(desc, "telemetry")) {
+			started[pid] = desc
+		}
+	}
+	return started
+}
+
+func describe(procs map[int]string) string {
+	var b strings.Builder
+	for pid, desc := range procs {
+		b.WriteString("  " + strconv.Itoa(pid) + " " + desc + "\n")
+	}
+	return b.String()
+}
+
+// absOut is bench/out as /proc shows it.
+func absOut(t *testing.T) string {
+	t.Helper()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wd, err = filepath.EvalSymlinks(wd); err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(wd, "out")
+}
+
+// writeFile writes a file and the directories above it.
+func writeFile(t *testing.T, path string, data []byte) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// copyBenchmark copies what the benchmark consists of, BENCHMARK.json
+// and bench/ without out/, from the repository into dir.
+func copyBenchmark(t *testing.T, dir string) {
+	t.Helper()
+	copyFile := func(from, to string) error {
+		data, err := os.ReadFile(from)
+		if err == nil {
+			writeFile(t, to, data)
+		}
+		return err
+	}
+	if err := copyFile(filepath.Join("..", "BENCHMARK.json"), filepath.Join(dir, "BENCHMARK.json")); err != nil {
+		t.Fatal(err)
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case path == "out":
+			return filepath.SkipDir
+		case d.Type().IsRegular():
+			return copyFile(path, filepath.Join(dir, "bench", path))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNoProgramFailsFastAndLeavesNothing runs the command where the
+// driver first runs it: in a copy that holds the benchmark but not the
+// program. It must fail at once, print no result, and have no process
+// left the moment it returns (the toolchain's telemetry process, which a
+// first go command in a fresh configuration directory starts, lives a
+// second or more). The same holds when the program is there and does
+// not build.
+func TestNoProgramFailsFastAndLeavesNothing(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		files map[string]string // the program, as far as the copy has one
+	}{
+		{"no program", nil},
+		{"program does not build", map[string]string{
+			"go.mod":              "module dnssecboot\n\ngo 1.22\n",
+			"cmd/scanctl/main.go": "package main\n\nfunc main() {\n",
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir, err := filepath.EvalSymlinks(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			copyBenchmark(t, dir)
+			for name, content := range c.files {
+				writeFile(t, filepath.Join(dir, name), []byte(content))
+			}
+			// Standard output goes to a file: a pipe would make Run wait for
+			// every process that inherited it, and so hide what is looked for.
+			stdout, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stdout.Close()
+			before := processes(t)
+			cmd := exec.Command("bash", "bench/run.sh", "--workload", "scan-default", "--seed", "1", "--seconds", "1", "--trace", "0")
+			cmd.Dir, cmd.Stdout = dir, stdout
+			t0 := time.Now()
+			err = cmd.Run()
+			left := startedSince(t, before, dir)
+			if elapsed := time.Since(t0); err == nil || elapsed > 5*time.Second {
+				t.Errorf("the command ended with %v after %v, want a failure within 5 s", err, elapsed)
+			}
+			if len(left) > 0 {
+				t.Errorf("the command left processes running:\n%s", describe(left))
+			}
+			if printed, err := os.ReadFile(stdout.Name()); err != nil || bytes.Contains(printed, []byte(`"metrics"`)) {
+				t.Errorf("the command printed a result (%v):\n%s", err, printed)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "bench", "out", "config", "go", "telemetry", "local", "upload.token")); err == nil {
+				t.Errorf("the toolchain took its telemetry token in bench/out/config: telemetry is not off there")
+			}
+		})
+	}
+}
+
+// TestInterruptedHarnessLeavesNothing sends the harness SIGTERM while a
+// child of it runs: it must exit non-zero, and the child with everything
+// the child started must be gone well before it would have ended by
+// itself. scan-sharded runs at full scale, where scanctl and its two
+// dnssec-scan workers have seconds of work left when the signal comes;
+// the full set's first child measures for a minute.
+func TestInterruptedHarnessLeavesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binaries and sets up scan-sharded")
+	}
+	outDir := absOut(t)
+	for _, c := range []struct {
+		name    string
+		args    []string
+		waitFor string // in the arguments of the process to wait for
+	}{
+		// A dnssec-scan worker is told where its shard's files go.
+		{"scan-sharded", []string{"--workload", "scan-sharded", "--seed", "1", "--seconds", "12", "--trace", "0"},
+			filepath.Join(outDir, "scanctl-run", "shard-")},
+		{"full set", []string{"-quick", "-seconds", "60"},
+			filepath.Join(outDir, "bin", "bench") + " -workload scan-default"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := processes(t)
+			// run.sh replaces itself with the harness, so the harness has
+			// the command's pid.
+			cmd := exec.Command("bash", append([]string{filepath.Join("bench", "run.sh")}, c.args...)...)
+			// Standard error is passed on as it is, not through a pipe that
+			// Wait would wait on for as long as a surviving child held it.
+			cmd.Dir, cmd.Stderr = "..", os.Stderr
+			if err := cmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			exited := make(chan error, 1)
+			go func() { exited <- cmd.Wait() }()
+			for seen := false; !seen; time.Sleep(10 * time.Millisecond) {
+				select {
+				case err := <-exited:
+					t.Fatalf("the harness ended (%v) before its child was seen", err)
+				default:
+				}
+				for pid, desc := range processes(t) {
+					_, old := before[pid]
+					seen = seen || !old && strings.Contains(desc, c.waitFor)
+				}
+			}
+			if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			select {
+			case err := <-exited:
+				if err == nil {
+					t.Errorf("the interrupted harness exited with success")
+				}
+			case <-time.After(time.Until(deadline)):
+				t.Errorf("the harness still runs 2 s after SIGTERM")
+				cmd.Process.Kill()
+				<-exited
+			}
+			left := startedSince(t, before, outDir)
+			for len(left) > 0 && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+				left = startedSince(t, before, outDir)
+			}
+			if len(left) > 0 {
+				t.Errorf("2 s after SIGTERM to the harness these still run:\n%s", describe(left))
+				for pid := range left {
+					syscall.Kill(pid, syscall.SIGKILL)
+				}
+			}
+		})
 	}
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"crypto/sha256"
 	"fmt"
-	"os/exec"
 	"sort"
 	"strconv"
 	"strings"
@@ -93,13 +92,13 @@ func (r *run) machineSpeed() (float64, error) {
 	if r.quick {
 		return 1, nil
 	}
-	out, err := exec.Command(r.exe, "-calibrate", strconv.Itoa(r.p)).Output()
+	c, err := runProcess(r.ctx, shortTimeout, r.exe, "-calibrate", strconv.Itoa(r.p))
 	if err != nil {
 		return 0, fmt.Errorf("calibration: %w", err)
 	}
-	seconds, err := strconv.ParseFloat(strings.TrimSpace(string(out)), 64)
+	seconds, err := strconv.ParseFloat(strings.TrimSpace(c.stdout.String()), 64)
 	if err != nil || seconds <= 0 {
-		return 0, fmt.Errorf("calibration printed %q", out)
+		return 0, fmt.Errorf("calibration printed %q", c.stdout.String())
 	}
 	return referenceSeconds / seconds, nil
 }

@@ -10,13 +10,17 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"runtime"
 	"sort"
+	"syscall"
 )
 
 // metricDef names one reported metric. The two lists below are the
@@ -106,6 +110,8 @@ var workloadOrder = []string{"scan-default", "scan-sharded", "scan-ratelimited",
 // run is one measurement of one workload: its arguments, where it may
 // write, and what it has measured so far.
 type run struct {
+	// ctx ends when the harness is told to stop; its children run under it.
+	ctx      context.Context
 	workload string
 	seed     int64
 	seconds  float64
@@ -314,6 +320,16 @@ func main() {
 		fmt.Println(calibrationKernel(*kernel))
 		return
 	}
+	// SIGINT, SIGTERM and SIGHUP end the context, which kills the process
+	// group of the child that is running; the harness then exits without
+	// waiting for in-process work, which does not watch the context.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
+	go func() {
+		<-ctx.Done()
+		stop() // a second signal ends the harness as if it handled none
+		running.Lock()
+		fatal(errors.New("interrupted"))
+	}()
 	exe, err := os.Executable()
 	if err != nil {
 		fatal(err)
@@ -321,13 +337,13 @@ func main() {
 	binDir := filepath.Dir(exe)
 	outDir := filepath.Dir(binDir)
 	if *workload == "" {
-		if err := runSuite(suiteConfig{exe: exe, outDir: outDir, seed: *seed, seconds: *seconds, quick: *quick, twice: *twice}); err != nil {
+		if err := runSuite(suiteConfig{ctx: ctx, exe: exe, outDir: outDir, seed: *seed, seconds: *seconds, quick: *quick, twice: *twice}); err != nil {
 			fatal(err)
 		}
 		return
 	}
 	r := &run{
-		workload: *workload, seed: *seed, seconds: *seconds, trace: *trace != 0, quick: *quick,
+		ctx: ctx, workload: *workload, seed: *seed, seconds: *seconds, trace: *trace != 0, quick: *quick,
 		p: loadGenerators(), exe: exe, outDir: outDir, binDir: binDir, samples: make(map[string][]float64),
 	}
 	if err := runOne(r); err != nil {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"net/netip"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -496,17 +495,16 @@ func hotServerShare(tr *tracer) float64 {
 // compares its wall clock with generation plus the in-process scan: the
 // cost of everything the binary does around the pipeline.
 func cliGap(r *run, p scanParams, inProcess float64) error {
-	cmd := exec.Command(filepath.Join(r.binDir, "dnssec-scan"),
+	id := r.tr.main().begin("cli.run", 0, "dnssec-scan")
+	t0 := time.Now()
+	_, err := runProcess(r.ctx, runTimeout, filepath.Join(r.binDir, "dnssec-scan"),
 		"-scale", strconv.Itoa(p.scale), "-seed", strconv.FormatInt(r.seed, 10),
 		"-concurrency", strconv.Itoa(p.concurrency),
 		"-out", "none", "-dump", filepath.Join(r.outDir, "cli.jsonl"))
-	id := r.tr.main().begin("cli.run", 0, "dnssec-scan")
-	t0 := time.Now()
-	out, err := cmd.CombinedOutput()
 	wall := time.Since(t0).Seconds()
 	r.tr.main().end(id)
 	if err != nil {
-		return fmt.Errorf("dnssec-scan: %w\n%s", err, out)
+		return err
 	}
 	r.add("cli.wall_s", wall)
 	r.add("cli.gap_share", (wall-inProcess)/wall)

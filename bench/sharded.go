@@ -1,11 +1,8 @@
 package main
 
 import (
-	"bytes"
-	"context"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -53,31 +50,22 @@ func scanctlRep(r *run, world *ecosystem.Ecosystem, scale int) (shardRep, error)
 		return rep, err
 	}
 	merged := filepath.Join(runDir, "merged.jsonl")
-	ctx, cancel := context.WithTimeout(context.Background(), runTimeout)
-	defer cancel()
-	cmd := exec.CommandContext(ctx, filepath.Join(r.binDir, "scanctl"),
-		"-shards", "2", "-scale", strconv.Itoa(scale), "-seed", strconv.FormatInt(r.seed, 10),
-		"-run-dir", runDir, "-dump", merged, "-out", "none")
-	// Its own process group, so a timeout takes the workers down too.
-	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
-	cmd.Cancel = func() error { return syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL) }
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-
 	main := r.tr.main()
 	id := main.begin("scanctl.run", 0, "shards=2")
 	t0 := time.Now()
-	err := cmd.Run()
+	c, err := runProcess(r.ctx, runTimeout, filepath.Join(r.binDir, "scanctl"),
+		"-shards", "2", "-scale", strconv.Itoa(scale), "-seed", strconv.FormatInt(r.seed, 10),
+		"-run-dir", runDir, "-dump", merged, "-out", "none")
 	rep.wall = time.Since(t0)
 	main.end(id)
 	if err != nil {
-		return rep, fmt.Errorf("scanctl: %w\n%s", err, stderr.Bytes())
+		return rep, err
 	}
 	// The wait status carries the usage of the whole tree scanctl
 	// waited for: CPU summed, resident set of its largest process.
-	rep.cpu = cmd.ProcessState.UserTime() + cmd.ProcessState.SystemTime()
-	rep.rssMB = float64(cmd.ProcessState.SysUsage().(*syscall.Rusage).Maxrss) / 1024
-	if m := restartsRE.FindSubmatch(stderr.Bytes()); m != nil {
+	rep.cpu = c.state.UserTime() + c.state.SystemTime()
+	rep.rssMB = float64(c.state.SysUsage().(*syscall.Rusage).Maxrss) / 1024
+	if m := restartsRE.FindSubmatch(c.stderr.Bytes()); m != nil {
 		rep.restarts, _ = strconv.Atoi(string(m[1]))
 	}
 

@@ -2,15 +2,16 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // The full set: every workload once untraced and once traced, each in
@@ -18,6 +19,7 @@ import (
 // table of every metric and a result.json beside the traces.
 
 type suiteConfig struct {
+	ctx         context.Context
 	exe, outDir string
 	seed        int64
 	seconds     float64
@@ -49,7 +51,7 @@ func runSuite(c suiteConfig) error {
 	if err := json.Unmarshal(data, &mf); err != nil {
 		return fmt.Errorf("BENCHMARK.json: %w", err)
 	}
-	out := suiteResult{Env: environment(), Seed: c.seed}
+	out := suiteResult{Env: environment(c.ctx), Seed: c.seed}
 	sets := 1
 	if c.twice {
 		sets = 2
@@ -98,9 +100,9 @@ func runChild(c suiteConfig, workload string, trace bool) (detail, error) {
 		args = append(args, "-quick")
 	}
 	fmt.Fprintf(os.Stderr, "bench: %s trace=%s ...\n", workload, t)
-	cmd := exec.Command(c.exe, args...)
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
+	// A run ends within its measuring time plus one scanner process's limit.
+	limit := time.Duration(c.seconds*float64(time.Second)) + runTimeout
+	if _, err := runProcess(c.ctx, limit, c.exe, args...); err != nil {
 		return d, fmt.Errorf("%s trace=%s: %w", workload, t, err)
 	}
 	data, err := os.ReadFile(detailPath(c.outDir, workload, trace))
@@ -160,7 +162,7 @@ func compareSets(mf manifest, a, b []detail) error {
 }
 
 // environment records what makes two result files comparable.
-func environment() map[string]string {
+func environment(ctx context.Context) map[string]string {
 	env := map[string]string{
 		"nproc":      strconv.Itoa(runtime.NumCPU()),
 		"gomaxprocs": strconv.Itoa(runtime.GOMAXPROCS(0)),
@@ -179,8 +181,8 @@ func environment() map[string]string {
 			}
 		}
 	}
-	if head, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
-		env["git_head"] = strings.TrimSpace(string(head))
+	if c, err := runProcess(ctx, shortTimeout, "git", "rev-parse", "HEAD"); err == nil {
+		env["git_head"] = strings.TrimSpace(c.stdout.String())
 	}
 	return env
 }
