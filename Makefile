@@ -6,7 +6,7 @@ GO ?= go
 # wholesale untested subsystem does.
 COVER_FLOOR ?= 70.0
 
-.PHONY: all test race cover lint lint-fixtures lint-pragma-budget fuzz-smoke bench-smoke bench-gate obs-smoke shard-smoke serve-smoke ingest-smoke build ci
+.PHONY: all test race cover lint lint-fixtures lint-pragma-budget fuzz-smoke bench-smoke bench-gate bench-check obs-smoke shard-smoke serve-smoke ingest-smoke build ci
 
 all: test
 
@@ -88,15 +88,23 @@ bench-gate:
 	$(GO) run ./cmd/benchgate -in artifacts/bench_gate.txt \
 		-trajectory artifacts/bench_trajectory.json -label local
 
+# The benchmark harness is a nested module that the root `go vet` and
+# `go test ./...` never enter: vet it and run its own tests (names held
+# equal to BENCHMARK.json, trace reconciliation, nothing left running).
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Sharded-orchestration conformance: a scanctl 4-shard run — with one
 # worker SIGKILLed mid-run and restarted from its checkpoint — must
-# produce a merged JSONL dump and headline byte-identical to a
-# single-process -stateless run over the same world.
+# produce a merged JSONL dump whose record bodies (`reanalyze -out
+# body`: each line without its trailing cost object), headline and CSVs
+# are byte-identical to a default single-process run over the same
+# world.
 shard-smoke:
 	rm -rf artifacts/shard
 	mkdir -p artifacts/shard/bin artifacts/shard/csv-ref artifacts/shard/csv-merged
-	$(GO) build -o artifacts/shard/bin/ ./cmd/dnssec-scan ./cmd/scanctl
-	artifacts/shard/bin/dnssec-scan -scale 500000 -stateless \
+	$(GO) build -o artifacts/shard/bin/ ./cmd/dnssec-scan ./cmd/scanctl ./cmd/reanalyze
+	artifacts/shard/bin/dnssec-scan -scale 500000 \
 		-dump artifacts/shard/ref.jsonl -csv-dir artifacts/shard/csv-ref \
 		-out headline > artifacts/shard/ref.txt
 	artifacts/shard/bin/scanctl -shards 4 -scale 500000 -run-dir artifacts/shard/run \
@@ -104,12 +112,14 @@ shard-smoke:
 		-kill-shard 1 -kill-after-zones 32 -checkpoint-every 16 -restart-backoff 50ms \
 		-dump artifacts/shard/merged.jsonl -csv-dir artifacts/shard/csv-merged \
 		-out headline > artifacts/shard/merged.txt
-	cmp artifacts/shard/ref.jsonl artifacts/shard/merged.jsonl
+	artifacts/shard/bin/reanalyze -in artifacts/shard/ref.jsonl -out body > artifacts/shard/ref.body.jsonl
+	artifacts/shard/bin/reanalyze -in artifacts/shard/merged.jsonl -out body > artifacts/shard/merged.body.jsonl
+	cmp artifacts/shard/ref.body.jsonl artifacts/shard/merged.body.jsonl
 	cmp artifacts/shard/ref.txt artifacts/shard/merged.txt
 	for f in table1 table2 table3 figure1; do \
 		cmp artifacts/shard/csv-ref/$$f.csv artifacts/shard/csv-merged/$$f.csv || exit 1; \
 	done
-	@echo "shard-smoke: 4-shard merged dump, headline and CSVs byte-identical to single-process run"
+	@echo "shard-smoke: 4-shard merged dump bodies, headline and CSVs byte-identical to single-process run"
 
 # Serving-path gate: dnsd serves the signed smoke zone on an ephemeral
 # port, dnsblast drives it with a zipfian UDP+TCP mix and asserts
@@ -131,7 +141,7 @@ ingest-smoke:
 		internal/ingest/testdata/golden/uk_dump.zone.gz > artifacts/ingest/stats.json
 	cmp internal/ingest/testdata/golden/targets.txt artifacts/ingest/targets.txt
 	artifacts/ingest/bin/dnssec-scan -zonefile internal/ingest/testdata/golden/uk_dump.zone.gz \
-		-seed 1 -scale 500000 -stateless -out headline > artifacts/ingest/headline.txt
+		-seed 1 -scale 500000 -out headline > artifacts/ingest/headline.txt
 	cmp internal/ingest/testdata/golden/headline.txt artifacts/ingest/headline.txt
 	@echo "ingest-smoke: golden dump reduction and -zonefile scan match fixtures"
 
@@ -144,8 +154,8 @@ obs-smoke:
 
 # The full local CI gate: vet, the lint suite, build, the race-enabled
 # test suite (includes the chaos, cache-invariance and
-# observability-neutrality regressions), the fuzz smoke and the trace
-# round-trip.
+# observability-neutrality regressions), the fuzz smoke, the trace
+# round-trip, the benchmark harness's own checks and the smokes.
 ci:
 	$(GO) vet ./...
 	$(MAKE) lint
@@ -157,5 +167,6 @@ ci:
 	$(MAKE) ingest-smoke
 	$(MAKE) obs-smoke
 	$(MAKE) bench-gate
+	$(MAKE) bench-check
 	$(MAKE) shard-smoke
 	$(MAKE) serve-smoke

@@ -78,8 +78,6 @@ type runConfig struct {
 	Loss         float64 `json:"loss,omitempty"`
 	Retries      int     `json:"retries,omitempty"`
 	ChaosSeed    int64   `json:"chaos_seed,omitempty"`
-	Cache        bool    `json:"cache"`
-	Stateless    bool    `json:"stateless,omitempty"`
 	CacheNegTTL  string  `json:"cache_neg_ttl,omitempty"`
 	Dump         bool    `json:"dump,omitempty"`
 	ZoneFile     string  `json:"zonefile,omitempty"`
@@ -107,8 +105,6 @@ func main() {
 		loss         = flag.Float64("loss", 0, "inject this packet-loss probability on every simulated exchange (e.g. 0.02)")
 		retries      = flag.Int("retries", 1, "query attempts per server for transient failures (1 = no retries)")
 		chaosSeed    = flag.Int64("chaos-seed", 0, "seed for fault-injection and retry jitter (0 = use -seed)")
-		stateless    = flag.Bool("stateless", false, "pure per-zone resolution: no caches at all, byte-reproducible -dump across runs and resumes")
-		cache        = flag.Bool("cache", true, "shared delegation cache + singleflight deduplication (false = re-walk the root per zone)")
 		cacheNegTTL  = flag.Duration("cache-neg-ttl", time.Minute, "how long NXDOMAIN/lame results are served from the negative cache")
 		metricsOut   = flag.String("metrics-out", "", "write a JSON metrics snapshot (counters, latency histograms) to this file after the scan")
 		traceOut     = flag.String("trace-out", "", "write per-zone trace events as JSON lines to this file")
@@ -230,8 +226,6 @@ func main() {
 		Loss:         *loss,
 		Retries:      *retries,
 		ChaosSeed:    *chaosSeed,
-		Cache:        *cache && !*stateless,
-		Stateless:    *stateless,
 		CacheNegTTL:  cacheNegTTL.String(),
 		Dump:         *dump != "",
 		ZoneFile:     *zonefile,
@@ -319,12 +313,11 @@ func main() {
 			Seed:       *seed,
 			ChaosSeed:  *chaosSeed,
 			TotalZones: len(targets),
+			Shard:      shardIdx,
+			Shards:     shardN,
 			NextIndex:  next,
 			Config:     cfgFP,
 			Aggregate:  state,
-		}
-		if shardN > 1 {
-			cp.Shard, cp.Shards = shardIdx, shardN
 		}
 		if writer != nil {
 			cp.DumpBytes = dumpBase + writer.Bytes()
@@ -359,8 +352,6 @@ func main() {
 			LossRate:              *loss,
 			RetryAttempts:         *retries,
 			ChaosSeed:             *chaosSeed,
-			DisableCache:          !*cache,
-			Stateless:             *stateless,
 			CacheNegTTL:           *cacheNegTTL,
 			Registry:              registry,
 			Tracer:                tracer,

@@ -8,6 +8,10 @@
 //	dnssec-scan -scale 20000 -dump obs.jsonl
 //	reanalyze -in obs.jsonl -out figure1
 //
+// With -out body it prints the dump itself with each record's trailing
+// cost object cut (scan.Body): the part of a dump that is identical
+// between a single-process, a sharded and a resumed run, ready for cmp.
+//
 // With -trace it instead validates and summarises a -trace-out JSONL
 // stream (the CI round-trip check for the trace format).
 package main
@@ -28,7 +32,7 @@ import (
 func main() {
 	var (
 		in    = flag.String("in", "-", "JSONL observation dump (- for stdin)")
-		out   = flag.String("out", "all", "artefact: all|headline|table1|table2|table3|figure1|cds|queries")
+		out   = flag.String("out", "all", "artefact: all|headline|table1|table2|table3|figure1|cds|queries, or body: the records without their cost objects")
 		now   = flag.String("now", "2025-04-15T12:00:00Z", "validation timestamp (RFC 3339) matching the scan")
 		trace = flag.String("trace", "", "validate and summarise a -trace-out JSONL stream instead of reclassifying")
 	)
@@ -50,6 +54,12 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
+	}
+	if *out == "body" {
+		if err := scan.Bodies(os.Stdout, f); err != nil {
+			fatal(err)
+		}
+		return
 	}
 	// Stream: decode → reconstruct → classify → fold one record at a
 	// time, so a full-scale dump re-analyses in constant memory (the

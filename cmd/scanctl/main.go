@@ -2,9 +2,11 @@
 // space into N contiguous shards, launches one `dnssec-scan -shard i/N`
 // worker process per shard, restarts dead or wedged workers from their
 // last durable checkpoint, and on completion merges the per-shard
-// accumulator states and JSONL dumps into a single report and export —
-// byte-identical (in -stateless mode) to a single-process run over the
-// same world.
+// accumulator states and JSONL dumps into a single report and export:
+// record bodies, headline and CSV series byte-identical to a
+// single-process run over the same world (per-record cost and -out
+// queries depend on the shard layout — each worker warms its own
+// resolver cache).
 //
 // Usage:
 //
@@ -78,7 +80,6 @@ func main() {
 		loss         = flag.Float64("loss", 0, "inject this packet-loss probability on every simulated exchange")
 		retries      = flag.Int("retries", 1, "query attempts per server for transient failures")
 		chaosSeed    = flag.Int64("chaos-seed", 0, "seed for fault-injection and retry jitter (0 = use -seed)")
-		stateless    = flag.Bool("stateless", true, "pure per-zone resolution; required for merged output to be byte-identical to a single-process run")
 		cpEvery      = flag.Int("checkpoint-every", 256, "zones between worker checkpoints")
 
 		// Merged outputs.
@@ -95,9 +96,6 @@ func main() {
 	if err != nil {
 		fatal("worker", err)
 	}
-	if !*stateless {
-		fmt.Fprintln(os.Stderr, "warning: without -stateless the merged export depends on shard layout (per-worker caches); reports stay valid, byte-equality does not")
-	}
 	perWorker := *concurrency
 	if perWorker <= 0 {
 		if perWorker = runtime.NumCPU() / *shards; perWorker < 1 {
@@ -111,7 +109,6 @@ func main() {
 		"-concurrency", fmt.Sprint(perWorker),
 		"-retries", fmt.Sprint(*retries),
 		"-checkpoint-every", fmt.Sprint(*cpEvery),
-		fmt.Sprintf("-stateless=%t", *stateless),
 	}
 	if *year != 0 {
 		workerArgs = append(workerArgs, "-year", fmt.Sprint(*year))

@@ -69,19 +69,9 @@ type Options struct {
 	// the zero-latency in-memory network.
 	RetryBackoff time.Duration
 
-	// DisableCache turns off the resolver's shared delegation cache and
-	// singleflight deduplication, restoring the seed pipeline's
-	// re-walk-the-root-per-zone behaviour. The cache is on by default.
-	DisableCache bool
-	// Stateless makes every zone's scan a pure function of (zone,
-	// world): it implies DisableCache and additionally disables the
-	// resolver's legacy memo maps, so per-zone query counts no longer
-	// depend on scan history or concurrency. This is the mode that
-	// makes a streamed JSONL export byte-identical across runs and
-	// across checkpoint resumes.
-	Stateless bool
 	// CacheNegTTL bounds how long negative (NXDOMAIN / lame) results
-	// are served from the cache. Zero uses the resolver default (60 s).
+	// are served from the resolver's cache. Zero uses the resolver
+	// default (60 s).
 	CacheNegTTL time.Duration
 
 	// Registry collects the run's metrics (query counts, latency and
@@ -118,14 +108,9 @@ type Study struct {
 // opts request chaos (LossRate) the world's network is configured with
 // the matching fault profile as a side effect.
 func NewScanner(world *ecosystem.Ecosystem, opts Options) *scan.Scanner {
-	r := &resolver.Resolver{Net: world.Net, Roots: world.Roots}
+	r := &resolver.Resolver{Net: world.Net, Roots: world.Roots, Cache: resolver.NewCache(opts.CacheNegTTL)}
 	if opts.Registry != nil {
 		r.Obs = resolver.NewMetrics(opts.Registry)
-	}
-	if opts.Stateless {
-		r.Stateless = true
-	} else if !opts.DisableCache {
-		r.Cache = resolver.NewCache(opts.CacheNegTTL)
 	}
 	if opts.QueriesPerSecondPerNS > 0 {
 		r.Limits = rate.NewPerKey(opts.QueriesPerSecondPerNS, int(opts.QueriesPerSecondPerNS))
@@ -162,7 +147,6 @@ func NewScanner(world *ecosystem.Ecosystem, opts Options) *scan.Scanner {
 		SignalOnlyCandidates: opts.SignalOnlyCandidates,
 		TrustAnchor:          world.TrustAnchor,
 		Seed:                 opts.Seed,
-		Stateless:            opts.Stateless,
 		Tracer:               opts.Tracer,
 		ProgressWriter:       opts.ProgressWriter,
 		ProgressInterval:     opts.ProgressInterval,

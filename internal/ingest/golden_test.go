@@ -135,7 +135,6 @@ func goldenHeadline(t *testing.T, targets []string) string {
 			Seed:         1,
 			ScaleDivisor: 500_000,
 			Concurrency:  8,
-			Stateless:    true,
 			Targets:      targets,
 		},
 	})

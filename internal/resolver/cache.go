@@ -15,8 +15,8 @@
 //     (mutually glue-less hosting resolved from two goroutines) and
 //     falls back to duplicated local work rather than deadlocking.
 //
-// The layer is opt-in: a Resolver with a nil Cache behaves exactly like
-// the historical per-field zoneCache/addrCache code path.
+// Every Resolver runs on this layer; one that was given no Cache builds
+// a private one on first use.
 package resolver
 
 import (
@@ -29,8 +29,9 @@ import (
 	"dnssecboot/internal/obs"
 )
 
-// Cache is the shared state behind a Resolver's caching layer. Create
-// it with NewCache and install it on Resolver.Cache before first use.
+// Cache is the state behind a Resolver's caching layer. Create it with
+// NewCache and install it on Resolver.Cache before first use to share
+// it between resolvers or to inject a clock.
 type Cache struct {
 	// NegTTL bounds how long negative (NXDOMAIN / lame delegation)
 	// results are served from cache. Zero means 60 s.
@@ -66,6 +67,17 @@ type negEntry struct {
 // lifetime; zero uses the 60 s default.
 func NewCache(negTTL time.Duration) *Cache {
 	return &Cache{NegTTL: negTTL, now: time.Now}
+}
+
+// cache returns the resolver's cache, lazily building a private one
+// when none was installed.
+func (r *Resolver) cache() *Cache {
+	r.cacheOnce.Do(func() {
+		if r.Cache == nil {
+			r.Cache = NewCache(0)
+		}
+	})
+	return r.Cache
 }
 
 // SetClock injects a fake clock; for tests.
@@ -165,10 +177,9 @@ func (c *Cache) NegativeLen() int {
 // A chain is one top-level resolver call tree (one Delegation, Lookup
 // or AddrsOf from outside). The chain id travels in the context so the
 // singleflight group can detect wait cycles between chains, and the
-// per-chain visited set replaces the old process-global inflight map:
-// a host being resolved twice on the SAME chain is a genuine cycle,
-// while two different chains resolving the same host should coalesce,
-// not error.
+// per-chain visited set is the AddrsOf cycle guard: a host being
+// resolved twice on the SAME chain is a genuine cycle, while two
+// different chains resolving the same host should coalesce, not error.
 
 type chainIDKey struct{}
 type visitedKey struct{}

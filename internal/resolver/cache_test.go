@@ -244,8 +244,8 @@ func TestConcurrentAddrsOfCoalesces(t *testing.T) {
 		a, err := r.AddrsOf(ctx, "ns.root.")
 		results <- res{a, err}
 	}()
-	// Pre-fix the process-global inflight map made the second chain fail
-	// with ErrLoop; the flight group must instead let it piggyback.
+	// A process-global cycle guard once made the second chain fail with
+	// ErrLoop; the flight group must instead let it piggyback.
 	awaitJoin(t, joined, "second chain to join the flight")
 	close(gate.gate)
 
@@ -336,8 +336,9 @@ func TestFlightGroupCycleFallback(t *testing.T) {
 // TestMisbehavingReferralsFailFast covers the referral-direction fix: a
 // server answering with upward, sideways, self or unrelated-sibling
 // referrals must yield ErrLoop after a handful of queries, instead of
-// spinning the walk to MaxDepth (and, with the shared cache installed,
-// poisoning delegations for every later scan of the subtree).
+// spinning the walk to MaxDepth (and poisoning cached delegations for
+// every later scan of the subtree) — on a resolver that built its own
+// cache and on one that was handed a shared one.
 func TestMisbehavingReferralsFailFast(t *testing.T) {
 	cases := []struct {
 		name string
@@ -350,7 +351,7 @@ func TestMisbehavingReferralsFailFast(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, cached := range []bool{false, true} {
-			mode := "legacy"
+			mode := "private"
 			if cached {
 				mode = "cached"
 			}

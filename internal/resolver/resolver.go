@@ -45,36 +45,24 @@ type Resolver struct {
 	// Retry, when non-nil, retries transient failures (timeouts,
 	// SERVFAIL) per server with backoff. Nil means one attempt.
 	Retry *RetryPolicy
-	// Cache, when non-nil, enables the resolver-wide caching and
-	// singleflight deduplication layer (cache.go): Delegation starts
-	// from the deepest cached ancestor instead of re-walking the root,
-	// NXDOMAIN/lame parents fail fast from the negative cache, and
-	// concurrent identical Delegation/AddrsOf/zone-server walks
-	// coalesce onto one upstream query stream. Nil keeps the historical
-	// per-map caching behaviour.
+	// Cache is the state behind the caching and singleflight layer
+	// (cache.go): Delegation starts from the deepest cached ancestor
+	// instead of re-walking the root, NXDOMAIN/lame parents fail fast
+	// from the negative cache, and concurrent identical
+	// Delegation/AddrsOf/zone-server walks coalesce onto one upstream
+	// query stream. Set it to share or inject a cache; nil lazily builds
+	// a private one. Resolution that must share nothing with earlier
+	// lookups uses a fresh Resolver.
 	Cache *Cache
-	// Stateless disables the legacy per-resolver memo maps (zone
-	// servers, host addresses) and the process-global inflight guard,
-	// so every resolution chain re-walks from the roots and shares
-	// nothing with its neighbours. Query counts then depend only on
-	// (name, world) — independent of scan history and concurrency —
-	// which is what makes a streamed JSONL export byte-reproducible
-	// across runs and across checkpoint resumes. Ignored when Cache is
-	// installed (a shared cache is deliberate cross-chain state).
-	Stateless bool
 	// Obs, when non-nil, is the resolver's instrument set (usually
 	// NewMetrics over a shared obs.Registry). Nil lazily builds one on
 	// a private registry so the counter accessors keep working.
 	Obs *Metrics
 
-	obsOnce sync.Once
-	health  healthTracker
-	flight  flightGroup
-
-	mu        sync.RWMutex
-	zoneCache map[string][]netip.AddrPort // zone apex -> authoritative addrs
-	addrCache map[string][]netip.Addr     // hostname -> addresses
-	inflight  map[string]bool             // hostnames being resolved (cycle guard)
+	obsOnce   sync.Once
+	cacheOnce sync.Once
+	health    healthTracker
+	flight    flightGroup
 }
 
 // Queries returns the number of DNS queries issued so far.
@@ -87,8 +75,7 @@ func (r *Resolver) Retries() int64 { return r.metrics().Retries.Value() }
 // attempt without a usable answer.
 func (r *Resolver) GaveUp() int64 { return r.metrics().GaveUp.Value() }
 
-// CacheHits returns the number of lookups served from the shared cache
-// (zero when Cache is nil).
+// CacheHits returns the number of lookups served from the cache.
 func (r *Resolver) CacheHits() int64 { return r.metrics().CacheHits.Value() }
 
 // CacheMisses returns the number of cache probes that found no entry.
@@ -159,16 +146,13 @@ func (d *Delegation) NSHosts() []string {
 
 // Delegation walks from the root to the parent of zoneName and returns
 // the delegation data. It fails with ErrNXDomain if the parent denies
-// the name. With a Cache installed the walk starts from the deepest
-// cached ancestor zone (so the root→TLD prefix is resolved once per
-// TLD, not once per target), known-dead names fail fast from the
-// negative cache, and concurrent calls for the same zone coalesce.
+// the name. The walk starts from the deepest cached ancestor zone (so
+// the root→TLD prefix is resolved once per TLD, not once per target),
+// known-dead names fail fast from the negative cache, and concurrent
+// calls for the same zone coalesce.
 func (r *Resolver) Delegation(ctx context.Context, zoneName string) (*Delegation, error) {
 	zoneName = dnswire.CanonicalName(zoneName)
-	if r.Cache == nil {
-		return r.delegationFrom(ctx, zoneName, r.Roots, ".")
-	}
-	if err, ok := r.Cache.negLookup(zoneName); ok {
+	if err, ok := r.cache().negLookup(zoneName); ok {
 		r.noteCacheHit(ctx, "neg:"+zoneName)
 		return nil, err
 	}
@@ -177,7 +161,7 @@ func (r *Resolver) Delegation(ctx context.Context, zoneName string) (*Delegation
 		servers, apex := r.startPoint(ctx, zoneName)
 		d, derr := r.delegationFrom(ctx, zoneName, servers, apex)
 		if derr != nil && (errors.Is(derr, ErrNXDomain) || errors.Is(derr, ErrLameReferal)) {
-			r.Cache.negStore(zoneName, derr)
+			r.cache().negStore(zoneName, derr)
 		}
 		return d, derr
 	})
@@ -213,7 +197,7 @@ func (r *Resolver) zoneServers(ctx context.Context, zoneName string) ([]netip.Ad
 	if zoneName == "." {
 		return r.Roots, ".", nil
 	}
-	if e, ok := r.Cache.posLookup(zoneName); ok {
+	if e, ok := r.cache().posLookup(zoneName); ok {
 		r.noteCacheHit(ctx, "z:"+zoneName)
 		return e.servers, e.apex, nil
 	}
@@ -230,7 +214,7 @@ func (r *Resolver) zoneServers(ctx context.Context, zoneName string) ([]netip.Ad
 				return posEntry{}, derr
 			}
 			e := posEntry{servers: ps, apex: papex}
-			r.Cache.posStore(zoneName, e)
+			r.cache().posStore(zoneName, e)
 			return e, nil
 		}
 		srv, serr := r.serversForDelegation(ctx, d)
@@ -238,7 +222,7 @@ func (r *Resolver) zoneServers(ctx context.Context, zoneName string) ([]netip.Ad
 			return posEntry{}, serr
 		}
 		e := posEntry{servers: srv, apex: zoneName}
-		r.Cache.posStore(zoneName, e)
+		r.cache().posStore(zoneName, e)
 		return e, nil
 	})
 	if shared {
@@ -295,6 +279,16 @@ func (r *Resolver) delegationFrom(ctx context.Context, zoneName string, servers 
 					if sig.TypeCovered == dnswire.TypeDS && dnswire.CanonicalName(rr.Name) == cut {
 						d.DSSigs = append(d.DSSigs, rr)
 					}
+					// A server hosting several levels of the tree refers
+					// from the deepest zone it has, which lies below
+					// currentZone whenever the walk started higher up (at
+					// the roots after a failed parent lookup). The signer
+					// of the referral's DS or denial RRSIG names the zone
+					// that really delegates, wherever the walk began.
+					signer := dnswire.CanonicalName(sig.SignerName)
+					if signer != cut && dnswire.IsSubdomain(cut, signer) && dnswire.IsSubdomain(signer, currentZone) {
+						d.ParentZone = signer
+					}
 				}
 			}
 			for _, rr := range resp.Additional {
@@ -312,7 +306,7 @@ func (r *Resolver) delegationFrom(ctx context.Context, zoneName string, servers 
 			}
 			servers = next
 			currentZone = cut
-			r.cacheZone(cut, next)
+			r.cache().posStore(cut, posEntry{servers: next, apex: cut})
 			continue
 		}
 
@@ -451,43 +445,6 @@ func (r *Resolver) queryAny(ctx context.Context, servers []netip.AddrPort, name 
 	return nil, netip.AddrPort{}, fmt.Errorf("%w: %w", ErrNoServers, errors.Join(errs...))
 }
 
-// cacheZone records the authoritative servers discovered for a real
-// zone cut. With a Cache installed the record lands in the shared
-// positive cache (visible to every Delegation walk); otherwise in the
-// resolver-local legacy map used only by lookupOnce.
-func (r *Resolver) cacheZone(zoneName string, servers []netip.AddrPort) {
-	if r.Cache != nil {
-		r.Cache.posStore(zoneName, posEntry{servers: servers, apex: zoneName})
-		return
-	}
-	if r.Stateless {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.zoneCache == nil {
-		r.zoneCache = make(map[string][]netip.AddrPort)
-	}
-	r.zoneCache[zoneName] = servers
-}
-
-// cachedZone returns the cached servers for zoneName plus the apex of
-// the zone they actually serve (differs from zoneName only for alias
-// entries in the shared cache).
-func (r *Resolver) cachedZone(zoneName string) ([]netip.AddrPort, string, bool) {
-	if r.Cache != nil {
-		e, ok := r.Cache.posLookup(zoneName)
-		return e.servers, e.apex, ok
-	}
-	if r.Stateless {
-		return nil, zoneName, false
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s, ok := r.zoneCache[zoneName]
-	return s, zoneName, ok
-}
-
 // Lookup iteratively resolves (name, qtype) and returns the answer
 // section of the final response together with its rcode. CNAMEs are
 // followed across zones.
@@ -526,10 +483,11 @@ func (r *Resolver) Lookup(ctx context.Context, name string, qtype dnswire.Type) 
 func (r *Resolver) lookupOnce(ctx context.Context, name string, qtype dnswire.Type) ([]dnswire.RR, dnswire.Rcode, error) {
 	servers := r.Roots
 	currentZone := "."
-	// Start from the deepest cached enclosing zone.
+	// Start from the deepest cached enclosing zone (for alias entries
+	// the apex differs from the name they are filed under).
 	for z := name; ; z = dnswire.Parent(z) {
-		if s, apex, ok := r.cachedZone(z); ok {
-			servers, currentZone = s, apex
+		if e, ok := r.cache().posLookup(z); ok {
+			servers, currentZone = e.servers, e.apex
 			break
 		}
 		if z == "." {
@@ -575,73 +533,21 @@ func (r *Resolver) lookupOnce(ctx context.Context, name string, qtype dnswire.Ty
 		}
 		servers = next
 		currentZone = cut
-		r.cacheZone(cut, next)
+		r.cache().posStore(cut, posEntry{servers: next, apex: cut})
 	}
 	return nil, dnswire.RcodeNoError, ErrLoop
 }
 
-// AddrsOf resolves a hostname to all of its A and AAAA addresses. It
-// refuses re-entrant resolution of a host already being resolved on
-// the same resolution chain (glue-less mutual hosting would loop
-// forever otherwise). Without a Cache the guard is a process-global
-// inflight map, which also errors on two *different* chains resolving
-// the same host concurrently; with a Cache installed those coalesce
-// onto one execution instead.
+// AddrsOf resolves a hostname to all of its A and AAAA addresses,
+// serving repeats from the address cache and coalescing concurrent
+// chains through the flight group. It refuses re-entrant resolution of
+// a host already being resolved on the same resolution chain (glue-less
+// mutual hosting would loop forever otherwise); the guard is the
+// context's per-chain visited set, so two different chains resolving
+// the same host never fail each other.
 func (r *Resolver) AddrsOf(ctx context.Context, host string) ([]netip.Addr, error) {
 	host = dnswire.CanonicalName(host)
-	if r.Cache != nil {
-		return r.addrsOfCached(ctx, host)
-	}
-	if r.Stateless {
-		// Per-chain cycle guard only: the global inflight map would make
-		// two chains resolving the same host concurrently fail each
-		// other, reintroducing scheduling-dependent results.
-		ctx, visited := withVisited(ctx)
-		if visited[host] {
-			return nil, fmt.Errorf("%w: resolution cycle on %s", ErrLoop, host)
-		}
-		visited[host] = true
-		return r.resolveAddrs(ctx, host)
-	}
-	r.mu.RLock()
-	cached, ok := r.addrCache[host]
-	r.mu.RUnlock()
-	if ok {
-		return cached, nil
-	}
-	r.mu.Lock()
-	if r.inflight == nil {
-		r.inflight = make(map[string]bool)
-	}
-	if r.inflight[host] {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: resolution cycle on %s", ErrLoop, host)
-	}
-	r.inflight[host] = true
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		delete(r.inflight, host)
-		r.mu.Unlock()
-	}()
-	addrs, err := r.resolveAddrs(ctx, host)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	if r.addrCache == nil {
-		r.addrCache = make(map[string][]netip.Addr)
-	}
-	r.addrCache[host] = addrs
-	r.mu.Unlock()
-	return addrs, nil
-}
-
-// addrsOfCached is AddrsOf behind the shared cache: hit the address
-// cache, guard against same-chain cycles via the context's visited
-// set, and coalesce concurrent chains through the flight group.
-func (r *Resolver) addrsOfCached(ctx context.Context, host string) ([]netip.Addr, error) {
-	if addrs, ok := r.Cache.addrLookup(host); ok {
+	if addrs, ok := r.cache().addrLookup(host); ok {
 		r.noteCacheHit(ctx, "a:"+host)
 		return addrs, nil
 	}
@@ -658,7 +564,7 @@ func (r *Resolver) addrsOfCached(ctx context.Context, host string) ([]netip.Addr
 		if err != nil {
 			return nil, err
 		}
-		r.Cache.addrStore(host, addrs)
+		r.cache().addrStore(host, addrs)
 		return addrs, nil
 	})
 	if shared {

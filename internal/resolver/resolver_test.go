@@ -294,3 +294,85 @@ func TestDelegationParentZoneFromDSSig(t *testing.T) {
 		t.Errorf("DS=%d sigs=%d", len(d.DS), len(d.DSSigs))
 	}
 }
+
+// TestDelegationParentZoneIndependentOfStart covers the registry layout
+// of co.uk.: one server hosts a parent (uk.) and the child registry
+// below it (co.uk.), and refers queries for x.co.uk. straight from the
+// deeper zone. A walk that reached that server as "the uk. server" —
+// the start point Delegation falls back to when the parent lookup
+// failed transiently — used to report uk. as the delegating zone, so a
+// record's parent_zone depended on what the cache held. The referral's
+// RRSIG (over the DS, or over the NSEC denying one) names co.uk. in
+// both cases, at no extra query.
+func TestDelegationParentZoneIndependentOfStart(t *testing.T) {
+	now := time.Date(2025, 4, 15, 12, 0, 0, 0, time.UTC)
+	sign := zone.SignConfig{Now: now, Algorithm: dnswire.AlgEd25519}
+	rootAddr := netip.MustParseAddr("192.0.2.1")
+	regAddr := netip.MustParseAddr("192.0.2.2")
+
+	newZone := func(origin, ns string) *zone.Zone {
+		z := zone.New(origin)
+		z.SetBasics(ns, []string{ns}, 1)
+		if err := z.GenerateKeys(sign, nil); err != nil {
+			t.Fatal(err)
+		}
+		return z
+	}
+	root := newZone(".", "ns.root.")
+	root.MustAdd(dnswire.RR{Name: "ns.root.", TTL: 1, Data: &dnswire.A{Addr: rootAddr}})
+	uk := newZone("uk.", "ns1.nic.uk.")
+	uk.MustAdd(dnswire.RR{Name: "ns1.nic.uk.", TTL: 1, Data: &dnswire.A{Addr: regAddr}})
+	couk := newZone("co.uk.", "ns1.nic.uk.")
+	delegate := func(parent, child *zone.Zone) {
+		ds, err := dnssec.DSFromKey(child.Origin, child.Keys[0].DNSKEY(), dnswire.DigestSHA256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent.MustAdd(dnswire.RR{Name: child.Origin, TTL: 1, Data: dnswire.NewNS(child.NSHosts()[0])})
+		parent.MustAdd(dnswire.RR{Name: child.Origin, TTL: 1, Data: ds})
+	}
+	delegate(root, uk)
+	root.MustAdd(dnswire.RR{Name: "ns1.nic.uk.", TTL: 1, Data: &dnswire.A{Addr: regAddr}})
+	delegate(uk, couk)
+	// Two customers of the child registry, hosted elsewhere: one with a
+	// DS, one insecure (the referral then carries the signed NSEC).
+	delegate(couk, newZone("signed.co.uk.", "ns.elsewhere.test."))
+	couk.MustAdd(dnswire.RR{Name: "insecure.co.uk.", TTL: 1, Data: dnswire.NewNS("ns.elsewhere.test.")})
+	for _, z := range []*zone.Zone{couk, uk, root} {
+		if err := z.Sign(sign); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rootSrv, regSrv := server.New(1), server.New(2)
+	rootSrv.AddZone(root)
+	regSrv.AddZone(uk)
+	regSrv.AddZone(couk)
+	net := transport.NewMemNetwork(1)
+	net.Register(rootAddr, rootSrv)
+	net.Register(regAddr, regSrv)
+	roots := []netip.AddrPort{netip.AddrPortFrom(rootAddr, 53)}
+	ctx := context.Background()
+
+	for _, target := range []string{"signed.co.uk.", "insecure.co.uk."} {
+		// Start at the roots: the walk descends root → uk. server → done.
+		r := &Resolver{Net: net, Roots: roots}
+		d, err := r.delegationFrom(ctx, target, roots, ".")
+		if err != nil {
+			t.Fatalf("%s from the roots: %v", target, err)
+		}
+		if d.ParentZone != "co.uk." {
+			t.Errorf("%s from the roots: ParentZone = %s, want co.uk.", target, d.ParentZone)
+		}
+		if got := r.Queries(); got != 2 {
+			t.Errorf("%s from the roots: %d queries, want 2 (one per referral)", target, got)
+		}
+		// Start at the resolved parent, as Delegation normally does.
+		d, err = (&Resolver{Net: net, Roots: roots}).Delegation(ctx, target)
+		if err != nil {
+			t.Fatalf("%s from its parent: %v", target, err)
+		}
+		if d.ParentZone != "co.uk." {
+			t.Errorf("%s from its parent: ParentZone = %s, want co.uk.", target, d.ParentZone)
+		}
+	}
+}

@@ -17,9 +17,12 @@ import (
 
 // CheckpointVersion is bumped on incompatible format changes. Version 2
 // added shard identity and the versioned aggregate-state envelope
-// (report.StateVersion); version-1 checkpoints predate both and cannot
-// be resumed safely.
-const CheckpointVersion = 2
+// (report.StateVersion). Version 3 marks dumps whose records end in a
+// cost object, written by a scanner with one resolver regime: a
+// version-2 run directory may hold records of the deleted cache-less
+// walk, whose parent_zone differs under second-level registries, so it
+// is refused rather than continued into a mixed dump.
+const CheckpointVersion = 3
 
 // Checkpoint records the durable state of an interrupted streaming
 // scan. The pipeline-level pieces (CLI flag fingerprint, report
@@ -79,7 +82,7 @@ func normalizeGeometry(shard, shards int) (int, int) {
 // zones.
 func (c *Checkpoint) Validate(seed int64, totalZones, shard, shards int) error {
 	if c.Version != CheckpointVersion {
-		return fmt.Errorf("scan: checkpoint version %d, this binary writes %d", c.Version, CheckpointVersion)
+		return fmt.Errorf("scan: checkpoint is version %d, this binary reads and writes version %d; start the run again in a fresh directory", c.Version, CheckpointVersion)
 	}
 	if c.Seed != seed {
 		return fmt.Errorf("scan: checkpoint was taken with seed %d, not %d", c.Seed, seed)

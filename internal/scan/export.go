@@ -2,6 +2,7 @@ package scan
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,30 +17,33 @@ import (
 // keeps the analysis-relevant view: all records in presentation form,
 // per-NS outcomes, validation results and query accounting, so the
 // classification can be re-run offline.
+//
+// A line is the record's body — everything the scan observed, a pure
+// function of (zone, world, seed) — followed by one trailing member,
+// "cost":{…}, the query accounting that depends on how the scan was
+// laid out. Dumps written before the cost object existed carry the
+// counters at the top level; they still decode, with a zero Cost.
 
 // ObservationJSON is the serialised form of a ZoneObservation.
 type ObservationJSON struct {
-	Zone        string   `json:"zone"`
-	ResolveErr  string   `json:"resolve_err,omitempty"`
-	ParentZone  string   `json:"parent_zone,omitempty"`
-	ParentNS    []string `json:"parent_ns,omitempty"`
-	ChildNS     []string `json:"child_ns,omitempty"`
-	DS          []string `json:"ds,omitempty"`
-	DSSigs      []string `json:"ds_sigs,omitempty"`
-	DNSKEY      []string `json:"dnskey,omitempty"`
-	DNSKEYSigs  []string `json:"dnskey_sigs,omitempty"`
-	ChainValid  bool     `json:"chain_valid"`
-	ChainErr    string   `json:"chain_err,omitempty"`
-	SampledNS   bool     `json:"sampled_ns,omitempty"`
-	Queries     int64    `json:"queries"`
-	Retries     int64    `json:"retries,omitempty"`
-	GaveUp      int64    `json:"gave_up,omitempty"`
-	CacheHits   int64    `json:"cache_hits,omitempty"`
-	CacheMisses int64    `json:"cache_misses,omitempty"`
-	Coalesced   int64    `json:"coalesced,omitempty"`
+	Zone       string   `json:"zone"`
+	ResolveErr string   `json:"resolve_err,omitempty"`
+	ParentZone string   `json:"parent_zone,omitempty"`
+	ParentNS   []string `json:"parent_ns,omitempty"`
+	ChildNS    []string `json:"child_ns,omitempty"`
+	DS         []string `json:"ds,omitempty"`
+	DSSigs     []string `json:"ds_sigs,omitempty"`
+	DNSKEY     []string `json:"dnskey,omitempty"`
+	DNSKEYSigs []string `json:"dnskey_sigs,omitempty"`
+	ChainValid bool     `json:"chain_valid"`
+	ChainErr   string   `json:"chain_err,omitempty"`
+	SampledNS  bool     `json:"sampled_ns,omitempty"`
 
 	PerNS   []NSObservationJSON     `json:"per_ns,omitempty"`
 	Signals []SignalObservationJSON `json:"signals,omitempty"`
+
+	// Cost must stay the last member: Body cuts it off the line.
+	Cost `json:"cost"`
 }
 
 // NSObservationJSON serialises one nameserver's view.
@@ -83,24 +87,19 @@ func rrStrings(rrs []dnswire.RR) []string {
 // ToJSON converts an observation into its export form.
 func (z *ZoneObservation) ToJSON() ObservationJSON {
 	out := ObservationJSON{
-		Zone:        z.Zone,
-		ResolveErr:  z.ResolveErr,
-		ParentZone:  z.ParentZone,
-		ParentNS:    z.ParentNS,
-		ChildNS:     z.ChildNS,
-		DS:          rrStrings(z.DS),
-		DSSigs:      rrStrings(z.DSSigs),
-		DNSKEY:      rrStrings(z.DNSKEY),
-		DNSKEYSigs:  rrStrings(z.DNSKEYSigs),
-		ChainValid:  z.ChainValid,
-		ChainErr:    z.ChainErr,
-		SampledNS:   z.SampledNS,
-		Queries:     z.Queries,
-		Retries:     z.Retries,
-		GaveUp:      z.GaveUp,
-		CacheHits:   z.CacheHits,
-		CacheMisses: z.CacheMisses,
-		Coalesced:   z.Coalesced,
+		Zone:       z.Zone,
+		ResolveErr: z.ResolveErr,
+		ParentZone: z.ParentZone,
+		ParentNS:   z.ParentNS,
+		ChildNS:    z.ChildNS,
+		DS:         rrStrings(z.DS),
+		DSSigs:     rrStrings(z.DSSigs),
+		DNSKEY:     rrStrings(z.DNSKEY),
+		DNSKEYSigs: rrStrings(z.DNSKEYSigs),
+		ChainValid: z.ChainValid,
+		ChainErr:   z.ChainErr,
+		SampledNS:  z.SampledNS,
+		Cost:       z.Cost,
 	}
 	for _, ns := range z.PerNS {
 		out.PerNS = append(out.PerNS, NSObservationJSON{
@@ -130,6 +129,59 @@ func (z *ZoneObservation) ToJSON() ObservationJSON {
 		})
 	}
 	return out
+}
+
+// costKey opens the trailing cost member of an exported line.
+const costKey = `,"cost":{`
+
+// Body returns the deterministic part of one exported JSONL line: the
+// record with its trailing cost object cut, still a JSON object, without
+// the newline. It is the one definition of what two runs of the same
+// (world, seed) must agree on byte for byte, whatever their concurrency,
+// shard layout or resume points. A line that does not end in a cost
+// object as JSONLWriter writes it (an old-format record, a foreign one)
+// is its own body.
+func Body(line []byte) []byte {
+	line = bytes.TrimRight(line, "\r\n")
+	// The cost object is flat and holds integers only, so its opening
+	// brace is the last one in the line, its closing brace the first
+	// after that, and only the record's own closing brace follows. A raw
+	// quote cannot occur inside a JSON string, so costKey matched here is
+	// never text inside an RR or an error message.
+	start := bytes.LastIndexByte(line, '{') + 1 - len(costKey)
+	if start < 1 || !bytes.HasPrefix(line[start:], []byte(costKey)) {
+		return line
+	}
+	tail := line[start+len(costKey):] // `"queries":12}}`
+	if bytes.IndexByte(tail, '}') != len(tail)-2 || tail[len(tail)-1] != '}' {
+		return line
+	}
+	body := make([]byte, 0, start+1)
+	return append(append(body, line[:start]...), '}')
+}
+
+// Bodies copies a JSONL export from r to w with every line reduced to
+// its Body — the form in which two dumps are compared (`reanalyze -out
+// body`).
+func Bodies(w io.Writer, r io.Reader) error {
+	br := bufio.NewReaderSize(r, 1<<20)
+	bw := bufio.NewWriterSize(w, 1<<20)
+	for {
+		line, err := br.ReadBytes('\n')
+		if len(line) > 0 {
+			bw.Write(Body(line))
+			// bufio errors are sticky: this reports a failed Write too.
+			if werr := bw.WriteByte('\n'); werr != nil {
+				return werr
+			}
+		}
+		if err == io.EOF {
+			return bw.Flush()
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 // JSONLWriter incrementally exports observations as JSONL, one record
@@ -237,20 +289,15 @@ func ReadJSONL(r io.Reader) ([]ObservationJSON, error) {
 // back to their enum values; unknown strings become OutcomeError.
 func FromJSON(o ObservationJSON) (*ZoneObservation, error) {
 	obs := &ZoneObservation{
-		Zone:        o.Zone,
-		ResolveErr:  o.ResolveErr,
-		ParentZone:  o.ParentZone,
-		ParentNS:    o.ParentNS,
-		ChildNS:     o.ChildNS,
-		ChainValid:  o.ChainValid,
-		ChainErr:    o.ChainErr,
-		SampledNS:   o.SampledNS,
-		Queries:     o.Queries,
-		Retries:     o.Retries,
-		GaveUp:      o.GaveUp,
-		CacheHits:   o.CacheHits,
-		CacheMisses: o.CacheMisses,
-		Coalesced:   o.Coalesced,
+		Zone:       o.Zone,
+		ResolveErr: o.ResolveErr,
+		ParentZone: o.ParentZone,
+		ParentNS:   o.ParentNS,
+		ChildNS:    o.ChildNS,
+		ChainValid: o.ChainValid,
+		ChainErr:   o.ChainErr,
+		SampledNS:  o.SampledNS,
+		Cost:       o.Cost,
 	}
 	var err error
 	if obs.DS, err = parseRRs(o.DS); err != nil {

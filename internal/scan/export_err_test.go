@@ -38,7 +38,7 @@ func exportObservations(n int, padding int) []*ZoneObservation {
 			// ResolveErr pads the record so a few thousand records
 			// overflow WriteJSONL's 1 MiB buffer.
 			ResolveErr: strings.Repeat("x", padding),
-			Queries:    int64(i),
+			Cost:       Cost{Queries: int64(i)},
 		}
 	}
 	return out

@@ -156,21 +156,31 @@ type ZoneObservation struct {
 	// Signals holds the RFC 9615 probes, one per child NS host.
 	Signals []SignalObservation
 
+	// Cost is what the scan of this zone spent. Unlike every field
+	// above it depends on what the resolver had cached when the zone's
+	// turn came, and therefore on concurrency, shard layout and resume
+	// points.
+	Cost
+}
+
+// Cost is the per-zone query accounting. It is exported as the last
+// member of a JSONL record, so that the deterministic part of the line
+// — the body, see Body — is everything before it.
+type Cost struct {
 	// Queries is the number of DNS queries this zone's scan consumed
 	// (Appendix D accounting), including retry attempts.
-	Queries int64
+	Queries int64 `json:"queries"`
 	// Retries is how many of those queries were retry attempts after a
 	// transient failure; GaveUp counts exchanges that exhausted every
 	// attempt. Both stay zero when the resolver runs without a retry
 	// policy.
-	Retries int64
-	GaveUp  int64
+	Retries int64 `json:"retries,omitempty"`
+	GaveUp  int64 `json:"gave_up,omitempty"`
 	// CacheHits, CacheMisses and Coalesced account this zone's use of
-	// the resolver's shared cache and singleflight layer. All zero when
-	// the scan runs without a cache.
-	CacheHits   int64
-	CacheMisses int64
-	Coalesced   int64
+	// the resolver's cache and singleflight layer.
+	CacheHits   int64 `json:"cache_hits,omitempty"`
+	CacheMisses int64 `json:"cache_misses,omitempty"`
+	Coalesced   int64 `json:"coalesced,omitempty"`
 }
 
 // AllNSHosts returns the union of parent- and child-side NS hostnames.

@@ -171,7 +171,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 			ParentZone: "com.",
 			ParentNS:   []string{"ns1.op.net."},
 			ChainValid: true,
-			Queries:    13,
+			Cost:       Cost{Queries: 13},
 			PerNS: []NSObservation{{
 				Host:       "ns1.op.net.",
 				Addr:       netip.MustParseAddr("10.0.0.1"),

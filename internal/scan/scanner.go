@@ -44,13 +44,6 @@ type Config struct {
 	TrustAnchor []dnswire.RR
 	// Seed makes sampling decisions deterministic.
 	Seed int64
-	// Stateless scopes the chain-validation memo to a single zone scan
-	// instead of the whole Scanner (pair it with a Stateless Resolver).
-	// Each zone's observation — query counts included — then depends
-	// only on (zone, world, Seed), never on which zones were scanned
-	// before it or concurrently, making a streamed export byte-stable
-	// across runs and checkpoint resumes.
-	Stateless bool
 	// Retry, when non-nil, is installed on the Resolver so every scan
 	// query retries transient failures (timeouts, SERVFAIL) — the
 	// resilience a lossy network demands. Nil leaves the Resolver's own
@@ -92,19 +85,6 @@ func New(cfg Config) *Scanner {
 // Validator exposes the scanner's chain validator (shared cache).
 func (s *Scanner) Validator() *Validator { return s.val }
 
-// zoneValidatorKey carries the per-zone validator installed by ScanZone
-// in stateless mode.
-type zoneValidatorKey struct{}
-
-// validator returns the chain validator for this resolution chain: the
-// per-zone one in stateless mode, the Scanner-wide one otherwise.
-func (s *Scanner) validator(ctx context.Context) *Validator {
-	if v, ok := ctx.Value(zoneValidatorKey{}).(*Validator); ok {
-		return v
-	}
-	return s.val
-}
-
 // ScanAll scans every zone with bounded concurrency, preserving input
 // order in the result. It is the buffering convenience wrapper around
 // ScanStream: observations stream into the result slice as they are
@@ -143,20 +123,15 @@ func (s *Scanner) ScanZone(ctx context.Context, zoneName string) *ZoneObservatio
 	sp := s.cfg.Tracer.StartSpan(zoneName)
 	ctx = obs.WithSpan(ctx, sp)
 	ctx, stats := resolver.WithQueryStats(ctx)
-	if s.cfg.Stateless {
-		// A fresh memo per zone keeps within-zone validations cheap
-		// while sharing nothing across zones (see Config.Stateless).
-		ctx = context.WithValue(ctx, zoneValidatorKey{}, &Validator{
-			R: s.cfg.Resolver, Now: s.cfg.Now, TrustAnchor: s.cfg.TrustAnchor,
-		})
-	}
 	defer func() {
-		zo.Queries = stats.Queries.Load()
-		zo.Retries = stats.Retries.Load()
-		zo.GaveUp = stats.GaveUp.Load()
-		zo.CacheHits = stats.CacheHits.Load()
-		zo.CacheMisses = stats.CacheMisses.Load()
-		zo.Coalesced = stats.Coalesced.Load()
+		zo.Cost = Cost{
+			Queries:     stats.Queries.Load(),
+			Retries:     stats.Retries.Load(),
+			GaveUp:      stats.GaveUp.Load(),
+			CacheHits:   stats.CacheHits.Load(),
+			CacheMisses: stats.CacheMisses.Load(),
+			Coalesced:   stats.Coalesced.Load(),
+		}
 		if zo.ResolveErr != "" {
 			sp.End("resolve_error")
 		} else {
@@ -516,7 +491,7 @@ func (s *Scanner) probeSignal(ctx context.Context, child, nsHost string) SignalO
 				sigs = append(sigs, sig)
 			}
 		}
-		if err := s.validator(ctx).ValidateRRset(ctx, set, sigs); err != nil {
+		if err := s.val.ValidateRRset(ctx, set, sigs); err != nil {
 			secure = false
 			so.ValidationErr = err.Error()
 			break

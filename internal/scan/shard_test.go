@@ -1,10 +1,13 @@
 // Shard-range conformance suite. The sharded orchestration rests on two
 // properties proven here at the pipeline level (cmd/scanctl's process
 // battery in internal/shard re-proves them across process boundaries):
-// a stateless scan of shard ranges [lo, hi) concatenated in shard order
-// is byte-identical to one uninterrupted full-range export, and the
-// shards' report accumulators merged with Aggregate.Merge render the
-// exact artefacts the single run renders.
+// the record bodies of shard ranges [lo, hi), each scanned by its own
+// scanner with its own cold cache and concatenated in shard order, are
+// byte-identical to those of one uninterrupted full-range export, and
+// the shards' report accumulators merged with Aggregate.Merge render
+// the exact classification artefacts the single run renders. Cost (the
+// records' trailing object, -out queries) depends on the layout and is
+// not compared.
 package scan_test
 
 import (
@@ -22,10 +25,11 @@ import (
 )
 
 // shardRangeRun scans zones [start, stop) of a shared world into buf
-// and returns the run's accumulator.
-func shardRangeRun(t *testing.T, world *ecosystem.Ecosystem, scale, start, stop int, buf *bytes.Buffer) *report.Aggregate {
+// and returns the run's accumulator. opts carries what the case varies
+// (concurrency, loss, retries); world and seed are set here.
+func shardRangeRun(t *testing.T, world *ecosystem.Ecosystem, opts core.Options, start, stop int, buf *bytes.Buffer) *report.Aggregate {
 	t.Helper()
-	opts := core.Options{Seed: 1, ScaleDivisor: scale, Concurrency: 8, Stateless: true, World: world}
+	opts.Seed, opts.World = 1, world
 	w := scan.NewJSONLWriter(buf)
 	study, err := core.RunStream(context.Background(), core.StreamOptions{
 		Options:    opts,
@@ -61,24 +65,24 @@ func TestShardedConformance(t *testing.T) {
 
 		// Reference: one uninterrupted full-range run.
 		var ref bytes.Buffer
-		refAgg := shardRangeRun(t, world, scale, 0, total, &ref)
+		opts := core.Options{Concurrency: 8}
+		refAgg := shardRangeRun(t, world, opts, 0, total, &ref)
 
 		for _, shards := range []int{2, 4} {
 			t.Run(fmt.Sprintf("scale=%d/shards=%d", scale, shards), func(t *testing.T) {
 				var merged bytes.Buffer
 				mergedAgg := report.NewAggregate()
 				for _, rng := range shard.Partition(total, shards) {
-					mergedAgg.Merge(shardRangeRun(t, world, scale, rng.Lo, rng.Hi, &merged))
+					mergedAgg.Merge(shardRangeRun(t, world, opts, rng.Lo, rng.Hi, &merged))
 				}
-				if !bytes.Equal(merged.Bytes(), ref.Bytes()) {
-					t.Errorf("concatenated shard dumps differ from the single-run export:\n%s",
-						firstDiff(ref.String(), merged.String()))
+				if got, want := bodies(t, merged.Bytes()), bodies(t, ref.Bytes()); !bytes.Equal(got, want) {
+					t.Errorf("concatenated shard dumps' bodies differ from the single-run export's:\n%s",
+						firstDiff(string(want), string(got)))
 				}
 				for name, render := range map[string]func(*report.Aggregate) string{
 					"headline": (*report.Aggregate).Headline,
 					"table3":   (*report.Aggregate).Table3,
 					"cds":      (*report.Aggregate).CDSFindings,
-					"queries":  (*report.Aggregate).QueryStats,
 				} {
 					if got, want := render(mergedAgg), render(refAgg); got != want {
 						t.Errorf("%s differs after shard merge:\n got: %s\nwant: %s", name, got, want)
@@ -104,6 +108,65 @@ func TestShardedConformance(t *testing.T) {
 	}
 }
 
+// TestBodiesConcurrencyInvariant pins that what a record says does not
+// depend on which zones were in flight beside it or had warmed the
+// cache before it: three runs at concurrency 16 must reproduce the
+// bodies of a strictly sequential run. Run under -race this is also
+// the cache's and the validator memo's contention test.
+func TestBodiesConcurrencyInvariant(t *testing.T) {
+	world, err := ecosystem.Generate(ecosystem.Config{Seed: 1, ScaleDivisor: 500_000})
+	if err != nil {
+		t.Fatalf("generating world: %v", err)
+	}
+	total := len(world.Targets)
+	var ref bytes.Buffer
+	shardRangeRun(t, world, core.Options{Concurrency: 1}, 0, total, &ref)
+	want := bodies(t, ref.Bytes())
+	for run := 1; run <= 3; run++ {
+		var got bytes.Buffer
+		shardRangeRun(t, world, core.Options{Concurrency: 16}, 0, total, &got)
+		if b := bodies(t, got.Bytes()); !bytes.Equal(b, want) {
+			t.Errorf("run %d at concurrency 16: bodies differ from the sequential run's:\n%s",
+				run, firstDiff(string(want), string(b)))
+		}
+	}
+}
+
+// TestShardedBodiesUnderLoss repeats the 2-shard conformance on a lossy
+// network: at 2 % loss with 4 attempts per exchange retries absorb
+// every drop, so which process warmed which cache entry — and which of
+// them paid the retries — may move cost but not one body byte. Each run
+// gets a fresh world because the fault layer's per-tuple sequence
+// counters live on the network, as they do in separate worker processes.
+func TestShardedBodiesUnderLoss(t *testing.T) {
+	const scale = 500_000
+	opts := core.Options{Concurrency: 8, LossRate: 0.02, RetryAttempts: 4, ChaosSeed: 42}
+	lossyRun := func(shards int) ([]byte, *report.Aggregate) {
+		var dump bytes.Buffer
+		agg := report.NewAggregate()
+		for i := 0; i < shards; i++ {
+			world, err := ecosystem.Generate(ecosystem.Config{Seed: 1, ScaleDivisor: scale})
+			if err != nil {
+				t.Fatalf("generating world: %v", err)
+			}
+			rng := shard.Partition(len(world.Targets), shards)[i]
+			agg.Merge(shardRangeRun(t, world, opts, rng.Lo, rng.Hi, &dump))
+		}
+		return bodies(t, dump.Bytes()), agg
+	}
+	want, refAgg := lossyRun(1)
+	got, mergedAgg := lossyRun(2)
+	if !bytes.Equal(got, want) {
+		t.Errorf("2-shard bodies differ from the single run's under loss:\n%s", firstDiff(string(want), string(got)))
+	}
+	if got, want := mergedAgg.Headline(), refAgg.Headline(); got != want {
+		t.Errorf("headline differs under loss:\n got: %s\nwant: %s", got, want)
+	}
+	if refAgg.Retries == 0 {
+		t.Error("no retries recorded — loss was not injected")
+	}
+}
+
 // TestShardRangeStopBounds pins the Stop contract: out-of-range and
 // inverted bounds clamp rather than panic or over-scan.
 func TestShardRangeStopBounds(t *testing.T) {
@@ -111,7 +174,7 @@ func TestShardRangeStopBounds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("generating world: %v", err)
 	}
-	scanner := core.NewScanner(world, core.Options{Seed: 1, Concurrency: 4, Stateless: true})
+	scanner := core.NewScanner(world, core.Options{Seed: 1, Concurrency: 4})
 	var emitted []int
 	res, err := scanner.ScanStream(context.Background(), world.Targets[:20], scan.StreamOptions{
 		Start: 5,

@@ -43,8 +43,8 @@ type StreamOptions struct {
 	// the producer gracefully: no new zones are dispatched, in-flight
 	// zones finish cleanly, the emitter flushes the completed prefix.
 	// This is the SIGINT path — unlike a context cancellation it never
-	// poisons an in-flight scan, so the emitted prefix is byte-identical
-	// to the same prefix of an uninterrupted run.
+	// poisons an in-flight scan, so the emitted prefix's record bodies
+	// are byte-identical to the same prefix of an uninterrupted run.
 	Drain <-chan struct{}
 	// Sink receives every completed observation in order. Nil discards.
 	Sink StreamSink

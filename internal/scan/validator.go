@@ -14,9 +14,10 @@ import (
 
 // Validator performs full-chain DNSSEC validation: it walks from the
 // root to the zone that signed an RRset, authenticating each DS→DNSKEY
-// link, and finally verifies the RRset itself. Validated zone key sets
-// are memoised, so repeated validations under the same operator zones
-// (the common case when probing thousands of signal names) are cheap.
+// link, and finally verifies the RRset itself. Verdicts on a zone's key
+// set are memoised, so repeated validations under the same operator
+// zones (the common case when probing thousands of signal names) are
+// cheap.
 type Validator struct {
 	// R performs the DNS lookups.
 	R *resolver.Resolver
@@ -59,9 +60,16 @@ func (v *Validator) ZoneKeys(ctx context.Context, zoneName string) ([]dnswire.RR
 
 	keys, err := v.zoneKeysUncached(ctx, zoneName)
 
-	v.mu.Lock()
-	v.cache[zoneName] = &chainEntry{keys: keys, err: err}
-	v.mu.Unlock()
+	// Memoise verdicts only. A transient failure (a DNSKEY fetch that
+	// timed out, a parent that could not be reached) says nothing about
+	// the zone, and remembering it would let one lost packet decide
+	// every later signal under this signer — as resolver.zoneServers
+	// refuses to cache transient failures.
+	if err == nil || errors.Is(err, ErrBogus) || errors.Is(err, ErrInsecureDelegation) {
+		v.mu.Lock()
+		v.cache[zoneName] = &chainEntry{keys: keys, err: err}
+		v.mu.Unlock()
+	}
 	return keys, err
 }
 

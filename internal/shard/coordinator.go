@@ -21,7 +21,7 @@ type WorkerConfig struct {
 	// Bin is the dnssec-scan binary.
 	Bin string
 	// Args are the scan flags every shard shares (-seed, -scale,
-	// -stateless, ...). The coordinator appends the per-shard pieces:
+	// -retries, ...). The coordinator appends the per-shard pieces:
 	// -shard i/N, -checkpoint, -dump, -out none and, on restart,
 	// -resume.
 	Args []string
@@ -41,8 +41,8 @@ type Config struct {
 	// Worker is the worker process template.
 	Worker WorkerConfig
 	// MergedDump, when non-empty (requires Worker.Dump), receives the
-	// shard dumps concatenated in shard order — byte-identical to a
-	// single-process export of the same world.
+	// shard dumps concatenated in shard order — record bodies
+	// byte-identical to a single-process export of the same world.
 	MergedDump string
 	// MaxRestarts bounds restarts per shard; a shard that dies more
 	// often fails the whole run.

@@ -5,7 +5,8 @@
 // -shard i/N` worker; the coordinator (cmd/scanctl) launches the
 // workers, restarts dead or wedged ones from their last durable
 // checkpoint, and merges the per-shard accumulator states and JSONL
-// dumps into output byte-identical to a single-process -stateless run.
+// dumps into output whose record bodies, headline and tables are
+// byte-identical to a single-process run's.
 package shard
 
 import (
