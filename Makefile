@@ -6,7 +6,7 @@ GO ?= go
 # wholesale untested subsystem does.
 COVER_FLOOR ?= 70.0
 
-.PHONY: all test race cover lint lint-fixtures lint-pragma-budget fuzz-smoke bench-smoke bench-gate bench-check obs-smoke shard-smoke serve-smoke ingest-smoke build ci
+.PHONY: all test race cover lint lint-fixtures lint-pragma-budget fuzz-smoke bench-smoke bench-check obs-smoke shard-smoke serve-smoke ingest-smoke build size ci
 
 all: test
 
@@ -70,23 +70,6 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 	mkdir -p artifacts
 	$(GO) run ./cmd/dnssec-scan -scale 500000 -metrics-out artifacts/metrics.json -out queries
-
-# Allocation gate over the hot-path benchmarks. The zero-alloc legs
-# (PackUnpack/pack, PackUnpack/unpack) run 2000 iterations so pool
-# warm-up amortises to zero in the reported average; ScanStream runs a
-# few full streams. cmd/benchgate asserts the allocs/op ceilings and
-# appends this run to artifacts/bench_trajectory.json so zones/s and
-# allocs/op are diffable across commits.
-bench-gate:
-	mkdir -p artifacts
-	$(GO) test -run '^$$' -bench 'BenchmarkScanStream' \
-		-benchmem -benchtime 3x -count 1 . > artifacts/bench_gate.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkPackUnpack' \
-		-benchmem -benchtime 2000x -count 1 . >> artifacts/bench_gate.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkQueryHotPath' \
-		-benchmem -benchtime 2000x -count 1 ./internal/resolver/ >> artifacts/bench_gate.txt
-	$(GO) run ./cmd/benchgate -in artifacts/bench_gate.txt \
-		-trajectory artifacts/bench_trajectory.json -label local
 
 # The benchmark harness is a nested module that the root `go vet` and
 # `go test ./...` never enter: vet it and run its own tests (names held
@@ -152,10 +135,29 @@ obs-smoke:
 	$(GO) run ./cmd/dnssec-scan -scale 500000 -trace-out artifacts/trace.jsonl -out headline
 	$(GO) run ./cmd/reanalyze -trace artifacts/trace.jsonl
 
+# How much program there is: non-test Go lines per package (testdata/
+# excluded), the number of cmd/ binaries, and the flags each defines.
+# Printed at the end of `make ci` so a PR's before/after is one diff.
+size:
+	@echo "non-test Go lines per package:"
+	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs -n1 dirname | sort -u); do \
+		printf '%7d  %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
+	done
+	@for t in internal cmd; do \
+		printf '%7d  %s/ total\n' $$(find $$t -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l) $$t; \
+	done
+	@printf 'binaries under cmd/: %d\n' $$(ls -d cmd/*/ | wc -l)
+	@echo "flag definitions per binary:"
+	@for d in cmd/*/; do \
+		printf '%7d  %s\n' $$(cat $$d*.go | grep -cE '(flag|fs)\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Var|Func)\(') $$d; \
+	done
+
 # The full local CI gate: vet, the lint suite, build, the race-enabled
 # test suite (includes the chaos, cache-invariance and
-# observability-neutrality regressions), the fuzz smoke, the trace
-# round-trip, the benchmark harness's own checks and the smokes.
+# observability-neutrality regressions; the allocation ceilings run in
+# the plain suite of `make cover`, being excluded under -race), the fuzz
+# smoke, the trace round-trip, the benchmark harness's own checks, the
+# smokes, and the size report.
 ci:
 	$(GO) vet ./...
 	$(MAKE) lint
@@ -166,7 +168,7 @@ ci:
 	$(MAKE) fuzz-smoke
 	$(MAKE) ingest-smoke
 	$(MAKE) obs-smoke
-	$(MAKE) bench-gate
 	$(MAKE) bench-check
 	$(MAKE) shard-smoke
 	$(MAKE) serve-smoke
+	$(MAKE) size

@@ -172,30 +172,11 @@ func BenchmarkRegistryShortCircuit(b *testing.B) {
 	b.ReportMetric(float64(short.Report.Queries), "queries")
 }
 
-// BenchmarkScanThroughput measures end-to-end zones scanned per second
-// over the in-memory network.
-func BenchmarkScanThroughput(b *testing.B) {
-	study := benchStudy(b)
-	scanner := core.NewScanner(study.World, core.Options{Seed: 2, Concurrency: 16})
-	targets := study.World.Targets
-	if len(targets) > 512 {
-		targets = targets[:512]
-	}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scanner.ScanAll(ctx, targets)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(targets))*float64(b.N)/b.Elapsed().Seconds(), "zones/s")
-}
-
-// BenchmarkScanStream measures the streaming pipeline against the
-// same workload as BenchmarkScanThroughput: identical scanner
-// configuration, but observations flow through the order-restoring
-// emitter to a discarding sink instead of materialising in one slice.
-// peak_live reports the high-water mark of dispatched-but-unemitted
-// zones — the streaming memory bound.
+// BenchmarkScanStream measures zones scanned per second through the
+// streaming pipeline over the in-memory network: observations flow
+// through the order-restoring emitter to a discarding sink. peak_live
+// reports the high-water mark of dispatched-but-unemitted zones — the
+// streaming memory bound.
 func BenchmarkScanStream(b *testing.B) {
 	study := benchStudy(b)
 	scanner := core.NewScanner(study.World, core.Options{Seed: 2, Concurrency: 16})
@@ -225,7 +206,7 @@ func BenchmarkScanStream(b *testing.B) {
 
 // BenchmarkScanLossy measures scan throughput under 5 % injected
 // packet loss with the retry policy absorbing the drops — the cost of
-// resilience relative to BenchmarkScanThroughput. It generates its own
+// resilience relative to BenchmarkScanStream. It generates its own
 // world: installing a fault profile on the shared benchStudy network
 // would leak loss into every other benchmark.
 func BenchmarkScanLossy(b *testing.B) {
@@ -317,17 +298,6 @@ func BenchmarkScanCached(b *testing.B) {
 	b.ReportMetric(float64(freshScanQ)/float64(cachedScanQ), "reduction_x")
 }
 
-// BenchmarkWorldGeneration measures ecosystem construction.
-func BenchmarkWorldGeneration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		world, err := ecosystem.Generate(ecosystem.Config{Seed: int64(i), ScaleDivisor: 100_000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = world
-	}
-}
-
 // --- micro-benchmarks on the substrates ---
 
 func sampleMessage() *dnswire.Message {
@@ -346,33 +316,10 @@ func sampleMessage() *dnswire.Message {
 	return m
 }
 
-func BenchmarkWirePack(b *testing.B) {
-	m := sampleMessage()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Pack(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWireUnpack(b *testing.B) {
-	wire, err := sampleMessage().Pack()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := dnswire.Unpack(wire); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPackUnpack measures the steady-state reuse path: AppendPack
 // into a recycled buffer and UnpackFrom into a recycled Message. This is
-// the shape of the scan hot loop, and the bench gate pins both legs at
-// 0 allocs/op.
+// the shape of the scan hot loop; internal/dnswire/alloc_test.go pins
+// both legs at 0 allocs/op.
 func BenchmarkPackUnpack(b *testing.B) {
 	m := sampleMessage()
 	wire, err := m.Pack()
@@ -595,22 +542,6 @@ func BenchmarkZoneSignNSEC3(b *testing.B) {
 		if err := z.Sign(cfg); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkScanRateLimited quantifies the cost of the paper's 50 q/s
-// per-NS politeness budget relative to the unlimited simulation.
-func BenchmarkScanRateLimited(b *testing.B) {
-	study := benchStudy(b)
-	scanner := core.NewScanner(study.World, core.Options{Seed: 5, QueriesPerSecondPerNS: 5000, Concurrency: 16})
-	targets := study.World.Targets
-	if len(targets) > 128 {
-		targets = targets[:128]
-	}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scanner.ScanAll(ctx, targets)
 	}
 }
 

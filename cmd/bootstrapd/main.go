@@ -22,7 +22,6 @@ import (
 	"dnssecboot/internal/classify"
 	"dnssecboot/internal/core"
 	"dnssecboot/internal/ecosystem"
-	"dnssecboot/internal/report"
 )
 
 func main() {
@@ -95,13 +94,13 @@ func main() {
 	}
 
 	// Pass 3: re-measure. The bootstrapped islands are now secured.
-	scanner2 := core.NewScanner(world, core.Options{Seed: *seed})
-	obs := scanner2.ScanAll(ctx, world.Targets)
-	results := classify.New(world.Now).ClassifyAll(obs)
-	after := report.Build(results)
+	after, err := core.Run(ctx, core.Options{Seed: *seed, World: world})
+	if err != nil {
+		fatal(err)
+	}
 	fmt.Println("\nafter bootstrapping:")
-	fmt.Println(after.Headline())
-	deltaSecured := after.ByStatus[classify.StatusSecured] - before.Report.ByStatus[classify.StatusSecured]
+	fmt.Println(after.Report.Headline())
+	deltaSecured := after.Report.ByStatus[classify.StatusSecured] - before.Report.ByStatus[classify.StatusSecured]
 	fmt.Printf("secured zones grew by %d (islands completed via RFC 9615)\n", deltaSecured)
 }
 

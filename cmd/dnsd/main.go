@@ -9,10 +9,16 @@
 //	dnsd -listen 127.0.0.1:5353 example.com.db
 //	dnsd -listen 127.0.0.1:0 -addr-file /run/dnsd.addr -sign \
 //	     -metrics-out metrics.json -metrics-every 10s zone1.db zone2.db
+//	dnsd -listen 127.0.0.1:5353 -cache-entries 0 -legacy zone1.db   # FORMERR on CDS
 //
 // Zone origins derive from filenames (<origin>.db / <origin>.zone);
 // -sign generates keys and signs every loaded zone in memory so DO
 // queries are answered with RRSIGs without a separate zonesign step.
+// -legacy, -refuse-any, -servfail-rate and -drop-rate reproduce the
+// server quirks the paper observed in the wild. They act behind the
+// response cache, which never stores a quirk's outcome but does answer
+// repeats without consulting the server: pass -cache-entries 0 when
+// every query should meet the quirk.
 package main
 
 import (
@@ -48,7 +54,11 @@ func run(args []string) int {
 		metricsOut   = fs.String("metrics-out", "", "write periodic JSON metrics snapshots to this file")
 		metricsEvery = fs.Duration("metrics-every", 10*time.Second, "metrics snapshot interval")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "graceful drain budget on shutdown")
-		seed         = fs.Int64("seed", 1, "behaviour randomness seed")
+		legacy       = fs.Bool("legacy", false, "FORMERR on post-2003 query types (pre-RFC 3597 behaviour)")
+		refuseANY    = fs.Bool("refuse-any", false, "answer ANY with RFC 8482 HINFO")
+		servfailRate = fs.Float64("servfail-rate", 0, "probability that a cache miss is answered SERVFAIL")
+		dropRate     = fs.Float64("drop-rate", 0, "probability that a cache miss is silently dropped")
+		seed         = fs.Int64("seed", 1, "seed for the -servfail-rate/-drop-rate dice")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -59,6 +69,12 @@ func run(args []string) int {
 	}
 
 	srv := server.New(*seed)
+	srv.Behavior = server.Behavior{
+		LegacyUnknownTypes: *legacy,
+		RefuseANY:          *refuseANY,
+		ServfailRate:       *servfailRate,
+		DropRate:           *dropRate,
+	}
 	for _, path := range fs.Args() {
 		z, err := loadZone(path, *sign)
 		if err != nil {

@@ -45,7 +45,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof handlers on DefaultServeMux
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"syscall"
 	"time"
@@ -94,7 +93,7 @@ func main() {
 		seed         = flag.Int64("seed", 1, "deterministic world/scan seed")
 		scale        = flag.Int("scale", 2000, "divide the paper's population counts by this")
 		concurrency  = flag.Int("concurrency", runtime.NumCPU(), "parallel zone scans")
-		out          = flag.String("out", "all", "artefact: all|headline|table1|table2|table3|figure1|cds|queries|none")
+		out          = flag.String("out", "all", "artefact: "+report.ArtefactChoices("none"))
 		shortCircuit = flag.Bool("short-circuit", false, "registry short-circuit: probe signals only for candidates (Appendix D)")
 		maxZones     = flag.Int("max-zones", 0, "scan at most this many zones (0 = all)")
 		rate         = flag.Float64("rate", 0, "queries/second per nameserver (0 = unlimited; the paper used 50)")
@@ -117,10 +116,13 @@ func main() {
 		shardSpec    = flag.String("shard", "", "scan only the i-th of N contiguous zone shards, as \"i/N\" (0-based); partitions are deterministic in the zone index")
 		zonefile     = flag.String("zonefile", "", "ingest scan targets from this zone dump (master-file/AXFR dump, plain or gzip) instead of the generator's target list; -seed/-scale still shape the simulated network the targets are scanned against")
 		zoneOrigin   = flag.String("zonefile-origin", "", "apex of the -zonefile dump (default: autodetect from $ORIGIN or the first SOA)")
-		zoneWorkers  = flag.Int("zonefile-workers", 0, "parallel -zonefile record parsers (0 = auto)")
 		zoneStrict   = flag.Bool("zonefile-strict", false, "abort -zonefile ingestion on the first malformed record instead of counting and skipping it")
 	)
 	flag.Parse()
+	if err := report.CheckArtefact(*out, "none"); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if *zonefile != "" && *year != 0 {
 		fmt.Fprintln(os.Stderr, "-zonefile and -year are mutually exclusive: the target list comes from the dump, not the synthetic population")
 		os.Exit(2)
@@ -187,7 +189,6 @@ func main() {
 		ingStart := time.Now()
 		res, err := ingest.File(context.Background(), *zonefile, ingest.Config{
 			Origin:   *zoneOrigin,
-			Workers:  *zoneWorkers,
 			Strict:   *zoneStrict,
 			Registry: registry,
 		})
@@ -439,38 +440,12 @@ func main() {
 		return
 	}
 	if *csvDir != "" {
-		for _, artefact := range []string{"table1", "table2", "table3", "figure1"} {
-			f, err := os.Create(filepath.Join(*csvDir, artefact+".csv"))
-			if err != nil {
-				fatal("csv", err)
-			}
-			if err := r.WriteCSV(f, artefact); err != nil {
-				fatal("csv", err)
-			}
-			_ = f.Close()
+		if err := r.WriteCSVDir(*csvDir); err != nil {
+			fatal("csv", err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote CSV series to %s\n", *csvDir)
 	}
-	artefacts := map[string]func() string{
-		"headline": r.Headline,
-		"table1":   func() string { return r.Table1(20) },
-		"table2":   func() string { return r.Table2(20) },
-		"table3":   r.Table3,
-		"figure1":  r.Figure1,
-		"cds":      r.CDSFindings,
-		"queries":  r.QueryStats,
-	}
-	if *out != "all" {
-		f, ok := artefacts[*out]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown artefact %q\n", *out)
-			os.Exit(2)
-		}
-		fmt.Println(f())
-		return
-	}
-	for _, name := range []string{"headline", "figure1", "table1", "table2", "cds", "table3", "queries"} {
-		fmt.Println(artefacts[name]())
-		fmt.Println()
+	if err := r.WriteArtefact(os.Stdout, *out); err != nil {
+		fatal("out", err)
 	}
 }

@@ -32,11 +32,15 @@ import (
 func main() {
 	var (
 		in    = flag.String("in", "-", "JSONL observation dump (- for stdin)")
-		out   = flag.String("out", "all", "artefact: all|headline|table1|table2|table3|figure1|cds|queries, or body: the records without their cost objects")
+		out   = flag.String("out", "all", "artefact: "+report.ArtefactChoices()+", or body: the records without their cost objects")
 		now   = flag.String("now", "2025-04-15T12:00:00Z", "validation timestamp (RFC 3339) matching the scan")
 		trace = flag.String("trace", "", "validate and summarise a -trace-out JSONL stream instead of reclassifying")
 	)
 	flag.Parse()
+	if err := report.CheckArtefact(*out, "body"); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	if *trace != "" {
 		summarizeTrace(*trace)
@@ -80,27 +84,8 @@ func main() {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "reanalyze: classified %d observations\n", count)
-	artefacts := map[string]func() string{
-		"headline": r.Headline,
-		"table1":   func() string { return r.Table1(20) },
-		"table2":   func() string { return r.Table2(20) },
-		"table3":   r.Table3,
-		"figure1":  r.Figure1,
-		"cds":      r.CDSFindings,
-		"queries":  r.QueryStats,
-	}
-	if *out != "all" {
-		fn, ok := artefacts[*out]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown artefact %q\n", *out)
-			os.Exit(2)
-		}
-		fmt.Println(fn())
-		return
-	}
-	for _, name := range []string{"headline", "figure1", "table1", "table2", "cds", "table3", "queries"} {
-		fmt.Println(artefacts[name]())
-		fmt.Println()
+	if err := r.WriteArtefact(os.Stdout, *out); err != nil {
+		fatal(err)
 	}
 }
 

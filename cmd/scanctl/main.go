@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"dnssecboot/internal/obs"
+	"dnssecboot/internal/report"
 	"dnssecboot/internal/shard"
 )
 
@@ -85,9 +86,13 @@ func main() {
 		// Merged outputs.
 		dump   = flag.String("dump", "", "write the merged JSONL export (shard dumps concatenated in shard order) to this file")
 		csvDir = flag.String("csv-dir", "", "also write table1/2/3 + figure1 as CSV files into this directory")
-		out    = flag.String("out", "all", "artefact: all|headline|table1|table2|table3|figure1|cds|queries|none")
+		out    = flag.String("out", "all", "artefact: "+report.ArtefactChoices("none"))
 	)
 	flag.Parse()
+	if err := report.CheckArtefact(*out, "none"); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if *shards < 1 {
 		fmt.Fprintln(os.Stderr, "-shards must be at least 1")
 		os.Exit(2)
@@ -174,38 +179,12 @@ func main() {
 		return
 	}
 	if *csvDir != "" {
-		for _, artefact := range []string{"table1", "table2", "table3", "figure1"} {
-			f, err := os.Create(filepath.Join(*csvDir, artefact+".csv"))
-			if err != nil {
-				fatal("csv", err)
-			}
-			if err := r.WriteCSV(f, artefact); err != nil {
-				fatal("csv", err)
-			}
-			_ = f.Close()
+		if err := r.WriteCSVDir(*csvDir); err != nil {
+			fatal("csv", err)
 		}
 		fmt.Fprintf(os.Stderr, "scanctl: wrote CSV series to %s\n", *csvDir)
 	}
-	artefacts := map[string]func() string{
-		"headline": r.Headline,
-		"table1":   func() string { return r.Table1(20) },
-		"table2":   func() string { return r.Table2(20) },
-		"table3":   r.Table3,
-		"figure1":  r.Figure1,
-		"cds":      r.CDSFindings,
-		"queries":  r.QueryStats,
-	}
-	if *out != "all" {
-		f, ok := artefacts[*out]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown artefact %q\n", *out)
-			os.Exit(2)
-		}
-		fmt.Println(f())
-		return
-	}
-	for _, name := range []string{"headline", "figure1", "table1", "table2", "cds", "table3", "queries"} {
-		fmt.Println(artefacts[name]())
-		fmt.Println()
+	if err := r.WriteArtefact(os.Stdout, *out); err != nil {
+		fatal("out", err)
 	}
 }

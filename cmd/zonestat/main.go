@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	zonestat [-workers N] [-origin tld.] [-strict] [-targets-out file] dump.zone[.gz]...
+//	zonestat [-origin tld.] [-strict] [-targets-out file] dump.zone[.gz]...
 //
 // One JSON object is printed per input file, one per line. Every field
 // is a deterministic function of the input bytes and flags (timing goes
@@ -27,7 +27,6 @@ import (
 
 func main() {
 	var (
-		workers    = flag.Int("workers", 0, "parallel record parsers (0 = auto)")
 		origin     = flag.String("origin", "", "apex of the dump (default: autodetect from $ORIGIN or the first SOA)")
 		strict     = flag.Bool("strict", false, "abort on the first malformed record instead of counting and skipping it")
 		targetsOut = flag.String("targets-out", "", "write the reduced target list (one registrable name per line) to this file")
@@ -52,9 +51,8 @@ func main() {
 	for _, path := range flag.Args() {
 		start := time.Now()
 		res, err := ingest.File(context.Background(), path, ingest.Config{
-			Origin:  *origin,
-			Workers: *workers,
-			Strict:  *strict,
+			Origin: *origin,
+			Strict: *strict,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "zonestat: %s: %v\n", path, err)

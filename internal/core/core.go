@@ -153,39 +153,26 @@ func NewScanner(world *ecosystem.Ecosystem, opts Options) *scan.Scanner {
 	})
 }
 
-// Run executes the full pipeline: generate → scan → classify → report.
+// Run executes the full pipeline — generate → scan → classify → report
+// — and keeps every zone: it is RunStream with a sink that collects.
+// When ctx is cancelled mid-scan the study holds the clean prefix
+// scanned so far and the context's error is returned with it.
 func Run(ctx context.Context, opts Options) (*Study, error) {
-	world := opts.World
-	if world == nil {
-		var err error
-		world, err = ecosystem.Generate(ecosystem.Config{
-			Seed:         opts.Seed,
-			ScaleDivisor: opts.ScaleDivisor,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: generating world: %w", err)
-		}
+	study := &Study{}
+	st, err := RunStream(ctx, StreamOptions{
+		Options: opts,
+		Sink: func(_ int, zo *scan.ZoneObservation, res *classify.Result) error {
+			study.Observations = append(study.Observations, zo)
+			study.Results = append(study.Results, res)
+			return nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	targets := opts.Targets
-	if targets == nil {
-		targets = world.Targets
+	study.World, study.Report, study.Elapsed = st.World, st.Report, st.Elapsed
+	if st.Drained {
+		return study, fmt.Errorf("core: scan stopped at zone %d of %d: %w", st.NextIndex, st.TotalZones, ctx.Err())
 	}
-	if opts.MaxZones > 0 && len(targets) > opts.MaxZones {
-		targets = targets[:opts.MaxZones]
-	}
-	scanner := NewScanner(world, opts)
-	start := time.Now()
-	observations := scanner.ScanAll(ctx, targets)
-	elapsed := time.Since(start)
-
-	classifier := classify.New(world.Now)
-	classifier.Tracer = opts.Tracer
-	results := classifier.ClassifyAll(observations)
-	return &Study{
-		World:        world,
-		Observations: observations,
-		Results:      results,
-		Report:       report.Build(results),
-		Elapsed:      elapsed,
-	}, nil
+	return study, nil
 }

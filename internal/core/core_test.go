@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"dnssecboot/internal/classify"
@@ -230,5 +231,23 @@ func TestShortCircuitReducesQueries(t *testing.T) {
 			t.Errorf("%s ladder changed: full %d/%d/%d short %d/%d/%d",
 				name, fs.Potential, fs.Correct, fs.Incorrect, ss.Potential, ss.Correct, ss.Incorrect)
 		}
+	}
+}
+
+// Run collects from RunStream, so a cancelled run is a truncated one:
+// the caller gets what was scanned and an error saying so, never a
+// short study that looks complete.
+func TestRunCancelledReturnsPrefixAndError(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	study, err := Run(ctx, Options{Seed: 3, ScaleDivisor: 500_000})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run under a cancelled context: error %v, want context.Canceled", err)
+	}
+	if study == nil || study.Report == nil || len(study.Observations) != len(study.Results) {
+		t.Fatalf("no usable partial study: %+v", study)
+	}
+	if len(study.Observations) >= len(study.World.Targets) {
+		t.Errorf("cancelled run scanned all %d zones", len(study.Observations))
 	}
 }

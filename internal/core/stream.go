@@ -32,8 +32,6 @@ type StreamOptions struct {
 	// Drain asks the run to stop dispatching new zones when closed;
 	// in-flight zones complete and are emitted (SIGINT handling).
 	Drain <-chan struct{}
-	// Window bounds the reorder buffer (see scan.StreamOptions.Window).
-	Window int
 	// Sink receives every in-order (observation, classification) pair
 	// after it has been folded into the report accumulator. Nil is
 	// allowed: the run then only accumulates.
@@ -108,10 +106,9 @@ func RunStream(ctx context.Context, opts StreamOptions) (*StreamStudy, error) {
 	scanner := NewScanner(world, opts.Options)
 	start := time.Now()
 	res, err := scanner.ScanStream(ctx, targets, scan.StreamOptions{
-		Start:  opts.StartIndex,
-		Stop:   opts.EndIndex,
-		Window: opts.Window,
-		Drain:  opts.Drain,
+		Start: opts.StartIndex,
+		Stop:  opts.EndIndex,
+		Drain: opts.Drain,
 		Sink: func(i int, zo *scan.ZoneObservation) error {
 			r := classifier.Classify(zo)
 			agg.Add(r)
@@ -132,8 +129,5 @@ func RunStream(ctx context.Context, opts StreamOptions) (*StreamStudy, error) {
 		PeakLive:   res.PeakLive,
 		Elapsed:    elapsed,
 	}
-	if err != nil {
-		return study, err
-	}
-	return study, nil
+	return study, err
 }

@@ -11,11 +11,11 @@
 //	chunked reader → logical-line assembler → parallel record parsers → order-preserving reducer
 //
 // Only the assembler is sequential (directive state and blank-owner
-// continuation are order-dependent); record parsing fans out over a
-// bounded worker pool and the reducer restores input order by batch
-// sequence number, so the emitted target list is byte-identical for
-// every worker count. Live memory is bounded by the in-flight batch
-// window plus the deduplication set — independent of the dump size.
+// continuation are order-dependent); record parsing fans out through
+// ordered.Map, which hands the batches back in input order, so the
+// emitted target list is byte-identical for every worker count. Live
+// memory is bounded by Map's window (at most 2×Workers batches) plus
+// the deduplication set — independent of the dump size.
 package ingest
 
 import (
@@ -28,10 +28,10 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"dnssecboot/internal/dnswire"
 	"dnssecboot/internal/obs"
+	"dnssecboot/internal/ordered"
 	"dnssecboot/internal/psl"
 	"dnssecboot/internal/zone"
 )
@@ -199,129 +199,29 @@ func Ingest(ctx context.Context, r io.Reader, cfg Config) (*Result, error) {
 		g.apexKnown = true
 	}
 
-	// ictx stops the producer when the reducer aborts (strict-mode
-	// record error) without poisoning the batches already in flight.
-	ictx, icancel := context.WithCancel(ctx)
-	defer icancel()
-
-	jobs := make(chan batchIn, workers)
-	outs := make(chan batchOut, workers)
-
-	// Producer: the sequential assembler, batching lineItems.
+	// Source: the sequential assembler, one batch of lineItems per pull.
+	// A read error is stashed and ends the source after the partial
+	// batch in hand, so every line before the damage is still reduced.
 	var readErr error
-	var readWG sync.WaitGroup
-	readWG.Add(1)
-	go func() {
-		defer readWG.Done()
-		defer close(jobs)
-		seq := 0
-		batch := make([]lineItem, 0, batchLines)
-		flush := func() bool {
-			if len(batch) == 0 {
-				return true
-			}
-			b := batchIn{seq: seq, items: batch}
-			seq++
-			batch = make([]lineItem, 0, batchLines)
-			select {
-			case jobs <- b:
-				return true
-			case <-ictx.Done():
-				return false
-			}
+	next := func() ([]lineItem, bool) {
+		if readErr != nil {
+			return nil, false
 		}
-		for {
-			if ictx.Err() != nil {
-				return
-			}
+		batch := make([]lineItem, 0, batchLines)
+		for len(batch) < batchLines {
 			item, ok, err := asm.next()
 			if err != nil {
 				readErr = err
-				flush()
-				return
+				break
 			}
 			if !ok {
-				flush()
-				return
+				break
 			}
 			batch = append(batch, item)
-			if len(batch) >= batchLines {
-				if !flush() {
-					return
-				}
-			}
 		}
-	}()
-
-	// Parse pool: order-free, one zone.ParseRecord per line.
-	var workWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		workWG.Add(1)
-		go func() {
-			defer workWG.Done()
-			for b := range jobs {
-				out := batchOut{seq: b.seq, items: b.items, rrs: make([]dnswire.RR, len(b.items)), errs: make([]error, len(b.items))}
-				for i, item := range b.items {
-					if item.err != "" {
-						continue // structural problem, counted downstream
-					}
-					rr, err := zone.ParseRecord(item.text, item.origin, item.ttl)
-					if err == nil {
-						// The presentation parser accepts any label
-						// string; enforce the wire limits here so
-						// 300-octet owners from dirty dumps are skips,
-						// not scan targets.
-						if _, nerr := dnswire.NameWireLength(rr.Name); nerr != nil {
-							err = fmt.Errorf("owner: %w", nerr)
-						}
-					}
-					out.rrs[i], out.errs[i] = rr, err
-				}
-				select {
-				case outs <- out:
-				case <-ictx.Done():
-					// Reducer is gone; drop the batch so the pool can
-					// drain the closed jobs channel and exit.
-				}
-			}
-		}()
+		return batch, len(batch) > 0
 	}
-	go func() {
-		readWG.Wait()
-		workWG.Wait()
-		close(outs)
-	}()
-
-	// Order-preserving reducer, on the calling goroutine: batches are
-	// re-sequenced, then every record flows through the registrable-
-	// domain reduction in exact input order.
-	pending := make(map[int]batchOut, workers+2)
-	next := 0
-	var abortErr error
-	for out := range outs {
-		if abortErr != nil {
-			continue // draining after a strict-mode abort
-		}
-		pending[out.seq] = out
-		for {
-			b, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			for i := range b.items {
-				if err := g.reduce(b.items[i], b.rrs[i], b.errs[i]); err != nil {
-					abortErr = err
-					icancel()
-					break
-				}
-			}
-			if abortErr != nil {
-				break
-			}
-		}
-	}
+	_, abortErr := ordered.Map(ctx, workers, next, parseBatch, g.reduceBatch)
 	if abortErr != nil {
 		return nil, abortErr
 	}
@@ -355,17 +255,32 @@ func Ingest(ctx context.Context, r io.Reader, cfg Config) (*Result, error) {
 	return &Result{Targets: g.targets, Stats: g.stats}, nil
 }
 
-// batchIn and batchOut carry one batch of lines through the pool.
-type batchIn struct {
-	seq   int
-	items []lineItem
-}
-
-type batchOut struct {
-	seq   int
+// parsedBatch is one batch of lines with its per-line parse results.
+type parsedBatch struct {
 	items []lineItem
 	rrs   []dnswire.RR
 	errs  []error
+}
+
+// parseBatch is the order-free stage: one zone.ParseRecord per line.
+func parseBatch(_ context.Context, items []lineItem) parsedBatch {
+	out := parsedBatch{items: items, rrs: make([]dnswire.RR, len(items)), errs: make([]error, len(items))}
+	for i, item := range items {
+		if item.err != "" {
+			continue // structural problem, counted downstream
+		}
+		rr, err := zone.ParseRecord(item.text, item.origin, item.ttl)
+		if err == nil {
+			// The presentation parser accepts any label string; enforce
+			// the wire limits here so 300-octet owners from dirty dumps
+			// are skips, not scan targets.
+			if _, nerr := dnswire.NameWireLength(rr.Name); nerr != nil {
+				err = fmt.Errorf("owner: %w", nerr)
+			}
+		}
+		out.rrs[i], out.errs[i] = rr, err
+	}
+	return out
 }
 
 // ingester is the sequential reduction state.
@@ -392,6 +307,18 @@ func (g *ingester) recordProblem(line int, msg string) error {
 	g.skip(SkipBadRecord)
 	if len(g.stats.FirstErrors) < maxErrorSamples {
 		g.stats.FirstErrors = append(g.stats.FirstErrors, fmt.Sprintf("line %d: %s", line, msg))
+	}
+	return nil
+}
+
+// reduceBatch is the order-preserving stage, run on Ingest's goroutine:
+// every record flows through the registrable-domain reduction in exact
+// input order; a strict-mode record error aborts the run.
+func (g *ingester) reduceBatch(_ int, b parsedBatch) error {
+	for i := range b.items {
+		if err := g.reduce(b.items[i], b.rrs[i], b.errs[i]); err != nil {
+			return err
+		}
 	}
 	return nil
 }

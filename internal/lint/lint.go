@@ -127,6 +127,8 @@ func DefaultConfig(module string) Config {
 			p("internal/resolver"): true,
 			p("internal/scan"):     true,
 			p("internal/ingest"):   true,
+			// the one fan-out both of the above run through
+			p("internal/ordered"): true,
 		},
 		Lifecycle: map[string]bool{
 			p("internal/resolver"):  true,
@@ -137,6 +139,7 @@ func DefaultConfig(module string) Config {
 			p("internal/server"):    true,
 			p("internal/rate"):      true,
 			p("internal/shard"):     true,
+			p("internal/ordered"):   true,
 		},
 	}
 }

@@ -1,6 +1,8 @@
 package report
 
 import (
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -140,6 +142,72 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "possible to bootstrap,1") {
 		t.Errorf("figure1 CSV:\n%s", buf.String())
+	}
+}
+
+// The -out contract shared by dnssec-scan, scanctl and reanalyze: a
+// single artefact is its rendering plus a newline, "all" is every
+// artefact in the fixed order each followed by a blank line, and an
+// unknown name is an error that CheckArtefact reports without a report.
+func TestWriteArtefact(t *testing.T) {
+	a := Build(sampleResults())
+	var all strings.Builder
+	for _, name := range strings.Split(ArtefactChoices(), "|")[1:] {
+		var one strings.Builder
+		if err := a.WriteArtefact(&one, name); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if one.Len() < 2 {
+			t.Errorf("%s rendered %q", name, one.String())
+		}
+		all.WriteString(one.String() + "\n")
+	}
+	if want := a.Headline() + "\n"; !strings.HasPrefix(all.String(), want) {
+		t.Errorf("first artefact is not the headline:\n%s", all.String())
+	}
+	var got strings.Builder
+	if err := a.WriteArtefact(&got, "all"); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != all.String() {
+		t.Errorf("all differs from the single artefacts in order:\n%s\n--- want ---\n%s", got.String(), all.String())
+	}
+
+	got.Reset()
+	if err := a.WriteArtefact(&got, "tabel3"); err == nil || got.Len() != 0 {
+		t.Errorf("unknown artefact: error %v, wrote %q", err, got.String())
+	}
+	if err := CheckArtefact("tabel3", "none"); err == nil || !strings.Contains(err.Error(), `"tabel3"`) {
+		t.Errorf("CheckArtefact(tabel3) = %v", err)
+	}
+	for _, ok := range []string{"all", "table3", "none"} {
+		if err := CheckArtefact(ok, "none"); err != nil {
+			t.Errorf("CheckArtefact(%s) = %v", ok, err)
+		}
+	}
+	if err := CheckArtefact("none"); err == nil {
+		t.Error("none accepted by a binary that does not offer it")
+	}
+}
+
+func TestWriteCSVDir(t *testing.T) {
+	a := Build(sampleResults())
+	dir := t.TempDir()
+	if err := a.WriteCSVDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, artefact := range []string{"table1", "table2", "table3", "figure1"} {
+		var want strings.Builder
+		if err := a.WriteCSV(&want, artefact); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, artefact+".csv"))
+		if err != nil || string(got) != want.String() {
+			t.Errorf("%s.csv: error %v, content differs from WriteCSV: %q", artefact, err, got)
+		}
+	}
+	if err := a.WriteCSVDir(filepath.Join(dir, "absent")); err == nil {
+		t.Error("missing directory accepted")
 	}
 }
 

@@ -215,11 +215,11 @@ func TestStreamBoundedWindow(t *testing.T) {
 	opts := streamOpts()
 	opts.Concurrency = 4
 	opts.World = world
-	const window = 6
+	window := 2 * opts.Concurrency
 	var peaks []int
 	for _, n := range []int{40, 120, len(world.Targets)} {
 		opts.MaxZones = n
-		res, err := core.RunStream(context.Background(), core.StreamOptions{Options: opts, Window: window})
+		res, err := core.RunStream(context.Background(), core.StreamOptions{Options: opts})
 		if err != nil {
 			t.Fatalf("RunStream(%d zones): %v", n, err)
 		}

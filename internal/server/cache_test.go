@@ -216,6 +216,53 @@ func TestCacheNXDomainAndUncacheable(t *testing.T) {
 	}
 }
 
+// dnsd puts the cache in front of a server with Behavior quirks: the
+// quirk probabilities then apply to cache misses, and a quirk's outcome
+// must never be what the next client is served.
+func TestCacheNeverServesQuirkOutcomes(t *testing.T) {
+	s := New(1)
+	s.Behavior = Behavior{LegacyUnknownTypes: true, DropRate: 1}
+	s.AddZone(buildZone(t, false))
+	c, _ := newTestCache(16, nil)
+	h := &CachedHandler{Inner: s, Cache: c}
+	handle := func(q *dnswire.Message) *dnswire.Message {
+		t.Helper()
+		resp, err := h.HandleDNS(context.Background(), localAddr, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	a := doQuery("www.example.com.", dnswire.TypeA, false)
+	cds := doQuery("example.com.", dnswire.TypeCDS, false)
+
+	// A dropped query passes through as a nil reply and leaves no entry.
+	for _, q := range []*dnswire.Message{a, cds} {
+		if resp := handle(q); resp != nil {
+			t.Fatalf("DropRate 1 answered %s", resp.Rcode)
+		}
+		if c.Get(q) != nil {
+			t.Fatal("a drop left a cache entry")
+		}
+	}
+	s.DropRate = 0
+	if resp := handle(a); resp == nil || resp.Rcode != dnswire.RcodeNoError || len(resp.Answer) == 0 {
+		t.Fatalf("client after the drop got %v, want the A record", resp)
+	}
+
+	// The legacy FORMERR is answered but not remembered.
+	if resp := handle(cds); resp == nil || resp.Rcode != dnswire.RcodeFormErr {
+		t.Fatalf("legacy server answered CDS with %v, want FORMERR", resp)
+	}
+	if c.Get(cds) != nil {
+		t.Fatal("FORMERR was cached")
+	}
+	s.LegacyUnknownTypes = false
+	if resp := handle(cds); resp == nil || resp.Rcode != dnswire.RcodeNoError {
+		t.Fatalf("client after the FORMERR got %v, want NOERROR/NODATA", resp)
+	}
+}
+
 func countType(sec []dnswire.RR, typ dnswire.Type) int {
 	n := 0
 	for _, rr := range sec {
