@@ -49,6 +49,27 @@ func TestUnpackFromAllocFree(t *testing.T) {
 	}
 }
 
+// TestCanonicalNameLessAllocFree pins the NSEC-search and zone-sort
+// comparison at zero allocations for ASCII names.
+func TestCanonicalNameLessAllocFree(t *testing.T) {
+	pairs := [][2]string{
+		{"a.example.", "Z.a.Example"},
+		{"example.com.", "example.com."},
+		{"_dsboot.example.co.uk._signal.ns1.example.net.", "ns1.example.net."},
+		{"a..b", "."},
+		{"", "-."},
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		for _, p := range pairs {
+			CanonicalNameLess(p[0], p[1])
+			CanonicalNameLess(p[1], p[0])
+		}
+	})
+	if avg > 0 {
+		t.Errorf("CanonicalNameLess allocates %.2f per %d comparisons, want 0", avg, 2*len(pairs))
+	}
+}
+
 // TestAppendRDataWireAllocFree pins the RDATA encode used by RRset
 // canonical ordering and signing at zero steady-state allocations.
 func TestAppendRDataWireAllocFree(t *testing.T) {

@@ -3,6 +3,7 @@ package dnswire
 import (
 	"bytes"
 	"sort"
+	"strings"
 )
 
 // Canonical forms per RFC 4034 §6, used when constructing the data that
@@ -50,7 +51,72 @@ func SortCanonical(rrs []RR) error {
 // CanonicalNameLess compares two domain names in DNSSEC canonical
 // ordering (RFC 4034 §6.1): by reversed label sequence, each label
 // compared as a lowercase octet string.
+//
+// It walks the labels right to left in place, folding ASCII case as it
+// goes, so it does not allocate: it runs inside the server's NSEC
+// binary search and every zone's name sort. A name with a byte ≥ 0x80
+// takes the splitting path, whose Unicode-aware lowercasing can change
+// a label's bytes in ways ASCII folding does not.
 func CanonicalNameLess(a, b string) bool {
+	if !isASCII(a) || !isASCII(b) {
+		return canonicalNameLessSplit(a, b)
+	}
+	// "" and "." have no labels; otherwise the labels are those of the
+	// name without its one trailing dot, empty ones included.
+	moreA, moreB := a != "" && a != ".", b != "" && b != "."
+	a, b = strings.TrimSuffix(a, "."), strings.TrimSuffix(b, ".")
+	for moreA && moreB {
+		var la, lb string
+		la, a, moreA = lastLabel(a)
+		lb, b, moreB = lastLabel(b)
+		if c := compareFold(la, lb); c != 0 {
+			return c < 0
+		}
+	}
+	return !moreA && moreB
+}
+
+// lastLabel splits the rightmost label off name, reporting whether any
+// label (possibly empty) remains to its left.
+func lastLabel(name string) (label, rest string, more bool) {
+	i := strings.LastIndexByte(name, '.')
+	if i < 0 {
+		return name, "", false
+	}
+	return name[i+1:], name[:i], true
+}
+
+// compareFold compares two ASCII strings as if both were lowercased.
+func compareFold(a, b string) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		ca, cb := lowerASCII(a[i]), lowerASCII(b[i])
+		if ca != cb {
+			return int(ca) - int(cb)
+		}
+	}
+	return len(a) - len(b)
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
+}
+
+// canonicalNameLessSplit is CanonicalNameLess by splitting both
+// canonicalised names into label slices: correct for any input, but it
+// allocates on every call.
+func canonicalNameLessSplit(a, b string) bool {
 	la, lb := SplitLabels(CanonicalName(a)), SplitLabels(CanonicalName(b))
 	i, j := len(la)-1, len(lb)-1
 	for i >= 0 && j >= 0 {

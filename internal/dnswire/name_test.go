@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -214,6 +215,36 @@ func TestCanonicalNameLess(t *testing.T) {
 	}
 	if CanonicalNameLess("example.", "example.") {
 		t.Error("name less than itself")
+	}
+}
+
+// The in-place comparison must agree with the splitting one it
+// replaced on every input, including the corners: empty labels, names
+// with and without (or with several) trailing dots, "" and ".", labels
+// that look like separators ("-"), mixed case, and non-ASCII bytes.
+func TestCanonicalNameLessMatchesSplit(t *testing.T) {
+	labels := []string{"a", "B", "z", "Z", "-", "0", "", ".", "é", "xn--", "aa", "Ab", "É", "\xff"}
+	rng := rand.New(rand.NewSource(1))
+	name := func() string {
+		var sb strings.Builder
+		for n := rng.Intn(5); n > 0; n-- {
+			sb.WriteString(labels[rng.Intn(len(labels))])
+			if n > 1 {
+				sb.WriteByte('.')
+			}
+		}
+		sb.WriteString(strings.Repeat(".", rng.Intn(3))) // 0, 1 or 2 trailing dots
+		return sb.String()
+	}
+	pairs := 1_000_000
+	if testing.Short() {
+		pairs = 50_000
+	}
+	for range pairs {
+		a, b := name(), name()
+		if got, want := CanonicalNameLess(a, b), canonicalNameLessSplit(a, b); got != want {
+			t.Fatalf("CanonicalNameLess(%q, %q) = %v, split version says %v", a, b, got, want)
+		}
 	}
 }
 

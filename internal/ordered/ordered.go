@@ -1,15 +1,19 @@
 // Package ordered is the repository's one ordered fan-out: a sequential
-// source feeds a bounded worker pool and the results come back to the
-// caller in source order. The zone scan (scan.ScanStream) and the zone
-// dump reduction (ingest.Ingest) are both callers, so the guarantees
-// their byte-equality gates rest on — strict order, no gaps, bounded
-// live items, a clean prefix after a cancellation — live here once.
+// source feeds a bounded set of workers and the results are sunk in
+// source order. The zone scan (scan.ScanStream) and the zone dump
+// reduction (ingest.Ingest) are both callers, so the guarantees their
+// byte-equality gates rest on — strict order, no gaps, bounded live
+// items, a clean prefix after a cancellation — live here once.
+//
+// There is no dispatcher or emitter goroutine: each worker pulls its
+// own item, and the worker that completes the head of the order sinks
+// every ready item from there on. On a box with as many cores as
+// workers every core is running fn or sink, never passing items along.
 package ordered
 
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 )
 
 // Result summarises how a Map call ended.
@@ -23,14 +27,16 @@ type Result struct {
 	PeakLive int
 }
 
-// Map pulls items from next, runs fn over them on workers goroutines
-// and hands the outputs to sink in pull order.
+// Map pulls items from next, runs fn over them on workers goroutines —
+// the caller's and workers-1 started ones — and hands the outputs to
+// sink in pull order.
 //
-// next is called from one goroutine, never concurrently; item i is its
-// i-th value, and ok == false ends the source. At most 2×workers items
-// are pulled but not yet sunk, so a slow item stalls the source instead
-// of growing a buffer. sink runs on the caller's goroutine for
-// i = 0, 1, 2, … with no gaps.
+// next is never called concurrently; item i is its i-th value, and
+// ok == false ends the source. At most 2×workers items are pulled but
+// not yet sunk, so a slow item stalls the source instead of growing a
+// buffer. sink sees i = 0, 1, 2, … with no gaps; its calls never
+// overlap and each happens before the next, though they may run on
+// different worker goroutines.
 //
 // When ctx is cancelled pulling stops, and any fn that returns after the
 // cancellation is dropped together with every item above it: its work
@@ -51,96 +57,108 @@ func Map[In, Out any](
 	if workers < 1 {
 		workers = 1
 	}
-	window := 2 * workers
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	type job struct {
-		i  int
-		in In
-	}
-	type done struct {
-		i   int
-		out Out
-	}
-	jobs := make(chan job)
-	results := make(chan done)
-	// slots is the window: one is taken before an item is pulled and
-	// given back once sink has accepted it.
-	slots := make(chan struct{}, window)
-	var pulled atomic.Int64
+	// The pull side. pullMu is held across next — it exists to give the
+	// source one caller at a time — and nothing else takes it, so a slow
+	// source only delays other pulls, never a sink.
+	var pullMu sync.Mutex
+	pulled, peakLive := 0, 0
 
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(jobs)
-		for i := 0; ; i++ {
-			// Checked first: with ctx dead and a slot free, the select
-			// below would still pull items at random.
-			if ctx.Err() != nil {
-				return
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case slots <- struct{}{}:
-			}
-			in, ok := next()
-			if !ok {
-				return
-			}
-			pulled.Add(1)
-			select {
-			case <-ctx.Done():
-				return
-			case jobs <- job{i, in}:
-			}
-		}
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				// A result computed while ctx was dying is withheld. The
-				// emitter cannot step over the gap, so nothing above it
-				// is emitted either.
-				if out := fn(ctx, j.in); ctx.Err() == nil {
-					results <- done{j.i, out}
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Reorder buffer. Item i is pulled only while fewer than window
-	// items are unsunk, so emitted <= i < emitted+window and i%window
-	// names a free cell.
+	// The flush side, guarded by mu. Item i is pulled only while fewer
+	// than len(ring) items are unsunk, so emitted <= i < emitted+len(ring)
+	// and ring[i%len(ring)] is free when it is parked there.
 	type cell struct {
 		out   Out
 		ready bool
 	}
-	ring := make([]cell, window)
-	var res Result
-	var sinkErr error
-	for d := range results {
-		ring[d.i%window] = cell{d.out, true}
-		res.PeakLive = max(res.PeakLive, int(pulled.Load())-res.Emitted)
-		for sinkErr == nil && ring[res.Emitted%window].ready {
-			c := &ring[res.Emitted%window]
-			if err := sink(res.Emitted, c.out); err != nil {
-				sinkErr = err
+	var (
+		mu      sync.Mutex
+		room    = sync.NewCond(&mu) // broadcast when emitted advances or stopped is set
+		ring    = make([]cell, 2*workers)
+		emitted int
+		stopped bool // the source ended, an fn was withheld or sink failed
+		sinkErr error
+	)
+	stop := func() {
+		mu.Lock()
+		stopped = true
+		room.Broadcast()
+		mu.Unlock()
+	}
+	pull := func() (i int, in In, ok bool) {
+		pullMu.Lock()
+		defer pullMu.Unlock()
+		mu.Lock()
+		for !stopped && pulled-emitted >= len(ring) {
+			room.Wait()
+		}
+		live, done := pulled-emitted, stopped
+		mu.Unlock()
+		if done || ctx.Err() != nil {
+			return 0, in, false
+		}
+		if in, ok = next(); !ok {
+			stop()
+			return 0, in, false
+		}
+		peakLive = max(peakLive, live+1)
+		pulled++
+		return pulled - 1, in, true
+	}
+	// park files out as item i and sinks the ready prefix from emitted
+	// on, with mu released around each sink call. While item k is being
+	// sunk its cell is already empty and emitted is still k, so a worker
+	// parking meanwhile finds no ready head and leaves its item to the
+	// one sinking: sink calls never overlap and come in order.
+	park := func(i int, out Out) {
+		mu.Lock()
+		ring[i%len(ring)] = cell{out, true}
+		for sinkErr == nil && ring[emitted%len(ring)].ready {
+			k := emitted
+			c := ring[k%len(ring)]
+			ring[k%len(ring)] = cell{}
+			mu.Unlock()
+			err := sink(k, c.out)
+			mu.Lock()
+			if err != nil {
+				sinkErr, stopped = err, true
 				cancel()
-				break
+			} else {
+				emitted++
 			}
-			*c = cell{}
-			res.Emitted++
-			<-slots
+			room.Broadcast()
+		}
+		mu.Unlock()
+	}
+	work := func() {
+		for {
+			i, in, ok := pull()
+			if !ok {
+				return
+			}
+			out := fn(ctx, in)
+			if ctx.Err() != nil {
+				// Withheld: fn may have been cut short. No flush can step
+				// over the gap, so nothing above i is sunk either, and a
+				// puller waiting for room the gap holds must give up.
+				stop()
+				return
+			}
+			park(i, out)
 		}
 	}
-	return res, sinkErr
+
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return Result{Emitted: emitted, PeakLive: peakLive}, sinkErr
 }

@@ -1,6 +1,7 @@
 package ordered
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -92,9 +93,12 @@ func TestOrderAndWindowUnderRandomDelays(t *testing.T) {
 
 // The case the old ingest reducer had no answer to: item 0 is slower
 // than everything else together. The source must stall at the window
-// instead of running ahead into the reorder buffer.
+// instead of running ahead into the reorder buffer. It starts at two
+// workers: a lone worker pulls only after sinking what it holds, so it
+// cannot pull ahead of item 0 at all (and item 0, which waits for the
+// window to fill, would wait forever).
 func TestSlowFirstItemStallsTheSource(t *testing.T) {
-	for workers := 1; workers <= 8; workers++ {
+	for workers := 2; workers <= 8; workers++ {
 		window := 2 * workers
 		src := &source{t: t, n: 20 * window, window: window}
 		full := make(chan struct{})
@@ -123,9 +127,9 @@ func TestSlowFirstItemStallsTheSource(t *testing.T) {
 		if res.PeakLive > window {
 			t.Errorf("workers %d: PeakLive %d exceeds %d", workers, res.PeakLive, window)
 		}
-		// Workers > 1 finish items 1..window-1 while item 0 sleeps, so
-		// the observed peak is the whole window.
-		if workers > 1 && res.PeakLive != window {
+		// The other workers finish items 1..window-1 while item 0
+		// sleeps, so the observed peak is the whole window.
+		if res.PeakLive != window {
 			t.Errorf("workers %d: PeakLive %d, want the full window %d", workers, res.PeakLive, window)
 		}
 	}
@@ -206,14 +210,126 @@ func TestSinkErrorAbortsAndJoins(t *testing.T) {
 		if calls != failAt+1 || res.Emitted != failAt {
 			t.Errorf("workers %d: sink called %d times, Emitted %d; want %d and %d", workers, calls, res.Emitted, failAt+1, failAt)
 		}
-		// The goroutine that closes the result channel does so as its
-		// last act; give the scheduler a moment to retire it.
+		// A worker's wg.Done is its last act before exiting; give the
+		// scheduler a moment to retire it.
 		deadline := time.Now().Add(5 * time.Second)
 		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 		if now := runtime.NumGoroutine(); now > before {
 			t.Errorf("workers %d: %d goroutines before Map, %d after", workers, before, now)
+		}
+	}
+}
+
+// Sink runs on whichever worker finished the head item, but never two
+// at once and each call ordered before the next: the inside flag
+// catches an overlap, and under -race a missing happens-before shows on
+// got, which the sink grows unsynchronised and the test reads after Map
+// returns.
+func TestSinkCallsNeverOverlap(t *testing.T) {
+	const n = 300
+	for workers := 1; workers <= 8; workers++ {
+		rng := rand.New(rand.NewSource(int64(workers)))
+		delays := make([]time.Duration, n)
+		for i := range delays {
+			delays[i] = time.Duration(rng.Intn(50)) * time.Microsecond
+		}
+		src := &source{t: t, n: n, window: 2 * workers}
+		sink := src.sink(nil)
+		var inside atomic.Bool
+		var got []int
+		res, err := Map(context.Background(), workers, src.next,
+			square(func(i int) { time.Sleep(delays[i]) }),
+			func(i, out int) error {
+				if !inside.CompareAndSwap(false, true) {
+					t.Errorf("workers %d: sink entered concurrently at item %d", workers, i)
+				}
+				defer inside.Store(false)
+				time.Sleep(delays[n-1-i])
+				got = append(got, out)
+				return sink(i, out)
+			})
+		if err != nil || res.Emitted != n || len(got) != n {
+			t.Fatalf("workers %d: result %+v, error %v, sink kept %d; want %d", workers, res, err, len(got), n)
+		}
+	}
+}
+
+func TestAtMostWorkersFnInFlight(t *testing.T) {
+	for workers := 1; workers <= 8; workers++ {
+		var mu sync.Mutex
+		inFlight, peak := 0, 0
+		src := &source{t: t, n: 200, window: 2 * workers}
+		_, err := Map(context.Background(), workers, src.next, square(func(i int) {
+			mu.Lock()
+			inFlight++
+			peak = max(peak, inFlight)
+			mu.Unlock()
+			time.Sleep(time.Duration(i%5) * 20 * time.Microsecond)
+			mu.Lock()
+			inFlight--
+			mu.Unlock()
+		}), src.sink(nil))
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if peak > workers {
+			t.Errorf("workers %d: %d fn calls in flight at once", workers, peak)
+		}
+	}
+}
+
+// goid names the calling goroutine, from the header runtime.Stack
+// prints ("goroutine 7 [running]:").
+func goid() string {
+	buf := make([]byte, 64)
+	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
+}
+
+// Map starts workers-1 goroutines and no others: the caller is worker
+// 0, and there is no producer, emitter or closer. With one worker
+// nothing is started and next, fn and sink all run on the caller.
+func TestNoGoroutinesBeyondTheWorkers(t *testing.T) {
+	for workers := 1; workers <= 8; workers++ {
+		before := runtime.NumGoroutine()
+		caller := goid()
+		var mu sync.Mutex
+		peak := 0
+		elsewhere := map[string]bool{}
+		note := func(where string) {
+			if workers == 1 && goid() != caller {
+				mu.Lock()
+				elsewhere[where] = true
+				mu.Unlock()
+			}
+		}
+		src := &source{t: t, n: 100, window: 2 * workers}
+		sink := src.sink(nil)
+		_, err := Map(context.Background(), workers,
+			func() (int, bool) {
+				note("next")
+				return src.next()
+			},
+			square(func(int) {
+				note("fn")
+				mu.Lock()
+				peak = max(peak, runtime.NumGoroutine())
+				mu.Unlock()
+				time.Sleep(20 * time.Microsecond)
+			}),
+			func(i, out int) error {
+				note("sink")
+				return sink(i, out)
+			})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if peak > before+workers-1 {
+			t.Errorf("workers %d: %d goroutines inside fn, %d before Map; want at most %d more", workers, peak, before, workers-1)
+		}
+		if len(elsewhere) > 0 {
+			t.Errorf("one worker: %v ran off the caller's goroutine", elsewhere)
 		}
 	}
 }

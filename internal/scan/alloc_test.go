@@ -17,7 +17,7 @@ import (
 
 // TestScanStreamAllocBudget pins the allocations of one ScanStream over
 // the 512-zone prefix of the scale-20000 seed-1 world. A stream through
-// a warm scanner measures 156 945 (≈ 306 per zone: observations, RRset
+// a warm scanner measures 137 004 (≈ 268 per zone: observations, RRset
 // slices, response messages); the ceiling leaves headroom for noise but
 // not for a reintroduced per-message allocation in the codec or the
 // resolver, which costs 12 exchanges × 512 zones at a time.

@@ -117,7 +117,7 @@ func WriteCheckpoint(path string, c *Checkpoint) error {
 		return fmt.Errorf("scan: checkpoint temp file: %w", err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err == nil {
+	if _, err = tmp.Write(data); err == nil {
 		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {

@@ -1,8 +1,13 @@
 package scan
 
 import (
+	"bytes"
+	"os"
+	"os/exec"
+	"os/signal"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -76,6 +81,62 @@ func TestValidateRefusals(t *testing.T) {
 	}
 	if err := validCheckpoint().Validate(1, 2033, 1, 4); err != nil {
 		t.Fatalf("Validate refused a pristine checkpoint: %v", err)
+	}
+}
+
+// TestWriteCheckpointKeepsOldFileOnWriteError is the regression for a
+// shadowed err in WriteCheckpoint: a short write or a failed Sync went
+// unnoticed, and the truncated temp file was renamed over the last good
+// checkpoint. The test binary re-runs itself as a child with a 64-byte
+// file-size limit (SIGXFSZ ignored, so the write fails with EFBIG
+// instead of killing it) and writes over an existing checkpoint: the
+// write must fail, the old file stay byte-identical, no temp file stay
+// behind.
+func TestWriteCheckpointKeepsOldFileOnWriteError(t *testing.T) {
+	if path := os.Getenv("SCAN_CHECKPOINT_CHILD"); path != "" {
+		signal.Ignore(syscall.SIGXFSZ)
+		var old syscall.Rlimit
+		if err := syscall.Getrlimit(syscall.RLIMIT_FSIZE, &old); err != nil {
+			t.Fatalf("getrlimit: %v", err)
+		}
+		if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &syscall.Rlimit{Cur: 64, Max: old.Max}); err != nil {
+			t.Fatalf("setrlimit: %v", err)
+		}
+		cp := validCheckpoint()
+		cp.NextIndex = 900
+		err := WriteCheckpoint(path, cp)
+		// Lift the limit again: the test binary itself may still write
+		// files (a -cover run's counters).
+		if lerr := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &old); lerr != nil {
+			t.Fatalf("restoring the file-size limit: %v", lerr)
+		}
+		if err == nil {
+			t.Error("WriteCheckpoint past the file-size limit returned nil")
+		} else {
+			t.Logf("WriteCheckpoint: %v", err)
+		}
+		return
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "scan.ckpt")
+	if err := WriteCheckpoint(path, validCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestWriteCheckpointKeepsOldFileOnWriteError$", "-test.v")
+	cmd.Env = append(os.Environ(), "SCAN_CHECKPOINT_CHILD="+path)
+	out, err := cmd.CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "file too large") {
+		t.Errorf("child: %v, want a \"file too large\" write error; output:\n%s", err, out)
+	}
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, old) {
+		t.Errorf("the last good checkpoint changed (%v):\n%s\nwas:\n%s", err, now, old)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(left) > 0 {
+		t.Errorf("temp files left behind: %v", left)
 	}
 }
 

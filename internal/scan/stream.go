@@ -12,12 +12,13 @@ import (
 // last zone finished, so memory grew O(zones) and an interrupted run
 // lost everything. ScanStream instead hands each observation to a sink
 // callback as soon as its turn in the input order arrives. The fan-out
-// itself — bounded worker pool, reorder buffer, order-restoring emitter
-// — is ordered.Map, shared with the zone-dump ingester. Live state is
-// bounded by its window (in-flight scans plus reordered completions,
-// 2× the scanner's concurrency), independent of the zone count — the
-// shape large-scale scanners (YoDNS, OpenINTEL) use to survive
-// 10^8-zone campaigns.
+// itself is ordered.Map, shared with the zone-dump ingester: each
+// worker pulls its own zone, and whichever worker finishes the next
+// zone in order runs the sink, so there is no dispatcher or emitter
+// goroutine. Live state is bounded by its window (in-flight scans plus
+// reordered completions, 2× the scanner's concurrency), independent of
+// the zone count — the shape large-scale scanners (YoDNS, OpenINTEL)
+// use to survive 10^8-zone campaigns.
 
 // StreamSink receives observations strictly in input order (index
 // ascending, no gaps). Returning an error aborts the stream; in-flight
@@ -36,7 +37,7 @@ type StreamOptions struct {
 	Stop int
 	// Drain, when it becomes readable (typically by closing it), stops
 	// the stream gracefully: no new zones are dispatched, in-flight
-	// zones finish cleanly, the emitter flushes the completed prefix.
+	// zones finish cleanly, and the completed prefix is sunk.
 	// This is the SIGINT path — unlike a context cancellation it never
 	// poisons an in-flight scan, so the emitted prefix's record bodies
 	// are byte-identical to the same prefix of an uninterrupted run.

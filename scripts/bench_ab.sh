@@ -1,0 +1,93 @@
+#!/usr/bin/env bash
+# Paired A/B run of the repository benchmark (BENCHMARK.json):
+#
+#   scripts/bench_ab.sh <rev> <workload> <pairs>
+#
+# Exports <rev> with git archive into a temporary directory, then for
+# k = 1..pairs runs `bench/run.sh --workload W --seed k --seconds 12
+# --trace 0` once in that tree ("parent") and once in this checkout
+# ("change", working-tree edits included), alternating which side goes
+# first so a drifting machine speed does not favour one side. Prints each
+# run's result line, then per end-to-end metric both medians, their
+# ratio (change/parent) and each side's min–max. There is no gate: the
+# reader compares the ratio with the metric's bound and the spread.
+#
+# Slow (a cold build per tree plus ~25 s per run), so not part of
+# `make ci`. The temporary tree is removed on exit; a run interrupted by
+# SIGINT/SIGTERM is terminated, and bench/run.sh stops its own children.
+set -euo pipefail
+if [ $# -ne 3 ]; then
+	echo "usage: $0 <rev> <workload> <pairs>" >&2
+	exit 2
+fi
+rev=$1 workload=$2 pairs=$3
+cd "$(dirname "$0")/.."
+change=$PWD
+tmp=$(mktemp -d "${TMPDIR:-/tmp}/bench_ab.XXXXXX")
+parent=$tmp/tree
+child=
+cleanup() {
+	if [ -n "$child" ]; then
+		kill "$child" 2>/dev/null || true
+		wait "$child" 2>/dev/null || true
+	fi
+	rm -rf "$tmp"
+}
+trap cleanup EXIT
+trap 'exit 130' INT TERM
+mkdir "$parent"
+git archive "$rev" | tar -x -C "$parent"
+
+# run SIDE TREE SEED: one measurement; appends "side metric value" rows.
+run() {
+	local side=$1 tree=$2 seed=$3 line
+	# In the background and waited for, so a signal to this script is
+	# handled at once and the trap can stop the run.
+	bash "$tree/bench/run.sh" --workload "$workload" --seed "$seed" --seconds 12 --trace 0 \
+		>"$tmp/out" 2>"$tmp/err" &
+	child=$!
+	if ! wait "$child"; then
+		child=
+		echo "$side seed $seed: bench/run.sh failed:" >&2
+		tail -n 20 "$tmp/err" >&2
+		exit 1
+	fi
+	child=
+	line=$(tail -n 1 "$tmp/out")
+	echo "$side $seed: $line"
+	printf '%s\n' "$line" | grep -o '"[a-z_]*":{"value":[-0-9.eE+]*' |
+		sed "s/^\"\\([a-z_]*\\)\":{\"value\":/$side \\1 /" >>"$tmp/rows"
+	printf '%s\n' "$line" | grep -o '"failed":[0-9]*' | sed "s/^\"failed\":/$side failed /" >>"$tmp/rows"
+}
+
+for k in $(seq 1 "$pairs"); do
+	if [ $((k % 2)) -eq 1 ]; then
+		run parent "$parent" "$k"
+		run change "$change" "$k"
+	else
+		run change "$change" "$k"
+		run parent "$parent" "$k"
+	fi
+done
+
+echo
+echo "$workload, $pairs pairs, parent = $rev"
+sort -k2,2 -k1,1 -k3,3g "$tmp/rows" | awk '
+	{
+		key = $2 SUBSEP $1
+		if (!($2 in seen)) { seen[$2] = 1; order[++nm] = $2 }
+		v[key, ++n[key]] = $3
+	}
+	function med(key, c) {
+		c = n[key]
+		return c % 2 ? v[key, (c + 1) / 2] : (v[key, c / 2] + v[key, c / 2 + 1]) / 2
+	}
+	END {
+		printf "%-16s %14s %14s %8s   %-25s %s\n", "metric", "parent", "change", "ratio", "parent min-max", "change min-max"
+		for (i = 1; i <= nm; i++) {
+			m = order[i]; p = m SUBSEP "parent"; c = m SUBSEP "change"
+			ratio = med(p) != 0 ? sprintf("%.3f", med(c) / med(p)) : "-"
+			printf "%-16s %14.4g %14.4g %8s   %-25s %s\n", m, med(p), med(c), ratio,
+				sprintf("%.4g-%.4g", v[p, 1], v[p, n[p]]), sprintf("%.4g-%.4g", v[c, 1], v[c, n[c]])
+		}
+	}'
