@@ -234,6 +234,29 @@ func TestShortCircuitReducesQueries(t *testing.T) {
 	}
 }
 
+// scanQueries is the exact number of exchanges a one-worker scan of the
+// seed-1, scale-200000 world sends. It pins the scanner's question plan:
+// a change that moves it must update the constant and say why in its
+// commit. 19 515 → 16 348: a signal name's NXDOMAIN for CDS answers its
+// CDNSKEY probe too (RFC 8020; 2 987 fewer), and the chain check
+// validates the liveness SOA answer instead of asking for it again (180
+// fewer).
+const scanQueries = 16348
+
+// TestScanQueryCount catches query growth too small for the benchmark's
+// 2 % queries-per-zone bound to see.
+func TestScanQueryCount(t *testing.T) {
+	st, err := RunStream(context.Background(), StreamOptions{
+		Options: Options{Seed: 1, ScaleDivisor: 200_000, Concurrency: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q, _, _ := st.World.Net.Stats(); q != scanQueries {
+		t.Errorf("scan of %d zones sent %d queries, want %d", st.Scanned, q, scanQueries)
+	}
+}
+
 // Run collects from RunStream, so a cancelled run is a truncated one:
 // the caller gets what was scanned and an error saying so, never a
 // short study that looks complete.

@@ -17,10 +17,10 @@ import (
 
 // TestScanStreamAllocBudget pins the allocations of one ScanStream over
 // the 512-zone prefix of the scale-20000 seed-1 world. A stream through
-// a warm scanner measures 137 004 (≈ 268 per zone: observations, RRset
-// slices, response messages); the ceiling leaves headroom for noise but
-// not for a reintroduced per-message allocation in the codec or the
-// resolver, which costs 12 exchanges × 512 zones at a time.
+// a warm scanner measures about 107 400 (≈ 210 per zone: observations,
+// RRset slices, response messages); the ceiling leaves headroom for noise
+// but not for a reintroduced per-message allocation in the codec or the
+// resolver, which costs 10 exchanges × 512 zones at a time.
 func TestScanStreamAllocBudget(t *testing.T) {
 	world, err := ecosystem.Generate(ecosystem.Config{Seed: 1, ScaleDivisor: 20000})
 	if err != nil {

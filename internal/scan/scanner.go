@@ -183,14 +183,17 @@ func (s *Scanner) ScanZone(ctx context.Context, zoneName string) *ZoneObservatio
 	}
 
 	// Baseline queries against the first responsive server: SOA
-	// (liveness), apex NS (child view), DNSKEY.
+	// (liveness), apex NS (child view), DNSKEY. The accepted SOA answer
+	// is kept: chain validation checks its signatures rather than asking
+	// the same server the same question again.
 	var alive *hostAddr
+	var soaResp *dnswire.Message
 	for i := range pairs {
 		resp, err := s.exchange(ctx, pairs[i].addr, zoneName, dnswire.TypeSOA)
 		if err != nil || resp.Rcode == dnswire.RcodeServFail {
 			continue
 		}
-		alive = &pairs[i]
+		alive, soaResp = &pairs[i], resp
 		break
 	}
 	if alive == nil {
@@ -236,7 +239,7 @@ func (s *Scanner) ScanZone(ctx context.Context, zoneName string) *ZoneObservatio
 	if zo.IsSigned() && zo.HasDS() {
 		err := dnssec.VerifyChainLink(zoneName, zo.DS, zo.DNSKEY, zo.DNSKEYSigs, s.cfg.Now)
 		if err == nil {
-			err = s.verifyApexSOA(ctx, alive.addr, zoneName, zo.DNSKEY)
+			err = s.verifyApexSOA(soaResp, zo.DNSKEY)
 		}
 		if err != nil {
 			zo.ChainErr = err.Error()
@@ -251,7 +254,7 @@ func (s *Scanner) ScanZone(ctx context.Context, zoneName string) *ZoneObservatio
 		// can distinguish well-signed islands from broken ones.
 		err := dnssec.VerifyRRset(zo.DNSKEY, zo.DNSKEYSigs, zo.DNSKEY, s.cfg.Now)
 		if err == nil {
-			err = s.verifyApexSOA(ctx, alive.addr, zoneName, zo.DNSKEY)
+			err = s.verifyApexSOA(soaResp, zo.DNSKEY)
 		}
 		if err != nil {
 			zo.ChainErr = err.Error()
@@ -436,11 +439,9 @@ func (s *Scanner) exchange(ctx context.Context, addr netip.Addr, name string, ty
 	return s.cfg.Resolver.Exchange(ctx, netip.AddrPortFrom(addr, s.cfg.Resolver.Port()), name, typ)
 }
 
-func (s *Scanner) verifyApexSOA(ctx context.Context, addr netip.Addr, zoneName string, keys []dnswire.RR) error {
-	resp, err := s.exchange(ctx, addr, zoneName, dnswire.TypeSOA)
-	if err != nil {
-		return err
-	}
+// verifyApexSOA validates the apex SOA RRset in resp, the answer the
+// liveness check accepted, under keys.
+func (s *Scanner) verifyApexSOA(resp *dnswire.Message, keys []dnswire.RR) error {
 	var soa, sigs []dnswire.RR
 	for _, rr := range resp.Answer {
 		switch rd := rr.Data.(type) {
@@ -462,7 +463,9 @@ func (s *Scanner) verifyApexSOA(ctx context.Context, addr netip.Addr, zoneName s
 // chain-validates what it finds. The two lookups are recorded
 // individually (CDSOutcome, CDNSKEYOutcome); the aggregate Outcome is
 // the worst of the two, so a partial failure (CDS answered, CDNSKEY
-// timed out) is never masked by the success.
+// timed out) is never masked by the success. An NXDOMAIN for CDS also
+// answers CDNSKEY without a second lookup: it says the owner name does
+// not exist, whatever the type (RFC 8020 §2).
 func (s *Scanner) probeSignal(ctx context.Context, child, nsHost string) SignalObservation {
 	so := SignalObservation{NSHost: nsHost}
 	owner, err := zone.SignalName(child, nsHost)
@@ -475,7 +478,11 @@ func (s *Scanner) probeSignal(ctx context.Context, child, nsHost string) SignalO
 	}
 	so.Owner = owner
 	so.CDSOutcome = s.probeSignalType(ctx, &so, dnswire.TypeCDS)
-	so.CDNSKEYOutcome = s.probeSignalType(ctx, &so, dnswire.TypeCDNSKEY)
+	if so.CDSOutcome == OutcomeNXDomain {
+		so.CDNSKEYOutcome = OutcomeNXDomain
+	} else {
+		so.CDNSKEYOutcome = s.probeSignalType(ctx, &so, dnswire.TypeCDNSKEY)
+	}
 	so.Outcome = aggregateSignalOutcome(so.CDSOutcome, so.CDNSKEYOutcome, len(so.Records) > 0)
 	if len(so.Records) == 0 {
 		return so

@@ -377,6 +377,37 @@ func TestWildcardSynthesis(t *testing.T) {
 	}
 }
 
+// TestEmptyNonTerminal: a name with no records of its own but records
+// below it exists (RFC 4592 §2.2.2). It answers NODATA, not NXDOMAIN
+// (RFC 8020 §2), and it is the closest encloser for the names beneath
+// it, so a wildcard higher up must not synthesise for them. The
+// signal zones' com._signal.<ns> names are of this kind.
+func TestEmptyNonTerminal(t *testing.T) {
+	s := New(1)
+	z := zone.New("example.")
+	z.SetBasics("ns1.example.net.", []string{"ns1.example.net."}, 1)
+	z.MustAdd(dnswire.RR{Name: "a.b.example.", TTL: 300, Data: &dnswire.A{Addr: netip.MustParseAddr("192.0.2.1")}})
+	z.MustAdd(dnswire.RR{Name: "*.example.", TTL: 300, Data: &dnswire.A{Addr: netip.MustParseAddr("192.0.2.2")}})
+	s.AddZone(z)
+
+	ent := ask(t, s, "b.example.", dnswire.TypeA, false)
+	if ent.Rcode != dnswire.RcodeNoError || len(ent.Answer) != 0 {
+		t.Errorf("b.example./A: rcode=%s answers=%d, want NOERROR with no answer", ent.Rcode, len(ent.Answer))
+	}
+	if len(ent.Authority) == 0 || ent.Authority[0].Type() != dnswire.TypeSOA {
+		t.Error("b.example./A: NODATA lacks SOA in authority")
+	}
+	below := ask(t, s, "x.b.example.", dnswire.TypeA, false)
+	if below.Rcode != dnswire.RcodeNXDomain || len(below.Answer) != 0 {
+		t.Errorf("x.b.example./A: rcode=%s answers=%d, want NXDOMAIN (b.example. is the closest encloser, it has no wildcard)",
+			below.Rcode, len(below.Answer))
+	}
+	// The wildcard still covers names whose closest encloser is the apex.
+	if wc := ask(t, s, "c.example.", dnswire.TypeA, false); wc.Rcode != dnswire.RcodeNoError || len(wc.Answer) != 1 {
+		t.Errorf("c.example./A: rcode=%s answers=%d, want the wildcard expansion", wc.Rcode, len(wc.Answer))
+	}
+}
+
 func TestNSEC3Denial(t *testing.T) {
 	s := New(1)
 	z := zone.New("n3.test.")

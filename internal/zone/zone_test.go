@@ -307,6 +307,40 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestNameExistsEmptyNonTerminal: a name exists when records sit at or
+// below it, so an empty non-terminal exists and is the closest encloser
+// of the names beneath it.
+func TestNameExistsEmptyNonTerminal(t *testing.T) {
+	z := New("example.")
+	z.SetBasics("ns1.example.net.", []string{"ns1.example.net."}, 1)
+	z.MustAdd(dnswire.RR{Name: "a.b.example.", TTL: 60, Data: &dnswire.A{Addr: netip.MustParseAddr("192.0.2.1")}})
+	z.MustAdd(dnswire.RR{Name: "*.example.", TTL: 60, Data: &dnswire.A{Addr: netip.MustParseAddr("192.0.2.2")}})
+	for name, want := range map[string]bool{
+		"example.":     true,
+		"a.b.example.": true,
+		"b.example.":   true, // empty non-terminal
+		"B.Example":    true,
+		"x.b.example.": false,
+		"ba.example.":  false, // sorts after b.example.'s subtree, not in it
+		"a.example.":   false,
+		"c.example.":   false,
+		"other.":       false,
+	} {
+		if got := z.NameExists(name); got != want {
+			t.Errorf("NameExists(%q) = %t, want %t", name, got, want)
+		}
+	}
+	for qname, want := range map[string]string{
+		"c.example.":   "*.example.",
+		"x.b.example.": "", // closest encloser b.example. has no wildcard
+		"b.example.":   "", // exists, so nothing is synthesised
+	} {
+		if got := z.WildcardFor(qname); got != want {
+			t.Errorf("WildcardFor(%q) = %q, want %q", qname, got, want)
+		}
+	}
+}
+
 func TestFindCutDeep(t *testing.T) {
 	z := buildTestZone(t)
 	if cut := z.FindCut("a.b.ns.sub.example.com."); cut != "sub.example.com." {

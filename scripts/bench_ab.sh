@@ -9,8 +9,11 @@
 # ("change", working-tree edits included), alternating which side goes
 # first so a drifting machine speed does not favour one side. Prints each
 # run's result line, then per end-to-end metric both medians, their
-# ratio (change/parent) and each side's min–max. There is no gate: the
-# reader compares the ratio with the metric's bound and the spread.
+# ratio (change/parent), the pairs the change won (by the metric's
+# "better" direction in BENCHMARK.json; a tie counts for neither side)
+# and each side's quartiles with its min–max in brackets. There is no
+# gate: the reader compares the ratio with the metric's bound, the wins
+# with the pair count and the median shift with the parent's quartiles.
 #
 # Slow (a cold build per tree plus ~25 s per run), so not part of
 # `make ci`. The temporary tree is removed on exit; a run interrupted by
@@ -38,7 +41,8 @@ trap 'exit 130' INT TERM
 mkdir "$parent"
 git archive "$rev" | tar -x -C "$parent"
 
-# run SIDE TREE SEED: one measurement; appends "side metric value" rows.
+# run SIDE TREE SEED: one measurement; appends "side metric seed value"
+# rows.
 run() {
 	local side=$1 tree=$2 seed=$3 line
 	# In the background and waited for, so a signal to this script is
@@ -56,8 +60,8 @@ run() {
 	line=$(tail -n 1 "$tmp/out")
 	echo "$side $seed: $line"
 	printf '%s\n' "$line" | grep -o '"[a-z_]*":{"value":[-0-9.eE+]*' |
-		sed "s/^\"\\([a-z_]*\\)\":{\"value\":/$side \\1 /" >>"$tmp/rows"
-	printf '%s\n' "$line" | grep -o '"failed":[0-9]*' | sed "s/^\"failed\":/$side failed /" >>"$tmp/rows"
+		sed "s/^\"\\([a-z_]*\\)\":{\"value\":/$side \\1 $seed /" >>"$tmp/rows"
+	printf '%s\n' "$line" | grep -o '"failed":[0-9]*' | sed "s/^\"failed\":/$side failed $seed /" >>"$tmp/rows"
 }
 
 for k in $(seq 1 "$pairs"); do
@@ -72,22 +76,48 @@ done
 
 echo
 echo "$workload, $pairs pairs, parent = $rev"
-sort -k2,2 -k1,1 -k3,3g "$tmp/rows" | awk '
+sort -k2,2 -k1,1 -k4,4g "$tmp/rows" | awk -v spec=BENCHMARK.json '
+	BEGIN {
+		# Metrics whose "better" is "higher"; every other one (and
+		# "failed") is better lower.
+		while ((getline l < spec) > 0) {
+			if (match(l, /"name": *"[^"]*"/)) {
+				name = substr(l, RSTART, RLENGTH)
+				sub(/^"name": *"/, "", name)
+				sub(/"$/, "", name)
+			}
+			if (l ~ /"better": *"higher"/) higher[name] = 1
+		}
+	}
 	{
 		key = $2 SUBSEP $1
 		if (!($2 in seen)) { seen[$2] = 1; order[++nm] = $2 }
-		v[key, ++n[key]] = $3
+		v[key, ++n[key]] = $4
+		pair[$2, $1, $3] = $4
+		seeds[$3] = 1
 	}
-	function med(key, c) {
-		c = n[key]
-		return c % 2 ? v[key, (c + 1) / 2] : (v[key, c / 2] + v[key, c / 2 + 1]) / 2
+	# q: the p-quantile of one side, interpolating between sorted values.
+	function q(key, p, c, h, lo) {
+		c = n[key]; h = 1 + (c - 1) * p; lo = int(h)
+		return lo >= c ? v[key, c] : v[key, lo] + (h - lo) * (v[key, lo + 1] - v[key, lo])
+	}
+	function spread(key) {
+		return sprintf("%.5g-%.5g [%.5g-%.5g]", q(key, .25), q(key, .75), v[key, 1], v[key, n[key]])
 	}
 	END {
-		printf "%-16s %14s %14s %8s   %-25s %s\n", "metric", "parent", "change", "ratio", "parent min-max", "change min-max"
+		printf "%-16s %12s %12s %7s %5s   %-35s %s\n", "metric", "parent", "change", "ratio", "won",
+			"parent q1-q3 [min-max]", "change q1-q3 [min-max]"
 		for (i = 1; i <= nm; i++) {
 			m = order[i]; p = m SUBSEP "parent"; c = m SUBSEP "change"
-			ratio = med(p) != 0 ? sprintf("%.3f", med(c) / med(p)) : "-"
-			printf "%-16s %14.4g %14.4g %8s   %-25s %s\n", m, med(p), med(c), ratio,
-				sprintf("%.4g-%.4g", v[p, 1], v[p, n[p]]), sprintf("%.4g-%.4g", v[c, 1], v[c, n[c]])
+			won = 0; np = 0
+			for (s in seeds) {
+				if (!((m, "parent", s) in pair) || !((m, "change", s) in pair)) continue
+				np++
+				d = pair[m, "change", s] - pair[m, "parent", s]
+				if ((m in higher) ? d > 0 : d < 0) won++
+			}
+			ratio = q(p, .5) != 0 ? sprintf("%.3f", q(c, .5) / q(p, .5)) : "-"
+			printf "%-16s %12.6g %12.6g %7s %5s   %-35s %s\n", m, q(p, .5), q(c, .5), ratio,
+				won "/" np, spread(p), spread(c)
 		}
 	}'
