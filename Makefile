@@ -77,21 +77,20 @@ bench-smoke:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Sharded-orchestration conformance: a scanctl 4-shard run — with one
-# worker SIGKILLed mid-run and restarted from its checkpoint — must
-# produce a merged JSONL dump whose record bodies (`reanalyze -out
-# body`: each line without its trailing cost object), headline and CSVs
-# are byte-identical to a default single-process run over the same
-# world.
+# Sharded-orchestration conformance: a `dnssec-scan -shards 4` run —
+# the binary coordinating four re-executed copies of itself, one of them
+# SIGKILLed mid-run and restarted from its checkpoint — must produce a
+# merged JSONL dump whose record bodies (`reanalyze -out body`: each line
+# without its trailing cost object), headline and CSVs are
+# byte-identical to a default single-process run over the same world.
 shard-smoke:
 	rm -rf artifacts/shard
 	mkdir -p artifacts/shard/bin artifacts/shard/csv-ref artifacts/shard/csv-merged
-	$(GO) build -o artifacts/shard/bin/ ./cmd/dnssec-scan ./cmd/scanctl ./cmd/reanalyze
+	$(GO) build -o artifacts/shard/bin/ ./cmd/dnssec-scan ./cmd/reanalyze
 	artifacts/shard/bin/dnssec-scan -scale 500000 \
 		-dump artifacts/shard/ref.jsonl -csv-dir artifacts/shard/csv-ref \
 		-out headline > artifacts/shard/ref.txt
-	artifacts/shard/bin/scanctl -shards 4 -scale 500000 -run-dir artifacts/shard/run \
-		-worker artifacts/shard/bin/dnssec-scan \
+	artifacts/shard/bin/dnssec-scan -shards 4 -scale 500000 -run-dir artifacts/shard/run \
 		-kill-shard 1 -kill-after-zones 32 -checkpoint-every 16 -restart-backoff 50ms \
 		-dump artifacts/shard/merged.jsonl -csv-dir artifacts/shard/csv-merged \
 		-out headline > artifacts/shard/merged.txt
@@ -136,8 +135,11 @@ obs-smoke:
 	$(GO) run ./cmd/reanalyze -trace artifacts/trace.jsonl
 
 # How much program there is: non-test Go lines per package (testdata/
-# excluded), the number of cmd/ binaries, and the flags each defines.
-# Printed at the end of `make ci` so a PR's before/after is one diff.
+# excluded), the number of cmd/ binaries, and the flags each defines —
+# plus internal/core, where the scan command's flags are registered for
+# dnssec-scan and scanctl, on a row of its own. Printed at the end of
+# `make ci` so a PR's before/after is one diff.
+FLAG_DEF_RE = (flag|fs)\.((Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?|Var|Func)\(
 size:
 	@echo "non-test Go lines per package:"
 	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs -n1 dirname | sort -u); do \
@@ -148,8 +150,8 @@ size:
 	done
 	@printf 'binaries under cmd/: %d\n' $$(ls -d cmd/*/ | wc -l)
 	@echo "flag definitions per binary:"
-	@for d in cmd/*/; do \
-		printf '%7d  %s\n' $$(cat $$d*.go | grep -cE '(flag|fs)\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Var|Func)\(') $$d; \
+	@for d in cmd/*/ internal/core/; do \
+		printf '%7d  %s\n' $$(cat $$(ls $$d*.go | grep -v '_test.go$$') | grep -cE '$(FLAG_DEF_RE)') $$d; \
 	done
 
 # The full local CI gate: vet, the lint suite, build, the race-enabled

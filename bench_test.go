@@ -80,8 +80,10 @@ func reclassify(b *testing.B, study *core.Study) *report.Aggregate {
 	var agg *report.Aggregate
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results := classifier.ClassifyAll(study.Observations)
-		agg = report.Build(results)
+		agg = report.NewAggregate()
+		for _, zo := range study.Observations {
+			agg.Add(classifier.Classify(zo))
+		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(study.Observations)), "zones")
@@ -228,7 +230,9 @@ func BenchmarkScanLossy(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scanner.ScanAll(ctx, targets)
+		if _, err := scanner.ScanStream(ctx, targets, scan.StreamOptions{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(targets))*float64(b.N)/b.Elapsed().Seconds(), "zones/s")
@@ -284,8 +288,14 @@ func BenchmarkScanCached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		scanner := core.NewScanner(world, core.Options{Seed: 6, Concurrency: 16})
 		cachedScanQ = 0
-		for _, obs := range scanner.ScanAll(ctx, targets) {
-			cachedScanQ += obs.Queries
+		_, err := scanner.ScanStream(ctx, targets, scan.StreamOptions{
+			Sink: func(_ int, zo *scan.ZoneObservation) error {
+				cachedScanQ += zo.Queries
+				return nil
+			},
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.StopTimer()

@@ -2,17 +2,20 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
-// The command-line contract of scanctl, its worker dnssec-scan and the
-// offline reanalyze: which invocations are refused, with which exit
-// code, saying what. The binaries are built once, in TestMain.
+// The command-line contract of dnssec-scan, its alias scanctl (the same
+// command with -shards defaulting to 4) and the offline reanalyze: which
+// invocations are refused, with which exit code, saying what. The
+// binaries are built once, in TestMain.
 
 var binDir string
 
@@ -41,6 +44,12 @@ func TestFlagsAndExitCodes(t *testing.T) {
 	if err := os.WriteFile(oldCheckpoint, []byte(`{"version":2,"seed":1,"total_zones":700,"next_index":16}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A version-3 checkpoint carries the fingerprint format before the
+	// flags were registered once.
+	v3Checkpoint := filepath.Join(dir, "v3.ckpt")
+	if err := os.WriteFile(v3Checkpoint, []byte(`{"version":3,"seed":1,"total_zones":700,"next_index":16,"config":{"seed":1,"scale":500000}}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	// A small dump for reanalyze to read.
 	dump := filepath.Join(dir, "obs.jsonl")
 	if out, err := exec.Command(filepath.Join(binDir, "dnssec-scan"), "-scale", "500000", "-dump", dump, "-out", "none").CombinedOutput(); err != nil {
@@ -58,11 +67,30 @@ func TestFlagsAndExitCodes(t *testing.T) {
 		{"deleted -stateless is an unknown flag", "dnssec-scan", []string{"-stateless"}, 2, "flag provided but not defined: -stateless", "", ""},
 		{"deleted -cache is an unknown flag", "dnssec-scan", []string{"-cache=false"}, 2, "flag provided but not defined: -cache", "", ""},
 		{"scanctl passes no -stateless either", "scanctl", []string{"-stateless"}, 2, "flag provided but not defined: -stateless", "", ""},
-		{"zero shards refused", "scanctl", []string{"-shards", "0"}, 2, "-shards must be at least 1", "", ""},
+		{"-shards -1 refused", "scanctl", []string{"-shards", "-1"}, 2, "-shards must not be negative", "", ""},
+		{"deleted -worker is an unknown flag", "dnssec-scan", []string{"-worker", "x"}, 2, "flag provided but not defined: -worker", "", ""},
+		{"scanctl has no -worker either", "scanctl", []string{"-worker", "x"}, 2, "flag provided but not defined: -worker", "", ""},
+		// The run directory owns each shard's checkpoint; these are
+		// refused before the world is generated.
+		{"-shards refuses -checkpoint", "dnssec-scan",
+			[]string{"-shards", "2", "-scale", "500000", "-checkpoint", filepath.Join(dir, "c.ckpt")}, 2, "-checkpoint cannot be combined with -shards", "generated", ""},
+		{"-shards refuses -resume", "dnssec-scan",
+			[]string{"-shards", "2", "-scale", "500000", "-resume", oldCheckpoint}, 2, "-resume cannot be combined with -shards", "generated", ""},
+		{"-shards refuses -shard", "dnssec-scan",
+			[]string{"-shards", "2", "-scale", "500000", "-shard", "0/2"}, 2, "-shard cannot be combined with -shards", "generated", ""},
+		// Two workers must not write one file.
+		{"-shards refuses a -metrics-out without {shard}", "dnssec-scan",
+			[]string{"-shards", "2", "-scale", "500000", "-metrics-out", filepath.Join(dir, "m.json")}, 2, "put {shard} in the path", "generated", ""},
+		{"-shards refuses a -trace-out without {shard}", "dnssec-scan",
+			[]string{"-shards", "2", "-scale", "500000", "-trace-out", filepath.Join(dir, "t.jsonl")}, 2, "put {shard} in the path", "generated", ""},
+		{"scanctl -shards 0 scans in process", "scanctl",
+			[]string{"-shards", "0", "-scale", "500000", "-out", "headline"}, 0, "scanned 700 zones", "covered", "resolved 700 zones"},
 		{"one shard runs and merges", "scanctl",
 			[]string{"-shards", "1", "-scale", "500000", "-run-dir", filepath.Join(dir, "run"), "-out", "headline"}, 0, "1 shards covered", "", ""},
 		{"version-2 checkpoint refused by name", "dnssec-scan",
 			[]string{"-scale", "500000", "-resume", oldCheckpoint, "-out", "none"}, 1, "checkpoint is version 2", "", ""},
+		{"version-3 checkpoint refused by name", "dnssec-scan",
+			[]string{"-scale", "500000", "-resume", v3Checkpoint, "-out", "none"}, 1, "checkpoint is version 3", "", ""},
 		// A mistyped -out is refused before the world is generated, not
 		// after the scan has run and written its dump.
 		{"dnssec-scan refuses a mistyped artefact before scanning", "dnssec-scan",
@@ -98,5 +126,84 @@ func TestFlagsAndExitCodes(t *testing.T) {
 				t.Errorf("stdout does not contain %q:\n%.300s", tc.stdout, stdout.String())
 			}
 		})
+	}
+}
+
+// run executes one of the built binaries and returns its exit code and
+// standard error.
+func run(t *testing.T, bin string, args ...string) (int, string) {
+	t.Helper()
+	var stderr bytes.Buffer
+	cmd := exec.Command(filepath.Join(binDir, bin), args...)
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); ok {
+		return ee.ExitCode(), stderr.String()
+	} else if err != nil {
+		t.Fatalf("running %s: %v", bin, err)
+	}
+	return 0, stderr.String()
+}
+
+// TestShardedMetricsSnapshots: -metrics-out is forwarded to every worker,
+// and the {shard} placeholder gives each its own well-formed snapshot.
+func TestShardedMetricsSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	exit, stderr := run(t, "dnssec-scan", "-shards", "2", "-scale", "500000", "-run-dir", filepath.Join(dir, "run"),
+		"-metrics-out", filepath.Join(dir, "m-{shard}.json"), "-out", "none")
+	if exit != 0 {
+		t.Fatalf("exit code %d\n%s", exit, stderr)
+	}
+	for _, name := range []string{"m-0-of-2.json", "m-1-of-2.json"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snapshot map[string]any
+		if err := json.Unmarshal(data, &snapshot); err != nil || len(snapshot) == 0 {
+			t.Errorf("%s is not a metrics snapshot (%v):\n%.300s", name, err, data)
+		}
+	}
+}
+
+// TestResumeFingerprint pins which flags a checkpoint holds a resume to:
+// -rate changes what the scan observes, so a run interrupted under
+// -rate 100 does not continue under -rate 0; -concurrency only schedules,
+// so it may change between the two.
+func TestResumeFingerprint(t *testing.T) {
+	dir := t.TempDir()
+	cp := filepath.Join(dir, "scan.ckpt")
+	common := []string{"-scale", "500000", "-max-zones", "200", "-checkpoint", cp, "-checkpoint-every", "16", "-out", "none"}
+	// Under the rate limit the run takes seconds: interrupt it once its
+	// first checkpoint is down.
+	var stderr bytes.Buffer
+	first := exec.Command(filepath.Join(binDir, "dnssec-scan"), append(common, "-rate", "100")...)
+	first.Stderr = &stderr
+	if err := first.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(10 * time.Millisecond) {
+		if _, err := os.Stat(cp); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			first.Process.Kill()
+			t.Fatal("no checkpoint after a minute")
+		}
+	}
+	if err := first.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Wait(); err != nil || !strings.Contains(stderr.String(), "interrupted at zone") {
+		t.Fatalf("interrupted run: %v\n%s", err, stderr.String())
+	}
+
+	exit, msg := run(t, "dnssec-scan", append(common, "-resume", cp, "-rate", "0")...)
+	if exit != 1 || !strings.Contains(msg, "checkpoint was taken with different flags") || !strings.Contains(msg, `"rate":"100"`) {
+		t.Errorf("resume under -rate 0: exit code %d, want 1 naming the stored fingerprint\n%s", exit, msg)
+	}
+	exit, msg = run(t, "dnssec-scan", append(common, "-resume", cp, "-rate", "100", "-concurrency", "3")...)
+	if exit != 0 || !strings.Contains(msg, "resuming at zone") || !strings.Contains(msg, "(200/200 exported)") {
+		t.Errorf("resume under another -concurrency: exit code %d, want 0 and the run finished\n%s", exit, msg)
 	}
 }

@@ -202,16 +202,10 @@ type Result struct {
 	CDS      CDSInfo
 	Bucket   Potential
 	Signal   SignalInfo
-	// Queries, Retries and GaveUp are carried over from the observation
-	// (Appendix D accounting plus the resilience counters).
-	Queries int64
-	Retries int64
-	GaveUp  int64
-	// CacheHits, CacheMisses and Coalesced carry the shared-cache
-	// accounting (zero when the scan ran without a cache).
-	CacheHits   int64
-	CacheMisses int64
-	Coalesced   int64
+	// Cost is carried over from the observation: the Appendix D query
+	// accounting, the resilience counters and the shared-cache
+	// accounting. Result is never marshalled.
+	scan.Cost
 }
 
 // Classifier holds shared configuration.
@@ -233,10 +227,7 @@ func New(now time.Time) *Classifier {
 
 // Classify processes one observation.
 func (c *Classifier) Classify(o *scan.ZoneObservation) *Result {
-	r := &Result{
-		Zone: o.Zone, Queries: o.Queries, Retries: o.Retries, GaveUp: o.GaveUp,
-		CacheHits: o.CacheHits, CacheMisses: o.CacheMisses, Coalesced: o.Coalesced,
-	}
+	r := &Result{Zone: o.Zone, Cost: o.Cost}
 	if o.ResolveErr != "" {
 		r.Status = StatusUnresolved
 		c.traceDecision(r)
@@ -292,15 +283,6 @@ func signalVerdict(s SignalInfo) string {
 	default:
 		return "violations"
 	}
-}
-
-// ClassifyAll processes a batch.
-func (c *Classifier) ClassifyAll(obs []*scan.ZoneObservation) []*Result {
-	out := make([]*Result, len(obs))
-	for i, o := range obs {
-		out[i] = c.Classify(o)
-	}
-	return out
 }
 
 func statusOf(obs *scan.ZoneObservation) Status {

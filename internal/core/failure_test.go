@@ -192,8 +192,10 @@ func TestOfflineReanalysisMatchesLive(t *testing.T) {
 			t.Fatalf("FromJSON(%s): %v", o.Zone, err)
 		}
 	}
-	classifier := classify.New(study.World.Now)
-	offline := report.Build(classifier.ClassifyAll(rebuilt))
+	classifier, offline := classify.New(study.World.Now), report.NewAggregate()
+	for _, zo := range rebuilt {
+		offline.Add(classifier.Classify(zo))
+	}
 	live := study.Report
 	for name, pair := range map[string][2]string{
 		"headline": {live.Headline(), offline.Headline()},

@@ -1,4 +1,4 @@
-package ingest
+package ingest_test
 
 import (
 	"bytes"
@@ -16,6 +16,7 @@ import (
 
 	"dnssecboot/internal/core"
 	"dnssecboot/internal/ecosystem"
+	"dnssecboot/internal/ingest"
 )
 
 // Golden end-to-end fixture: a checked-in gzipped mini-TLD dump — the
@@ -119,7 +120,7 @@ func mustReadGolden(t *testing.T, path string) []byte {
 	return b
 }
 
-func marshalStats(t *testing.T, s Stats) []byte {
+func marshalStats(t *testing.T, s ingest.Stats) []byte {
 	t.Helper()
 	b, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
@@ -162,7 +163,7 @@ func TestGoldenDump(t *testing.T) {
 		if err := os.WriteFile(goldenDumpPath, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		res, err := File(context.Background(), goldenDumpPath, Config{})
+		res, err := ingest.File(context.Background(), goldenDumpPath, ingest.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,9 +184,9 @@ func TestGoldenDump(t *testing.T) {
 	wantStats := mustReadGolden(t, goldenStatsPath)
 
 	// Every worker count must reproduce the fixtures byte-for-byte.
-	var ref *Result
+	var ref *ingest.Result
 	for _, workers := range []int{1, 2, 4} {
-		res, err := File(context.Background(), goldenDumpPath, Config{Workers: workers})
+		res, err := ingest.File(context.Background(), goldenDumpPath, ingest.Config{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -209,7 +210,7 @@ func TestGoldenDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := Ingest(context.Background(), bytes.NewReader(plain), Config{})
+	pres, err := ingest.Ingest(context.Background(), bytes.NewReader(plain), ingest.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestGoldenDumpHeadline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full world generation in -short mode")
 	}
-	res, err := File(context.Background(), goldenDumpPath, Config{})
+	res, err := ingest.File(context.Background(), goldenDumpPath, ingest.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

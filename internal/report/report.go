@@ -83,15 +83,6 @@ func NewAggregate() *Aggregate {
 	}
 }
 
-// Build aggregates a batch of classification results.
-func Build(results []*classify.Result) *Aggregate {
-	a := NewAggregate()
-	for _, r := range results {
-		a.Add(r)
-	}
-	return a
-}
-
 // Add folds one zone's classification into the running tallies.
 func (a *Aggregate) Add(r *classify.Result) {
 	a.Total++

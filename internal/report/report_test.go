@@ -9,7 +9,17 @@ import (
 
 	"dnssecboot/internal/classify"
 	"dnssecboot/internal/operator"
+	"dnssecboot/internal/scan"
 )
+
+// build folds a batch of results into a fresh accumulator.
+func build(results []*classify.Result) *Aggregate {
+	a := NewAggregate()
+	for _, r := range results {
+		a.Add(r)
+	}
+	return a
+}
 
 func res(zone, op string, status classify.Status, bucket classify.Potential) *classify.Result {
 	return &classify.Result{
@@ -17,7 +27,7 @@ func res(zone, op string, status classify.Status, bucket classify.Potential) *cl
 		Status:   status,
 		Bucket:   bucket,
 		Operator: operator.Result{Operator: op},
-		Queries:  10,
+		Cost:     scan.Cost{Queries: 10},
 	}
 }
 
@@ -39,7 +49,7 @@ func sampleResults() []*classify.Result {
 }
 
 func TestBuildAggregates(t *testing.T) {
-	a := Build(sampleResults())
+	a := build(sampleResults())
 	if a.Total != 6 || a.Unresolved != 1 || a.Resolved() != 5 {
 		t.Errorf("totals = %d/%d", a.Total, a.Unresolved)
 	}
@@ -63,7 +73,7 @@ func TestBuildAggregates(t *testing.T) {
 }
 
 func TestTableRenderings(t *testing.T) {
-	a := Build(sampleResults())
+	a := build(sampleResults())
 	t1 := a.Table1(5)
 	if !strings.Contains(t1, "GoDaddy") || !strings.Contains(t1, "Cloudflare") {
 		t.Errorf("table1 missing operators:\n%s", t1)
@@ -97,7 +107,7 @@ func TestTable1SortsByDomains(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		rs = append(rs, res("x.com.", "Cloudflare", classify.StatusUnsigned, classify.PotentialNone))
 	}
-	a := Build(rs)
+	a := build(rs)
 	t1 := a.Table1(5)
 	cfIdx := strings.Index(t1, "Cloudflare")
 	gdIdx := strings.Index(t1, "GoDaddy")
@@ -107,19 +117,19 @@ func TestTable1SortsByDomains(t *testing.T) {
 }
 
 func TestQueryStats(t *testing.T) {
-	a := Build(sampleResults())
+	a := build(sampleResults())
 	qs := a.QueryStats()
 	if !strings.Contains(qs, "50 DNS queries") {
 		t.Errorf("QueryStats = %s", qs)
 	}
-	empty := Build(nil)
+	empty := build(nil)
 	if !strings.Contains(empty.QueryStats(), "0 DNS queries") {
 		t.Error("empty QueryStats broken")
 	}
 }
 
 func TestWriteCSV(t *testing.T) {
-	a := Build(sampleResults())
+	a := build(sampleResults())
 	for _, artefact := range []string{"table1", "table2", "table3", "figure1"} {
 		var buf strings.Builder
 		if err := a.WriteCSV(&buf, artefact); err != nil {
@@ -150,7 +160,7 @@ func TestWriteCSV(t *testing.T) {
 // artefact in the fixed order each followed by a blank line, and an
 // unknown name is an error that CheckArtefact reports without a report.
 func TestWriteArtefact(t *testing.T) {
-	a := Build(sampleResults())
+	a := build(sampleResults())
 	var all strings.Builder
 	for _, name := range strings.Split(ArtefactChoices(), "|")[1:] {
 		var one strings.Builder
@@ -191,7 +201,7 @@ func TestWriteArtefact(t *testing.T) {
 }
 
 func TestWriteCSVDir(t *testing.T) {
-	a := Build(sampleResults())
+	a := build(sampleResults())
 	dir := t.TempDir()
 	if err := a.WriteCSVDir(dir); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dnssecboot/internal/classify"
+	"dnssecboot/internal/scan"
 )
 
 // populatedAggregate fills every field the checkpoint wire form must
@@ -147,15 +148,17 @@ func randomResults(rnd *rand.Rand, n int) []*classify.Result {
 	results := make([]*classify.Result, n)
 	for i := range results {
 		r := &classify.Result{
-			Zone:        fmt.Sprintf("zone-%d.example.", i),
-			Status:      classify.Statuses[rnd.Intn(len(classify.Statuses))],
-			Bucket:      classify.Potentials[rnd.Intn(len(classify.Potentials))],
-			Queries:     rnd.Int63n(50),
-			Retries:     rnd.Int63n(5),
-			GaveUp:      rnd.Int63n(2),
-			CacheHits:   rnd.Int63n(30),
-			CacheMisses: rnd.Int63n(30),
-			Coalesced:   rnd.Int63n(10),
+			Zone:   fmt.Sprintf("zone-%d.example.", i),
+			Status: classify.Statuses[rnd.Intn(len(classify.Statuses))],
+			Bucket: classify.Potentials[rnd.Intn(len(classify.Potentials))],
+			Cost: scan.Cost{
+				Queries:     rnd.Int63n(50),
+				Retries:     rnd.Int63n(5),
+				GaveUp:      rnd.Int63n(2),
+				CacheHits:   rnd.Int63n(30),
+				CacheMisses: rnd.Int63n(30),
+				Coalesced:   rnd.Int63n(10),
+			},
 		}
 		r.Operator.Operator = operators[rnd.Intn(len(operators))]
 		r.Operator.MultiOperator = rnd.Intn(4) == 0
@@ -223,7 +226,7 @@ func TestMergeEqualsUnifiedBuild(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		results := randomResults(rnd, 50+rnd.Intn(200))
-		want := Build(results)
+		want := build(results)
 		parts := 2 + rnd.Intn(5)
 		aggs := splitBuild(rnd, results, parts)
 		got := NewAggregate()
@@ -239,7 +242,7 @@ func TestMergeEqualsUnifiedBuild(t *testing.T) {
 func TestMergeCommutativeAssociative(t *testing.T) {
 	rnd := rand.New(rand.NewSource(11))
 	results := randomResults(rnd, 300)
-	want := Build(results)
+	want := build(results)
 	aggs := splitBuild(rnd, results, 4)
 
 	orders := [][]int{
@@ -282,7 +285,7 @@ func TestMergeCommutativeAssociative(t *testing.T) {
 func TestMergeShardStates(t *testing.T) {
 	rnd := rand.New(rand.NewSource(23))
 	results := randomResults(rnd, 200)
-	want := Build(results)
+	want := build(results)
 	aggs := splitBuild(rnd, results, 3)
 
 	cfg := json.RawMessage(`{"seed": 1, "scale": 2000}`)

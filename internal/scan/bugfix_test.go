@@ -154,28 +154,3 @@ func TestProbeSignalPartialFailure(t *testing.T) {
 		}
 	})
 }
-
-// TestScanAllHonoursCancelledContext: a cancelled context must stop the
-// scan before any query is issued and still yield one observation per
-// zone, each carrying the cancellation.
-func TestScanAllHonoursCancelledContext(t *testing.T) {
-	_, s, _ := faultScanner(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	zones := []string{"a.example.com.", "b.example.com.", "c.example.com."}
-	out := s.ScanAll(ctx, zones)
-	if len(out) != len(zones) {
-		t.Fatalf("observations = %d, want %d", len(out), len(zones))
-	}
-	for i, obs := range out {
-		if obs == nil {
-			t.Fatalf("observation %d is nil", i)
-		}
-		if obs.ResolveErr == "" {
-			t.Errorf("observation %d has no resolve error", i)
-		}
-	}
-	if q := s.cfg.Resolver.Queries(); q != 0 {
-		t.Errorf("cancelled scan issued %d queries, want 0", q)
-	}
-}

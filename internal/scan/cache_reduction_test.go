@@ -18,6 +18,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"dnssecboot/internal/classify"
 	"dnssecboot/internal/core"
@@ -28,9 +29,8 @@ import (
 )
 
 // classificationArtefacts concatenates every classification-bearing
-// artefact of a result set (the same set the chaos suite compares).
-func classificationArtefacts(results []*classify.Result) string {
-	r := report.Build(results)
+// artefact of a report (the same set the chaos suite compares).
+func classificationArtefacts(r *report.Aggregate) string {
 	var sb strings.Builder
 	for _, artefact := range []func() string{
 		r.Headline, r.Figure1,
@@ -42,6 +42,16 @@ func classificationArtefacts(results []*classify.Result) string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
+}
+
+// classifyEach folds observations into a report one at a time, the way
+// core.RunStream's sink does.
+func classifyEach(now time.Time, obs []*scan.ZoneObservation) *report.Aggregate {
+	classifier, agg := classify.New(now), report.NewAggregate()
+	for _, zo := range obs {
+		agg.Add(classifier.Classify(zo))
+	}
+	return agg
 }
 
 // resolveZone performs the resolution phase of one zone scan: the
@@ -102,8 +112,11 @@ func TestCacheKeepsScanOutputsWithFewerQueries(t *testing.T) {
 
 	// One shared scanner with the cache: TLD walks and NS address
 	// resolutions paid once across the whole scan.
-	cachedScanner := core.NewScanner(world, core.Options{Seed: 3, Concurrency: 1})
-	cachedObs := cachedScanner.ScanAll(ctx, world.Targets)
+	cached, err := core.Run(ctx, core.Options{Seed: 3, World: world, Concurrency: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cachedObs := cached.Observations
 	var cachedQueries int64
 	for _, obs := range cachedObs {
 		cachedQueries += obs.Queries
@@ -140,9 +153,8 @@ func TestCacheKeepsScanOutputsWithFewerQueries(t *testing.T) {
 		t.Errorf("cache changed a record body\n%s", firstDiff(string(want), string(got)))
 	}
 
-	classifier := classify.New(world.Now)
-	cachedArts := classificationArtefacts(classifier.ClassifyAll(cachedObs))
-	baselineArts := classificationArtefacts(classifier.ClassifyAll(baselineObs))
+	cachedArts := classificationArtefacts(cached.Report)
+	baselineArts := classificationArtefacts(classifyEach(world.Now, baselineObs))
 	if cachedArts != baselineArts {
 		t.Errorf("cache changed the classifications\n%s", firstDiff(baselineArts, cachedArts))
 	}

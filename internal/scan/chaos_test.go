@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"dnssecboot/internal/classify"
 	"dnssecboot/internal/core"
 	"dnssecboot/internal/ecosystem"
 	"dnssecboot/internal/scan"
@@ -56,7 +55,7 @@ func chaosRunOpts(t *testing.T, opts core.Options) chaosOutcome {
 	}
 	r := study.Report
 	return chaosOutcome{
-		artefacts: classificationArtefacts(study.Results),
+		artefacts: classificationArtefacts(r),
 		queries:   r.Queries,
 		retries:   r.Retries,
 		gaveUp:    r.GaveUp,
@@ -174,7 +173,7 @@ func TestChaosCacheInvariant(t *testing.T) {
 				freshQueries += zo.Queries
 				fresh = append(fresh, zo)
 			}
-			freshArts := classificationArtefacts(classify.New(world.Now).ClassifyAll(fresh))
+			freshArts := classificationArtefacts(classifyEach(world.Now, fresh))
 			if cached.artefacts != freshArts {
 				t.Errorf("cache changed the classifications\n%s", firstDiff(freshArts, cached.artefacts))
 			}

@@ -21,8 +21,11 @@ import (
 // cost object, written by a scanner with one resolver regime: a
 // version-2 run directory may hold records of the deleted cache-less
 // walk, whose parent_zone differs under second-level registries, so it
-// is refused rather than continued into a mixed dump.
-const CheckpointVersion = 3
+// is refused rather than continued into a mixed dump. Version 4 records
+// the flag fingerprint as every fingerprinted flag's name and value, as
+// registered once for the scan command; a version-3 fingerprint could
+// never match it, so such a run is refused by name too.
+const CheckpointVersion = 4
 
 // Checkpoint records the durable state of an interrupted streaming
 // scan. The pipeline-level pieces (CLI flag fingerprint, report

@@ -23,7 +23,7 @@ type Config struct {
 	Resolver *resolver.Resolver
 	// Now anchors DNSSEC validity checks.
 	Now time.Time
-	// Concurrency is the number of parallel zone scans in ScanAll.
+	// Concurrency is the number of parallel zone scans in ScanStream.
 	// Zero means 8.
 	Concurrency int
 	// SampleSuffixes lists NS-hostname suffixes whose address pools are
@@ -53,7 +53,7 @@ type Config struct {
 	// (resolve, query, validate stages) for every scanned zone.
 	Tracer *obs.Tracer
 	// ProgressWriter, when non-nil, receives live progress lines
-	// (zones/s, ETA, error rate) from ScanAll every ProgressInterval
+	// (zones/s, ETA, error rate) from ScanStream every ProgressInterval
 	// (default 2 s).
 	ProgressWriter   io.Writer
 	ProgressInterval time.Duration
@@ -84,37 +84,6 @@ func New(cfg Config) *Scanner {
 
 // Validator exposes the scanner's chain validator (shared cache).
 func (s *Scanner) Validator() *Validator { return s.val }
-
-// ScanAll scans every zone with bounded concurrency, preserving input
-// order in the result. It is the buffering convenience wrapper around
-// ScanStream: observations stream into the result slice as they are
-// emitted. When ctx is cancelled no further zones are launched; the
-// unscanned tail is filled with observations carrying the cancellation
-// as their resolve error.
-func (s *Scanner) ScanAll(ctx context.Context, zones []string) []*ZoneObservation {
-	out := make([]*ZoneObservation, len(zones))
-	res, _ := s.ScanStream(ctx, zones, StreamOptions{
-		Sink: func(i int, zo *ZoneObservation) error {
-			out[i] = zo
-			return nil
-		},
-	})
-	if res.Next < len(zones) {
-		// The sink above never fails and ScanAll passes no drain signal,
-		// so an early stop always means the context died.
-		msg := "scan aborted"
-		if err := ctx.Err(); err != nil {
-			msg = err.Error()
-		}
-		for j := res.Next; j < len(zones); j++ {
-			out[j] = &ZoneObservation{
-				Zone:       dnswire.CanonicalName(zones[j]),
-				ResolveErr: msg,
-			}
-		}
-	}
-	return out
-}
 
 // ScanZone performs the full per-zone measurement.
 func (s *Scanner) ScanZone(ctx context.Context, zoneName string) *ZoneObservation {

@@ -7,11 +7,11 @@ import (
 	"dnssecboot/internal/ordered"
 )
 
-// The streaming scan pipeline. ScanAll used to materialise every
+// The streaming scan pipeline. A batch scan would materialise every
 // *ZoneObservation in one slice and hand the batch over only after the
-// last zone finished, so memory grew O(zones) and an interrupted run
-// lost everything. ScanStream instead hands each observation to a sink
-// callback as soon as its turn in the input order arrives. The fan-out
+// last zone finished, so memory would grow O(zones) and an interrupted
+// run would lose everything. ScanStream instead hands each observation
+// to a sink callback as soon as its turn in the input order arrives. The fan-out
 // itself is ordered.Map, shared with the zone-dump ingester: each
 // worker pulls its own zone, and whichever worker finishes the next
 // zone in order runs the sink, so there is no dispatcher or emitter

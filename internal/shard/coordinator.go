@@ -8,7 +8,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"syscall"
 	"time"
 
 	"dnssecboot/internal/obs"
@@ -18,10 +20,11 @@ import (
 
 // WorkerConfig describes how to invoke one shard worker process.
 type WorkerConfig struct {
-	// Bin is the dnssec-scan binary.
+	// Bin is the scan binary; the scan command passes its own
+	// executable.
 	Bin string
 	// Args are the scan flags every shard shares (-seed, -scale,
-	// -retries, ...). The coordinator appends the per-shard pieces:
+	// -retries, ...). Run appends the per-shard pieces:
 	// -shard i/N, -checkpoint, -dump, -out none and, on restart,
 	// -resume.
 	Args []string
@@ -75,21 +78,6 @@ type Result struct {
 	TotalZones int
 	// Restarts counts worker restarts across all shards.
 	Restarts int
-}
-
-// CheckpointPath returns shard i's checkpoint file inside runDir.
-func CheckpointPath(runDir string, i, n int) string {
-	return filepath.Join(runDir, fmt.Sprintf("shard-%d-of-%d.ckpt", i, n))
-}
-
-// DumpPath returns shard i's JSONL export inside runDir.
-func DumpPath(runDir string, i, n int) string {
-	return filepath.Join(runDir, fmt.Sprintf("shard-%d-of-%d.jsonl", i, n))
-}
-
-// LogPath returns shard i's worker log (appended across restarts).
-func LogPath(runDir string, i, n int) string {
-	return filepath.Join(runDir, fmt.Sprintf("shard-%d-of-%d.log", i, n))
 }
 
 type coordinator struct {
@@ -186,9 +174,16 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// file names shard i's file in the run directory: shard-i-of-N.ckpt
+// (its checkpoint), .jsonl (its export) or .log (its worker's output,
+// appended across restarts).
+func (c *coordinator) file(i int, ext string) string {
+	return filepath.Join(c.cfg.RunDir, fmt.Sprintf("shard-%d-of-%d.%s", i, c.cfg.Shards, ext))
+}
+
 func (c *coordinator) logf(format string, args ...any) {
 	if c.cfg.Log != nil {
-		fmt.Fprintf(c.cfg.Log, "scanctl: "+format+"\n", args...)
+		fmt.Fprintf(c.cfg.Log, "coordinator: "+format+"\n", args...)
 	}
 }
 
@@ -250,7 +245,7 @@ func (c *coordinator) superviseShard(ctx context.Context, i int) error {
 // it. A checkpoint left by a previous attempt is resumed; worker output
 // is appended to the shard log.
 func (c *coordinator) runWorkerOnce(ctx context.Context, i int) error {
-	cpPath := CheckpointPath(c.cfg.RunDir, i, c.cfg.Shards)
+	cpPath := c.file(i, "ckpt")
 	args := append([]string{}, c.cfg.Worker.Args...)
 	args = append(args,
 		"-shard", fmt.Sprintf("%d/%d", i, c.cfg.Shards),
@@ -258,13 +253,13 @@ func (c *coordinator) runWorkerOnce(ctx context.Context, i int) error {
 		"-out", "none",
 	)
 	if c.cfg.Worker.Dump {
-		args = append(args, "-dump", DumpPath(c.cfg.RunDir, i, c.cfg.Shards))
+		args = append(args, "-dump", c.file(i, "jsonl"))
 	}
 	if _, err := os.Stat(cpPath); err == nil {
 		args = append(args, "-resume", cpPath)
 	}
 
-	logFile, err := os.OpenFile(LogPath(c.cfg.RunDir, i, c.cfg.Shards),
+	logFile, err := os.OpenFile(c.file(i, "log"),
 		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("shard %d log: %w", i, err)
@@ -274,6 +269,13 @@ func (c *coordinator) runWorkerOnce(ctx context.Context, i int) error {
 	cmd := exec.CommandContext(ctx, c.cfg.Worker.Bin, args...)
 	cmd.Stdout = logFile
 	cmd.Stderr = logFile
+	// A worker gets SIGTERM when its coordinator dies, even by SIGKILL,
+	// and drains and checkpoints through its own handler. The kernel ties
+	// the signal to the thread that started the worker, so this goroutine
+	// keeps its thread until Wait returns.
+	cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGTERM}
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("shard %d: starting worker: %w", i, err)
 	}
@@ -350,7 +352,7 @@ func (c *coordinator) injectKill(stop <-chan struct{}) {
 		case <-stop:
 			return
 		case <-tick.C:
-			cp, err := scan.ReadCheckpoint(CheckpointPath(c.cfg.RunDir, i, c.cfg.Shards))
+			cp, err := scan.ReadCheckpoint(c.file(i, "ckpt"))
 			if err != nil {
 				continue
 			}
@@ -397,7 +399,7 @@ func (c *coordinator) updateRollup(i int) {
 	c.mu.Lock()
 	state := c.states[i]
 	c.mu.Unlock()
-	cp, err := scan.ReadCheckpoint(CheckpointPath(c.cfg.RunDir, i, c.cfg.Shards))
+	cp, err := scan.ReadCheckpoint(c.file(i, "ckpt"))
 	if err != nil {
 		c.cfg.Rollup.Update(i, 0, 0, state)
 		return

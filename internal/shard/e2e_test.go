@@ -3,9 +3,9 @@
 // merged JSONL dump's record bodies (scan.Body), the CSV series and the
 // rendered headline compared byte-for-byte against a default
 // single-process run of the same world — the headline guarantee of
-// cmd/scanctl, including under an injected mid-run worker kill and
-// checkpoint restart. Per-record cost is not compared: every worker,
-// and every restarted worker, warms its own resolver cache.
+// `dnssec-scan -shards N`, including under an injected mid-run worker
+// kill and checkpoint restart. Per-record cost is not compared: every
+// worker, and every restarted worker, warms its own resolver cache.
 package shard
 
 import (
@@ -15,8 +15,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -32,8 +34,8 @@ var (
 )
 
 // workerBinary builds cmd/dnssec-scan once per test run and returns its
-// path. The coordinator is exercised through the library (Run), so only
-// the worker needs a real binary.
+// path. The coordinator is mostly exercised through the library (Run);
+// TestWorkersDieWithCoordinator runs the binary as coordinator too.
 func workerBinary(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {
@@ -67,9 +69,10 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// reference runs a default single-process scan of the given scale and
-// returns its dump bytes, headline text, and CSV artefacts.
-func reference(t *testing.T, bin string, scale int) (dump []byte, headline string, csv map[string][]byte) {
+// reference runs a default single-process scan of the given scale, plus
+// any extra flags, and returns its dump bytes, headline text, and CSV
+// artefacts.
+func reference(t *testing.T, bin string, scale int, extra ...string) (dump []byte, headline string, csv map[string][]byte) {
 	t.Helper()
 	dir := t.TempDir()
 	csvDir := filepath.Join(dir, "csv")
@@ -77,9 +80,9 @@ func reference(t *testing.T, bin string, scale int) (dump []byte, headline strin
 		t.Fatal(err)
 	}
 	dumpPath := filepath.Join(dir, "ref.jsonl")
-	cmd := exec.Command(bin,
+	cmd := exec.Command(bin, append([]string{
 		"-scale", fmt.Sprint(scale),
-		"-dump", dumpPath, "-csv-dir", csvDir, "-out", "headline")
+		"-dump", dumpPath, "-csv-dir", csvDir, "-out", "headline"}, extra...)...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	if err := cmd.Run(); err != nil {
@@ -182,22 +185,46 @@ func assertConformance(t *testing.T, label string, refDump, gotDump []byte, refH
 // bodies, headline and CSVs are byte-identical to a default
 // single-process run of the same world. The 1-shard rows also pin that
 // a lone worker's checkpoint carries the 0/1 geometry the merge demands
-// (scanctl -shards 1 used to fail on it).
+// (scanctl -shards 1 used to fail on it). The zonefile row partitions
+// the targets ingested from the golden uk. dump instead of the
+// generator's list; its headline must also match the ingest fixture.
 func TestCoordinatedConformance(t *testing.T) {
 	bin := workerBinary(t)
+	zonefile, err := filepath.Abs("../ingest/testdata/golden/uk_dump.zone.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		scale, shards int
+		zonefile      bool
 	}{
-		{500_000, 1},
-		{500_000, 2},
-		{500_000, 4},
-		{150_000, 1},
-		{150_000, 2},
-		{150_000, 4},
+		{500_000, 1, false},
+		{500_000, 2, false},
+		{500_000, 4, false},
+		{150_000, 1, false},
+		{150_000, 2, false},
+		{150_000, 4, false},
+		{500_000, 2, true},
 	} {
-		t.Run(fmt.Sprintf("scale=%d/shards=%d", tc.scale, tc.shards), func(t *testing.T) {
-			refDump, refHeadline, refCSV := reference(t, bin, tc.scale)
-			gotDump, agg, res := shardedRun(t, bin, tc.scale, tc.shards, nil)
+		name := fmt.Sprintf("scale=%d/shards=%d", tc.scale, tc.shards)
+		var extra []string
+		if tc.zonefile {
+			name, extra = "zonefile/"+name, []string{"-zonefile", zonefile}
+		}
+		t.Run(name, func(t *testing.T) {
+			refDump, refHeadline, refCSV := reference(t, bin, tc.scale, extra...)
+			if tc.zonefile {
+				want, err := os.ReadFile("../ingest/testdata/golden/headline.txt")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if refHeadline != string(want) {
+					t.Errorf("-zonefile headline differs from the ingest fixture:\n got: %q\nwant: %q", refHeadline, want)
+				}
+			}
+			gotDump, agg, res := shardedRun(t, bin, tc.scale, tc.shards, func(cfg *Config) {
+				cfg.Worker.Args = append(cfg.Worker.Args, extra...)
+			})
 			assertConformance(t, "conformance", refDump, gotDump, refHeadline, refCSV, agg)
 			if res.Restarts != 0 {
 				t.Errorf("healthy run needed %d restarts", res.Restarts)
@@ -265,4 +292,90 @@ func TestCoordinatorRollup(t *testing.T) {
 	if !strings.Contains(buf.String(), "shards:") {
 		t.Errorf("rollup rendered nothing: %q", buf.String())
 	}
+}
+
+// TestWorkersDieWithCoordinator is the orphan regression: SIGKILL a
+// `dnssec-scan -shards 2` coordinator while its workers have seconds of
+// work left, and no worker may outlive it by 2 s (the kernel sends each
+// SIGTERM, and a worker drains and checkpoints through its handler). A
+// re-run over the same run directory must still merge bodies identical
+// to a single-process run.
+func TestWorkersDieWithCoordinator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three scans of a 29 k-zone world")
+	}
+	bin := workerBinary(t)
+	const scale = 10_000
+	dir := t.TempDir()
+	runDir, merged := filepath.Join(dir, "run"), filepath.Join(dir, "merged.jsonl")
+	args := []string{"-shards", "2", "-scale", fmt.Sprint(scale), "-concurrency", "1",
+		"-run-dir", runDir, "-dump", merged, "-out", "none"}
+	// A worker, unlike its coordinator, names a file in the run directory.
+	marker := filepath.Join(runDir, "shard-")
+
+	coord := exec.Command(bin, args...)
+	var stderr bytes.Buffer
+	coord.Stderr = &stderr
+	if err := coord.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- coord.Wait() }()
+	for len(liveProcesses(t, marker)) < 2 {
+		select {
+		case err := <-exited:
+			t.Fatalf("the coordinator ended (%v) before both workers were seen\n%s", err, stderr.String())
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if err := coord.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	<-exited
+	deadline := time.Now().Add(2 * time.Second)
+	left := liveProcesses(t, marker)
+	for len(left) > 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		left = liveProcesses(t, marker)
+	}
+	if len(left) > 0 {
+		t.Errorf("2 s after the coordinator was killed, workers %v still run", left)
+		for _, pid := range left {
+			_ = syscall.Kill(pid, syscall.SIGKILL)
+		}
+	}
+
+	if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+		t.Fatalf("re-run over the same run directory: %v\n%s", err, out)
+	}
+	got, err := os.ReadFile(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refDump, _, _ := reference(t, bin, scale)
+	if !bytes.Equal(bodies(t, got), bodies(t, refDump)) {
+		t.Error("re-run after the coordinator's death: merged bodies differ from the single-process export's")
+	}
+}
+
+// liveProcesses returns the pids whose command line contains marker. A
+// zombie has an empty command line, so only running processes count.
+func liveProcesses(t *testing.T, marker string) []int {
+	t.Helper()
+	entries, err := os.ReadDir("/proc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pids []int
+	for _, e := range entries {
+		pid, err := strconv.Atoi(e.Name())
+		if err != nil {
+			continue
+		}
+		argv, _ := os.ReadFile(filepath.Join("/proc", e.Name(), "cmdline"))
+		if bytes.Contains(argv, []byte(marker)) {
+			pids = append(pids, pid)
+		}
+	}
+	return pids
 }

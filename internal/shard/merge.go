@@ -20,7 +20,7 @@ import (
 // shardComplete reports whether shard i's checkpoint covers its whole
 // range.
 func (c *coordinator) shardComplete(i int) (bool, error) {
-	cp, err := scan.ReadCheckpoint(CheckpointPath(c.cfg.RunDir, i, c.cfg.Shards))
+	cp, err := scan.ReadCheckpoint(c.file(i, "ckpt"))
 	if err != nil {
 		return false, fmt.Errorf("shard %d: no final checkpoint: %w", i, err)
 	}
@@ -34,7 +34,7 @@ func (c *coordinator) merge() (*Result, error) {
 	n := c.cfg.Shards
 	cps := make([]*scan.Checkpoint, n)
 	for i := 0; i < n; i++ {
-		cp, err := scan.ReadCheckpoint(CheckpointPath(c.cfg.RunDir, i, n))
+		cp, err := scan.ReadCheckpoint(c.file(i, "ckpt"))
 		if err != nil {
 			return nil, fmt.Errorf("shard: merging: %w", err)
 		}
@@ -78,7 +78,7 @@ func (c *coordinator) concatDumps(cps []*scan.Checkpoint) error {
 		return fmt.Errorf("shard: merged dump: %w", err)
 	}
 	for i, cp := range cps {
-		path := DumpPath(c.cfg.RunDir, i, c.cfg.Shards)
+		path := c.file(i, "jsonl")
 		f, err := os.Open(path)
 		if err != nil {
 			out.Close()

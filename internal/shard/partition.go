@@ -2,8 +2,8 @@
 // processes and coordinates their lifecycle. The paper's campaign
 // covered 287.6 M zones — far beyond one process — so the scan is split
 // into N contiguous index ranges, each owned by one `dnssec-scan
-// -shard i/N` worker; the coordinator (cmd/scanctl) launches the
-// workers, restarts dead or wedged ones from their last durable
+// -shard i/N` worker; the coordinator (`dnssec-scan -shards N`, which
+// re-executes itself for every worker) launches the workers, restarts dead or wedged ones from their last durable
 // checkpoint, and merges the per-shard accumulator states and JSONL
 // dumps into output whose record bodies, headline and tables are
 // byte-identical to a single-process run's.
