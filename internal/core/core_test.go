@@ -3,11 +3,17 @@ package core
 import (
 	"context"
 	"errors"
+	"net/netip"
+	"sync"
 	"testing"
 
 	"dnssecboot/internal/classify"
+	"dnssecboot/internal/dnswire"
 	"dnssecboot/internal/ecosystem"
 	"dnssecboot/internal/report"
+	"dnssecboot/internal/resolver"
+	"dnssecboot/internal/scan"
+	"dnssecboot/internal/transport"
 )
 
 // runSmall executes the pipeline at a tiny scale shared by the tests.
@@ -254,6 +260,65 @@ func TestScanQueryCount(t *testing.T) {
 	}
 	if q, _, _ := st.World.Net.Stats(); q != scanQueries {
 		t.Errorf("scan of %d zones sent %d queries, want %d", st.Scanned, q, scanQueries)
+	}
+}
+
+// busiestServerQueries is the number of exchanges the busiest address
+// receives in TestScanQueryCount's scan. Under a per-server rate limit
+// it sets the wall clock. 2 726 → 2 118: questions any server of a zone
+// may answer start at a server chosen by the query name instead of
+// always at the first one.
+const busiestServerQueries = 2118
+
+// countingNet counts the exchanges each server address receives.
+type countingNet struct {
+	inner transport.Exchanger
+	mu    sync.Mutex
+	per   map[netip.Addr]int
+}
+
+func (n *countingNet) Exchange(ctx context.Context, server netip.AddrPort, q *dnswire.Message) (*dnswire.Message, error) {
+	n.mu.Lock()
+	n.per[server.Addr()]++
+	n.mu.Unlock()
+	return n.inner.Exchange(ctx, server, q)
+}
+
+// TestBusiestServerLoad pins how evenly the scan's queries fall on the
+// servers: it repeats TestScanQueryCount's one-worker scan through a
+// counting network, with a scanner built from the constructors
+// NewScanner uses.
+func TestBusiestServerLoad(t *testing.T) {
+	world, err := ecosystem.Generate(ecosystem.Config{Seed: 1, ScaleDivisor: 200_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := &countingNet{inner: world.Net, per: map[netip.Addr]int{}}
+	sc := scan.New(scan.Config{
+		Resolver:         &resolver.Resolver{Net: net, Roots: world.Roots, Cache: resolver.NewCache(0)},
+		Now:              world.Now,
+		Concurrency:      1,
+		SampleSuffixes:   world.CloudflareSuffixes,
+		FullScanFraction: 0.05,
+		ProbeSignals:     true,
+		TrustAnchor:      world.TrustAnchor,
+		Seed:             1,
+	})
+	for _, z := range world.Targets {
+		sc.ScanZone(context.Background(), z)
+	}
+	total, busiest, hot := 0, 0, netip.Addr{}
+	for addr, n := range net.per {
+		total += n
+		if n > busiest {
+			busiest, hot = n, addr
+		}
+	}
+	if total != scanQueries {
+		t.Fatalf("scan sent %d queries, TestScanQueryCount's sends %d: not the same scanner", total, scanQueries)
+	}
+	if busiest != busiestServerQueries {
+		t.Errorf("busiest address %s received %d of %d exchanges, want %d", hot, busiest, total, busiestServerQueries)
 	}
 }
 

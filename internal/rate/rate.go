@@ -101,39 +101,42 @@ func (l *Limiter) Allow() bool {
 	return false
 }
 
-// Wait blocks until a token is available or ctx is done.
+// Wait blocks until a token is available or ctx is done. It reserves
+// its token under the lock: a negative balance is debt queued by
+// earlier waiters, so the caller sleeps once, exactly until its own
+// token is due, and never wakes for a token another waiter takes. A
+// wait that ctx ends returns its token.
 func (l *Limiter) Wait(ctx context.Context) error {
 	if l.rate <= 0 {
 		return ctx.Err()
 	}
-	var blocked time.Duration
-	for {
+	l.mu.Lock()
+	l.refillLocked()
+	l.tokens--
+	if l.tokens >= 0 {
+		l.mu.Unlock()
+		return nil
+	}
+	d := time.Duration(-l.tokens / l.rate * float64(time.Second))
+	sleep, observer := l.sleep, l.observer
+	l.mu.Unlock()
+	// When the debt is a sub-nanosecond fraction of a token the
+	// conversion truncates to 0; the floor makes every blocked wait a
+	// real sleep.
+	if d < minSleep {
+		d = minSleep
+	}
+	if err := sleep(ctx, d); err != nil {
 		l.mu.Lock()
 		l.refillLocked()
-		if l.tokens >= 1 {
-			l.tokens--
-			observer := l.observer
-			l.mu.Unlock()
-			if blocked > 0 && observer != nil {
-				observer(blocked)
-			}
-			return nil
-		}
-		need := (1 - l.tokens) / l.rate
-		sleep := l.sleep
+		l.tokens = min(l.tokens+1, l.burst)
 		l.mu.Unlock()
-		d := time.Duration(need * float64(time.Second))
-		// When tokens is just under 1, need is a sub-nanosecond fraction
-		// and the conversion truncates to 0 — without a floor the loop
-		// would re-lock the mutex in a tight spin until the clock ticks.
-		if d < minSleep {
-			d = minSleep
-		}
-		if err := sleep(ctx, d); err != nil {
-			return err
-		}
-		blocked += d
+		return err
 	}
+	if observer != nil {
+		observer(d)
+	}
+	return nil
 }
 
 // minSleep is the smallest duration Wait will ask the clock to sleep;

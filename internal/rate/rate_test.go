@@ -3,6 +3,8 @@ package rate
 import (
 	"context"
 	"net/netip"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -166,6 +168,70 @@ func TestWaitNeverSleepsZero(t *testing.T) {
 		if d <= 0 {
 			t.Fatalf("sleep %d was %v; Wait busy-spins under the real clock", i, d)
 		}
+	}
+}
+
+// TestWaitSleepsOncePerBlockedWait pins the reservation rule on the real
+// clock: each blocked Wait sleeps exactly once, until its own token is
+// due. A waiter that sleeps until the next token and retries wakes with
+// every other waiter, and all but one sleep again: many sleeps per
+// blocked wait, and a limiter slower than its configured rate.
+func TestWaitSleepsOncePerBlockedWait(t *testing.T) {
+	const (
+		goroutines = 16
+		waits      = 50
+		perSecond  = 1000
+	)
+	var sleeps, observed atomic.Int64
+	l := NewLimiter(perSecond, 1)
+	l.SetClock(time.Now, func(ctx context.Context, d time.Duration) error {
+		sleeps.Add(1)
+		return sleepCtx(ctx, d)
+	})
+	l.SetObserver(func(time.Duration) { observed.Add(1) })
+	start := time.Now()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < waits; i++ {
+				if err := l.Wait(context.Background()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	if s, o := sleeps.Load(), observed.Load(); s != o {
+		t.Errorf("%d sleeps for %d blocked waits, want one each", s, o)
+	}
+	// The burst token is free; every other one is due 1/rate after the
+	// one before it, so the limiter can never finish early.
+	if floor := time.Duration(goroutines*waits-1) * time.Second / perSecond; elapsed < floor {
+		t.Errorf("%d waits took %v, the rate allows no less than %v", goroutines*waits, elapsed, floor)
+	}
+}
+
+// TestWaitCancelledReturnsToken: a wait ended by its context gives its
+// reservation back, so it does not delay the waiters behind it.
+func TestWaitCancelledReturnsToken(t *testing.T) {
+	fc := &fakeClock{t: time.Unix(0, 0)}
+	l := NewLimiter(10, 1)
+	l.SetClock(fc.now, func(ctx context.Context, _ time.Duration) error { return ctx.Err() })
+	if !l.Allow() {
+		t.Fatal("burst token denied")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := l.Wait(ctx); err == nil {
+		t.Fatal("cancelled Wait returned nil")
+	}
+	fc.t = fc.t.Add(100 * time.Millisecond) // one token at 10/s
+	if !l.Allow() {
+		t.Error("the token after a refill went to the cancelled wait")
 	}
 }
 

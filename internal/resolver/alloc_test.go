@@ -21,7 +21,8 @@ import (
 // messages, compression maps, read buffers) costs far more than 8
 // allocations.
 func TestExchangeAllocBudget(t *testing.T) {
-	r, server := benchExchangeSetup()
+	r, servers := benchExchangeSetup()
+	server := servers[0]
 	ctx := context.Background()
 	for i := 0; i < 5; i++ { // warm pools and caches
 		if _, err := r.Exchange(ctx, server, "www.example.com.", dnswire.TypeA); err != nil {
@@ -39,5 +40,27 @@ func TestExchangeAllocBudget(t *testing.T) {
 	})
 	if avg > 20 {
 		t.Errorf("resolver exchange allocates %.1f/op, budget 20", avg)
+	}
+}
+
+// TestQueryAnyAllocs pins queryAny's own cost on the all-healthy path:
+// choosing the first server and the try order allocates nothing, so a
+// query over four servers allocates no more than the Exchange it wraps.
+func TestQueryAnyAllocs(t *testing.T) {
+	r, servers := benchExchangeSetup()
+	ctx := context.Background()
+	const name = "www.example.com."
+	exchange := testing.AllocsPerRun(200, func() {
+		if _, err := r.Exchange(ctx, servers[0], name, dnswire.TypeA); err != nil {
+			t.Fatal(err)
+		}
+	})
+	queryAny := testing.AllocsPerRun(200, func() {
+		if _, _, err := r.queryAny(ctx, servers, name, dnswire.TypeA); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if queryAny > exchange {
+		t.Errorf("queryAny allocates %.1f/op, the Exchange it wraps %.1f", queryAny, exchange)
 	}
 }

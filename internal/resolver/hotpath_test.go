@@ -12,12 +12,11 @@ import (
 	"dnssecboot/internal/zone"
 )
 
-// benchExchangeSetup builds a one-server simulated network serving an
-// A record, with a (generous) per-server rate limit installed so the
-// benchmark exercises the real query path: limiter, pooled query
-// build, MemNetwork codec round-trip.
-func benchExchangeSetup() (*Resolver, netip.AddrPort) {
-	addr := netip.MustParseAddr("192.0.2.61")
+// benchExchangeSetup builds a simulated network serving an A record
+// from one server at four addresses, with a (generous) per-server rate
+// limit installed so the benchmark exercises the real query path:
+// limiter, pooled query build, MemNetwork codec round-trip.
+func benchExchangeSetup() (*Resolver, []netip.AddrPort) {
 	z := zone.New("example.com.")
 	z.SetBasics("ns1.example.com.", []string{"ns1.example.com."}, 1)
 	z.MustAdd(dnswire.RR{Name: "www.example.com.", TTL: 300,
@@ -25,19 +24,26 @@ func benchExchangeSetup() (*Resolver, netip.AddrPort) {
 	srv := server.New(1)
 	srv.AddZone(z)
 	net := transport.NewMemNetwork(1)
-	net.Register(addr, srv)
+	var servers []netip.AddrPort
+	addr := netip.MustParseAddr("192.0.2.61")
+	for i := 0; i < 4; i++ {
+		net.Register(addr, srv)
+		servers = append(servers, netip.AddrPortFrom(addr, 53))
+		addr = addr.Next()
+	}
 	r := &Resolver{
 		Net:    net,
 		Limits: rate.NewPerKey(1e9, 1e6),
 	}
-	return r, netip.AddrPortFrom(addr, 53)
+	return r, servers
 }
 
 // BenchmarkQueryHotPath measures one full resolver exchange against the
 // in-memory network: rate limit, query build, pack, server-side parse,
 // handler, response pack and parse. The bench gate tracks its allocs/op.
 func BenchmarkQueryHotPath(b *testing.B) {
-	r, server := benchExchangeSetup()
+	r, servers := benchExchangeSetup()
+	server := servers[0]
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -423,14 +423,22 @@ func (r *Resolver) serversForDelegation(ctx context.Context, d *Delegation) ([]n
 
 // queryAny tries servers until one responds, healthy addresses first
 // (the circuit breaker deprioritises — never skips — tripped servers).
-// On total failure the per-server errors are joined, so callers can
-// tell "all timed out" from "all answered SERVFAIL" with errors.Is.
+// Every server of a zone answers these questions alike, so the first
+// try goes to servers[nameHash(name) mod n] and the rest follow in
+// rotated order: a zone's load spreads over all its addresses instead
+// of piling onto servers[0], where a per-server rate limit would set
+// the scan's pace. The hash is fixed, so one name always goes to the
+// same server, in every process and shard. On total failure the
+// per-server errors are joined, so callers can tell "all timed out"
+// from "all answered SERVFAIL" with errors.Is.
 func (r *Resolver) queryAny(ctx context.Context, servers []netip.AddrPort, name string, qtype dnswire.Type) (*dnswire.Message, netip.AddrPort, error) {
 	if len(servers) == 0 {
 		return nil, netip.AddrPort{}, ErrNoServers
 	}
+	var buf [16]netip.AddrPort // try order; stays on the stack for small sets
+	start := int(nameHash(name) % uint32(len(servers)))
 	var errs []error
-	for _, s := range r.health.order(servers) {
+	for _, s := range r.health.order(buf[:0], servers, start) {
 		resp, err := r.Exchange(ctx, s, name, qtype)
 		if err != nil {
 			errs = append(errs, err)
@@ -443,6 +451,17 @@ func (r *Resolver) queryAny(ctx context.Context, servers []netip.AddrPort, name 
 		return resp, s, nil
 	}
 	return nil, netip.AddrPort{}, fmt.Errorf("%w: %w", ErrNoServers, errors.Join(errs...))
+}
+
+// nameHash is FNV-1a (32-bit) over name, written out so the hot path
+// neither allocates nor copies. Names reach queryAny in canonical form
+// (Lookup and Delegation canonicalise, unpacked names are lower case).
+func nameHash(name string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint32(name[i])) * 16777619
+	}
+	return h
 }
 
 // Lookup iteratively resolves (name, qtype) and returns the answer

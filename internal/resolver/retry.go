@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/netip"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -191,34 +190,31 @@ func (h *healthTracker) tripped(server netip.AddrPort) bool {
 	return s != nil && s.consecutive >= trippedAfter
 }
 
-// order returns servers with healthy addresses first, preserving the
-// input order within each group (a stable partition, so resolution
-// stays deterministic).
-func (h *healthTracker) order(servers []netip.AddrPort) []netip.AddrPort {
+// order appends servers to dst in the order to try them: the rotation
+// that begins at servers[start], healthy addresses first and tripped
+// ones after them, each group keeping the rotated order (a stable
+// partition, so resolution stays deterministic). It allocates only when
+// dst lacks the capacity.
+func (h *healthTracker) order(dst, servers []netip.AddrPort, start int) []netip.AddrPort {
 	h.mu.Lock()
-	anyTripped := false
-	for _, s := range servers {
+	defer h.mu.Unlock()
+	n, tripped := len(servers), 0
+	for i := range servers {
+		s := servers[(start+i)%n]
 		if st := h.m[s]; st != nil && st.consecutive >= trippedAfter {
-			anyTripped = true
-			break
+			tripped++
+			continue
+		}
+		dst = append(dst, s)
+	}
+	for i := 0; tripped > 0; i++ {
+		s := servers[(start+i)%n]
+		if st := h.m[s]; st != nil && st.consecutive >= trippedAfter {
+			dst = append(dst, s)
+			tripped--
 		}
 	}
-	if !anyTripped {
-		h.mu.Unlock()
-		return servers
-	}
-	tripped := make(map[netip.AddrPort]bool, len(servers))
-	for _, s := range servers {
-		if st := h.m[s]; st != nil && st.consecutive >= trippedAfter {
-			tripped[s] = true
-		}
-	}
-	h.mu.Unlock()
-	out := append([]netip.AddrPort(nil), servers...)
-	sort.SliceStable(out, func(i, j int) bool {
-		return !tripped[out[i]] && tripped[out[j]]
-	})
-	return out
+	return dst
 }
 
 // Exchange sends one query with EDNS+DO to server, applying rate

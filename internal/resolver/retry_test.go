@@ -3,7 +3,9 @@ package resolver
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
@@ -173,6 +175,103 @@ func TestQueryAnyJoinsPerServerErrors(t *testing.T) {
 	}
 }
 
+// spreadZone is one zone served at four addresses by one handler that
+// logs which address each query reached. Addresses in down drop their
+// queries.
+type spreadZone struct {
+	r       *Resolver
+	servers []netip.AddrPort
+	mu      sync.Mutex
+	hits    []netip.Addr
+	down    map[netip.Addr]bool
+}
+
+func newSpreadZone(t *testing.T) *spreadZone {
+	t.Helper()
+	z := &spreadZone{down: map[netip.Addr]bool{}}
+	h := transport.HandlerFunc(func(_ context.Context, local netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+		z.mu.Lock()
+		defer z.mu.Unlock()
+		z.hits = append(z.hits, local)
+		if z.down[local] {
+			return nil, nil
+		}
+		return &dnswire.Message{ID: q.ID, Response: true, Authoritative: true, Question: q.Question}, nil
+	})
+	z.r, z.servers = multiServerNet(t, h, h, h, h)
+	return z
+}
+
+// ask sends one any-server question and returns the addresses it
+// reached, in order.
+func (z *spreadZone) ask(t *testing.T, r *Resolver, name string) []netip.Addr {
+	t.Helper()
+	z.mu.Lock()
+	z.hits = z.hits[:0]
+	z.mu.Unlock()
+	if _, _, err := r.queryAny(context.Background(), z.servers, name, dnswire.TypeA); err != nil {
+		t.Fatalf("queryAny(%s): %v", name, err)
+	}
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	return append([]netip.Addr(nil), z.hits...)
+}
+
+// TestQueryAnySpreadsOverServers pins the any-server rule: the first
+// try goes to a server chosen by the query name, so distinct names share
+// a zone's addresses evenly, one name always reaches one address, and
+// the circuit breaker still only reorders.
+func TestQueryAnySpreadsOverServers(t *testing.T) {
+	t.Run("distinct names spread evenly", func(t *testing.T) {
+		z := newSpreadZone(t)
+		const names = 4000
+		first := map[netip.Addr]int{}
+		for i := 0; i < names; i++ {
+			first[z.ask(t, z.r, fmt.Sprintf("host%d.spread.test.", i))[0]]++
+		}
+		want := names / len(z.servers)
+		for _, s := range z.servers {
+			if n := first[s.Addr()]; n < want*9/10 || n > want*11/10 {
+				t.Errorf("%s got %d of %d first tries, want %d ± 10 %%", s.Addr(), n, names, want)
+			}
+		}
+	})
+	t.Run("one name, one server", func(t *testing.T) {
+		z := newSpreadZone(t)
+		fresh := &Resolver{Net: z.r.Net, Roots: z.servers}
+		for _, name := range []string{"a.spread.test.", "_dsboot.example.com._signal.ns1.spread.test."} {
+			want := z.ask(t, z.r, name)[0]
+			for i := 0; i < 3; i++ {
+				if got := z.ask(t, z.r, name)[0]; got != want {
+					t.Errorf("%s: repeat %d went to %s, first to %s", name, i, got, want)
+				}
+			}
+			if got := z.ask(t, fresh, name)[0]; got != want {
+				t.Errorf("%s: a fresh resolver went to %s, the first to %s", name, got, want)
+			}
+		}
+	})
+	t.Run("tripped server tried last", func(t *testing.T) {
+		z := newSpreadZone(t)
+		tripped := z.servers[0]
+		for i := 0; i < trippedAfter; i++ {
+			z.r.health.note(tripped, false)
+		}
+		for i := 0; i < 400; i++ {
+			if got := z.ask(t, z.r, fmt.Sprintf("host%d.spread.test.", i))[0]; got == tripped.Addr() {
+				t.Fatalf("host%d: first try went to the tripped %s", i, got)
+			}
+		}
+		for _, s := range z.servers[1:] {
+			z.down[s.Addr()] = true
+		}
+		hits := z.ask(t, z.r, "last.spread.test.")
+		if len(hits) != len(z.servers) || hits[len(hits)-1] != tripped.Addr() {
+			t.Errorf("with the healthy servers down the tries were %v, want the tripped %s last", hits, tripped.Addr())
+		}
+	})
+}
+
 func TestHealthTrackerDeprioritisesAndRecovers(t *testing.T) {
 	r, server := flakyWorld(t, transport.FaultProfile{Down: false})
 	good := server
@@ -184,7 +283,7 @@ func TestHealthTrackerDeprioritisesAndRecovers(t *testing.T) {
 	if !r.ServerTripped(bad) {
 		t.Fatal("server not tripped after consecutive failures")
 	}
-	ordered := r.health.order([]netip.AddrPort{bad, good})
+	ordered := r.health.order(nil, []netip.AddrPort{bad, good}, 0)
 	if ordered[0] != good || ordered[1] != bad {
 		t.Errorf("order = %v, want healthy first", ordered)
 	}
@@ -194,7 +293,7 @@ func TestHealthTrackerDeprioritisesAndRecovers(t *testing.T) {
 	if r.ServerTripped(bad) {
 		t.Error("success did not reset the breaker")
 	}
-	ordered = r.health.order([]netip.AddrPort{bad, good})
+	ordered = r.health.order(nil, []netip.AddrPort{bad, good}, 0)
 	if ordered[0] != bad {
 		t.Errorf("recovered server not restored to input order: %v", ordered)
 	}
@@ -205,9 +304,14 @@ func TestHealthOrderStableWhenAllHealthy(t *testing.T) {
 	servers := []netip.AddrPort{
 		netip.AddrPortFrom(netip.MustParseAddr("192.0.2.1"), 53),
 		netip.AddrPortFrom(netip.MustParseAddr("192.0.2.2"), 53),
+		netip.AddrPortFrom(netip.MustParseAddr("192.0.2.3"), 53),
 	}
-	got := h.order(servers)
-	if &got[0] != &servers[0] {
-		t.Error("healthy path should return the input slice unchanged")
+	var buf [4]netip.AddrPort
+	got := h.order(buf[:0], servers, 1)
+	if len(got) != 3 || got[0] != servers[1] || got[1] != servers[2] || got[2] != servers[0] {
+		t.Errorf("order from 1 = %v, want the rotation %v %v %v", got, servers[1], servers[2], servers[0])
+	}
+	if &got[0] != &buf[0] {
+		t.Error("healthy path should fill the caller's buffer, not allocate")
 	}
 }

@@ -8,12 +8,14 @@
 # --trace 0` once in that tree ("parent") and once in this checkout
 # ("change", working-tree edits included), alternating which side goes
 # first so a drifting machine speed does not favour one side. Prints each
-# run's result line, then per end-to-end metric both medians, their
-# ratio (change/parent), the pairs the change won (by the metric's
-# "better" direction in BENCHMARK.json; a tie counts for neither side)
-# and each side's quartiles with its min–max in brackets. There is no
-# gate: the reader compares the ratio with the metric's bound, the wins
-# with the pair count and the median shift with the parent's quartiles.
+# run's result line, then scripts/bench_summary.awk's table: per
+# end-to-end metric both medians, their ratio (change/parent), the pairs
+# the change won and each side's quartiles with its min–max in brackets.
+# Exits 1 on a regression: a change median worse than the parent's by
+# more than the metric's bound in BENCHMARK.json, or more failed
+# operations. A claimed gain is still the reader's to judge: the wins
+# against the pair count, the median shift against the parent's
+# quartiles.
 #
 # Slow (a cold build per tree plus ~25 s per run), so not part of
 # `make ci`. The temporary tree is removed on exit; a run interrupted by
@@ -76,48 +78,4 @@ done
 
 echo
 echo "$workload, $pairs pairs, parent = $rev"
-sort -k2,2 -k1,1 -k4,4g "$tmp/rows" | awk -v spec=BENCHMARK.json '
-	BEGIN {
-		# Metrics whose "better" is "higher"; every other one (and
-		# "failed") is better lower.
-		while ((getline l < spec) > 0) {
-			if (match(l, /"name": *"[^"]*"/)) {
-				name = substr(l, RSTART, RLENGTH)
-				sub(/^"name": *"/, "", name)
-				sub(/"$/, "", name)
-			}
-			if (l ~ /"better": *"higher"/) higher[name] = 1
-		}
-	}
-	{
-		key = $2 SUBSEP $1
-		if (!($2 in seen)) { seen[$2] = 1; order[++nm] = $2 }
-		v[key, ++n[key]] = $4
-		pair[$2, $1, $3] = $4
-		seeds[$3] = 1
-	}
-	# q: the p-quantile of one side, interpolating between sorted values.
-	function q(key, p, c, h, lo) {
-		c = n[key]; h = 1 + (c - 1) * p; lo = int(h)
-		return lo >= c ? v[key, c] : v[key, lo] + (h - lo) * (v[key, lo + 1] - v[key, lo])
-	}
-	function spread(key) {
-		return sprintf("%.5g-%.5g [%.5g-%.5g]", q(key, .25), q(key, .75), v[key, 1], v[key, n[key]])
-	}
-	END {
-		printf "%-16s %12s %12s %7s %5s   %-35s %s\n", "metric", "parent", "change", "ratio", "won",
-			"parent q1-q3 [min-max]", "change q1-q3 [min-max]"
-		for (i = 1; i <= nm; i++) {
-			m = order[i]; p = m SUBSEP "parent"; c = m SUBSEP "change"
-			won = 0; np = 0
-			for (s in seeds) {
-				if (!((m, "parent", s) in pair) || !((m, "change", s) in pair)) continue
-				np++
-				d = pair[m, "change", s] - pair[m, "parent", s]
-				if ((m in higher) ? d > 0 : d < 0) won++
-			}
-			ratio = q(p, .5) != 0 ? sprintf("%.3f", q(c, .5) / q(p, .5)) : "-"
-			printf "%-16s %12.6g %12.6g %7s %5s   %-35s %s\n", m, q(p, .5), q(c, .5), ratio,
-				won "/" np, spread(p), spread(c)
-		}
-	}'
+sort -k2,2 -k1,1 -k4,4g "$tmp/rows" | awk -v spec=BENCHMARK.json -f scripts/bench_summary.awk
