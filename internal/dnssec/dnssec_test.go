@@ -353,6 +353,53 @@ func TestNSECCoversName(t *testing.T) {
 	if !NSECCoversName(wrap, "zzz.example.") {
 		t.Error("wraparound interval does not cover zzz")
 	}
+	if NSECCoversName(wrap, "aaa.") || NSECCoversName(wrap, "zzz.other.") {
+		t.Error("wraparound interval covers a name outside its zone")
+	}
+}
+
+// TestProveNXDomain pins each clause of the NXDOMAIN proof rule on the
+// zone example. = {example., a.example., b.c.example., d.example.
+// (delegation), e.example. (DNAME)}.
+func TestProveNXDomain(t *testing.T) {
+	nsec := func(owner, next string, types ...dnswire.Type) dnswire.RR {
+		return dnswire.RR{Name: owner, Class: dnswire.ClassIN, TTL: 300,
+			Data: &dnswire.NSEC{NextDomain: next, Types: append(types, dnswire.TypeRRSIG, dnswire.TypeNSEC)}}
+	}
+	chain := []dnswire.RR{
+		nsec("example.", "a.example.", dnswire.TypeNS, dnswire.TypeSOA),
+		nsec("a.example.", "b.c.example.", dnswire.TypeA),
+		nsec("b.c.example.", "d.example.", dnswire.TypeA),
+		nsec("d.example.", "e.example.", dnswire.TypeNS),
+		nsec("e.example.", "example.", dnswire.TypeDNAME),
+	}
+	held := func(rrs []dnswire.RR) func(string) (dnswire.RR, bool) {
+		return func(n string) (dnswire.RR, bool) { return CoveringNSEC(rrs, n) }
+	}
+	for _, tc := range []struct {
+		name string
+		rrs  []dnswire.RR
+		want bool
+	}{
+		{"ab.example.", chain, true},
+		{"ab.example.", chain[1:2], false}, // wildcard *.example. unproven
+		{"x.a.example.", chain, true},      // closest encloser a.example.
+		{"c.example.", chain, false},       // empty non-terminal above b.c.example.
+		{"x.c.example.", chain, true},      // wildcard *.c.example. covered too
+		{"x.d.example.", chain, false},     // below the delegation
+		{"da.example.", chain, true},       // after the cut's subtree
+		{"x.e.example.", chain, false},     // below the DNAME
+		{"zz.example.", chain, true},       // wraparound
+		{"a.example.", chain, false},       // exists
+		{"other.", chain, false},           // outside the zone
+		{"zz.example.", chain[4:], false},  // wildcard *.example. unproven
+		{"zz.example.", append(chain[4:], chain[0]), true},
+	} {
+		_, got := ProveNXDomain(tc.name, held(tc.rrs))
+		if got != tc.want {
+			t.Errorf("ProveNXDomain(%s) over %d NSECs = %t, want %t", tc.name, len(tc.rrs), got, tc.want)
+		}
+	}
 }
 
 func TestNSECProvesNoData(t *testing.T) {
@@ -374,6 +421,12 @@ func TestCheckDenial(t *testing.T) {
 		{Name: "m.example.", Class: dnswire.ClassIN, TTL: 300,
 			Data: &dnswire.NSEC{NextDomain: "p.example.", Types: []dnswire.Type{dnswire.TypeA}}},
 	}
+	if CheckDenial(auth, "n.example.", dnswire.TypeA) {
+		t.Error("NXDOMAIN denial accepted without the wildcard proof")
+	}
+	// The apex NSEC covers *.example., the closest encloser's wildcard.
+	auth = append(auth, dnswire.RR{Name: "example.", Class: dnswire.ClassIN, TTL: 300,
+		Data: &dnswire.NSEC{NextDomain: "m.example.", Types: []dnswire.Type{dnswire.TypeNS, dnswire.TypeSOA}}})
 	if !CheckDenial(auth, "n.example.", dnswire.TypeA) {
 		t.Error("NXDOMAIN denial not found")
 	}

@@ -79,7 +79,8 @@ func IsSubdomain(child, parent string) bool {
 	if child == parent {
 		return true
 	}
-	return strings.HasSuffix(child, "."+parent)
+	n := len(child) - len(parent) // compared in place: no "."+parent
+	return n > 0 && child[n-1] == '.' && child[n:] == parent
 }
 
 // Join prepends labels to a name: Join("_dsboot", "example.com.")

@@ -52,10 +52,16 @@ type Cache struct {
 // posEntry is one positive delegation-cache record: the authoritative
 // server addresses for a name, and the apex of the zone they actually
 // serve (the name itself for real cuts; the enclosing zone's apex for
-// names that turned out not to be cuts).
+// names that turned out not to be cuts). deleg is the delegation the
+// entry was resolved from when zoneServers walked one for a cut, so a
+// later Delegation call for the zone does not walk it again; it is nil
+// for aliases, for cuts learned in passing from a referral, and when the
+// walk's DS query failed (a transient failure must not decide DS for
+// every later caller).
 type posEntry struct {
 	servers []netip.AddrPort
 	apex    string
+	deleg   *Delegation
 }
 
 type negEntry struct {
@@ -85,6 +91,15 @@ func (c *Cache) SetClock(now func() time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.now = now
+}
+
+// Now reads the clock the resolver's cache ages its entries by, so a
+// caller keeping answers of its own can age them on the same clock.
+func (r *Resolver) Now() time.Time {
+	c := r.cache()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now()
 }
 
 func (c *Cache) negTTL() time.Duration {
@@ -317,7 +332,10 @@ func (g *flightGroup) waiters() int {
 // being traced — the zone's span. key names the cache entry involved
 // ("d:<zone>", "z:<zone>", "a:<host>").
 
-func (r *Resolver) noteCacheHit(ctx context.Context, key string) {
+// NoteCacheHit is exported for callers that answer a lookup from state
+// of their own instead of asking — the scanner's validated NSEC denials
+// ("nsec:<name>") — so their hits land on the same counters and trace.
+func (r *Resolver) NoteCacheHit(ctx context.Context, key string) {
 	r.metrics().CacheHits.Inc()
 	if st := statsFrom(ctx); st != nil {
 		st.CacheHits.Add(1)

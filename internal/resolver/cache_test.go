@@ -50,6 +50,56 @@ func TestCachedDelegationReusesTLDWalk(t *testing.T) {
 	}
 }
 
+// TestDelegationNotKeptAfterFailedDS covers the single-listener layout,
+// where the DS set comes from a query of its own after the NS answer. A
+// zone whose servers were found by a walk whose DS query failed must not
+// hand that walk's empty DS to every later Delegation call: the
+// validator would take it for an insecure delegation for good.
+func TestDelegationNotKeptAfterFailedDS(t *testing.T) {
+	addr := netip.MustParseAddr("192.0.2.1")
+	root := zone.New(".")
+	root.SetBasics("ns.root.", []string{"ns.root."}, 1)
+	root.MustAdd(dnswire.RR{Name: "ns.root.", TTL: 1, Data: &dnswire.A{Addr: addr}})
+	root.MustAdd(dnswire.RR{Name: "com.", TTL: 1, Data: dnswire.NewNS("ns.root.")})
+	com := zone.New("com.")
+	com.SetBasics("ns.root.", []string{"ns.root."}, 1)
+	com.MustAdd(dnswire.RR{Name: "example.com.", TTL: 1, Data: dnswire.NewNS("ns.root.")})
+	com.MustAdd(dnswire.RR{Name: "example.com.", TTL: 1, Data: &dnswire.DS{
+		KeyTag: 4711, Algorithm: dnswire.AlgECDSAP256SHA256, DigestType: dnswire.DigestSHA256, Digest: make([]byte, 32)}})
+	child := zone.New("example.com.")
+	child.SetBasics("ns.root.", []string{"ns.root."}, 1)
+	srv := server.New(1)
+	for _, z := range []*zone.Zone{root, com, child} {
+		srv.AddZone(z)
+	}
+	// The first DS question for example.com. answers SERVFAIL.
+	var failed sync.Once
+	net := transport.NewMemNetwork(1)
+	net.Register(addr, transport.HandlerFunc(func(ctx context.Context, local netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+		servfail := false
+		if qq := q.Question[0]; qq.Type == dnswire.TypeDS && dnswire.CanonicalName(qq.Name) == "example.com." {
+			failed.Do(func() { servfail = true })
+		}
+		if servfail {
+			return &dnswire.Message{ID: q.ID, Response: true, Rcode: dnswire.RcodeServFail, Question: q.Question}, nil
+		}
+		return srv.HandleDNS(ctx, local, q)
+	}))
+	r := &Resolver{Net: net, Roots: []netip.AddrPort{netip.AddrPortFrom(addr, 53)}, Cache: NewCache(0)}
+	ctx := context.Background()
+
+	if _, _, err := r.zoneServers(ctx, "example.com."); err != nil {
+		t.Fatal(err)
+	}
+	d, err := r.Delegation(ctx, "example.com.")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.DS) != 1 {
+		t.Errorf("DS = %d records after the walk's DS query failed once, want 1", len(d.DS))
+	}
+}
+
 func TestNegativeCacheServesAndExpires(t *testing.T) {
 	_, r := withCache(t)
 	now := time.Unix(1_000_000, 0)

@@ -27,6 +27,18 @@ var (
 	ErrLameReferal = errors.New("resolver: lame delegation")
 )
 
+// NXDomainError is Lookup's error for an NXDOMAIN answer. It carries
+// the answer's authority section — the SOA and, from a signed zone, the
+// denial records with their RRSIGs — and unwraps to ErrNXDomain.
+type NXDomainError struct {
+	Name      string
+	Authority []dnswire.RR
+}
+
+func (e *NXDomainError) Error() string { return ErrNXDomain.Error() + ": " + e.Name }
+
+func (e *NXDomainError) Unwrap() error { return ErrNXDomain }
+
 // Resolver is an iterative resolver. Fields must be set before first
 // use and not changed afterwards.
 type Resolver struct {
@@ -133,6 +145,11 @@ type Delegation struct {
 	// ParentServers are the addresses of the parent zone's servers
 	// (useful for re-querying DS).
 	ParentServers []netip.AddrPort
+
+	// dsFailed marks a walk whose explicit DS query failed, leaving DS
+	// possibly empty for a secure zone; zoneServers does not keep such
+	// a delegation for later callers.
+	dsFailed bool
 }
 
 // NSHosts returns the delegation's nameserver hostnames.
@@ -149,12 +166,17 @@ func (d *Delegation) NSHosts() []string {
 // the name. The walk starts from the deepest cached ancestor zone (so
 // the root→TLD prefix is resolved once per TLD, not once per target),
 // known-dead names fail fast from the negative cache, and concurrent
-// calls for the same zone coalesce.
+// calls for the same zone coalesce. A zone cut whose servers were
+// resolved through Delegation (zoneServers) returns that walk's result.
 func (r *Resolver) Delegation(ctx context.Context, zoneName string) (*Delegation, error) {
 	zoneName = dnswire.CanonicalName(zoneName)
 	if err, ok := r.cache().negLookup(zoneName); ok {
-		r.noteCacheHit(ctx, "neg:"+zoneName)
+		r.NoteCacheHit(ctx, "neg:"+zoneName)
 		return nil, err
+	}
+	if e, ok := r.cache().posLookup(zoneName); ok && e.deleg != nil {
+		r.NoteCacheHit(ctx, "d:"+zoneName)
+		return e.deleg, nil
 	}
 	ctx, chain := withChain(ctx)
 	v, shared, err := r.flight.Do(ctx, chain, "d:"+zoneName, func() (any, error) {
@@ -198,7 +220,7 @@ func (r *Resolver) zoneServers(ctx context.Context, zoneName string) ([]netip.Ad
 		return r.Roots, ".", nil
 	}
 	if e, ok := r.cache().posLookup(zoneName); ok {
-		r.noteCacheHit(ctx, "z:"+zoneName)
+		r.NoteCacheHit(ctx, "z:"+zoneName)
 		return e.servers, e.apex, nil
 	}
 	r.noteCacheMiss(ctx, "z:"+zoneName)
@@ -222,6 +244,9 @@ func (r *Resolver) zoneServers(ctx context.Context, zoneName string) ([]netip.Ad
 			return posEntry{}, serr
 		}
 		e := posEntry{servers: srv, apex: zoneName}
+		if !d.dsFailed {
+			e.deleg = d
+		}
 		r.cache().posStore(zoneName, e)
 		return e, nil
 	})
@@ -326,7 +351,8 @@ func (r *Resolver) delegationFrom(ctx context.Context, zoneName string, servers 
 			d := &Delegation{Zone: zoneName, ParentNS: nsSet, ParentZone: currentZone, ParentServers: servers}
 			// DS must be fetched from the parent explicitly.
 			dsResp, _, err := r.queryAny(ctx, servers, zoneName, dnswire.TypeDS)
-			if err == nil && dsResp.Rcode == dnswire.RcodeNoError {
+			d.dsFailed = err != nil || dsResp.Rcode != dnswire.RcodeNoError
+			if !d.dsFailed {
 				for _, rr := range dsResp.Answer {
 					switch rr.Type() {
 					case dnswire.TypeDS:
@@ -519,7 +545,7 @@ func (r *Resolver) lookupOnce(ctx context.Context, name string, qtype dnswire.Ty
 			return nil, dnswire.RcodeServFail, err
 		}
 		if resp.Rcode == dnswire.RcodeNXDomain {
-			return nil, resp.Rcode, fmt.Errorf("%w: %s", ErrNXDomain, name)
+			return nil, resp.Rcode, &NXDomainError{Name: name, Authority: resp.Authority}
 		}
 		if resp.Rcode != dnswire.RcodeNoError {
 			return nil, resp.Rcode, fmt.Errorf("resolver: %s from %s for %s/%s", resp.Rcode, server, name, qtype)
@@ -567,7 +593,7 @@ func (r *Resolver) lookupOnce(ctx context.Context, name string, qtype dnswire.Ty
 func (r *Resolver) AddrsOf(ctx context.Context, host string) ([]netip.Addr, error) {
 	host = dnswire.CanonicalName(host)
 	if addrs, ok := r.cache().addrLookup(host); ok {
-		r.noteCacheHit(ctx, "a:"+host)
+		r.NoteCacheHit(ctx, "a:"+host)
 		return addrs, nil
 	}
 	r.noteCacheMiss(ctx, "a:"+host)

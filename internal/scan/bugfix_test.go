@@ -118,7 +118,7 @@ func signalWorld(t *testing.T, dropType dnswire.Type) (*Scanner, string, string)
 func TestProbeSignalPartialFailure(t *testing.T) {
 	t.Run("CDS dropped", func(t *testing.T) {
 		s, child, nsHost := signalWorld(t, dnswire.TypeCDS)
-		so := s.probeSignal(context.Background(), child, nsHost)
+		so, _ := s.probeSignal(context.Background(), child, nsHost)
 		if so.CDSOutcome != OutcomeTimeout {
 			t.Errorf("CDSOutcome = %s, want %s", so.CDSOutcome, OutcomeTimeout)
 		}
@@ -135,7 +135,7 @@ func TestProbeSignalPartialFailure(t *testing.T) {
 	})
 	t.Run("CDNSKEY dropped", func(t *testing.T) {
 		s, child, nsHost := signalWorld(t, dnswire.TypeCDNSKEY)
-		so := s.probeSignal(context.Background(), child, nsHost)
+		so, _ := s.probeSignal(context.Background(), child, nsHost)
 		if so.CDSOutcome != OutcomeOK || so.CDNSKEYOutcome != OutcomeTimeout {
 			t.Errorf("per-type outcomes = %s/%s, want ok/timeout", so.CDSOutcome, so.CDNSKEYOutcome)
 		}
@@ -145,7 +145,7 @@ func TestProbeSignalPartialFailure(t *testing.T) {
 	})
 	t.Run("nothing dropped", func(t *testing.T) {
 		s, child, nsHost := signalWorld(t, 0)
-		so := s.probeSignal(context.Background(), child, nsHost)
+		so, _ := s.probeSignal(context.Background(), child, nsHost)
 		if so.CDSOutcome != OutcomeOK || so.CDNSKEYOutcome != OutcomeOK || so.Outcome != OutcomeOK {
 			t.Errorf("outcomes = %s/%s/%s, want all ok", so.CDSOutcome, so.CDNSKEYOutcome, so.Outcome)
 		}

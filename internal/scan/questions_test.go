@@ -131,6 +131,41 @@ func TestScanZoneAsksEachQuestionOnce(t *testing.T) {
 	}
 }
 
+// TestRootAskedEachDelegationOnce scans a whole world with one scanner
+// and fails when a root server is asked the same NS question twice. A
+// zone cut the resolver walked to find its servers is returned by
+// Delegation from then on: the validator's chain walk used to ask the
+// root for com./NS again after the delegation walk had.
+func TestRootAskedEachDelegationOnce(t *testing.T) {
+	world, err := ecosystem.Generate(ecosystem.Config{Seed: 1, ScaleDivisor: 200_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &questionLog{inner: world.Net}
+	s := scannerOn(world, log)
+	for _, z := range world.Targets {
+		s.ScanZone(context.Background(), z)
+	}
+	root := map[netip.AddrPort]bool{}
+	for _, r := range world.Roots {
+		root[r] = true
+	}
+	seen := map[question]bool{}
+	for _, q := range log.take() {
+		q.nx = false
+		if !root[q.server] || q.qtype != dnswire.TypeNS {
+			continue
+		}
+		if seen[q] {
+			t.Errorf("root asked %s twice", q)
+		}
+		seen[q] = true
+	}
+	if len(seen) == 0 {
+		t.Fatal("no NS question reached the root: vacuous world")
+	}
+}
+
 // rowsNow is the clock of the one-server scans: signing and validation.
 var rowsNow = time.Date(2025, 4, 15, 12, 0, 0, 0, time.UTC)
 

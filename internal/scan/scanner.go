@@ -242,11 +242,15 @@ func (s *Scanner) ScanZone(ctx context.Context, zoneName string) *ZoneObservatio
 		// the two views are exactly the Cloudflare misconfiguration the
 		// paper reports (§4.4).
 		for _, host := range zo.AllNSHosts() {
-			sig := s.probeSignal(ctx, zoneName, dnswire.CanonicalName(host))
+			sig, denial := s.probeSignal(ctx, zoneName, dnswire.CanonicalName(host))
 			zo.Signals = append(zo.Signals, sig)
 			if sp != nil {
-				sp.Emit(obs.TraceEvent{Stage: "scan", Event: "signal_probe", Name: sig.Owner,
-					Server: sig.NSHost, Outcome: sig.Outcome.String(), N: len(sig.Records)})
+				ev := obs.TraceEvent{Stage: "scan", Event: "signal_probe", Name: sig.Owner,
+					Server: sig.NSHost, Outcome: sig.Outcome.String(), N: len(sig.Records)}
+				if denial != nil {
+					ev.Detail = denial.String()
+				}
+				sp.Emit(ev)
 			}
 		}
 		s.checkZoneCuts(ctx, zo)
@@ -434,8 +438,10 @@ func (s *Scanner) verifyApexSOA(resp *dnswire.Message, keys []dnswire.RR) error 
 // the worst of the two, so a partial failure (CDS answered, CDNSKEY
 // timed out) is never masked by the success. An NXDOMAIN for CDS also
 // answers CDNSKEY without a second lookup: it says the owner name does
-// not exist, whatever the type (RFC 8020 §2).
-func (s *Scanner) probeSignal(ctx context.Context, child, nsHost string) SignalObservation {
+// not exist, whatever the type (RFC 8020 §2). An owner that validated
+// NSECs from earlier answers already prove absent is not asked at all;
+// the proof is returned for the trace.
+func (s *Scanner) probeSignal(ctx context.Context, child, nsHost string) (SignalObservation, *nsecDenial) {
 	so := SignalObservation{NSHost: nsHost}
 	owner, err := zone.SignalName(child, nsHost)
 	if err != nil {
@@ -443,9 +449,14 @@ func (s *Scanner) probeSignal(ctx context.Context, child, nsHost string) SignalO
 		so.Outcome = OutcomeError
 		so.CDSOutcome = OutcomeError
 		so.CDNSKEYOutcome = OutcomeError
-		return so
+		return so, nil
 	}
 	so.Owner = owner
+	if denial, ok := s.val.denied(owner); ok {
+		s.cfg.Resolver.NoteCacheHit(ctx, "nsec:"+owner)
+		so.Outcome, so.CDSOutcome, so.CDNSKEYOutcome = OutcomeNXDomain, OutcomeNXDomain, OutcomeNXDomain
+		return so, denial
+	}
 	so.CDSOutcome = s.probeSignalType(ctx, &so, dnswire.TypeCDS)
 	if so.CDSOutcome == OutcomeNXDomain {
 		so.CDNSKEYOutcome = OutcomeNXDomain
@@ -454,7 +465,7 @@ func (s *Scanner) probeSignal(ctx context.Context, child, nsHost string) SignalO
 	}
 	so.Outcome = aggregateSignalOutcome(so.CDSOutcome, so.CDNSKEYOutcome, len(so.Records) > 0)
 	if len(so.Records) == 0 {
-		return so
+		return so, nil
 	}
 
 	// RFC 9615 requires the signalling records to be DNSSEC-secure.
@@ -474,17 +485,22 @@ func (s *Scanner) probeSignal(ctx context.Context, child, nsHost string) SignalO
 		}
 	}
 	so.Secure = secure
-	return so
+	return so, nil
 }
 
 // probeSignalType performs one CDS-or-CDNSKEY lookup at the signal
 // owner, appending any records and signatures into so, and returns how
-// that lookup ended.
+// that lookup ended. The NSECs of an NXDOMAIN answer go to the
+// validator's denial store.
 func (s *Scanner) probeSignalType(ctx context.Context, so *SignalObservation, typ dnswire.Type) Outcome {
 	answer, rcode, err := s.cfg.Resolver.Lookup(ctx, so.Owner, typ)
 	if err != nil {
+		var nx *resolver.NXDomainError
 		switch {
 		case rcode == dnswire.RcodeNXDomain:
+			if errors.As(err, &nx) {
+				s.val.learnDenials(ctx, nx.Name, nx.Authority)
+			}
 			return OutcomeNXDomain
 		case errors.Is(err, transport.ErrUnreachable):
 			return OutcomeUnreachable

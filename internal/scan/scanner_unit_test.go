@@ -7,8 +7,12 @@
 package scan
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
+
+	"dnssecboot/internal/dnswire"
 )
 
 // outcomes lists every Outcome in severity order; the fold's "worst"
@@ -124,5 +128,35 @@ func TestIntermediateNamesEdges(t *testing.T) {
 			t.Errorf("%s: intermediateNames(%q, %q) = %v, want %v",
 				tc.name, tc.owner, tc.apex, got, tc.want)
 		}
+	}
+}
+
+// TestDenialStoreShare holds a signer's full share of the denial store
+// to its rules: while every record is live a new one is not wanted, so
+// it is never validated; once they expire the share makes room.
+func TestDenialStoreShare(t *testing.T) {
+	t0 := time.Unix(1_000_000, 0)
+	var d denialStore
+	for i := 0; i < maxDenialsPerSigner; i++ {
+		owner := fmt.Sprintf("n%05d.example.", i)
+		if !d.wants("example.", owner, t0) {
+			t.Fatalf("record %d not wanted below the cap", i)
+		}
+		d.add("example.", storedNSEC{rr: dnswire.RR{Name: owner}, expires: t0.Add(time.Minute)})
+	}
+	if d.wants("example.", "n00000.example.", t0) {
+		t.Error("a live record's owner is wanted again")
+	}
+	if d.wants("example.", "zzz.example.", t0) {
+		t.Error("a full share of live records wants more")
+	}
+	if !d.wants("x.other.", "a.x.other.", t0) {
+		t.Error("another signer's empty share is full")
+	}
+	if !d.wants("example.", "zzz.example.", t0.Add(time.Minute)) {
+		t.Error("a full share of expired records makes no room")
+	}
+	if n := len(d.bySigner["example."]); n != 0 {
+		t.Errorf("%d expired records left", n)
 	}
 }

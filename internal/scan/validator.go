@@ -31,6 +31,9 @@ type Validator struct {
 
 	mu    sync.Mutex
 	cache map[string]*chainEntry
+	// denials holds the NSEC records that validated under those keys
+	// (denial.go).
+	denials denialStore
 }
 
 type chainEntry struct {

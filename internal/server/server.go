@@ -276,14 +276,35 @@ func (s *Server) answerFromZone(z *zone.Zone, qname string, qtype dnswire.Type, 
 	// NXDOMAIN.
 	m.Rcode = dnswire.RcodeNXDomain
 	s.negative(z, m, qname, do)
-	if do {
-		// Covering NSEC for the denied name.
-		if nsec := s.coveringNSEC(z, qname); nsec != nil {
-			appendUnique(&m.Authority, *nsec)
-			s.appendSigs(z, &m.Authority, nsec.Name, dnswire.TypeNSEC, do)
+	if do && len(z.RRset(z.Origin, dnswire.TypeNSEC)) > 0 {
+		// The NSECs covering the denied name and the wildcard at its
+		// closest encloser (RFC 4035 §3.1.3.2); often the same record.
+		ce, _ := closestEncloser(z, qname)
+		cover, wild := s.coveringNSEC(z, qname), s.coveringNSEC(z, dnswire.Join("*", ce))
+		if cover != nil && wild != nil && cover.Name == wild.Name {
+			wild = nil
+		}
+		for _, nsec := range []*dnswire.RR{cover, wild} {
+			if nsec != nil {
+				appendUnique(&m.Authority, *nsec)
+				s.appendSigs(z, &m.Authority, nsec.Name, dnswire.TypeNSEC, do)
+			}
 		}
 	}
 	return m
+}
+
+// closestEncloser returns the longest existing ancestor of qname, a
+// name the zone does not hold, and next, the ancestor one label below
+// it on the way to qname (RFC 5155's next closer name).
+func closestEncloser(z *zone.Zone, qname string) (ce, next string) {
+	next = qname
+	ce = dnswire.Parent(qname)
+	for ce != "." && !z.NameExists(ce) {
+		next = ce
+		ce = dnswire.Parent(ce)
+	}
+	return ce, next
 }
 
 // dnssecSigsAt returns the RRSIGs at owner covering typ.
@@ -382,13 +403,7 @@ func (s *Server) nsec3Proofs(z *zone.Zone, m *dnswire.Message, qname string, nxd
 		attach(qname, false)
 		return
 	}
-	// Closest encloser: the longest existing ancestor of qname.
-	next := qname
-	ce := dnswire.Parent(qname)
-	for ce != "." && !z.NameExists(ce) {
-		next = ce
-		ce = dnswire.Parent(ce)
-	}
+	ce, next := closestEncloser(z, qname)
 	attach(ce, false)                   // closest-encloser match
 	attach(next, true)                  // next-closer cover
 	attach(dnswire.Join("*", ce), true) // wildcard cover
@@ -424,37 +439,14 @@ func (s *Server) coveringNSEC(z *zone.Zone, qname string) *dnswire.RR {
 	idx := sort.Search(len(names), func(i int) bool {
 		return !dnswire.CanonicalNameLess(names[i], qname)
 	}) - 1
-	try := func(i int) *dnswire.RR {
-		set := z.RRset(names[i], dnswire.TypeNSEC)
-		if len(set) == 0 {
-			return nil
-		}
-		nsec := set[0].Data.(*dnswire.NSEC)
-		owner, next := set[0].Name, nsec.NextDomain
-		var covered bool
-		if dnswire.CanonicalNameLess(owner, next) {
-			covered = dnswire.CanonicalNameLess(owner, qname) && dnswire.CanonicalNameLess(qname, next)
-		} else {
-			covered = dnswire.CanonicalNameLess(owner, qname) || dnswire.CanonicalNameLess(qname, next)
-		}
-		if !covered {
-			return nil
-		}
-		rr := set[0]
-		return &rr
-	}
 	// Walk back from the closest preceding name, skipping glue names
-	// that carry no NSEC.
+	// that carry no NSEC: the first NSEC found is the only candidate.
 	for i := idx; i >= 0; i-- {
-		if rr := try(i); rr != nil {
-			return rr
-		}
-	}
-	// qname precedes every owner: the wraparound NSEC (owned by the
-	// canonically last NSEC-bearing name) covers it.
-	for i := len(names) - 1; i > idx; i-- {
-		if rr := try(i); rr != nil {
-			return rr
+		if set := z.RRset(names[i], dnswire.TypeNSEC); len(set) > 0 {
+			if dnssec.NSECCoversName(set[0], qname) {
+				return &set[0]
+			}
+			return nil
 		}
 	}
 	return nil
