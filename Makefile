@@ -63,6 +63,7 @@ fuzz-smoke:
 	$(GO) test ./internal/scan/ -run '^$$' -fuzz FuzzObservationRoundTrip -fuzztime 30s
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz FuzzIngest -fuzztime 30s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzNXDOMAINProof -fuzztime 30s
+	$(GO) test ./internal/report/ -run '^$$' -fuzz FuzzUnmarshalState -fuzztime 30s
 
 # One iteration of every benchmark — checks they still run, not their
 # numbers — plus a metrics snapshot from a small instrumented scan, kept

@@ -10,12 +10,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dnssecboot/internal/report"
+	"dnssecboot/internal/scan"
 )
 
 // The command-line contract of dnssec-scan, its alias scanctl (the same
-// command with -shards defaulting to 4) and the offline reanalyze: which
-// invocations are refused, with which exit code, saying what. The
-// binaries are built once, in TestMain.
+// command with -shards defaulting to 4), the offline reanalyze, zonestat
+// and dnsd: which invocations are refused, with which exit code, saying
+// what. The binaries are built once, in TestMain.
 
 var binDir string
 
@@ -27,9 +30,9 @@ func TestMain(m *testing.M) {
 			return 1
 		}
 		defer os.RemoveAll(dir)
-		build := exec.Command("go", "build", "-o", dir+string(os.PathSeparator), ".", "../dnssec-scan", "../reanalyze")
+		build := exec.Command("go", "build", "-o", dir+string(os.PathSeparator), ".", "../dnssec-scan", "../reanalyze", "../zonestat", "../dnsd")
 		if out, err := build.CombinedOutput(); err != nil {
-			fmt.Fprintf(os.Stderr, "building scanctl, dnssec-scan and reanalyze: %v\n%s", err, out)
+			fmt.Fprintf(os.Stderr, "building the binaries under test: %v\n%s", err, out)
 			return 1
 		}
 		binDir = dir
@@ -48,6 +51,11 @@ func TestFlagsAndExitCodes(t *testing.T) {
 	// flags were registered once.
 	v3Checkpoint := filepath.Join(dir, "v3.ckpt")
 	if err := os.WriteFile(v3Checkpoint, []byte(`{"version":3,"seed":1,"total_zones":700,"next_index":16,"config":{"seed":1,"scale":500000}}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A zone dump whose fourth line is malformed, for zonestat.
+	badZone := filepath.Join(dir, "bad.zone")
+	if err := os.WriteFile(badZone, []byte("$ORIGIN uk.\n@ 3600 IN SOA ns1.uk. host.uk. 1 2 3 4 5\nexample 3600 IN NS ns1.example.uk.\nbroken 3600 IN NS\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// A small dump for reanalyze to read.
@@ -101,6 +109,12 @@ func TestFlagsAndExitCodes(t *testing.T) {
 			[]string{"-in", filepath.Join(dir, "absent.jsonl"), "-out", "tabel3"}, 2, `unknown artefact "tabel3"`, "", ""},
 		{"reanalyze -out body", "reanalyze", []string{"-in", dump, "-out", "body"}, 0, "", "", `{"zone":`},
 		{"reanalyze -out headline", "reanalyze", []string{"-in", dump, "-out", "headline"}, 0, "classified 700 observations", "", "resolved 700 zones"},
+		{"zonestat without a dump", "zonestat", nil, 2, "usage: zonestat", "", ""},
+		{"zonestat on a missing file", "zonestat", []string{filepath.Join(dir, "absent.zone")}, 1, "no such file", "", ""},
+		{"zonestat skips a malformed record", "zonestat", []string{badZone}, 0, "-> 1 targets", "", `"bad_record":1`},
+		{"zonestat -strict refuses a malformed record", "zonestat", []string{"-strict", badZone}, 1, "line 4: NS wants", "", ""},
+		{"dnsd refuses an unknown flag", "dnsd", []string{"-nope"}, 2, "flag provided but not defined: -nope", "", ""},
+		{"dnsd on a missing zone file", "dnsd", []string{"-listen", "127.0.0.1:0", filepath.Join(dir, "absent.db")}, 1, "no such file", "listening", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(filepath.Join(binDir, tc.bin), tc.args...)
@@ -166,6 +180,34 @@ func TestShardedMetricsSnapshots(t *testing.T) {
 	}
 }
 
+// interrupt runs dnssec-scan with args and interrupts it once the
+// checkpoint file cp exists; the run must drain and say where it
+// stopped. Under the rate limit the run takes long enough to catch.
+func interrupt(t *testing.T, cp string, args ...string) {
+	t.Helper()
+	var stderr bytes.Buffer
+	cmd := exec.Command(filepath.Join(binDir, "dnssec-scan"), args...)
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(10 * time.Millisecond) {
+		if _, err := os.Stat(cp); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			cmd.Process.Kill()
+			t.Fatal("no checkpoint after a minute")
+		}
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil || !strings.Contains(stderr.String(), "interrupted at zone") {
+		t.Fatalf("interrupted run: %v\n%s", err, stderr.String())
+	}
+}
+
 // TestResumeFingerprint pins which flags a checkpoint holds a resume to:
 // -rate changes what the scan observes, so a run interrupted under
 // -rate 100 does not continue under -rate 0; -concurrency only schedules,
@@ -174,29 +216,7 @@ func TestResumeFingerprint(t *testing.T) {
 	dir := t.TempDir()
 	cp := filepath.Join(dir, "scan.ckpt")
 	common := []string{"-scale", "500000", "-max-zones", "200", "-checkpoint", cp, "-checkpoint-every", "16", "-out", "none"}
-	// Under the rate limit the run takes seconds: interrupt it once its
-	// first checkpoint is down.
-	var stderr bytes.Buffer
-	first := exec.Command(filepath.Join(binDir, "dnssec-scan"), append(common, "-rate", "100")...)
-	first.Stderr = &stderr
-	if err := first.Start(); err != nil {
-		t.Fatal(err)
-	}
-	for deadline := time.Now().Add(time.Minute); ; time.Sleep(10 * time.Millisecond) {
-		if _, err := os.Stat(cp); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			first.Process.Kill()
-			t.Fatal("no checkpoint after a minute")
-		}
-	}
-	if err := first.Process.Signal(os.Interrupt); err != nil {
-		t.Fatal(err)
-	}
-	if err := first.Wait(); err != nil || !strings.Contains(stderr.String(), "interrupted at zone") {
-		t.Fatalf("interrupted run: %v\n%s", err, stderr.String())
-	}
+	interrupt(t, cp, append(common, "-rate", "100")...)
 
 	exit, msg := run(t, "dnssec-scan", append(common, "-resume", cp, "-rate", "0")...)
 	if exit != 1 || !strings.Contains(msg, "checkpoint was taken with different flags") || !strings.Contains(msg, `"rate":"100"`) {
@@ -205,5 +225,111 @@ func TestResumeFingerprint(t *testing.T) {
 	exit, msg = run(t, "dnssec-scan", append(common, "-resume", cp, "-rate", "100", "-concurrency", "3")...)
 	if exit != 0 || !strings.Contains(msg, "resuming at zone") || !strings.Contains(msg, "(200/200 exported)") {
 		t.Errorf("resume under another -concurrency: exit code %d, want 0 and the run finished\n%s", exit, msg)
+	}
+}
+
+// TestResumeTornDump cuts the dump and the checkpoint of an interrupted
+// run the ways a crash or a disk can. A dump shorter than the
+// checkpoint's dump_bytes has lost records the checkpoint counts: resume
+// must refuse it (it used to pad the dump with NUL bytes and exit 0). A
+// dump longer than dump_bytes holds records written after the last
+// checkpoint, ending in a partial one: resume must cut them and finish
+// with the bodies and headline of an uninterrupted run. No prefix of the
+// checkpoint file may get past ReadCheckpoint, Validate and
+// UnmarshalState.
+func TestResumeTornDump(t *testing.T) {
+	dir := t.TempDir()
+	ref, dump, cp := filepath.Join(dir, "ref.jsonl"), filepath.Join(dir, "obs.jsonl"), filepath.Join(dir, "scan.ckpt")
+	scope := []string{"-scale", "500000", "-max-zones", "200", "-rate", "100"}
+	refHeadline, err := exec.Command(filepath.Join(binDir, "dnssec-scan"), append(scope, "-dump", ref, "-out", "headline")...).Output()
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	common := append(scope, "-checkpoint", cp, "-dump", dump, "-out", "headline")
+	interrupt(t, cp, append(common, "-checkpoint-every", "4", "-concurrency", "1")...)
+	ckpt, err := os.ReadFile(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := scan.ReadCheckpoint(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	durable, err := os.ReadFile(dump)
+	if err != nil || int64(len(durable)) != state.DumpBytes || state.NextIndex == 0 {
+		t.Fatalf("interrupted run left a %d-byte dump (%v) under a checkpoint at zone %d covering %d bytes",
+			len(durable), err, state.NextIndex, state.DumpBytes)
+	}
+
+	// Every cut below dump_bytes: 0, each record boundary and a byte
+	// either side of it, and dump_bytes-1.
+	cuts := map[int]bool{0: true, len(durable) - 1: true}
+	for i, b := range durable {
+		if b == '\n' && i+1 < len(durable) {
+			for _, c := range []int{i, i + 1, i + 2} {
+				cuts[c] = true
+			}
+		}
+	}
+	t.Logf("zone %d, %d bytes: %d cuts", state.NextIndex, state.DumpBytes, len(cuts))
+	for cut := range cuts {
+		if err := os.WriteFile(dump, durable[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		exit, msg := run(t, "dnssec-scan", append(common, "-resume", cp)...)
+		if exit != 1 || !strings.Contains(msg, fmt.Sprintf("is %d bytes, shorter than the checkpoint's dump_bytes %d", cut, len(durable))) {
+			t.Errorf("dump cut to %d of %d bytes: exit code %d, want 1 naming both sizes\n%s", cut, len(durable), exit, msg)
+		}
+		if now, err := os.ReadFile(cp); err != nil || !bytes.Equal(now, ckpt) {
+			t.Fatalf("a refused resume rewrote the checkpoint (%v)", err)
+		}
+	}
+
+	// Past dump_bytes: the next record as the reference wrote it, then
+	// half of the one after.
+	refDump, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := refDump[len(durable):]
+	end := bytes.IndexByte(next, '\n') + 1
+	end += bytes.IndexByte(next[end:], '\n') / 2
+	if err := os.WriteFile(dump, append(durable, next[:end]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed := exec.Command(filepath.Join(binDir, "dnssec-scan"), append(common, "-resume", cp)...)
+	headline, err := resumed.Output()
+	if err != nil || !bytes.Equal(headline, refHeadline) {
+		t.Fatalf("resume over a torn tail: %v, headline\n%s\nwant\n%s", err, headline, refHeadline)
+	}
+	bodies := func(path string) []byte {
+		out, err := exec.Command(filepath.Join(binDir, "reanalyze"), "-in", path, "-out", "body").Output()
+		if err != nil {
+			t.Fatalf("reanalyze %s: %v", path, err)
+		}
+		return out
+	}
+	if !bytes.Equal(bodies(dump), bodies(ref)) {
+		t.Error("resumed dump bodies differ from the uninterrupted run's")
+	}
+
+	// Every strict prefix of the checkpoint document is refused, never
+	// resumed from, and never panics.
+	doc := bytes.TrimRight(ckpt, "\n")
+	torn := filepath.Join(dir, "torn.ckpt")
+	for cut := 0; cut <= len(doc); cut++ {
+		if err := os.WriteFile(torn, doc[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := scan.ReadCheckpoint(torn)
+		if err == nil {
+			err = c.Validate(state.Seed, state.TotalZones, 0, 1, state.Config)
+		}
+		if err == nil {
+			_, err = report.UnmarshalState(c.Aggregate)
+		}
+		if whole := cut == len(doc); (err == nil) != whole {
+			t.Fatalf("checkpoint cut to %d of %d bytes: error %v", cut, len(doc), err)
+		}
 	}
 }

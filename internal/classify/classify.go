@@ -62,16 +62,12 @@ func (s Status) String() string {
 // state round-trips, exhaustive tests).
 var Statuses = []Status{StatusUnresolved, StatusUnsigned, StatusSecured, StatusInvalid, StatusIsland}
 
-// StatusFromString inverts Status.String — the decode side of the
-// checkpoint accumulator state.
-func StatusFromString(s string) (Status, bool) {
-	for _, st := range Statuses {
-		if st.String() == s {
-			return st, true
-		}
-	}
-	return 0, false
-}
+// MarshalText encodes the status by name, so a Status-keyed map in a
+// checkpoint survives a reordering of the constants.
+func (s Status) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText decodes a status name, refusing any other text.
+func (s *Status) UnmarshalText(b []byte) error { return parseName(Statuses, s, b, "status") }
 
 // CDSInfo is the §4.2 view of a zone's CDS/CDNSKEY publication.
 type CDSInfo struct {
@@ -152,15 +148,23 @@ var Potentials = []Potential{
 	PotentialBootstrap,
 }
 
-// PotentialFromString inverts Potential.String — the decode side of
-// the checkpoint accumulator state.
-func PotentialFromString(s string) (Potential, bool) {
-	for _, p := range Potentials {
-		if p.String() == s {
-			return p, true
+// MarshalText encodes the bucket by name, as Status.MarshalText does.
+func (p Potential) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText decodes a bucket name, refusing any other text.
+func (p *Potential) UnmarshalText(b []byte) error { return parseName(Potentials, p, b, "bucket") }
+
+// parseName sets *v to the member of all named b. An unknown name is
+// refused: a tally silently dropped or misfiled would corrupt every
+// table rendered from it.
+func parseName[E fmt.Stringer](all []E, v *E, b []byte, kind string) error {
+	for _, e := range all {
+		if e.String() == string(b) {
+			*v = e
+			return nil
 		}
 	}
-	return 0, false
+	return fmt.Errorf("classify: unknown %s %q", kind, b)
 }
 
 // SignalViolation is one way a zone's RFC 9615 signalling fails.

@@ -8,7 +8,6 @@ package core
 // ones; the checkpoint fingerprint comes from the same registration.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -351,17 +350,8 @@ func (c *command) scan() {
 		if err != nil {
 			fatal("resume", err)
 		}
-		if err := cp.Validate(opts.Seed, len(targets), shardIdx, shardN); err != nil {
+		if err := cp.Validate(opts.Seed, len(targets), shardIdx, shardN, cfgFP); err != nil {
 			fatal("resume", err)
-		}
-		// The checkpoint file is written indented, so compact the stored
-		// fingerprint before comparing it to the freshly-marshalled one.
-		var stored bytes.Buffer
-		if err := json.Compact(&stored, cp.Config); err != nil {
-			fatal("resume", fmt.Errorf("checkpoint config fingerprint: %w", err))
-		}
-		if !bytes.Equal(stored.Bytes(), cfgFP) {
-			fatal("resume", fmt.Errorf("checkpoint was taken with different flags: %s", stored.Bytes()))
 		}
 		if len(cp.Aggregate) > 0 {
 			if agg, err = report.UnmarshalState(cp.Aggregate); err != nil {
@@ -379,7 +369,15 @@ func (c *command) scan() {
 			}
 			// Records written after the last checkpoint are not covered
 			// by it; truncate them away and re-scan those zones instead
-			// of exporting duplicates.
+			// of exporting duplicates. A dump shorter than the checkpoint
+			// lost records it covers: Truncate would pad it with zeros.
+			st, err := f.Stat()
+			if err == nil && st.Size() < cp.DumpBytes {
+				err = fmt.Errorf("dump %s is %d bytes, shorter than the checkpoint's dump_bytes %d", c.dump, st.Size(), cp.DumpBytes)
+			}
+			if err != nil {
+				fatal("resume", err)
+			}
 			if err := f.Truncate(cp.DumpBytes); err != nil {
 				fatal("resume", err)
 			}

@@ -93,11 +93,7 @@ func (a *Aggregate) writeFigure1CSV(cw *csv.Writer) error {
 	if err := cw.Write([]string{"bucket", "zones"}); err != nil {
 		return err
 	}
-	for _, b := range []classify.Potential{
-		classify.PotentialNone, classify.PotentialAlreadySecured, classify.PotentialInvalidDNSSEC,
-		classify.PotentialIslandNoCDS, classify.PotentialIslandInvalidCDS,
-		classify.PotentialIslandDelete, classify.PotentialBootstrap,
-	} {
+	for _, b := range classify.Potentials {
 		if err := cw.Write([]string{b.String(), itoa(a.ByBucket[b])}); err != nil {
 			return err
 		}

@@ -1,11 +1,5 @@
 package report
 
-import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-)
-
 // Shard-state merging. A sharded scan runs N worker processes over
 // disjoint contiguous slices of the zone space; each worker checkpoints
 // its own Aggregate. Because every tally in the Aggregate is a sum over
@@ -34,27 +28,12 @@ func (a *Aggregate) Merge(b *Aggregate) {
 		}
 		a.op(name).merge(op)
 	}
-
-	a.CDSPresent += b.CDSPresent
-	a.CDSQueryFailed += b.CDSQueryFailed
-	a.CDSInconsistent += b.CDSInconsistent
-	a.CDSInconsistentMO += b.CDSInconsistentMO
-	a.CDSInUnsigned += b.CDSInUnsigned
-	a.CDSDeleteUnsigned += b.CDSDeleteUnsigned
-	a.CDSDeleteSecured += b.CDSDeleteSecured
-	a.CDSDeleteIslands += b.CDSDeleteIslands
-	a.CDSOrphan += b.CDSOrphan
-	a.CDSBadSig += b.CDSBadSig
-
-	a.Queries += b.Queries
-	a.Retries += b.Retries
-	a.GaveUp += b.GaveUp
-	a.CacheHits += b.CacheHits
-	a.CacheMisses += b.CacheMisses
-	a.Coalesced += b.Coalesced
+	a.CDSCounts.add(b.CDSCounts)
+	a.Cost.Add(b.Cost)
 }
 
-// merge adds another shard's counts for the same operator.
+// merge adds another shard's counts for the same operator, or one
+// operator's counts into a Table 3 column.
 func (s *OperatorStats) merge(o *OperatorStats) {
 	s.Domains += o.Domains
 	s.Unsigned += o.Unsigned
@@ -71,57 +50,4 @@ func (s *OperatorStats) merge(o *OperatorStats) {
 	s.Potential += o.Potential
 	s.Incorrect += o.Incorrect
 	s.Correct += o.Correct
-}
-
-// ShardState is one shard's serialized accumulator plus the identity
-// the coordinator validates before merging.
-type ShardState struct {
-	// Shard is the shard index, for error messages only.
-	Shard int
-	// Config is the pipeline flag fingerprint the shard ran under
-	// (scan.Checkpoint.Config). Shards scanned with different flags
-	// observed different worlds; merging them is refused.
-	Config json.RawMessage
-	// State is the MarshalState output from the shard's final
-	// checkpoint.
-	State []byte
-}
-
-// MergeShardStates validates and merges the final accumulator states of
-// a sharded scan. Every shard must carry the same config fingerprint
-// (compared in compact form, since checkpoints store it indented) and a
-// readable state version; any mismatch refuses the whole merge rather
-// than producing a silently skewed report.
-func MergeShardStates(states []ShardState) (*Aggregate, error) {
-	if len(states) == 0 {
-		return nil, fmt.Errorf("report: no shard states to merge")
-	}
-	compact := func(raw json.RawMessage) ([]byte, error) {
-		var buf bytes.Buffer
-		if err := json.Compact(&buf, raw); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	}
-	ref, err := compact(states[0].Config)
-	if err != nil {
-		return nil, fmt.Errorf("report: shard %d config fingerprint: %w", states[0].Shard, err)
-	}
-	merged := NewAggregate()
-	for _, st := range states {
-		fp, err := compact(st.Config)
-		if err != nil {
-			return nil, fmt.Errorf("report: shard %d config fingerprint: %w", st.Shard, err)
-		}
-		if !bytes.Equal(fp, ref) {
-			return nil, fmt.Errorf("report: shard %d was scanned with different flags than shard %d: %s vs %s",
-				st.Shard, states[0].Shard, fp, ref)
-		}
-		agg, err := UnmarshalState(st.State)
-		if err != nil {
-			return nil, fmt.Errorf("report: shard %d state: %w", st.Shard, err)
-		}
-		merged.Merge(agg)
-	}
-	return merged, nil
 }

@@ -7,11 +7,13 @@ package report
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"dnssecboot/internal/classify"
 	"dnssecboot/internal/operator"
+	"dnssecboot/internal/scan"
 )
 
 // OperatorStats accumulates per-operator counts.
@@ -38,37 +40,48 @@ type OperatorStats struct {
 	Correct         int
 }
 
-// Aggregate is the rollup of a whole scan.
+// Aggregate is the rollup of a whole scan. It is also its own
+// checkpoint wire form (see MarshalState): the JSON keys below are the
+// state's, and the enum-keyed maps are keyed by the enums' stable names.
 type Aggregate struct {
-	Total      int
-	Unresolved int
-	ByStatus   map[classify.Status]int
-	ByBucket   map[classify.Potential]int
-	Operators  map[string]*OperatorStats
+	Total      int                        `json:"total"`
+	Unresolved int                        `json:"unresolved"`
+	ByStatus   map[classify.Status]int    `json:"by_status,omitempty"`
+	ByBucket   map[classify.Potential]int `json:"by_bucket,omitempty"`
+	Operators  map[string]*OperatorStats  `json:"operators,omitempty"`
 
-	// §4.2 details.
-	CDSPresent        int
-	CDSQueryFailed    int
-	CDSInconsistent   int
-	CDSInconsistentMO int // inconsistent zones with multiple operators
-	CDSInUnsigned     int
-	CDSDeleteUnsigned int
-	CDSDeleteSecured  int
-	CDSDeleteIslands  int
-	CDSOrphan         int // CDS not matching any DNSKEY (islands)
-	CDSBadSig         int // invalid signatures over in-zone CDS (islands)
+	CDSCounts
+	// Cost sums every zone's query, resilience (E-chaos) and
+	// shared-cache (E-cache) accounting, for the Appendix-D line.
+	scan.Cost
+}
 
-	Queries int64
-	// Retries and GaveUp roll up the resilience counters: retry
-	// attempts after transient failures and exchanges that exhausted
-	// every attempt (loss-tolerance accounting for E-chaos).
-	Retries int64
-	GaveUp  int64
-	// CacheHits, CacheMisses and Coalesced roll up the shared-cache
-	// accounting (E-cache); all zero when the scan ran uncached.
-	CacheHits   int64
-	CacheMisses int64
-	Coalesced   int64
+// CDSCounts are the §4.2 details.
+type CDSCounts struct {
+	CDSPresent        int `json:"cds_present,omitempty"`
+	CDSQueryFailed    int `json:"cds_query_failed,omitempty"`
+	CDSInconsistent   int `json:"cds_inconsistent,omitempty"`
+	CDSInconsistentMO int `json:"cds_inconsistent_mo,omitempty"` // inconsistent zones with multiple operators
+	CDSInUnsigned     int `json:"cds_in_unsigned,omitempty"`
+	CDSDeleteUnsigned int `json:"cds_delete_unsigned,omitempty"`
+	CDSDeleteSecured  int `json:"cds_delete_secured,omitempty"`
+	CDSDeleteIslands  int `json:"cds_delete_islands,omitempty"`
+	CDSOrphan         int `json:"cds_orphan,omitempty"`  // CDS not matching any DNSKEY (islands)
+	CDSBadSig         int `json:"cds_bad_sig,omitempty"` // invalid signatures over in-zone CDS (islands)
+}
+
+// add sums o into c, as scan.Cost.Add does for the cost counters.
+func (c *CDSCounts) add(o CDSCounts) {
+	c.CDSPresent += o.CDSPresent
+	c.CDSQueryFailed += o.CDSQueryFailed
+	c.CDSInconsistent += o.CDSInconsistent
+	c.CDSInconsistentMO += o.CDSInconsistentMO
+	c.CDSInUnsigned += o.CDSInUnsigned
+	c.CDSDeleteUnsigned += o.CDSDeleteUnsigned
+	c.CDSDeleteSecured += o.CDSDeleteSecured
+	c.CDSDeleteIslands += o.CDSDeleteIslands
+	c.CDSOrphan += o.CDSOrphan
+	c.CDSBadSig += o.CDSBadSig
 }
 
 // NewAggregate returns an empty streaming accumulator. Feed it one
@@ -86,12 +99,7 @@ func NewAggregate() *Aggregate {
 // Add folds one zone's classification into the running tallies.
 func (a *Aggregate) Add(r *classify.Result) {
 	a.Total++
-	a.Queries += r.Queries
-	a.Retries += r.Retries
-	a.GaveUp += r.GaveUp
-	a.CacheHits += r.CacheHits
-	a.CacheMisses += r.CacheMisses
-	a.Coalesced += r.Coalesced
+	a.Cost.Add(r.Cost)
 	if r.Status == classify.StatusUnresolved {
 		a.Unresolved++
 		return
@@ -302,44 +310,23 @@ var table3Columns = []string{"Cloudflare", "deSEC", "Glauca Digital"}
 // Table3 renders the signal-zone ladder with the paper's column split
 // (the three AB operators, an Others catch-all, and the total).
 func (a *Aggregate) Table3() string {
-	cols := append([]string{}, table3Columns...)
-	get := func(name string) *OperatorStats {
-		if s, ok := a.Operators[name]; ok {
-			return s
+	var all []*OperatorStats
+	for _, name := range table3Columns {
+		s := a.Operators[name]
+		if s == nil {
+			s = &OperatorStats{Name: name}
 		}
-		return &OperatorStats{Name: name}
+		all = append(all, s)
 	}
-	others := &OperatorStats{Name: "Others"}
+	others, total := &OperatorStats{Name: "Others"}, &OperatorStats{Name: "Total"}
 	for name, s := range a.Operators {
-		known := false
-		for _, c := range cols {
-			if name == c {
-				known = true
-			}
+		if !slices.Contains(table3Columns, name) {
+			others.merge(s)
 		}
-		if known {
-			continue
-		}
-		others.WithSignal += s.WithSignal
-		others.AlreadySecured += s.AlreadySecured
-		others.CannotBootstrap += s.CannotBootstrap
-		others.DeletionRequest += s.DeletionRequest
-		others.InvalidDNSSEC += s.InvalidDNSSEC
-		others.Potential += s.Potential
-		others.Incorrect += s.Incorrect
-		others.Correct += s.Correct
 	}
-	all := []*OperatorStats{get("Cloudflare"), get("deSEC"), get("Glauca Digital"), others}
-	total := &OperatorStats{Name: "Total"}
+	all = append(all, others)
 	for _, s := range all {
-		total.WithSignal += s.WithSignal
-		total.AlreadySecured += s.AlreadySecured
-		total.CannotBootstrap += s.CannotBootstrap
-		total.DeletionRequest += s.DeletionRequest
-		total.InvalidDNSSEC += s.InvalidDNSSEC
-		total.Potential += s.Potential
-		total.Incorrect += s.Incorrect
-		total.Correct += s.Correct
+		total.merge(s)
 	}
 	all = append(all, total)
 

@@ -261,7 +261,7 @@ func TestTable3CSVRowOrderDeterministic(t *testing.T) {
 func TestCDSFindingsLargestPublisherTieBreak(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		a := &Aggregate{
-			CDSDeleteIslands: 6,
+			CDSCounts: CDSCounts{CDSDeleteIslands: 6},
 			Operators: map[string]*OperatorStats{
 				"Zeta":  {Name: "Zeta", DeleteIslands: 3},
 				"Alpha": {Name: "Alpha", DeleteIslands: 3},

@@ -3,16 +3,15 @@ package report
 import (
 	"encoding/json"
 	"fmt"
-
-	"dnssecboot/internal/classify"
 )
 
 // Checkpoint serialization for the streaming accumulator. A resumed
 // scan must render the same Tables 1–3 as an uninterrupted run without
 // re-reading the already-exported observations, so the whole Aggregate
 // round-trips through the checkpoint file. The enum-keyed maps are
-// re-keyed by their stable string forms: raw integer keys would silently
-// rot whenever the classify enums are reordered.
+// keyed by the enums' stable names (their TextMarshaler forms): raw
+// integer keys would silently rot whenever the classify enums are
+// reordered.
 
 // StateVersion is the aggregate-state wire version, bumped on
 // incompatible changes. A merge or resume across mismatched versions is
@@ -20,75 +19,13 @@ import (
 // corrupt every table silently.
 const StateVersion = 1
 
-// aggregateState is the wire form of Aggregate.
-type aggregateState struct {
-	Version    int            `json:"state_version"`
-	Total      int            `json:"total"`
-	Unresolved int            `json:"unresolved"`
-	ByStatus   map[string]int `json:"by_status,omitempty"`
-	ByBucket   map[string]int `json:"by_bucket,omitempty"`
-
-	Operators map[string]*OperatorStats `json:"operators,omitempty"`
-
-	CDSPresent        int `json:"cds_present,omitempty"`
-	CDSQueryFailed    int `json:"cds_query_failed,omitempty"`
-	CDSInconsistent   int `json:"cds_inconsistent,omitempty"`
-	CDSInconsistentMO int `json:"cds_inconsistent_mo,omitempty"`
-	CDSInUnsigned     int `json:"cds_in_unsigned,omitempty"`
-	CDSDeleteUnsigned int `json:"cds_delete_unsigned,omitempty"`
-	CDSDeleteSecured  int `json:"cds_delete_secured,omitempty"`
-	CDSDeleteIslands  int `json:"cds_delete_islands,omitempty"`
-	CDSOrphan         int `json:"cds_orphan,omitempty"`
-	CDSBadSig         int `json:"cds_bad_sig,omitempty"`
-
-	Queries     int64 `json:"queries,omitempty"`
-	Retries     int64 `json:"retries,omitempty"`
-	GaveUp      int64 `json:"gave_up,omitempty"`
-	CacheHits   int64 `json:"cache_hits,omitempty"`
-	CacheMisses int64 `json:"cache_misses,omitempty"`
-	Coalesced   int64 `json:"coalesced,omitempty"`
-}
-
 // MarshalState encodes the accumulator for embedding in a scan
-// checkpoint.
+// checkpoint: the Aggregate itself inside a state_version envelope.
 func (a *Aggregate) MarshalState() ([]byte, error) {
-	st := aggregateState{
-		Version:    StateVersion,
-		Total:      a.Total,
-		Unresolved: a.Unresolved,
-		Operators:  a.Operators,
-
-		CDSPresent:        a.CDSPresent,
-		CDSQueryFailed:    a.CDSQueryFailed,
-		CDSInconsistent:   a.CDSInconsistent,
-		CDSInconsistentMO: a.CDSInconsistentMO,
-		CDSInUnsigned:     a.CDSInUnsigned,
-		CDSDeleteUnsigned: a.CDSDeleteUnsigned,
-		CDSDeleteSecured:  a.CDSDeleteSecured,
-		CDSDeleteIslands:  a.CDSDeleteIslands,
-		CDSOrphan:         a.CDSOrphan,
-		CDSBadSig:         a.CDSBadSig,
-
-		Queries:     a.Queries,
-		Retries:     a.Retries,
-		GaveUp:      a.GaveUp,
-		CacheHits:   a.CacheHits,
-		CacheMisses: a.CacheMisses,
-		Coalesced:   a.Coalesced,
-	}
-	if len(a.ByStatus) > 0 {
-		st.ByStatus = make(map[string]int, len(a.ByStatus))
-		for k, v := range a.ByStatus {
-			st.ByStatus[k.String()] = v
-		}
-	}
-	if len(a.ByBucket) > 0 {
-		st.ByBucket = make(map[string]int, len(a.ByBucket))
-		for k, v := range a.ByBucket {
-			st.ByBucket[k.String()] = v
-		}
-	}
-	data, err := json.Marshal(st)
+	data, err := json.Marshal(struct {
+		Version int `json:"state_version"`
+		*Aggregate
+	}{StateVersion, a})
 	if err != nil {
 		return nil, fmt.Errorf("report: encoding aggregate state: %w", err)
 	}
@@ -99,53 +36,20 @@ func (a *Aggregate) MarshalState() ([]byte, error) {
 // bucket names are refused rather than dropped: a silently incomplete
 // tally would corrupt every resumed table.
 func UnmarshalState(data []byte) (*Aggregate, error) {
-	var st aggregateState
+	var st struct {
+		Version int `json:"state_version"`
+		Aggregate
+	}
 	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, fmt.Errorf("report: parsing aggregate state: %w", err)
 	}
 	if st.Version != StateVersion {
 		return nil, fmt.Errorf("report: aggregate state version %d, this binary reads %d", st.Version, StateVersion)
 	}
+	// Folding the decoded tallies into a fresh accumulator drops null
+	// operator entries and gives maps the wire left null or absent
+	// their empty value, so the result is one Add can continue.
 	a := NewAggregate()
-	a.Total = st.Total
-	a.Unresolved = st.Unresolved
-	for k, v := range st.ByStatus {
-		s, ok := classify.StatusFromString(k)
-		if !ok {
-			return nil, fmt.Errorf("report: aggregate state has unknown status %q", k)
-		}
-		a.ByStatus[s] = v
-	}
-	for k, v := range st.ByBucket {
-		p, ok := classify.PotentialFromString(k)
-		if !ok {
-			return nil, fmt.Errorf("report: aggregate state has unknown bucket %q", k)
-		}
-		a.ByBucket[p] = v
-	}
-	for name, op := range st.Operators {
-		if op == nil {
-			continue
-		}
-		a.Operators[name] = op
-	}
-
-	a.CDSPresent = st.CDSPresent
-	a.CDSQueryFailed = st.CDSQueryFailed
-	a.CDSInconsistent = st.CDSInconsistent
-	a.CDSInconsistentMO = st.CDSInconsistentMO
-	a.CDSInUnsigned = st.CDSInUnsigned
-	a.CDSDeleteUnsigned = st.CDSDeleteUnsigned
-	a.CDSDeleteSecured = st.CDSDeleteSecured
-	a.CDSDeleteIslands = st.CDSDeleteIslands
-	a.CDSOrphan = st.CDSOrphan
-	a.CDSBadSig = st.CDSBadSig
-
-	a.Queries = st.Queries
-	a.Retries = st.Retries
-	a.GaveUp = st.GaveUp
-	a.CacheHits = st.CacheHits
-	a.CacheMisses = st.CacheMisses
-	a.Coalesced = st.Coalesced
+	a.Merge(&st.Aggregate)
 	return a, nil
 }

@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -139,6 +142,60 @@ func TestUnmarshalStateRefusesVersions(t *testing.T) {
 			t.Errorf("UnmarshalState(%s) refusal does not name the version: %v", bad, err)
 		}
 	}
+}
+
+// TestUnmarshalStateReadsParentFormat is the compatibility pin: states
+// written before Aggregate became its own wire form (checked in as
+// fuzz seeds) still decode to the aggregates that wrote them, so a run
+// directory from that binary resumes and merges.
+func TestUnmarshalStateReadsParentFormat(t *testing.T) {
+	for name, want := range map[string]*Aggregate{
+		"parent_populated": populatedAggregate(),
+		"parent_empty":     NewAggregate(),
+	} {
+		got, err := UnmarshalState(fuzzSeed(t, name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		mergedEqual(t, name, got, want)
+	}
+}
+
+// fuzzSeed reads one []byte seed of FuzzUnmarshalState's corpus.
+func fuzzSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzUnmarshalState", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, arg, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(arg, "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("seed %s: %v", name, err)
+	}
+	return []byte(s)
+}
+
+// FuzzUnmarshalState: the state decoder reads checkpoint files, which a
+// crash, a disk or a hand can damage. It must never panic, and any state
+// it accepts must survive MarshalState and decode to the same aggregate
+// and the same rendered artefacts.
+func FuzzUnmarshalState(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := UnmarshalState(data)
+		if err != nil {
+			return
+		}
+		enc, err := a.MarshalState()
+		if err != nil {
+			t.Fatalf("MarshalState of an accepted state: %v", err)
+		}
+		b, err := UnmarshalState(enc)
+		if err != nil {
+			t.Fatalf("re-encoded state refused: %v\n%s", err, enc)
+		}
+		mergedEqual(t, "re-encoded", b, a)
+	})
 }
 
 // randomResults synthesizes n classification results covering every
@@ -280,54 +337,6 @@ func TestMergeCommutativeAssociative(t *testing.T) {
 	right := rebuild(2, 3)
 	left.Merge(right)
 	mergedEqual(t, "grouped (ab)(cd)", left, want)
-}
-
-func TestMergeShardStates(t *testing.T) {
-	rnd := rand.New(rand.NewSource(23))
-	results := randomResults(rnd, 200)
-	want := build(results)
-	aggs := splitBuild(rnd, results, 3)
-
-	cfg := json.RawMessage(`{"seed": 1, "scale": 2000}`)
-	// Checkpoints store the fingerprint indented; MergeShardStates must
-	// compare compact forms, so give each shard a differently-spaced but
-	// equivalent fingerprint.
-	cfgIndented := json.RawMessage("{\n  \"seed\": 1,\n  \"scale\": 2000\n}")
-	states := make([]ShardState, len(aggs))
-	for i, a := range aggs {
-		data, err := a.MarshalState()
-		if err != nil {
-			t.Fatalf("MarshalState: %v", err)
-		}
-		fp := cfg
-		if i%2 == 1 {
-			fp = cfgIndented
-		}
-		states[i] = ShardState{Shard: i, Config: fp, State: data}
-	}
-	got, err := MergeShardStates(states)
-	if err != nil {
-		t.Fatalf("MergeShardStates: %v", err)
-	}
-	mergedEqual(t, "shard states", got, want)
-
-	// Refusals: mismatched fingerprints, unreadable state versions,
-	// and an empty set.
-	divergent := make([]ShardState, len(states))
-	copy(divergent, states)
-	divergent[1].Config = json.RawMessage(`{"seed": 2, "scale": 2000}`)
-	if _, err := MergeShardStates(divergent); err == nil {
-		t.Error("MergeShardStates accepted shards scanned under different flags")
-	}
-	stale := make([]ShardState, len(states))
-	copy(stale, states)
-	stale[2].State = []byte(`{"state_version":99,"total":5}`)
-	if _, err := MergeShardStates(stale); err == nil {
-		t.Error("MergeShardStates accepted a mismatched state version")
-	}
-	if _, err := MergeShardStates(nil); err == nil {
-		t.Error("MergeShardStates accepted an empty shard set")
-	}
 }
 
 func TestMergeEmptyIsIdentity(t *testing.T) {

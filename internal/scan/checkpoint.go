@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -58,8 +59,8 @@ type Checkpoint struct {
 	// truncated back to this offset, discarding records that were
 	// written after the last checkpoint and would otherwise duplicate.
 	DumpBytes int64 `json:"dump_bytes,omitempty"`
-	// Config is the pipeline's opaque flag fingerprint; a resume with
-	// different flags is refused.
+	// Config is the pipeline's opaque flag fingerprint; a resume or a
+	// shard merge with different flags is refused.
 	Config json.RawMessage `json:"config,omitempty"`
 	// Aggregate is the streaming report accumulator state (see
 	// report.Aggregate.MarshalState), so Tables 1–3 resume without
@@ -77,13 +78,15 @@ func normalizeGeometry(shard, shards int) (int, int) {
 }
 
 // Validate checks a loaded checkpoint against the world a resume
-// reconstructed and the shard geometry it is running under. The
-// fingerprint is seed + world size + shard identity: a checkpoint
-// written by shard i/N describes a dump prefix and NextIndex that only
-// make sense inside that shard's range, so resuming it as a different
-// shard — or as an unsharded scan — would silently skip or duplicate
-// zones.
-func (c *Checkpoint) Validate(seed int64, totalZones, shard, shards int) error {
+// reconstructed (or a merge expects), the shard geometry it is running
+// under and the config fingerprint it must share. It is the one check a
+// checkpoint passes, on resume and on merge. A checkpoint written by
+// shard i/N describes a dump prefix and NextIndex that only make sense
+// inside that shard's range, so resuming it as a different shard — or
+// as an unsharded scan — would silently skip or duplicate zones. The
+// fingerprints are compared in compact form: checkpoints store theirs
+// indented.
+func (c *Checkpoint) Validate(seed int64, totalZones, shard, shards int, config json.RawMessage) error {
 	if c.Version != CheckpointVersion {
 		return fmt.Errorf("scan: checkpoint is version %d, this binary reads and writes version %d; start the run again in a fresh directory", c.Version, CheckpointVersion)
 	}
@@ -101,6 +104,13 @@ func (c *Checkpoint) Validate(seed int64, totalZones, shard, shards int) error {
 	}
 	if c.NextIndex < 0 || c.NextIndex > c.TotalZones {
 		return fmt.Errorf("scan: checkpoint next_index %d outside [0, %d]", c.NextIndex, c.TotalZones)
+	}
+	var stored, want bytes.Buffer
+	if err := json.Compact(&stored, c.Config); err != nil {
+		return fmt.Errorf("scan: checkpoint config fingerprint: %w", err)
+	}
+	if err := json.Compact(&want, config); err != nil || !bytes.Equal(stored.Bytes(), want.Bytes()) {
+		return fmt.Errorf("scan: checkpoint was taken with different flags: %s", stored.Bytes())
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package scan
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -11,6 +12,10 @@ import (
 	"testing"
 )
 
+// fingerprint is the config a scan would compute afresh: compact, as
+// json.Marshal writes it.
+var fingerprint = json.RawMessage(`{"scale":"2000","seed":"1"}`)
+
 func validCheckpoint() *Checkpoint {
 	return &Checkpoint{
 		Version:    CheckpointVersion,
@@ -19,6 +24,9 @@ func validCheckpoint() *Checkpoint {
 		Shard:      1,
 		Shards:     4,
 		NextIndex:  700,
+		// Checkpoints store the fingerprint indented; Validate compares
+		// compact forms.
+		Config: json.RawMessage("{\n  \"scale\": \"2000\",\n  \"seed\": \"1\"\n}"),
 	}
 }
 
@@ -48,7 +56,7 @@ func TestValidateRefusesShardGeometry(t *testing.T) {
 			cp := validCheckpoint()
 			cp.Shard, cp.Shards = c.cpShard, c.cpN
 			cp.NextIndex = 100
-			err := cp.Validate(1, 2033, c.shard, c.shards)
+			err := cp.Validate(1, 2033, c.shard, c.shards, fingerprint)
 			if c.wantOK && err != nil {
 				t.Errorf("Validate refused matching geometry: %v", err)
 			}
@@ -72,14 +80,16 @@ func TestValidateRefusals(t *testing.T) {
 		"total zones":    func(c *Checkpoint) { c.TotalZones = 99 },
 		"negative index": func(c *Checkpoint) { c.NextIndex = -1 },
 		"index past end": func(c *Checkpoint) { c.NextIndex = c.TotalZones + 1 },
+		"other flags":    func(c *Checkpoint) { c.Config = json.RawMessage(`{"scale":"2000","seed":"2"}`) },
+		"no fingerprint": func(c *Checkpoint) { c.Config = nil },
 	} {
 		cp := validCheckpoint()
 		mutate(cp)
-		if err := cp.Validate(1, 2033, 1, 4); err == nil {
+		if err := cp.Validate(1, 2033, 1, 4, fingerprint); err == nil {
 			t.Errorf("%s: Validate accepted a corrupt checkpoint", name)
 		}
 	}
-	if err := validCheckpoint().Validate(1, 2033, 1, 4); err != nil {
+	if err := validCheckpoint().Validate(1, 2033, 1, 4, fingerprint); err != nil {
 		t.Fatalf("Validate refused a pristine checkpoint: %v", err)
 	}
 }
@@ -157,7 +167,7 @@ func TestCheckpointShardRoundTrip(t *testing.T) {
 		t.Errorf("shard identity changed in flight: got %d/%d, want %d/%d",
 			got.Shard, got.Shards, want.Shard, want.Shards)
 	}
-	if err := got.Validate(1, 2033, 1, 4); err != nil {
+	if err := got.Validate(1, 2033, 1, 4, fingerprint); err != nil {
 		t.Errorf("round-tripped checkpoint fails validation: %v", err)
 	}
 }

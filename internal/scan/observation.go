@@ -183,6 +183,17 @@ type Cost struct {
 	Coalesced   int64 `json:"coalesced,omitempty"`
 }
 
+// Add sums o into c: the roll-up of many zones' costs, which are
+// independent per zone.
+func (c *Cost) Add(o Cost) {
+	c.Queries += o.Queries
+	c.Retries += o.Retries
+	c.GaveUp += o.GaveUp
+	c.CacheHits += o.CacheHits
+	c.CacheMisses += o.CacheMisses
+	c.Coalesced += o.Coalesced
+}
+
 // AllNSHosts returns the union of parent- and child-side NS hostnames.
 func (z *ZoneObservation) AllNSHosts() []string {
 	seen := make(map[string]bool)

@@ -27,45 +27,40 @@ func (c *coordinator) shardComplete(i int) (bool, error) {
 	return cp.NextIndex >= Partition(cp.TotalZones, c.cfg.Shards)[i].Hi, nil
 }
 
-// merge validates the final shard checkpoints against each other and
-// combines them: accumulator states through report.MergeShardStates,
-// JSONL dumps by concatenation in shard order.
+// merge validates each final shard checkpoint against shard 0's seed,
+// world size and config fingerprint and its own geometry — the check
+// a resume applies, scan.Checkpoint.Validate — then folds the
+// accumulator states together and concatenates the JSONL dumps in
+// shard order.
 func (c *coordinator) merge() (*Result, error) {
 	n := c.cfg.Shards
 	cps := make([]*scan.Checkpoint, n)
-	for i := 0; i < n; i++ {
+	merged := report.NewAggregate()
+	for i := range cps {
 		cp, err := scan.ReadCheckpoint(c.file(i, "ckpt"))
 		if err != nil {
 			return nil, fmt.Errorf("shard: merging: %w", err)
 		}
 		cps[i] = cp
-	}
-	ref := cps[0]
-	states := make([]report.ShardState, n)
-	for i, cp := range cps {
-		if cp.TotalZones != ref.TotalZones || cp.Seed != ref.Seed {
-			return nil, fmt.Errorf("shard: shard %d scanned world (seed %d, %d zones), shard 0 scanned (seed %d, %d zones)",
-				i, cp.Seed, cp.TotalZones, ref.Seed, ref.TotalZones)
+		ref := cps[0]
+		if err := cp.Validate(ref.Seed, ref.TotalZones, i, n, ref.Config); err != nil {
+			return nil, fmt.Errorf("shard: merging shard %d: %w", i, err)
 		}
-		if cp.Shards != n || cp.Shard != i {
-			return nil, fmt.Errorf("shard: checkpoint %d claims shard %d/%d, want %d/%d", i, cp.Shard, cp.Shards, i, n)
+		if hi := Partition(cp.TotalZones, n)[i].Hi; cp.NextIndex != hi {
+			return nil, fmt.Errorf("shard: shard %d stopped at %d, range ends at %d", i, cp.NextIndex, hi)
 		}
-		rng := Partition(cp.TotalZones, n)[i]
-		if cp.NextIndex != rng.Hi {
-			return nil, fmt.Errorf("shard: shard %d stopped at %d, range ends at %d", i, cp.NextIndex, rng.Hi)
+		agg, err := report.UnmarshalState(cp.Aggregate)
+		if err != nil {
+			return nil, fmt.Errorf("shard: shard %d state: %w", i, err)
 		}
-		states[i] = report.ShardState{Shard: i, Config: cp.Config, State: cp.Aggregate}
-	}
-	merged, err := report.MergeShardStates(states)
-	if err != nil {
-		return nil, err
+		merged.Merge(agg)
 	}
 	if c.cfg.MergedDump != "" {
 		if err := c.concatDumps(cps); err != nil {
 			return nil, err
 		}
 	}
-	return &Result{Aggregate: merged, TotalZones: ref.TotalZones}, nil
+	return &Result{Aggregate: merged, TotalZones: cps[0].TotalZones}, nil
 }
 
 // concatDumps stitches the per-shard JSONL exports into one file in
