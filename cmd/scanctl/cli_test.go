@@ -11,14 +11,17 @@ import (
 	"testing"
 	"time"
 
+	"dnssecboot/internal/dnssec"
+	"dnssecboot/internal/dnswire"
 	"dnssecboot/internal/report"
 	"dnssecboot/internal/scan"
+	"dnssecboot/internal/zone"
 )
 
 // The command-line contract of dnssec-scan, its alias scanctl (the same
-// command with -shards defaulting to 4), the offline reanalyze, zonestat
-// and dnsd: which invocations are refused, with which exit code, saying
-// what. The binaries are built once, in TestMain.
+// command with -shards defaulting to 4), the offline reanalyze, zonestat,
+// dnsd and zonesign: which invocations are refused, with which exit
+// code, saying what. The binaries are built once, in TestMain.
 
 var binDir string
 
@@ -30,7 +33,7 @@ func TestMain(m *testing.M) {
 			return 1
 		}
 		defer os.RemoveAll(dir)
-		build := exec.Command("go", "build", "-o", dir+string(os.PathSeparator), ".", "../dnssec-scan", "../reanalyze", "../zonestat", "../dnsd")
+		build := exec.Command("go", "build", "-o", dir+string(os.PathSeparator), ".", "../dnssec-scan", "../reanalyze", "../zonestat", "../dnsd", "../zonesign")
 		if out, err := build.CombinedOutput(); err != nil {
 			fmt.Fprintf(os.Stderr, "building the binaries under test: %v\n%s", err, out)
 			return 1
@@ -115,6 +118,9 @@ func TestFlagsAndExitCodes(t *testing.T) {
 		{"zonestat -strict refuses a malformed record", "zonestat", []string{"-strict", badZone}, 1, "line 4: NS wants", "", ""},
 		{"dnsd refuses an unknown flag", "dnsd", []string{"-nope"}, 2, "flag provided but not defined: -nope", "", ""},
 		{"dnsd on a missing zone file", "dnsd", []string{"-listen", "127.0.0.1:0", filepath.Join(dir, "absent.db")}, 1, "no such file", "listening", ""},
+		{"zonesign without -zone", "zonesign", []string{"-in", zonesignInput(t, dir)}, 2, "-zone is required", "", ""},
+		{"zonesign refuses an unknown algorithm", "zonesign", []string{"-zone", "example.", "-in", zonesignInput(t, dir), "-alg", "gost"}, 1, `unknown algorithm "gost"`, "", ""},
+		{"zonesign on a missing input file", "zonesign", []string{"-zone", "example.", "-in", filepath.Join(dir, "absent.zone")}, 1, "no such file", "", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(filepath.Join(binDir, tc.bin), tc.args...)
@@ -330,6 +336,142 @@ func TestResumeTornDump(t *testing.T) {
 		}
 		if whole := cut == len(doc); (err == nil) != whole {
 			t.Fatalf("checkpoint cut to %d of %d bytes: error %v", cut, len(doc), err)
+		}
+	}
+}
+
+// zonesignInput writes a small unsigned zone with a delegation, its
+// glue, a wildcard and an empty non-terminal, and returns its path.
+func zonesignInput(t *testing.T, dir string) string {
+	t.Helper()
+	path := filepath.Join(dir, "example.zone")
+	text := `$ORIGIN example.
+$TTL 3600
+@ IN SOA ns1.example. hostmaster.example. 1 7200 3600 1209600 300
+@ IN NS ns1.example.
+@ IN NS ns2.example.net.
+@ IN MX 10 mail.example.
+ns1 IN A 192.0.2.1
+mail IN A 192.0.2.25
+www.a.b IN A 192.0.2.80
+* IN TXT "wildcard"
+sub IN NS ns.sub.example.
+ns.sub IN A 192.0.2.53
+`
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestZonesignOutput signs a zone with each algorithm zonesign is most
+// used with and checks what it prints: every authoritative RRset carries
+// one RRSIG per signing key (the KSK over DNSKEY, the ZSK over the
+// rest), each verifies under the printed DNSKEYs, delegation NS and glue
+// are unsigned, and the DS line matches the KSK.
+func TestZonesignOutput(t *testing.T) {
+	for _, alg := range []string{"ed25519", "ecdsap256"} {
+		t.Run(alg, func(t *testing.T) {
+			out, err := exec.Command(filepath.Join(binDir, "zonesign"), "-zone", "example.", "-in", zonesignInput(t, t.TempDir()), "-alg", alg).Output()
+			if err != nil {
+				t.Fatalf("zonesign: %v", err)
+			}
+			zoneText, dsText, ok := strings.Cut(string(out), "\n; DS record for the parent zone:\n")
+			if !ok {
+				t.Fatalf("no DS line in the output:\n%s", out)
+			}
+			z, err := zone.ParseString(zoneText, "example.")
+			if err != nil {
+				t.Fatalf("parsing the printed zone: %v", err)
+			}
+			keys := z.RRset("example.", dnswire.TypeDNSKEY)
+			var ksk *dnswire.DNSKEY
+			for _, k := range keys {
+				if key := k.Data.(*dnswire.DNSKEY); key.Flags&dnswire.DNSKEYFlagSEP != 0 {
+					ksk = key
+				}
+			}
+			if len(keys) != 2 || ksk == nil {
+				t.Fatalf("printed DNSKEYs %v: want a KSK and a ZSK", keys)
+			}
+			now := time.Now()
+			signed := 0
+			for _, name := range z.Names() {
+				sigs := z.RRset(name, dnswire.TypeRRSIG)
+				if z.Occluded(name) {
+					if len(sigs) != 0 {
+						t.Errorf("glue %s carries %d RRSIGs", name, len(sigs))
+					}
+					continue
+				}
+				for _, typ := range z.TypesAt(name) {
+					covering := dnssec.SigsCovering(sigs, name, typ)
+					want := 1
+					switch {
+					case typ == dnswire.TypeRRSIG, typ == dnswire.TypeNS && z.DelegationAt(name):
+						want = 0
+					}
+					if len(covering) != want {
+						t.Errorf("%s/%s carries %d RRSIGs, want %d", name, typ, len(covering), want)
+					}
+					for _, sig := range covering {
+						if err := dnssec.VerifyRRset(z.RRset(name, typ), []dnswire.RR{sig}, keys, now); err != nil {
+							t.Errorf("%s/%s: %v", name, typ, err)
+						}
+						signed++
+					}
+				}
+			}
+			if signed < 10 {
+				t.Errorf("only %d signatures verified", signed)
+			}
+			ds, err := zone.ParseRecord(strings.TrimSpace(dsText), "example.", 86400)
+			if err != nil {
+				t.Fatalf("parsing the DS line %q: %v", dsText, err)
+			}
+			if d, ok := ds.Data.(*dnswire.DS); !ok || !dnssec.DSMatchesKey("example.", d, ksk) {
+				t.Errorf("DS line %q does not match the KSK", dsText)
+			}
+		})
+	}
+}
+
+// TestCheckpointTempsSwept: the temporaries a kill inside
+// WriteCheckpoint leaves beside the checkpoint are removed when a run
+// starts, fresh or resumed; a file that only looks similar is not.
+func TestCheckpointTempsSwept(t *testing.T) {
+	dir := t.TempDir()
+	cp := filepath.Join(dir, "scan.ckpt")
+	plant := func() {
+		for _, name := range []string{"scan.ckpt.tmp123", "scan.ckpt.tmp", "other.ckpt.tmp1"} {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("{"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	left := func() []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	common := []string{"-scale", "500000", "-max-zones", "40", "-out", "none"}
+	for _, args := range [][]string{{"-checkpoint", cp}, {"-resume", cp}} {
+		plant()
+		exit, stderr := run(t, "dnssec-scan", append(common, args...)...)
+		if exit != 0 {
+			t.Fatalf("%v: exit code %d\n%s", args, exit, stderr)
+		}
+		if got := strings.Join(left(), " "); got != "other.ckpt.tmp1 scan.ckpt" {
+			t.Errorf("%v left %s, want only the checkpoint and the unrelated file", args, got)
+		}
+		if !strings.Contains(stderr, "removed orphaned checkpoint temporary") {
+			t.Errorf("%v: the sweep was not reported:\n%s", args, stderr)
 		}
 	}
 }

@@ -275,6 +275,16 @@ func (c *command) scan() {
 		// -resume alone keeps checkpointing to the same file.
 		cpPath = c.resume
 	}
+	if cpPath != "" {
+		// A kill inside WriteCheckpoint leaves its temporary behind.
+		removed, err := scan.SweepCheckpointTemps(cpPath)
+		if err != nil {
+			fatal("checkpoint", err)
+		}
+		for _, name := range removed {
+			fmt.Fprintf(os.Stderr, "removed orphaned checkpoint temporary %s\n", name)
+		}
+	}
 
 	opts := c.opts
 	if c.metricsOut != "" {

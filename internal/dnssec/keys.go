@@ -105,6 +105,18 @@ func (k *Key) KeyTag() uint16 { return KeyTag(k.DNSKEY()) }
 // IsSEP reports whether the key carries the SEP (KSK) flag.
 func (k *Key) IsSEP() bool { return k.Flags&dnswire.DNSKEYFlagSEP != 0 }
 
+// CanSign reports why SignRRset would refuse k: an algorithm this
+// package does not implement, or no private key. Nil means it signs.
+func (k *Key) CanSign() error {
+	if _, _, err := algHash(k.Algorithm); err != nil {
+		return err
+	}
+	if k.priv == nil {
+		return errors.New("dnssec: key has no private part")
+	}
+	return nil
+}
+
 // KeyTag computes the RFC 4034 Appendix-B key tag over a DNSKEY RDATA.
 func KeyTag(key *dnswire.DNSKEY) uint16 {
 	rdata, err := dnswire.RDataWire(key)

@@ -149,3 +149,75 @@ func TestCacheSurvivesServerOutage(t *testing.T) {
 		t.Errorf("post-recovery lookup used %d queries — cache not reused", used)
 	}
 }
+
+// TestMismatchedResponsesAreRetriedNotCached: a response to another
+// name, another type, another opcode, or with QR clear does not answer
+// the query sent (RFC 5452 §9.1). Every attempt is discarded and
+// retried, the exchange gives up, and the NXDOMAIN it carried never
+// reaches the negative cache; the same NXDOMAIN for the right question
+// does.
+func TestMismatchedResponsesAreRetriedNotCached(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spoil func(m *dnswire.Message)
+	}{
+		{"another name", func(m *dnswire.Message) { m.Question[0].Name = "other.test." }},
+		{"another type", func(m *dnswire.Message) { m.Question[0].Type = dnswire.TypeTXT }},
+		{"another opcode", func(m *dnswire.Message) { m.Opcode = dnswire.OpcodeNotify }},
+		{"QR clear", func(m *dnswire.Message) { m.Response = false }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := transport.NewMemNetwork(1)
+			addr := netip.MustParseAddr("192.0.2.80")
+			honest := false
+			net.Register(addr, transport.HandlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+				m := &dnswire.Message{ID: q.ID, Response: true, Authoritative: true, Rcode: dnswire.RcodeNXDomain,
+					Question: append([]dnswire.Question(nil), q.Question...)}
+				if !honest {
+					tc.spoil(m)
+				}
+				return m, nil
+			}))
+			r := &Resolver{Net: net, Roots: []netip.AddrPort{netip.AddrPortFrom(addr, 53)}, Retry: &RetryPolicy{Attempts: 3}}
+			_, err := r.Delegation(context.Background(), "gone.test.")
+			if !errors.Is(err, ErrMismatch) || errors.Is(err, ErrNXDomain) {
+				t.Fatalf("err = %v, want ErrMismatch and no NXDOMAIN", err)
+			}
+			queries, mismatches := r.Queries(), r.metrics().Mismatches.Value()
+			if queries == 0 || mismatches != queries || r.Retries() != queries-r.GaveUp() || r.GaveUp() == 0 {
+				t.Errorf("%d queries, %d mismatches, %d retries, %d gave up: want every attempt discarded and retried until given up",
+					queries, mismatches, r.Retries(), r.GaveUp())
+			}
+			if n := r.cache().NegativeLen(); n != 0 {
+				t.Errorf("%d negative cache entries from mismatched responses", n)
+			}
+			honest = true
+			if _, err := r.Delegation(context.Background(), "gone.test."); !errors.Is(err, ErrNXDomain) {
+				t.Fatalf("honest server: err = %v, want ErrNXDomain", err)
+			}
+			if r.cache().NegativeLen() == 0 {
+				t.Error("the honest NXDOMAIN was not cached either: the test cannot tell")
+			}
+		})
+	}
+}
+
+// TestQuestionNameCaseIsIgnored: a response echoing the question in
+// another letter case (0x20 mixing, RFC 5452 §9.1) answers it.
+func TestQuestionNameCaseIsIgnored(t *testing.T) {
+	net := transport.NewMemNetwork(1)
+	addr := netip.MustParseAddr("192.0.2.81")
+	net.Register(addr, transport.HandlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+		m := &dnswire.Message{ID: q.ID, Response: true, Authoritative: true, Rcode: dnswire.RcodeNXDomain,
+			Question: append([]dnswire.Question(nil), q.Question...)}
+		m.Question[0].Name = strings.ToUpper(m.Question[0].Name)
+		return m, nil
+	}))
+	r := &Resolver{Net: net, Roots: []netip.AddrPort{netip.AddrPortFrom(addr, 53)}}
+	if _, err := r.Delegation(context.Background(), "gone.test."); !errors.Is(err, ErrNXDomain) {
+		t.Fatalf("err = %v, want ErrNXDomain", err)
+	}
+	if n := r.metrics().Mismatches.Value(); n != 0 {
+		t.Errorf("%d mismatches counted for an upper-cased echo", n)
+	}
+}

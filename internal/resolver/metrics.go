@@ -20,6 +20,7 @@ const (
 	MetricQuerySeconds = "resolver_query_seconds"
 	MetricRateWait     = "resolver_rate_wait_seconds"
 	MetricTrailing     = "resolver_trailing_bytes_total"
+	MetricMismatches   = "resolver_mismatches_total"
 )
 
 // Metrics holds the resolver's instruments. Install one built against a
@@ -38,6 +39,9 @@ type Metrics struct {
 	// the last record of responses (dnswire.Message.TrailingBytes) — a
 	// malformed-responder signal the classifier can consult.
 	Trailing *obs.Counter
+	// Mismatches counts responses discarded for not answering the
+	// question asked (ErrMismatch).
+	Mismatches *obs.Counter
 	// QuerySeconds observes wire-exchange latency per attempt;
 	// RateWait observes time blocked in the per-server rate limiter.
 	QuerySeconds *obs.Histogram
@@ -55,6 +59,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		CacheMisses:  reg.Counter(MetricCacheMisses),
 		Coalesced:    reg.Counter(MetricCoalesced),
 		Trailing:     reg.Counter(MetricTrailing),
+		Mismatches:   reg.Counter(MetricMismatches),
 		QuerySeconds: reg.Histogram(MetricQuerySeconds, obs.DefLatencyBuckets),
 		RateWait:     reg.Histogram(MetricRateWait, obs.DefLatencyBuckets),
 	}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/netip"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,6 +28,11 @@ import (
 // wraps it so callers can distinguish "all servers timed out" from
 // "all servers answered SERVFAIL" via errors.Is.
 var ErrServFail = errors.New("resolver: SERVFAIL")
+
+// ErrMismatch marks a response that does not answer the query sent: QR
+// clear, another opcode, or another question (RFC 5452 §9.1). Such a
+// response is discarded and the attempt retried like a timeout.
+var ErrMismatch = errors.New("resolver: response does not answer the question asked")
 
 // RetryPolicy configures how Exchange handles transient failures.
 // The zero value (and a nil policy) means a single attempt.
@@ -101,10 +107,11 @@ func (p *RetryPolicy) sleep(ctx context.Context, server netip.AddrPort, name str
 	}
 }
 
-// transientError reports whether err is worth retrying: timeouts are,
-// hard unreachability and context cancellation are not.
+// transientError reports whether err is worth retrying: timeouts and
+// mismatched responses are, hard unreachability and context
+// cancellation are not.
 func transientError(err error) bool {
-	return errors.Is(err, transport.ErrTimeout)
+	return errors.Is(err, transport.ErrTimeout) || errors.Is(err, ErrMismatch)
 }
 
 // QueryStats accumulates per-scope query accounting. A pointer travels
@@ -302,7 +309,8 @@ func (r *Resolver) Exchange(ctx context.Context, server netip.AddrPort, name str
 var queryPool = sync.Pool{New: func() any { return &dnswire.Message{} }}
 
 // exchangeOnce performs a single attempt: rate limit, fresh query ID,
-// counting, latency observation, optional per-attempt timeout.
+// counting, latency observation, optional per-attempt timeout. Only a
+// response to the question asked is returned; any other is ErrMismatch.
 func (r *Resolver) exchangeOnce(ctx context.Context, server netip.AddrPort, name string, qtype dnswire.Type) (*dnswire.Message, error) {
 	m := r.metrics()
 	if r.Limits != nil {
@@ -333,5 +341,20 @@ func (r *Resolver) exchangeOnce(ctx context.Context, server netip.AddrPort, name
 		// A blown per-attempt budget is a timeout like any other.
 		err = fmt.Errorf("%w: %v", transport.ErrTimeout, err)
 	}
+	if err == nil && resp != nil && !answers(resp, q) {
+		m.Mismatches.Inc()
+		return nil, fmt.Errorf("%w: %s asked %s %s", ErrMismatch, server, name, qtype)
+	}
 	return resp, err
+}
+
+// answers reports whether resp is a response to q: QR set, the same
+// opcode, and the same single question, its name compared
+// case-insensitively.
+func answers(resp, q *dnswire.Message) bool {
+	if !resp.Response || resp.Opcode != q.Opcode || len(resp.Question) != 1 {
+		return false
+	}
+	got, want := resp.Question[0], q.Question[0]
+	return got.Type == want.Type && got.Class == want.Class && strings.EqualFold(got.Name, want.Name)
 }

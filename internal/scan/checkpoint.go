@@ -3,9 +3,12 @@ package scan
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // Checkpoint/resume for streaming scans. The paper's campaign scanned
@@ -118,6 +121,8 @@ func (c *Checkpoint) Validate(seed int64, totalZones, shard, shards int, config 
 // WriteCheckpoint atomically persists a checkpoint: the JSON is written
 // to a temporary file in the same directory, synced, and renamed over
 // path, so a crash mid-write never corrupts the previous checkpoint.
+// A kill between the two leaves the temporary behind; see
+// SweepCheckpointTemps.
 func WriteCheckpoint(path string, c *Checkpoint) error {
 	data, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
@@ -145,6 +150,32 @@ func WriteCheckpoint(path string, c *Checkpoint) error {
 		return fmt.Errorf("scan: committing checkpoint: %w", err)
 	}
 	return nil
+}
+
+// SweepCheckpointTemps removes the temporaries an interrupted
+// WriteCheckpoint(path) can leave: the siblings of path named
+// filepath.Base(path)+".tmp" and anything after it. Nothing else in the
+// directory is touched. It returns the names removed.
+func SweepCheckpointTemps(path string) ([]string, error) {
+	dir, prefix := filepath.Dir(path), filepath.Base(path)+".tmp"
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil, nil
+		}
+		return nil, fmt.Errorf("scan: sweeping checkpoint temporaries: %w", err)
+	}
+	var removed []string
+	for _, e := range entries {
+		if e.Type().IsRegular() && strings.HasPrefix(e.Name(), prefix) {
+			name := filepath.Join(dir, e.Name())
+			if err := os.Remove(name); err != nil {
+				return removed, fmt.Errorf("scan: sweeping checkpoint temporaries: %w", err)
+			}
+			removed = append(removed, name)
+		}
+	}
+	return removed, nil
 }
 
 // ReadCheckpoint loads a checkpoint written by WriteCheckpoint.

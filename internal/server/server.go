@@ -252,7 +252,7 @@ func (s *Server) answerFromZone(z *zone.Zone, qname string, qtype dnswire.Type, 
 				m.Answer = append(m.Answer, rr)
 			}
 			if do {
-				for _, sigRR := range dnssecSigsAt(z, wc, qtype) {
+				for _, sigRR := range z.Sigs(wc, qtype) {
 					if s.chance(s.CorruptSigRate) {
 						sigRR = corruptSig(sigRR)
 					}
@@ -305,17 +305,6 @@ func closestEncloser(z *zone.Zone, qname string) (ce, next string) {
 		ce = dnswire.Parent(ce)
 	}
 	return ce, next
-}
-
-// dnssecSigsAt returns the RRSIGs at owner covering typ.
-func dnssecSigsAt(z *zone.Zone, owner string, typ dnswire.Type) []dnswire.RR {
-	var out []dnswire.RR
-	for _, rr := range z.RRset(owner, dnswire.TypeRRSIG) {
-		if rr.Data.(*dnswire.RRSIG).TypeCovered == typ {
-			out = append(out, rr)
-		}
-	}
-	return out
 }
 
 func (s *Server) referral(z *zone.Zone, cut string, do bool) *dnswire.Message {
@@ -456,12 +445,7 @@ func (s *Server) appendSigs(z *zone.Zone, section *[]dnswire.RR, owner string, c
 	if !do {
 		return
 	}
-	sigs := z.RRset(owner, dnswire.TypeRRSIG)
-	for _, rr := range sigs {
-		sig := rr.Data.(*dnswire.RRSIG)
-		if sig.TypeCovered != covered {
-			continue
-		}
+	for _, rr := range z.Sigs(owner, covered) {
 		if s.chance(s.CorruptSigRate) {
 			rr = corruptSig(rr)
 		}

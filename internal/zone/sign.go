@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -58,9 +59,14 @@ func (z *Zone) GenerateKeys(cfg SignConfig, rng io.Reader) error {
 }
 
 // Sign signs the zone: publishes the DNSKEY RRset, builds the NSEC
-// chain, and generates RRSIGs for every authoritative RRset. Previous
+// chain, and records an RRSIG for every authoritative RRset. Previous
 // DNSSEC records (DNSKEY/RRSIG/NSEC) are replaced. Delegation NS sets
 // and occluded (glue) names are left unsigned, per RFC 4035 §2.2.
+//
+// Only the signatures themselves are deferred: each is made, with the
+// keys and validity window of this call, when first read (Sigs, RRset,
+// All, WriteTo, Clone) or before a write changes the RRset it covers.
+// The zone always reads as if every signature had been made here.
 func (z *Zone) Sign(cfg SignConfig) error {
 	if len(z.Keys) == 0 {
 		return errors.New("zone: no keys; call GenerateKeys first")
@@ -77,10 +83,14 @@ func (z *Zone) Sign(cfg SignConfig) error {
 	if cfg.Expired {
 		opts = dnssec.ExpiredWindow(now, z.Origin)
 	}
+	by := z.newSigner(opts)
+	for _, k := range slices.Concat(by.seps, by.zsk) {
+		if err := k.CanSign(); err != nil {
+			return fmt.Errorf("zone: cannot sign with %s: %w", k, err)
+		}
+	}
 
 	z.Unsign()
-
-	ksk, zsk := z.signingKeys()
 
 	// Publish DNSKEYs.
 	keyTTL := uint32(3600)
@@ -102,14 +112,16 @@ func (z *Zone) Sign(cfg SignConfig) error {
 		authNames = append(authNames, n)
 	}
 	if cfg.SkipNSEC {
-		return z.signRRsets(authNames, ksk, zsk, opts)
+		z.deferSigs(authNames, by)
+		return nil
 	}
 	if cfg.UseNSEC3 {
 		nsec3Names, err := z.buildNSEC3Chain(authNames, nsecTTL, cfg)
 		if err != nil {
 			return err
 		}
-		return z.signRRsets(append(authNames, nsec3Names...), ksk, zsk, opts)
+		z.deferSigs(append(authNames, nsec3Names...), by)
+		return nil
 	}
 	for i, name := range authNames {
 		next := authNames[(i+1)%len(authNames)]
@@ -125,46 +137,209 @@ func (z *Zone) Sign(cfg SignConfig) error {
 			Data: &dnswire.NSEC{NextDomain: next, Types: types}})
 	}
 
-	return z.signRRsets(authNames, ksk, zsk, opts)
+	z.deferSigs(authNames, by)
+	return nil
 }
 
-// signRRsets signs every authoritative RRset at the given names. The
-// DNSKEY RRset is signed by every SEP key so that double-signature key
-// rollovers (RFC 7344 §6) keep a chain to both the old and the new DS.
-func (z *Zone) signRRsets(authNames []string, ksk, zsk *dnssec.Key, opts dnssec.SignOptions) error {
-	var seps []*dnssec.Key
+// signer is what one Sign call captured for the signatures it defers:
+// the key of each role and the validity window.
+type signer struct {
+	// zsk signs every RRset but DNSKEY; it is a one-key list so keys
+	// allocates nothing.
+	zsk []*dnssec.Key
+	// seps sign the DNSKEY RRset: every SEP key, so that double-signature
+	// key rollovers (RFC 7344 §6) keep a chain to both the old and the
+	// new DS.
+	seps []*dnssec.Key
+	opts dnssec.SignOptions
+}
+
+func (z *Zone) newSigner(opts dnssec.SignOptions) *signer {
+	ksk, zsk := z.signingKeys()
+	by := &signer{zsk: []*dnssec.Key{zsk}, opts: opts}
 	for _, k := range z.Keys {
 		if k.IsSEP() {
-			seps = append(seps, k)
+			by.seps = append(by.seps, k)
 		}
 	}
-	if len(seps) == 0 {
-		seps = []*dnssec.Key{ksk}
+	if len(by.seps) == 0 {
+		by.seps = []*dnssec.Key{ksk}
 	}
-	for _, name := range authNames {
+	return by
+}
+
+// keys returns the keys that sign an RRset of type typ, in signing order.
+func (by *signer) keys(typ dnswire.Type) []*dnssec.Key {
+	if typ == dnswire.TypeDNSKEY {
+		return by.seps
+	}
+	return by.zsk
+}
+
+// sign makes the signatures over set, one per key in order. Sign has
+// checked every key, so only a record with no wire form (which no
+// server could send either) fails; its RRset is left unsigned.
+func (by *signer) sign(set []dnswire.RR, typ dnswire.Type) []dnswire.RR {
+	keys := by.keys(typ)
+	sigs := make([]dnswire.RR, 0, len(keys))
+	for _, key := range keys {
+		if sig, err := dnssec.SignRRset(set, key, by.opts); err == nil {
+			sigs = append(sigs, sig)
+		}
+	}
+	return sigs
+}
+
+// pendingSig is a placeholder in an RRSIG set for the signatures Sign
+// deferred over the owner's RRset of type covered. It stands where
+// eager signing would have put them, so making them replaces it in
+// place. It never leaves the package: every read of an RRSIG set makes
+// its placeholders first.
+type pendingSig struct {
+	// RData is never set; embedding it lets a placeholder sit in an
+	// RRSIG set, whose records hold dnswire.RData.
+	dnswire.RData
+	covered dnswire.Type
+	by      *signer
+}
+
+func (*pendingSig) Type() dnswire.Type { return dnswire.TypeRRSIG }
+
+// deferSigs puts a placeholder for by's signatures over every
+// authoritative RRset at names: every type but RRSIG, and but NS at a
+// zone cut (delegation NS is not authoritative here). Sign has emptied
+// the RRSIG sets, so each holds its placeholders in eager signing's
+// order.
+func (z *Zone) deferSigs(names []string, by *signer) {
+	for _, name := range names {
 		isCut := z.DelegationAt(name)
+		var placeholders []dnswire.RR
 		for _, typ := range z.TypesAt(name) {
-			if typ == dnswire.TypeRRSIG {
+			if typ == dnswire.TypeRRSIG || (isCut && typ == dnswire.TypeNS) {
 				continue
 			}
-			if isCut && typ == dnswire.TypeNS {
-				continue // delegation NS is not authoritative here
+			placeholders = append(placeholders, dnswire.RR{Name: name, Class: z.Class, Data: &pendingSig{covered: typ, by: by}})
+		}
+		if len(placeholders) == 0 {
+			continue
+		}
+		z.mu.Lock()
+		z.records[z.sigsKey(name)] = placeholders
+		z.typesByName[name][dnswire.TypeRRSIG] = true
+		z.lazy = true
+		z.mu.Unlock()
+	}
+}
+
+// sigsKey names owner's RRSIG set.
+func (z *Zone) sigsKey(owner string) dnswire.RRsetKey {
+	return dnswire.RRsetKey{Name: owner, Type: dnswire.TypeRRSIG, Class: z.Class}
+}
+
+// Sigs returns a copy of the RRSIGs at owner covering covered. A
+// signature Sign deferred is made here on first read, outside the lock,
+// and stored under it only if no other reader or write made it in the
+// meantime, so every reader sees the same bytes.
+func (z *Zone) Sigs(owner string, covered dnswire.Type) []dnswire.RR {
+	owner = dnswire.CanonicalName(owner)
+	z.mu.RLock()
+	sigs, p := z.sigsLocked(owner, covered)
+	if p == nil {
+		z.mu.RUnlock()
+		return sigs
+	}
+	set := append([]dnswire.RR(nil), z.records[dnswire.RRsetKey{Name: owner, Type: covered, Class: z.Class}]...)
+	z.mu.RUnlock()
+	made := p.by.sign(set, covered)
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	switch i, q := z.placeholderLocked(owner, covered); q {
+	case nil: // another reader or a write made them meanwhile
+	case p:
+		z.replaceLocked(owner, i, made)
+	default: // a later Sign's
+		z.makeLocked(owner, i, q)
+	}
+	sigs, _ = z.sigsLocked(owner, covered)
+	return sigs
+}
+
+// sigsLocked copies the RRSIGs made at owner covering covered, and
+// returns the placeholder standing for them if they are not made yet.
+func (z *Zone) sigsLocked(owner string, covered dnswire.Type) ([]dnswire.RR, *pendingSig) {
+	var sigs []dnswire.RR
+	var pending *pendingSig
+	for _, rr := range z.records[z.sigsKey(owner)] {
+		switch d := rr.Data.(type) {
+		case *dnswire.RRSIG:
+			if d.TypeCovered == covered {
+				sigs = append(sigs, rr)
 			}
-			keys := []*dnssec.Key{zsk}
-			if typ == dnswire.TypeDNSKEY {
-				keys = seps
-			}
-			set := z.RRset(name, typ)
-			for _, key := range keys {
-				sig, err := dnssec.SignRRset(set, key, opts)
-				if err != nil {
-					return fmt.Errorf("zone: signing %s/%s: %w", name, typ, err)
-				}
-				z.MustAdd(sig)
+		case *pendingSig:
+			if d.covered == covered {
+				pending = d
 			}
 		}
 	}
-	return nil
+	return sigs, pending
+}
+
+// placeholderLocked finds the placeholder for covered in owner's RRSIG
+// set, or with covered 0 the first one: its index and itself, or -1 and
+// nil.
+func (z *Zone) placeholderLocked(owner string, covered dnswire.Type) (int, *pendingSig) {
+	for i, rr := range z.records[z.sigsKey(owner)] {
+		if p, ok := rr.Data.(*pendingSig); ok && (covered == 0 || p.covered == covered) {
+			return i, p
+		}
+	}
+	return -1, nil
+}
+
+// makeLocked replaces the placeholder p, at index i of owner's RRSIG
+// set, with its signatures over the RRset as it is now.
+func (z *Zone) makeLocked(owner string, i int, p *pendingSig) {
+	z.replaceLocked(owner, i, p.by.sign(z.records[dnswire.RRsetKey{Name: owner, Type: p.covered, Class: z.Class}], p.covered))
+}
+
+// signPendingLocked makes the pending signatures over (owner, typ), if
+// any.
+func (z *Zone) signPendingLocked(owner string, typ dnswire.Type) {
+	if i, p := z.placeholderLocked(owner, typ); p != nil {
+		z.makeLocked(owner, i, p)
+	}
+}
+
+// signOwner makes every pending signature at owner.
+func (z *Zone) signOwner(owner string) {
+	z.mu.RLock()
+	_, p := z.placeholderLocked(owner, 0)
+	z.mu.RUnlock()
+	if p == nil {
+		return
+	}
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	z.signOwnerLocked(owner)
+}
+
+func (z *Zone) signOwnerLocked(owner string) {
+	for i, p := z.placeholderLocked(owner, 0); p != nil; i, p = z.placeholderLocked(owner, 0) {
+		z.makeLocked(owner, i, p)
+	}
+}
+
+// replaceLocked puts sigs in place of the placeholder at index i of
+// owner's RRSIG set.
+func (z *Zone) replaceLocked(owner string, i int, sigs []dnswire.RR) {
+	k := z.sigsKey(owner)
+	set := slices.Replace(z.records[k], i, i+1, sigs...)
+	if len(set) > 0 {
+		z.records[k] = set
+		return
+	}
+	delete(z.records, k)
+	delete(z.typesByName[owner], dnswire.TypeRRSIG)
 }
 
 // buildNSEC3Chain hashes every authoritative name, sorts the hashes,

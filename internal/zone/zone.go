@@ -30,6 +30,9 @@ type Zone struct {
 	// typesByName indexes the record types present at each owner so
 	// existence checks stay O(1) in zones with many names.
 	typesByName map[string]map[dnswire.Type]bool
+	// lazy is set once Sign has deferred a signature: from then on an
+	// RRSIG set may hold pendingSig placeholders.
+	lazy bool
 
 	// Keys holds the zone's signing keys when it is DNSSEC-signed.
 	// The first SEP key is used as the KSK, the first non-SEP key as
@@ -48,7 +51,10 @@ func New(origin string) *Zone {
 }
 
 // Add inserts rr into the zone, replacing an identical record if
-// present (RRset semantics: no duplicate RDATA within a set).
+// present (RRset semantics: no duplicate RDATA within a set). A pending
+// signature over the RRset it joins is made first, and so are all the
+// owner's when rr is itself an RRSIG, so the zone ends as eager signing
+// would have left it.
 func (z *Zone) Add(rr dnswire.RR) error {
 	rr.Name = dnswire.CanonicalName(rr.Name)
 	if !dnswire.IsSubdomain(rr.Name, z.Origin) {
@@ -60,6 +66,13 @@ func (z *Zone) Add(rr dnswire.RR) error {
 	z.mu.Lock()
 	defer z.mu.Unlock()
 	k := rr.Key()
+	if z.lazy {
+		if k.Type == dnswire.TypeRRSIG {
+			z.signOwnerLocked(k.Name)
+		} else {
+			z.signPendingLocked(k.Name, k.Type)
+		}
+	}
 	for i, old := range z.records[k] {
 		if old.Equal(rr) {
 			z.records[k][i] = rr
@@ -83,11 +96,16 @@ func (z *Zone) MustAdd(rr dnswire.RR) {
 	}
 }
 
-// RemoveSet deletes the whole RRset (name, type).
+// RemoveSet deletes the whole RRset (name, type). Removing the RRSIGs
+// drops the pending ones too; removing any other set first makes its
+// pending signatures, which stay behind as eager signing's would.
 func (z *Zone) RemoveSet(name string, typ dnswire.Type) {
 	z.mu.Lock()
 	defer z.mu.Unlock()
 	cn := dnswire.CanonicalName(name)
+	if z.lazy && typ != dnswire.TypeRRSIG {
+		z.signPendingLocked(cn, typ)
+	}
 	delete(z.records, dnswire.RRsetKey{Name: cn, Type: typ, Class: z.Class})
 	if ts := z.typesByName[cn]; ts != nil {
 		delete(ts, typ)
@@ -98,7 +116,7 @@ func (z *Zone) RemoveSet(name string, typ dnswire.Type) {
 	z.namesCache = nil
 }
 
-// RemoveName deletes every record at name.
+// RemoveName deletes every record at name, pending signatures included.
 func (z *Zone) RemoveName(name string) {
 	name = dnswire.CanonicalName(name)
 	z.mu.Lock()
@@ -110,11 +128,16 @@ func (z *Zone) RemoveName(name string) {
 	z.namesCache = nil
 }
 
-// RRset returns a copy of the RRset (name, type), or nil.
+// RRset returns a copy of the RRset (name, type), or nil. The RRSIG set
+// is complete: reading it makes the owner's pending signatures.
 func (z *Zone) RRset(name string, typ dnswire.Type) []dnswire.RR {
+	name = dnswire.CanonicalName(name)
+	if typ == dnswire.TypeRRSIG {
+		z.signOwner(name)
+	}
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	set := z.records[dnswire.RRsetKey{Name: dnswire.CanonicalName(name), Type: typ, Class: z.Class}]
+	set := z.records[dnswire.RRsetKey{Name: name, Type: typ, Class: z.Class}]
 	if len(set) == 0 {
 		return nil
 	}
@@ -296,23 +319,39 @@ func (z *Zone) SetBasics(primaryNS string, nsHosts []string, serial uint32) {
 	}
 }
 
-// Size returns the number of records in the zone.
+// Size returns the number of records in the zone, counting pending
+// signatures without making them.
 func (z *Zone) Size() int {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
 	n := 0
-	for _, set := range z.records {
+	for k, set := range z.records {
 		n += len(set)
+		if z.lazy && k.Type == dnswire.TypeRRSIG {
+			for _, rr := range set {
+				if p, ok := rr.Data.(*pendingSig); ok {
+					n += len(p.by.keys(p.covered)) - 1
+				}
+			}
+		}
 	}
 	return n
 }
 
 // Clone returns a deep-enough copy of the zone (records are value
 // copies; RData payloads are shared, which is safe because the library
-// treats them as immutable once added).
+// treats them as immutable once added). Pending signatures are made
+// first, so the copy and the original hold the same signature bytes.
 func (z *Zone) Clone() *Zone {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	if z.lazy {
+		for k := range z.records {
+			if k.Type == dnswire.TypeRRSIG {
+				z.signOwnerLocked(k.Name)
+			}
+		}
+	}
 	c := New(z.Origin)
 	c.Class = z.Class
 	c.Keys = append([]*dnssec.Key(nil), z.Keys...)
