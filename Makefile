@@ -6,7 +6,7 @@ GO ?= go
 # wholesale untested subsystem does.
 COVER_FLOOR ?= 70.0
 
-.PHONY: all test race cover lint lint-fixtures lint-pragma-budget fuzz-smoke bench-smoke bench-check obs-smoke shard-smoke serve-smoke ingest-smoke build size ci
+.PHONY: all test race cover lint lint-pragma-budget cross fuzz-smoke bench-smoke bench-check obs-smoke shard-smoke serve-smoke ingest-smoke build size ci
 
 all: test
 
@@ -26,16 +26,18 @@ test:
 lint:
 	$(GO) run ./cmd/dnssec-lint ./...
 
-# Fast inner loop while writing analyzers: only the fixture harness
-# (want-comment matching + per-check coverage), no whole-repo load.
-lint-fixtures:
-	$(GO) test ./internal/lint/ -run 'TestFixtures$$|TestFixtureChecksCovered'
-
 # Suppression budget: every //lint:allow must carry a reason and the
 # production-code pragma count must equal the reviewed budget constant
 # in internal/lint/pragma_test.go.
 lint-pragma-budget:
 	$(GO) test ./internal/lint/ -run 'TestPragmaBudget'
+
+# The tree must build off Linux too: platform-specific code lives in
+# _linux.go/_other.go pairs. vet for darwin/arm64; Windows gets only a
+# build, because two tests use syscall.Kill and Setrlimit.
+cross:
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
+	GOOS=windows $(GO) build ./...
 
 # The chaos and concurrency paths under the race detector.
 race:
@@ -156,17 +158,18 @@ size:
 		printf '%7d  %s\n' $$(cat $$(ls $$d*.go | grep -v '_test.go$$') | grep -cE '$(FLAG_DEF_RE)') $$d; \
 	done
 
-# The full local CI gate: vet, the lint suite, build, the race-enabled
-# test suite (includes the chaos, cache-invariance and
-# observability-neutrality regressions; the allocation ceilings run in
-# the plain suite of `make cover`, being excluded under -race), the fuzz
-# smoke, the trace round-trip, the benchmark harness's own checks, the
-# smokes, and the size report.
+# The full local CI gate: vet, the lint suite, build (for darwin and
+# windows too), the race-enabled test suite (includes the chaos,
+# cache-invariance and observability-neutrality regressions; the
+# allocation ceilings run in the plain suite of `make cover`, being
+# excluded under -race), the fuzz smoke, the trace round-trip, the
+# benchmark harness's own checks, the smokes, and the size report.
 ci:
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(MAKE) lint-pragma-budget
 	$(GO) build ./...
+	$(MAKE) cross
 	$(GO) test -race ./...
 	$(MAKE) cover
 	$(MAKE) fuzz-smoke

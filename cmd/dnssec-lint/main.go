@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"dnssecboot/internal/lint"
 )
@@ -35,16 +34,7 @@ func main() {
 		}
 	}
 
-	root, err := findModuleRoot()
-	if err != nil {
-		fatal(err)
-	}
-	// The source importer resolves module-internal imports through the
-	// go tool, which needs a working directory inside the module.
-	if err := os.Chdir(root); err != nil {
-		fatal(err)
-	}
-	res, err := lint.Analyze(root, flag.Args(), nil)
+	res, err := lint.Analyze(".", flag.Args())
 	if err != nil {
 		fatal(err)
 	}
@@ -66,25 +56,6 @@ func main() {
 	}
 	if !*quiet && !*asJSON {
 		fmt.Printf("dnssec-lint: ok (%d packages, 0 findings)\n", res.Packages)
-	}
-}
-
-// findModuleRoot walks up from the working directory to the nearest
-// go.mod.
-func findModuleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("dnssec-lint: no go.mod found above %s", dir)
-		}
-		dir = parent
 	}
 }
 

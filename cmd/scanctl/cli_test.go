@@ -20,8 +20,8 @@ import (
 
 // The command-line contract of dnssec-scan, its alias scanctl (the same
 // command with -shards defaulting to 4), the offline reanalyze, zonestat,
-// dnsd and zonesign: which invocations are refused, with which exit
-// code, saying what. The binaries are built once, in TestMain.
+// dnsd, zonesign, digg and bootstrapd: which invocations are refused,
+// with which exit code, saying what. The binaries are built once, in TestMain.
 
 var binDir string
 
@@ -33,7 +33,7 @@ func TestMain(m *testing.M) {
 			return 1
 		}
 		defer os.RemoveAll(dir)
-		build := exec.Command("go", "build", "-o", dir+string(os.PathSeparator), ".", "../dnssec-scan", "../reanalyze", "../zonestat", "../dnsd", "../zonesign")
+		build := exec.Command("go", "build", "-o", dir+string(os.PathSeparator), ".", "../dnssec-scan", "../reanalyze", "../zonestat", "../dnsd", "../zonesign", "../digg", "../bootstrapd")
 		if out, err := build.CombinedOutput(); err != nil {
 			fmt.Fprintf(os.Stderr, "building the binaries under test: %v\n%s", err, out)
 			return 1
@@ -121,6 +121,8 @@ func TestFlagsAndExitCodes(t *testing.T) {
 		{"zonesign without -zone", "zonesign", []string{"-in", zonesignInput(t, dir)}, 2, "-zone is required", "", ""},
 		{"zonesign refuses an unknown algorithm", "zonesign", []string{"-zone", "example.", "-in", zonesignInput(t, dir), "-alg", "gost"}, 1, `unknown algorithm "gost"`, "", ""},
 		{"zonesign on a missing input file", "zonesign", []string{"-zone", "example.", "-in", filepath.Join(dir, "absent.zone")}, 1, "no such file", "", ""},
+		{"digg without @server", "digg", []string{"example.com."}, 2, "usage: digg", "", ""},
+		{"bootstrapd refuses an unknown flag", "bootstrapd", []string{"-nope"}, 2, "flag provided but not defined: -nope", "", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(filepath.Join(binDir, tc.bin), tc.args...)

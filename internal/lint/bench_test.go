@@ -3,50 +3,34 @@ package lint
 import "testing"
 
 // Benchmarks for the lint driver itself: the suite gates CI, so its
-// own cost is a budget (docs/LINTS.md records the current numbers and
-// the ~15 s ceiling for make lint). BenchmarkRunAnalyzers isolates the
-// analysis pass; BenchmarkLoadWarm measures a memoized re-Load, the
-// path every additional test or target pays after the first.
+// own cost is a budget (docs/LINTS.md records the current numbers).
+// BenchmarkLoad times the whole-repo load, go list included;
+// BenchmarkRunAnalyzers isolates the analysis pass.
 
-func benchPackages(b *testing.B) (*Loader, []*Package) {
-	b.Helper()
-	testLoaderOnce.Do(func() {
-		testLoader, testLoaderErr = NewLoader("../..")
-	})
-	if testLoaderErr != nil {
-		b.Fatal(testLoaderErr)
-	}
-	pkgs, err := testLoader.Load(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return testLoader, pkgs
-}
-
-// BenchmarkRunAnalyzers runs every analyzer over the preloaded repo:
-// the marginal cost of adding an analyzer shows up here, not in the
-// type-checking dominated load.
-func BenchmarkRunAnalyzers(b *testing.B) {
-	loader, pkgs := benchPackages(b)
-	cfg := DefaultConfig(loader.Module())
-	b.ResetTimer()
+// BenchmarkLoad loads the whole repository, as make lint does.
+func BenchmarkLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := Run(loader, pkgs, cfg)
-		if len(res.Findings) != 0 {
-			b.Fatalf("repo not clean: %v", res.Findings[0])
+		loader, err := NewLoader("../..")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := loader.Load(nil); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkLoadWarm re-Loads the whole repo through the memoized
-// loader: this is what the fixture harness and self-check pay after
-// the first load.
-func BenchmarkLoadWarm(b *testing.B) {
-	loader, _ := benchPackages(b)
+// BenchmarkRunAnalyzers runs every analyzer over the preloaded repo:
+// the marginal cost of adding an analyzer shows up here, not in the
+// load.
+func BenchmarkRunAnalyzers(b *testing.B) {
+	loader, pkgs := repoLoad(b)
+	cfg := DefaultConfig(loader.Module)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := loader.Load(nil); err != nil {
-			b.Fatal(err)
+		res := Run(loader.Fset, pkgs, cfg)
+		if len(res.Findings) != 0 {
+			b.Fatalf("repo not clean: %v", res.Findings[0])
 		}
 	}
 }

@@ -3,7 +3,7 @@ package lint
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -50,13 +50,8 @@ func ParseCheckList(s string) (map[string]bool, error) {
 		if name == "" {
 			continue
 		}
-		if !KnownChecks[name] {
-			known := make([]string, 0, len(KnownChecks))
-			for k := range KnownChecks {
-				known = append(known, k)
-			}
-			sort.Strings(known)
-			return nil, fmt.Errorf("lint: unknown check %q (known: %s)", name, strings.Join(known, ", "))
+		if !slices.Contains(KnownChecks, name) {
+			return nil, fmt.Errorf("lint: unknown check %q (known: %s)", name, strings.Join(KnownChecks, ", "))
 		}
 		keep[name] = true
 	}

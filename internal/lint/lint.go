@@ -42,7 +42,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -60,18 +60,11 @@ const (
 	CheckPragma         = "pragma"
 )
 
-// KnownChecks is the set of valid check identifiers; pragmas naming
+// KnownChecks lists the valid check identifiers, sorted; pragmas naming
 // anything else are reported rather than silently ignored.
-var KnownChecks = map[string]bool{
-	CheckNondeterminism: true,
-	CheckExhaustive:     true,
-	CheckConcurrency:    true,
-	CheckErrCompare:     true,
-	CheckErrWrap:        true,
-	CheckPoolLife:       true,
-	CheckLockDiscipline: true,
-	CheckGoroutineLife:  true,
-	CheckPragma:         true,
+var KnownChecks = []string{
+	CheckConcurrency, CheckErrCompare, CheckErrWrap, CheckExhaustive, CheckGoroutineLife,
+	CheckLockDiscipline, CheckNondeterminism, CheckPoolLife, CheckPragma,
 }
 
 // Finding is one diagnostic.
@@ -150,29 +143,24 @@ type Result struct {
 	Packages int
 }
 
-// Analyze loads patterns under the module root and runs every
-// analyzer, returning the surviving findings sorted by position. A nil
-// cfg uses DefaultConfig for the module named in go.mod.
-func Analyze(root string, patterns []string, cfg *Config) (*Result, error) {
-	loader, err := NewLoader(root)
+// Analyze loads patterns, relative to the root of the module containing
+// dir, and runs every analyzer under DefaultConfig, returning the
+// surviving findings sorted by position.
+func Analyze(dir string, patterns []string) (*Result, error) {
+	loader, err := NewLoader(dir)
 	if err != nil {
 		return nil, err
-	}
-	if cfg == nil {
-		c := DefaultConfig(loader.Module())
-		cfg = &c
 	}
 	pkgs, err := loader.Load(patterns)
 	if err != nil {
 		return nil, err
 	}
-	return Run(loader, pkgs, *cfg), nil
+	return Run(loader.Fset, pkgs, DefaultConfig(loader.Module)), nil
 }
 
 // Run executes every analyzer over the loaded packages and applies
 // pragma suppression.
-func Run(loader *Loader, pkgs []*Package, cfg Config) *Result {
-	fset := loader.Fset
+func Run(fset *token.FileSet, pkgs []*Package, cfg Config) *Result {
 	allows, pragmaFindings := collectPragmas(fset, pkgs)
 	enums := collectEnums(pkgs)
 
@@ -197,9 +185,6 @@ func Run(loader *Loader, pkgs []*Package, cfg Config) *Result {
 		kept = append(kept, f)
 	}
 	kept = append(kept, pragmaFindings...)
-	for i := range kept {
-		kept[i].Pos.Filename = relativeTo(loader.Root(), kept[i].Pos.Filename)
-	}
 	sort.Slice(kept, func(i, j int) bool {
 		a, b := kept[i], kept[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -213,46 +198,20 @@ func Run(loader *Loader, pkgs []*Package, cfg Config) *Result {
 	return &Result{Findings: kept, Packages: len(pkgs)}
 }
 
-// relativeTo shortens name to a root-relative path when possible.
-func relativeTo(root, name string) string {
-	rel, err := filepath.Rel(root, name)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return name
-	}
-	return rel
-}
+// allowSet records every well-formed allow pragma by file, line and
+// check. A pragma suppresses findings of its check on its own line
+// (trailing comment) and on the line directly below it (standalone
+// comment above the site).
+type allowSet map[allowKey]bool
 
-// allowSet records every well-formed allow pragma: file -> line -> set
-// of allowed check names. A pragma suppresses findings of its check on
-// its own line (trailing comment) and on the line directly below it
-// (standalone comment above the site).
-type allowSet map[string]map[int]map[string]bool
-
-func (a allowSet) add(file string, line int, check string) {
-	byLine, ok := a[file]
-	if !ok {
-		byLine = make(map[int]map[string]bool)
-		a[file] = byLine
-	}
-	checks, ok := byLine[line]
-	if !ok {
-		checks = make(map[string]bool)
-		byLine[line] = checks
-	}
-	checks[check] = true
+type allowKey struct {
+	file  string
+	line  int
+	check string
 }
 
 func (a allowSet) suppresses(f Finding) bool {
-	byLine := a[f.Pos.Filename]
-	if byLine == nil {
-		return false
-	}
-	for _, line := range [2]int{f.Pos.Line, f.Pos.Line - 1} {
-		if byLine[line][f.Check] {
-			return true
-		}
-	}
-	return false
+	return a[allowKey{f.Pos.Filename, f.Pos.Line, f.Check}] || a[allowKey{f.Pos.Filename, f.Pos.Line - 1, f.Check}]
 }
 
 // pragmaPrefix introduces an allow pragma inside a comment.
@@ -283,7 +242,7 @@ func collectPragmas(fset *token.FileSet, pkgs []*Package) (allowSet, []Finding) 
 							Msg: "allow pragma names no check: want //lint:allow <check> <reason>"})
 						continue
 					}
-					if !KnownChecks[fields[0]] {
+					if !slices.Contains(KnownChecks, fields[0]) {
 						findings = append(findings, Finding{Pos: pos, Check: CheckPragma,
 							Msg: fmt.Sprintf("allow pragma names unknown check %q; the pragma is ignored", fields[0])})
 						continue
@@ -293,7 +252,7 @@ func collectPragmas(fset *token.FileSet, pkgs []*Package) (allowSet, []Finding) 
 							Msg: fmt.Sprintf("allow pragma for %q has no reason; the reason is mandatory and the pragma is ignored", fields[0])})
 						continue
 					}
-					allows.add(pos.Filename, pos.Line, fields[0])
+					allows[allowKey{pos.Filename, pos.Line, fields[0]}] = true
 				}
 			}
 		}

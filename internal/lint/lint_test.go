@@ -5,7 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,7 +23,7 @@ import (
 
 const fixtureRoot = "testdata/src"
 
-var fixtures = []string{"determ", "exhaust", "conc", "errs", "poollife", "lockdisc", "goroutine"}
+var fixtures = []string{"determ", "exhaust", "conc", "errs", "poollife", "lockdisc", "goroutine", "buildtag"}
 
 // fixtureConfig scopes the analyzers to the fixture packages the way
 // DefaultConfig scopes them to the repo.
@@ -95,25 +95,26 @@ func collectWants(t *testing.T) []*expectation {
 	return wants
 }
 
-// testLoader is the one Loader every test in this package shares: the
-// source importer and the memoized module packages make the fixture
-// run and the repo self-check pay for type-checking the dependency
-// graph once per test binary, not once per test.
+// The repository is loaded once per test binary: the self-check, the
+// pragma budget and the benchmarks all read the same packages.
 var (
-	testLoader     *Loader
-	testLoaderErr  error
-	testLoaderOnce sync.Once
+	repoOnce   sync.Once
+	repoLoader *Loader
+	repoPkgs   []*Package
+	repoErr    error
 )
 
-func sharedLoader(t *testing.T) *Loader {
-	t.Helper()
-	testLoaderOnce.Do(func() {
-		testLoader, testLoaderErr = NewLoader("../..")
+func repoLoad(tb testing.TB) (*Loader, []*Package) {
+	tb.Helper()
+	repoOnce.Do(func() {
+		if repoLoader, repoErr = NewLoader("../.."); repoErr == nil {
+			repoPkgs, repoErr = repoLoader.Load(nil)
+		}
 	})
-	if testLoaderErr != nil {
-		t.Fatal(testLoaderErr)
+	if repoErr != nil {
+		tb.Fatal(repoErr)
 	}
-	return testLoader
+	return repoLoader, repoPkgs
 }
 
 // fixtureResult runs the analyzer stack over the fixture packages once
@@ -125,7 +126,10 @@ func fixtureRun(t *testing.T) *Result {
 	if fixtureResult != nil {
 		return fixtureResult
 	}
-	loader := sharedLoader(t)
+	loader, err := NewLoader("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var patterns []string
 	for _, name := range fixtures {
 		patterns = append(patterns, "internal/lint/"+fixtureRoot+"/"+name)
@@ -137,7 +141,7 @@ func fixtureRun(t *testing.T) *Result {
 	if len(pkgs) != len(fixtures) {
 		t.Fatalf("loaded %d fixture packages, want %d", len(pkgs), len(fixtures))
 	}
-	fixtureResult = Run(loader, pkgs, fixtureConfig(loader.Module()))
+	fixtureResult = Run(loader.Fset, pkgs, fixtureConfig(loader.Module))
 	return fixtureResult
 }
 
@@ -184,14 +188,12 @@ func TestFixtureChecksCovered(t *testing.T) {
 		seen[f.Check] = true
 	}
 	var missing []string
-	for _, check := range []string{CheckNondeterminism, CheckExhaustive, CheckConcurrency, CheckErrCompare, CheckErrWrap,
-		CheckPoolLife, CheckLockDiscipline, CheckGoroutineLife, CheckPragma} {
+	for _, check := range KnownChecks {
 		if !seen[check] {
 			missing = append(missing, check)
 		}
 	}
 	if len(missing) > 0 {
-		sort.Strings(missing)
 		t.Errorf("fixture run produced no %s findings", strings.Join(missing, ", "))
 	}
 }
@@ -200,16 +202,18 @@ func TestFixtureChecksCovered(t *testing.T) {
 // over the whole repository must report nothing, so any finding a
 // future change introduces fails this test as well as make lint.
 func TestSelfCheckRepoIsClean(t *testing.T) {
-	loader := sharedLoader(t)
-	pkgs, err := loader.Load(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Run(loader, pkgs, DefaultConfig(loader.Module()))
+	loader, pkgs := repoLoad(t)
+	res := Run(loader.Fset, pkgs, DefaultConfig(loader.Module))
 	for _, f := range res.Findings {
 		t.Errorf("repo is not lint-clean: %s", f)
 	}
 	if res.Packages < 10 {
-		t.Errorf("self-check covered only %d packages; the module walk looks broken", res.Packages)
+		t.Errorf("self-check covered only %d packages; the load looks broken", res.Packages)
+	}
+	// ./... reaches into the nested benchmark module, which go list run
+	// at the root alone would not.
+	bench := loader.Module + "/bench"
+	if !slices.ContainsFunc(pkgs, func(p *Package) bool { return p.Path == bench }) {
+		t.Errorf("self-check did not load %s", bench)
 	}
 }

@@ -1,183 +1,204 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, type-checked package: the unit every analyzer
 // operates on.
 type Package struct {
-	// Path is the package's import path within the module.
+	// Path is the package's import path.
 	Path string
-	// Dir is the absolute directory the files were read from.
-	Dir string
-	// Files are the parsed non-test sources, comments included.
+	// Files are the parsed non-test sources, comments included, each
+	// named relative to the module root.
 	Files []*ast.File
 	// Pkg and Info are the go/types views of the package.
 	Pkg  *types.Package
 	Info *types.Info
 }
 
-// Loader parses and type-checks packages of one module. All packages
-// share a single FileSet and a single source importer, so dependency
-// packages (including the standard library) are type-checked once per
-// Loader no matter how many module packages import them; loaded module
-// packages are memoized too, so repeated Load calls (the fixture
-// harness plus the repo self-check in one test binary) parse and check
-// each directory once.
+// Loader parses and type-checks the packages of one module and of the
+// modules nested in its tree. The go tool decides what a package is:
+// `go list -export -deps -json` names each package's files for this
+// platform (build constraints applied, tests and testdata left out) and
+// the compiler's export data for every dependency, the standard library
+// included, which the "gc" importer reads instead of re-checking source.
 type Loader struct {
-	Fset *token.FileSet
-	imp  types.Importer
-	root string
-	mod  string
-
-	mu    sync.Mutex
-	cache map[string]*Package // by absolute directory; nil entry = test-only dir
+	Fset   *token.FileSet
+	Root   string // absolute directory of the module
+	Module string // module path
 }
 
-// NewLoader prepares a loader for the module rooted at root (the
-// directory containing go.mod). The importer resolves dependencies from
-// source; cgo is disabled so packages like net type-check via their
-// pure-Go fallbacks in every environment.
-func NewLoader(root string) (*Loader, error) {
-	abs, err := filepath.Abs(root)
+// NewLoader prepares a loader for the module containing dir.
+func NewLoader(dir string) (*Loader, error) {
+	out, err := goList(dir, "-m", "-json")
 	if err != nil {
 		return nil, err
 	}
-	mod, err := modulePath(filepath.Join(abs, "go.mod"))
-	if err != nil {
-		return nil, err
+	var m struct{ Path, Dir string }
+	if err := json.Unmarshal(out, &m); err != nil {
+		return nil, fmt.Errorf("lint: reading go list -m: %w", err)
 	}
-	build.Default.CgoEnabled = false
-	fset := token.NewFileSet()
-	return &Loader{
-		Fset:  fset,
-		imp:   importer.ForCompiler(fset, "source", nil),
-		root:  abs,
-		mod:   mod,
-		cache: make(map[string]*Package),
-	}, nil
+	return &Loader{Fset: token.NewFileSet(), Root: m.Dir, Module: m.Path}, nil
 }
 
-// Root returns the absolute module root.
-func (l *Loader) Root() string { return l.root }
-
-// Module returns the module path from go.mod.
-func (l *Loader) Module() string { return l.mod }
-
-// modulePath extracts the module path from a go.mod file.
-func modulePath(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
-	if err != nil {
-		return "", fmt.Errorf("lint: reading %s: %w", gomod, err)
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.TrimSpace(rest), nil
-		}
-	}
-	return "", fmt.Errorf("lint: no module directive in %s", gomod)
+// listedPackage is the part of a `go list -json` record the loader reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	DepOnly    bool
+	Match      []string // the patterns that named it
 }
 
-// Load expands patterns ("./..." or package directories relative to the
-// module root) and returns the parsed, type-checked packages sorted by
-// import path. Test files and testdata trees are excluded: the lints
-// gate production code, and fixture packages under testdata must not
-// lint the repo dirty.
+// Load resolves patterns ("./...", "dir/...", or package directories,
+// all relative to the module root; none means "./...") and returns the
+// parsed, type-checked packages sorted by import path. A directory with
+// only test files is skipped under "...", and refused when named.
 func (l *Loader) Load(patterns []string) ([]*Package, error) {
-	dirs, err := l.expand(patterns)
+	mods, pats, err := l.assign(patterns)
 	if err != nil {
 		return nil, err
 	}
-	var pkgs []*Package
-	for _, dir := range dirs {
-		p, err := l.loadDir(dir)
+	exports := make(map[string]string)
+	var listed []listedPackage
+	for i, dir := range mods {
+		if len(pats[i]) == 0 {
+			continue
+		}
+		out, err := goList(dir, append([]string{"-export", "-deps", "-json"}, pats[i]...)...)
 		if err != nil {
 			return nil, err
 		}
-		if p != nil {
-			pkgs = append(pkgs, p)
+		for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+			var p listedPackage
+			if err := dec.Decode(&p); err != nil {
+				return nil, fmt.Errorf("lint: reading go list output: %w", err)
+			}
+			exports[p.ImportPath] = p.Export
+			switch {
+			case p.DepOnly:
+			case len(p.GoFiles) > 0:
+				listed = append(listed, p)
+			case !strings.Contains(strings.Join(p.Match, " "), "..."):
+				return nil, fmt.Errorf("lint: no non-test Go files in %s", p.Dir)
+			}
 		}
+	}
+	imp := importer.ForCompiler(l.Fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(exports[path])
+	})
+	pkgs := make([]*Package, 0, len(listed))
+	for _, p := range listed {
+		pkg, err := l.check(p, imp)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
 }
 
-// expand resolves patterns to package directories.
-func (l *Loader) expand(patterns []string) ([]string, error) {
+// check parses and type-checks one listed package.
+func (l *Loader) check(p listedPackage, imp types.Importer) (*Package, error) {
+	var files []*ast.File
+	for _, name := range p.GoFiles {
+		path := filepath.Join(p.Dir, name)
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		}
+		rel, err := filepath.Rel(l.Root, path)
+		if err != nil {
+			return nil, err
+		}
+		f, err := parser.ParseFile(l.Fset, rel, src, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+	}
+	conf := types.Config{Importer: imp}
+	pkg, err := conf.Check(p.ImportPath, l.Fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("lint: type-checking %s: %w", p.ImportPath, err)
+	}
+	return &Package{Path: p.ImportPath, Files: files, Pkg: pkg, Info: info}, nil
+}
+
+// assign finds the modules under the root and gives each the patterns
+// it must list, rewritten relative to its directory. A pattern belongs
+// to the innermost module holding its directory; one ending in "/..."
+// also covers every module nested below that directory, which `go list`
+// alone would not enter.
+func (l *Loader) assign(patterns []string) (mods []string, pats [][]string, err error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	seen := make(map[string]bool)
-	var dirs []string
-	add := func(d string) {
-		if !seen[d] {
-			seen[d] = true
-			dirs = append(dirs, d)
-		}
+	if mods, err = moduleDirs(l.Root); err != nil {
+		return nil, nil, err
 	}
+	pats = make([][]string, len(mods))
 	for _, pat := range patterns {
-		switch {
-		case pat == "./..." || pat == "...":
-			walked, err := l.walkAll(l.root)
-			if err != nil {
-				return nil, err
-			}
-			for _, d := range walked {
-				add(d)
-			}
-		case strings.HasSuffix(pat, "/..."):
-			base := filepath.Join(l.root, strings.TrimSuffix(pat, "/..."))
-			walked, err := l.walkAll(base)
-			if err != nil {
-				return nil, err
-			}
-			for _, d := range walked {
-				add(d)
-			}
-		default:
-			d := pat
-			if !filepath.IsAbs(d) {
-				d = filepath.Join(l.root, pat)
-			}
-			if !hasGoFiles(d) {
-				return nil, fmt.Errorf("lint: no Go files in %s", pat)
-			}
-			add(d)
+		abs := pat
+		if !filepath.IsAbs(abs) {
+			abs = filepath.Join(l.Root, pat)
 		}
+		base, tree := strings.CutSuffix(abs, string(filepath.Separator)+"...")
+		owner := 0 // the root, first in walk order
+		for i, m := range mods {
+			if within(base, m) {
+				owner = i
+			} else if tree && within(m, base) {
+				pats[i] = append(pats[i], "./...")
+			}
+		}
+		rel, err := filepath.Rel(mods[owner], abs)
+		if err != nil {
+			return nil, nil, err
+		}
+		pats[owner] = append(pats[owner], "./"+filepath.ToSlash(rel))
 	}
-	sort.Strings(dirs)
-	return dirs, nil
+	return mods, pats, nil
 }
 
-// walkAll collects every directory under base holding non-test Go
-// files, skipping hidden directories and testdata trees.
-func (l *Loader) walkAll(base string) ([]string, error) {
+// moduleDirs returns root and every directory below it holding a
+// go.mod, skipping the trees the go tool ignores.
+func moduleDirs(root string) ([]string, error) {
 	var dirs []string
-	err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+		if name := d.Name(); path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
-		if hasGoFiles(path) {
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 			dirs = append(dirs, path)
 		}
 		return nil
@@ -185,80 +206,22 @@ func (l *Loader) walkAll(base string) ([]string, error) {
 	return dirs, err
 }
 
-// hasGoFiles reports whether dir directly contains non-test Go files.
-func hasGoFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		if lintableFile(e.Name()) && !e.IsDir() {
-			return true
-		}
-	}
-	return false
+// within reports whether path is dir or lies below it.
+func within(path, dir string) bool {
+	return path == dir || strings.HasPrefix(path, dir+string(filepath.Separator))
 }
 
-// lintableFile reports whether name is a non-test Go source file.
-func lintableFile(name string) bool {
-	return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
-}
-
-// loadDir parses and type-checks the package in dir, memoizing the
-// result. Directories whose only Go files are tests yield nil.
-func (l *Loader) loadDir(dir string) (*Package, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if p, ok := l.cache[dir]; ok {
-		return p, nil
-	}
-	p, err := l.loadDirUncached(dir)
+// goList runs `go list args...` in dir and returns its standard output;
+// a failure carries the go tool's own diagnostics, compile errors
+// included.
+func goList(dir string, args ...string) ([]byte, error) {
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lint: go list %s: %w\n%s", strings.Join(args, " "), err, bytes.TrimSpace(stderr.Bytes()))
 	}
-	l.cache[dir] = p
-	return p, nil
-}
-
-func (l *Loader) loadDirUncached(dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !lintableFile(e.Name()) {
-			continue
-		}
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, fmt.Errorf("lint: %w", err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, nil
-	}
-	importPath := l.importPathFor(dir)
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	conf := types.Config{Importer: l.imp}
-	pkg, err := conf.Check(importPath, l.Fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking %s: %w", importPath, err)
-	}
-	return &Package{Path: importPath, Dir: dir, Files: files, Pkg: pkg, Info: info}, nil
-}
-
-// importPathFor derives the module-relative import path of dir.
-func (l *Loader) importPathFor(dir string) string {
-	rel, err := filepath.Rel(l.root, dir)
-	if err != nil || rel == "." {
-		return l.mod
-	}
-	return l.mod + "/" + filepath.ToSlash(rel)
+	return out, nil
 }

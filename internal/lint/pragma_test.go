@@ -103,21 +103,12 @@ const pragmaBudget = 3
 // budget check: a new pragma without a reason fails collectPragmas, a
 // new pragma with one still fails here until the budget is bumped.
 func TestPragmaBudget(t *testing.T) {
-	loader := sharedLoader(t)
-	pkgs, err := loader.Load(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader, pkgs := repoLoad(t)
 	allows, findings := collectPragmas(loader.Fset, pkgs)
 	for _, f := range findings {
 		t.Errorf("malformed pragma: %s", f)
 	}
-	count := 0
-	for _, byLine := range allows {
-		for _, checks := range byLine {
-			count += len(checks)
-		}
-	}
+	count := len(allows)
 	switch {
 	case count > pragmaBudget:
 		t.Errorf("%d lint:allow pragmas in production code, budget is %d; a new suppression needs review and a budget bump", count, pragmaBudget)

@@ -8,9 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sync"
-	"syscall"
 	"time"
 
 	"dnssecboot/internal/obs"
@@ -269,13 +267,7 @@ func (c *coordinator) runWorkerOnce(ctx context.Context, i int) error {
 	cmd := exec.CommandContext(ctx, c.cfg.Worker.Bin, args...)
 	cmd.Stdout = logFile
 	cmd.Stderr = logFile
-	// A worker gets SIGTERM when its coordinator dies, even by SIGKILL,
-	// and drains and checkpoints through its own handler. The kernel ties
-	// the signal to the thread that started the worker, so this goroutine
-	// keeps its thread until Wait returns.
-	cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGTERM}
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
+	defer tieToCoordinator(cmd)()
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("shard %d: starting worker: %w", i, err)
 	}
