@@ -62,6 +62,7 @@ cover:
 fuzz-smoke:
 	$(GO) test ./internal/dnswire/ -fuzz FuzzUnpack -fuzztime 30s
 	$(GO) test ./internal/zone/ -fuzz FuzzParseZone -fuzztime 30s
+	$(GO) test ./internal/zone/ -run '^$$' -fuzz FuzzZoneOps -fuzztime 30s
 	$(GO) test ./internal/scan/ -run '^$$' -fuzz FuzzObservationRoundTrip -fuzztime 30s
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz FuzzIngest -fuzztime 30s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzNXDOMAINProof -fuzztime 30s

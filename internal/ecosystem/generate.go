@@ -68,6 +68,7 @@ type tldInfra struct {
 
 type opInfra struct {
 	profile    Profile
+	tldMix     tldMix
 	srv        *server.Server
 	variantSrv *server.Server
 	hosts      []string
@@ -285,6 +286,7 @@ func (e *Ecosystem) buildOperator(p Profile) error {
 	e.opIndex++
 	op := &opInfra{
 		profile:     p,
+		tldMix:      newTLDMix(p.TLDWeights),
 		srv:         server.New(e.cfg.Seed + 1000 + int64(idx)),
 		hosts:       make([]string, len(p.NSHosts)),
 		hostAddrs:   make(map[string][]netip.Addr),
@@ -442,27 +444,42 @@ func (e *Ecosystem) addTargets(p Profile) error {
 	return nil
 }
 
-// pickTLD deterministically selects a TLD per the operator's weights.
-func (e *Ecosystem) pickTLD(p Profile, counter int) string {
-	w := p.TLDWeights
+// tldMix is an operator's TLD weights, keys sorted once so that every
+// zone's pick walks them in the same order.
+type tldMix struct {
+	tlds    []string
+	weights []int
+	total   int
+}
+
+func newTLDMix(w map[string]int) tldMix {
 	if w == nil {
 		w = defaultTLDWeights
 	}
-	keys := make([]string, 0, len(w))
-	total := 0
-	for k, v := range w {
-		keys = append(keys, k)
-		total += v
+	tlds := make([]string, 0, len(w))
+	for k := range w {
+		tlds = append(tlds, k)
 	}
-	sort.Strings(keys)
-	pick := counter % total
-	for _, k := range keys {
-		pick -= w[k]
+	sort.Strings(tlds)
+	m := tldMix{tlds: tlds}
+	for _, k := range tlds {
+		m.weights = append(m.weights, w[k])
+		m.total += w[k]
+	}
+	return m
+}
+
+// pick deterministically selects the TLD of the operator's counter-th
+// zone per the weights.
+func (m tldMix) pick(counter int) string {
+	pick := counter % m.total
+	for i, tld := range m.tlds {
+		pick -= m.weights[i]
 		if pick < 0 {
-			return k
+			return tld
 		}
 	}
-	return keys[0]
+	return m.tlds[0]
 }
 
 func (e *Ecosystem) addZone(op *opInfra, spec ZoneSpec) error {
@@ -470,7 +487,7 @@ func (e *Ecosystem) addZone(op *opInfra, spec ZoneSpec) error {
 	idx := op.counter
 	op.counter++
 
-	tld := e.pickTLD(p, idx)
+	tld := op.tldMix.pick(idx)
 	if spec.ParkingNS {
 		tld = "com.bo"
 	}

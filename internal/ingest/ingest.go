@@ -14,7 +14,7 @@
 // continuation are order-dependent); record parsing fans out through
 // ordered.Map, which hands the batches back in input order, so the
 // emitted target list is byte-identical for every worker count. Live
-// memory is bounded by Map's window (at most 2×Workers batches) plus
+// memory is bounded by Map's window (ordered.Window(Workers) batches) plus
 // the deduplication set — independent of the dump size.
 package ingest
 

@@ -16,6 +16,19 @@ import (
 	"sync"
 )
 
+// minWindow is the fewest items Map lets be live, however few its
+// workers: the window is max(2×workers, minWindow). A zone scan's
+// duration has a long tail (a GC pause lands inside a few of them), and
+// with a window of only 2×workers the other workers soon run out of
+// items to pull behind the slow one and idle until it is sunk. 64
+// items let them run past it; each live item is one pending result,
+// so the bound on live memory is still a constant.
+const minWindow = 64
+
+// Window is how many items Map with the given number of workers lets
+// be pulled but not yet sunk.
+func Window(workers int) int { return max(2*workers, minWindow) }
+
 // Result summarises how a Map call ended.
 type Result struct {
 	// Emitted is the number of items sink accepted: it returned nil for
@@ -23,7 +36,7 @@ type Result struct {
 	Emitted int
 	// PeakLive is the largest number of items observed pulled from the
 	// source but not yet accepted by sink — the live-memory high-water
-	// mark, at most 2×workers by construction.
+	// mark, at most Window(workers) by construction.
 	PeakLive int
 }
 
@@ -32,11 +45,12 @@ type Result struct {
 // sink in pull order.
 //
 // next is never called concurrently; item i is its i-th value, and
-// ok == false ends the source. At most 2×workers items are pulled but
-// not yet sunk, so a slow item stalls the source instead of growing a
-// buffer. sink sees i = 0, 1, 2, … with no gaps; its calls never
-// overlap and each happens before the next, though they may run on
-// different worker goroutines.
+// ok == false ends the source. At most Window(workers) items are
+// pulled but not yet sunk, so a slow item stalls the source instead of
+// growing a buffer, once the other workers have run that far past it.
+// sink sees i = 0, 1, 2, … with no gaps; its calls never overlap and
+// each happens before the next, though they may run on different
+// worker goroutines.
 //
 // When ctx is cancelled pulling stops, and any fn that returns after the
 // cancellation is dropped together with every item above it: its work
@@ -76,7 +90,7 @@ func Map[In, Out any](
 	var (
 		mu      sync.Mutex
 		room    = sync.NewCond(&mu) // broadcast when emitted advances or stopped is set
-		ring    = make([]cell, 2*workers)
+		ring    = make([]cell, Window(workers))
 		emitted int
 		stopped bool // the source ended, an fn was withheld or sink failed
 		sinkErr error

@@ -76,7 +76,7 @@ func TestOrderAndWindowUnderRandomDelays(t *testing.T) {
 		for i := range delays {
 			delays[i] = time.Duration(rng.Intn(200)) * time.Microsecond
 		}
-		src := &source{t: t, n: n, window: 2 * workers}
+		src := &source{t: t, n: n, window: Window(workers)}
 		res, err := Map(context.Background(), workers, src.next,
 			square(func(i int) { time.Sleep(delays[i]) }), src.sink(nil))
 		if err != nil {
@@ -85,8 +85,8 @@ func TestOrderAndWindowUnderRandomDelays(t *testing.T) {
 		if res.Emitted != n {
 			t.Errorf("workers %d: emitted %d of %d", workers, res.Emitted, n)
 		}
-		if res.PeakLive < 1 || res.PeakLive > 2*workers {
-			t.Errorf("workers %d: PeakLive %d outside [1, %d]", workers, res.PeakLive, 2*workers)
+		if res.PeakLive < 1 || res.PeakLive > Window(workers) {
+			t.Errorf("workers %d: PeakLive %d outside [1, %d]", workers, res.PeakLive, Window(workers))
 		}
 	}
 }
@@ -99,7 +99,7 @@ func TestOrderAndWindowUnderRandomDelays(t *testing.T) {
 // window to fill, would wait forever).
 func TestSlowFirstItemStallsTheSource(t *testing.T) {
 	for workers := 2; workers <= 8; workers++ {
-		window := 2 * workers
+		window := Window(workers)
 		src := &source{t: t, n: 20 * window, window: window}
 		full := make(chan struct{})
 		next := func() (int, bool) {
@@ -146,7 +146,7 @@ func TestCancelLeavesCleanPrefix(t *testing.T) {
 		}
 		var mu sync.Mutex
 		late := map[int]bool{} // items whose fn saw the dead context before returning
-		src := &source{t: t, n: -1, window: 2 * workers}
+		src := &source{t: t, n: -1, window: Window(workers)}
 		var emitted []int
 		sink := src.sink(nil)
 		res, err := Map(ctx, workers, src.next, func(ctx context.Context, i int) int {
@@ -189,7 +189,7 @@ func TestSinkErrorAbortsAndJoins(t *testing.T) {
 	for workers := 1; workers <= 8; workers++ {
 		const failAt = 25
 		before := runtime.NumGoroutine()
-		src := &source{t: t, n: -1, window: 2 * workers}
+		src := &source{t: t, n: -1, window: Window(workers)}
 		calls := 0
 		res, err := Map(context.Background(), workers, src.next, func(ctx context.Context, i int) int {
 			if i > failAt {
@@ -235,7 +235,7 @@ func TestSinkCallsNeverOverlap(t *testing.T) {
 		for i := range delays {
 			delays[i] = time.Duration(rng.Intn(50)) * time.Microsecond
 		}
-		src := &source{t: t, n: n, window: 2 * workers}
+		src := &source{t: t, n: n, window: Window(workers)}
 		sink := src.sink(nil)
 		var inside atomic.Bool
 		var got []int
@@ -260,7 +260,7 @@ func TestAtMostWorkersFnInFlight(t *testing.T) {
 	for workers := 1; workers <= 8; workers++ {
 		var mu sync.Mutex
 		inFlight, peak := 0, 0
-		src := &source{t: t, n: 200, window: 2 * workers}
+		src := &source{t: t, n: 200, window: Window(workers)}
 		_, err := Map(context.Background(), workers, src.next, square(func(i int) {
 			mu.Lock()
 			inFlight++
@@ -304,7 +304,7 @@ func TestNoGoroutinesBeyondTheWorkers(t *testing.T) {
 				mu.Unlock()
 			}
 		}
-		src := &source{t: t, n: 100, window: 2 * workers}
+		src := &source{t: t, n: 100, window: Window(workers)}
 		sink := src.sink(nil)
 		_, err := Map(context.Background(), workers,
 			func() (int, bool) {
@@ -344,7 +344,7 @@ func TestSmallSources(t *testing.T) {
 		{"more workers than items", 16, 3},
 		{"non-positive workers run as one", 0, 5},
 	} {
-		src := &source{t: t, n: tc.n, window: 2 * max(tc.workers, 1)}
+		src := &source{t: t, n: tc.n, window: Window(tc.workers)}
 		res, err := Map(context.Background(), tc.workers, src.next, square(nil), src.sink(nil))
 		if err != nil || res.Emitted != tc.n || res.PeakLive > tc.n {
 			t.Errorf("%s: result %+v, error %v; want %d emitted", tc.name, res, err, tc.n)

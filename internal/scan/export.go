@@ -195,20 +195,26 @@ type JSONLWriter struct {
 	bw    *bufio.Writer
 	count int
 	bytes int64
+	// line holds the record being written; enc encodes into it, with
+	// json.Marshal's escaping and the newline appended.
+	line bytes.Buffer
+	enc  *json.Encoder
 }
 
 // NewJSONLWriter wraps w for incremental JSONL export.
 func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	return &JSONLWriter{bw: bufio.NewWriterSize(w, 1<<20)}
+	jw := &JSONLWriter{bw: bufio.NewWriterSize(w, 1<<20)}
+	jw.enc = json.NewEncoder(&jw.line)
+	return jw
 }
 
 // Write appends one observation as a JSON line.
 func (jw *JSONLWriter) Write(obs *ZoneObservation) error {
-	line, err := json.Marshal(obs.ToJSON())
-	if err != nil {
+	jw.line.Reset()
+	if err := jw.enc.Encode(obs.ToJSON()); err != nil {
 		return fmt.Errorf("scan: encoding record %d (zone %s): %w", jw.count, obs.Zone, err)
 	}
-	line = append(line, '\n')
+	line := jw.line.Bytes()
 	// Make room for the whole line before buffering any of it: a
 	// mid-line flush that fails would otherwise have emitted a
 	// fragment of this record.

@@ -16,8 +16,9 @@ import (
 // worker pulls its own zone, and whichever worker finishes the next
 // zone in order runs the sink, so there is no dispatcher or emitter
 // goroutine. Live state is bounded by its window (in-flight scans plus
-// reordered completions, 2× the scanner's concurrency), independent of
-// the zone count — the shape large-scale scanners (YoDNS, OpenINTEL)
+// reordered completions, ordered.Window of the scanner's concurrency:
+// 64 zones, or 2× the concurrency above 32), independent of the zone
+// count — the shape large-scale scanners (YoDNS, OpenINTEL)
 // use to survive 10^8-zone campaigns.
 
 // StreamSink receives observations strictly in input order (index
@@ -57,7 +58,7 @@ type StreamResult struct {
 	Drained bool
 	// PeakLive is the maximum number of zones that were dispatched but
 	// not yet emitted at any point — the pipeline's live-memory bound,
-	// ≤ 2× the scanner's concurrency by construction.
+	// ≤ ordered.Window(concurrency) by construction.
 	PeakLive int
 }
 

@@ -18,6 +18,7 @@ import (
 	"dnssecboot/internal/classify"
 	"dnssecboot/internal/core"
 	"dnssecboot/internal/ecosystem"
+	"dnssecboot/internal/ordered"
 	"dnssecboot/internal/report"
 	"dnssecboot/internal/scan"
 )
@@ -215,7 +216,7 @@ func TestStreamBoundedWindow(t *testing.T) {
 	opts := streamOpts()
 	opts.Concurrency = 4
 	opts.World = world
-	window := 2 * opts.Concurrency
+	window := ordered.Window(opts.Concurrency)
 	var peaks []int
 	for _, n := range []int{40, 120, len(world.Targets)} {
 		opts.MaxZones = n

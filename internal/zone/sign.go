@@ -209,31 +209,35 @@ func (*pendingSig) Type() dnswire.Type { return dnswire.TypeRRSIG }
 // authoritative RRset at names: every type but RRSIG, and but NS at a
 // zone cut (delegation NS is not authoritative here). Sign has emptied
 // the RRSIG sets, so each holds its placeholders in eager signing's
-// order.
+// order. One owner's placeholders share one allocation.
 func (z *Zone) deferSigs(names []string, by *signer) {
+	z.mu.Lock()
+	defer z.mu.Unlock()
 	for _, name := range names {
-		isCut := z.DelegationAt(name)
-		var placeholders []dnswire.RR
-		for _, typ := range z.TypesAt(name) {
-			if typ == dnswire.TypeRRSIG || (isCut && typ == dnswire.TypeNS) {
+		recs := z.owners[name]
+		isCut := z.cutLocked(name)
+		var covered []dnswire.Type
+		for _, rr := range recs {
+			typ := rr.Type()
+			if rr.Class != z.Class || typ == dnswire.TypeRRSIG || (isCut && typ == dnswire.TypeNS) ||
+				(len(covered) > 0 && covered[len(covered)-1] == typ) {
 				continue
 			}
-			placeholders = append(placeholders, dnswire.RR{Name: name, Class: z.Class, Data: &pendingSig{covered: typ, by: by}})
+			covered = append(covered, typ)
 		}
-		if len(placeholders) == 0 {
+		if len(covered) == 0 {
 			continue
 		}
-		z.mu.Lock()
-		z.records[z.sigsKey(name)] = placeholders
-		z.typesByName[name][dnswire.TypeRRSIG] = true
+		pending := make([]pendingSig, len(covered))
+		placeholders := make([]dnswire.RR, len(covered))
+		for i, typ := range covered {
+			pending[i] = pendingSig{covered: typ, by: by}
+			placeholders[i] = dnswire.RR{Name: name, Class: z.Class, Data: &pending[i]}
+		}
+		lo, hi := span(recs, dnswire.TypeRRSIG, z.Class)
+		z.owners[name] = slices.Replace(recs, lo, hi, placeholders...)
 		z.lazy = true
-		z.mu.Unlock()
 	}
-}
-
-// sigsKey names owner's RRSIG set.
-func (z *Zone) sigsKey(owner string) dnswire.RRsetKey {
-	return dnswire.RRsetKey{Name: owner, Type: dnswire.TypeRRSIG, Class: z.Class}
 }
 
 // Sigs returns a copy of the RRSIGs at owner covering covered. A
@@ -248,7 +252,7 @@ func (z *Zone) Sigs(owner string, covered dnswire.Type) []dnswire.RR {
 		z.mu.RUnlock()
 		return sigs
 	}
-	set := append([]dnswire.RR(nil), z.records[dnswire.RRsetKey{Name: owner, Type: covered, Class: z.Class}]...)
+	set := slices.Clone(z.setLocked(owner, covered))
 	z.mu.RUnlock()
 	made := p.by.sign(set, covered)
 	z.mu.Lock()
@@ -269,7 +273,7 @@ func (z *Zone) Sigs(owner string, covered dnswire.Type) []dnswire.RR {
 func (z *Zone) sigsLocked(owner string, covered dnswire.Type) ([]dnswire.RR, *pendingSig) {
 	var sigs []dnswire.RR
 	var pending *pendingSig
-	for _, rr := range z.records[z.sigsKey(owner)] {
+	for _, rr := range z.setLocked(owner, dnswire.TypeRRSIG) {
 		switch d := rr.Data.(type) {
 		case *dnswire.RRSIG:
 			if d.TypeCovered == covered {
@@ -284,22 +288,24 @@ func (z *Zone) sigsLocked(owner string, covered dnswire.Type) ([]dnswire.RR, *pe
 	return sigs, pending
 }
 
-// placeholderLocked finds the placeholder for covered in owner's RRSIG
-// set, or with covered 0 the first one: its index and itself, or -1 and
-// nil.
+// placeholderLocked finds the placeholder for covered among owner's
+// records, or with covered 0 the first one: its index in the owner's
+// slice and itself, or -1 and nil.
 func (z *Zone) placeholderLocked(owner string, covered dnswire.Type) (int, *pendingSig) {
-	for i, rr := range z.records[z.sigsKey(owner)] {
-		if p, ok := rr.Data.(*pendingSig); ok && (covered == 0 || p.covered == covered) {
+	recs := z.owners[owner]
+	lo, hi := span(recs, dnswire.TypeRRSIG, z.Class)
+	for i := lo; i < hi; i++ {
+		if p, ok := recs[i].Data.(*pendingSig); ok && (covered == 0 || p.covered == covered) {
 			return i, p
 		}
 	}
 	return -1, nil
 }
 
-// makeLocked replaces the placeholder p, at index i of owner's RRSIG
-// set, with its signatures over the RRset as it is now.
+// makeLocked replaces the placeholder p, at index i of owner's
+// records, with its signatures over the RRset as it is now.
 func (z *Zone) makeLocked(owner string, i int, p *pendingSig) {
-	z.replaceLocked(owner, i, p.by.sign(z.records[dnswire.RRsetKey{Name: owner, Type: p.covered, Class: z.Class}], p.covered))
+	z.replaceLocked(owner, i, p.by.sign(z.setLocked(owner, p.covered), p.covered))
 }
 
 // signPendingLocked makes the pending signatures over (owner, typ), if
@@ -330,16 +336,9 @@ func (z *Zone) signOwnerLocked(owner string) {
 }
 
 // replaceLocked puts sigs in place of the placeholder at index i of
-// owner's RRSIG set.
+// owner's records.
 func (z *Zone) replaceLocked(owner string, i int, sigs []dnswire.RR) {
-	k := z.sigsKey(owner)
-	set := slices.Replace(z.records[k], i, i+1, sigs...)
-	if len(set) > 0 {
-		z.records[k] = set
-		return
-	}
-	delete(z.records, k)
-	delete(z.typesByName[owner], dnswire.TypeRRSIG)
+	z.storeLocked(owner, slices.Replace(z.owners[owner], i, i+1, sigs...))
 }
 
 // buildNSEC3Chain hashes every authoritative name, sorts the hashes,
@@ -437,9 +436,18 @@ func (z *Zone) ResignRRset(owner string, typ dnswire.Type, cfg SignConfig) error
 // Unsign removes all DNSSEC records (DNSKEY, RRSIG, NSEC, NSEC3,
 // NSEC3PARAM) from the zone, leaving keys in place.
 func (z *Zone) Unsign() {
-	for _, name := range z.Names() {
-		for _, typ := range []dnswire.Type{dnswire.TypeRRSIG, dnswire.TypeNSEC, dnswire.TypeNSEC3, dnswire.TypeNSEC3PARAM, dnswire.TypeDNSKEY} {
-			z.RemoveSet(name, typ)
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	dnssecRecord := func(rr dnswire.RR) bool {
+		switch rr.Type() {
+		case dnswire.TypeRRSIG, dnswire.TypeNSEC, dnswire.TypeNSEC3, dnswire.TypeNSEC3PARAM, dnswire.TypeDNSKEY:
+			return rr.Class == z.Class
+		}
+		return false
+	}
+	for owner, recs := range z.owners {
+		if slices.ContainsFunc(recs, dnssecRecord) {
+			z.storeLocked(owner, slices.DeleteFunc(recs, dnssecRecord))
 		}
 	}
 }

@@ -7,6 +7,7 @@ package zone
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -21,15 +22,15 @@ type Zone struct {
 	Origin string
 	Class  dnswire.Class
 
-	mu      sync.RWMutex
-	records map[dnswire.RRsetKey][]dnswire.RR
+	mu sync.RWMutex
+	// owners holds each owner name's records in one slice: RRsets are
+	// contiguous runs ordered by type, then class, ascending, and each
+	// keeps its insertion order. An owner without records has no entry.
+	owners map[string][]dnswire.RR
 	// namesCache holds the owner names in canonical order; it is
-	// invalidated by mutations and rebuilt lazily, keeping NXDOMAIN
-	// proofs O(log n) even in very large zones.
+	// dropped when an owner appears or disappears and rebuilt lazily,
+	// keeping NXDOMAIN proofs O(log n) even in very large zones.
 	namesCache []string
-	// typesByName indexes the record types present at each owner so
-	// existence checks stay O(1) in zones with many names.
-	typesByName map[string]map[dnswire.Type]bool
 	// lazy is set once Sign has deferred a signature: from then on an
 	// RRSIG set may hold pendingSig placeholders.
 	lazy bool
@@ -43,10 +44,48 @@ type Zone struct {
 // New creates an empty zone for origin.
 func New(origin string) *Zone {
 	return &Zone{
-		Origin:      dnswire.CanonicalName(origin),
-		Class:       dnswire.ClassIN,
-		records:     make(map[dnswire.RRsetKey][]dnswire.RR),
-		typesByName: make(map[string]map[dnswire.Type]bool),
+		Origin: dnswire.CanonicalName(origin),
+		Class:  dnswire.ClassIN,
+		owners: make(map[string][]dnswire.RR),
+	}
+}
+
+// span returns the bounds [lo, hi) of the RRset (typ, class) in recs,
+// one owner's records; an absent set is the empty run where it would
+// be inserted.
+func span(recs []dnswire.RR, typ dnswire.Type, class dnswire.Class) (lo, hi int) {
+	for lo < len(recs) {
+		if t := recs[lo].Type(); t > typ || t == typ && recs[lo].Class >= class {
+			break
+		}
+		lo++
+	}
+	hi = lo
+	for hi < len(recs) && recs[hi].Type() == typ && recs[hi].Class == class {
+		hi++
+	}
+	return lo, hi
+}
+
+// setLocked returns owner's RRset (typ) of the zone's class, which
+// aliases the store.
+func (z *Zone) setLocked(owner string, typ dnswire.Type) []dnswire.RR {
+	recs := z.owners[owner]
+	lo, hi := span(recs, typ, z.Class)
+	return recs[lo:hi]
+}
+
+// storeLocked makes recs owner's records, dropping the names cache
+// only when the owner appears or disappears.
+func (z *Zone) storeLocked(owner string, recs []dnswire.RR) {
+	_, had := z.owners[owner]
+	if len(recs) == 0 {
+		delete(z.owners, owner)
+	} else {
+		z.owners[owner] = recs
+	}
+	if had != (len(recs) > 0) {
+		z.namesCache = nil
 	}
 }
 
@@ -65,26 +104,23 @@ func (z *Zone) Add(rr dnswire.RR) error {
 	}
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	k := rr.Key()
+	typ := rr.Type()
 	if z.lazy {
-		if k.Type == dnswire.TypeRRSIG {
-			z.signOwnerLocked(k.Name)
+		if typ == dnswire.TypeRRSIG {
+			z.signOwnerLocked(rr.Name)
 		} else {
-			z.signPendingLocked(k.Name, k.Type)
+			z.signPendingLocked(rr.Name, typ)
 		}
 	}
-	for i, old := range z.records[k] {
-		if old.Equal(rr) {
-			z.records[k][i] = rr
+	recs := z.owners[rr.Name]
+	lo, hi := span(recs, typ, rr.Class)
+	for i := lo; i < hi; i++ {
+		if recs[i].Equal(rr) {
+			recs[i] = rr
 			return nil
 		}
 	}
-	z.records[k] = append(z.records[k], rr)
-	if z.typesByName[k.Name] == nil {
-		z.typesByName[k.Name] = make(map[dnswire.Type]bool)
-	}
-	z.typesByName[k.Name][k.Type] = true
-	z.namesCache = nil
+	z.storeLocked(rr.Name, slices.Insert(recs, hi, rr))
 	return nil
 }
 
@@ -106,14 +142,10 @@ func (z *Zone) RemoveSet(name string, typ dnswire.Type) {
 	if z.lazy && typ != dnswire.TypeRRSIG {
 		z.signPendingLocked(cn, typ)
 	}
-	delete(z.records, dnswire.RRsetKey{Name: cn, Type: typ, Class: z.Class})
-	if ts := z.typesByName[cn]; ts != nil {
-		delete(ts, typ)
-		if len(ts) == 0 {
-			delete(z.typesByName, cn)
-		}
+	recs := z.owners[cn]
+	if lo, hi := span(recs, typ, z.Class); lo < hi {
+		z.storeLocked(cn, slices.Delete(recs, lo, hi))
 	}
-	z.namesCache = nil
 }
 
 // RemoveName deletes every record at name, pending signatures included.
@@ -121,11 +153,7 @@ func (z *Zone) RemoveName(name string) {
 	name = dnswire.CanonicalName(name)
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	for t := range z.typesByName[name] {
-		delete(z.records, dnswire.RRsetKey{Name: name, Type: t, Class: z.Class})
-	}
-	delete(z.typesByName, name)
-	z.namesCache = nil
+	z.storeLocked(name, nil)
 }
 
 // RRset returns a copy of the RRset (name, type), or nil. The RRSIG set
@@ -137,7 +165,7 @@ func (z *Zone) RRset(name string, typ dnswire.Type) []dnswire.RR {
 	}
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	set := z.records[dnswire.RRsetKey{Name: name, Type: typ, Class: z.Class}]
+	set := z.setLocked(name, typ)
 	if len(set) == 0 {
 		return nil
 	}
@@ -152,7 +180,7 @@ func (z *Zone) RRset(name string, typ dnswire.Type) []dnswire.RR {
 func (z *Zone) NameExists(name string) bool {
 	name = dnswire.CanonicalName(name)
 	z.mu.RLock()
-	own := len(z.typesByName[name]) > 0
+	_, own := z.owners[name]
 	z.mu.RUnlock()
 	if own {
 		return true
@@ -168,16 +196,17 @@ func (z *Zone) TypesAt(name string) []dnswire.Type {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
 	var types []dnswire.Type
-	for t := range z.typesByName[name] {
-		types = append(types, t)
+	for _, rr := range z.owners[name] {
+		if t := rr.Type(); len(types) == 0 || types[len(types)-1] != t {
+			types = append(types, t)
+		}
 	}
-	sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
 	return types
 }
 
 // Names returns every owner name in the zone in DNSSEC canonical
-// order. The result is cached until the zone is mutated; callers must
-// not modify the returned slice.
+// order. The result is cached until an owner appears or disappears;
+// callers must not modify the returned slice.
 func (z *Zone) Names() []string {
 	z.mu.RLock()
 	cached := z.namesCache
@@ -190,13 +219,9 @@ func (z *Zone) Names() []string {
 	if z.namesCache != nil {
 		return z.namesCache
 	}
-	seen := make(map[string]bool)
-	var names []string
-	for k := range z.records {
-		if !seen[k.Name] {
-			seen[k.Name] = true
-			names = append(names, k.Name)
-		}
+	names := make([]string, 0, len(z.owners))
+	for name := range z.owners {
+		names = append(names, name)
 	}
 	sort.Slice(names, func(i, j int) bool { return dnswire.CanonicalNameLess(names[i], names[j]) })
 	z.namesCache = names
@@ -206,12 +231,16 @@ func (z *Zone) Names() []string {
 // All returns every record in the zone, grouped by owner in canonical
 // order, types ascending within an owner.
 func (z *Zone) All() []dnswire.RR {
-	names := z.Names()
 	var out []dnswire.RR
-	for _, n := range names {
-		for _, t := range z.TypesAt(n) {
-			out = append(out, z.RRset(n, t)...)
+	for _, n := range z.Names() {
+		z.signOwner(n)
+		z.mu.RLock()
+		for _, rr := range z.owners[n] {
+			if rr.Class == z.Class {
+				out = append(out, rr)
+			}
 		}
+		z.mu.RUnlock()
 	}
 	return out
 }
@@ -241,10 +270,13 @@ func (z *Zone) NSHosts() []string {
 // at a name strictly below the apex.
 func (z *Zone) DelegationAt(name string) bool {
 	name = dnswire.CanonicalName(name)
-	if name == z.Origin {
-		return false
-	}
-	return len(z.RRset(name, dnswire.TypeNS)) > 0
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	return z.cutLocked(name)
+}
+
+func (z *Zone) cutLocked(name string) bool {
+	return name != z.Origin && len(z.setLocked(name, dnswire.TypeNS)) > 0
 }
 
 // FindCut walks from qname toward the apex looking for the closest
@@ -271,17 +303,6 @@ func (z *Zone) FindCut(qname string) string {
 func (z *Zone) Occluded(name string) bool {
 	cut := z.FindCut(name)
 	return cut != "" && dnswire.CanonicalName(name) != cut
-}
-
-// Delegations returns the cut names in canonical order.
-func (z *Zone) Delegations() []string {
-	var cuts []string
-	for _, n := range z.Names() {
-		if z.DelegationAt(n) && !z.Occluded(n) {
-			cuts = append(cuts, n)
-		}
-	}
-	return cuts
 }
 
 // WildcardFor returns the wildcard owner ("*.<closest encloser>") that
@@ -325,10 +346,10 @@ func (z *Zone) Size() int {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
 	n := 0
-	for k, set := range z.records {
-		n += len(set)
-		if z.lazy && k.Type == dnswire.TypeRRSIG {
-			for _, rr := range set {
+	for _, recs := range z.owners {
+		n += len(recs)
+		if z.lazy {
+			for _, rr := range recs {
 				if p, ok := rr.Data.(*pendingSig); ok {
 					n += len(p.by.keys(p.covered)) - 1
 				}
@@ -346,22 +367,18 @@ func (z *Zone) Clone() *Zone {
 	z.mu.Lock()
 	defer z.mu.Unlock()
 	if z.lazy {
-		for k := range z.records {
-			if k.Type == dnswire.TypeRRSIG {
-				z.signOwnerLocked(k.Name)
-			}
+		for owner := range z.owners {
+			z.signOwnerLocked(owner)
 		}
 	}
 	c := New(z.Origin)
 	c.Class = z.Class
 	c.Keys = append([]*dnssec.Key(nil), z.Keys...)
-	for k, set := range z.records {
-		c.records[k] = append([]dnswire.RR(nil), set...)
-		if c.typesByName[k.Name] == nil {
-			c.typesByName[k.Name] = make(map[dnswire.Type]bool)
-		}
-		c.typesByName[k.Name][k.Type] = true
+	for owner, recs := range z.owners {
+		c.owners[owner] = slices.Clone(recs)
 	}
+	// The cache is never written in place, only replaced.
+	c.namesCache = z.namesCache
 	return c
 }
 
