@@ -140,7 +140,9 @@ obs-smoke:
 	$(GO) run ./cmd/reanalyze -trace artifacts/trace.jsonl
 
 # How much program there is: non-test Go lines per package (testdata/
-# excluded), the number of cmd/ binaries, and the flags each defines —
+# excluded), totals for internal/, cmd/ and examples/ (whose mains are
+# roots that keep code alive under the unused lint), the number of cmd/
+# binaries, and the flags each defines —
 # plus internal/core, where the scan command's flags are registered for
 # dnssec-scan and scanctl, on a row of its own. Printed at the end of
 # `make ci` so a PR's before/after is one diff.
@@ -150,7 +152,7 @@ size:
 	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs -n1 dirname | sort -u); do \
 		printf '%7d  %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
 	done
-	@for t in internal cmd; do \
+	@for t in internal cmd examples; do \
 		printf '%7d  %s/ total\n' $$(find $$t -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l) $$t; \
 	done
 	@printf 'binaries under cmd/: %d\n' $$(ls -d cmd/*/ | wc -l)

@@ -34,6 +34,7 @@ import (
 	"dnssecboot/internal/dnssec"
 	"dnssecboot/internal/dnswire"
 	"dnssecboot/internal/ecosystem"
+	"dnssecboot/internal/obs"
 	"dnssecboot/internal/report"
 	"dnssecboot/internal/resolver"
 	"dnssecboot/internal/scan"
@@ -236,7 +237,7 @@ func BenchmarkScanLossy(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(targets))*float64(b.N)/b.Elapsed().Seconds(), "zones/s")
-	b.ReportMetric(float64(scanner.Validator().R.Retries())/float64(b.N), "retries/op")
+	b.ReportMetric(float64(scanner.Validator().R.Obs.Retries.Value())/float64(b.N), "retries/op")
 }
 
 // BenchmarkScanCached quantifies the resolver's shared delegation
@@ -273,15 +274,15 @@ func BenchmarkScanCached(b *testing.B) {
 	for _, z := range targets {
 		s := core.NewScanner(world, core.Options{Seed: 6, Concurrency: 1})
 		freshScanQ += s.ScanZone(ctx, z).Queries
-		r := &resolver.Resolver{Net: world.Net, Roots: world.Roots}
+		r := &resolver.Resolver{Net: world.Net, Roots: world.Roots, Obs: resolver.NewMetrics(obs.NewRegistry())}
 		resolveZone(r, z)
-		freshResQ += r.Queries()
+		freshResQ += r.Obs.Queries.Value()
 	}
-	shared := &resolver.Resolver{Net: world.Net, Roots: world.Roots, Cache: resolver.NewCache(0)}
+	shared := &resolver.Resolver{Net: world.Net, Roots: world.Roots, Cache: resolver.NewCache(0), Obs: resolver.NewMetrics(obs.NewRegistry())}
 	for _, z := range targets {
 		resolveZone(shared, z)
 	}
-	cachedResQ := shared.Queries()
+	cachedResQ := shared.Obs.Queries.Value()
 
 	var cachedScanQ int64
 	b.ResetTimer()

@@ -17,6 +17,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 
 	"dnssecboot/internal/bootstrap"
 	"dnssecboot/internal/classify"
@@ -105,13 +106,15 @@ func main() {
 }
 
 // trim normalises per-zone details out of a rejection reason so they
-// aggregate.
+// aggregate: a parenthesised detail goes (the address in "nameserver
+// ns1.example. (192.0.2.1) failed the CDS query"), and so does
+// everything after a colon (an error's text).
 func trim(reason string) string {
-	for i, c := range reason {
-		if c == ':' || c == '(' {
-			return reason[:i]
-		}
+	if before, rest, ok := strings.Cut(reason, " ("); ok {
+		_, after, _ := strings.Cut(rest, ")")
+		reason = before + after
 	}
+	reason, _, _ = strings.Cut(reason, ":")
 	return reason
 }
 

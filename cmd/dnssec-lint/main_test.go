@@ -83,6 +83,12 @@ func TestCommandLine(t *testing.T) {
 		{"findings named from the root in a subdirectory", filepath.Join(root, "internal/report"), []string{"-json", "internal/lint/testdata/src/errs"}, 1,
 			`{"file":"internal/lint/testdata/src/errs/errs.go","line":16,"check":"errcompare"`, ""},
 		{"a bare directory", root, []string{"internal/report"}, 0, "ok (1 packages, 0 findings)", ""},
+		{"unused over the whole repository", root, []string{"-checks", "unused", "./..."}, 0, "ok (36 packages, 0 findings)", ""},
+		// A package's users may lie outside a partial load, so unused
+		// reports nothing there rather than a false positive.
+		{"unused on a partial load", root, []string{"-checks", "unused", "./internal/report"}, 0, "ok (1 packages, 0 findings)", ""},
+		{"the unused fixture beside the whole tree", root, []string{"-checks", "unused", "./...", "internal/lint/testdata/src/unused"}, 1,
+			"unused.go:43: [unused] Orphan is not reachable", "9 finding(s) in 37 package(s)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			exit, stdout, stderr := runLint(t, tc.dir, tc.args...)

@@ -382,7 +382,7 @@ func TestZonesignOutput(t *testing.T) {
 			if !ok {
 				t.Fatalf("no DS line in the output:\n%s", out)
 			}
-			z, err := zone.ParseString(zoneText, "example.")
+			z, err := zone.Parse(strings.NewReader(zoneText), "example.")
 			if err != nil {
 				t.Fatalf("parsing the printed zone: %v", err)
 			}

@@ -1,9 +1,8 @@
 // Package bootstrap implements the registry/registrar side of DNSSEC
 // delegation-trust maintenance: the RFC 9615 Authenticated
-// Bootstrapping algorithm (the paper's subject), the RFC 8078
-// unauthenticated acceptance policies its Appendix C contrasts it
-// with, CDS-driven DS rollover for already-secured zones (RFC 7344)
-// and CDS-DELETE processing (RFC 8078 §4).
+// Bootstrapping algorithm (the paper's subject), CDS-driven DS
+// rollover for already-secured zones (RFC 7344) and CDS-DELETE
+// processing (RFC 8078 §4).
 //
 // A Registry owns a parent zone (a TLD in the simulation) and uses a
 // scanner to observe children, mirroring how .ch/.li/.swiss process

@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"dnssecboot/internal/classify"
 	"dnssecboot/internal/core"
@@ -282,114 +281,6 @@ func TestRolloverRejectsIsland(t *testing.T) {
 	}
 	if !hasReason(d, "not secured") {
 		t.Errorf("reasons = %v", d.Reasons)
-	}
-}
-
-func TestAcceptAfterDelayPolicy(t *testing.T) {
-	f := newFixture(t)
-	// Use an island WITHOUT signal records: RFC 8078 policies do not
-	// need them.
-	child := f.findZone(t, func(tr *ecosystem.Truth) bool {
-		return tr.Operator == "GoDaddy" && tr.Spec.State == ecosystem.StateIsland && tr.Spec.CDS == ecosystem.CDSMatch
-	})
-	reg := f.registryFor(t, child)
-	clock := f.eco.Now
-	p := &AcceptAfterDelay{
-		Registry: reg,
-		HoldDown: 72 * time.Hour,
-		Clock:    func() time.Time { return clock },
-	}
-	d1, err := p.Evaluate(context.Background(), child)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1.Eligible {
-		t.Fatal("accepted on first observation")
-	}
-	clock = clock.Add(24 * time.Hour)
-	d2, _ := p.Evaluate(context.Background(), child)
-	if d2.Eligible {
-		t.Fatal("accepted before hold-down elapsed")
-	}
-	clock = clock.Add(72 * time.Hour)
-	d3, err := p.Evaluate(context.Background(), child)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d3.Eligible || !d3.Installed {
-		t.Fatalf("not accepted after hold-down: %+v", d3)
-	}
-}
-
-func TestAcceptWithChallengePolicy(t *testing.T) {
-	f := newFixture(t)
-	child := f.findZone(t, func(tr *ecosystem.Truth) bool {
-		return tr.Operator == "GoDaddy" && tr.Spec.State == ecosystem.StateIsland && tr.Spec.CDS == ecosystem.CDSMatch
-	})
-	reg := f.registryFor(t, child)
-	p := &AcceptWithChallenge{Registry: reg, Token: "tok-123456"}
-
-	d1, err := p.Evaluate(context.Background(), child)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1.Eligible {
-		t.Fatal("accepted without challenge token")
-	}
-
-	// The customer publishes the token.
-	srv := f.eco.OperatorServer("GoDaddy")
-	z := srv.Zone(child)
-	if z == nil {
-		t.Fatal("child zone not found on operator server")
-	}
-	z.MustAdd(dnswire.RR{Name: ChallengeName(child), TTL: 60, Data: &dnswire.TXT{Strings: []string{"tok-123456"}}})
-
-	d2, err := p.Evaluate(context.Background(), child)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d2.Eligible {
-		t.Fatalf("not accepted with token present: %v", d2.Reasons)
-	}
-}
-
-func TestAcceptFromInceptionPolicy(t *testing.T) {
-	f := newFixture(t)
-	child := f.findZone(t, func(tr *ecosystem.Truth) bool {
-		return tr.Operator == "GoDaddy" && tr.Spec.State == ecosystem.StateIsland && tr.Spec.CDS == ecosystem.CDSMatch
-	})
-	reg := f.registryFor(t, child)
-	registered := f.eco.Now.Add(-1 * time.Hour)
-	p := &AcceptFromInception{
-		Registry:        reg,
-		RegisteredAt:    func(string) (time.Time, bool) { return registered, true },
-		InceptionWindow: 24 * time.Hour,
-	}
-	d, err := p.Evaluate(context.Background(), child)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Eligible {
-		t.Fatalf("fresh registration not accepted: %v", d.Reasons)
-	}
-
-	registered = f.eco.Now.Add(-30 * 24 * time.Hour)
-	reg2 := f.registryFor(t, child)
-	p2 := &AcceptFromInception{
-		Registry:        reg2,
-		RegisteredAt:    func(string) (time.Time, bool) { return registered, true },
-		InceptionWindow: 24 * time.Hour,
-	}
-	// Remove the DS the first evaluation installed so the precondition
-	// is about the window, not the DS.
-	reg2.Parent.RemoveSet(child, dnswire.TypeDS)
-	d2, err := p2.Evaluate(context.Background(), child)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.Eligible {
-		t.Fatal("stale registration accepted")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"dnssecboot/internal/ecosystem"
 	"dnssecboot/internal/report"
 	"dnssecboot/internal/scan"
+	"dnssecboot/internal/transport"
 )
 
 // TestScanSurvivesPacketLoss injects heavy packet loss into the
@@ -20,7 +21,7 @@ func TestScanSurvivesPacketLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	world.Net.LossRate = 0.25
+	world.Net.SetDefaultFault(transport.FaultProfile{Loss: 0.25})
 	study, err := Run(context.Background(), Options{Seed: 21, World: world})
 	if err != nil {
 		t.Fatal(err)
@@ -175,10 +176,20 @@ func TestCoordinatedMultiSigner(t *testing.T) {
 func TestOfflineReanalysisMatchesLive(t *testing.T) {
 	study := runSmall(t)
 	var buf bytes.Buffer
-	if err := scan.WriteJSONL(&buf, study.Observations); err != nil {
+	jw := scan.NewJSONLWriter(&buf)
+	for _, o := range study.Observations {
+		if err := jw.Write(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := scan.ReadJSONL(&buf)
+	var raw []scan.ObservationJSON
+	err := scan.DecodeJSONL(&buf, func(o scan.ObservationJSON) error {
+		raw = append(raw, o)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

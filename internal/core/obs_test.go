@@ -110,7 +110,13 @@ func TestObservabilityIsBehaviourNeutral(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := scan.WriteJSONL(&buf, study.Observations); err != nil {
+		jw := scan.NewJSONLWriter(&buf)
+		for _, o := range study.Observations {
+			if err := jw.Write(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := jw.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

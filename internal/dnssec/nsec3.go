@@ -2,7 +2,6 @@ package dnssec
 
 import (
 	"crypto/sha1"
-	"fmt"
 	"strings"
 
 	"dnssecboot/internal/dnswire"
@@ -141,6 +140,8 @@ func NSEC3ProvesNoData(rr dnswire.RR, name string, typ dnswire.Type) bool {
 // for an NSEC3 proof of (name, typ): either a NODATA match or an
 // NXDOMAIN shape (closest-encloser match plus next-closer cover,
 // RFC 5155 §8.4/RFC 7129).
+//
+//lint:allow unused test oracle: server_test checks dnsd's NSEC3 denials with it
 func CheckDenialNSEC3(authority []dnswire.RR, name string, typ dnswire.Type) bool {
 	name = dnswire.CanonicalName(name)
 	var nsec3s []dnswire.RR
@@ -177,13 +178,4 @@ func CheckDenialNSEC3(authority []dnswire.RR, name string, typ dnswire.Type) boo
 		next = anc
 	}
 	return false
-}
-
-// String renders an NSEC3 hash label for diagnostics.
-func NSEC3DebugString(name string, iterations uint16, salt []byte) string {
-	label, err := NSEC3HashLabel(name, iterations, salt)
-	if err != nil {
-		return fmt.Sprintf("!%v", err)
-	}
-	return label
 }

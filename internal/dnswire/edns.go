@@ -16,14 +16,6 @@ type EDNSOption struct {
 	Data []byte
 }
 
-// EDNS option codes used by this library.
-const (
-	EDNSOptionCookie       uint16 = 10
-	EDNSOptionExtendedErr  uint16 = 15
-	EDNSOptionPadding      uint16 = 12
-	edeInfoCodeStaleAnswer        = 3
-)
-
 // Type implements RData.
 func (*OPT) Type() Type { return TypeOPT }
 

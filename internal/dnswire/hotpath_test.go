@@ -41,7 +41,7 @@ func TestUnpackRecordsTrailingBytes(t *testing.T) {
 }
 
 // TestPackTruncatingFloor pins the documented floor: when even the
-// header+question skeleton exceeds the limit, PackTruncating returns it
+// header+question skeleton exceeds the limit, AppendPackTruncating returns it
 // as-is with TC set (it cannot shrink further), and the OPT record is
 // dropped when question+OPT alone are over the limit but the bare
 // question fits.
@@ -53,11 +53,11 @@ func TestPackTruncatingFloor(t *testing.T) {
 		Data: &TXT{Strings: []string{"payload payload payload payload payload"}}})
 	m.SetEDNS(EDNS{UDPSize: 1232, DO: true})
 
-	skeleton := headerLen + len(long) + 1 + 4 // name + root byte + type/class
-	optLen := 11                              // ". OPT" pseudo-record: 1+2+2+4+2
+	skeleton := 12 + len(long) + 1 + 4 // header + name + root byte + type/class
+	optLen := 11                       // ". OPT" pseudo-record: 1+2+2+4+2
 
 	// Limit admits question+OPT but not the answer: records drop, OPT stays.
-	out, err := m.PackTruncating(skeleton + optLen)
+	out, err := m.AppendPackTruncating(nil, skeleton+optLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestPackTruncatingFloor(t *testing.T) {
 	}
 
 	// Limit admits the question but not question+OPT: the OPT goes too.
-	out, err = m.PackTruncating(skeleton + optLen - 1)
+	out, err = m.AppendPackTruncating(nil, skeleton+optLen-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestPackTruncatingFloor(t *testing.T) {
 
 	// Limit below the skeleton: the floor is returned as-is (documented
 	// to exceed limit by the question's encoding), never an error.
-	out, err = m.PackTruncating(10)
+	out, err = m.AppendPackTruncating(nil, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package dnswire
 import (
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // RR is a resource record: owner name, class, TTL and typed RDATA.
@@ -97,15 +96,8 @@ type Message struct {
 	TrailingBytes int
 }
 
-// headerLen is the fixed DNS message header size (RFC 1035 §4.1.1).
-const headerLen = 12
-
-// Errors returned by message packing and unpacking.
-var (
-	ErrTooManyRecords = errors.New("dnswire: section exceeds 65535 records")
-	// ErrTruncated indicates the input ended before the structure did.
-	ErrTruncated = errTruncated
-)
+// ErrTooManyRecords is returned when a section exceeds 65535 records.
+var ErrTooManyRecords = errors.New("dnswire: section exceeds 65535 records")
 
 // Pack serialises the message with name compression on owner names.
 func (m *Message) Pack() ([]byte, error) {
@@ -119,7 +111,8 @@ func (m *Message) AppendPack(dst []byte) ([]byte, error) {
 	return m.appendPackLimit(dst, 0)
 }
 
-// PackTruncating serialises the message; if the result exceeds limit
+// AppendPackTruncating serialises the message and appends it to dst
+// (see AppendPack for the reuse contract); if the result exceeds limit
 // octets, sections are dropped and the TC bit set, mirroring
 // authoritative-server UDP behaviour. limit <= 0 means no limit.
 //
@@ -130,13 +123,7 @@ func (m *Message) AppendPack(dst []byte) ([]byte, error) {
 // limit (a long qname against a tiny limit), the skeleton is returned
 // as-is with TC set, so the result can exceed limit by at most the
 // question's encoding. Callers enforcing transport limits should treat
-// headerLen+question as the minimum viable datagram.
-func (m *Message) PackTruncating(limit int) ([]byte, error) {
-	return m.appendPackLimit(nil, limit)
-}
-
-// AppendPackTruncating is PackTruncating appending into dst (see
-// AppendPack for the reuse contract).
+// the 12-octet header plus the question as the minimum viable datagram.
 func (m *Message) AppendPackTruncating(dst []byte, limit int) ([]byte, error) {
 	return m.appendPackLimit(dst, limit)
 }
@@ -444,19 +431,4 @@ func (m *Message) InitQuery(id uint16, name string, t Type) {
 		Question{Name: CanonicalName(name), Type: t, Class: ClassIN})
 	m.Answer = m.Answer[:0]
 	m.Authority = m.Authority[:0]
-}
-
-// Summary renders a compact one-line description, useful in logs.
-func (m *Message) Summary() string {
-	var sb strings.Builder
-	if m.Response {
-		fmt.Fprintf(&sb, "resp %s", m.Rcode)
-	} else {
-		sb.WriteString("query")
-	}
-	for _, q := range m.Question {
-		fmt.Fprintf(&sb, " %s", q)
-	}
-	fmt.Fprintf(&sb, " an=%d au=%d ad=%d", len(m.Answer), len(m.Authority), len(m.Additional))
-	return sb.String()
 }

@@ -120,7 +120,7 @@ func TestRREqualIgnoresTTLAndCase(t *testing.T) {
 func TestTypeBitmapRoundTrip(t *testing.T) {
 	types := []Type{TypeA, TypeNS, TypeSOA, TypeTXT, TypeAAAA, TypeDS, TypeRRSIG, TypeNSEC, TypeDNSKEY, TypeCDS, TypeCDNSKEY, Type(1234)}
 	buf := packTypeBitmap(nil, types)
-	got, err := unpackTypeBitmap(buf)
+	got, err := unpackTypeBitmapInto(nil, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestTypeBitmapEmpty(t *testing.T) {
 	if buf := packTypeBitmap(nil, nil); len(buf) != 0 {
 		t.Errorf("empty bitmap encodes to %x", buf)
 	}
-	got, err := unpackTypeBitmap(nil)
+	got, err := unpackTypeBitmapInto(nil, nil)
 	if err != nil || got != nil {
 		t.Errorf("empty decode = %v, %v", got, err)
 	}
@@ -141,7 +141,7 @@ func TestTypeBitmapEmpty(t *testing.T) {
 
 func TestEDNSRoundTrip(t *testing.T) {
 	m := NewQuery(7, "example.com.", TypeDNSKEY)
-	m.SetEDNS(EDNS{UDPSize: 1232, DO: true, Options: []EDNSOption{{Code: EDNSOptionCookie, Data: []byte("cookie01")}}})
+	m.SetEDNS(EDNS{UDPSize: 1232, DO: true, Options: []EDNSOption{{Code: 10 /* COOKIE */, Data: []byte("cookie01")}}})
 	got := roundTrip(t, m)
 	e, ok := got.GetEDNS()
 	if !ok {
@@ -150,7 +150,7 @@ func TestEDNSRoundTrip(t *testing.T) {
 	if e.UDPSize != 1232 || !e.DO {
 		t.Errorf("EDNS = %+v", e)
 	}
-	if len(e.Options) != 1 || e.Options[0].Code != EDNSOptionCookie || string(e.Options[0].Data) != "cookie01" {
+	if len(e.Options) != 1 || e.Options[0].Code != 10 || string(e.Options[0].Data) != "cookie01" {
 		t.Errorf("options = %+v", e.Options)
 	}
 	if !got.DNSSECOK() {
@@ -174,7 +174,7 @@ func TestPackTruncating(t *testing.T) {
 			Data: &TXT{Strings: []string{"some reasonably long text record payload for truncation"}}})
 	}
 	m.SetEDNS(EDNS{UDPSize: 512, DO: true})
-	out, err := m.PackTruncating(512)
+	out, err := m.AppendPackTruncating(nil, 512)
 	if err != nil {
 		t.Fatal(err)
 	}

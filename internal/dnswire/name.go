@@ -8,7 +8,7 @@ import (
 // Domain-name handling. Names are carried through the library in
 // presentation form: lowercase, fully qualified, with a trailing dot
 // (the root is "."). CanonicalName normalises arbitrary input into that
-// form. Wire encoding and decoding live in packName / unpackName.
+// form. Wire encoding and decoding live in packName / appendUnpackedName.
 
 // Errors returned by name handling.
 var (
@@ -162,20 +162,6 @@ func packNameOffset(buf []byte, base int, name string, cmap map[string]int) ([]b
 		buf = append(buf, label...)
 	}
 	return append(buf, 0), nil
-}
-
-// unpackName decodes a (possibly compressed) name from msg starting at
-// off. It returns the canonical presentation form and the offset of the
-// first byte after the name in the original (non-pointer) stream.
-func unpackName(msg []byte, off int) (string, int, error) {
-	buf, end, err := appendUnpackedName(nil, msg, off)
-	if err != nil {
-		return "", 0, err
-	}
-	if len(buf) == 0 {
-		return ".", end, nil
-	}
-	return string(buf), end, nil
 }
 
 var errReservedLabel = errors.New("dnswire: reserved label type")

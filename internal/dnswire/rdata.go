@@ -410,9 +410,6 @@ func (k *DNSKEY) String() string {
 		base64.StdEncoding.EncodeToString(k.PublicKey))
 }
 
-// IsSEP reports whether the SEP (key-signing key) bit is set.
-func (k *DNSKEY) IsSEP() bool { return k.Flags&DNSKEYFlagSEP != 0 }
-
 // IsZoneKey reports whether the ZONE bit is set; keys without it must
 // not be used to verify zone data (RFC 4034 §2.1.1).
 func (k *DNSKEY) IsZoneKey() bool { return k.Flags&DNSKEYFlagZone != 0 }
@@ -744,9 +741,6 @@ type DNAME struct{ singleName }
 
 // Type implements RData.
 func (*DNAME) Type() Type { return TypeDNAME }
-
-// NewDNAME returns a DNAME payload pointing at target.
-func NewDNAME(target string) *DNAME { return &DNAME{singleName{CanonicalName(target)}} }
 
 // CAA restricts which certificate authorities may issue for a domain
 // (RFC 8659); CT-log-derived domain lists (§3 source v) exist because

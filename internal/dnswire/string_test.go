@@ -105,14 +105,14 @@ func TestDeleteSentinelFlags(t *testing.T) {
 		t.Error("CDS delete sentinel not recognised")
 	}
 	key := &DNSKEY{Flags: DNSKEYFlagZone | DNSKEYFlagSEP, Protocol: 3, Algorithm: AlgEd25519}
-	if !key.IsSEP() || !key.IsZoneKey() || key.IsDelete() {
-		t.Errorf("DNSKEY flags: sep=%v zone=%v delete=%v", key.IsSEP(), key.IsZoneKey(), key.IsDelete())
+	if !key.IsZoneKey() || key.IsDelete() {
+		t.Errorf("DNSKEY flags: zone=%v delete=%v", key.IsZoneKey(), key.IsDelete())
 	}
 }
 
 func TestNewRRTypesRoundTrip(t *testing.T) {
 	rrs := []RR{
-		{Name: "alias.example.", Class: ClassIN, TTL: 300, Data: NewDNAME("target.example.net.")},
+		{Name: "alias.example.", Class: ClassIN, TTL: 300, Data: &DNAME{singleName{"target.example.net."}}},
 		{Name: "example.com.", Class: ClassIN, TTL: 300, Data: &CAA{Flags: 128, Tag: "issue", Value: "letsencrypt.org"}},
 		{Name: "_443._tcp.example.com.", Class: ClassIN, TTL: 300, Data: &TLSA{Usage: 3, Selector: 1, MatchingType: 1, CertData: make([]byte, 32)}},
 	}

@@ -153,12 +153,6 @@ func (p *parser) u32() (uint32, error) {
 	return v, nil
 }
 
-// take returns the next n bytes as a copy (parsers retain no aliases of
-// the input buffer).
-func (p *parser) take(n int) ([]byte, error) {
-	return p.takeInto(nil, n)
-}
-
 // takeInto returns the next n bytes copied into dst, reusing dst's
 // storage when its capacity allows. Unpack-into callers thread the
 // previous field value through so steady-state reparsing allocates
@@ -233,12 +227,6 @@ func packTypeBitmap(buf []byte, types []Type) []byte {
 	}
 	flush()
 	return buf
-}
-
-// unpackTypeBitmap decodes a window-block type bitmap occupying exactly
-// data.
-func unpackTypeBitmap(data []byte) ([]Type, error) {
-	return unpackTypeBitmapInto(nil, data)
 }
 
 // unpackTypeBitmapInto appends the decoded types to dst (pass a

@@ -863,6 +863,8 @@ type SignalZoneStats struct {
 }
 
 // SignalZoneFootprint computes the per-operator signal-zone sizes.
+//
+//lint:allow unused §4.4's footprint artefact: BenchmarkSignalZoneFootprint prints it
 func (e *Ecosystem) SignalZoneFootprint() []SignalZoneStats {
 	var out []SignalZoneStats
 	for _, name := range e.Operators() {

@@ -486,15 +486,3 @@ func forEachFuncBody(pkg *Package, fn func(decl *ast.FuncDecl)) {
 		}
 	}
 }
-
-// identUsesOf reports every use of obj inside root, in source order.
-func identUsesOf(pkg *Package, root ast.Node, obj types.Object) []*ast.Ident {
-	var uses []*ast.Ident
-	ast.Inspect(root, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && pkg.Info.Uses[id] == obj {
-			uses = append(uses, id)
-		}
-		return true
-	})
-	return uses
-}

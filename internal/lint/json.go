@@ -26,20 +26,6 @@ func (f Finding) JSONLine() ([]byte, error) {
 	return json.Marshal(jsonFinding{File: f.Pos.Filename, Line: f.Pos.Line, Check: f.Check, Msg: f.Msg})
 }
 
-// ParseJSONLine decodes one JSONL line produced by JSONLine.
-func ParseJSONLine(line []byte) (Finding, error) {
-	var jf jsonFinding
-	dec := json.NewDecoder(strings.NewReader(string(line)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&jf); err != nil {
-		return Finding{}, fmt.Errorf("lint: bad finding line: %w", err)
-	}
-	f := Finding{Check: jf.Check, Msg: jf.Msg}
-	f.Pos.Filename = jf.File
-	f.Pos.Line = jf.Line
-	return f, nil
-}
-
 // ParseCheckList parses a comma-separated list of check names (the
 // -checks flag), rejecting names no analyzer owns so a typo cannot
 // silently filter everything out.

@@ -27,6 +27,10 @@
 //     a Put on all paths without use-after-Put or escape, every held
 //     mutex is released on every return path with nothing blocking
 //     under it, and every goroutine carries join evidence.
+//   - unused: every package-level declaration under internal/ and cmd/
+//     is reachable from some program's main, init or package-level var
+//     (unused.go). It needs the whole tree loaded and is skipped on a
+//     partial load.
 //
 // Findings print as "file:line: [check] message". A site can opt out
 // with a trailing or preceding pragma comment:
@@ -58,13 +62,14 @@ const (
 	CheckLockDiscipline = "lockdiscipline"
 	CheckGoroutineLife  = "goroutinelife"
 	CheckPragma         = "pragma"
+	CheckUnused         = "unused"
 )
 
 // KnownChecks lists the valid check identifiers, sorted; pragmas naming
 // anything else are reported rather than silently ignored.
 var KnownChecks = []string{
 	CheckConcurrency, CheckErrCompare, CheckErrWrap, CheckExhaustive, CheckGoroutineLife,
-	CheckLockDiscipline, CheckNondeterminism, CheckPoolLife, CheckPragma,
+	CheckLockDiscipline, CheckNondeterminism, CheckPoolLife, CheckPragma, CheckUnused,
 }
 
 // Finding is one diagnostic.
@@ -91,6 +96,12 @@ type Config struct {
 	// analyzers (poollife, lockdiscipline, goroutinelife): everywhere
 	// pooled scratch, bare mutexes, or worker goroutines live.
 	Lifecycle map[string]bool
+	// Unused lists the import-path prefixes whose unreached
+	// declarations the unused check reports, testdata below them
+	// excluded. Reachability needs every package that could use one
+	// loaded, so Analyze clears it unless the patterns cover the
+	// module's tree.
+	Unused []string
 }
 
 // DefaultConfig returns the repo's scoping: the packages whose output
@@ -134,6 +145,7 @@ func DefaultConfig(module string) Config {
 			p("internal/shard"):     true,
 			p("internal/ordered"):   true,
 		},
+		Unused: []string{p("internal/"), p("cmd/"), p("internal/lint/testdata/src/unused")},
 	}
 }
 
@@ -155,7 +167,11 @@ func Analyze(dir string, patterns []string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Run(loader.Fset, pkgs, DefaultConfig(loader.Module)), nil
+	cfg := DefaultConfig(loader.Module)
+	if !loader.wholeTree(patterns) {
+		cfg.Unused = nil
+	}
+	return Run(loader.Fset, pkgs, cfg), nil
 }
 
 // Run executes every analyzer over the loaded packages and applies
@@ -173,6 +189,9 @@ func Run(fset *token.FileSet, pkgs []*Package, cfg Config) *Result {
 		raw = append(raw, analyzePoolLife(fset, pkg, cfg)...)
 		raw = append(raw, analyzeLockDiscipline(fset, pkg, cfg)...)
 		raw = append(raw, analyzeGoroutineLife(fset, pkg, cfg)...)
+	}
+	if len(cfg.Unused) > 0 {
+		raw = append(raw, analyzeUnused(fset, pkgs, cfg.Unused, allows)...)
 	}
 
 	var kept []Finding

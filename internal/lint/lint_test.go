@@ -23,7 +23,7 @@ import (
 
 const fixtureRoot = "testdata/src"
 
-var fixtures = []string{"determ", "exhaust", "conc", "errs", "poollife", "lockdisc", "goroutine", "buildtag"}
+var fixtures = []string{"determ", "exhaust", "conc", "errs", "poollife", "lockdisc", "goroutine", "buildtag", "unused"}
 
 // fixtureConfig scopes the analyzers to the fixture packages the way
 // DefaultConfig scopes them to the repo.
@@ -39,6 +39,7 @@ func fixtureConfig(module string) Config {
 			p("lockdisc"):  true,
 			p("goroutine"): true,
 		},
+		Unused: []string{p("unused")},
 	}
 }
 

@@ -187,6 +187,20 @@ func (l *Loader) assign(patterns []string) (mods []string, pats [][]string, err 
 	return mods, pats, nil
 }
 
+// wholeTree reports whether patterns name the module's whole tree, as
+// "./..." or no pattern at all does.
+func (l *Loader) wholeTree(patterns []string) bool {
+	for _, pat := range patterns {
+		if !filepath.IsAbs(pat) {
+			pat = filepath.Join(l.Root, pat)
+		}
+		if pat == filepath.Join(l.Root, "...") {
+			return true
+		}
+	}
+	return len(patterns) == 0
+}
+
 // moduleDirs returns root and every directory below it holding a
 // go.mod, skipping the trees the go tool ignores.
 func moduleDirs(root string) ([]string, error) {

@@ -59,20 +59,6 @@ func (r *ShardRollup) Update(shard, done, total int, state string) {
 	r.rows[shard] = shardRow{done: done, total: total, state: state}
 }
 
-// Totals returns the summed (done, total) across shards.
-func (r *ShardRollup) Totals() (done, total int) {
-	if r == nil {
-		return 0, 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, row := range r.rows {
-		done += row.done
-		total += row.total
-	}
-	return done, total
-}
-
 // Render writes one rollup line: aggregate zones, throughput, and each
 // shard's position and state. No-op on nil.
 func (r *ShardRollup) Render() {

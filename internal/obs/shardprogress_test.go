@@ -32,29 +32,21 @@ func TestShardRollupRender(t *testing.T) {
 			t.Errorf("rollup line missing %q:\n%s", want, line)
 		}
 	}
-
-	done, total := r.Totals()
-	if done != 850 || total != 1500 {
-		t.Errorf("Totals = %d/%d, want 850/1500", done, total)
-	}
 }
 
 func TestShardRollupNilAndBounds(t *testing.T) {
 	var r *ShardRollup
 	r.Update(0, 1, 2, ShardRunning) // no-op, must not panic
 	r.Render()
-	if done, total := r.Totals(); done != 0 || total != 0 {
-		t.Errorf("nil rollup Totals = %d/%d", done, total)
-	}
 
 	var buf strings.Builder
 	live := NewShardRollup(&buf, 2)
 	live.Update(-1, 9, 9, ShardDone) // out of range: ignored
 	live.Update(7, 9, 9, ShardDone)
-	if done, total := live.Totals(); done != 0 || total != 0 {
-		t.Errorf("out-of-range updates counted: %d/%d", done, total)
-	}
 	live.Render()
+	if !strings.Contains(buf.String(), " 0/0 zones") {
+		t.Errorf("out-of-range updates counted: %s", buf.String())
+	}
 	if !strings.Contains(buf.String(), "s0 0/0 pending") {
 		t.Errorf("fresh shards should render pending: %s", buf.String())
 	}

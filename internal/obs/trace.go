@@ -105,14 +105,6 @@ func (t *Tracer) StartSpan(zone string) *Span {
 	return &Span{tracer: t, zone: zone, start: time.Now()}
 }
 
-// Zone returns the zone this span traces ("" for nil).
-func (s *Span) Zone() string {
-	if s == nil {
-		return ""
-	}
-	return s.zone
-}
-
 // Emit records one event on the span, filling in zone and relative
 // timestamp. The event's other fields are taken as given. No-op on nil.
 func (s *Span) Emit(ev TraceEvent) {
@@ -122,14 +114,6 @@ func (s *Span) Emit(ev TraceEvent) {
 	ev.Zone = s.zone
 	ev.TUS = time.Since(s.start).Microseconds()
 	s.tracer.emit(ev)
-}
-
-// Event is shorthand for Emit with just stage and event names.
-func (s *Span) Event(stage, event string) {
-	if s == nil {
-		return
-	}
-	s.Emit(TraceEvent{Stage: stage, Event: event})
 }
 
 // End emits the span-closing event carrying the zone's final outcome.

@@ -16,7 +16,7 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 		t.Fatal("nil tracer must return a nil span")
 	}
 	sp.Emit(TraceEvent{Stage: "query", Event: "attempt"})
-	sp.Event("resolve", "delegation")
+	sp.Emit(TraceEvent{Stage: "resolve", Event: "delegation"})
 	sp.End("ok")
 	if tr.Events() != 0 {
 		t.Fatal("nil tracer counted events")
@@ -69,8 +69,8 @@ func TestSpanEmitsZoneAndTimestamps(t *testing.T) {
 func TestTracerZoneFilter(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf, "keep.example.")
-	tr.StartSpan("keep.example.").Event("query", "attempt")
-	tr.StartSpan("drop.example.").Event("query", "attempt")
+	tr.StartSpan("keep.example.").Emit(TraceEvent{Stage: "query", Event: "attempt"})
+	tr.StartSpan("drop.example.").Emit(TraceEvent{Stage: "query", Event: "attempt"})
 	tr.StartSpan("keep.example.").End("ok")
 	if err := tr.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

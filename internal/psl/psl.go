@@ -6,8 +6,6 @@
 package psl
 
 import (
-	"bufio"
-	"io"
 	"strings"
 
 	"dnssecboot/internal/dnswire"
@@ -18,33 +16,6 @@ type List struct {
 	rules      map[string]bool // exact suffix rules
 	wildcards  map[string]bool // "*.<base>" rules, keyed by base
 	exceptions map[string]bool // "!<name>" rules
-}
-
-// Parse reads PSL rules, one per line; comments ("//") and empty lines
-// are skipped.
-func Parse(r io.Reader) (*List, error) {
-	l := &List{
-		rules:      make(map[string]bool),
-		wildcards:  make(map[string]bool),
-		exceptions: make(map[string]bool),
-	}
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "//") {
-			continue
-		}
-		if i := strings.IndexAny(line, " \t"); i >= 0 {
-			line = line[:i]
-		}
-		l.AddRule(line)
-	}
-	return l, sc.Err()
-}
-
-// ParseString is Parse over a string.
-func ParseString(text string) (*List, error) {
-	return Parse(strings.NewReader(text))
 }
 
 // AddRule inserts one PSL rule in its textual form.
@@ -152,16 +123,4 @@ func (l *List) RegistrableDomain(name string) (string, bool) {
 		return "", false
 	}
 	return strings.Join(labels[len(labels)-sufLabels-1:], ".") + ".", true
-}
-
-// IsRegistrable reports whether name is exactly a registrable domain
-// (one label below a public suffix) — the paper's selection criterion.
-func (l *List) IsRegistrable(name string) bool {
-	reg, ok := l.RegistrableDomain(name)
-	return ok && reg == dnswire.CanonicalName(name)
-}
-
-// IsPublicSuffix reports whether name matches a suffix rule exactly.
-func (l *List) IsPublicSuffix(name string) bool {
-	return l.PublicSuffix(name) == dnswire.CanonicalName(name)
 }

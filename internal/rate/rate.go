@@ -64,15 +64,6 @@ func (l *Limiter) SetObserver(fn func(time.Duration)) {
 	l.observer = fn
 }
 
-// SetClock injects a fake clock; for tests.
-func (l *Limiter) SetClock(now func() time.Time, sleep func(context.Context, time.Duration) error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.now = now
-	l.sleep = sleep
-	l.last = now()
-}
-
 func (l *Limiter) refillLocked() {
 	t := l.now()
 	elapsed := t.Sub(l.last).Seconds()
@@ -83,22 +74,6 @@ func (l *Limiter) refillLocked() {
 		}
 		l.last = t
 	}
-}
-
-// Allow reports whether one event may proceed now, consuming a token if
-// so.
-func (l *Limiter) Allow() bool {
-	if l.rate <= 0 {
-		return true
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.refillLocked()
-	if l.tokens >= 1 {
-		l.tokens--
-		return true
-	}
-	return false
 }
 
 // Wait blocks until a token is available or ctx is done. It reserves

@@ -87,6 +87,8 @@ func (r *Resolver) cache() *Cache {
 }
 
 // SetClock injects a fake clock; for tests.
+//
+//lint:allow unused test seam: scan's denial-store tests age negative entries with it
 func (c *Cache) SetClock(now func() time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -177,14 +179,6 @@ func (c *Cache) negStore(zone string, err error) {
 		c.negOrder = c.negOrder[1:]
 		delete(c.neg, oldest)
 	}
-}
-
-// NegativeLen reports the number of live negative entries (telemetry
-// and tests).
-func (c *Cache) NegativeLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.neg)
 }
 
 // --- resolution chains ---
@@ -315,14 +309,6 @@ func (g *flightGroup) wouldCycleLocked(chain, leader uint64) bool {
 		leader = c.leader
 	}
 	return true // pathological depth: assume a cycle, duplicate locally
-}
-
-// waiters reports how many chains are currently blocked on flights
-// (tests).
-func (g *flightGroup) waiters() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.waits)
 }
 
 // --- counter plumbing ---

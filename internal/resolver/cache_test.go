@@ -75,7 +75,7 @@ func TestDelegationNotKeptAfterFailedDS(t *testing.T) {
 	// The first DS question for example.com. answers SERVFAIL.
 	var failed sync.Once
 	net := transport.NewMemNetwork(1)
-	net.Register(addr, transport.HandlerFunc(func(ctx context.Context, local netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+	net.Register(addr, handlerFunc(func(ctx context.Context, local netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		servfail := false
 		if qq := q.Question[0]; qq.Type == dnswire.TypeDS && dnswire.CanonicalName(qq.Name) == "example.com." {
 			failed.Do(func() { servfail = true })
@@ -416,7 +416,7 @@ func TestMisbehavingReferralsFailFast(t *testing.T) {
 				rootSrv := server.New(1)
 				rootSrv.AddZone(root)
 
-				evil := transport.HandlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+				evil := handlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 					resp := &dnswire.Message{ID: q.ID, Response: true, Question: q.Question}
 					resp.Authority = []dnswire.RR{{Name: tc.cut, TTL: 1, Data: dnswire.NewNS("ns.evil.")}}
 					resp.Additional = []dnswire.RR{{Name: "ns.evil.", TTL: 1, Data: &dnswire.A{Addr: evilAddr}}}

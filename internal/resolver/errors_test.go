@@ -18,7 +18,7 @@ func loopNet(t *testing.T) *Resolver {
 	t.Helper()
 	net := transport.NewMemNetwork(1)
 	addr := netip.MustParseAddr("192.0.2.77")
-	net.Register(addr, transport.HandlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+	net.Register(addr, handlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		m := &dnswire.Message{ID: q.ID, Response: true, Question: q.Question}
 		m.Authority = []dnswire.RR{{Name: "loopy.test.", Class: dnswire.ClassIN, TTL: 60, Data: dnswire.NewNS("ns.loopy.test.")}}
 		m.Additional = []dnswire.RR{{Name: "ns.loopy.test.", Class: dnswire.ClassIN, TTL: 60, Data: &dnswire.A{Addr: addr}}}
@@ -52,7 +52,7 @@ func TestMaxDepthBoundsReferralChain(t *testing.T) {
 	net := transport.NewMemNetwork(1)
 	addr := netip.MustParseAddr("192.0.2.77")
 	var step int
-	net.Register(addr, transport.HandlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+	net.Register(addr, handlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		step++
 		labels := strings.Split(strings.TrimSuffix(dnswire.CanonicalName(q.Question[0].Name), "."), ".")
 		n := step
@@ -83,7 +83,7 @@ func TestDelegationLameNoReferral(t *testing.T) {
 	// Non-authoritative answer with no referral shape: a lame server.
 	net := transport.NewMemNetwork(1)
 	addr := netip.MustParseAddr("192.0.2.78")
-	net.Register(addr, transport.HandlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+	net.Register(addr, handlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		return &dnswire.Message{ID: q.ID, Response: true, Question: q.Question}, nil
 	}))
 	r := &Resolver{Net: net, Roots: []netip.AddrPort{netip.AddrPortFrom(addr, 53)}}
@@ -100,7 +100,7 @@ func TestDelegationLameAuthoritativeWithoutNS(t *testing.T) {
 	// name exists but is not a zone cut anywhere the server knows.
 	net := transport.NewMemNetwork(1)
 	addr := netip.MustParseAddr("192.0.2.79")
-	net.Register(addr, transport.HandlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+	net.Register(addr, handlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		return &dnswire.Message{ID: q.ID, Response: true, Authoritative: true, Question: q.Question}, nil
 	}))
 	r := &Resolver{Net: net, Roots: []netip.AddrPort{netip.AddrPortFrom(addr, 53)}}
@@ -170,7 +170,7 @@ func TestMismatchedResponsesAreRetriedNotCached(t *testing.T) {
 			net := transport.NewMemNetwork(1)
 			addr := netip.MustParseAddr("192.0.2.80")
 			honest := false
-			net.Register(addr, transport.HandlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+			net.Register(addr, handlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 				m := &dnswire.Message{ID: q.ID, Response: true, Authoritative: true, Rcode: dnswire.RcodeNXDomain,
 					Question: append([]dnswire.Question(nil), q.Question...)}
 				if !honest {
@@ -207,7 +207,7 @@ func TestMismatchedResponsesAreRetriedNotCached(t *testing.T) {
 func TestQuestionNameCaseIsIgnored(t *testing.T) {
 	net := transport.NewMemNetwork(1)
 	addr := netip.MustParseAddr("192.0.2.81")
-	net.Register(addr, transport.HandlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+	net.Register(addr, handlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		m := &dnswire.Message{ID: q.ID, Response: true, Authoritative: true, Rcode: dnswire.RcodeNXDomain,
 			Question: append([]dnswire.Question(nil), q.Question...)}
 		m.Question[0].Name = strings.ToUpper(m.Question[0].Name)

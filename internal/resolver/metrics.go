@@ -26,8 +26,8 @@ const (
 // Metrics holds the resolver's instruments. Install one built against a
 // shared registry via Resolver.Obs to export resolver telemetry; a
 // Resolver without one lazily builds Metrics on a private registry so
-// the accessor methods (Queries, Retries, ...) keep working for bare
-// literals.
+// the accessor methods (CacheHits, CacheMisses, Coalesced) keep
+// working for bare literals.
 type Metrics struct {
 	Queries     *obs.Counter
 	Retries     *obs.Counter

@@ -68,7 +68,8 @@ type Resolver struct {
 	Cache *Cache
 	// Obs, when non-nil, is the resolver's instrument set (usually
 	// NewMetrics over a shared obs.Registry). Nil lazily builds one on
-	// a private registry so the counter accessors keep working.
+	// a private registry on first use, after which Obs reads the
+	// resolver's counters.
 	Obs *Metrics
 
 	obsOnce   sync.Once
@@ -76,16 +77,6 @@ type Resolver struct {
 	health    healthTracker
 	flight    flightGroup
 }
-
-// Queries returns the number of DNS queries issued so far.
-func (r *Resolver) Queries() int64 { return r.metrics().Queries.Value() }
-
-// Retries returns the number of retry attempts issued so far.
-func (r *Resolver) Retries() int64 { return r.metrics().Retries.Value() }
-
-// GaveUp returns the number of exchanges that exhausted every retry
-// attempt without a usable answer.
-func (r *Resolver) GaveUp() int64 { return r.metrics().GaveUp.Value() }
 
 // CacheHits returns the number of lookups served from the cache.
 func (r *Resolver) CacheHits() int64 { return r.metrics().CacheHits.Value() }
@@ -96,14 +87,6 @@ func (r *Resolver) CacheMisses() int64 { return r.metrics().CacheMisses.Value() 
 // Coalesced returns the number of calls that piggybacked on another
 // chain's in-flight execution instead of issuing their own queries.
 func (r *Resolver) Coalesced() int64 { return r.metrics().Coalesced.Value() }
-
-// TrailingBytes returns the total octets of trailing garbage observed
-// after the last record of responses received so far.
-func (r *Resolver) TrailingBytes() int64 { return r.metrics().Trailing.Value() }
-
-// ServerTripped reports whether the health tracker currently
-// deprioritises the address (circuit breaker open).
-func (r *Resolver) ServerTripped(server netip.AddrPort) bool { return r.health.tripped(server) }
 
 // Port returns the server port used for NS-derived addresses.
 func (r *Resolver) Port() uint16 {

@@ -190,13 +190,6 @@ func (h *healthTracker) note(server netip.AddrPort, ok bool) {
 // server.
 const trippedAfter = 5
 
-func (h *healthTracker) tripped(server netip.AddrPort) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := h.m[server]
-	return s != nil && s.consecutive >= trippedAfter
-}
-
 // order appends servers to dst in the order to try them: the rotation
 // that begins at servers[start], healthy addresses first and tripped
 // ones after them, each group keeping the rotated order (a stable

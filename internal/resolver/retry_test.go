@@ -13,13 +13,20 @@ import (
 	"dnssecboot/internal/transport"
 )
 
+// handlerFunc adapts a function to transport.Handler.
+type handlerFunc func(ctx context.Context, local netip.Addr, query *dnswire.Message) (*dnswire.Message, error)
+
+func (f handlerFunc) HandleDNS(ctx context.Context, local netip.Addr, query *dnswire.Message) (*dnswire.Message, error) {
+	return f(ctx, local, query)
+}
+
 // flakyWorld registers a single answering server at addr behind the
 // given fault profile and returns a resolver pointed at it.
 func flakyWorld(t *testing.T, profile transport.FaultProfile) (*Resolver, netip.AddrPort) {
 	t.Helper()
 	net := transport.NewMemNetwork(1)
 	addr := netip.MustParseAddr("192.0.2.10")
-	net.Register(addr, transport.HandlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+	net.Register(addr, handlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		m := &dnswire.Message{ID: q.ID, Response: true, Authoritative: true, Question: q.Question}
 		m.Answer = []dnswire.RR{{Name: q.Question[0].Name, Class: dnswire.ClassIN, TTL: 60,
 			Data: &dnswire.A{Addr: netip.MustParseAddr("203.0.113.1")}}}
@@ -133,13 +140,13 @@ func multiServerNet(t *testing.T, handlers ...transport.Handler) (*Resolver, []n
 }
 
 func dropHandler() transport.Handler {
-	return transport.HandlerFunc(func(context.Context, netip.Addr, *dnswire.Message) (*dnswire.Message, error) {
+	return handlerFunc(func(context.Context, netip.Addr, *dnswire.Message) (*dnswire.Message, error) {
 		return nil, nil // silent drop → ErrTimeout at the client
 	})
 }
 
 func rcodeHandler(rc dnswire.Rcode) transport.Handler {
-	return transport.HandlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+	return handlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		return &dnswire.Message{ID: q.ID, Response: true, Rcode: rc, Question: q.Question}, nil
 	})
 }
@@ -189,7 +196,7 @@ type spreadZone struct {
 func newSpreadZone(t *testing.T) *spreadZone {
 	t.Helper()
 	z := &spreadZone{down: map[netip.Addr]bool{}}
-	h := transport.HandlerFunc(func(_ context.Context, local netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+	h := handlerFunc(func(_ context.Context, local netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		z.mu.Lock()
 		defer z.mu.Unlock()
 		z.hits = append(z.hits, local)

@@ -14,6 +14,13 @@ import (
 	"dnssecboot/internal/zone"
 )
 
+// handlerFunc adapts a function to transport.Handler.
+type handlerFunc func(ctx context.Context, local netip.Addr, query *dnswire.Message) (*dnswire.Message, error)
+
+func (f handlerFunc) HandleDNS(ctx context.Context, local netip.Addr, query *dnswire.Message) (*dnswire.Message, error) {
+	return f(ctx, local, query)
+}
+
 // faultScanner wires a scanner to a single authoritative address so the
 // per-NS CDS query path can be driven against scripted faults.
 func faultScanner(t *testing.T) (*transport.MemNetwork, *Scanner, netip.Addr) {
@@ -59,7 +66,7 @@ func TestQueryCDSOutcomePerErrorKind(t *testing.T) {
 			// (handler error) is a protocol failure, not a timeout.
 			name: "malformed response",
 			setup: func(n *transport.MemNetwork, a netip.Addr) {
-				n.Register(a, transport.HandlerFunc(func(context.Context, netip.Addr, *dnswire.Message) (*dnswire.Message, error) {
+				n.Register(a, handlerFunc(func(context.Context, netip.Addr, *dnswire.Message) (*dnswire.Message, error) {
 					return nil, errors.New("malformed response")
 				}))
 			},
@@ -100,7 +107,7 @@ func signalWorld(t *testing.T, dropType dnswire.Type) (*Scanner, string, string)
 	srv.AddZone(sigZone)
 
 	net := transport.NewMemNetwork(1)
-	net.Register(addr, transport.HandlerFunc(func(ctx context.Context, local netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+	net.Register(addr, handlerFunc(func(ctx context.Context, local netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		if len(q.Question) == 1 && q.Question[0].Type == dropType {
 			return nil, nil // silent drop → client-side timeout
 		}

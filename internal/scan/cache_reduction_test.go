@@ -23,6 +23,7 @@ import (
 	"dnssecboot/internal/classify"
 	"dnssecboot/internal/core"
 	"dnssecboot/internal/ecosystem"
+	"dnssecboot/internal/obs"
 	"dnssecboot/internal/report"
 	"dnssecboot/internal/resolver"
 	"dnssecboot/internal/scan"
@@ -76,17 +77,17 @@ func TestCacheHalvesResolutionQueries(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	shared := &resolver.Resolver{Net: world.Net, Roots: world.Roots, Cache: resolver.NewCache(0)}
+	shared := &resolver.Resolver{Net: world.Net, Roots: world.Roots, Cache: resolver.NewCache(0), Obs: resolver.NewMetrics(obs.NewRegistry())}
 	for _, zoneName := range world.Targets {
 		resolveZone(ctx, shared, zoneName)
 	}
-	cached := shared.Queries()
+	cached := shared.Obs.Queries.Value()
 
 	var fresh int64
 	for _, zoneName := range world.Targets {
-		r := &resolver.Resolver{Net: world.Net, Roots: world.Roots}
+		r := &resolver.Resolver{Net: world.Net, Roots: world.Roots, Obs: resolver.NewMetrics(obs.NewRegistry())}
 		resolveZone(ctx, r, zoneName)
-		fresh += r.Queries()
+		fresh += r.Obs.Queries.Value()
 	}
 
 	if cached == 0 || fresh == 0 {

@@ -240,7 +240,9 @@ func TestDenialStore(t *testing.T) {
 
 	t.Run("DNAME NSEC is not used", func(t *testing.T) {
 		w := newDenialWorld(t, denialSetup{edit: func(z *zone.Zone) {
-			z.MustAdd(dnswire.RR{Name: "test._signal." + nsHost, TTL: 300, Data: dnswire.NewDNAME("elsewhere.example.com.")})
+			dname := new(dnswire.DNAME)
+			dname.Target = "elsewhere.example.com."
+			z.MustAdd(dnswire.RR{Name: "test._signal." + nsHost, TTL: 300, Data: dname})
 		}}, "a.test-x.", "a.test.")
 		_, sent, _ := w.scanAfter(t, "a.test-x.", "a.test.")
 		if sent == 0 {

@@ -239,24 +239,9 @@ func (jw *JSONLWriter) Flush() error {
 	return nil
 }
 
-// Count returns how many records have been written.
-func (jw *JSONLWriter) Count() int { return jw.count }
-
 // Bytes returns the total encoded size of the records written so far
 // (only durable in the underlying writer after a successful Flush).
 func (jw *JSONLWriter) Bytes() int64 { return jw.bytes }
-
-// WriteJSONL streams a batch of observations to w, one JSON object per
-// line, through a JSONLWriter (same flushing and error guarantees).
-func WriteJSONL(w io.Writer, observations []*ZoneObservation) error {
-	jw := NewJSONLWriter(w)
-	for _, obs := range observations {
-		if err := jw.Write(obs); err != nil {
-			return err
-		}
-	}
-	return jw.Flush()
-}
 
 // DecodeJSONL streams a JSONL export through fn, one record at a time,
 // without materialising the whole dump — the memory-bounded read side
@@ -274,20 +259,6 @@ func DecodeJSONL(r io.Reader, fn func(ObservationJSON) error) error {
 		}
 	}
 	return nil
-}
-
-// ReadJSONL parses a JSONL export back into the serialised form (for
-// offline analysis tooling and tests).
-func ReadJSONL(r io.Reader) ([]ObservationJSON, error) {
-	var out []ObservationJSON
-	err := DecodeJSONL(r, func(o ObservationJSON) error {
-		out = append(out, o)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // FromJSON reconstructs a typed observation from its export form,

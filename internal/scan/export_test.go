@@ -1,0 +1,59 @@
+package scan
+
+import (
+	"io"
+
+	"dnssecboot/internal/dnswire"
+)
+
+// WriteJSONL streams a batch of observations to w, one JSON object per
+// line, through a JSONLWriter (same flushing and error guarantees).
+func WriteJSONL(w io.Writer, observations []*ZoneObservation) error {
+	jw := NewJSONLWriter(w)
+	for _, obs := range observations {
+		if err := jw.Write(obs); err != nil {
+			return err
+		}
+	}
+	return jw.Flush()
+}
+
+// ReadJSONL parses a JSONL export back into the serialised form (for
+// offline analysis tooling and tests).
+func ReadJSONL(r io.Reader) ([]ObservationJSON, error) {
+	var out []ObservationJSON
+	err := DecodeJSONL(r, func(o ObservationJSON) error {
+		out = append(out, o)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// NSSetsDiffer reports whether the parent and child disagree about the
+// NS set — the misconfiguration behind 33 of the signal-violation
+// zones in §4.4.
+func (z *ZoneObservation) NSSetsDiffer() bool {
+	if len(z.ParentNS) == 0 || len(z.ChildNS) == 0 {
+		return false
+	}
+	norm := func(in []string) map[string]bool {
+		m := make(map[string]bool, len(in))
+		for _, h := range in {
+			m[dnswire.CanonicalName(h)] = true
+		}
+		return m
+	}
+	p, c := norm(z.ParentNS), norm(z.ChildNS)
+	if len(p) != len(c) {
+		return true
+	}
+	for h := range p {
+		if !c[h] {
+			return true
+		}
+	}
+	return false
+}

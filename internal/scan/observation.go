@@ -210,32 +210,6 @@ func (z *ZoneObservation) AllNSHosts() []string {
 	return out
 }
 
-// NSSetsDiffer reports whether the parent and child disagree about the
-// NS set — the misconfiguration behind 33 of the signal-violation
-// zones in §4.4.
-func (z *ZoneObservation) NSSetsDiffer() bool {
-	if len(z.ParentNS) == 0 || len(z.ChildNS) == 0 {
-		return false
-	}
-	norm := func(in []string) map[string]bool {
-		m := make(map[string]bool, len(in))
-		for _, h := range in {
-			m[dnswire.CanonicalName(h)] = true
-		}
-		return m
-	}
-	p, c := norm(z.ParentNS), norm(z.ChildNS)
-	if len(p) != len(c) {
-		return true
-	}
-	for h := range p {
-		if !c[h] {
-			return true
-		}
-	}
-	return false
-}
-
 // IsSigned reports whether the child publishes a DNSKEY RRset.
 func (z *ZoneObservation) IsSigned() bool { return len(z.DNSKEY) > 0 }
 

@@ -136,7 +136,9 @@ func fuzzZone(spec string) (z *zone.Zone, dnames []string) {
 		case "NS":
 			z.MustAdd(dnswire.RR{Name: name, TTL: 300, Data: dnswire.NewNS("ns.elsewhere.")})
 		case "DNAME":
-			z.MustAdd(dnswire.RR{Name: name, TTL: 300, Data: dnswire.NewDNAME("elsewhere.")})
+			dname := new(dnswire.DNAME)
+			dname.Target = "elsewhere."
+			z.MustAdd(dnswire.RR{Name: name, TTL: 300, Data: dname})
 			dnames = append(dnames, name)
 		default:
 			z.MustAdd(dnswire.RR{Name: name, TTL: 300, Data: &dnswire.TXT{Strings: []string{"x"}}})

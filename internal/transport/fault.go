@@ -43,24 +43,17 @@ func (p FaultProfile) active() bool {
 	return p.Loss > 0 || p.ExtraLatency > 0 || p.Down || p.ServFail || p.TruncateAlways || p.FlakyEveryN > 1
 }
 
-type prefixFault struct {
-	prefix  netip.Prefix
-	profile FaultProfile
-}
-
 // faultState holds the fault configuration and the per-tuple sequence
 // counters that make decisions reproducible under concurrency: two
 // scans issuing the same queries get the same drops even if goroutine
 // interleaving differs, because each (addr, qname, qtype) tuple draws
 // from its own deterministic sequence.
 type faultState struct {
-	mu       sync.Mutex
-	seed     int64
-	byAddr   map[netip.Addr]FaultProfile
-	byPrefix []prefixFault
-	def      *FaultProfile
-	seq      map[uint64]uint64
-	drops    int64
+	mu     sync.Mutex
+	seed   int64
+	byAddr map[netip.Addr]FaultProfile
+	def    *FaultProfile
+	seq    map[uint64]uint64
 }
 
 // SetChaosSeed sets the seed driving fault decisions. By default the
@@ -73,6 +66,8 @@ func (n *MemNetwork) SetChaosSeed(seed int64) {
 
 // SetFault attaches a fault profile to a single address. A zero profile
 // clears it.
+//
+//lint:allow unused test seam: resolver and scan tests fault one server with it
 func (n *MemNetwork) SetFault(addr netip.Addr, p FaultProfile) {
 	n.faults.mu.Lock()
 	defer n.faults.mu.Unlock()
@@ -84,15 +79,6 @@ func (n *MemNetwork) SetFault(addr netip.Addr, p FaultProfile) {
 	} else {
 		delete(n.faults.byAddr, addr)
 	}
-}
-
-// SetPrefixFault attaches a fault profile to every address in prefix
-// (most recent registration wins among overlapping prefixes; a
-// per-address profile always takes precedence).
-func (n *MemNetwork) SetPrefixFault(prefix netip.Prefix, p FaultProfile) {
-	n.faults.mu.Lock()
-	defer n.faults.mu.Unlock()
-	n.faults.byPrefix = append([]prefixFault{{prefix, p}}, n.faults.byPrefix...)
 }
 
 // SetDefaultFault applies a profile to every address without a more
@@ -107,29 +93,9 @@ func (n *MemNetwork) SetDefaultFault(p FaultProfile) {
 	}
 }
 
-// FaultFor returns the profile that applies to addr.
-func (n *MemNetwork) FaultFor(addr netip.Addr) FaultProfile {
-	n.faults.mu.Lock()
-	defer n.faults.mu.Unlock()
-	return n.faults.lookupLocked(addr)
-}
-
-// InjectedDrops reports how many exchanges the fault layer has dropped
-// (loss and flaky modes) since creation.
-func (n *MemNetwork) InjectedDrops() int64 {
-	n.faults.mu.Lock()
-	defer n.faults.mu.Unlock()
-	return n.faults.drops
-}
-
 func (f *faultState) lookupLocked(addr netip.Addr) FaultProfile {
 	if p, ok := f.byAddr[addr]; ok {
 		return p
-	}
-	for _, pf := range f.byPrefix {
-		if pf.prefix.Contains(addr) {
-			return pf.profile
-		}
 	}
 	if f.def != nil {
 		return *f.def
@@ -195,9 +161,6 @@ func (f *faultState) plan(addr netip.Addr, q *dnswire.Message) faultPlan {
 	}
 	if p.Loss > 0 && roll(f.seed, key, seq, 't') < p.Loss {
 		plan.dropTCP = true
-	}
-	if plan.drop {
-		f.drops++
 	}
 	return plan
 }

@@ -122,31 +122,29 @@ func TestFaultTruncateAlwaysForcesTCP(t *testing.T) {
 	}
 }
 
-func TestFaultPrefixAndDefaultPrecedence(t *testing.T) {
+func TestFaultAddressOverridesDefault(t *testing.T) {
 	n := NewMemNetwork(1)
-	inPrefix := netip.MustParseAddr("198.51.100.10")
 	pinned := netip.MustParseAddr("198.51.100.20")
 	elsewhere := netip.MustParseAddr("203.0.113.1")
-	for _, a := range []netip.Addr{inPrefix, pinned, elsewhere} {
+	for _, a := range []netip.Addr{pinned, elsewhere} {
 		n.Register(a, echoHandler(dnswire.RcodeNoError))
 	}
 	n.SetDefaultFault(FaultProfile{ServFail: true})
-	n.SetPrefixFault(netip.MustParsePrefix("198.51.100.0/24"), FaultProfile{Down: true})
-	n.SetFault(pinned, FaultProfile{FlakyEveryN: 2})
+	n.SetFault(pinned, FaultProfile{Down: true})
+	exchange := func(a netip.Addr) (*dnswire.Message, error) {
+		return n.Exchange(context.Background(), netip.AddrPortFrom(a, 53), faultQuery("x."))
+	}
 
-	if p := n.FaultFor(elsewhere); !p.ServFail {
-		t.Errorf("default profile not applied: %+v", p)
+	if resp, err := exchange(elsewhere); err != nil || resp.Rcode != dnswire.RcodeServFail {
+		t.Errorf("default profile not applied: %v, %v", resp, err)
 	}
-	if p := n.FaultFor(inPrefix); !p.Down {
-		t.Errorf("prefix profile not applied: %+v", p)
-	}
-	if p := n.FaultFor(pinned); p.FlakyEveryN != 2 || p.Down {
-		t.Errorf("address profile did not win over prefix: %+v", p)
+	if _, err := exchange(pinned); err != ErrUnreachable {
+		t.Errorf("address profile did not win over the default: err = %v", err)
 	}
 	// Clearing the default exposes unmatched addresses again.
 	n.SetDefaultFault(FaultProfile{})
-	if p := n.FaultFor(elsewhere); p.active() {
-		t.Errorf("cleared default still active: %+v", p)
+	if resp, err := exchange(elsewhere); err != nil || resp.Rcode != dnswire.RcodeNoError {
+		t.Errorf("cleared default still active: %v, %v", resp, err)
 	}
 }
 
@@ -168,10 +166,13 @@ func TestFaultInjectedDropsCounter(t *testing.T) {
 	n.Register(addr, echoHandler(dnswire.RcodeNoError))
 	n.SetFault(addr, FaultProfile{FlakyEveryN: 2})
 	server := netip.AddrPortFrom(addr, 53)
+	drops := 0
 	for i := 0; i < 4; i++ {
-		_, _ = n.Exchange(context.Background(), server, faultQuery("x."))
+		if _, err := n.Exchange(context.Background(), server, faultQuery("x.")); err == ErrTimeout {
+			drops++
+		}
 	}
-	if got := n.InjectedDrops(); got != 2 {
-		t.Errorf("InjectedDrops = %d, want 2", got)
+	if drops != 2 {
+		t.Errorf("%d of 4 exchanges dropped, want 2", drops)
 	}
 }

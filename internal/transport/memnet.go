@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"math/rand"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -26,18 +25,9 @@ type MemNetwork struct {
 	// exchange. Zero disables the wait entirely (tests run at full
 	// speed); the delay only matters when a context deadline is short.
 	Latency time.Duration
-	// LossRate drops queries with this probability, surfacing as
-	// ErrTimeout. Deterministic under the seeded rng (but, unlike the
-	// fault profiles below, dependent on global draw order — prefer
-	// SetDefaultFault for reproducible chaos under concurrency).
-	LossRate float64
-
 	// faults holds the scriptable fault-injection layer (per-address,
-	// per-prefix and default profiles; see fault.go).
+	// and default profiles; see fault.go).
 	faults faultState
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 
 	queries  atomic.Int64
 	bytesOut atomic.Int64 // query bytes
@@ -49,12 +39,11 @@ type prefixRoute struct {
 	handler Handler
 }
 
-// NewMemNetwork returns an empty network. seed controls loss
-// determinism.
+// NewMemNetwork returns an empty network. seed is the default chaos
+// seed of its fault profiles.
 func NewMemNetwork(seed int64) *MemNetwork {
 	return &MemNetwork{
 		hosts:  make(map[netip.Addr]Handler),
-		rng:    rand.New(rand.NewSource(seed)),
 		faults: faultState{seed: seed},
 	}
 }
@@ -75,13 +64,6 @@ func (n *MemNetwork) RegisterPrefix(p netip.Prefix, h Handler) {
 	n.prefixes = append(n.prefixes, prefixRoute{prefix: p, handler: h})
 }
 
-// Unregister removes a single-address binding.
-func (n *MemNetwork) Unregister(addr netip.Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.hosts, addr)
-}
-
 func (n *MemNetwork) route(addr netip.Addr) (Handler, bool) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -94,15 +76,6 @@ func (n *MemNetwork) route(addr netip.Addr) (Handler, bool) {
 		}
 	}
 	return nil, false
-}
-
-func (n *MemNetwork) dropped() bool {
-	if n.LossRate <= 0 {
-		return false
-	}
-	n.rngMu.Lock()
-	defer n.rngMu.Unlock()
-	return n.rng.Float64() < n.LossRate
 }
 
 // memScratch is the per-exchange reusable state: the packed query and
@@ -133,7 +106,7 @@ func (n *MemNetwork) Exchange(ctx context.Context, server netip.AddrPort, query 
 	if plan.down {
 		return nil, ErrUnreachable
 	}
-	if plan.drop || n.dropped() {
+	if plan.drop {
 		return nil, ErrTimeout
 	}
 	if err := n.delay(ctx, plan.extraLatency); err != nil {
@@ -185,7 +158,7 @@ func (n *MemNetwork) Exchange(ctx context.Context, server netip.AddrPort, query 
 	}
 	if out.Truncated {
 		// TCP retry: no size limit, second round trip.
-		if plan.dropTCP || n.dropped() {
+		if plan.dropTCP {
 			return nil, ErrTimeout
 		}
 		if err := n.delay(ctx, plan.extraLatency); err != nil {

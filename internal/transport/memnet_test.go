@@ -8,8 +8,15 @@ import (
 	"dnssecboot/internal/dnswire"
 )
 
+// handlerFunc adapts a function to Handler.
+type handlerFunc func(ctx context.Context, local netip.Addr, query *dnswire.Message) (*dnswire.Message, error)
+
+func (f handlerFunc) HandleDNS(ctx context.Context, local netip.Addr, query *dnswire.Message) (*dnswire.Message, error) {
+	return f(ctx, local, query)
+}
+
 func echoHandler(rcode dnswire.Rcode) Handler {
-	return HandlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+	return handlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		return &dnswire.Message{ID: q.ID, Response: true, Rcode: rcode, Question: q.Question}, nil
 	})
 }
@@ -57,7 +64,7 @@ func TestMemNetworkAnycastPrefix(t *testing.T) {
 
 func TestMemNetworkLoss(t *testing.T) {
 	n := NewMemNetwork(42)
-	n.LossRate = 1.0
+	n.SetDefaultFault(FaultProfile{Loss: 1})
 	addr := netip.MustParseAddr("192.0.2.1")
 	n.Register(addr, echoHandler(dnswire.RcodeNoError))
 	q := dnswire.NewQuery(1, "x.", dnswire.TypeA)
@@ -69,7 +76,7 @@ func TestMemNetworkLoss(t *testing.T) {
 func TestMemNetworkNilResponseIsTimeout(t *testing.T) {
 	n := NewMemNetwork(1)
 	addr := netip.MustParseAddr("192.0.2.1")
-	n.Register(addr, HandlerFunc(func(context.Context, netip.Addr, *dnswire.Message) (*dnswire.Message, error) {
+	n.Register(addr, handlerFunc(func(context.Context, netip.Addr, *dnswire.Message) (*dnswire.Message, error) {
 		return nil, nil
 	}))
 	q := dnswire.NewQuery(1, "x.", dnswire.TypeA)
@@ -81,7 +88,7 @@ func TestMemNetworkNilResponseIsTimeout(t *testing.T) {
 func TestMemNetworkTruncationRetry(t *testing.T) {
 	n := NewMemNetwork(1)
 	addr := netip.MustParseAddr("192.0.2.1")
-	n.Register(addr, HandlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+	n.Register(addr, handlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		m := &dnswire.Message{ID: q.ID, Response: true, Question: q.Question}
 		for i := 0; i < 30; i++ {
 			m.Answer = append(m.Answer, dnswire.RR{Name: q.Question[0].Name, Class: dnswire.ClassIN, TTL: 1,

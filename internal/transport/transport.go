@@ -34,11 +34,3 @@ type Exchanger interface {
 type Handler interface {
 	HandleDNS(ctx context.Context, local netip.Addr, query *dnswire.Message) (*dnswire.Message, error)
 }
-
-// HandlerFunc adapts a function to Handler.
-type HandlerFunc func(ctx context.Context, local netip.Addr, query *dnswire.Message) (*dnswire.Message, error)
-
-// HandleDNS implements Handler.
-func (f HandlerFunc) HandleDNS(ctx context.Context, local netip.Addr, query *dnswire.Message) (*dnswire.Message, error) {
-	return f(ctx, local, query)
-}

@@ -35,11 +35,6 @@ func Parse(r io.Reader, origin string) (*Zone, error) {
 	return p.run()
 }
 
-// ParseString is Parse over a string.
-func ParseString(text, origin string) (*Zone, error) {
-	return Parse(strings.NewReader(text), origin)
-}
-
 type fileParser struct {
 	origin    string
 	ttl       uint32
