@@ -161,13 +161,15 @@ size:
 		printf '%7d  %s\n' $$(cat $$(ls $$d*.go | grep -v '_test.go$$') | grep -cE '$(FLAG_DEF_RE)') $$d; \
 	done
 
-# The full local CI gate: vet, the lint suite, build (for darwin and
-# windows too), the race-enabled test suite (includes the chaos,
-# cache-invariance and observability-neutrality regressions; the
-# allocation ceilings run in the plain suite of `make cover`, being
-# excluded under -race), the fuzz smoke, the trace round-trip, the
-# benchmark harness's own checks, the smokes, and the size report.
+# The full local CI gate: gofmt (no file may need reformatting), vet,
+# the lint suite, build (for darwin and windows too), the race-enabled
+# test suite (includes the chaos, cache-invariance and
+# observability-neutrality regressions; the allocation ceilings run in
+# the plain suite of `make cover`, being excluded under -race), the
+# fuzz smoke, the trace round-trip, the benchmark harness's own checks,
+# the smokes, and the size report.
 ci:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(MAKE) lint-pragma-budget

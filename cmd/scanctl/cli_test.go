@@ -322,10 +322,12 @@ func TestResumeTornDump(t *testing.T) {
 	}
 
 	// Every strict prefix of the checkpoint document is refused, never
-	// resumed from, and never panics.
+	// resumed from, and never panics. Each prefix gets a file of its
+	// own: rewriting one file in place thousands of times is slow on
+	// filesystems that flush a truncated file's data on close.
 	doc := bytes.TrimRight(ckpt, "\n")
-	torn := filepath.Join(dir, "torn.ckpt")
 	for cut := 0; cut <= len(doc); cut++ {
+		torn := filepath.Join(dir, fmt.Sprintf("torn-%d.ckpt", cut))
 		if err := os.WriteFile(torn, doc[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -38,7 +38,7 @@ import (
 var now = time.Date(2025, 4, 15, 12, 0, 0, 0, time.UTC)
 
 func main() {
-	net := transport.NewMemNetwork(1)
+	net := transport.NewMemNetwork()
 	sign := zone.SignConfig{Now: now, Algorithm: dnswire.AlgEd25519}
 
 	rootAddr := netip.MustParseAddr("198.41.0.4")

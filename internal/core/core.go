@@ -53,9 +53,9 @@ type Options struct {
 	// internal/ingest are scanned against the configured network.
 	Targets []string
 
-	// LossRate injects uniform packet loss into the simulated network
-	// (every address without a more specific fault profile), driven
-	// deterministically by ChaosSeed.
+	// LossRate injects uniform packet loss into the scanner's
+	// exchanges with the simulated network, driven deterministically by
+	// ChaosSeed.
 	LossRate float64
 	// ChaosSeed seeds the fault-injection decisions; zero falls back to
 	// Seed so a study stays fully determined by its options.
@@ -105,10 +105,18 @@ type Study struct {
 
 // NewScanner builds a scanner wired to a world, with the paper's
 // methodology defaults (Cloudflare sampling at 5 % full scans). When
-// opts request chaos (LossRate) the world's network is configured with
-// the matching fault profile as a side effect.
+// opts request chaos (LossRate) the scanner's resolver reaches the
+// world's network through a Faults wrapper; the world is not changed.
 func NewScanner(world *ecosystem.Ecosystem, opts Options) *scan.Scanner {
-	r := &resolver.Resolver{Net: world.Net, Roots: world.Roots, Cache: resolver.NewCache(opts.CacheNegTTL)}
+	chaosSeed := opts.ChaosSeed
+	if chaosSeed == 0 {
+		chaosSeed = opts.Seed
+	}
+	var net transport.Exchanger = world.Net
+	if opts.LossRate > 0 {
+		net = &transport.Faults{Inner: world.Net, Profile: transport.FaultProfile{Loss: opts.LossRate}, Seed: chaosSeed}
+	}
+	r := &resolver.Resolver{Net: net, Roots: world.Roots, Cache: resolver.NewCache(opts.CacheNegTTL)}
 	if opts.Registry != nil {
 		r.Obs = resolver.NewMetrics(opts.Registry)
 	}
@@ -118,14 +126,6 @@ func NewScanner(world *ecosystem.Ecosystem, opts Options) *scan.Scanner {
 			wait := r.Obs.RateWait
 			r.Limits.SetObserver(func(d time.Duration) { wait.Observe(d.Seconds()) })
 		}
-	}
-	chaosSeed := opts.ChaosSeed
-	if chaosSeed == 0 {
-		chaosSeed = opts.Seed
-	}
-	if opts.LossRate > 0 {
-		world.Net.SetChaosSeed(chaosSeed)
-		world.Net.SetDefaultFault(transport.FaultProfile{Loss: opts.LossRate})
 	}
 	var retry *resolver.RetryPolicy
 	if opts.RetryAttempts > 1 {

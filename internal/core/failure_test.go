@@ -9,7 +9,6 @@ import (
 	"dnssecboot/internal/ecosystem"
 	"dnssecboot/internal/report"
 	"dnssecboot/internal/scan"
-	"dnssecboot/internal/transport"
 )
 
 // TestScanSurvivesPacketLoss injects heavy packet loss into the
@@ -21,8 +20,7 @@ func TestScanSurvivesPacketLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	world.Net.SetDefaultFault(transport.FaultProfile{Loss: 0.25})
-	study, err := Run(context.Background(), Options{Seed: 21, World: world})
+	study, err := Run(context.Background(), Options{Seed: 21, World: world, LossRate: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,6 +41,31 @@ func TestScanSurvivesPacketLoss(t *testing.T) {
 	t.Logf("under 25%% loss: %d resolved, %d unresolved", resolved, unresolved)
 	if unresolved == 0 {
 		t.Log("note: loss fully absorbed by retries at this scale")
+	}
+}
+
+// TestLossLeavesWorldUnchanged: a scanner built with packet loss
+// injects it into its own exchanges only, so a later lossless run on
+// the same world reads the headline of a fresh world.
+func TestLossLeavesWorldUnchanged(t *testing.T) {
+	headline := func(world *ecosystem.Ecosystem) string {
+		study, err := Run(context.Background(), Options{Seed: 1, World: world})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return study.Report.Headline()
+	}
+	generate := func() *ecosystem.Ecosystem {
+		world, err := ecosystem.Generate(ecosystem.Config{Seed: 1, ScaleDivisor: 500_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return world
+	}
+	world := generate()
+	NewScanner(world, Options{Seed: 1, LossRate: 1})
+	if got, want := headline(world), headline(generate()); got != want {
+		t.Errorf("a lossy scanner changed the world; headline after it:\n%s\nfresh world:\n%s", got, want)
 	}
 }
 

@@ -113,7 +113,7 @@ func Generate(cfg Config) (*Ecosystem, error) {
 		cfg.Profiles = Profiles()
 	}
 	eco := &Ecosystem{
-		Net:                transport.NewMemNetwork(cfg.Seed),
+		Net:                transport.NewMemNetwork(),
 		Truth:              make(map[string]*Truth),
 		Now:                cfg.Now,
 		CloudflareSuffixes: []string{"ns.cloudflare.com."},

@@ -249,7 +249,7 @@ func Ingest(ctx context.Context, r io.Reader, cfg Config) (*Result, error) {
 		}
 		sort.Strings(reasons)
 		for _, reason := range reasons {
-			reg.Counter("ingest.skip."+reason).Add(int64(g.stats.Skipped[reason]))
+			reg.Counter("ingest.skip." + reason).Add(int64(g.stats.Skipped[reason]))
 		}
 	}
 	return &Result{Targets: g.targets, Stats: g.stats}, nil

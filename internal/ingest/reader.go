@@ -115,8 +115,8 @@ type assembler struct {
 	lastOwner string
 	max       int // logical-line cap
 
-	physical int // physical lines consumed (for stats)
-	logical  int // non-empty logical lines (records + directives + bad lines)
+	physical   int // physical lines consumed (for stats)
+	logical    int // non-empty logical lines (records + directives + bad lines)
 	directives int
 }
 

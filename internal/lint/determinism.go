@@ -33,10 +33,10 @@ var randPackages = map[string]bool{
 // seededRandFuncs are the math/rand package functions that do NOT touch
 // the global source (they construct seeded generators).
 var seededRandFuncs = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
-	"NewPCG":    true,
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true,
+	"NewPCG":     true,
 	"NewChaCha8": true,
 }
 

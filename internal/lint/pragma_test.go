@@ -95,11 +95,11 @@ var a = 1
 // this count in the same change. Three are the deliberate ownership
 // transfers poollife cannot see locally — dnswire's newBuilder/newParser
 // constructors and the server's UDP reader-to-worker buffer handoff.
-// Six keep test seams and oracles that no program reaches alive under
+// Five keep test seams and oracles that no program reaches alive under
 // unused: dnssec.CheckDenial and CheckDenialNSEC3, resolver's
-// Cache.SetClock, transport's MemNetwork.SetFault, server's
-// Server.Zones and ecosystem's SignalZoneFootprint.
-const pragmaBudget = 9
+// Cache.SetClock, server's Server.Zones and ecosystem's
+// SignalZoneFootprint.
+const pragmaBudget = 8
 
 // TestPragmaBudget holds the suppression count exactly at the budget,
 // in both directions, and rejects malformed pragmas. This is the CI

@@ -15,7 +15,7 @@ import (
 // Anchor draws the wall clock and process-global randomness: both are
 // banned in deterministic scope.
 func Anchor() (time.Time, int) {
-	now := time.Now() // want `time\.Now\(\) in a deterministic package`
+	now := time.Now()  // want `time\.Now\(\) in a deterministic package`
 	n := rand.Intn(10) // want `global rand\.Intn\(\) draws from process-global state`
 	return now, n
 }

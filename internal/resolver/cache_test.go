@@ -74,7 +74,7 @@ func TestDelegationNotKeptAfterFailedDS(t *testing.T) {
 	}
 	// The first DS question for example.com. answers SERVFAIL.
 	var failed sync.Once
-	net := transport.NewMemNetwork(1)
+	net := transport.NewMemNetwork()
 	net.Register(addr, handlerFunc(func(ctx context.Context, local netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		servfail := false
 		if qq := q.Question[0]; qq.Type == dnswire.TypeDS && dnswire.CanonicalName(qq.Name) == "example.com." {
@@ -209,7 +209,7 @@ func singleServerWorld(t *testing.T) (*Resolver, *gatedHandler) {
 	srv.AddZone(child)
 
 	gate := &gatedHandler{inner: srv, started: make(chan struct{}), gate: make(chan struct{})}
-	net := transport.NewMemNetwork(1)
+	net := transport.NewMemNetwork()
 	net.Register(addr, gate)
 	r := &Resolver{
 		Net:   net,
@@ -423,7 +423,7 @@ func TestMisbehavingReferralsFailFast(t *testing.T) {
 					return resp, nil
 				})
 
-				net := transport.NewMemNetwork(1)
+				net := transport.NewMemNetwork()
 				net.Register(rootAddr, rootSrv)
 				net.Register(evilAddr, evil)
 				r := &Resolver{Net: net, Roots: []netip.AddrPort{netip.AddrPortFrom(rootAddr, 53)}}

@@ -16,7 +16,7 @@ import (
 // "loopy.test." forever without making progress.
 func loopNet(t *testing.T) *Resolver {
 	t.Helper()
-	net := transport.NewMemNetwork(1)
+	net := transport.NewMemNetwork()
 	addr := netip.MustParseAddr("192.0.2.77")
 	net.Register(addr, handlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		m := &dnswire.Message{ID: q.ID, Response: true, Question: q.Question}
@@ -49,7 +49,7 @@ func TestMaxDepthBoundsReferralChain(t *testing.T) {
 	// answered with a referral to the suffix of the qname that is i
 	// labels long, pointing back at the same server. Only MaxDepth can
 	// stop this walk.
-	net := transport.NewMemNetwork(1)
+	net := transport.NewMemNetwork()
 	addr := netip.MustParseAddr("192.0.2.77")
 	var step int
 	net.Register(addr, handlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
@@ -81,7 +81,7 @@ func TestMaxDepthBoundsReferralChain(t *testing.T) {
 
 func TestDelegationLameNoReferral(t *testing.T) {
 	// Non-authoritative answer with no referral shape: a lame server.
-	net := transport.NewMemNetwork(1)
+	net := transport.NewMemNetwork()
 	addr := netip.MustParseAddr("192.0.2.78")
 	net.Register(addr, handlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		return &dnswire.Message{ID: q.ID, Response: true, Question: q.Question}, nil
@@ -98,7 +98,7 @@ func TestDelegationLameNoReferral(t *testing.T) {
 func TestDelegationLameAuthoritativeWithoutNS(t *testing.T) {
 	// Authoritative NOERROR with no NS RRset for the asked zone: the
 	// name exists but is not a zone cut anywhere the server knows.
-	net := transport.NewMemNetwork(1)
+	net := transport.NewMemNetwork()
 	addr := netip.MustParseAddr("192.0.2.79")
 	net.Register(addr, handlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		return &dnswire.Message{ID: q.ID, Response: true, Authoritative: true, Question: q.Question}, nil
@@ -107,6 +107,20 @@ func TestDelegationLameAuthoritativeWithoutNS(t *testing.T) {
 	if _, err := r.Delegation(context.Background(), "notacut.test."); !errors.Is(err, ErrLameReferal) {
 		t.Errorf("err = %v, want ErrLameReferal", err)
 	}
+}
+
+// downNet makes the addresses in down unreachable and passes every
+// other query to inner.
+type downNet struct {
+	inner transport.Exchanger
+	down  map[netip.Addr]bool
+}
+
+func (n *downNet) Exchange(ctx context.Context, server netip.AddrPort, q *dnswire.Message) (*dnswire.Message, error) {
+	if n.down[server.Addr()] {
+		return nil, transport.ErrUnreachable
+	}
+	return n.inner.Exchange(ctx, server, q)
 }
 
 // TestCacheSurvivesServerOutage covers the recovery scenario: cached
@@ -126,8 +140,7 @@ func TestCacheSurvivesServerOutage(t *testing.T) {
 	}
 
 	// Outage: both authoritative addresses go hard-down.
-	net.SetFault(excom1, transport.FaultProfile{Down: true})
-	net.SetFault(excom2, transport.FaultProfile{Down: true})
+	r.Net = &downNet{inner: net, down: map[netip.Addr]bool{excom1: true, excom2: true}}
 	_, _, err := r.Lookup(context.Background(), "alias.example.com.", dnswire.TypeA)
 	if !errors.Is(err, ErrNoServers) || !errors.Is(err, transport.ErrUnreachable) {
 		t.Fatalf("outage err = %v, want joined ErrNoServers+ErrUnreachable", err)
@@ -135,8 +148,7 @@ func TestCacheSurvivesServerOutage(t *testing.T) {
 
 	// Recovery: the servers come back; the cached zone entry must work
 	// again immediately and cheaply.
-	net.SetFault(excom1, transport.FaultProfile{})
-	net.SetFault(excom2, transport.FaultProfile{})
+	r.Net = net
 	before := r.Queries()
 	answer, _, err := r.Lookup(context.Background(), "alias.example.com.", dnswire.TypeA)
 	if err != nil {
@@ -167,7 +179,7 @@ func TestMismatchedResponsesAreRetriedNotCached(t *testing.T) {
 		{"QR clear", func(m *dnswire.Message) { m.Response = false }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			net := transport.NewMemNetwork(1)
+			net := transport.NewMemNetwork()
 			addr := netip.MustParseAddr("192.0.2.80")
 			honest := false
 			net.Register(addr, handlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
@@ -205,7 +217,7 @@ func TestMismatchedResponsesAreRetriedNotCached(t *testing.T) {
 // TestQuestionNameCaseIsIgnored: a response echoing the question in
 // another letter case (0x20 mixing, RFC 5452 §9.1) answers it.
 func TestQuestionNameCaseIsIgnored(t *testing.T) {
-	net := transport.NewMemNetwork(1)
+	net := transport.NewMemNetwork()
 	addr := netip.MustParseAddr("192.0.2.81")
 	net.Register(addr, handlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		m := &dnswire.Message{ID: q.ID, Response: true, Authoritative: true, Rcode: dnswire.RcodeNXDomain,

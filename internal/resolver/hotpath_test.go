@@ -23,7 +23,7 @@ func benchExchangeSetup() (*Resolver, []netip.AddrPort) {
 		Data: &dnswire.A{Addr: netip.MustParseAddr("203.0.113.80")}})
 	srv := server.New(1)
 	srv.AddZone(z)
-	net := transport.NewMemNetwork(1)
+	net := transport.NewMemNetwork()
 	var servers []netip.AddrPort
 	addr := netip.MustParseAddr("192.0.2.61")
 	for i := 0; i < 4; i++ {

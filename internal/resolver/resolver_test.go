@@ -22,7 +22,7 @@ import (
 //	example.com. on 192.0.2.61, .62  (the zone under test)
 func miniNet(t *testing.T) (*transport.MemNetwork, *Resolver, *zone.Zone) {
 	t.Helper()
-	net := transport.NewMemNetwork(1)
+	net := transport.NewMemNetwork()
 
 	rootAddr := netip.MustParseAddr("198.41.0.4")
 	gtldAddr := netip.MustParseAddr("192.0.32.1")
@@ -279,7 +279,7 @@ func TestDelegationParentZoneFromDSSig(t *testing.T) {
 	srv.AddZone(root)
 	srv.AddZone(com)
 	srv.AddZone(child)
-	net := transport.NewMemNetwork(1)
+	net := transport.NewMemNetwork()
 	net.Register(addr, srv)
 
 	r := &Resolver{Net: net, Roots: []netip.AddrPort{netip.AddrPortFrom(addr, 53)}}
@@ -347,7 +347,7 @@ func TestDelegationParentZoneIndependentOfStart(t *testing.T) {
 	rootSrv.AddZone(root)
 	regSrv.AddZone(uk)
 	regSrv.AddZone(couk)
-	net := transport.NewMemNetwork(1)
+	net := transport.NewMemNetwork()
 	net.Register(rootAddr, rootSrv)
 	net.Register(regAddr, regSrv)
 	roots := []netip.AddrPort{netip.AddrPortFrom(rootAddr, 53)}

@@ -24,7 +24,7 @@ func (f handlerFunc) HandleDNS(ctx context.Context, local netip.Addr, query *dns
 // given fault profile and returns a resolver pointed at it.
 func flakyWorld(t *testing.T, profile transport.FaultProfile) (*Resolver, netip.AddrPort) {
 	t.Helper()
-	net := transport.NewMemNetwork(1)
+	net := transport.NewMemNetwork()
 	addr := netip.MustParseAddr("192.0.2.10")
 	net.Register(addr, handlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		m := &dnswire.Message{ID: q.ID, Response: true, Authoritative: true, Question: q.Question}
@@ -32,8 +32,7 @@ func flakyWorld(t *testing.T, profile transport.FaultProfile) (*Resolver, netip.
 			Data: &dnswire.A{Addr: netip.MustParseAddr("203.0.113.1")}}}
 		return m, nil
 	}))
-	net.SetFault(addr, profile)
-	r := &Resolver{Net: net, Roots: []netip.AddrPort{netip.AddrPortFrom(addr, 53)}}
+	r := &Resolver{Net: &transport.Faults{Inner: net, Profile: profile, Seed: 1}, Roots: []netip.AddrPort{netip.AddrPortFrom(addr, 53)}}
 	return r, netip.AddrPortFrom(addr, 53)
 }
 
@@ -126,7 +125,7 @@ func TestRetryBackoffDeterministicJitter(t *testing.T) {
 // with its own handler.
 func multiServerNet(t *testing.T, handlers ...transport.Handler) (*Resolver, []netip.AddrPort) {
 	t.Helper()
-	net := transport.NewMemNetwork(1)
+	net := transport.NewMemNetwork()
 	var servers []netip.AddrPort
 	for i, h := range handlers {
 		addr := netip.AddrPortFrom(netip.MustParseAddr("192.0.2.0").Next(), 53)

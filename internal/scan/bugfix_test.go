@@ -30,7 +30,7 @@ func faultScanner(t *testing.T) (*transport.MemNetwork, *Scanner, netip.Addr) {
 	z.SetBasics("ns1.example.com.", []string{"ns1.example.com."}, 1)
 	srv := server.New(1)
 	srv.AddZone(z)
-	net := transport.NewMemNetwork(1)
+	net := transport.NewMemNetwork()
 	net.Register(addr, srv)
 	r := &resolver.Resolver{Net: net, Roots: []netip.AddrPort{netip.AddrPortFrom(addr, 53)}}
 	return net, New(Config{Resolver: r, Now: time.Unix(1_750_000_000, 0)}), addr
@@ -41,31 +41,37 @@ func faultScanner(t *testing.T) (*transport.MemNetwork, *Scanner, netip.Addr) {
 // malformed response — was recorded as OutcomeTimeout, inflating the
 // timeout share of Table 2.
 func TestQueryCDSOutcomePerErrorKind(t *testing.T) {
+	type setup func(s *Scanner, net *transport.MemNetwork, addr netip.Addr)
+	faulty := func(p transport.FaultProfile) setup {
+		return func(s *Scanner, n *transport.MemNetwork, _ netip.Addr) {
+			s.cfg.Resolver.Net = &transport.Faults{Inner: n, Profile: p, Seed: 1}
+		}
+	}
 	cases := []struct {
 		name  string
-		setup func(net *transport.MemNetwork, addr netip.Addr)
+		setup setup
 		want  Outcome
 	}{
 		{
 			name:  "host down",
-			setup: func(n *transport.MemNetwork, a netip.Addr) { n.SetFault(a, transport.FaultProfile{Down: true}) },
+			setup: faulty(transport.FaultProfile{Down: true}),
 			want:  OutcomeUnreachable,
 		},
 		{
 			name:  "query dropped",
-			setup: func(n *transport.MemNetwork, a netip.Addr) { n.SetFault(a, transport.FaultProfile{Loss: 1}) },
+			setup: faulty(transport.FaultProfile{Loss: 1}),
 			want:  OutcomeTimeout,
 		},
 		{
 			name:  "servfail",
-			setup: func(n *transport.MemNetwork, a netip.Addr) { n.SetFault(a, transport.FaultProfile{ServFail: true}) },
+			setup: faulty(transport.FaultProfile{ServFail: true}),
 			want:  OutcomeError,
 		},
 		{
 			// The regression: a server whose response cannot be parsed
 			// (handler error) is a protocol failure, not a timeout.
 			name: "malformed response",
-			setup: func(n *transport.MemNetwork, a netip.Addr) {
+			setup: func(_ *Scanner, n *transport.MemNetwork, a netip.Addr) {
 				n.Register(a, handlerFunc(func(context.Context, netip.Addr, *dnswire.Message) (*dnswire.Message, error) {
 					return nil, errors.New("malformed response")
 				}))
@@ -76,7 +82,7 @@ func TestQueryCDSOutcomePerErrorKind(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			net, s, addr := faultScanner(t)
-			tc.setup(net, addr)
+			tc.setup(s, net, addr)
 			_, _, outcome := s.queryCDS(context.Background(), addr, "example.com.", dnswire.TypeCDS)
 			if outcome != tc.want {
 				t.Errorf("outcome = %s, want %s", outcome, tc.want)
@@ -106,7 +112,7 @@ func signalWorld(t *testing.T, dropType dnswire.Type) (*Scanner, string, string)
 	srv := server.New(1)
 	srv.AddZone(sigZone)
 
-	net := transport.NewMemNetwork(1)
+	net := transport.NewMemNetwork()
 	net.Register(addr, handlerFunc(func(ctx context.Context, local netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		if len(q.Question) == 1 && q.Question[0].Type == dropType {
 			return nil, nil // silent drop → client-side timeout

@@ -89,7 +89,7 @@ func newDenialWorld(t *testing.T, setup denialSetup, targets ...string) *denialW
 	}
 	srv.AddZone(root)
 	srv.AddZone(ex)
-	net := transport.NewMemNetwork(1)
+	net := transport.NewMemNetwork()
 	net.Register(addr, srv)
 	if setup.online {
 		return &denialWorld{log: &questionLog{inner: &onlineSigner{t: t, inner: net, zone: ex}}}

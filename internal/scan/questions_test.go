@@ -184,7 +184,7 @@ func oneServerScan(t *testing.T, quirks server.Behavior, edit func(z *zone.Zone)
 	srv := server.New(1)
 	srv.Behavior = quirks
 	srv.AddZone(z)
-	net := transport.NewMemNetwork(1)
+	net := transport.NewMemNetwork()
 	net.Register(addr, srv)
 	log := &questionLog{inner: net}
 	return scan.New(scan.Config{

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"encoding/binary"
 	"hash/fnv"
 	"net/netip"
@@ -10,97 +11,85 @@ import (
 	"dnssecboot/internal/dnswire"
 )
 
-// FaultProfile describes misbehaviour injected in front of a registered
-// handler. Profiles are evaluated deterministically: every decision is
-// derived from the network's chaos seed, the server address, the query
-// tuple (name, type) and a per-tuple sequence number, so a scan with a
-// fixed seed sees the identical fault pattern on every run regardless
-// of wall-clock timing. The zero value injects nothing.
+// FaultProfile describes misbehaviour injected in front of a network.
+// The zero value injects nothing.
 type FaultProfile struct {
 	// Loss drops each query attempt with this probability (the client
 	// sees ErrTimeout).
 	Loss float64
-	// ExtraLatency is added to the network's base latency for matching
-	// exchanges (both directions combined).
+	// ExtraLatency is waited once per exchange before it is passed on.
 	ExtraLatency time.Duration
-	// Down makes the address hard-unreachable (ErrUnreachable).
+	// Down makes every address hard-unreachable (ErrUnreachable).
 	Down bool
-	// ServFail answers every query with SERVFAIL instead of consulting
-	// the handler.
+	// ServFail answers every query with SERVFAIL instead of passing it
+	// on.
 	ServFail bool
-	// TruncateAlways truncates every UDP response regardless of size,
-	// forcing the TCP fallback round-trip.
-	TruncateAlways bool
-	// FlakyEveryN makes the server respond only to every Nth repetition
+	// FlakyEveryN makes servers respond only to every Nth repetition
 	// of the same query tuple, dropping the rest — the "answers on the
 	// second try" behaviour that motivates retry policies. Values < 2
 	// disable the mode.
 	FlakyEveryN int
 }
 
-// active reports whether the profile injects anything at all.
-func (p FaultProfile) active() bool {
-	return p.Loss > 0 || p.ExtraLatency > 0 || p.Down || p.ServFail || p.TruncateAlways || p.FlakyEveryN > 1
+// Faults is an Exchanger that injects Profile's misbehaviour in front
+// of Inner. Decisions are deterministic: each is derived from Seed, the
+// server address, the query tuple (name, type) and a per-tuple sequence
+// number, so a scan with a fixed seed sees the identical fault pattern
+// on every run regardless of goroutine interleaving or wall-clock
+// timing.
+type Faults struct {
+	Inner   Exchanger
+	Profile FaultProfile
+	Seed    int64
+
+	mu  sync.Mutex
+	seq map[uint64]uint64
 }
 
-// faultState holds the fault configuration and the per-tuple sequence
-// counters that make decisions reproducible under concurrency: two
-// scans issuing the same queries get the same drops even if goroutine
-// interleaving differs, because each (addr, qname, qtype) tuple draws
-// from its own deterministic sequence.
-type faultState struct {
-	mu     sync.Mutex
-	seed   int64
-	byAddr map[netip.Addr]FaultProfile
-	def    *FaultProfile
-	seq    map[uint64]uint64
+// Exchange implements Exchanger.
+func (f *Faults) Exchange(ctx context.Context, server netip.AddrPort, query *dnswire.Message) (*dnswire.Message, error) {
+	p := f.Profile
+	if p.Down {
+		return nil, ErrUnreachable
+	}
+	if f.drop(server.Addr(), query) {
+		return nil, ErrTimeout
+	}
+	if p.ExtraLatency > 0 {
+		t := time.NewTimer(p.ExtraLatency)
+		defer t.Stop()
+		select {
+		case <-ctx.Done():
+			return nil, ErrTimeout
+		case <-t.C:
+		}
+	}
+	if p.ServFail {
+		// The question is copied: a caller may reuse its query once
+		// Exchange returns.
+		return &dnswire.Message{ID: query.ID, Response: true, Opcode: query.Opcode, Rcode: dnswire.RcodeServFail,
+			Question: append([]dnswire.Question(nil), query.Question...)}, nil
+	}
+	return f.Inner.Exchange(ctx, server, query)
 }
 
-// SetChaosSeed sets the seed driving fault decisions. By default the
-// network's construction seed is used.
-func (n *MemNetwork) SetChaosSeed(seed int64) {
-	n.faults.mu.Lock()
-	defer n.faults.mu.Unlock()
-	n.faults.seed = seed
-}
+// drop draws whether this exchange is lost, advancing the tuple's
+// sequence.
+func (f *Faults) drop(addr netip.Addr, q *dnswire.Message) bool {
+	key := tupleKey(addr, q)
+	f.mu.Lock()
+	if f.seq == nil {
+		f.seq = make(map[uint64]uint64)
+	}
+	seq := f.seq[key]
+	f.seq[key] = seq + 1
+	f.mu.Unlock()
 
-// SetFault attaches a fault profile to a single address. A zero profile
-// clears it.
-//
-//lint:allow unused test seam: resolver and scan tests fault one server with it
-func (n *MemNetwork) SetFault(addr netip.Addr, p FaultProfile) {
-	n.faults.mu.Lock()
-	defer n.faults.mu.Unlock()
-	if n.faults.byAddr == nil {
-		n.faults.byAddr = make(map[netip.Addr]FaultProfile)
+	p := f.Profile
+	if p.FlakyEveryN > 1 && (seq+1)%uint64(p.FlakyEveryN) != 0 {
+		return true
 	}
-	if p.active() {
-		n.faults.byAddr[addr] = p
-	} else {
-		delete(n.faults.byAddr, addr)
-	}
-}
-
-// SetDefaultFault applies a profile to every address without a more
-// specific one — uniform network weather. A zero profile clears it.
-func (n *MemNetwork) SetDefaultFault(p FaultProfile) {
-	n.faults.mu.Lock()
-	defer n.faults.mu.Unlock()
-	if p.active() {
-		n.faults.def = &p
-	} else {
-		n.faults.def = nil
-	}
-}
-
-func (f *faultState) lookupLocked(addr netip.Addr) FaultProfile {
-	if p, ok := f.byAddr[addr]; ok {
-		return p
-	}
-	if f.def != nil {
-		return *f.def
-	}
-	return FaultProfile{}
+	return p.Loss > 0 && roll(f.Seed, key, seq, 'u') < p.Loss
 }
 
 // tupleKey hashes the (addr, qname, qtype) query tuple.
@@ -115,54 +104,6 @@ func tupleKey(addr netip.Addr, q *dnswire.Message) uint64 {
 		h.Write(t[:])
 	}
 	return h.Sum64()
-}
-
-// faultPlan is the resolved set of decisions for one exchange.
-type faultPlan struct {
-	down         bool
-	drop         bool // drop the UDP leg
-	dropTCP      bool // drop the TCP fallback leg
-	servFail     bool
-	truncate     bool
-	extraLatency time.Duration
-}
-
-// plan resolves the profile for addr and draws this exchange's
-// decisions from the deterministic sequence. Counters advance only for
-// addresses with an active profile, so fault-free runs pay one mutex
-// acquisition and nothing else.
-func (f *faultState) plan(addr netip.Addr, q *dnswire.Message) faultPlan {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	p := f.lookupLocked(addr)
-	if !p.active() {
-		return faultPlan{}
-	}
-	if p.Down {
-		return faultPlan{down: true}
-	}
-	key := tupleKey(addr, q)
-	if f.seq == nil {
-		f.seq = make(map[uint64]uint64)
-	}
-	seq := f.seq[key]
-	f.seq[key] = seq + 1
-
-	plan := faultPlan{
-		servFail:     p.ServFail,
-		truncate:     p.TruncateAlways,
-		extraLatency: p.ExtraLatency,
-	}
-	if p.FlakyEveryN > 1 && (seq+1)%uint64(p.FlakyEveryN) != 0 {
-		plan.drop = true
-	}
-	if !plan.drop && p.Loss > 0 && roll(f.seed, key, seq, 'u') < p.Loss {
-		plan.drop = true
-	}
-	if p.Loss > 0 && roll(f.seed, key, seq, 't') < p.Loss {
-		plan.dropTCP = true
-	}
-	return plan
 }
 
 // roll derives a uniform float64 in [0, 1) from the seed, tuple key,

@@ -3,54 +3,66 @@ package transport
 import (
 	"context"
 	"net/netip"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dnssecboot/internal/dnswire"
 )
 
+var faultAddr = netip.AddrPortFrom(netip.MustParseAddr("192.0.2.1"), 53)
+
 func faultQuery(name string) *dnswire.Message {
 	return dnswire.NewQuery(1, name, dnswire.TypeA)
 }
 
+// faulty returns a network with one answering server at faultAddr
+// behind profile p, seeded with 1.
+func faulty(p FaultProfile) (*Faults, *MemNetwork) {
+	n := NewMemNetwork()
+	n.Register(faultAddr.Addr(), echoHandler(dnswire.RcodeNoError))
+	return &Faults{Inner: n, Profile: p, Seed: 1}, n
+}
+
 func TestFaultDown(t *testing.T) {
-	n := NewMemNetwork(1)
-	addr := netip.MustParseAddr("192.0.2.1")
-	n.Register(addr, echoHandler(dnswire.RcodeNoError))
-	n.SetFault(addr, FaultProfile{Down: true})
-	if _, err := n.Exchange(context.Background(), netip.AddrPortFrom(addr, 53), faultQuery("x.")); err != ErrUnreachable {
+	f, n := faulty(FaultProfile{Down: true})
+	if _, err := f.Exchange(context.Background(), faultAddr, faultQuery("x.")); err != ErrUnreachable {
 		t.Fatalf("down server err = %v, want ErrUnreachable", err)
 	}
-	// Clearing the profile restores the server.
-	n.SetFault(addr, FaultProfile{})
-	if _, err := n.Exchange(context.Background(), netip.AddrPortFrom(addr, 53), faultQuery("x.")); err != nil {
-		t.Fatalf("cleared profile err = %v", err)
+	if q, _, _ := n.Stats(); q != 0 {
+		t.Errorf("a down server's query reached the network (%d deliveries)", q)
+	}
+	// The zero profile passes every query through.
+	f.Profile = FaultProfile{}
+	if _, err := f.Exchange(context.Background(), faultAddr, faultQuery("x.")); err != nil {
+		t.Fatalf("zero profile err = %v", err)
 	}
 }
 
 func TestFaultServFail(t *testing.T) {
-	n := NewMemNetwork(1)
-	addr := netip.MustParseAddr("192.0.2.1")
-	n.Register(addr, echoHandler(dnswire.RcodeNoError))
-	n.SetFault(addr, FaultProfile{ServFail: true})
-	resp, err := n.Exchange(context.Background(), netip.AddrPortFrom(addr, 53), faultQuery("x."))
+	f, _ := faulty(FaultProfile{ServFail: true})
+	q := dnswire.NewQuery(4711, "Case.Test.", dnswire.TypeCDS)
+	q.Opcode = 2
+	resp, err := f.Exchange(context.Background(), faultAddr, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Rcode != dnswire.RcodeServFail {
-		t.Errorf("rcode = %s, want SERVFAIL", resp.Rcode)
+	if resp.Rcode != dnswire.RcodeServFail || !resp.Response {
+		t.Errorf("rcode = %s, response = %v, want a SERVFAIL response", resp.Rcode, resp.Response)
+	}
+	// The resolver discards a response that does not echo its query.
+	if resp.ID != q.ID || resp.Opcode != q.Opcode || len(resp.Question) != 1 || resp.Question[0] != q.Question[0] {
+		t.Errorf("SERVFAIL does not echo the query: id %d opcode %d question %v, want %d %d %v",
+			resp.ID, resp.Opcode, resp.Question, q.ID, q.Opcode, q.Question)
 	}
 }
 
 func TestFaultFlakyEveryN(t *testing.T) {
-	n := NewMemNetwork(1)
-	addr := netip.MustParseAddr("192.0.2.1")
-	n.Register(addr, echoHandler(dnswire.RcodeNoError))
-	n.SetFault(addr, FaultProfile{FlakyEveryN: 3})
-	server := netip.AddrPortFrom(addr, 53)
+	f, _ := faulty(FaultProfile{FlakyEveryN: 3})
 	// Repeats of the same query tuple: attempts 1 and 2 drop, 3 answers.
 	for i, wantErr := range []bool{true, true, false, true, true, false} {
-		_, err := n.Exchange(context.Background(), server, faultQuery("flaky.test."))
+		_, err := f.Exchange(context.Background(), faultAddr, faultQuery("flaky.test."))
 		if wantErr && err != ErrTimeout {
 			t.Fatalf("attempt %d: err = %v, want ErrTimeout", i+1, err)
 		}
@@ -59,21 +71,18 @@ func TestFaultFlakyEveryN(t *testing.T) {
 		}
 	}
 	// Distinct tuples keep independent sequences.
-	if _, err := n.Exchange(context.Background(), server, faultQuery("other.test.")); err != ErrTimeout {
+	if _, err := f.Exchange(context.Background(), faultAddr, faultQuery("other.test.")); err != ErrTimeout {
 		t.Errorf("fresh tuple first attempt err = %v, want ErrTimeout", err)
 	}
 }
 
 func TestFaultLossDeterministicAcrossNetworks(t *testing.T) {
 	pattern := func(seed int64) []bool {
-		n := NewMemNetwork(7)
-		addr := netip.MustParseAddr("192.0.2.1")
-		n.Register(addr, echoHandler(dnswire.RcodeNoError))
-		n.SetChaosSeed(seed)
-		n.SetFault(addr, FaultProfile{Loss: 0.5})
+		f, _ := faulty(FaultProfile{Loss: 0.5})
+		f.Seed = seed
 		var out []bool
 		for i := 0; i < 64; i++ {
-			_, err := n.Exchange(context.Background(), netip.AddrPortFrom(addr, 53), faultQuery("det.test."))
+			_, err := f.Exchange(context.Background(), faultAddr, faultQuery("det.test."))
 			out = append(out, err == ErrTimeout)
 		}
 		return out
@@ -105,74 +114,50 @@ func equalBools(a, b []bool) bool {
 	return true
 }
 
-func TestFaultTruncateAlwaysForcesTCP(t *testing.T) {
-	n := NewMemNetwork(1)
-	addr := netip.MustParseAddr("192.0.2.1")
-	n.Register(addr, echoHandler(dnswire.RcodeNoError))
-	n.SetFault(addr, FaultProfile{TruncateAlways: true})
-	resp, err := n.Exchange(context.Background(), netip.AddrPortFrom(addr, 53), faultQuery("x."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Truncated {
-		t.Error("TCP retry still truncated")
-	}
-	if q, _, _ := n.Stats(); q != 2 {
-		t.Errorf("queries = %d, want 2 (forced UDP truncation + TCP retry)", q)
-	}
-}
-
-func TestFaultAddressOverridesDefault(t *testing.T) {
-	n := NewMemNetwork(1)
-	pinned := netip.MustParseAddr("198.51.100.20")
-	elsewhere := netip.MustParseAddr("203.0.113.1")
-	for _, a := range []netip.Addr{pinned, elsewhere} {
-		n.Register(a, echoHandler(dnswire.RcodeNoError))
-	}
-	n.SetDefaultFault(FaultProfile{ServFail: true})
-	n.SetFault(pinned, FaultProfile{Down: true})
-	exchange := func(a netip.Addr) (*dnswire.Message, error) {
-		return n.Exchange(context.Background(), netip.AddrPortFrom(a, 53), faultQuery("x."))
-	}
-
-	if resp, err := exchange(elsewhere); err != nil || resp.Rcode != dnswire.RcodeServFail {
-		t.Errorf("default profile not applied: %v, %v", resp, err)
-	}
-	if _, err := exchange(pinned); err != ErrUnreachable {
-		t.Errorf("address profile did not win over the default: err = %v", err)
-	}
-	// Clearing the default exposes unmatched addresses again.
-	n.SetDefaultFault(FaultProfile{})
-	if resp, err := exchange(elsewhere); err != nil || resp.Rcode != dnswire.RcodeNoError {
-		t.Errorf("cleared default still active: %v, %v", resp, err)
-	}
-}
-
 func TestFaultExtraLatencyRespectsDeadline(t *testing.T) {
-	n := NewMemNetwork(1)
-	addr := netip.MustParseAddr("192.0.2.1")
-	n.Register(addr, echoHandler(dnswire.RcodeNoError))
-	n.SetFault(addr, FaultProfile{ExtraLatency: 200 * time.Millisecond})
+	f, _ := faulty(FaultProfile{ExtraLatency: 200 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if _, err := n.Exchange(ctx, netip.AddrPortFrom(addr, 53), faultQuery("x.")); err != ErrTimeout {
+	if _, err := f.Exchange(ctx, faultAddr, faultQuery("x.")); err != ErrTimeout {
 		t.Errorf("slow server within short deadline: err = %v, want ErrTimeout", err)
 	}
 }
 
 func TestFaultInjectedDropsCounter(t *testing.T) {
-	n := NewMemNetwork(1)
-	addr := netip.MustParseAddr("192.0.2.1")
-	n.Register(addr, echoHandler(dnswire.RcodeNoError))
-	n.SetFault(addr, FaultProfile{FlakyEveryN: 2})
-	server := netip.AddrPortFrom(addr, 53)
+	f, n := faulty(FaultProfile{FlakyEveryN: 2})
 	drops := 0
 	for i := 0; i < 4; i++ {
-		if _, err := n.Exchange(context.Background(), server, faultQuery("x.")); err == ErrTimeout {
+		if _, err := f.Exchange(context.Background(), faultAddr, faultQuery("x.")); err == ErrTimeout {
 			drops++
 		}
 	}
 	if drops != 2 {
 		t.Errorf("%d of 4 exchanges dropped, want 2", drops)
+	}
+	if q, _, _ := n.Stats(); q != 2 {
+		t.Errorf("network delivered %d queries, want the 2 not dropped", q)
+	}
+}
+
+// TestFaultConcurrentDraws: goroutines repeating one query tuple draw
+// from one sequence, so exactly every other exchange is dropped.
+func TestFaultConcurrentDraws(t *testing.T) {
+	f, _ := faulty(FaultProfile{FlakyEveryN: 2})
+	var drops atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if _, err := f.Exchange(context.Background(), faultAddr, faultQuery("x.")); err == ErrTimeout {
+					drops.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := drops.Load(); got != 200 {
+		t.Errorf("%d of 400 concurrent exchanges dropped, want 200", got)
 	}
 }

@@ -5,29 +5,21 @@ import (
 	"net/netip"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dnssecboot/internal/dnswire"
 )
 
 // MemNetwork is a simulated internet: handlers are registered on
 // individual addresses or whole prefixes (anycast, as Cloudflare
-// operates), and exchanges are subject to configurable latency and
-// loss. Every message is packed to wire format and re-parsed on
+// operates). Every message is packed to wire format and re-parsed on
 // delivery, so the full codec path is exercised and traffic volume can
 // be accounted (the paper's Appendix D reasons about scan data volume).
+// It delivers every query instantly; loss, outages and latency are
+// injected by wrapping it in Faults.
 type MemNetwork struct {
 	mu       sync.RWMutex
 	hosts    map[netip.Addr]Handler
 	prefixes []prefixRoute
-
-	// Latency is the simulated one-way delay applied twice per
-	// exchange. Zero disables the wait entirely (tests run at full
-	// speed); the delay only matters when a context deadline is short.
-	Latency time.Duration
-	// faults holds the scriptable fault-injection layer (per-address,
-	// and default profiles; see fault.go).
-	faults faultState
 
 	queries  atomic.Int64
 	bytesOut atomic.Int64 // query bytes
@@ -39,13 +31,9 @@ type prefixRoute struct {
 	handler Handler
 }
 
-// NewMemNetwork returns an empty network. seed is the default chaos
-// seed of its fault profiles.
-func NewMemNetwork(seed int64) *MemNetwork {
-	return &MemNetwork{
-		hosts:  make(map[netip.Addr]Handler),
-		faults: faultState{seed: seed},
-	}
+// NewMemNetwork returns an empty network.
+func NewMemNetwork() *MemNetwork {
+	return &MemNetwork{hosts: make(map[netip.Addr]Handler)}
 }
 
 // Register binds handler to a single IP address.
@@ -102,14 +90,7 @@ func (n *MemNetwork) Exchange(ctx context.Context, server netip.AddrPort, query 
 	if !ok {
 		return nil, ErrUnreachable
 	}
-	plan := n.faults.plan(server.Addr(), query)
-	if plan.down {
-		return nil, ErrUnreachable
-	}
-	if plan.drop {
-		return nil, ErrTimeout
-	}
-	if err := n.delay(ctx, plan.extraLatency); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
@@ -126,15 +107,9 @@ func (n *MemNetwork) Exchange(ctx context.Context, server netip.AddrPort, query 
 	if err := s.parsed.UnpackFrom(wire); err != nil {
 		return nil, err
 	}
-	parsed := &s.parsed
-	var resp *dnswire.Message
-	if plan.servFail {
-		resp = &dnswire.Message{ID: parsed.ID, Response: true, Rcode: dnswire.RcodeServFail, Question: parsed.Question}
-	} else {
-		resp, err = h.HandleDNS(ctx, server.Addr(), parsed)
-		if err != nil {
-			return nil, err
-		}
+	resp, err := h.HandleDNS(ctx, server.Addr(), &s.parsed)
+	if err != nil {
+		return nil, err
 	}
 	if resp == nil {
 		return nil, ErrTimeout // server silently dropped the query
@@ -143,9 +118,6 @@ func (n *MemNetwork) Exchange(ctx context.Context, server netip.AddrPort, query 
 	limit := 512
 	if e, ok := query.GetEDNS(); ok {
 		limit = int(e.UDPSize)
-	}
-	if plan.truncate {
-		limit = 1 // every response exceeds this → forced TC + TCP retry
 	}
 	respWire, err := resp.AppendPackTruncating(s.respWire[:0], limit)
 	if err != nil {
@@ -158,12 +130,6 @@ func (n *MemNetwork) Exchange(ctx context.Context, server netip.AddrPort, query 
 	}
 	if out.Truncated {
 		// TCP retry: no size limit, second round trip.
-		if plan.dropTCP {
-			return nil, ErrTimeout
-		}
-		if err := n.delay(ctx, plan.extraLatency); err != nil {
-			return nil, err
-		}
 		n.queries.Add(1)
 		n.bytesOut.Add(int64(len(wire)))
 		respWire, err = resp.AppendPack(s.respWire[:0])
@@ -178,20 +144,6 @@ func (n *MemNetwork) Exchange(ctx context.Context, server netip.AddrPort, query 
 	}
 	n.bytesIn.Add(int64(len(respWire)))
 	return out, nil
-}
-
-func (n *MemNetwork) delay(ctx context.Context, extra time.Duration) error {
-	if n.Latency <= 0 && extra <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(2*n.Latency + extra)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ErrTimeout
-	case <-t.C:
-		return nil
-	}
 }
 
 // Stats reports traffic counters since creation.

@@ -22,7 +22,7 @@ func echoHandler(rcode dnswire.Rcode) Handler {
 }
 
 func TestMemNetworkRouting(t *testing.T) {
-	n := NewMemNetwork(1)
+	n := NewMemNetwork()
 	addr := netip.MustParseAddr("192.0.2.1")
 	n.Register(addr, echoHandler(dnswire.RcodeNoError))
 
@@ -42,7 +42,7 @@ func TestMemNetworkRouting(t *testing.T) {
 }
 
 func TestMemNetworkAnycastPrefix(t *testing.T) {
-	n := NewMemNetwork(1)
+	n := NewMemNetwork()
 	n.RegisterPrefix(netip.MustParsePrefix("198.51.100.0/24"), echoHandler(dnswire.RcodeNoError))
 	q := dnswire.NewQuery(1, "x.", dnswire.TypeA)
 	for _, ip := range []string{"198.51.100.1", "198.51.100.200", "198.51.100.77"} {
@@ -62,19 +62,8 @@ func TestMemNetworkAnycastPrefix(t *testing.T) {
 	}
 }
 
-func TestMemNetworkLoss(t *testing.T) {
-	n := NewMemNetwork(42)
-	n.SetDefaultFault(FaultProfile{Loss: 1})
-	addr := netip.MustParseAddr("192.0.2.1")
-	n.Register(addr, echoHandler(dnswire.RcodeNoError))
-	q := dnswire.NewQuery(1, "x.", dnswire.TypeA)
-	if _, err := n.Exchange(context.Background(), netip.AddrPortFrom(addr, 53), q); err != ErrTimeout {
-		t.Errorf("loss=1.0 err = %v", err)
-	}
-}
-
 func TestMemNetworkNilResponseIsTimeout(t *testing.T) {
-	n := NewMemNetwork(1)
+	n := NewMemNetwork()
 	addr := netip.MustParseAddr("192.0.2.1")
 	n.Register(addr, handlerFunc(func(context.Context, netip.Addr, *dnswire.Message) (*dnswire.Message, error) {
 		return nil, nil
@@ -86,7 +75,7 @@ func TestMemNetworkNilResponseIsTimeout(t *testing.T) {
 }
 
 func TestMemNetworkTruncationRetry(t *testing.T) {
-	n := NewMemNetwork(1)
+	n := NewMemNetwork()
 	addr := netip.MustParseAddr("192.0.2.1")
 	n.Register(addr, handlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		m := &dnswire.Message{ID: q.ID, Response: true, Question: q.Question}
@@ -111,7 +100,7 @@ func TestMemNetworkTruncationRetry(t *testing.T) {
 }
 
 func TestMemNetworkStats(t *testing.T) {
-	n := NewMemNetwork(1)
+	n := NewMemNetwork()
 	addr := netip.MustParseAddr("192.0.2.1")
 	n.Register(addr, echoHandler(dnswire.RcodeNoError))
 	q := dnswire.NewQuery(1, "example.com.", dnswire.TypeA)

@@ -1,9 +1,10 @@
 // Package transport abstracts how DNS messages travel between the
 // scanner/resolver and authoritative servers. Two implementations are
 // provided: MemNetwork, a deterministic in-memory internet simulation
-// (latency, loss, unreachable hosts, anycast prefixes) that still
-// round-trips every message through the real wire encoder; and Client,
-// a UDP client with TCP fallback for talking to real servers.
+// (unreachable hosts, anycast prefixes) that still round-trips every
+// message through the real wire encoder; and Client, a UDP client with
+// TCP fallback for talking to real servers. Faults wraps either to
+// inject loss, outages, SERVFAIL, flaky answers and latency.
 package transport
 
 import (
