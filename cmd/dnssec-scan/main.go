@@ -15,15 +15,16 @@
 // The scan streams: each zone's observation is classified, folded into
 // the report tallies and (with -dump) appended to the JSONL export as
 // soon as its turn in the target order arrives, so memory stays bounded
-// by the concurrency window regardless of -scale. With -checkpoint the
-// durable prefix is recorded periodically; an interrupted run (crash or
-// SIGINT, which drains in-flight zones gracefully) continues with
-// -resume from exactly where the export stopped.
+// by the concurrency window regardless of -scale. The dump is the
+// scan's record of progress: with -checkpoint (which needs -dump) the
+// run's identity is written once at the start, and an interrupted run
+// (crash or SIGINT, which drains in-flight zones gracefully) continues
+// with -resume after the dump's last complete record.
 //
 // With -shards N the command coordinates N copies of itself, each
 // started with -shard i/N to scan one contiguous partition of the zone
-// space; it restarts dead or wedged copies from their checkpoints in
-// -run-dir and merges their outputs byte-identically to a single-process
+// space; it restarts dead or wedged copies from their dumps in -run-dir
+// and merges their outputs byte-identically to a single-process
 // run (README "Sharded scans": which flags reach the copies).
 //
 // With -zonefile the target list comes from a real zone dump (CZDS

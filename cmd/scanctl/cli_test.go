@@ -13,7 +13,6 @@ import (
 
 	"dnssecboot/internal/dnssec"
 	"dnssecboot/internal/dnswire"
-	"dnssecboot/internal/report"
 	"dnssecboot/internal/scan"
 	"dnssecboot/internal/zone"
 )
@@ -56,6 +55,15 @@ func TestFlagsAndExitCodes(t *testing.T) {
 	if err := os.WriteFile(v3Checkpoint, []byte(`{"version":3,"seed":1,"total_zones":700,"next_index":16,"config":{"seed":1,"scale":500000}}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A version-4 checkpoint kept the progress and tallies beside the
+	// dump instead of reading them from it.
+	v4Checkpoint := filepath.Join(dir, "v4.ckpt")
+	if err := os.WriteFile(v4Checkpoint, []byte(`{"version":4,"seed":1,"total_zones":700,"next_index":16,"dump_bytes":18000,"config":{"seed":"1","scale":"500000"},"aggregate":{"state_version":1,"total":16}}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The dump a resume beside those headers would read: never opened,
+	// since the header is refused first.
+	absentDump := filepath.Join(dir, "absent.jsonl")
 	// A zone dump whose fourth line is malformed, for zonestat.
 	badZone := filepath.Join(dir, "bad.zone")
 	if err := os.WriteFile(badZone, []byte("$ORIGIN uk.\n@ 3600 IN SOA ns1.uk. host.uk. 1 2 3 4 5\nexample 3600 IN NS ns1.example.uk.\nbroken 3600 IN NS\n"), 0o644); err != nil {
@@ -99,9 +107,18 @@ func TestFlagsAndExitCodes(t *testing.T) {
 		{"one shard runs and merges", "scanctl",
 			[]string{"-shards", "1", "-scale", "500000", "-run-dir", filepath.Join(dir, "run"), "-out", "headline"}, 0, "1 shards covered", "", ""},
 		{"version-2 checkpoint refused by name", "dnssec-scan",
-			[]string{"-scale", "500000", "-resume", oldCheckpoint, "-out", "none"}, 1, "checkpoint is version 2", "", ""},
+			[]string{"-scale", "500000", "-resume", oldCheckpoint, "-dump", absentDump, "-out", "none"}, 1, "checkpoint is version 2", "", ""},
 		{"version-3 checkpoint refused by name", "dnssec-scan",
-			[]string{"-scale", "500000", "-resume", v3Checkpoint, "-out", "none"}, 1, "checkpoint is version 3", "", ""},
+			[]string{"-scale", "500000", "-resume", v3Checkpoint, "-dump", absentDump, "-out", "none"}, 1, "checkpoint is version 3", "", ""},
+		{"version-4 checkpoint refused by name", "dnssec-scan",
+			[]string{"-scale", "500000", "-resume", v4Checkpoint, "-dump", absentDump, "-out", "none"}, 1, "checkpoint is version 4", "", ""},
+		// The dump is the record of progress: without one there is
+		// nothing to resume from.
+		{"-checkpoint without -dump refused", "dnssec-scan",
+			[]string{"-scale", "500000", "-checkpoint", filepath.Join(dir, "c.ckpt")}, 2, "-checkpoint and -resume need -dump", "generated", ""},
+		{"-resume without -dump refused", "dnssec-scan",
+			[]string{"-scale", "500000", "-resume", oldCheckpoint}, 2, "-checkpoint and -resume need -dump", "generated", ""},
+		{"deleted -checkpoint-every is an unknown flag", "dnssec-scan", []string{"-checkpoint-every", "16"}, 2, "flag provided but not defined: -checkpoint-every", "", ""},
 		// A mistyped -out is refused before the world is generated, not
 		// after the scan has run and written its dump.
 		{"dnssec-scan refuses a mistyped artefact before scanning", "dnssec-scan",
@@ -223,7 +240,7 @@ func interrupt(t *testing.T, cp string, args ...string) {
 func TestResumeFingerprint(t *testing.T) {
 	dir := t.TempDir()
 	cp := filepath.Join(dir, "scan.ckpt")
-	common := []string{"-scale", "500000", "-max-zones", "200", "-checkpoint", cp, "-checkpoint-every", "16", "-out", "none"}
+	common := []string{"-scale", "500000", "-max-zones", "200", "-checkpoint", cp, "-dump", filepath.Join(dir, "obs.jsonl"), "-out", "none"}
 	interrupt(t, cp, append(common, "-rate", "100")...)
 
 	exit, msg := run(t, "dnssec-scan", append(common, "-resume", cp, "-rate", "0")...)
@@ -236,15 +253,13 @@ func TestResumeFingerprint(t *testing.T) {
 	}
 }
 
-// TestResumeTornDump cuts the dump and the checkpoint of an interrupted
-// run the ways a crash or a disk can. A dump shorter than the
-// checkpoint's dump_bytes has lost records the checkpoint counts: resume
-// must refuse it (it used to pad the dump with NUL bytes and exit 0). A
-// dump longer than dump_bytes holds records written after the last
-// checkpoint, ending in a partial one: resume must cut them and finish
-// with the bodies and headline of an uninterrupted run. No prefix of the
-// checkpoint file may get past ReadCheckpoint, Validate and
-// UnmarshalState.
+// TestResumeTornDump resumes an interrupted run from dumps cut the ways
+// a crash or a disk can cut them: empty, inside a record, at a record
+// boundary, one byte past one, and one byte short of the whole dump.
+// The complete records are kept and the rest is scanned again, so each
+// resume must finish with the bodies and headline of an uninterrupted
+// run. No prefix of the run header may get past ReadCheckpoint and
+// Validate.
 func TestResumeTornDump(t *testing.T) {
 	dir := t.TempDir()
 	ref, dump, cp := filepath.Join(dir, "ref.jsonl"), filepath.Join(dir, "obs.jsonl"), filepath.Join(dir, "scan.ckpt")
@@ -254,8 +269,8 @@ func TestResumeTornDump(t *testing.T) {
 		t.Fatalf("reference run: %v", err)
 	}
 	common := append(scope, "-checkpoint", cp, "-dump", dump, "-out", "headline")
-	interrupt(t, cp, append(common, "-checkpoint-every", "4", "-concurrency", "1")...)
-	ckpt, err := os.ReadFile(cp)
+	interrupt(t, cp, append(common, "-concurrency", "1")...)
+	header, err := os.ReadFile(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,52 +278,12 @@ func TestResumeTornDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	durable, err := os.ReadFile(dump)
-	if err != nil || int64(len(durable)) != state.DumpBytes || state.NextIndex == 0 {
-		t.Fatalf("interrupted run left a %d-byte dump (%v) under a checkpoint at zone %d covering %d bytes",
-			len(durable), err, state.NextIndex, state.DumpBytes)
-	}
 
-	// Every cut below dump_bytes: 0, each record boundary and a byte
-	// either side of it, and dump_bytes-1.
-	cuts := map[int]bool{0: true, len(durable) - 1: true}
-	for i, b := range durable {
-		if b == '\n' && i+1 < len(durable) {
-			for _, c := range []int{i, i + 1, i + 2} {
-				cuts[c] = true
-			}
-		}
-	}
-	t.Logf("zone %d, %d bytes: %d cuts", state.NextIndex, state.DumpBytes, len(cuts))
-	for cut := range cuts {
-		if err := os.WriteFile(dump, durable[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		exit, msg := run(t, "dnssec-scan", append(common, "-resume", cp)...)
-		if exit != 1 || !strings.Contains(msg, fmt.Sprintf("is %d bytes, shorter than the checkpoint's dump_bytes %d", cut, len(durable))) {
-			t.Errorf("dump cut to %d of %d bytes: exit code %d, want 1 naming both sizes\n%s", cut, len(durable), exit, msg)
-		}
-		if now, err := os.ReadFile(cp); err != nil || !bytes.Equal(now, ckpt) {
-			t.Fatalf("a refused resume rewrote the checkpoint (%v)", err)
-		}
-	}
-
-	// Past dump_bytes: the next record as the reference wrote it, then
-	// half of the one after.
+	// The reference dump stands in for what the interrupted run would
+	// have written by each cut: the scan is deterministic.
 	refDump, err := os.ReadFile(ref)
 	if err != nil {
 		t.Fatal(err)
-	}
-	next := refDump[len(durable):]
-	end := bytes.IndexByte(next, '\n') + 1
-	end += bytes.IndexByte(next[end:], '\n') / 2
-	if err := os.WriteFile(dump, append(durable, next[:end]...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	resumed := exec.Command(filepath.Join(binDir, "dnssec-scan"), append(common, "-resume", cp)...)
-	headline, err := resumed.Output()
-	if err != nil || !bytes.Equal(headline, refHeadline) {
-		t.Fatalf("resume over a torn tail: %v, headline\n%s\nwant\n%s", err, headline, refHeadline)
 	}
 	bodies := func(path string) []byte {
 		out, err := exec.Command(filepath.Join(binDir, "reanalyze"), "-in", path, "-out", "body").Output()
@@ -317,15 +292,36 @@ func TestResumeTornDump(t *testing.T) {
 		}
 		return out
 	}
-	if !bytes.Equal(bodies(dump), bodies(ref)) {
-		t.Error("resumed dump bodies differ from the uninterrupted run's")
+	refBodies := bodies(ref)
+	boundary := 0
+	for k := 0; k < 3; k++ {
+		boundary += bytes.IndexByte(refDump[boundary:], '\n') + 1
+	}
+	mid := boundary + bytes.IndexByte(refDump[boundary:], '\n')/2
+	for _, cut := range []int{0, mid, boundary, boundary + 1, len(refDump) - 1} {
+		if err := os.WriteFile(dump, refDump[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stderr bytes.Buffer
+		resumed := exec.Command(filepath.Join(binDir, "dnssec-scan"), append(common, "-resume", cp)...)
+		resumed.Stderr = &stderr
+		headline, err := resumed.Output()
+		if err != nil || !bytes.Equal(headline, refHeadline) {
+			t.Fatalf("resume from a dump cut at byte %d of %d: %v, headline\n%s\nwant\n%s\n%s", cut, len(refDump), err, headline, refHeadline, stderr.String())
+		}
+		if !bytes.Equal(bodies(dump), refBodies) {
+			t.Errorf("resume from a dump cut at byte %d of %d: bodies differ from the uninterrupted run's", cut, len(refDump))
+		}
+		if now, err := os.ReadFile(cp); err != nil || !bytes.Equal(now, header) {
+			t.Fatalf("a resume rewrote the run header (%v)", err)
+		}
 	}
 
-	// Every strict prefix of the checkpoint document is refused, never
+	// Every strict prefix of the header document is refused, never
 	// resumed from, and never panics. Each prefix gets a file of its
 	// own: rewriting one file in place thousands of times is slow on
 	// filesystems that flush a truncated file's data on close.
-	doc := bytes.TrimRight(ckpt, "\n")
+	doc := bytes.TrimRight(header, "\n")
 	for cut := 0; cut <= len(doc); cut++ {
 		torn := filepath.Join(dir, fmt.Sprintf("torn-%d.ckpt", cut))
 		if err := os.WriteFile(torn, doc[:cut], 0o644); err != nil {
@@ -333,13 +329,10 @@ func TestResumeTornDump(t *testing.T) {
 		}
 		c, err := scan.ReadCheckpoint(torn)
 		if err == nil {
-			err = c.Validate(state.Seed, state.TotalZones, 0, 1, state.Config)
-		}
-		if err == nil {
-			_, err = report.UnmarshalState(c.Aggregate)
+			err = c.Validate(state)
 		}
 		if whole := cut == len(doc); (err == nil) != whole {
-			t.Fatalf("checkpoint cut to %d of %d bytes: error %v", cut, len(doc), err)
+			t.Fatalf("header cut to %d of %d bytes: error %v", cut, len(doc), err)
 		}
 	}
 }
@@ -437,45 +430,5 @@ func TestZonesignOutput(t *testing.T) {
 				t.Errorf("DS line %q does not match the KSK", dsText)
 			}
 		})
-	}
-}
-
-// TestCheckpointTempsSwept: the temporaries a kill inside
-// WriteCheckpoint leaves beside the checkpoint are removed when a run
-// starts, fresh or resumed; a file that only looks similar is not.
-func TestCheckpointTempsSwept(t *testing.T) {
-	dir := t.TempDir()
-	cp := filepath.Join(dir, "scan.ckpt")
-	plant := func() {
-		for _, name := range []string{"scan.ckpt.tmp123", "scan.ckpt.tmp", "other.ckpt.tmp1"} {
-			if err := os.WriteFile(filepath.Join(dir, name), []byte("{"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	left := func() []string {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var names []string
-		for _, e := range entries {
-			names = append(names, e.Name())
-		}
-		return names
-	}
-	common := []string{"-scale", "500000", "-max-zones", "40", "-out", "none"}
-	for _, args := range [][]string{{"-checkpoint", cp}, {"-resume", cp}} {
-		plant()
-		exit, stderr := run(t, "dnssec-scan", append(common, args...)...)
-		if exit != 0 {
-			t.Fatalf("%v: exit code %d\n%s", args, exit, stderr)
-		}
-		if got := strings.Join(left(), " "); got != "other.ckpt.tmp1 scan.ckpt" {
-			t.Errorf("%v left %s, want only the checkpoint and the unrelated file", args, got)
-		}
-		if !strings.Contains(stderr, "removed orphaned checkpoint temporary") {
-			t.Errorf("%v: the sweep was not reported:\n%s", args, stderr)
-		}
 	}
 }

@@ -58,17 +58,6 @@ func (s Status) String() string {
 	return "?"
 }
 
-// Statuses lists every deployment status, for iteration (checkpoint
-// state round-trips, exhaustive tests).
-var Statuses = []Status{StatusUnresolved, StatusUnsigned, StatusSecured, StatusInvalid, StatusIsland}
-
-// MarshalText encodes the status by name, so a Status-keyed map in a
-// checkpoint survives a reordering of the constants.
-func (s Status) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
-
-// UnmarshalText decodes a status name, refusing any other text.
-func (s *Status) UnmarshalText(b []byte) error { return parseName(Statuses, s, b, "status") }
-
 // CDSInfo is the §4.2 view of a zone's CDS/CDNSKEY publication.
 type CDSInfo struct {
 	// Present: at least one nameserver served CDS or CDNSKEY records.
@@ -140,31 +129,12 @@ func (p Potential) String() string {
 	return "?"
 }
 
-// Potentials lists every Figure-1 bucket, for iteration (checkpoint
-// state round-trips, exhaustive tests).
+// Potentials lists every Figure-1 bucket, in the order the figure1 CSV
+// series writes them.
 var Potentials = []Potential{
 	PotentialNone, PotentialAlreadySecured, PotentialInvalidDNSSEC,
 	PotentialIslandNoCDS, PotentialIslandInvalidCDS, PotentialIslandDelete,
 	PotentialBootstrap,
-}
-
-// MarshalText encodes the bucket by name, as Status.MarshalText does.
-func (p Potential) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
-
-// UnmarshalText decodes a bucket name, refusing any other text.
-func (p *Potential) UnmarshalText(b []byte) error { return parseName(Potentials, p, b, "bucket") }
-
-// parseName sets *v to the member of all named b. An unknown name is
-// refused: a tally silently dropped or misfiled would corrupt every
-// table rendered from it.
-func parseName[E fmt.Stringer](all []E, v *E, b []byte, kind string) error {
-	for _, e := range all {
-		if e.String() == string(b) {
-			*v = e
-			return nil
-		}
-	}
-	return fmt.Errorf("classify: unknown %s %q", kind, b)
 }
 
 // SignalViolation is one way a zone's RFC 9615 signalling fails.

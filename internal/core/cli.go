@@ -5,7 +5,7 @@ package core
 // the flag is an option. With -shards N the command coordinates N copies
 // of its own executable, each scanning one -shard i/N partition, and
 // forwards them every flag the user set except the coordinator-owned
-// ones; the checkpoint fingerprint comes from the same registration.
+// ones; the run header's fingerprint comes from the same registration.
 
 import (
 	"context"
@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"dnssecboot/internal/classify"
+	"dnssecboot/internal/dnswire"
 	"dnssecboot/internal/ecosystem"
 	"dnssecboot/internal/ingest"
 	"dnssecboot/internal/obs"
@@ -51,7 +52,7 @@ type command struct {
 	// produces.
 	fingerprinted []string
 
-	year, cpEvery                              int
+	year                                       int
 	zonefile, zoneOrigin, dump, out, csvDir    string
 	metricsOut, traceOut, traceZone, pprofAddr string
 	checkpoint, resume, shardSpec              string
@@ -62,7 +63,7 @@ type command struct {
 }
 
 // register defines every flag once. The flags registered before the
-// fingerprint snapshot change what a scan observes: a checkpoint records
+// fingerprint snapshot change what a scan observes: a run header records
 // their values and a resume under other values is refused. Everything
 // after it is scheduling or output only.
 func (c *command) register(shards int) {
@@ -80,8 +81,9 @@ func (c *command) register(shards int) {
 	fs.DurationVar(&o.CacheNegTTL, "cache-neg-ttl", time.Minute, "how long NXDOMAIN/lame results are served from the negative cache")
 	fs.StringVar(&c.zonefile, "zonefile", "", "ingest scan targets from this zone dump (master-file/AXFR dump, plain or gzip) instead of the generator's target list; -seed/-scale still shape the simulated network the targets are scanned against")
 	fs.StringVar(&c.zoneOrigin, "zonefile-origin", "", "apex of the -zonefile dump (default: autodetect from $ORIGIN or the first SOA)")
-	fs.StringVar(&c.dump, "dump", "", "stream raw observations as JSON lines to this file (with -shards: the merged export)")
 	fs.VisitAll(func(f *flag.Flag) { c.fingerprinted = append(c.fingerprinted, f.Name) })
+
+	fs.StringVar(&c.dump, "dump", "", "stream raw observations as JSON lines to this file (with -shards: the merged export)")
 
 	fs.IntVar(&o.Concurrency, "concurrency", runtime.NumCPU(), "parallel zone scans (with -shards N: per worker, default NumCPU/N)")
 	fs.StringVar(&c.out, "out", "all", "artefact: "+report.ArtefactChoices("none"))
@@ -91,29 +93,27 @@ func (c *command) register(shards int) {
 	fs.StringVar(&c.traceZone, "trace-zone", "", "restrict -trace-out to this zone's full decision trace")
 	fs.BoolVar(&c.progress, "progress", false, "print live scan progress (zones/s, ETA, error rate) to stderr; with -shards a per-shard rollup")
 	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
-	fs.StringVar(&c.checkpoint, "checkpoint", "", "periodically persist resumable scan state to this file")
-	fs.IntVar(&c.cpEvery, "checkpoint-every", 256, "zones between checkpoints (with -checkpoint or -shards)")
-	fs.StringVar(&c.resume, "resume", "", "resume an interrupted scan from this checkpoint file")
+	fs.StringVar(&c.checkpoint, "checkpoint", "", "write the run header a later -resume checks to this file (needs -dump, which records the progress)")
+	fs.StringVar(&c.resume, "resume", "", "resume an interrupted scan from this run header and its -dump")
 	fs.StringVar(&c.shardSpec, "shard", "", "scan only the i-th of N contiguous zone shards, as \"i/N\" (0-based); partitions are deterministic in the zone index")
 	fs.BoolVar(&c.zoneStrict, "zonefile-strict", false, "abort -zonefile ingestion on the first malformed record instead of counting and skipping it")
 
 	fs.IntVar(&c.shards, "shards", shards, "coordinate this many worker processes, one per contiguous zone partition (0 = scan in this process)")
-	fs.StringVar(&c.runDir, "run-dir", "scanctl-run", "with -shards: directory for per-shard checkpoints, dumps and logs; re-running with it resumes unfinished shards")
+	fs.StringVar(&c.runDir, "run-dir", "scanctl-run", "with -shards: directory for per-shard run headers, dumps and logs; re-running with it resumes unfinished shards")
 	fs.IntVar(&c.maxRestarts, "max-restarts", 3, "with -shards: restarts allowed per shard before the run fails")
 	fs.DurationVar(&c.backoff, "restart-backoff", 500*time.Millisecond, "with -shards: delay before the first restart, doubling per attempt")
-	fs.DurationVar(&c.stallTimeout, "stall-timeout", 5*time.Minute, "with -shards: kill a worker whose checkpoint stalls this long (0 = off); must exceed the checkpoint cadence")
+	fs.DurationVar(&c.stallTimeout, "stall-timeout", 5*time.Minute, "with -shards: kill a worker whose dump has not grown for this long (0 = off); must exceed a worker's world generation")
 	fs.IntVar(&c.killShard, "kill-shard", -1, "with -shards, fault injection: SIGKILL this shard's worker once mid-run (tests and shard-smoke)")
-	fs.IntVar(&c.killAfter, "kill-after-zones", 1, "with -kill-shard: kill once the shard's checkpoint covers this many zones")
+	fs.IntVar(&c.killAfter, "kill-after-zones", 1, "with -kill-shard: kill once the shard's dump holds this many records")
 }
 
-// fingerprint is the checkpoint's record of the fingerprinted flags'
-// values. -dump counts by presence: every shard dumps to its own file.
+// fingerprint is the run header's record of the fingerprinted flags'
+// values.
 func (c *command) fingerprint() ([]byte, error) {
 	fp := make(map[string]string, len(c.fingerprinted))
 	for _, name := range c.fingerprinted {
 		fp[name] = c.fs.Lookup(name).Value.String()
 	}
-	fp["dump"] = strconv.FormatBool(c.dump != "")
 	return json.Marshal(fp)
 }
 
@@ -150,6 +150,9 @@ func (c *command) check() error {
 		return errors.New("-shards must not be negative")
 	}
 	if c.shards == 0 {
+		if c.dump == "" && (c.checkpoint != "" || c.resume != "") {
+			return errors.New("-checkpoint and -resume need -dump: the dump is the scan's record of progress")
+		}
 		return nil
 	}
 	for _, f := range []struct{ name, value string }{{"shard", c.shardSpec}, {"checkpoint", c.checkpoint}, {"resume", c.resume}} {
@@ -209,7 +212,7 @@ func (c *command) coordinate() {
 		rollup = obs.NewShardRollup(os.Stderr, c.shards)
 	}
 	// SIGINT/SIGTERM cancel the run context; workers are killed (their
-	// checkpoints survive) and a re-run with the same -run-dir resumes them.
+	// dumps survive) and a re-run with the same -run-dir resumes them.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
@@ -217,7 +220,7 @@ func (c *command) coordinate() {
 	res, err := shard.Run(ctx, shard.Config{
 		Shards:         c.shards,
 		RunDir:         c.runDir,
-		Worker:         shard.WorkerConfig{Bin: self, Args: c.forwarded(), Dump: c.dump != ""},
+		Worker:         shard.WorkerConfig{Bin: self, Args: c.forwarded()},
 		MergedDump:     c.dump,
 		MaxRestarts:    c.maxRestarts,
 		Backoff:        c.backoff,
@@ -235,12 +238,27 @@ func (c *command) coordinate() {
 	if c.dump != "" {
 		fmt.Fprintf(os.Stderr, "coordinator: wrote merged observations to %s\n", c.dump)
 	}
-	c.emit(res.Aggregate)
+	if c.out == "none" {
+		return
+	}
+	// The tables are the fold of the shard dumps in shard order.
+	agg := report.NewAggregate()
+	for _, path := range res.Dumps {
+		f, err := os.Open(path)
+		if err == nil {
+			_, _, err = agg.Fold(f, res.Now, nil)
+			f.Close()
+		}
+		if err != nil {
+			fatal("coordinator", err)
+		}
+	}
+	c.emit(agg)
 }
 
 // emit writes a finished run's -csv-dir series and -out artefact. With
 // -out none (a shard worker) there is nothing to render: the worker's
-// contribution lives in its checkpoint and dump.
+// contribution lives in its dump.
 func (c *command) emit(r *report.Aggregate) {
 	if c.out == "none" {
 		return
@@ -256,8 +274,8 @@ func (c *command) emit(r *report.Aggregate) {
 	}
 }
 
-// scan is the in-process scan: generate (or ingest), stream, export,
-// checkpoint, report. With -shard i/N it covers one partition only, and
+// scan is the in-process scan: generate (or ingest), resume, stream,
+// export, report. With -shard i/N it covers one partition only, and
 // the {shard} placeholder in its file flags expands to "i-of-N".
 func (c *command) scan() {
 	shardIdx, shardN, err := shard.Parse(c.shardSpec)
@@ -269,21 +287,6 @@ func (c *command) scan() {
 	}
 	if c.opts.LossRate > 0 && c.opts.RetryAttempts <= 1 {
 		fmt.Fprintln(os.Stderr, "warning: -loss without -retries > 1 will misclassify zones on dropped packets")
-	}
-	cpPath := c.checkpoint
-	if cpPath == "" {
-		// -resume alone keeps checkpointing to the same file.
-		cpPath = c.resume
-	}
-	if cpPath != "" {
-		// A kill inside WriteCheckpoint leaves its temporary behind.
-		removed, err := scan.SweepCheckpointTemps(cpPath)
-		if err != nil {
-			fatal("checkpoint", err)
-		}
-		for _, name := range removed {
-			fmt.Fprintf(os.Stderr, "removed orphaned checkpoint temporary %s\n", name)
-		}
 	}
 
 	opts := c.opts
@@ -349,98 +352,10 @@ func (c *command) scan() {
 		fatal("config", err)
 	}
 
-	// Resume: restore the accumulator, re-open the dump at the last
-	// durable record, and continue from the checkpointed index.
-	startIndex := rng.Lo
-	agg := report.NewAggregate()
-	var dumpFile *os.File
-	var dumpBase int64
-	if c.resume != "" {
-		cp, err := scan.ReadCheckpoint(c.resume)
-		if err != nil {
-			fatal("resume", err)
-		}
-		if err := cp.Validate(opts.Seed, len(targets), shardIdx, shardN, cfgFP); err != nil {
-			fatal("resume", err)
-		}
-		if len(cp.Aggregate) > 0 {
-			if agg, err = report.UnmarshalState(cp.Aggregate); err != nil {
-				fatal("resume", err)
-			}
-		}
-		startIndex = cp.NextIndex
-		if startIndex < rng.Lo || startIndex > rng.Hi {
-			fatal("resume", fmt.Errorf("checkpoint index %d outside shard range [%d, %d]", startIndex, rng.Lo, rng.Hi))
-		}
-		if c.dump != "" {
-			f, err := os.OpenFile(c.dump, os.O_RDWR, 0o644)
-			if err != nil {
-				fatal("resume", err)
-			}
-			// Records written after the last checkpoint are not covered
-			// by it; truncate them away and re-scan those zones instead
-			// of exporting duplicates. A dump shorter than the checkpoint
-			// lost records it covers: Truncate would pad it with zeros.
-			st, err := f.Stat()
-			if err == nil && st.Size() < cp.DumpBytes {
-				err = fmt.Errorf("dump %s is %d bytes, shorter than the checkpoint's dump_bytes %d", c.dump, st.Size(), cp.DumpBytes)
-			}
-			if err != nil {
-				fatal("resume", err)
-			}
-			if err := f.Truncate(cp.DumpBytes); err != nil {
-				fatal("resume", err)
-			}
-			if _, err := f.Seek(cp.DumpBytes, io.SeekStart); err != nil {
-				fatal("resume", err)
-			}
-			dumpFile = f
-			dumpBase = cp.DumpBytes
-		}
-		fmt.Fprintf(os.Stderr, "resuming at zone %d/%d from %s\n", startIndex, len(targets), c.resume)
-	} else if c.dump != "" {
-		f, err := os.Create(c.dump)
-		if err != nil {
-			fatal("dump", err)
-		}
-		dumpFile = f
-	}
-
-	var writer *scan.JSONLWriter
-	if dumpFile != nil {
-		writer = scan.NewJSONLWriter(dumpFile)
-	}
-
-	writeCheckpoint := func(next int) error {
-		if writer != nil {
-			if err := writer.Flush(); err != nil {
-				return err
-			}
-		}
-		state, err := agg.MarshalState()
-		if err != nil {
-			return err
-		}
-		cp := &scan.Checkpoint{
-			Version:    scan.CheckpointVersion,
-			Seed:       opts.Seed,
-			ChaosSeed:  opts.ChaosSeed,
-			TotalZones: len(targets),
-			Shard:      shardIdx,
-			Shards:     shardN,
-			NextIndex:  next,
-			Config:     cfgFP,
-			Aggregate:  state,
-		}
-		if writer != nil {
-			cp.DumpBytes = dumpBase + writer.Bytes()
-		}
-		return scan.WriteCheckpoint(cpPath, cp)
-	}
-
 	// SIGINT/SIGTERM drain the pipeline gracefully: stop dispatching,
-	// finish in-flight zones, flush the export, take a final checkpoint
-	// and exit 0. A second signal aborts immediately.
+	// finish in-flight zones, flush the export and exit 0. A second
+	// signal aborts immediately. The handler is in place before the
+	// run header exists, so a signal that sees the header drains.
 	drain := make(chan struct{})
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
@@ -452,20 +367,51 @@ func (c *command) scan() {
 		os.Exit(130)
 	}()
 
+	header := &scan.Checkpoint{
+		Version:    scan.CheckpointVersion,
+		TotalZones: len(targets),
+		Shard:      shardIdx,
+		Shards:     shardN,
+		Now:        world.Now,
+		Config:     cfgFP,
+	}
+	startIndex := rng.Lo
+	agg := report.NewAggregate()
+	var dumpFile *os.File
+	if c.resume != "" {
+		var cut error
+		dumpFile, startIndex, cut, err = c.resumeDump(header, agg, targets, rng)
+		if err != nil {
+			fatal("resume", err)
+		}
+		if cut != nil {
+			fmt.Fprintf(os.Stderr, "resume: %s: %v; cut the dump there\n", c.dump, cut)
+		}
+		fmt.Fprintf(os.Stderr, "resuming at zone %d/%d from %s\n", startIndex, len(targets), c.resume)
+	} else if c.dump != "" {
+		if dumpFile, err = os.Create(c.dump); err != nil {
+			fatal("dump", err)
+		}
+		if c.checkpoint != "" {
+			if err := scan.WriteCheckpoint(c.checkpoint, header); err != nil {
+				fatal("checkpoint", err)
+			}
+		}
+	}
+	var writer *scan.JSONLWriter
+	if dumpFile != nil {
+		writer = scan.NewJSONLWriter(dumpFile)
+	}
+
 	study, err := RunStream(context.Background(), StreamOptions{
 		Options:    opts,
 		StartIndex: startIndex,
 		EndIndex:   rng.Hi,
 		Resume:     agg,
 		Drain:      drain,
-		Sink: func(i int, zo *scan.ZoneObservation, _ *classify.Result) error {
+		Sink: func(_ int, zo *scan.ZoneObservation, _ *classify.Result) error {
 			if writer != nil {
-				if err := writer.Write(zo); err != nil {
-					return err
-				}
-			}
-			if cpPath != "" && c.cpEvery > 0 && (i+1-startIndex)%c.cpEvery == 0 && i+1 < rng.Hi {
-				return writeCheckpoint(i + 1)
+				return writer.Write(zo)
 			}
 			return nil
 		},
@@ -481,14 +427,6 @@ func (c *command) scan() {
 		if err := writer.Flush(); err != nil {
 			fatal("dump", err)
 		}
-	}
-	if cpPath != "" {
-		if err := writeCheckpoint(study.NextIndex); err != nil {
-			fatal("checkpoint", err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote checkpoint to %s\n", cpPath)
-	}
-	if dumpFile != nil {
 		if err := dumpFile.Close(); err != nil {
 			fatal("dump", err)
 		}
@@ -518,6 +456,10 @@ func (c *command) scan() {
 	if study.Drained {
 		// The run stopped early on purpose; partial tables would be
 		// misleading, so just explain how to pick the scan back up.
+		cpPath := c.checkpoint
+		if c.resume != "" {
+			cpPath = c.resume
+		}
 		if cpPath != "" {
 			fmt.Fprintf(os.Stderr, "interrupted at zone %d/%d; continue with: dnssec-scan -resume %s [same flags]\n",
 				study.NextIndex, study.TotalZones, cpPath)
@@ -528,4 +470,47 @@ func (c *command) scan() {
 		return
 	}
 	c.emit(study.Report)
+}
+
+// resumeDump checks the run header at c.resume against the one this run
+// would write, folds the complete records of the dump into agg — each
+// must be the next zone of the shard's range — and cuts whatever
+// follows them: a torn or undecodable tail is scanned again, which
+// writes the same bodies. It returns the dump, positioned for appending,
+// the first zone still to scan, and why the dump was cut, if it was.
+func (c *command) resumeDump(header *scan.Checkpoint, agg *report.Aggregate, targets []string, rng shard.Range) (dump *os.File, next int, cut, err error) {
+	cp, err := scan.ReadCheckpoint(c.resume)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	if err := cp.Validate(header); err != nil {
+		return nil, 0, nil, err
+	}
+	f, err := os.OpenFile(c.dump, os.O_RDWR, 0)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	records, offset, err := agg.Fold(f, header.Now, func(k int, zone string) error {
+		if k >= rng.Len() {
+			return fmt.Errorf("dump %s holds more than the %d records of zones [%d, %d)", c.dump, rng.Len(), rng.Lo, rng.Hi)
+		}
+		if want := dnswire.CanonicalName(targets[rng.Lo+k]); zone != want {
+			return fmt.Errorf("dump %s: record %d is zone %s, but zone %d is %s", c.dump, k, zone, rng.Lo+k, want)
+		}
+		return nil
+	})
+	if errors.Is(err, report.ErrIncomplete) {
+		cut, err = err, nil
+	}
+	if err == nil {
+		err = f.Truncate(offset)
+	}
+	if err == nil {
+		_, err = f.Seek(offset, io.SeekStart)
+	}
+	if err != nil {
+		f.Close()
+		return nil, 0, nil, err
+	}
+	return f, rng.Lo + records, cut, nil
 }

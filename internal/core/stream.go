@@ -26,8 +26,9 @@ type StreamOptions struct {
 	// means the end of the target list. A shard worker sets Start/End
 	// to its contiguous partition of the zone space.
 	EndIndex int
-	// Resume is the report accumulator restored from a checkpoint; nil
-	// starts the tallies from zero.
+	// Resume is the report accumulator folded from the interrupted
+	// run's dump (report.Aggregate.Fold); nil starts the tallies from
+	// zero.
 	Resume *report.Aggregate
 	// Drain asks the run to stop dispatching new zones when closed;
 	// in-flight zones complete and are emitted (SIGINT handling).
@@ -45,7 +46,7 @@ type StreamStudy struct {
 	// World is the scanned ecosystem.
 	World *ecosystem.Ecosystem
 	// Report aggregates every zone emitted so far, including the
-	// checkpointed prefix when resuming.
+	// resumed prefix.
 	Report *report.Aggregate
 	// NextIndex is the first zone NOT emitted: the sink saw exactly
 	// zones [StartIndex, NextIndex).
@@ -68,8 +69,8 @@ type StreamStudy struct {
 // classify → accumulate, handing each zone to opts.Sink in order
 // instead of materialising per-zone slices. Memory stays bounded by the
 // scan window regardless of population size, which is what makes
-// checkpoint/resume and SIGINT draining practical at the paper's 287.6M
-// zone scale.
+// resume and SIGINT draining practical at the paper's 287.6M zone
+// scale.
 func RunStream(ctx context.Context, opts StreamOptions) (*StreamStudy, error) {
 	world := opts.World
 	if world == nil {

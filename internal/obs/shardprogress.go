@@ -10,7 +10,7 @@ import (
 
 // ShardRollup aggregates the progress of a sharded scan's worker
 // processes into one periodic status line. The coordinator learns each
-// shard's position by polling its checkpoint file, so updates arrive
+// shard's position by polling its dump, so updates arrive
 // per shard and out of band; the rollup keeps the latest view and
 // renders totals plus a compact per-shard breakdown. A nil *ShardRollup
 // is a no-op, mirroring Progress, so the coordinator reports
@@ -49,7 +49,7 @@ func NewShardRollup(w io.Writer, shards int) *ShardRollup {
 }
 
 // Update records shard's latest position. No-op on nil or out-of-range
-// shard indices (a torn checkpoint read must not panic the rollup).
+// shard indices (a stray shard index must not panic the rollup).
 func (r *ShardRollup) Update(shard, done, total int, state string) {
 	if r == nil || shard < 0 || shard >= len(r.rows) {
 		return

@@ -40,15 +40,33 @@ type OperatorStats struct {
 	Correct         int
 }
 
-// Aggregate is the rollup of a whole scan. It is also its own
-// checkpoint wire form (see MarshalState): the JSON keys below are the
-// state's, and the enum-keyed maps are keyed by the enums' stable names.
+// add sums another operator's counts into s, for Table 3's Others and
+// Total columns.
+func (s *OperatorStats) add(o *OperatorStats) {
+	s.Domains += o.Domains
+	s.Unsigned += o.Unsigned
+	s.Secured += o.Secured
+	s.Invalid += o.Invalid
+	s.Islands += o.Islands
+	s.CDS += o.CDS
+	s.DeleteIslands += o.DeleteIslands
+	s.WithSignal += o.WithSignal
+	s.AlreadySecured += o.AlreadySecured
+	s.CannotBootstrap += o.CannotBootstrap
+	s.DeletionRequest += o.DeletionRequest
+	s.InvalidDNSSEC += o.InvalidDNSSEC
+	s.Potential += o.Potential
+	s.Incorrect += o.Incorrect
+	s.Correct += o.Correct
+}
+
+// Aggregate is the rollup of a whole scan.
 type Aggregate struct {
-	Total      int                        `json:"total"`
-	Unresolved int                        `json:"unresolved"`
-	ByStatus   map[classify.Status]int    `json:"by_status,omitempty"`
-	ByBucket   map[classify.Potential]int `json:"by_bucket,omitempty"`
-	Operators  map[string]*OperatorStats  `json:"operators,omitempty"`
+	Total      int
+	Unresolved int
+	ByStatus   map[classify.Status]int
+	ByBucket   map[classify.Potential]int
+	Operators  map[string]*OperatorStats
 
 	CDSCounts
 	// Cost sums every zone's query, resilience (E-chaos) and
@@ -58,30 +76,16 @@ type Aggregate struct {
 
 // CDSCounts are the §4.2 details.
 type CDSCounts struct {
-	CDSPresent        int `json:"cds_present,omitempty"`
-	CDSQueryFailed    int `json:"cds_query_failed,omitempty"`
-	CDSInconsistent   int `json:"cds_inconsistent,omitempty"`
-	CDSInconsistentMO int `json:"cds_inconsistent_mo,omitempty"` // inconsistent zones with multiple operators
-	CDSInUnsigned     int `json:"cds_in_unsigned,omitempty"`
-	CDSDeleteUnsigned int `json:"cds_delete_unsigned,omitempty"`
-	CDSDeleteSecured  int `json:"cds_delete_secured,omitempty"`
-	CDSDeleteIslands  int `json:"cds_delete_islands,omitempty"`
-	CDSOrphan         int `json:"cds_orphan,omitempty"`  // CDS not matching any DNSKEY (islands)
-	CDSBadSig         int `json:"cds_bad_sig,omitempty"` // invalid signatures over in-zone CDS (islands)
-}
-
-// add sums o into c, as scan.Cost.Add does for the cost counters.
-func (c *CDSCounts) add(o CDSCounts) {
-	c.CDSPresent += o.CDSPresent
-	c.CDSQueryFailed += o.CDSQueryFailed
-	c.CDSInconsistent += o.CDSInconsistent
-	c.CDSInconsistentMO += o.CDSInconsistentMO
-	c.CDSInUnsigned += o.CDSInUnsigned
-	c.CDSDeleteUnsigned += o.CDSDeleteUnsigned
-	c.CDSDeleteSecured += o.CDSDeleteSecured
-	c.CDSDeleteIslands += o.CDSDeleteIslands
-	c.CDSOrphan += o.CDSOrphan
-	c.CDSBadSig += o.CDSBadSig
+	CDSPresent        int
+	CDSQueryFailed    int
+	CDSInconsistent   int
+	CDSInconsistentMO int // inconsistent zones with multiple operators
+	CDSInUnsigned     int
+	CDSDeleteUnsigned int
+	CDSDeleteSecured  int
+	CDSDeleteIslands  int
+	CDSOrphan         int // CDS not matching any DNSKEY (islands)
+	CDSBadSig         int // invalid signatures over in-zone CDS (islands)
 }
 
 // NewAggregate returns an empty streaming accumulator. Feed it one
@@ -321,12 +325,12 @@ func (a *Aggregate) Table3() string {
 	others, total := &OperatorStats{Name: "Others"}, &OperatorStats{Name: "Total"}
 	for name, s := range a.Operators {
 		if !slices.Contains(table3Columns, name) {
-			others.merge(s)
+			others.add(s)
 		}
 	}
 	all = append(all, others)
 	for _, s := range all {
-		total.merge(s)
+		total.add(s)
 	}
 	all = append(all, total)
 

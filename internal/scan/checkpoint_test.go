@@ -10,24 +10,33 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 )
 
 // fingerprint is the config a scan would compute afresh: compact, as
 // json.Marshal writes it.
 var fingerprint = json.RawMessage(`{"scale":"2000","seed":"1"}`)
 
+// worldNow is the clock of the world the headers below describe.
+var worldNow = time.Date(2025, 4, 15, 12, 0, 0, 0, time.UTC)
+
 func validCheckpoint() *Checkpoint {
 	return &Checkpoint{
 		Version:    CheckpointVersion,
-		Seed:       1,
 		TotalZones: 2033,
 		Shard:      1,
 		Shards:     4,
-		NextIndex:  700,
-		// Checkpoints store the fingerprint indented; Validate compares
+		Now:        worldNow,
+		// Headers store the fingerprint indented; Validate compares
 		// compact forms.
 		Config: json.RawMessage("{\n  \"scale\": \"2000\",\n  \"seed\": \"1\"\n}"),
 	}
+}
+
+// header is the header a run of the given geometry would write over the
+// world validCheckpoint describes.
+func header(shard, shards int) *Checkpoint {
+	return &Checkpoint{Version: CheckpointVersion, TotalZones: 2033, Shard: shard, Shards: shards, Now: worldNow, Config: fingerprint}
 }
 
 // TestValidateRefusesShardGeometry is the regression for the checkpoint
@@ -55,8 +64,7 @@ func TestValidateRefusesShardGeometry(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			cp := validCheckpoint()
 			cp.Shard, cp.Shards = c.cpShard, c.cpN
-			cp.NextIndex = 100
-			err := cp.Validate(1, 2033, c.shard, c.shards, fingerprint)
+			err := cp.Validate(header(c.shard, c.shards))
 			if c.wantOK && err != nil {
 				t.Errorf("Validate refused matching geometry: %v", err)
 			}
@@ -76,20 +84,18 @@ func TestValidateRefusesShardGeometry(t *testing.T) {
 func TestValidateRefusals(t *testing.T) {
 	for name, mutate := range map[string]func(*Checkpoint){
 		"version":        func(c *Checkpoint) { c.Version = CheckpointVersion - 1 },
-		"seed":           func(c *Checkpoint) { c.Seed = 2 },
 		"total zones":    func(c *Checkpoint) { c.TotalZones = 99 },
-		"negative index": func(c *Checkpoint) { c.NextIndex = -1 },
-		"index past end": func(c *Checkpoint) { c.NextIndex = c.TotalZones + 1 },
-		"other flags":    func(c *Checkpoint) { c.Config = json.RawMessage(`{"scale":"2000","seed":"2"}`) },
+		"world time":     func(c *Checkpoint) { c.Now = c.Now.Add(time.Hour) },
+		"other seed":     func(c *Checkpoint) { c.Config = json.RawMessage(`{"scale":"2000","seed":"2"}`) },
 		"no fingerprint": func(c *Checkpoint) { c.Config = nil },
 	} {
 		cp := validCheckpoint()
 		mutate(cp)
-		if err := cp.Validate(1, 2033, 1, 4, fingerprint); err == nil {
+		if err := cp.Validate(header(1, 4)); err == nil {
 			t.Errorf("%s: Validate accepted a corrupt checkpoint", name)
 		}
 	}
-	if err := validCheckpoint().Validate(1, 2033, 1, 4, fingerprint); err != nil {
+	if err := validCheckpoint().Validate(header(1, 4)); err != nil {
 		t.Fatalf("Validate refused a pristine checkpoint: %v", err)
 	}
 }
@@ -113,7 +119,7 @@ func TestWriteCheckpointKeepsOldFileOnWriteError(t *testing.T) {
 			t.Fatalf("setrlimit: %v", err)
 		}
 		cp := validCheckpoint()
-		cp.NextIndex = 900
+		cp.TotalZones = 900
 		err := WriteCheckpoint(path, cp)
 		// Lift the limit again: the test binary itself may still write
 		// files (a -cover run's counters).
@@ -167,7 +173,7 @@ func TestCheckpointShardRoundTrip(t *testing.T) {
 		t.Errorf("shard identity changed in flight: got %d/%d, want %d/%d",
 			got.Shard, got.Shards, want.Shard, want.Shards)
 	}
-	if err := got.Validate(1, 2033, 1, 4, fingerprint); err != nil {
+	if err := got.Validate(header(1, 4)); err != nil {
 		t.Errorf("round-tripped checkpoint fails validation: %v", err)
 	}
 }

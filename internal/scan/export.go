@@ -189,8 +189,9 @@ func Bodies(w io.Writer, r io.Reader) error {
 // Writes reach the underlying writer at record boundaries only, so a
 // failing writer never leaves a partial trailing line in the output,
 // and every error carries the zone name and record index of the record
-// it interrupted. Byte accounting (Bytes) lets a checkpoint record the
-// exact durable offset of the last flushed record.
+// it interrupted. The buffer is small enough that complete records
+// reach a dump file every few dozen zones without a Flush: the dump is
+// a running scan's record of progress (see report.Aggregate.Fold).
 type JSONLWriter struct {
 	bw    *bufio.Writer
 	count int
@@ -201,9 +202,13 @@ type JSONLWriter struct {
 	enc  *json.Encoder
 }
 
+// jsonlBuffer is JSONLWriter's buffer size: about 68 records of a
+// generated world.
+const jsonlBuffer = 64 << 10
+
 // NewJSONLWriter wraps w for incremental JSONL export.
 func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	jw := &JSONLWriter{bw: bufio.NewWriterSize(w, 1<<20)}
+	jw := &JSONLWriter{bw: bufio.NewWriterSize(w, jsonlBuffer)}
 	jw.enc = json.NewEncoder(&jw.line)
 	return jw
 }
@@ -239,14 +244,14 @@ func (jw *JSONLWriter) Flush() error {
 	return nil
 }
 
-// Bytes returns the total encoded size of the records written so far
-// (only durable in the underlying writer after a successful Flush).
+// Bytes returns the total encoded size of the records written so far.
 func (jw *JSONLWriter) Bytes() int64 { return jw.bytes }
 
 // DecodeJSONL streams a JSONL export through fn, one record at a time,
-// without materialising the whole dump — the memory-bounded read side
-// of the pipeline (reanalyze at full scale). A decode error or a fn
-// error stops the scan and is returned.
+// without materialising the whole dump. A decode error or a fn error
+// stops the scan and is returned. The program's own reads of a dump go
+// through report.Aggregate.Fold, which also finds where a torn dump
+// stops being whole.
 func DecodeJSONL(r io.Reader, fn func(ObservationJSON) error) error {
 	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<20))
 	for dec.More() {

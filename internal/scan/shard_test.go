@@ -4,8 +4,8 @@
 // the record bodies of shard ranges [lo, hi), each scanned by its own
 // scanner with its own cold cache and concatenated in shard order, are
 // byte-identical to those of one uninterrupted full-range export, and
-// the shards' report accumulators merged with Aggregate.Merge render
-// the exact classification artefacts the single run renders. Cost (the
+// the fold of that concatenation (report.Aggregate.Fold) renders the
+// exact classification artefacts the single run renders. Cost (the
 // records' trailing object, -out queries) depends on the layout and is
 // not compared.
 package scan_test
@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"dnssecboot/internal/classify"
 	"dnssecboot/internal/core"
@@ -71,10 +72,10 @@ func TestShardedConformance(t *testing.T) {
 		for _, shards := range []int{2, 4} {
 			t.Run(fmt.Sprintf("scale=%d/shards=%d", scale, shards), func(t *testing.T) {
 				var merged bytes.Buffer
-				mergedAgg := report.NewAggregate()
 				for _, rng := range shard.Partition(total, shards) {
-					mergedAgg.Merge(shardRangeRun(t, world, opts, rng.Lo, rng.Hi, &merged))
+					shardRangeRun(t, world, opts, rng.Lo, rng.Hi, &merged)
 				}
+				mergedAgg := fold(t, merged.Bytes(), world.Now)
 				if got, want := bodies(t, merged.Bytes()), bodies(t, ref.Bytes()); !bytes.Equal(got, want) {
 					t.Errorf("concatenated shard dumps' bodies differ from the single-run export's:\n%s",
 						firstDiff(string(want), string(got)))
@@ -143,16 +144,17 @@ func TestShardedBodiesUnderLoss(t *testing.T) {
 	opts := core.Options{Concurrency: 8, LossRate: 0.02, RetryAttempts: 4, ChaosSeed: 42}
 	lossyRun := func(shards int) ([]byte, *report.Aggregate) {
 		var dump bytes.Buffer
-		agg := report.NewAggregate()
+		var now time.Time
 		for i := 0; i < shards; i++ {
 			world, err := ecosystem.Generate(ecosystem.Config{Seed: 1, ScaleDivisor: scale})
 			if err != nil {
 				t.Fatalf("generating world: %v", err)
 			}
 			rng := shard.Partition(len(world.Targets), shards)[i]
-			agg.Merge(shardRangeRun(t, world, opts, rng.Lo, rng.Hi, &dump))
+			shardRangeRun(t, world, opts, rng.Lo, rng.Hi, &dump)
+			now = world.Now
 		}
-		return bodies(t, dump.Bytes()), agg
+		return bodies(t, dump.Bytes()), fold(t, dump.Bytes(), now)
 	}
 	want, refAgg := lossyRun(1)
 	got, mergedAgg := lossyRun(2)
@@ -165,6 +167,16 @@ func TestShardedBodiesUnderLoss(t *testing.T) {
 	if refAgg.Retries == 0 {
 		t.Error("no retries recorded — loss was not injected")
 	}
+}
+
+// fold folds a whole dump, as a coordinator folds its shards' dumps.
+func fold(t *testing.T, dump []byte, now time.Time) *report.Aggregate {
+	t.Helper()
+	agg := report.NewAggregate()
+	if _, _, err := agg.Fold(bytes.NewReader(dump), now, nil); err != nil {
+		t.Fatalf("folding the dump: %v", err)
+	}
+	return agg
 }
 
 // TestShardRangeStopBounds pins the Stop contract: out-of-range and

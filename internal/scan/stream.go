@@ -29,7 +29,7 @@ type StreamSink func(index int, zo *ZoneObservation) error
 // StreamOptions configure one ScanStream run.
 type StreamOptions struct {
 	// Start is the index of the first zone to scan — zones before it
-	// are assumed already exported (checkpoint resume).
+	// are assumed already exported (a resume).
 	Start int
 	// Stop bounds the scan to zones [Start, Stop). Zero (or anything
 	// past the end of the list) means the whole remainder. A shard

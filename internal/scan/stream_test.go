@@ -1,6 +1,6 @@
 // Streaming-pipeline regression suite. The contract under test is the
-// one checkpoint/resume depends on: a drained or cancelled stream emits
-// a prefix of the uninterrupted run's JSONL export whose record bodies
+// one resume depends on: a drained or cancelled stream emits a prefix
+// of the uninterrupted run's JSONL export whose record bodies
 // (scan.Body: the line without its cost object) are byte-identical, a
 // resume from StreamResult.Next completes it to the exact same bodies,
 // and the pipeline's live memory stays bounded by the window regardless
@@ -110,17 +110,15 @@ func TestStreamDrainPrefixAndResume(t *testing.T) {
 		t.Fatal("drained export's bodies are not a byte prefix of the uninterrupted export's")
 	}
 
-	// Resume: round-trip the accumulator through its checkpoint wire
-	// form, then continue from NextIndex appending to the partial dump.
-	state, err := cutStudy.Report.MarshalState()
-	if err != nil {
-		t.Fatalf("MarshalState: %v", err)
+	// Resume as dnssec-scan -resume does: fold the partial dump back
+	// into an accumulator and continue after its last record, appending
+	// to it.
+	restored := report.NewAggregate()
+	records, _, err := restored.Fold(bytes.NewReader(partial.Bytes()), cutStudy.World.Now, nil)
+	if err != nil || records != cutStudy.NextIndex {
+		t.Fatalf("folding the partial dump: %d records (%v), want %d", records, err, cutStudy.NextIndex)
 	}
-	restored, err := report.UnmarshalState(state)
-	if err != nil {
-		t.Fatalf("UnmarshalState: %v", err)
-	}
-	resumed := streamRun(t, &partial, cutStudy.NextIndex, 0, restored)
+	resumed := streamRun(t, &partial, records, 0, restored)
 	if resumed.Drained {
 		t.Fatal("resumed run reported Drained")
 	}

@@ -4,7 +4,7 @@
 // rendered headline compared byte-for-byte against a default
 // single-process run of the same world — the headline guarantee of
 // `dnssec-scan -shards N`, including under an injected mid-run worker
-// kill and checkpoint restart. Per-record cost is not compared: every
+// kill and restart from the worker's dump. Per-record cost is not compared: every
 // worker, and every restarted worker, warms its own resolver cache.
 package shard
 
@@ -114,7 +114,7 @@ func bodies(t *testing.T, dump []byte) []byte {
 }
 
 // shardedRun drives the coordinator over real worker processes and
-// returns the merged dump and aggregate.
+// returns the merged dump and the fold of the shard dumps.
 func shardedRun(t *testing.T, bin string, scale, shards int, mutate func(*Config)) ([]byte, *report.Aggregate, *Result) {
 	t.Helper()
 	dir := t.TempDir()
@@ -127,9 +127,7 @@ func shardedRun(t *testing.T, bin string, scale, shards int, mutate func(*Config
 			Args: []string{
 				"-seed", "1", "-scale", fmt.Sprint(scale),
 				"-concurrency", "4",
-				"-checkpoint-every", "16",
 			},
-			Dump: true,
 		},
 		MergedDump:  mergedPath,
 		MaxRestarts: 3,
@@ -155,7 +153,17 @@ func shardedRun(t *testing.T, bin string, scale, shards int, mutate func(*Config
 	if err != nil {
 		t.Fatalf("merged dump: %v", err)
 	}
-	return merged, res.Aggregate, res
+	agg := report.NewAggregate()
+	for _, dump := range res.Dumps {
+		data, err := os.ReadFile(dump)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := agg.Fold(bytes.NewReader(data), res.Now, nil); err != nil {
+			t.Fatalf("folding %s: %v", dump, err)
+		}
+	}
+	return merged, agg, res
 }
 
 // assertConformance checks the sharded outputs byte-for-byte against
@@ -184,7 +192,7 @@ func assertConformance(t *testing.T, label string, refDump, gotDump []byte, refH
 // counts and two world scales: a coordinated multi-process run's
 // bodies, headline and CSVs are byte-identical to a default
 // single-process run of the same world. The 1-shard rows also pin that
-// a lone worker's checkpoint carries the 0/1 geometry the merge demands
+// a lone worker's header carries the 0/1 geometry the merge demands
 // (scanctl -shards 1 used to fail on it). The zonefile row partitions
 // the targets ingested from the golden uk. dump instead of the
 // generator's list; its headline must also match the ingest fixture.
@@ -235,7 +243,7 @@ func TestCoordinatedConformance(t *testing.T) {
 
 // TestCoordinatedKillRestartConformance is the shard-failure
 // regression: one worker is SIGKILLed mid-run, the coordinator restarts
-// it from its last durable checkpoint, and the merged output is still
+// it from its dump, and the merged output is still
 // body-for-body identical — the multi-process extension of the
 // drain-prefix/resume equality tests in internal/scan.
 func TestCoordinatedKillRestartConformance(t *testing.T) {
@@ -243,6 +251,10 @@ func TestCoordinatedKillRestartConformance(t *testing.T) {
 	const scale, shards = 500_000, 4
 	refDump, refHeadline, refCSV := reference(t, bin, scale)
 	gotDump, agg, res := shardedRun(t, bin, scale, shards, func(cfg *Config) {
+		// A rate limit holds each worker to about a second, so the
+		// dump grows past 32 records well before the worker is done; it
+		// moves no body byte on the simulated network.
+		cfg.Worker.Args = append(cfg.Worker.Args, "-rate", "100")
 		cfg.KillShard = 1
 		cfg.KillAfterZones = 32
 	})
@@ -277,7 +289,7 @@ func TestCoordinatorGivesUpAfterBudget(t *testing.T) {
 }
 
 // TestCoordinatorRollup checks the per-shard progress rollup sees real
-// checkpoint-derived totals.
+// totals, counted from the shard dumps.
 func TestCoordinatorRollup(t *testing.T) {
 	bin := workerBinary(t)
 	var buf bytes.Buffer
@@ -295,7 +307,7 @@ func TestCoordinatorRollup(t *testing.T) {
 // TestWorkersDieWithCoordinator is the orphan regression: SIGKILL a
 // `dnssec-scan -shards 2` coordinator while its workers have seconds of
 // work left, and no worker may outlive it by 2 s (the kernel sends each
-// SIGTERM, and a worker drains and checkpoints through its handler). A
+// SIGTERM, and a worker drains and flushes its dump through its handler). A
 // re-run over the same run directory must still merge bodies identical
 // to a single-process run.
 func TestWorkersDieWithCoordinator(t *testing.T) {

@@ -1,95 +1,124 @@
 package shard
 
 // The merge side of the coordinator, split from the process-management
-// code: everything here must be a pure function of the shard
-// checkpoints and dump bytes, because the cross-shard conformance
-// battery asserts byte-equality of merged output against a single-shard
-// run. The determinism analyzer covers this file (and partition.go);
-// the coordinator proper keeps its wall-clock state — stall detection,
+// code: everything here must be a pure function of the shard headers
+// and dump bytes, because the cross-shard conformance battery asserts
+// byte-equality of merged output against a single-shard run. The
+// determinism analyzer covers this file (and partition.go); the
+// coordinator proper keeps its wall-clock state — stall detection,
 // progress ticks — out of scope.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 
-	"dnssecboot/internal/report"
 	"dnssecboot/internal/scan"
 )
 
-// shardComplete reports whether shard i's checkpoint covers its whole
-// range.
+// countRecords counts the newlines — the complete records — of the dump
+// at path from byte from to its end. It also returns the dump's size
+// and, when from is 0, whether the dump is empty or ends in a newline.
+func countRecords(path string, from int64) (records int, size int64, whole bool, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, 0, false, err
+	}
+	defer f.Close()
+	if _, err := f.Seek(from, io.SeekStart); err != nil {
+		return 0, 0, false, err
+	}
+	buf := make([]byte, 64<<10)
+	last := byte('\n')
+	for size = from; ; {
+		n, err := f.Read(buf)
+		records += bytes.Count(buf[:n], []byte{'\n'})
+		size += int64(n)
+		if n > 0 {
+			last = buf[n-1]
+		}
+		if err == io.EOF {
+			return records, size, last == '\n', nil
+		}
+		if err != nil {
+			return records, size, false, err
+		}
+	}
+}
+
+// shardComplete reports whether shard i's dump holds a record for every
+// zone of its range.
 func (c *coordinator) shardComplete(i int) (bool, error) {
 	cp, err := scan.ReadCheckpoint(c.file(i, "ckpt"))
 	if err != nil {
-		return false, fmt.Errorf("shard %d: no final checkpoint: %w", i, err)
+		return false, fmt.Errorf("shard %d: no run header: %w", i, err)
 	}
-	return cp.NextIndex >= Partition(cp.TotalZones, c.cfg.Shards)[i].Hi, nil
+	records, _, _, err := countRecords(c.file(i, "jsonl"), 0)
+	if err != nil {
+		return false, fmt.Errorf("shard %d: %w", i, err)
+	}
+	return records == Partition(cp.TotalZones, c.cfg.Shards)[i].Len(), nil
 }
 
-// merge validates each final shard checkpoint against shard 0's seed,
-// world size and config fingerprint and its own geometry — the check
-// a resume applies, scan.Checkpoint.Validate — then folds the
-// accumulator states together and concatenates the JSONL dumps in
-// shard order.
+// merge validates each shard's header against shard 0's fingerprint,
+// world size and clock and its own geometry — the check a resume
+// applies, scan.Checkpoint.Validate — and each dump against its range:
+// exactly one complete record per zone. With cfg.MergedDump it then
+// concatenates the dumps in shard order.
 func (c *coordinator) merge() (*Result, error) {
 	n := c.cfg.Shards
-	cps := make([]*scan.Checkpoint, n)
-	merged := report.NewAggregate()
-	for i := range cps {
+	var ref *scan.Checkpoint
+	dumps := make([]string, n)
+	for i := range dumps {
 		cp, err := scan.ReadCheckpoint(c.file(i, "ckpt"))
 		if err != nil {
 			return nil, fmt.Errorf("shard: merging: %w", err)
 		}
-		cps[i] = cp
-		ref := cps[0]
-		if err := cp.Validate(ref.Seed, ref.TotalZones, i, n, ref.Config); err != nil {
+		if ref == nil {
+			ref = cp
+		}
+		want := *ref
+		want.Shard, want.Shards = i, n
+		if err := cp.Validate(&want); err != nil {
 			return nil, fmt.Errorf("shard: merging shard %d: %w", i, err)
 		}
-		if hi := Partition(cp.TotalZones, n)[i].Hi; cp.NextIndex != hi {
-			return nil, fmt.Errorf("shard: shard %d stopped at %d, range ends at %d", i, cp.NextIndex, hi)
-		}
-		agg, err := report.UnmarshalState(cp.Aggregate)
+		dumps[i] = c.file(i, "jsonl")
+		records, _, whole, err := countRecords(dumps[i], 0)
 		if err != nil {
-			return nil, fmt.Errorf("shard: shard %d state: %w", i, err)
+			return nil, fmt.Errorf("shard: merging: %w", err)
 		}
-		merged.Merge(agg)
+		if !whole {
+			return nil, fmt.Errorf("shard: shard %d's dump ends inside a record", i)
+		}
+		if zones := Partition(cp.TotalZones, n)[i].Len(); records != zones {
+			return nil, fmt.Errorf("shard: shard %d's dump holds %d records, its range %d zones", i, records, zones)
+		}
 	}
 	if c.cfg.MergedDump != "" {
-		if err := c.concatDumps(cps); err != nil {
+		if err := concatDumps(c.cfg.MergedDump, dumps); err != nil {
 			return nil, err
 		}
 	}
-	return &Result{Aggregate: merged, TotalZones: cps[0].TotalZones}, nil
+	return &Result{Dumps: dumps, Now: ref.Now, TotalZones: ref.TotalZones}, nil
 }
 
-// concatDumps stitches the per-shard JSONL exports into one file in
-// shard order. Each shard's file size must match its final checkpoint's
-// DumpBytes — anything else means records past the durable prefix and a
-// merge would not be trustworthy.
-func (c *coordinator) concatDumps(cps []*scan.Checkpoint) error {
-	out, err := os.Create(c.cfg.MergedDump)
+// concatDumps stitches the shard dumps into one file at path, in shard
+// order.
+func concatDumps(path string, dumps []string) error {
+	out, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("shard: merged dump: %w", err)
 	}
-	for i, cp := range cps {
-		path := c.file(i, "jsonl")
-		f, err := os.Open(path)
+	for _, dump := range dumps {
+		f, err := os.Open(dump)
+		if err == nil {
+			_, err = io.Copy(out, f)
+			f.Close()
+		}
 		if err != nil {
 			out.Close()
 			return fmt.Errorf("shard: merged dump: %w", err)
-		}
-		st, err := f.Stat()
-		if err == nil && st.Size() != cp.DumpBytes {
-			err = fmt.Errorf("shard: shard %d dump is %d bytes, checkpoint covers %d", i, st.Size(), cp.DumpBytes)
-		}
-		if err == nil {
-			_, err = io.Copy(out, f)
-		}
-		f.Close()
-		if err != nil {
-			out.Close()
-			return err
 		}
 	}
 	if err := out.Close(); err != nil {

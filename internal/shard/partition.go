@@ -3,10 +3,10 @@
 // covered 287.6 M zones — far beyond one process — so the scan is split
 // into N contiguous index ranges, each owned by one `dnssec-scan
 // -shard i/N` worker; the coordinator (`dnssec-scan -shards N`, which
-// re-executes itself for every worker) launches the workers, restarts dead or wedged ones from their last durable
-// checkpoint, and merges the per-shard accumulator states and JSONL
-// dumps into output whose record bodies, headline and tables are
-// byte-identical to a single-process run's.
+// re-executes itself for every worker) launches the workers, restarts
+// dead or wedged ones from their dumps, and checks and concatenates the
+// per-shard JSONL dumps into output whose record bodies, headline and
+// tables are byte-identical to a single-process run's.
 package shard
 
 import (
@@ -27,7 +27,7 @@ func (r Range) Len() int { return r.Hi - r.Lo }
 // differ by at most one, larger ranges first. The split is a pure
 // function of (total, shards): every worker and the coordinator derive
 // identical boundaries independently, which is what makes per-shard
-// checkpoints and dump concatenation meaningful across processes.
+// dumps and their concatenation meaningful across processes.
 func Partition(total, shards int) []Range {
 	if shards < 1 {
 		shards = 1

@@ -8,7 +8,7 @@ import (
 
 // tieToCoordinator makes the worker cmd get SIGTERM when its
 // coordinator dies, even by SIGKILL; the worker then drains and
-// checkpoints through its own handler. The kernel ties the signal to
+// flushes its dump through its own handler. The kernel ties the signal to
 // the thread that started the worker, so the calling goroutine keeps its
 // thread until it calls the returned release, after Wait returns.
 func tieToCoordinator(cmd *exec.Cmd) (release func()) {
