@@ -72,7 +72,7 @@ fuzz-smoke:
 # numbers — plus a metrics snapshot from a small instrumented scan, kept
 # as a CI artefact so latency/counter regressions are diffable.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem .
 	mkdir -p artifacts
 	$(GO) run ./cmd/dnssec-scan -scale 500000 -metrics-out artifacts/metrics.json -out queries
 

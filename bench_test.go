@@ -23,6 +23,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
 	"sync"
@@ -205,6 +206,31 @@ func BenchmarkScanStream(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(len(targets))*float64(b.N)/b.Elapsed().Seconds(), "zones/s")
 	b.ReportMetric(float64(peak), "peak_live")
+}
+
+// BenchmarkJSONLWrite measures the JSONL export (`-dump`) alone: every
+// observation of a scale-200000 world written through one JSONLWriter
+// to a discarding writer. An op is the whole set; ns/record and
+// B/record put it per zone.
+func BenchmarkJSONLWrite(b *testing.B) {
+	study, err := core.Run(context.Background(), core.Options{Seed: 1, ScaleDivisor: 200000, Concurrency: 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	jw := scan.NewJSONLWriter(io.Discard)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, o := range study.Observations {
+			if err := jw.Write(o); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	records := float64(b.N) * float64(len(study.Observations))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
+	b.ReportMetric(float64(jw.Bytes())/records, "B/record")
 }
 
 // BenchmarkScanLossy measures scan throughput under 5 % injected

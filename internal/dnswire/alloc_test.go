@@ -5,7 +5,11 @@
 // that would make the zero-alloc assertions meaningless.
 package dnswire
 
-import "testing"
+import (
+	"fmt"
+	"net/netip"
+	"testing"
+)
 
 // TestAppendPackAllocFree pins the pooled-builder pack path at zero
 // allocations once the output buffer has grown to size.
@@ -88,5 +92,86 @@ func TestAppendRDataWireAllocFree(t *testing.T) {
 	})
 	if avg > 0.1 {
 		t.Errorf("AppendRDataWire allocates %.2f/op in steady state, want 0", avg)
+	}
+}
+
+// TestInternPastCap: a parser whose intern table has seen more than
+// internCap distinct names must go on interning. Each measured message
+// carries one new owner name sixteen times (compressed after the
+// first), so it may allocate that name once; a table that stopped
+// taking names at the cap allocated it sixteen times.
+func TestInternPastCap(t *testing.T) {
+	p := &parser{}
+	var m Message
+	unpack := func(wire []byte) {
+		p.msg, p.off = wire, 0
+		if err := m.unpack(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const perMessage = 64
+	for i := 0; i*perMessage <= internCap; i++ {
+		fill := &Message{Response: true}
+		for j := 0; j < perMessage; j++ {
+			fill.Answer = append(fill.Answer, RR{Name: fmt.Sprintf("n%d-%d.example.", i, j),
+				Class: ClassIN, TTL: 60, Data: &A{Addr: netip.AddrFrom4([4]byte{192, 0, 2, 1})}})
+		}
+		unpack(mustPack(t, fill))
+	}
+	const runs, repeats = 50, 16
+	var wires [runs + 1][]byte
+	for i := range wires {
+		rep := &Message{Response: true}
+		for j := 0; j < repeats; j++ {
+			rep.Answer = append(rep.Answer, RR{Name: fmt.Sprintf("repeat%d.example.", i),
+				Class: ClassIN, TTL: 60, Data: &A{Addr: netip.AddrFrom4([4]byte{192, 0, 2, byte(j)})}})
+		}
+		wires[i] = mustPack(t, rep)
+	}
+	next := 0
+	avg := testing.AllocsPerRun(runs, func() {
+		unpack(wires[next])
+		next++
+	})
+	if avg > 1 {
+		t.Errorf("a name repeated %d times in one message costs %.2f allocations past the intern cap, want at most 1", repeats, avg)
+	}
+}
+
+// TestRREqualAllocFree pins RR.Equal — run for every RRSIG a server
+// answer adds and every duplicate check of zone.Add — at zero
+// steady-state allocations, equal or not.
+func TestRREqualAllocFree(t *testing.T) {
+	sig := sampleHotpathMessage().Answer[1]
+	other := sig
+	otherSig := *sig.Data.(*RRSIG)
+	otherSig.Signature = append([]byte{1}, otherSig.Signature[1:]...)
+	other.Data = &otherSig
+	if !sig.Equal(sig) || sig.Equal(other) {
+		t.Fatal("Equal does not tell the two signatures apart")
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		sig.Equal(sig)
+		sig.Equal(other)
+	})
+	if avg > 0.1 {
+		t.Errorf("RR.Equal allocates %.2f per two comparisons, want 0", avg)
+	}
+}
+
+// TestUnpackImpossibleCountsAllocFree: header counts that the input
+// cannot hold (three sections of 65535 records in a 12-octet message)
+// must not be trusted with a presized section array.
+func TestUnpackImpossibleCountsAllocFree(t *testing.T) {
+	hostile := []byte{0, 1, 0x80, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
+	var m Message
+	avg := testing.AllocsPerRun(10, func() {
+		m = Message{}
+		if err := m.UnpackFrom(hostile); err == nil {
+			t.Fatal("a header claiming 196605 records in 12 octets parsed")
+		}
+	})
+	if avg > 0 {
+		t.Errorf("unpacking impossible header counts allocates %.0f times", avg)
 	}
 }

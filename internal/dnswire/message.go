@@ -1,8 +1,11 @@
 package dnswire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
+	"sync"
 )
 
 // RR is a resource record: owner name, class, TTL and typed RDATA.
@@ -22,21 +25,59 @@ func (r RR) Type() Type {
 }
 
 // String renders the record in master-file presentation form.
-func (r RR) String() string {
-	return fmt.Sprintf("%s\t%d\t%s\t%s\t%s",
-		CanonicalName(r.Name), r.TTL, r.Class, r.Type(), r.Data.String())
+func (r RR) String() string { return string(r.AppendText(nil)) }
+
+// AppendText appends the record's master-file presentation form (see
+// String) to dst. With a caller-reused dst it allocates nothing for the
+// DNSSEC types the scanner exports (DS, CDS, DNSKEY, CDNSKEY, RRSIG);
+// other types render through their RDATA's String.
+func (r RR) AppendText(dst []byte) []byte {
+	dst = append(dst, CanonicalName(r.Name)...)
+	dst = append(dst, '\t')
+	dst = strconv.AppendUint(dst, uint64(r.TTL), 10)
+	dst = append(dst, '\t')
+	dst = append(dst, r.Class.String()...)
+	dst = append(dst, '\t')
+	dst = append(dst, r.Type().String()...)
+	dst = append(dst, '\t')
+	if t, ok := r.Data.(textAppender); ok {
+		return t.appendText(dst)
+	}
+	return append(dst, r.Data.String()...)
+}
+
+// textAppender is implemented by the RDATA types whose presentation
+// form is appended in place rather than built as a string.
+type textAppender interface {
+	appendText(dst []byte) []byte
 }
 
 // Equal reports whether two RRs have the same owner, class, type and
-// RDATA (TTL excluded, per RRset-membership semantics).
+// RDATA (TTL excluded, per RRset-membership semantics). Both RDATA are
+// encoded into one pooled scratch buffer, so a comparison allocates
+// nothing: it runs for every RRSIG a server answer adds and every
+// duplicate check of Zone.Add.
 func (r RR) Equal(o RR) bool {
 	if CanonicalName(r.Name) != CanonicalName(o.Name) || r.Class != o.Class || r.Type() != o.Type() {
 		return false
 	}
-	a, errA := RDataWire(r.Data)
-	b, errB := RDataWire(o.Data)
-	return errA == nil && errB == nil && string(a) == string(b)
+	scratch := equalScratch.Get().(*[]byte)
+	defer equalScratch.Put(scratch)
+	a, err := AppendRDataWire((*scratch)[:0], r.Data)
+	if err != nil {
+		return false
+	}
+	n := len(a)
+	ab, err := AppendRDataWire(a, o.Data)
+	if err != nil {
+		return false
+	}
+	*scratch = ab
+	return bytes.Equal(ab[:n], ab[n:])
 }
+
+// equalScratch holds Equal's RDATA encode buffers.
+var equalScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // RDataWire returns the uncompressed wire encoding of an RDATA payload.
 func RDataWire(d RData) ([]byte, error) {
@@ -281,6 +322,11 @@ func Unpack(msg []byte) (*Message, error) {
 func (m *Message) UnpackFrom(msg []byte) error {
 	p := newParser(msg)
 	defer p.release()
+	return m.unpack(p)
+}
+
+// unpack is UnpackFrom with the parser, and so its intern table, given.
+func (m *Message) unpack(p *parser) error {
 	var err error
 	if m.ID, err = p.u16(); err != nil {
 		return err
@@ -327,6 +373,9 @@ func (m *Message) UnpackFrom(msg []byte) error {
 		q.Class = Class(c)
 		m.Question = append(m.Question, q)
 	}
+	if cap(m.Answer) == 0 && cap(m.Authority) == 0 && cap(m.Additional) == 0 {
+		m.presizeSections([3]uint16(counts[1:]), p.remaining())
+	}
 	for si, dst := range []*[]RR{&m.Answer, &m.Authority, &m.Additional} {
 		// Keep the previous elements visible through old so each slot's
 		// RData (and its byte-field storage) can be reused in place:
@@ -352,6 +401,30 @@ func (m *Message) UnpackFrom(msg []byte) error {
 	}
 	m.TrailingBytes = p.remaining()
 	return nil
+}
+
+// minRRWire is the shortest wire record: a root owner name and the ten
+// octets of type, class, TTL and RDLENGTH.
+const minRRWire = 11
+
+// presizeSections gives a fresh message's three record sections one
+// backing array sized from the header counts. Each section is capped at
+// its own count, so appending to it never reaches the next; a section
+// with count 0 stays nil. Counts the remaining input cannot hold are not
+// trusted with an allocation: such a message fails to parse anyway.
+func (m *Message) presizeSections(counts [3]uint16, remaining int) {
+	total := int(counts[0]) + int(counts[1]) + int(counts[2])
+	if total == 0 || total*minRRWire > remaining {
+		return
+	}
+	all := make([]RR, total)
+	lo := 0
+	for i, dst := range [...]*[]RR{&m.Answer, &m.Authority, &m.Additional} {
+		if n := int(counts[i]); n > 0 {
+			*dst = all[lo : lo : lo+n]
+			lo += n
+		}
+	}
 }
 
 // unpackRR decodes one resource record. reuse, when non-nil and of the

@@ -316,3 +316,28 @@ func TestMessageCompressionSavesSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUnpackSectionsShareOneArray: a fresh message's record sections
+// come from one allocation, each capped at its own count, so appending
+// to one section can never overwrite the next; an empty section stays
+// nil.
+func TestUnpackSectionsShareOneArray(t *testing.T) {
+	m := &Message{Response: true}
+	for i := 0; i < 3; i++ {
+		m.Answer = append(m.Answer, RR{Name: "a.example.", Class: ClassIN, TTL: 60,
+			Data: &A{Addr: netip.AddrFrom4([4]byte{192, 0, 2, byte(i)})}})
+	}
+	m.Additional = []RR{{Name: "b.example.", Class: ClassIN, TTL: 60, Data: NewNS("ns.example.")}}
+	got, err := Unpack(mustPack(t, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Answer) != 3 || cap(got.Answer) != 3 || got.Authority != nil || len(got.Additional) != 1 || cap(got.Additional) != 1 {
+		t.Fatalf("sections: answer %d/%d, authority %v, additional %d/%d",
+			len(got.Answer), cap(got.Answer), got.Authority, len(got.Additional), cap(got.Additional))
+	}
+	got.Answer = append(got.Answer, got.Answer[0])
+	if got.Additional[0].Type() != TypeNS {
+		t.Fatalf("appending to the answer section overwrote the additional one: %v", got.Additional[0])
+	}
+}

@@ -24,16 +24,32 @@ const (
 )
 
 // CanonicalName lowercases s and ensures it is fully qualified. The
-// empty string and "." both normalise to the root ".".
+// empty string and "." both normalise to the root ".". A name already in
+// that form and pure ASCII — every name the codec decodes — is returned
+// after one pass over its bytes.
 func CanonicalName(s string) string {
 	if s == "" || s == "." {
 		return "."
+	}
+	if isCanonicalASCII(s) {
+		return s
 	}
 	s = strings.ToLower(s)
 	if !strings.HasSuffix(s, ".") {
 		s += "."
 	}
 	return s
+}
+
+// isCanonicalASCII reports whether s is ASCII without upper-case
+// letters and ends in a dot.
+func isCanonicalASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c >= 0x80 || 'A' <= c && c <= 'Z' {
+			return false
+		}
+	}
+	return s[len(s)-1] == '.'
 }
 
 // SplitLabels splits a presentation-form name into its labels, not
@@ -98,7 +114,12 @@ func Join(prefix, name string) string {
 // (no splitting): this runs once per packed name, so it must not
 // allocate.
 func NameWireLength(name string) (int, error) {
-	name = CanonicalName(name)
+	return canonicalWireLength(CanonicalName(name))
+}
+
+// canonicalWireLength is NameWireLength for a name already in
+// CanonicalName's form.
+func canonicalWireLength(name string) (int, error) {
 	if name == "." {
 		return 1, nil
 	}
@@ -139,7 +160,7 @@ func packName(buf []byte, name string, cmap map[string]int) ([]byte, error) {
 // message can be appended to a buffer that already holds other data.
 func packNameOffset(buf []byte, base int, name string, cmap map[string]int) ([]byte, error) {
 	name = CanonicalName(name)
-	if _, err := NameWireLength(name); err != nil {
+	if _, err := canonicalWireLength(name); err != nil {
 		return nil, err
 	}
 	for name != "." {

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net/netip"
+	"strconv"
 	"strings"
 )
 
@@ -357,9 +358,24 @@ func (d *DS) unpack(p *parser, rdlen int) error {
 	return err
 }
 
-func (d *DS) String() string {
-	return fmt.Sprintf("%d %d %d %s", d.KeyTag, d.Algorithm, d.DigestType,
-		strings.ToUpper(hex.EncodeToString(d.Digest)))
+func (d *DS) String() string { return string(d.appendText(nil)) }
+
+func (d *DS) appendText(dst []byte) []byte {
+	dst = appendUints(dst, uint64(d.KeyTag), uint64(d.Algorithm), uint64(d.DigestType))
+	const upperHex = "0123456789ABCDEF"
+	for _, c := range d.Digest {
+		dst = append(dst, upperHex[c>>4], upperHex[c&0x0F])
+	}
+	return dst
+}
+
+// appendUints appends each value in decimal followed by a space.
+func appendUints(dst []byte, vs ...uint64) []byte {
+	for _, v := range vs {
+		dst = strconv.AppendUint(dst, v, 10)
+		dst = append(dst, ' ')
+	}
+	return dst
 }
 
 // IsDelete reports whether this record is the RFC 8078 §4 "delete DS"
@@ -405,9 +421,11 @@ func (k *DNSKEY) unpack(p *parser, rdlen int) error {
 	return err
 }
 
-func (k *DNSKEY) String() string {
-	return fmt.Sprintf("%d %d %d %s", k.Flags, k.Protocol, k.Algorithm,
-		base64.StdEncoding.EncodeToString(k.PublicKey))
+func (k *DNSKEY) String() string { return string(k.appendText(nil)) }
+
+func (k *DNSKEY) appendText(dst []byte) []byte {
+	dst = appendUints(dst, uint64(k.Flags), uint64(k.Protocol), uint64(k.Algorithm))
+	return base64.StdEncoding.AppendEncode(dst, k.PublicKey)
 }
 
 // IsZoneKey reports whether the ZONE bit is set; keys without it must
@@ -485,11 +503,16 @@ func (r *RRSIG) unpack(p *parser, rdlen int) error {
 	return err
 }
 
-func (r *RRSIG) String() string {
-	return fmt.Sprintf("%s %d %d %d %d %d %d %s %s",
-		r.TypeCovered, r.Algorithm, r.Labels, r.OrigTTL,
-		r.Expiration, r.Inception, r.KeyTag, CanonicalName(r.SignerName),
-		base64.StdEncoding.EncodeToString(r.Signature))
+func (r *RRSIG) String() string { return string(r.appendText(nil)) }
+
+func (r *RRSIG) appendText(dst []byte) []byte {
+	dst = append(dst, r.TypeCovered.String()...)
+	dst = append(dst, ' ')
+	dst = appendUints(dst, uint64(r.Algorithm), uint64(r.Labels), uint64(r.OrigTTL),
+		uint64(r.Expiration), uint64(r.Inception), uint64(r.KeyTag))
+	dst = append(dst, CanonicalName(r.SignerName)...)
+	dst = append(dst, ' ')
+	return base64.StdEncoding.AppendEncode(dst, r.Signature)
 }
 
 // NSEC is an authenticated-denial record (RFC 4034 §4).

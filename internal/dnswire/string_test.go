@@ -1,6 +1,9 @@
 package dnswire
 
 import (
+	"encoding/base64"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -48,6 +51,64 @@ func TestSpecificPresentations(t *testing.T) {
 	for _, c := range cases {
 		if got := c.data.String(); got != c.want {
 			t.Errorf("%T.String() = %q, want %q", c.data, got, c.want)
+		}
+	}
+}
+
+// TestAppendTextMatchesSprintf holds the appended presentation forms of
+// the DNSSEC types to the fmt layout they replaced, edge values
+// included: the JSONL export writes them, and a dump's bytes must not
+// move.
+func TestAppendTextMatchesSprintf(t *testing.T) {
+	var cases []RR
+	for _, ds := range []DS{
+		{KeyTag: 4711, Algorithm: 13, DigestType: 2, Digest: []byte{0x0A, 0xBC, 0xFF, 0x00}},
+		{KeyTag: 65535, Algorithm: 255, DigestType: 255},
+		{},
+	} {
+		want := fmt.Sprintf("%d %d %d %s", ds.KeyTag, ds.Algorithm, ds.DigestType,
+			strings.ToUpper(hex.EncodeToString(ds.Digest)))
+		cases = append(cases, RR{Name: "Example.COM", TTL: 3600, Class: ClassIN, Data: &ds},
+			RR{Name: "example.com.", TTL: 0, Class: ClassIN, Data: &CDS{DS: ds}})
+		if got := ds.String(); got != want {
+			t.Errorf("DS.String() = %q, want %q", got, want)
+		}
+	}
+	for _, k := range []DNSKEY{
+		{Flags: 257, Protocol: 3, Algorithm: 13, PublicKey: []byte{0xFB, 0xFF, 0x01}},
+		{Flags: 65535, Protocol: 255, Algorithm: 0},
+	} {
+		want := fmt.Sprintf("%d %d %d %s", k.Flags, k.Protocol, k.Algorithm,
+			base64.StdEncoding.EncodeToString(k.PublicKey))
+		cases = append(cases, RR{Name: "a.", TTL: 4294967295, Class: ClassIN, Data: &k},
+			RR{Name: "a.", TTL: 1, Class: ClassIN, Data: &CDNSKEY{DNSKEY: k}})
+		if got := k.String(); got != want {
+			t.Errorf("DNSKEY.String() = %q, want %q", got, want)
+		}
+	}
+	for _, r := range []RRSIG{
+		{TypeCovered: TypeCDS, Algorithm: 13, Labels: 2, OrigTTL: 3600, Expiration: 4294967295,
+			Inception: 1764547200, KeyTag: 4711, SignerName: "Example.COM", Signature: []byte{1, 2, 3, 4, 5}},
+		{TypeCovered: Type(65280), SignerName: ""},
+	} {
+		want := fmt.Sprintf("%s %d %d %d %d %d %d %s %s",
+			r.TypeCovered, r.Algorithm, r.Labels, r.OrigTTL,
+			r.Expiration, r.Inception, r.KeyTag, CanonicalName(r.SignerName),
+			base64.StdEncoding.EncodeToString(r.Signature))
+		cases = append(cases, RR{Name: "", TTL: 300, Class: Class(3), Data: &r})
+		if got := r.String(); got != want {
+			t.Errorf("RRSIG.String() = %q, want %q", got, want)
+		}
+	}
+	cases = append(cases, RR{Name: "x.", TTL: 1, Class: ClassIN, Data: &TXT{Strings: []string{"a\"b"}}})
+	for _, rr := range cases {
+		want := fmt.Sprintf("%s\t%d\t%s\t%s\t%s",
+			CanonicalName(rr.Name), rr.TTL, rr.Class, rr.Type(), rr.Data.String())
+		if got := rr.String(); got != want {
+			t.Errorf("RR.String() = %q, want %q", got, want)
+		}
+		if got := string(rr.AppendText([]byte("prefix "))); got != "prefix "+want {
+			t.Errorf("RR.AppendText = %q, want the prefix and %q", got, want)
 		}
 	}
 }

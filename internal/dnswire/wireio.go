@@ -76,9 +76,10 @@ func (b *builder) name(n string, compress bool) {
 }
 
 // internCap bounds the per-parser name-intern table. Scan workloads
-// see the same nameserver and apex names over and over; capping the
-// table keeps a pooled parser from accumulating unbounded uniques over
-// a multi-million-zone run.
+// see the same nameserver and apex names over and over; a table that
+// reaches the cap is cleared and starts over, so a pooled parser never
+// accumulates unbounded uniques over a multi-million-zone run and keeps
+// interning the names of the messages it is parsing now.
 const internCap = 4096
 
 type parser struct {
@@ -116,10 +117,10 @@ func (p *parser) intern(b []byte) string {
 	s := string(b)
 	if p.names == nil {
 		p.names = make(map[string]string, 64)
+	} else if len(p.names) >= internCap {
+		clear(p.names)
 	}
-	if len(p.names) < internCap {
-		p.names[s] = s
-	}
+	p.names[s] = s
 	return s
 }
 

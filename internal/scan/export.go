@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"strconv"
+	"unicode/utf8"
 
 	"dnssecboot/internal/dnswire"
 	"dnssecboot/internal/zone"
@@ -24,7 +26,10 @@ import (
 // laid out. Dumps written before the cost object existed carry the
 // counters at the top level; they still decode, with a zero Cost.
 
-// ObservationJSON is the serialised form of a ZoneObservation.
+// ObservationJSON is the decoded form of one exported line. JSONLWriter
+// writes a ZoneObservation's members directly, in this order and with
+// these names, omissions and escapes, exactly as encoding/json would
+// marshal this struct.
 type ObservationJSON struct {
 	Zone       string   `json:"zone"`
 	ResolveErr string   `json:"resolve_err,omitempty"`
@@ -71,64 +76,6 @@ type SignalObservationJSON struct {
 	ValidationErr  string   `json:"validation_err,omitempty"`
 	ZoneCut        bool     `json:"zone_cut,omitempty"`
 	NameTooLong    bool     `json:"name_too_long,omitempty"`
-}
-
-func rrStrings(rrs []dnswire.RR) []string {
-	if len(rrs) == 0 {
-		return nil
-	}
-	out := make([]string, len(rrs))
-	for i, rr := range rrs {
-		out[i] = rr.String()
-	}
-	return out
-}
-
-// ToJSON converts an observation into its export form.
-func (z *ZoneObservation) ToJSON() ObservationJSON {
-	out := ObservationJSON{
-		Zone:       z.Zone,
-		ResolveErr: z.ResolveErr,
-		ParentZone: z.ParentZone,
-		ParentNS:   z.ParentNS,
-		ChildNS:    z.ChildNS,
-		DS:         rrStrings(z.DS),
-		DSSigs:     rrStrings(z.DSSigs),
-		DNSKEY:     rrStrings(z.DNSKEY),
-		DNSKEYSigs: rrStrings(z.DNSKEYSigs),
-		ChainValid: z.ChainValid,
-		ChainErr:   z.ChainErr,
-		SampledNS:  z.SampledNS,
-		Cost:       z.Cost,
-	}
-	for _, ns := range z.PerNS {
-		out.PerNS = append(out.PerNS, NSObservationJSON{
-			Host:           ns.Host,
-			Addr:           ns.Addr.String(),
-			CDSOutcome:     ns.CDSOutcome.String(),
-			CDNSKEYOutcome: ns.CDNSKEYOutcome.String(),
-			CDS:            rrStrings(ns.CDS),
-			CDNSKEY:        rrStrings(ns.CDNSKEY),
-			CDSSigs:        rrStrings(ns.CDSSigs),
-			CDNSKEYSigs:    rrStrings(ns.CDNSKEYSigs),
-		})
-	}
-	for _, so := range z.Signals {
-		out.Signals = append(out.Signals, SignalObservationJSON{
-			NSHost:         so.NSHost,
-			Owner:          so.Owner,
-			Outcome:        so.Outcome.String(),
-			CDSOutcome:     so.CDSOutcome.String(),
-			CDNSKEYOutcome: so.CDNSKEYOutcome.String(),
-			Records:        rrStrings(so.Records),
-			Sigs:           rrStrings(so.Sigs),
-			Secure:         so.Secure,
-			ValidationErr:  so.ValidationErr,
-			ZoneCut:        so.ZoneCut,
-			NameTooLong:    so.NameTooLong,
-		})
-	}
-	return out
 }
 
 // costKey opens the trailing cost member of an exported line.
@@ -196,10 +143,10 @@ type JSONLWriter struct {
 	bw    *bufio.Writer
 	count int
 	bytes int64
-	// line holds the record being written; enc encodes into it, with
-	// json.Marshal's escaping and the newline appended.
-	line bytes.Buffer
-	enc  *json.Encoder
+	// line holds the record being written; text one record's or
+	// address's presentation form before it is escaped into line.
+	line []byte
+	text []byte
 }
 
 // jsonlBuffer is JSONLWriter's buffer size: about 68 records of a
@@ -208,18 +155,13 @@ const jsonlBuffer = 64 << 10
 
 // NewJSONLWriter wraps w for incremental JSONL export.
 func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	jw := &JSONLWriter{bw: bufio.NewWriterSize(w, jsonlBuffer)}
-	jw.enc = json.NewEncoder(&jw.line)
-	return jw
+	return &JSONLWriter{bw: bufio.NewWriterSize(w, jsonlBuffer)}
 }
 
 // Write appends one observation as a JSON line.
 func (jw *JSONLWriter) Write(obs *ZoneObservation) error {
-	jw.line.Reset()
-	if err := jw.enc.Encode(obs.ToJSON()); err != nil {
-		return fmt.Errorf("scan: encoding record %d (zone %s): %w", jw.count, obs.Zone, err)
-	}
-	line := jw.line.Bytes()
+	jw.line = jw.appendRecord(jw.line[:0], obs)
+	line := jw.line
 	// Make room for the whole line before buffering any of it: a
 	// mid-line flush that fails would otherwise have emitted a
 	// fragment of this record.
@@ -234,6 +176,196 @@ func (jw *JSONLWriter) Write(obs *ZoneObservation) error {
 	jw.count++
 	jw.bytes += int64(len(line))
 	return nil
+}
+
+// appendRecord appends z as one line: the bytes encoding/json marshals
+// for its ObservationJSON form, then a newline.
+func (jw *JSONLWriter) appendRecord(b []byte, z *ZoneObservation) []byte {
+	b = appendJSONString(append(b, `{"zone":`...), z.Zone)
+	b = appendOptString(b, `,"resolve_err":`, z.ResolveErr)
+	b = appendOptString(b, `,"parent_zone":`, z.ParentZone)
+	b = appendStrings(b, `,"parent_ns":`, z.ParentNS)
+	b = appendStrings(b, `,"child_ns":`, z.ChildNS)
+	b = jw.appendRRs(b, `,"ds":`, z.DS)
+	b = jw.appendRRs(b, `,"ds_sigs":`, z.DSSigs)
+	b = jw.appendRRs(b, `,"dnskey":`, z.DNSKEY)
+	b = jw.appendRRs(b, `,"dnskey_sigs":`, z.DNSKEYSigs)
+	b = strconv.AppendBool(append(b, `,"chain_valid":`...), z.ChainValid)
+	b = appendOptString(b, `,"chain_err":`, z.ChainErr)
+	b = appendOptTrue(b, `,"sampled_ns":true`, z.SampledNS)
+	if len(z.PerNS) > 0 {
+		b = append(b, `,"per_ns":[`...)
+		for i := range z.PerNS {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = jw.appendNS(b, &z.PerNS[i])
+		}
+		b = append(b, ']')
+	}
+	if len(z.Signals) > 0 {
+		b = append(b, `,"signals":[`...)
+		for i := range z.Signals {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = jw.appendSignal(b, &z.Signals[i])
+		}
+		b = append(b, ']')
+	}
+	c := &z.Cost
+	b = strconv.AppendInt(append(b, costKey+`"queries":`...), c.Queries, 10)
+	b = appendOptInt(b, `,"retries":`, c.Retries)
+	b = appendOptInt(b, `,"gave_up":`, c.GaveUp)
+	b = appendOptInt(b, `,"cache_hits":`, c.CacheHits)
+	b = appendOptInt(b, `,"cache_misses":`, c.CacheMisses)
+	b = appendOptInt(b, `,"coalesced":`, c.Coalesced)
+	return append(b, "}}\n"...)
+}
+
+// appendNS appends one per-NS view as a JSON object.
+func (jw *JSONLWriter) appendNS(b []byte, ns *NSObservation) []byte {
+	b = appendJSONString(append(b, `{"host":`...), ns.Host)
+	// netip.Addr.AppendTo writes nothing for the zero Addr, whose
+	// String is "invalid IP".
+	if ns.Addr.IsValid() {
+		jw.text = ns.Addr.AppendTo(jw.text[:0])
+	} else {
+		jw.text = append(jw.text[:0], ns.Addr.String()...)
+	}
+	b = appendJSONString(append(b, `,"addr":`...), jw.text)
+	b = appendJSONString(append(b, `,"cds_outcome":`...), ns.CDSOutcome.String())
+	b = appendJSONString(append(b, `,"cdnskey_outcome":`...), ns.CDNSKEYOutcome.String())
+	b = jw.appendRRs(b, `,"cds":`, ns.CDS)
+	b = jw.appendRRs(b, `,"cdnskey":`, ns.CDNSKEY)
+	b = jw.appendRRs(b, `,"cds_sigs":`, ns.CDSSigs)
+	b = jw.appendRRs(b, `,"cdnskey_sigs":`, ns.CDNSKEYSigs)
+	return append(b, '}')
+}
+
+// appendSignal appends one signal probe as a JSON object.
+func (jw *JSONLWriter) appendSignal(b []byte, so *SignalObservation) []byte {
+	b = appendJSONString(append(b, `{"ns_host":`...), so.NSHost)
+	b = appendOptString(b, `,"owner":`, so.Owner)
+	b = appendJSONString(append(b, `,"outcome":`...), so.Outcome.String())
+	b = appendOptString(b, `,"cds_outcome":`, so.CDSOutcome.String())
+	b = appendOptString(b, `,"cdnskey_outcome":`, so.CDNSKEYOutcome.String())
+	b = jw.appendRRs(b, `,"records":`, so.Records)
+	b = jw.appendRRs(b, `,"sigs":`, so.Sigs)
+	b = strconv.AppendBool(append(b, `,"secure":`...), so.Secure)
+	b = appendOptString(b, `,"validation_err":`, so.ValidationErr)
+	b = appendOptTrue(b, `,"zone_cut":true`, so.ZoneCut)
+	b = appendOptTrue(b, `,"name_too_long":true`, so.NameTooLong)
+	return append(b, '}')
+}
+
+// appendRRs appends key and the records' presentation forms as a JSON
+// array, or nothing for no records (omitempty).
+func (jw *JSONLWriter) appendRRs(b []byte, key string, rrs []dnswire.RR) []byte {
+	if len(rrs) == 0 {
+		return b
+	}
+	b = append(append(b, key...), '[')
+	for i := range rrs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		jw.text = rrs[i].AppendText(jw.text[:0])
+		b = appendJSONString(b, jw.text)
+	}
+	return append(b, ']')
+}
+
+// appendStrings appends key and ss as a JSON array, or nothing for an
+// empty ss (omitempty).
+func appendStrings(b []byte, key string, ss []string) []byte {
+	if len(ss) == 0 {
+		return b
+	}
+	b = append(append(b, key...), '[')
+	for i, s := range ss {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, s)
+	}
+	return append(b, ']')
+}
+
+// appendOptString appends key and s, or nothing for "" (omitempty).
+func appendOptString(b []byte, key, s string) []byte {
+	if s == "" {
+		return b
+	}
+	return appendJSONString(append(b, key...), s)
+}
+
+// appendOptInt appends key and v, or nothing for 0 (omitempty).
+func appendOptInt(b []byte, key string, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(append(b, key...), v, 10)
+}
+
+// appendOptTrue appends member, a key with its true value, when v is
+// set (omitempty).
+func appendOptTrue(b []byte, member string, v bool) []byte {
+	if !v {
+		return b
+	}
+	return append(b, member...)
+}
+
+// appendJSONString appends s as a JSON string escaped as encoding/json
+// escapes it by default: quote, backslash and control characters, the
+// HTML-sensitive <, > and &, U+2028 and U+2029, and every invalid UTF-8
+// byte as U+FFFD.
+func appendJSONString[T string | []byte](b []byte, s T) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(append(b, s[start:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(b, s[start:]...), '"')
 }
 
 // Flush forces every buffered record to the underlying writer.

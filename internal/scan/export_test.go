@@ -57,3 +57,63 @@ func (z *ZoneObservation) NSSetsDiffer() bool {
 	}
 	return false
 }
+
+func rrStrings(rrs []dnswire.RR) []string {
+	if len(rrs) == 0 {
+		return nil
+	}
+	out := make([]string, len(rrs))
+	for i, rr := range rrs {
+		out[i] = rr.String()
+	}
+	return out
+}
+
+// ToJSON converts an observation into its ObservationJSON form: the
+// oracle JSONLWriter is held to, which must write json.Marshal of it
+// byte for byte.
+func (z *ZoneObservation) ToJSON() ObservationJSON {
+	out := ObservationJSON{
+		Zone:       z.Zone,
+		ResolveErr: z.ResolveErr,
+		ParentZone: z.ParentZone,
+		ParentNS:   z.ParentNS,
+		ChildNS:    z.ChildNS,
+		DS:         rrStrings(z.DS),
+		DSSigs:     rrStrings(z.DSSigs),
+		DNSKEY:     rrStrings(z.DNSKEY),
+		DNSKEYSigs: rrStrings(z.DNSKEYSigs),
+		ChainValid: z.ChainValid,
+		ChainErr:   z.ChainErr,
+		SampledNS:  z.SampledNS,
+		Cost:       z.Cost,
+	}
+	for _, ns := range z.PerNS {
+		out.PerNS = append(out.PerNS, NSObservationJSON{
+			Host:           ns.Host,
+			Addr:           ns.Addr.String(),
+			CDSOutcome:     ns.CDSOutcome.String(),
+			CDNSKEYOutcome: ns.CDNSKEYOutcome.String(),
+			CDS:            rrStrings(ns.CDS),
+			CDNSKEY:        rrStrings(ns.CDNSKEY),
+			CDSSigs:        rrStrings(ns.CDSSigs),
+			CDNSKEYSigs:    rrStrings(ns.CDNSKEYSigs),
+		})
+	}
+	for _, so := range z.Signals {
+		out.Signals = append(out.Signals, SignalObservationJSON{
+			NSHost:         so.NSHost,
+			Owner:          so.Owner,
+			Outcome:        so.Outcome.String(),
+			CDSOutcome:     so.CDSOutcome.String(),
+			CDNSKEYOutcome: so.CDNSKEYOutcome.String(),
+			Records:        rrStrings(so.Records),
+			Sigs:           rrStrings(so.Sigs),
+			Secure:         so.Secure,
+			ValidationErr:  so.ValidationErr,
+			ZoneCut:        so.ZoneCut,
+			NameTooLong:    so.NameTooLong,
+		})
+	}
+	return out
+}

@@ -199,6 +199,7 @@ func (s *Scanner) ScanZone(ctx context.Context, zoneName string) *ZoneObservatio
 		sp.Emit(obs.TraceEvent{Stage: "scan", Event: "ns_sampled",
 			Detail: fmt.Sprintf("querying %d of %d ns addresses", len(selected), len(pairs))})
 	}
+	zo.PerNS = make([]NSObservation, 0, len(selected))
 	for _, p := range selected {
 		zo.PerNS = append(zo.PerNS, s.observeNS(ctx, zoneName, p.host, p.addr))
 	}
@@ -241,7 +242,9 @@ func (s *Scanner) ScanZone(ctx context.Context, zoneName string) *ZoneObservatio
 		// requires signals under every NS, and disagreements between
 		// the two views are exactly the Cloudflare misconfiguration the
 		// paper reports (§4.4).
-		for _, host := range zo.AllNSHosts() {
+		hosts := zo.AllNSHosts()
+		zo.Signals = make([]SignalObservation, 0, len(hosts))
+		for _, host := range hosts {
 			sig, denial := s.probeSignal(ctx, zoneName, dnswire.CanonicalName(host))
 			zo.Signals = append(zo.Signals, sig)
 			if sp != nil {

@@ -187,8 +187,7 @@ func (s *Server) answerFromZone(z *zone.Zone, qname string, qtype dnswire.Type, 
 	// DS at a zone cut is answered authoritatively by the parent
 	// (RFC 4035 §3.1.4.1), never as a referral.
 	if qtype == dnswire.TypeDS && z.DelegationAt(qname) {
-		if ds := z.RRset(qname, dnswire.TypeDS); len(ds) > 0 {
-			m.Answer = append(m.Answer, ds...)
+		if m.Answer = z.AppendRRset(m.Answer, qname, dnswire.TypeDS); len(m.Answer) > 0 {
 			s.appendSigs(z, &m.Answer, qname, dnswire.TypeDS, do)
 		} else {
 			s.negative(z, m, qname, do)
@@ -204,13 +203,12 @@ func (s *Server) answerFromZone(z *zone.Zone, qname string, qtype dnswire.Type, 
 	if z.NameExists(qname) {
 		// CNAME handling.
 		if qtype != dnswire.TypeCNAME {
-			if cname := z.RRset(qname, dnswire.TypeCNAME); len(cname) > 0 {
-				m.Answer = append(m.Answer, cname...)
+			if m.Answer = z.AppendRRset(m.Answer, qname, dnswire.TypeCNAME); len(m.Answer) > 0 {
+				target := m.Answer[0].Data.(*dnswire.CNAME).Target
 				s.appendSigs(z, &m.Answer, qname, dnswire.TypeCNAME, do)
-				target := cname[0].Data.(*dnswire.CNAME).Target
 				if dnswire.IsSubdomain(target, z.Origin) && z.FindCut(target) == "" {
-					if set := z.RRset(target, qtype); len(set) > 0 {
-						m.Answer = append(m.Answer, set...)
+					n := len(m.Answer)
+					if m.Answer = z.AppendRRset(m.Answer, target, qtype); len(m.Answer) > n {
 						s.appendSigs(z, &m.Answer, target, qtype, do)
 					}
 				}
@@ -219,12 +217,12 @@ func (s *Server) answerFromZone(z *zone.Zone, qname string, qtype dnswire.Type, 
 		}
 		if qtype == dnswire.TypeANY {
 			for _, t := range z.TypesAt(qname) {
-				m.Answer = append(m.Answer, z.RRset(qname, t)...)
+				m.Answer = z.AppendRRset(m.Answer, qname, t)
 			}
 			return m
 		}
-		if set := z.RRset(qname, qtype); len(set) > 0 {
-			m.Answer = append(m.Answer, set...)
+		if m.Answer = z.AppendRRset(m.Answer, qname, qtype); len(m.Answer) > 0 {
+			set := m.Answer
 			s.appendSigs(z, &m.Answer, qname, qtype, do)
 			if qtype == dnswire.TypeNS && qname == z.Origin && !s.MinimalResponses {
 				s.addGlue(z, m, set)
@@ -241,10 +239,9 @@ func (s *Server) answerFromZone(z *zone.Zone, qname string, qtype dnswire.Type, 
 	// served as-is; their Labels field lets validators verify the
 	// expansion (RFC 4035 §3.1.3.3).
 	if wc := z.WildcardFor(qname); wc != "" {
-		if set := z.RRset(wc, qtype); len(set) > 0 {
-			for _, rr := range set {
-				rr.Name = qname
-				m.Answer = append(m.Answer, rr)
+		if m.Answer = z.AppendRRset(m.Answer, wc, qtype); len(m.Answer) > 0 {
+			for i := range m.Answer {
+				m.Answer[i].Name = qname
 			}
 			if do {
 				for _, sigRR := range z.Sigs(wc, qtype) {
@@ -304,15 +301,14 @@ func closestEncloser(z *zone.Zone, qname string) (ce, next string) {
 
 func (s *Server) referral(z *zone.Zone, cut string, do bool) *dnswire.Message {
 	m := &dnswire.Message{Response: true, Authoritative: false}
-	nsSet := z.RRset(cut, dnswire.TypeNS)
-	m.Authority = append(m.Authority, nsSet...)
-	if ds := z.RRset(cut, dnswire.TypeDS); len(ds) > 0 {
-		m.Authority = append(m.Authority, ds...)
+	m.Authority = z.AppendRRset(m.Authority, cut, dnswire.TypeNS)
+	nsSet := m.Authority
+	n := len(m.Authority)
+	if m.Authority = z.AppendRRset(m.Authority, cut, dnswire.TypeDS); len(m.Authority) > n {
 		s.appendSigs(z, &m.Authority, cut, dnswire.TypeDS, do)
 	} else if do {
 		// Prove the unsigned delegation with the cut's NSEC.
-		if nsec := z.RRset(cut, dnswire.TypeNSEC); len(nsec) > 0 {
-			m.Authority = append(m.Authority, nsec...)
+		if m.Authority = z.AppendRRset(m.Authority, cut, dnswire.TypeNSEC); len(m.Authority) > n {
 			s.appendSigs(z, &m.Authority, cut, dnswire.TypeNSEC, do)
 		}
 	}
@@ -327,14 +323,16 @@ func (s *Server) addGlue(z *zone.Zone, m *dnswire.Message, nsSet []dnswire.RR) {
 			continue
 		}
 		for _, t := range []dnswire.Type{dnswire.TypeA, dnswire.TypeAAAA} {
-			m.Additional = append(m.Additional, z.RRset(host, t)...)
+			m.Additional = z.AppendRRset(m.Additional, host, t)
 		}
 	}
 }
 
 func (s *Server) negative(z *zone.Zone, m *dnswire.Message, qname string, do bool) {
-	if soa := z.SOA(); soa != nil {
-		m.Authority = append(m.Authority, *soa)
+	// The apex SOA: its first record only, as Zone.SOA gives it.
+	n := len(m.Authority)
+	if m.Authority = z.AppendRRset(m.Authority, z.Origin, dnswire.TypeSOA); len(m.Authority) > n {
+		m.Authority = m.Authority[:n+1]
 		s.appendSigs(z, &m.Authority, z.Origin, dnswire.TypeSOA, do)
 	}
 	if !do {
@@ -346,8 +344,8 @@ func (s *Server) negative(z *zone.Zone, m *dnswire.Message, qname string, do boo
 	}
 	if m.Rcode == dnswire.RcodeNoError {
 		// NODATA proof: the qname's own NSEC.
-		if nsec := z.RRset(qname, dnswire.TypeNSEC); len(nsec) > 0 {
-			m.Authority = append(m.Authority, nsec...)
+		n = len(m.Authority)
+		if m.Authority = z.AppendRRset(m.Authority, qname, dnswire.TypeNSEC); len(m.Authority) > n {
 			s.appendSigs(z, &m.Authority, qname, dnswire.TypeNSEC, do)
 		}
 	}
