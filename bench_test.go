@@ -26,6 +26,8 @@ import (
 	"io"
 	"net/netip"
 	"os"
+	"runtime"
+	"runtime/metrics"
 	"sync"
 	"testing"
 	"time"
@@ -180,7 +182,13 @@ func BenchmarkRegistryShortCircuit(b *testing.B) {
 // streaming pipeline over the in-memory network: observations flow
 // through the order-restoring emitter to a discarding sink. peak_live
 // reports the high-water mark of dispatched-but-unemitted zones — the
-// streaming memory bound.
+// streaming memory bound. allocs/zone, B/zone and gc_cpu_share (the
+// runtime's estimate of the CPU time spent in garbage collection, as a
+// share of all CPU time in the loop) are the garbage a zone's scan
+// leaves behind and what collecting it costs. The runtime updates its
+// CPU estimates at the end of each collection, so gc_cpu_share covers
+// the loop up to its last one and is reported only when the loop ran
+// one: a few hundred iterations (`make bench-smoke` runs 200).
 func BenchmarkScanStream(b *testing.B) {
 	study := benchStudy(b)
 	scanner := core.NewScanner(study.World, core.Options{Seed: 2, Concurrency: 16})
@@ -190,6 +198,12 @@ func BenchmarkScanStream(b *testing.B) {
 	}
 	ctx := context.Background()
 	peak := 0
+	gc := []metrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}, {Name: "/cpu/classes/total:cpu-seconds"}}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	metrics.Read(gc)
+	gc0, total0 := gc[0].Value.Float64(), gc[1].Value.Float64()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := scanner.ScanStream(ctx, targets, scan.StreamOptions{})
@@ -204,8 +218,16 @@ func BenchmarkScanStream(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(len(targets))*float64(b.N)/b.Elapsed().Seconds(), "zones/s")
+	metrics.Read(gc)
+	runtime.ReadMemStats(&after)
+	zones := float64(len(targets)) * float64(b.N)
+	b.ReportMetric(zones/b.Elapsed().Seconds(), "zones/s")
 	b.ReportMetric(float64(peak), "peak_live")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/zones, "allocs/zone")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/zones, "B/zone")
+	if after.NumGC > before.NumGC {
+		b.ReportMetric((gc[0].Value.Float64()-gc0)/(gc[1].Value.Float64()-total0), "gc_cpu_share")
+	}
 }
 
 // BenchmarkJSONLWrite measures the JSONL export (`-dump`) alone: every

@@ -72,8 +72,10 @@ type EDNS struct {
 }
 
 // SetEDNS attaches (or replaces) the OPT record on m. When an OPT
-// record is already present its *OPT payload is mutated in place, so a
-// reused query message keeps EDNS attachment allocation-free.
+// record is already present its *OPT payload is mutated in place;
+// otherwise the new record's payload is held inside m. Either way
+// attaching EDNS allocates nothing beyond the additional section's
+// growth.
 func (m *Message) SetEDNS(e EDNS) {
 	ttl := uint32(e.ExtendedRcode)<<24 | uint32(e.Version)<<16
 	if e.DO {
@@ -94,12 +96,25 @@ func (m *Message) SetEDNS(e EDNS) {
 		}
 		return
 	}
+	m.opt = OPT{Options: e.Options}
 	m.Additional = append(m.Additional, RR{
 		Name:  ".",
 		Class: Class(e.UDPSize),
 		TTL:   ttl,
-		Data:  &OPT{Options: e.Options},
+		Data:  &m.opt,
 	})
+}
+
+// UDPLimit returns the size of the largest UDP response the sender of
+// query m accepts: 512 octets without EDNS, else its advertised payload
+// size, never less than 512 (RFC 6891 §6.2.5). Pass it to
+// AppendPackTruncating, for which 0 would mean no limit at all.
+func (m *Message) UDPLimit() int {
+	const classicLimit = 512
+	if e, ok := m.GetEDNS(); ok && int(e.UDPSize) > classicLimit {
+		return int(e.UDPSize)
+	}
+	return classicLimit
 }
 
 // GetEDNS extracts the EDNS state from m's OPT record, if present.

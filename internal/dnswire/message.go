@@ -135,6 +135,14 @@ type Message struct {
 	// garbage away, so the count is surfaced rather than rejected here;
 	// the resolver counts it per response (resolver.trailing_bytes).
 	TrailingBytes int
+
+	// question and opt are storage inside the message: a decoded
+	// message's single question and the OPT payload of its additional
+	// section live here, and so does an OPT record SetEDNS adds, so
+	// none of them costs an allocation of its own. Question and the OPT
+	// record's Data then point into m.
+	question [1]Question
+	opt      OPT
 }
 
 // ErrTooManyRecords is returned when a section exceeds 65535 records.
@@ -304,13 +312,96 @@ func packRR(b *builder, rr RR, rcode Rcode) error {
 	return nil
 }
 
-// Unpack parses a wire-format message into a fresh Message.
+// Unpack parses a wire-format message into a fresh Message. A message
+// of up to 8 records is allocated together with its record sections,
+// so the message, its question, its OPT payload and its sections cost
+// one allocation; only the other RDATA are allocated on their own.
+// UnpackFrom into a message of one's own sizes nothing ahead: its
+// sections grow as records are appended and are kept for the next.
 func Unpack(msg []byte) (*Message, error) {
-	m := &Message{}
+	m := newMessage(msg)
 	if err := m.UnpackFrom(msg); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// Messages allocated together with room for their records (see
+// newMessage). On the scan workloads 70 % of decoded responses hold at
+// most two records, 23 % three and 7 % four to eight (EXPERIMENTS.md
+// E-alloc); the two smaller classes keep those shapes from paying for
+// eight slots.
+type (
+	message2 struct {
+		m   Message
+		rrs [2]RR
+	}
+	message3 struct {
+		m   Message
+		rrs [3]RR
+	}
+	message8 struct {
+		m   Message
+		rrs [8]RR
+	}
+)
+
+// minRRWire is the shortest wire record: a root owner name and the ten
+// octets of type, class, TTL and RDLENGTH.
+const minRRWire = 11
+
+// newMessage allocates the Message that msg decodes into, with its
+// three record sections sized from the header counts: one backing
+// array, allocated with the message when the counts total at most 8.
+// Each section is capped at its own count, so appending to it never
+// reaches the next; a section with count 0 stays nil. Counts the input
+// cannot hold at minRRWire octets a record are not trusted with an
+// allocation: such a message fails to parse anyway.
+func newMessage(msg []byte) *Message {
+	const headerLen = 12
+	if len(msg) < headerLen {
+		return new(Message)
+	}
+	var counts [3]int
+	total := 0
+	for i := range counts {
+		counts[i] = int(msg[6+2*i])<<8 | int(msg[7+2*i])
+		total += counts[i]
+	}
+	if total == 0 || total*minRRWire > len(msg)-headerLen {
+		return new(Message)
+	}
+	var m *Message
+	var all []RR
+	switch {
+	case total <= 2:
+		b := new(message2)
+		m, all = &b.m, b.rrs[:]
+	case total <= 3:
+		b := new(message3)
+		m, all = &b.m, b.rrs[:]
+	case total <= 8:
+		b := new(message8)
+		m, all = &b.m, b.rrs[:]
+	default:
+		m, all = new(Message), make([]RR, total)
+	}
+	lo := 0
+	for i, dst := range [...]*[]RR{&m.Answer, &m.Authority, &m.Additional} {
+		if n := counts[i]; n > 0 {
+			*dst = all[lo : lo : lo+n]
+			lo += n
+		}
+	}
+	return m
+}
+
+// Reset empties m for reuse as a message built in place, keeping the
+// storage of its record sections. Records m held, and its question and
+// OPT payload, must no longer be in use: the next records overwrite
+// them.
+func (m *Message) Reset() {
+	*m = Message{Answer: m.Answer[:0], Authority: m.Authority[:0], Additional: m.Additional[:0]}
 }
 
 // UnpackFrom parses a wire-format message into m, reusing m's section
@@ -371,11 +462,17 @@ func (m *Message) unpack(p *parser) error {
 			return err
 		}
 		q.Class = Class(c)
-		m.Question = append(m.Question, q)
+		if counts[0] == 1 {
+			m.question[0] = q
+			m.Question = m.question[:1:1]
+		} else {
+			m.Question = append(m.Question, q)
+		}
 	}
-	if cap(m.Answer) == 0 && cap(m.Authority) == 0 && cap(m.Additional) == 0 {
-		m.presizeSections([3]uint16(counts[1:]), p.remaining())
-	}
+	// The first OPT of the additional section decodes into m.opt; m.opt
+	// is never reused through an old slot, so a second OPT, or one from
+	// another section, gets storage of its own.
+	inlineOPT := &m.opt
 	for si, dst := range []*[]RR{&m.Answer, &m.Authority, &m.Additional} {
 		// Keep the previous elements visible through old so each slot's
 		// RData (and its byte-field storage) can be reused in place:
@@ -384,13 +481,20 @@ func (m *Message) unpack(p *parser) error {
 		s := old[:0]
 		for i := 0; i < int(counts[si+1]); i++ {
 			var reuse RData
-			if i < len(old) {
+			if i < len(old) && old[i].Data != RData(&m.opt) {
 				reuse = old[i].Data
 			}
-			rr, extRcode, hasExt, err := unpackRR(p, reuse)
+			var inline *OPT
+			if si == 2 {
+				inline = inlineOPT
+			}
+			rr, extRcode, hasExt, err := unpackRR(p, reuse, inline)
 			if err != nil {
 				*dst = s
 				return err
+			}
+			if rr.Data == RData(inlineOPT) {
+				inlineOPT = nil
 			}
 			if hasExt {
 				m.Rcode |= Rcode(extRcode) << 4
@@ -403,36 +507,13 @@ func (m *Message) unpack(p *parser) error {
 	return nil
 }
 
-// minRRWire is the shortest wire record: a root owner name and the ten
-// octets of type, class, TTL and RDLENGTH.
-const minRRWire = 11
-
-// presizeSections gives a fresh message's three record sections one
-// backing array sized from the header counts. Each section is capped at
-// its own count, so appending to it never reaches the next; a section
-// with count 0 stays nil. Counts the remaining input cannot hold are not
-// trusted with an allocation: such a message fails to parse anyway.
-func (m *Message) presizeSections(counts [3]uint16, remaining int) {
-	total := int(counts[0]) + int(counts[1]) + int(counts[2])
-	if total == 0 || total*minRRWire > remaining {
-		return
-	}
-	all := make([]RR, total)
-	lo := 0
-	for i, dst := range [...]*[]RR{&m.Answer, &m.Authority, &m.Additional} {
-		if n := int(counts[i]); n > 0 {
-			*dst = all[lo : lo : lo+n]
-			lo += n
-		}
-	}
-}
-
 // unpackRR decodes one resource record. reuse, when non-nil and of the
 // record's concrete type, is overwritten in place instead of allocating
-// a fresh RData (the unpack-into fast path). For OPT records the
+// a fresh RData (the unpack-into fast path); an OPT record decodes into
+// inline instead when that is non-nil. For OPT records the
 // extended-rcode byte is returned with hasExt set (by value, so the hot
 // path never heap-allocates it).
-func unpackRR(p *parser, reuse RData) (rr RR, extRcode uint8, hasExt bool, err error) {
+func unpackRR(p *parser, reuse RData, inline *OPT) (rr RR, extRcode uint8, hasExt bool, err error) {
 	if rr.Name, err = p.name(); err != nil {
 		return rr, 0, false, err
 	}
@@ -457,7 +538,10 @@ func unpackRR(p *parser, reuse RData) (rr RR, extRcode uint8, hasExt bool, err e
 		return rr, 0, false, errTruncated
 	}
 	data := reuse
-	if data == nil || data.Type() != typ {
+	switch {
+	case typ == TypeOPT && inline != nil:
+		data = inline
+	case data == nil || data.Type() != typ:
 		data = newRData(typ)
 	}
 	start := p.off
@@ -483,7 +567,7 @@ func NewQuery(id uint16, name string, t Type) *Message {
 }
 
 // InitQuery resets m in place to a standard query for (name, type),
-// reusing the question-slice storage. The answer and authority sections
+// whose question is held inside m. The answer and authority sections
 // are emptied; the additional section is intentionally retained so that
 // a previously attached OPT record can be updated in place by SetEDNS —
 // callers reusing a query message across attempts must either call
@@ -500,8 +584,8 @@ func (m *Message) InitQuery(id uint16, name string, t Type) {
 	m.CheckingDisabled = false
 	m.Rcode = 0
 	m.TrailingBytes = 0
-	m.Question = append(m.Question[:0],
-		Question{Name: CanonicalName(name), Type: t, Class: ClassIN})
+	m.question[0] = Question{Name: CanonicalName(name), Type: t, Class: ClassIN}
+	m.Question = m.question[:1:1]
 	m.Answer = m.Answer[:0]
 	m.Authority = m.Authority[:0]
 }

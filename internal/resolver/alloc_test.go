@@ -14,12 +14,13 @@ import (
 
 // TestExchangeAllocBudget pins the per-query allocation budget of a
 // full resolver exchange over the in-memory network. Steady state
-// measures ~12 allocs/op (the returned response message and the
-// handler's answer construction; query build, rate limiting, and both
-// codec directions are allocation-free). The ceiling leaves modest
-// headroom — a regression that reintroduces per-query scratch (query
-// messages, compression maps, read buffers) costs far more than 8
-// allocations.
+// measures 2 allocs/op: the returned response message, which holds its
+// question, OPT payload and record sections, and the answer's one
+// RDATA. Query build, rate limiting, both codec directions and the
+// server's answer, built in the network's reused reply, are
+// allocation-free. The ceiling leaves one allocation of headroom, so
+// any reintroduced per-query scratch (query or reply messages, OPT
+// records, compression maps, read buffers) fails it.
 func TestExchangeAllocBudget(t *testing.T) {
 	r, servers := benchExchangeSetup()
 	server := servers[0]
@@ -38,8 +39,8 @@ func TestExchangeAllocBudget(t *testing.T) {
 			t.Fatalf("answers = %d", len(resp.Answer))
 		}
 	})
-	if avg > 20 {
-		t.Errorf("resolver exchange allocates %.1f/op, budget 20", avg)
+	if avg > 3 {
+		t.Errorf("resolver exchange allocates %.1f/op, budget 3", avg)
 	}
 }
 

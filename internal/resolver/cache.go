@@ -315,38 +315,41 @@ func (g *flightGroup) wouldCycleLocked(chain, leader uint64) bool {
 //
 // Each note* records the event on the resolver-wide instruments, the
 // per-zone QueryStats carried in the context, and — when the zone is
-// being traced — the zone's span. key names the cache entry involved
-// ("d:<zone>", "z:<zone>", "a:<host>").
+// being traced — the zone's span. kind and name make the name of the
+// cache entry involved ("d:<zone>", "z:<zone>", "a:<host>"), which is
+// built only for the trace.
 
 // NoteCacheHit is exported for callers that answer a lookup from state
 // of their own instead of asking — the scanner's validated NSEC denials
 // ("nsec:<name>") — so their hits land on the same counters and trace.
-func (r *Resolver) NoteCacheHit(ctx context.Context, key string) {
+func (r *Resolver) NoteCacheHit(ctx context.Context, kind, name string) {
 	r.metrics().CacheHits.Inc()
 	if st := statsFrom(ctx); st != nil {
 		st.CacheHits.Add(1)
 	}
-	if sp := obs.SpanFrom(ctx); sp != nil {
-		sp.Emit(obs.TraceEvent{Stage: "resolve", Event: "cache_hit", Name: key})
-	}
+	noteSpan(ctx, "cache_hit", kind, name)
 }
 
-func (r *Resolver) noteCacheMiss(ctx context.Context, key string) {
+func (r *Resolver) noteCacheMiss(ctx context.Context, kind, name string) {
 	r.metrics().CacheMisses.Inc()
 	if st := statsFrom(ctx); st != nil {
 		st.CacheMisses.Add(1)
 	}
-	if sp := obs.SpanFrom(ctx); sp != nil {
-		sp.Emit(obs.TraceEvent{Stage: "resolve", Event: "cache_miss", Name: key})
-	}
+	noteSpan(ctx, "cache_miss", kind, name)
 }
 
-func (r *Resolver) noteCoalesced(ctx context.Context, key string) {
+func (r *Resolver) noteCoalesced(ctx context.Context, kind, name string) {
 	r.metrics().Coalesced.Inc()
 	if st := statsFrom(ctx); st != nil {
 		st.Coalesced.Add(1)
 	}
+	noteSpan(ctx, "coalesced", kind, name)
+}
+
+// noteSpan emits a resolve-stage event naming the cache entry kind:name
+// when ctx carries a span.
+func noteSpan(ctx context.Context, event, kind, name string) {
 	if sp := obs.SpanFrom(ctx); sp != nil {
-		sp.Emit(obs.TraceEvent{Stage: "resolve", Event: "coalesced", Name: key})
+		sp.Emit(obs.TraceEvent{Stage: "resolve", Event: event, Name: kind + ":" + name})
 	}
 }

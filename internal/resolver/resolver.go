@@ -137,7 +137,10 @@ type Delegation struct {
 
 // NSHosts returns the delegation's nameserver hostnames.
 func (d *Delegation) NSHosts() []string {
-	var out []string
+	if len(d.ParentNS) == 0 {
+		return nil
+	}
+	out := make([]string, 0, len(d.ParentNS))
 	for _, rr := range d.ParentNS {
 		out = append(out, rr.Data.(*dnswire.NS).Target)
 	}
@@ -154,11 +157,11 @@ func (d *Delegation) NSHosts() []string {
 func (r *Resolver) Delegation(ctx context.Context, zoneName string) (*Delegation, error) {
 	zoneName = dnswire.CanonicalName(zoneName)
 	if err, ok := r.cache().negLookup(zoneName); ok {
-		r.NoteCacheHit(ctx, "neg:"+zoneName)
+		r.NoteCacheHit(ctx, "neg", zoneName)
 		return nil, err
 	}
 	if e, ok := r.cache().posLookup(zoneName); ok && e.deleg != nil {
-		r.NoteCacheHit(ctx, "d:"+zoneName)
+		r.NoteCacheHit(ctx, "d", zoneName)
 		return e.deleg, nil
 	}
 	ctx, chain := withChain(ctx)
@@ -171,7 +174,7 @@ func (r *Resolver) Delegation(ctx context.Context, zoneName string) (*Delegation
 		return d, derr
 	})
 	if shared {
-		r.noteCoalesced(ctx, "d:"+zoneName)
+		r.noteCoalesced(ctx, "d", zoneName)
 	}
 	if err != nil {
 		return nil, err
@@ -203,10 +206,10 @@ func (r *Resolver) zoneServers(ctx context.Context, zoneName string) ([]netip.Ad
 		return r.Roots, ".", nil
 	}
 	if e, ok := r.cache().posLookup(zoneName); ok {
-		r.NoteCacheHit(ctx, "z:"+zoneName)
+		r.NoteCacheHit(ctx, "z", zoneName)
 		return e.servers, e.apex, nil
 	}
-	r.noteCacheMiss(ctx, "z:"+zoneName)
+	r.noteCacheMiss(ctx, "z", zoneName)
 	ctx, chain := withChain(ctx)
 	v, shared, err := r.flight.Do(ctx, chain, "z:"+zoneName, func() (any, error) {
 		d, derr := r.Delegation(ctx, zoneName)
@@ -234,7 +237,7 @@ func (r *Resolver) zoneServers(ctx context.Context, zoneName string) ([]netip.Ad
 		return e, nil
 	})
 	if shared {
-		r.noteCoalesced(ctx, "z:"+zoneName)
+		r.noteCoalesced(ctx, "z", zoneName)
 	}
 	if err != nil {
 		return nil, "", err
@@ -376,6 +379,7 @@ func referralCut(resp *dnswire.Message) (string, []dnswire.RR) {
 		name := dnswire.CanonicalName(rr.Name)
 		if cut == "" {
 			cut = name
+			nsSet = make([]dnswire.RR, 0, len(resp.Authority))
 		}
 		if name == cut {
 			nsSet = append(nsSet, rr)
@@ -576,10 +580,10 @@ func (r *Resolver) lookupOnce(ctx context.Context, name string, qtype dnswire.Ty
 func (r *Resolver) AddrsOf(ctx context.Context, host string) ([]netip.Addr, error) {
 	host = dnswire.CanonicalName(host)
 	if addrs, ok := r.cache().addrLookup(host); ok {
-		r.NoteCacheHit(ctx, "a:"+host)
+		r.NoteCacheHit(ctx, "a", host)
 		return addrs, nil
 	}
-	r.noteCacheMiss(ctx, "a:"+host)
+	r.noteCacheMiss(ctx, "a", host)
 	ctx, chain := withChain(ctx)
 	ctx, visited := withVisited(ctx)
 	if visited[host] {
@@ -596,7 +600,7 @@ func (r *Resolver) AddrsOf(ctx context.Context, host string) ([]netip.Addr, erro
 		return addrs, nil
 	})
 	if shared {
-		r.noteCoalesced(ctx, "a:"+host)
+		r.noteCoalesced(ctx, "a", host)
 	}
 	if err != nil {
 		return nil, err

@@ -141,8 +141,23 @@ type queryStatsKey struct{}
 // are additionally accounted into the returned stats. Used by the
 // scanner for accurate per-zone accounting under concurrency.
 func WithQueryStats(ctx context.Context) (context.Context, *QueryStats) {
-	s := new(QueryStats)
-	return context.WithValue(ctx, queryStatsKey{}, s), s
+	c := &statsCtx{Context: ctx}
+	return c, &c.stats
+}
+
+// statsCtx is a context carrying QueryStats inside itself, so attaching
+// a zone's stats costs one allocation.
+type statsCtx struct {
+	context.Context
+	stats QueryStats
+}
+
+// Value implements context.Context.
+func (c *statsCtx) Value(key any) any {
+	if key == (queryStatsKey{}) {
+		return &c.stats
+	}
+	return c.Context.Value(key)
 }
 
 func statsFrom(ctx context.Context) *QueryStats {

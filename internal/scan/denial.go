@@ -128,7 +128,7 @@ func nsecSigs(authority []dnswire.RR, owner string) (signer string, sigs []dnswi
 // unexpired NSECs of every signer zone at or above it. A signer above a
 // zone cut proves nothing below it: its NSEC at the cut is a delegation
 // NSEC, which dnssec.ProveNXDomain refuses.
-func (v *Validator) denied(name string) (*nsecDenial, bool) {
+func (v *Validator) denied(name string) (nsecDenial, bool) {
 	now := v.R.Now()
 	d := &v.denials
 	d.mu.RLock()
@@ -137,11 +137,11 @@ func (v *Validator) denied(name string) (*nsecDenial, bool) {
 		if nsecs := d.bySigner[signer]; len(nsecs) > 0 {
 			covering := func(n string) (dnswire.RR, bool) { return coveringIn(nsecs, n, now) }
 			if p, ok := dnssec.ProveNXDomain(name, covering); ok {
-				return &nsecDenial{NXDomainProof: p, signer: signer}, true
+				return nsecDenial{NXDomainProof: p, signer: signer}, true
 			}
 		}
 		if signer == "." {
-			return nil, false
+			return nsecDenial{}, false
 		}
 	}
 }

@@ -10,6 +10,7 @@ package scan
 
 import (
 	"net/netip"
+	"slices"
 
 	"dnssecboot/internal/dnswire"
 )
@@ -161,6 +162,10 @@ type ZoneObservation struct {
 	// turn came, and therefore on concurrency, shard layout and resume
 	// points.
 	Cost
+
+	// allNS is AllNSHosts as the scan computed it, kept so the
+	// classifier does not compute it again; nil when not computed.
+	allNS []string
 }
 
 // Cost is the per-zone query accounting. It is exported as the last
@@ -194,15 +199,21 @@ func (c *Cost) Add(o Cost) {
 	c.Coalesced += o.Coalesced
 }
 
-// AllNSHosts returns the union of parent- and child-side NS hostnames.
+// AllNSHosts returns the union of parent- and child-side NS hostnames,
+// canonical, in first-seen order. The result is shared with the scan
+// that computed it: callers must not modify it.
 func (z *ZoneObservation) AllNSHosts() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, set := range [][]string{z.ParentNS, z.ChildNS} {
+	if z.allNS != nil {
+		return z.allNS
+	}
+	n := len(z.ParentNS) + len(z.ChildNS)
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, 0, n)
+	for _, set := range [2][]string{z.ParentNS, z.ChildNS} {
 		for _, h := range set {
-			h = dnswire.CanonicalName(h)
-			if !seen[h] {
-				seen[h] = true
+			if h = dnswire.CanonicalName(h); !slices.Contains(out, h) {
 				out = append(out, h)
 			}
 		}

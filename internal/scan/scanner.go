@@ -133,19 +133,8 @@ func (s *Scanner) ScanZone(ctx context.Context, zoneName string) *ZoneObservatio
 	}
 
 	// Resolve every NS host to its addresses.
-	var pairs []hostAddr
-	glue := glueMap(d.Glue)
-	for _, host := range zo.ParentNS {
-		addrs := glue[dnswire.CanonicalName(host)]
-		if len(addrs) == 0 {
-			if got, err := s.cfg.Resolver.AddrsOf(ctx, host); err == nil {
-				addrs = got
-			}
-		}
-		for _, a := range addrs {
-			pairs = append(pairs, hostAddr{dnswire.CanonicalName(host), a})
-		}
-	}
+	var pairsBuf [8]hostAddr
+	pairs := s.nsAddrs(ctx, pairsBuf[:0], zo.ParentNS, d.Glue)
 	if len(pairs) == 0 {
 		zo.ResolveErr = "no reachable nameserver addresses"
 		return zo
@@ -172,6 +161,9 @@ func (s *Scanner) ScanZone(ctx context.Context, zoneName string) *ZoneObservatio
 	if resp, err := s.exchange(ctx, alive.addr, zoneName, dnswire.TypeNS); err == nil {
 		for _, rr := range resp.Answer {
 			if ns, ok := rr.Data.(*dnswire.NS); ok && dnswire.CanonicalName(rr.Name) == zoneName {
+				if zo.ChildNS == nil {
+					zo.ChildNS = make([]string, 0, len(resp.Answer))
+				}
 				zo.ChildNS = append(zo.ChildNS, ns.Target)
 			}
 		}
@@ -243,14 +235,15 @@ func (s *Scanner) ScanZone(ctx context.Context, zoneName string) *ZoneObservatio
 		// the two views are exactly the Cloudflare misconfiguration the
 		// paper reports (§4.4).
 		hosts := zo.AllNSHosts()
+		zo.allNS = hosts
 		zo.Signals = make([]SignalObservation, 0, len(hosts))
 		for _, host := range hosts {
-			sig, denial := s.probeSignal(ctx, zoneName, dnswire.CanonicalName(host))
+			sig, denial, denied := s.probeSignal(ctx, zoneName, host)
 			zo.Signals = append(zo.Signals, sig)
 			if sp != nil {
 				ev := obs.TraceEvent{Stage: "scan", Event: "signal_probe", Name: sig.Owner,
 					Server: sig.NSHost, Outcome: sig.Outcome.String(), N: len(sig.Records)}
-				if denial != nil {
+				if denied {
 					ev.Detail = denial.String()
 				}
 				sp.Emit(ev)
@@ -285,18 +278,34 @@ func (s *Scanner) signalCandidate(obs *ZoneObservation) bool {
 	return false
 }
 
-func glueMap(glue []dnswire.RR) map[string][]netip.Addr {
-	m := make(map[string][]netip.Addr)
-	for _, rr := range glue {
-		host := dnswire.CanonicalName(rr.Name)
-		switch a := rr.Data.(type) {
-		case *dnswire.A:
-			m[host] = append(m[host], a.Addr)
-		case *dnswire.AAAA:
-			m[host] = append(m[host], a.Addr)
+// nsAddrs appends a (host, address) pair to dst for every address of
+// each host: the delegation's glue for it, or, for a host without
+// glue, its resolved addresses.
+func (s *Scanner) nsAddrs(ctx context.Context, dst []hostAddr, hosts []string, glue []dnswire.RR) []hostAddr {
+	for _, host := range hosts {
+		host = dnswire.CanonicalName(host)
+		n := len(dst)
+		for _, rr := range glue {
+			if dnswire.CanonicalName(rr.Name) != host {
+				continue
+			}
+			switch a := rr.Data.(type) {
+			case *dnswire.A:
+				dst = append(dst, hostAddr{host, a.Addr})
+			case *dnswire.AAAA:
+				dst = append(dst, hostAddr{host, a.Addr})
+			}
+		}
+		if len(dst) > n {
+			continue
+		}
+		if addrs, err := s.cfg.Resolver.AddrsOf(ctx, host); err == nil {
+			for _, a := range addrs {
+				dst = append(dst, hostAddr{host, a})
+			}
 		}
 	}
-	return m
+	return dst
 }
 
 // sampled decides whether this zone's NS pool is subject to sampling:
@@ -443,22 +452,22 @@ func (s *Scanner) verifyApexSOA(resp *dnswire.Message, keys []dnswire.RR) error 
 // answers CDNSKEY without a second lookup: it says the owner name does
 // not exist, whatever the type (RFC 8020 §2). An owner that validated
 // NSECs from earlier answers already prove absent is not asked at all;
-// the proof is returned for the trace.
-func (s *Scanner) probeSignal(ctx context.Context, child, nsHost string) (SignalObservation, *nsecDenial) {
-	so := SignalObservation{NSHost: nsHost}
+// the proof is returned for the trace, with denied set.
+func (s *Scanner) probeSignal(ctx context.Context, child, nsHost string) (so SignalObservation, denial nsecDenial, denied bool) {
+	so.NSHost = nsHost
 	owner, err := zone.SignalName(child, nsHost)
 	if err != nil {
 		so.NameTooLong = true
 		so.Outcome = OutcomeError
 		so.CDSOutcome = OutcomeError
 		so.CDNSKEYOutcome = OutcomeError
-		return so, nil
+		return so, nsecDenial{}, false
 	}
 	so.Owner = owner
-	if denial, ok := s.val.denied(owner); ok {
-		s.cfg.Resolver.NoteCacheHit(ctx, "nsec:"+owner)
+	if d, ok := s.val.denied(owner); ok {
+		s.cfg.Resolver.NoteCacheHit(ctx, "nsec", owner)
 		so.Outcome, so.CDSOutcome, so.CDNSKEYOutcome = OutcomeNXDomain, OutcomeNXDomain, OutcomeNXDomain
-		return so, denial
+		return so, d, true
 	}
 	so.CDSOutcome = s.probeSignalType(ctx, &so, dnswire.TypeCDS)
 	if so.CDSOutcome == OutcomeNXDomain {
@@ -468,7 +477,7 @@ func (s *Scanner) probeSignal(ctx context.Context, child, nsHost string) (Signal
 	}
 	so.Outcome = aggregateSignalOutcome(so.CDSOutcome, so.CDNSKEYOutcome, len(so.Records) > 0)
 	if len(so.Records) == 0 {
-		return so, nil
+		return so, nsecDenial{}, false
 	}
 
 	// RFC 9615 requires the signalling records to be DNSSEC-secure.
@@ -488,7 +497,7 @@ func (s *Scanner) probeSignal(ctx context.Context, child, nsHost string) (Signal
 		}
 	}
 	so.Secure = secure
-	return so, nil
+	return so, nsecDenial{}, false
 }
 
 // probeSignalType performs one CDS-or-CDNSKEY lookup at the signal

@@ -19,19 +19,7 @@ func (s *Scanner) WalkZone(ctx context.Context, zoneName string) ([]string, erro
 	if err != nil {
 		return nil, err
 	}
-	glue := glueMap(d.Glue)
-	var addrs []hostAddr
-	for _, host := range d.NSHosts() {
-		hostAddrs := glue[dnswire.CanonicalName(host)]
-		if len(hostAddrs) == 0 {
-			if got, err := s.cfg.Resolver.AddrsOf(ctx, host); err == nil {
-				hostAddrs = got
-			}
-		}
-		for _, a := range hostAddrs {
-			addrs = append(addrs, hostAddr{host, a})
-		}
-	}
+	addrs := s.nsAddrs(ctx, nil, d.NSHosts(), d.Glue)
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("scan: no reachable nameservers for %s", zoneName)
 	}

@@ -31,7 +31,8 @@ func (h *slowHandler) HandleDNS(_ context.Context, _ netip.Addr, q *dnswire.Mess
 	} else if h.delay > 0 {
 		time.Sleep(h.delay)
 	}
-	m := reply(q, dnswire.RcodeNoError)
+	m := new(dnswire.Message)
+	reply(m, q, dnswire.RcodeNoError)
 	m.Authoritative = true
 	m.Answer = append(m.Answer, dnswire.RR{
 		Name: q.Question[0].Name, Class: dnswire.ClassIN, TTL: 60,

@@ -287,11 +287,7 @@ func (l *Listener) handleUDP(pkt udpPacket, s *udpScratch) {
 	if err != nil || resp == nil {
 		return
 	}
-	limit := 512
-	if e, ok := q.GetEDNS(); ok {
-		limit = int(e.UDPSize)
-	}
-	wire, err := resp.AppendPackTruncating(s.resp[:0], limit)
+	wire, err := resp.AppendPackTruncating(s.resp[:0], q.UDPLimit())
 	if err != nil {
 		return
 	}

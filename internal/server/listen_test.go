@@ -239,3 +239,63 @@ func TestAXFRUnknownZone(t *testing.T) {
 		t.Error("AXFR of unknown zone succeeded")
 	}
 }
+
+// TestUDPEDNSPayloadFloor: the listener treats an advertised UDP
+// payload size below 512 as 512 (RFC 6891 §6.2.5). With size 0 a
+// 40-record answer must come back truncated within 512 octets, not
+// whole — an amplification hole otherwise — and with size 100 a
+// 5-record answer that fits in 512 octets must come back whole.
+func TestUDPEDNSPayloadFloor(t *testing.T) {
+	z := buildZone(t, false)
+	for name, records := range map[string]int{"small.example.com.": 5, "big.example.com.": 40} {
+		for i := 0; i < records; i++ {
+			z.MustAdd(dnswire.RR{Name: name, TTL: 60,
+				Data: &dnswire.TXT{Strings: []string{fmt.Sprintf("%02d padding padding padding", i)}}})
+		}
+	}
+	s := New(1)
+	s.AddZone(z)
+	l, err := Listen("127.0.0.1:0", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	conn, err := net.Dial("udp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	buf := make([]byte, 65535)
+	for _, size := range []uint16{0, 100} {
+		for _, tc := range []struct {
+			name      string
+			truncated bool
+		}{{"big.example.com.", true}, {"small.example.com.", false}} {
+			q := dnswire.NewQuery(uint16(size)+1, tc.name, dnswire.TypeTXT)
+			q.SetEDNS(dnswire.EDNS{UDPSize: size})
+			wire, err := q.Pack()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write(wire); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+			n, err := conn.Read(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := dnswire.Unpack(buf[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Truncated != tc.truncated || n > 512 {
+				t.Errorf("UDP size %d, %s: %d octets, tc=%v, want tc=%v within 512",
+					size, tc.name, n, resp.Truncated, tc.truncated)
+			}
+			if !tc.truncated && len(resp.Answer) != 5 {
+				t.Errorf("UDP size %d, %s: %d answers, want 5", size, tc.name, len(resp.Answer))
+			}
+		}
+	}
+}

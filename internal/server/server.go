@@ -138,16 +138,32 @@ var classicTypes = map[dnswire.Type]bool{
 	dnswire.TypeANY: true,
 }
 
-// HandleDNS implements transport.Handler.
+// HandleDNS implements transport.Handler: HandleDNSInto on a fresh
+// message, nil when the query is dropped.
 func (s *Server) HandleDNS(ctx context.Context, local netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+	m := new(dnswire.Message)
+	if answered, err := s.HandleDNSInto(ctx, local, q, m); err != nil || !answered {
+		return nil, err
+	}
+	return m, nil
+}
+
+// HandleDNSInto implements transport.ReplyHandler: it resets m,
+// answers q into it and reports false when it drops the query. Every
+// section is built by appending, so a caller may reuse m's storage for
+// the next query once it is done with this answer.
+func (s *Server) HandleDNSInto(_ context.Context, _ netip.Addr, q, m *dnswire.Message) (bool, error) {
+	m.Reset()
 	if len(q.Question) != 1 || q.Opcode != dnswire.OpcodeQuery || q.Response {
-		return reply(q, dnswire.RcodeFormErr), nil
+		reply(m, q, dnswire.RcodeFormErr)
+		return true, nil
 	}
 	if s.chance(s.DropRate) {
-		return nil, nil // silent drop → client timeout
+		return false, nil // silent drop → client timeout
 	}
 	if s.chance(s.ServfailRate) {
-		return reply(q, dnswire.RcodeServFail), nil
+		reply(m, q, dnswire.RcodeServFail)
+		return true, nil
 	}
 	question := q.Question[0]
 	qname := dnswire.CanonicalName(question.Name)
@@ -155,34 +171,38 @@ func (s *Server) HandleDNS(ctx context.Context, local netip.Addr, q *dnswire.Mes
 
 	if (s.LegacyUnknownTypes || s.DropUnknownTypes) && !classicTypes[qtype] {
 		if s.DropUnknownTypes {
-			return nil, nil
+			return false, nil
 		}
-		return reply(q, dnswire.RcodeFormErr), nil
+		reply(m, q, dnswire.RcodeFormErr)
+		return true, nil
 	}
 	if s.RefuseANY && qtype == dnswire.TypeANY {
-		m := reply(q, dnswire.RcodeNoError)
 		m.Authoritative = true
 		// RFC 8482 §4.2: a synthesised HINFO with CPU "RFC8482".
 		m.Answer = append(m.Answer, dnswire.RR{
 			Name: qname, Class: dnswire.ClassIN, TTL: 3789,
 			Data: &dnswire.Generic{T: dnswire.Type(13), Octets: hinfoRFC8482},
 		})
-		return s.finish(q, m), nil
+		finish(m, q)
+		return true, nil
 	}
 
 	z := s.findZone(qname, qtype)
 	if z == nil {
-		return reply(q, dnswire.RcodeRefused), nil
+		reply(m, q, dnswire.RcodeRefused)
+		return true, nil
 	}
-	m := s.answerFromZone(z, qname, qtype, q.DNSSECOK())
-	return s.finish(q, m), nil
+	s.answerFromZone(m, z, qname, qtype, q.DNSSECOK())
+	finish(m, q)
+	return true, nil
 }
 
 // hinfoRFC8482 is the wire RDATA of `HINFO "RFC8482" ""`.
 var hinfoRFC8482 = []byte{7, 'R', 'F', 'C', '8', '4', '8', '2', 0}
 
-func (s *Server) answerFromZone(z *zone.Zone, qname string, qtype dnswire.Type, do bool) *dnswire.Message {
-	m := &dnswire.Message{Response: true, Authoritative: true}
+// answerFromZone answers (qname, qtype) from z into the empty message m.
+func (s *Server) answerFromZone(m *dnswire.Message, z *zone.Zone, qname string, qtype dnswire.Type, do bool) {
+	m.Response, m.Authoritative = true, true
 
 	// DS at a zone cut is answered authoritatively by the parent
 	// (RFC 4035 §3.1.4.1), never as a referral.
@@ -192,12 +212,13 @@ func (s *Server) answerFromZone(z *zone.Zone, qname string, qtype dnswire.Type, 
 		} else {
 			s.negative(z, m, qname, do)
 		}
-		return m
+		return
 	}
 
 	// Referral: qname at or below a zone cut (but not the apex itself).
 	if cut := z.FindCut(qname); cut != "" {
-		return s.referral(z, cut, do)
+		s.referral(m, z, cut, do)
+		return
 	}
 
 	if z.NameExists(qname) {
@@ -212,14 +233,14 @@ func (s *Server) answerFromZone(z *zone.Zone, qname string, qtype dnswire.Type, 
 						s.appendSigs(z, &m.Answer, target, qtype, do)
 					}
 				}
-				return m
+				return
 			}
 		}
 		if qtype == dnswire.TypeANY {
 			for _, t := range z.TypesAt(qname) {
 				m.Answer = z.AppendRRset(m.Answer, qname, t)
 			}
-			return m
+			return
 		}
 		if m.Answer = z.AppendRRset(m.Answer, qname, qtype); len(m.Answer) > 0 {
 			set := m.Answer
@@ -227,11 +248,11 @@ func (s *Server) answerFromZone(z *zone.Zone, qname string, qtype dnswire.Type, 
 			if qtype == dnswire.TypeNS && qname == z.Origin && !s.MinimalResponses {
 				s.addGlue(z, m, set)
 			}
-			return m
+			return
 		}
 		// NODATA.
 		s.negative(z, m, qname, do)
-		return m
+		return
 	}
 
 	// Wildcard synthesis (RFC 1034 §4.3.3): if a wildcard exists at the
@@ -244,46 +265,39 @@ func (s *Server) answerFromZone(z *zone.Zone, qname string, qtype dnswire.Type, 
 				m.Answer[i].Name = qname
 			}
 			if do {
-				for _, sigRR := range z.Sigs(wc, qtype) {
-					if s.chance(s.CorruptSigRate) {
-						sigRR = corruptSig(sigRR)
-					}
-					sigRR.Name = qname
-					appendUnique(&m.Answer, sigRR)
-				}
+				s.appendSigsAs(z, &m.Answer, wc, qtype, qname)
 				// Prove no exact match existed (the wildcard-answer
 				// NSEC requirement).
-				if nsec := s.coveringNSEC(z, qname); nsec != nil {
-					appendUnique(&m.Authority, *nsec)
+				if nsec, ok := s.coveringNSEC(z, qname); ok {
+					appendUnique(&m.Authority, nsec)
 					s.appendSigs(z, &m.Authority, nsec.Name, dnswire.TypeNSEC, do)
 				}
 			}
-			return m
+			return
 		}
 		// Wildcard exists but not for this type: NODATA.
 		s.negative(z, m, qname, do)
-		return m
+		return
 	}
 
 	// NXDOMAIN.
 	m.Rcode = dnswire.RcodeNXDomain
 	s.negative(z, m, qname, do)
-	if do && len(z.RRset(z.Origin, dnswire.TypeNSEC)) > 0 {
+	if _, nsecZone := z.First(z.Origin, dnswire.TypeNSEC); do && nsecZone {
 		// The NSECs covering the denied name and the wildcard at its
 		// closest encloser (RFC 4035 §3.1.3.2); often the same record.
 		ce, _ := closestEncloser(z, qname)
-		cover, wild := s.coveringNSEC(z, qname), s.coveringNSEC(z, dnswire.Join("*", ce))
-		if cover != nil && wild != nil && cover.Name == wild.Name {
-			wild = nil
+		cover, coverOK := s.coveringNSEC(z, qname)
+		wild, wildOK := s.coveringNSEC(z, dnswire.Join("*", ce))
+		if coverOK {
+			appendUnique(&m.Authority, cover)
+			s.appendSigs(z, &m.Authority, cover.Name, dnswire.TypeNSEC, do)
 		}
-		for _, nsec := range []*dnswire.RR{cover, wild} {
-			if nsec != nil {
-				appendUnique(&m.Authority, *nsec)
-				s.appendSigs(z, &m.Authority, nsec.Name, dnswire.TypeNSEC, do)
-			}
+		if wildOK && !(coverOK && cover.Name == wild.Name) {
+			appendUnique(&m.Authority, wild)
+			s.appendSigs(z, &m.Authority, wild.Name, dnswire.TypeNSEC, do)
 		}
 	}
-	return m
 }
 
 // closestEncloser returns the longest existing ancestor of qname, a
@@ -299,8 +313,9 @@ func closestEncloser(z *zone.Zone, qname string) (ce, next string) {
 	return ce, next
 }
 
-func (s *Server) referral(z *zone.Zone, cut string, do bool) *dnswire.Message {
-	m := &dnswire.Message{Response: true, Authoritative: false}
+// referral answers with the delegation at cut into the empty message m.
+func (s *Server) referral(m *dnswire.Message, z *zone.Zone, cut string, do bool) {
+	m.Response, m.Authoritative = true, false
 	m.Authority = z.AppendRRset(m.Authority, cut, dnswire.TypeNS)
 	nsSet := m.Authority
 	n := len(m.Authority)
@@ -313,7 +328,6 @@ func (s *Server) referral(z *zone.Zone, cut string, do bool) *dnswire.Message {
 		}
 	}
 	s.addGlue(z, m, nsSet)
-	return m
 }
 
 func (s *Server) addGlue(z *zone.Zone, m *dnswire.Message, nsSet []dnswire.RR) {
@@ -329,10 +343,8 @@ func (s *Server) addGlue(z *zone.Zone, m *dnswire.Message, nsSet []dnswire.RR) {
 }
 
 func (s *Server) negative(z *zone.Zone, m *dnswire.Message, qname string, do bool) {
-	// The apex SOA: its first record only, as Zone.SOA gives it.
-	n := len(m.Authority)
-	if m.Authority = z.AppendRRset(m.Authority, z.Origin, dnswire.TypeSOA); len(m.Authority) > n {
-		m.Authority = m.Authority[:n+1]
+	if soa, ok := z.First(z.Origin, dnswire.TypeSOA); ok {
+		m.Authority = append(m.Authority, soa)
 		s.appendSigs(z, &m.Authority, z.Origin, dnswire.TypeSOA, do)
 	}
 	if !do {
@@ -344,7 +356,7 @@ func (s *Server) negative(z *zone.Zone, m *dnswire.Message, qname string, do boo
 	}
 	if m.Rcode == dnswire.RcodeNoError {
 		// NODATA proof: the qname's own NSEC.
-		n = len(m.Authority)
+		n := len(m.Authority)
 		if m.Authority = z.AppendRRset(m.Authority, qname, dnswire.TypeNSEC); len(m.Authority) > n {
 			s.appendSigs(z, &m.Authority, qname, dnswire.TypeNSEC, do)
 		}
@@ -353,31 +365,30 @@ func (s *Server) negative(z *zone.Zone, m *dnswire.Message, qname string, do boo
 
 // nsec3Zone reports whether z uses NSEC3 denial.
 func (s *Server) nsec3Zone(z *zone.Zone) bool {
-	return len(z.RRset(z.Origin, dnswire.TypeNSEC3PARAM)) > 0
+	_, ok := z.First(z.Origin, dnswire.TypeNSEC3PARAM)
+	return ok
 }
 
 // nsec3Proofs attaches the RFC 5155 denial records: for NODATA the
 // NSEC3 matching qname; for NXDOMAIN the closest-encloser match plus
 // covers for the next-closer and wildcard names (RFC 7129).
 func (s *Server) nsec3Proofs(z *zone.Zone, m *dnswire.Message, qname string, nxdomain bool) {
-	params := z.RRset(z.Origin, dnswire.TypeNSEC3PARAM)
-	p := params[0].Data.(*dnswire.NSEC3PARAM)
+	params, _ := z.First(z.Origin, dnswire.TypeNSEC3PARAM)
+	p := params.Data.(*dnswire.NSEC3PARAM)
 	attach := func(name string, covering bool) {
-		var rr *dnswire.RR
+		var rr dnswire.RR
+		var ok bool
 		if covering {
-			rr = s.coveringNSEC3(z, p, name)
+			rr, ok = s.coveringNSEC3(z, name)
 		} else {
 			owner, err := dnssec.NSEC3Owner(name, z.Origin, p.Iterations, p.Salt)
 			if err != nil {
 				return
 			}
-			set := z.RRset(owner, dnswire.TypeNSEC3)
-			if len(set) > 0 {
-				rr = &set[0]
-			}
+			rr, ok = z.First(owner, dnswire.TypeNSEC3)
 		}
-		if rr != nil {
-			appendUnique(&m.Authority, *rr)
+		if ok {
+			appendUnique(&m.Authority, rr)
 			s.appendSigs(z, &m.Authority, rr.Name, dnswire.TypeNSEC3, true)
 		}
 	}
@@ -395,27 +406,22 @@ func (s *Server) nsec3Proofs(z *zone.Zone, m *dnswire.Message, qname string, nxd
 // name. NSEC3 owner names sort in hash order under canonical name
 // ordering (shared suffix, base32hex first labels), so the zone's name
 // index can be searched directly.
-func (s *Server) coveringNSEC3(z *zone.Zone, p *dnswire.NSEC3PARAM, name string) *dnswire.RR {
+func (s *Server) coveringNSEC3(z *zone.Zone, name string) (dnswire.RR, bool) {
 	for _, owner := range z.Names() {
-		set := z.RRset(owner, dnswire.TypeNSEC3)
-		if len(set) == 0 {
-			continue
-		}
-		if dnssec.NSEC3Covers(set[0], name) {
-			rr := set[0]
-			return &rr
+		if rr, ok := z.First(owner, dnswire.TypeNSEC3); ok && dnssec.NSEC3Covers(rr, name) {
+			return rr, true
 		}
 	}
-	return nil
+	return dnswire.RR{}, false
 }
 
 // coveringNSEC finds the NSEC record whose interval covers qname. The
 // zone's canonical name order makes this a binary search: the covering
 // NSEC (if any) is owned by the closest preceding name that has one.
-func (s *Server) coveringNSEC(z *zone.Zone, qname string) *dnswire.RR {
+func (s *Server) coveringNSEC(z *zone.Zone, qname string) (dnswire.RR, bool) {
 	names := z.Names()
 	if len(names) == 0 {
-		return nil
+		return dnswire.RR{}, false
 	}
 	qname = dnswire.CanonicalName(qname)
 	idx := sort.Search(len(names), func(i int) bool {
@@ -424,26 +430,41 @@ func (s *Server) coveringNSEC(z *zone.Zone, qname string) *dnswire.RR {
 	// Walk back from the closest preceding name, skipping glue names
 	// that carry no NSEC: the first NSEC found is the only candidate.
 	for i := idx; i >= 0; i-- {
-		if set := z.RRset(names[i], dnswire.TypeNSEC); len(set) > 0 {
-			if dnssec.NSECCoversName(set[0], qname) {
-				return &set[0]
-			}
-			return nil
+		if nsec, ok := z.First(names[i], dnswire.TypeNSEC); ok {
+			return nsec, dnssec.NSECCoversName(nsec, qname)
 		}
 	}
-	return nil
+	return dnswire.RR{}, false
 }
 
+// appendSigs adds the RRSIGs at owner covering covered to the section
+// when the query set DO.
 func (s *Server) appendSigs(z *zone.Zone, section *[]dnswire.RR, owner string, covered dnswire.Type, do bool) {
-	if !do {
-		return
+	if do {
+		s.appendSigsAs(z, section, owner, covered, "")
 	}
-	for _, rr := range z.Sigs(owner, covered) {
+}
+
+// appendSigsAs adds the RRSIGs at owner covering covered to the
+// section, renamed to as unless that is empty (a wildcard expansion),
+// corrupted at CorruptSigRate, skipping any the section already holds.
+// They are appended straight from the zone and compacted in place.
+func (s *Server) appendSigsAs(z *zone.Zone, section *[]dnswire.RR, owner string, covered dnswire.Type, as string) {
+	n := len(*section)
+	sec := z.AppendSigs(*section, owner, covered)
+	out := sec[:n]
+	for _, rr := range sec[n:] {
 		if s.chance(s.CorruptSigRate) {
 			rr = corruptSig(rr)
 		}
-		appendUnique(section, rr)
+		if as != "" {
+			rr.Name = as
+		}
+		if !holds(out, rr) {
+			out = append(out, rr)
+		}
 	}
+	*section = out
 }
 
 // corruptSig flips bits in a copy of an RRSIG's signature, leaving
@@ -461,16 +482,23 @@ func corruptSig(rr dnswire.RR) dnswire.RR {
 }
 
 func appendUnique(section *[]dnswire.RR, rr dnswire.RR) {
-	for _, got := range *section {
+	if !holds(*section, rr) {
+		*section = append(*section, rr)
+	}
+}
+
+// holds reports whether section already has a record equal to rr.
+func holds(section []dnswire.RR, rr dnswire.RR) bool {
+	for _, got := range section {
 		if got.Equal(rr) {
-			return
+			return true
 		}
 	}
-	*section = append(*section, rr)
+	return false
 }
 
 // finish copies query identity and EDNS state onto the response.
-func (s *Server) finish(q *dnswire.Message, m *dnswire.Message) *dnswire.Message {
+func finish(m, q *dnswire.Message) {
 	m.ID = q.ID
 	m.Response = true
 	m.Opcode = q.Opcode
@@ -479,15 +507,14 @@ func (s *Server) finish(q *dnswire.Message, m *dnswire.Message) *dnswire.Message
 	if e, ok := q.GetEDNS(); ok {
 		m.SetEDNS(dnswire.EDNS{UDPSize: dnswire.MaxUDPPayload, DO: e.DO})
 	}
-	return m
 }
 
-func reply(q *dnswire.Message, rcode dnswire.Rcode) *dnswire.Message {
-	m := &dnswire.Message{ID: q.ID, Response: true, Opcode: q.Opcode, Rcode: rcode, Question: q.Question}
+// reply makes the empty message m a bare response to q with rcode.
+func reply(m, q *dnswire.Message, rcode dnswire.Rcode) {
+	m.ID, m.Response, m.Opcode, m.Rcode, m.Question = q.ID, true, q.Opcode, rcode, q.Question
 	if e, ok := q.GetEDNS(); ok {
 		m.SetEDNS(dnswire.EDNS{UDPSize: dnswire.MaxUDPPayload, DO: e.DO})
 	}
-	return m
 }
 
 // Parking is a transport.Handler modelling domain-parking nameservers
@@ -501,17 +528,19 @@ type Parking struct {
 
 // HandleDNS implements transport.Handler.
 func (p *Parking) HandleDNS(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+	m := new(dnswire.Message)
 	if len(q.Question) != 1 {
-		return reply(q, dnswire.RcodeFormErr), nil
+		reply(m, q, dnswire.RcodeFormErr)
+		return m, nil
 	}
-	m := reply(q, dnswire.RcodeNoError)
+	reply(m, q, dnswire.RcodeNoError)
 	m.Authoritative = true
 	qname := dnswire.CanonicalName(q.Question[0].Name)
 	switch q.Question[0].Type {
 	default:
 		// Parking boxes predate the modern RR types; they error on
 		// anything but the basics (compare §4.2's legacy servers).
-		return reply(q, dnswire.RcodeNotImp), nil
+		m.Rcode, m.Authoritative = dnswire.RcodeNotImp, false
 	case dnswire.TypeNS:
 		for _, h := range p.NSHosts {
 			m.Answer = append(m.Answer, dnswire.RR{Name: qname, Class: dnswire.ClassIN, TTL: 3600, Data: dnswire.NewNS(h)})

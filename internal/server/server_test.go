@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"net/netip"
 	"testing"
@@ -465,5 +466,53 @@ func TestNSEC3Denial(t *testing.T) {
 	}
 	if !dnssec.CheckDenialNSEC3(nodata.Authority, "alpha.n3.test.", dnswire.TypeMX) {
 		t.Error("no NSEC3 NODATA proof")
+	}
+}
+
+// TestHandleDNSIntoReuseMatchesFresh answers a run of differently
+// shaped queries into one reused reply: each must pack to the bytes of
+// HandleDNS's fresh answer, so nothing of an earlier answer leaks into
+// a later one.
+func TestHandleDNSIntoReuseMatchesFresh(t *testing.T) {
+	s := New(1)
+	s.AddZone(buildZone(t, true))
+	var reply dnswire.Message
+	for _, tc := range []struct {
+		name string
+		typ  dnswire.Type
+		do   bool
+	}{
+		{"www.example.com.", dnswire.TypeA, true},
+		{"host.sub.example.com.", dnswire.TypeA, true},
+		{"nope.example.com.", dnswire.TypeA, true},
+		{"www.example.com.", dnswire.TypeMX, true},
+		{"alias.example.com.", dnswire.TypeA, false},
+		{"example.com.", dnswire.TypeNS, true},
+		{"sub.example.com.", dnswire.TypeDS, true},
+		{"www.example.org.", dnswire.TypeA, true},
+		{"www.example.com.", dnswire.TypeA, false},
+	} {
+		q := dnswire.NewQuery(9, tc.name, tc.typ)
+		if tc.do {
+			q.SetEDNS(dnswire.EDNS{UDPSize: dnswire.MaxUDPPayload, DO: true})
+		}
+		fresh, err := s.HandleDNS(context.Background(), localAddr, q)
+		if err != nil || fresh == nil {
+			t.Fatalf("%s/%s: HandleDNS: %v", tc.name, tc.typ, err)
+		}
+		if ok, err := s.HandleDNSInto(context.Background(), localAddr, q, &reply); !ok || err != nil {
+			t.Fatalf("%s/%s: HandleDNSInto answered=%v err=%v", tc.name, tc.typ, ok, err)
+		}
+		want, err := fresh.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := reply.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s/%s: the reused reply packs to %d bytes differing from the fresh answer's %d", tc.name, tc.typ, len(got), len(want))
+		}
 	}
 }

@@ -67,24 +67,27 @@ func (n *MemNetwork) route(addr netip.Addr) (Handler, bool) {
 }
 
 // memScratch is the per-exchange reusable state: the packed query and
-// response wire buffers and the server-side parsed query message. All
-// of it stays inside one Exchange call — the parsed query is handed to
-// the handler (handlers do not retain it, and any response aliasing of
-// its question section is packed to wire before the scratch is pooled
-// again), and the returned response is a fresh Unpack that copies every
-// byte it keeps.
+// response wire buffers, the server-side parsed query message and the
+// reply a ReplyHandler answers into. All of it stays inside one
+// Exchange call — the parsed query is handed to the handler (handlers
+// do not retain it), the reply, which may alias the query's question
+// and the handler's records, is packed to wire before the scratch is
+// pooled again, and the returned response is a fresh Unpack that copies
+// every byte it keeps.
 type memScratch struct {
 	wire     []byte
 	respWire []byte
 	parsed   dnswire.Message
+	reply    dnswire.Message
 }
 
 var memScratchPool = sync.Pool{New: func() any { return new(memScratch) }}
 
 // Exchange implements Exchanger. The query is packed, routed, handled
-// and the response packed with the client's advertised UDP size; a
-// truncated response is transparently retried without the size limit,
-// modelling TCP fallback.
+// and the response packed with the client's advertised UDP size (never
+// below 512 octets); a truncated response is transparently retried
+// without the size limit, modelling TCP fallback. Both responses count
+// towards the bytes received.
 func (n *MemNetwork) Exchange(ctx context.Context, server netip.AddrPort, query *dnswire.Message) (*dnswire.Message, error) {
 	h, ok := n.route(server.Addr())
 	if !ok {
@@ -107,23 +110,28 @@ func (n *MemNetwork) Exchange(ctx context.Context, server netip.AddrPort, query 
 	if err := s.parsed.UnpackFrom(wire); err != nil {
 		return nil, err
 	}
-	resp, err := h.HandleDNS(ctx, server.Addr(), &s.parsed)
-	if err != nil {
+	var resp *dnswire.Message
+	if rh, ok := h.(ReplyHandler); ok {
+		answered, err := rh.HandleDNSInto(ctx, server.Addr(), &s.parsed, &s.reply)
+		if err != nil {
+			return nil, err
+		}
+		if answered {
+			resp = &s.reply
+		}
+	} else if resp, err = h.HandleDNS(ctx, server.Addr(), &s.parsed); err != nil {
 		return nil, err
 	}
 	if resp == nil {
 		return nil, ErrTimeout // server silently dropped the query
 	}
 
-	limit := 512
-	if e, ok := query.GetEDNS(); ok {
-		limit = int(e.UDPSize)
-	}
-	respWire, err := resp.AppendPackTruncating(s.respWire[:0], limit)
+	respWire, err := resp.AppendPackTruncating(s.respWire[:0], query.UDPLimit())
 	if err != nil {
 		return nil, err
 	}
 	s.respWire = respWire
+	n.bytesIn.Add(int64(len(respWire)))
 	out, err := dnswire.Unpack(respWire)
 	if err != nil {
 		return nil, err
@@ -137,12 +145,12 @@ func (n *MemNetwork) Exchange(ctx context.Context, server netip.AddrPort, query 
 			return nil, err
 		}
 		s.respWire = respWire
+		n.bytesIn.Add(int64(len(respWire)))
 		out, err = dnswire.Unpack(respWire)
 		if err != nil {
 			return nil, err
 		}
 	}
-	n.bytesIn.Add(int64(len(respWire)))
 	return out, nil
 }
 

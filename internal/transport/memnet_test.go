@@ -119,3 +119,79 @@ func TestMemNetworkStats(t *testing.T) {
 		t.Error("ResetStats did not zero counters")
 	}
 }
+
+// txtHandler answers every query with n padded TXT records.
+func txtHandler(n int) Handler {
+	return handlerFunc(func(_ context.Context, _ netip.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+		return txtAnswer(q, n), nil
+	})
+}
+
+func txtAnswer(q *dnswire.Message, n int) *dnswire.Message {
+	m := &dnswire.Message{ID: q.ID, Response: true, Question: q.Question}
+	for i := 0; i < n; i++ {
+		m.Answer = append(m.Answer, dnswire.RR{Name: q.Question[0].Name, Class: dnswire.ClassIN, TTL: 1,
+			Data: &dnswire.TXT{Strings: []string{"padding padding padding padding padding"}}})
+	}
+	return m
+}
+
+// TestMemNetworkTruncationStats pins the traffic a truncate-then-retry
+// exchange accounts: two queries, the query's bytes twice, and both
+// responses — the truncated UDP one and the full TCP one.
+func TestMemNetworkTruncationStats(t *testing.T) {
+	n := NewMemNetwork()
+	addr := netip.MustParseAddr("192.0.2.1")
+	n.Register(addr, txtHandler(30))
+	q := dnswire.NewQuery(1, "big.test.", dnswire.TypeTXT) // no EDNS → 512-byte UDP
+	if _, err := n.Exchange(context.Background(), netip.AddrPortFrom(addr, 53), q); err != nil {
+		t.Fatal(err)
+	}
+	query, err := q.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := txtAnswer(q, 30).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated, err := txtAnswer(q, 30).AppendPackTruncating(nil, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, out, in := n.Stats()
+	want := [3]int64{2, 2 * int64(len(query)), int64(len(truncated) + len(full))}
+	if got := [3]int64{queries, out, in}; got != want {
+		t.Errorf("Stats() = %v, want %v (queries, query bytes twice, truncated %d + full %d response bytes)",
+			got, want, len(truncated), len(full))
+	}
+}
+
+// TestMemNetworkEDNSPayloadFloor: an advertised UDP payload size below
+// 512 counts as 512 (RFC 6891 §6.2.5). A size of 0 must not lift the
+// limit — a 40-record answer is truncated and fetched again — and a
+// size of 100 must not truncate an answer that fits in 512 octets.
+func TestMemNetworkEDNSPayloadFloor(t *testing.T) {
+	for _, size := range []uint16{0, 100} {
+		for _, tc := range []struct {
+			records int
+			queries int64
+		}{{40, 2}, {5, 1}} {
+			n := NewMemNetwork()
+			addr := netip.MustParseAddr("192.0.2.1")
+			n.Register(addr, txtHandler(tc.records))
+			q := dnswire.NewQuery(1, "floor.test.", dnswire.TypeTXT)
+			q.SetEDNS(dnswire.EDNS{UDPSize: size})
+			resp, err := n.Exchange(context.Background(), netip.AddrPortFrom(addr, 53), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Truncated || len(resp.Answer) != tc.records {
+				t.Fatalf("UDP size %d, %d records: tc=%v answers=%d", size, tc.records, resp.Truncated, len(resp.Answer))
+			}
+			if queries, _, _ := n.Stats(); queries != tc.queries {
+				t.Errorf("UDP size %d, %d records: %d queries, want %d", size, tc.records, queries, tc.queries)
+			}
+		}
+	}
+}

@@ -35,3 +35,15 @@ type Exchanger interface {
 type Handler interface {
 	HandleDNS(ctx context.Context, local netip.Addr, query *dnswire.Message) (*dnswire.Message, error)
 }
+
+// ReplyHandler is a Handler that can also answer into a message its
+// caller owns. HandleDNSInto resets reply, answers query into it and
+// reports false when it drops the query. It builds every section by
+// appending, so once the caller is done with one answer it may hand the
+// same reply to the next call and reuse its storage; MemNetwork answers
+// every query to a ReplyHandler this way. A handler that keeps the
+// responses it returns (server.CachedHandler) must not implement it.
+type ReplyHandler interface {
+	Handler
+	HandleDNSInto(ctx context.Context, local netip.Addr, query, reply *dnswire.Message) (bool, error)
+}

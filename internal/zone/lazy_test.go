@@ -104,7 +104,7 @@ func (tw *twins) step(rng *rand.Rand) string {
 	}
 	switch op := rng.Intn(10); op {
 	case 0:
-		tw.same("Sigs "+name+" "+typ.String(), tw.lazy.Sigs(name, typ), tw.eager.Sigs(name, typ))
+		tw.same("Sigs "+name+" "+typ.String(), tw.lazy.AppendSigs(nil, name, typ), tw.eager.AppendSigs(nil, name, typ))
 		return "Sigs"
 	case 1:
 		tw.same("RRset "+name+" "+typ.String(), tw.lazy.RRset(name, typ), tw.eager.RRset(name, typ))
@@ -235,14 +235,14 @@ func TestConcurrentFirstReads(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for _, k := range sets {
-				seen[r] = append(seen[r], rrText(z.Sigs(k.owner, k.typ)))
+				seen[r] = append(seen[r], rrText(z.AppendSigs(nil, k.owner, k.typ)))
 			}
 		}(r)
 	}
 	wg.Wait()
 	signed := 0
 	for i, k := range sets {
-		stored := rrText(z.Sigs(k.owner, k.typ))
+		stored := rrText(z.AppendSigs(nil, k.owner, k.typ))
 		for r := range readers {
 			if seen[r][i] != stored {
 				t.Fatalf("reader %d saw for %s/%s\n%s\nbut the zone holds\n%s", r, k.owner, k.typ, seen[r][i], stored)

@@ -325,7 +325,7 @@ func (r *storeRun) step(op byte, name string, b, v byte) (string, bool) {
 		r.m.unsign()
 		return "Unsign", false
 	default:
-		r.same("Sigs "+name+" "+typ.String(), r.z.Sigs(name, typ), dnssec.SigsCovering(r.m.set(name, dnswire.TypeRRSIG), name, typ))
+		r.same("Sigs "+name+" "+typ.String(), r.z.AppendSigs(nil, name, typ), dnssec.SigsCovering(r.m.set(name, dnswire.TypeRRSIG), name, typ))
 		return "read", true
 	}
 }
@@ -373,8 +373,12 @@ func (r *storeRun) check(trail []string, full bool) {
 			if typ == dnswire.TypeRRSIG && !full {
 				continue
 			}
-			if got, want := rrText(z.RRset(name, typ)), rrText(m.set(name, typ)); got != want {
-				fail("RRset %s %s:\nzone\n%s\nmodel\n%s", name, typ, got, want)
+			want := m.set(name, typ)
+			if got := rrText(z.RRset(name, typ)); got != rrText(want) {
+				fail("RRset %s %s:\nzone\n%s\nmodel\n%s", name, typ, got, rrText(want))
+			}
+			if first, ok := z.First(name, typ); ok != (len(want) > 0) || ok && rrText([]dnswire.RR{first}) != rrText(want[:1]) {
+				fail("First %s %s = %v, %v; model %v", name, typ, first, ok, want)
 			}
 		}
 	}
@@ -440,7 +444,7 @@ func TestStoreConcurrentReaders(t *testing.T) {
 				for _, i := range order {
 					name := modelNames[i]
 					for _, typ := range modelTypes {
-						if got, want := rrText(r.z.Sigs(name, typ)), rrText(dnssec.SigsCovering(r.m.set(name, dnswire.TypeRRSIG), name, typ)); got != want {
+						if got, want := rrText(r.z.AppendSigs(nil, name, typ)), rrText(dnssec.SigsCovering(r.m.set(name, dnswire.TypeRRSIG), name, typ)); got != want {
 							t.Errorf("reader %d: Sigs %s %s:\n%s\nmodel\n%s", reader, name, typ, got, want)
 						}
 					}

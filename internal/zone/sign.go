@@ -240,17 +240,19 @@ func (z *Zone) deferSigs(names []string, by *signer) {
 	}
 }
 
-// Sigs returns a copy of the RRSIGs at owner covering covered. A
-// signature Sign deferred is made here on first read, outside the lock,
-// and stored under it only if no other reader or write made it in the
-// meantime, so every reader sees the same bytes.
-func (z *Zone) Sigs(owner string, covered dnswire.Type) []dnswire.RR {
+// AppendSigs appends the RRSIGs at owner covering covered to dst and
+// returns the extended slice. A signature Sign deferred is made here on
+// first read, outside the lock, and stored under it only if no other
+// reader or write made it in the meantime, so every reader sees the
+// same bytes.
+func (z *Zone) AppendSigs(dst []dnswire.RR, owner string, covered dnswire.Type) []dnswire.RR {
 	owner = dnswire.CanonicalName(owner)
+	n := len(dst)
 	z.mu.RLock()
-	sigs, p := z.sigsLocked(owner, covered)
+	dst, p := z.appendSigsLocked(dst, owner, covered)
 	if p == nil {
 		z.mu.RUnlock()
-		return sigs
+		return dst
 	}
 	set := slices.Clone(z.setLocked(owner, covered))
 	z.mu.RUnlock()
@@ -264,20 +266,20 @@ func (z *Zone) Sigs(owner string, covered dnswire.Type) []dnswire.RR {
 	default: // a later Sign's
 		z.makeLocked(owner, i, q)
 	}
-	sigs, _ = z.sigsLocked(owner, covered)
-	return sigs
+	dst, _ = z.appendSigsLocked(dst[:n], owner, covered)
+	return dst
 }
 
-// sigsLocked copies the RRSIGs made at owner covering covered, and
-// returns the placeholder standing for them if they are not made yet.
-func (z *Zone) sigsLocked(owner string, covered dnswire.Type) ([]dnswire.RR, *pendingSig) {
-	var sigs []dnswire.RR
+// appendSigsLocked appends the RRSIGs made at owner covering covered to
+// dst, and returns the placeholder standing for them if they are not
+// made yet.
+func (z *Zone) appendSigsLocked(dst []dnswire.RR, owner string, covered dnswire.Type) ([]dnswire.RR, *pendingSig) {
 	var pending *pendingSig
 	for _, rr := range z.setLocked(owner, dnswire.TypeRRSIG) {
 		switch d := rr.Data.(type) {
 		case *dnswire.RRSIG:
 			if d.TypeCovered == covered {
-				sigs = append(sigs, rr)
+				dst = append(dst, rr)
 			}
 		case *pendingSig:
 			if d.covered == covered {
@@ -285,7 +287,7 @@ func (z *Zone) sigsLocked(owner string, covered dnswire.Type) ([]dnswire.RR, *pe
 			}
 		}
 	}
-	return sigs, pending
+	return dst, pending
 }
 
 // placeholderLocked finds the placeholder for covered among owner's

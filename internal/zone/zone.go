@@ -168,6 +168,23 @@ func (z *Zone) AppendRRset(dst []dnswire.RR, name string, typ dnswire.Type) []dn
 	return append(dst, z.setLocked(name, typ)...)
 }
 
+// First returns the first record of the RRset (name, type) and whether
+// the set exists, without copying the set: the existence checks and
+// single-record lookups (SOA, NSEC, NSEC3, NSEC3PARAM) of a server
+// answer.
+func (z *Zone) First(name string, typ dnswire.Type) (dnswire.RR, bool) {
+	name = dnswire.CanonicalName(name)
+	if typ == dnswire.TypeRRSIG {
+		z.signOwner(name)
+	}
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	if set := z.setLocked(name, typ); len(set) > 0 {
+		return set[0], true
+	}
+	return dnswire.RR{}, false
+}
+
 // NameExists reports whether the zone holds records at or below name.
 // An empty non-terminal — a name with no records of its own but with
 // records beneath it — exists (RFC 4592 §2.2.2), so it gets NODATA,
@@ -243,11 +260,11 @@ func (z *Zone) All() []dnswire.RR {
 
 // SOA returns the zone's SOA record, or nil if absent.
 func (z *Zone) SOA() *dnswire.RR {
-	set := z.RRset(z.Origin, dnswire.TypeSOA)
-	if len(set) == 0 {
+	soa, ok := z.First(z.Origin, dnswire.TypeSOA)
+	if !ok {
 		return nil
 	}
-	return &set[0]
+	return &soa
 }
 
 // NS returns the apex NS RRset.
@@ -280,18 +297,17 @@ func (z *Zone) cutLocked(name string) bool {
 // occluded by any delegation.
 func (z *Zone) FindCut(qname string) string {
 	qname = dnswire.CanonicalName(qname)
-	// Inspect every ancestor of qname strictly below the apex,
-	// outermost (closest to apex) first, so the shallowest cut wins.
-	var ancestors []string
+	// Inspect every ancestor of qname strictly below the apex: the
+	// shallowest cut wins, the last one found on the way up.
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	cut := ""
 	for n := qname; n != z.Origin && n != "."; n = dnswire.Parent(n) {
-		ancestors = append(ancestors, n)
-	}
-	for i := len(ancestors) - 1; i >= 0; i-- {
-		if z.DelegationAt(ancestors[i]) {
-			return ancestors[i]
+		if z.cutLocked(n) {
+			cut = n
 		}
 	}
-	return ""
+	return cut
 }
 
 // Occluded reports whether name sits strictly below a zone cut (glue
