@@ -61,6 +61,7 @@ cover:
 # corpora under testdata/fuzz/ replay as ordinary tests in `make test`.
 fuzz-smoke:
 	$(GO) test ./internal/dnswire/ -fuzz FuzzUnpack -fuzztime 30s
+	$(GO) test ./internal/dnswire/ -run '^$$' -fuzz FuzzPackCompression -fuzztime 30s
 	$(GO) test ./internal/zone/ -fuzz FuzzParseZone -fuzztime 30s
 	$(GO) test ./internal/zone/ -run '^$$' -fuzz FuzzZoneOps -fuzztime 30s
 	$(GO) test ./internal/scan/ -run '^$$' -fuzz FuzzObservationRoundTrip -fuzztime 30s

@@ -1,6 +1,7 @@
 package dnssec
 
 import (
+	"math/rand"
 	"net/netip"
 	"testing"
 	"time"
@@ -524,5 +525,64 @@ func TestDSFromKeyUnsupportedDigest(t *testing.T) {
 	k := genKey(t, dnswire.AlgEd25519, dnswire.DNSKEYFlagZone)
 	if _, err := DSFromKey("x.", k.DNSKEY(), 99); err == nil {
 		t.Error("unknown digest type accepted")
+	}
+}
+
+// TestWildcardTestsMatchBuiltName: wildcardOrder and deniesWildcard,
+// which judge "*."+ce without building it, must agree with
+// CanonicalNameLess and denies on the built name, for names at, above,
+// beside and below ce, the wildcard itself and names below it, and
+// random NSEC intervals with and without wraparound, delegations and
+// DNAMEs.
+func TestWildcardTestsMatchBuiltName(t *testing.T) {
+	labels := []string{"*", ")", "+", "a", "z", "0", "_dsboot", "ä"}
+	rnd := rand.New(rand.NewSource(1))
+	name := func(under string) string {
+		for i := rnd.Intn(4); i > 0; i-- {
+			under = dnswire.Join(labels[rnd.Intn(len(labels))], under)
+		}
+		return under
+	}
+	var ces []string
+	for _, base := range []string{".", "example.", "a.example.", "_signal.ns1.op.net."} {
+		ces = append(ces, base, name(base))
+	}
+	for i := 0; i < 200_000; i++ {
+		ce := ces[rnd.Intn(len(ces))]
+		wc := dnswire.Join("*", ce)
+		pick := func() string {
+			switch rnd.Intn(4) {
+			case 0:
+				return name(wc)
+			case 1:
+				return name(ce)
+			default:
+				return name(ces[rnd.Intn(len(ces))])
+			}
+		}
+		x := pick()
+		want := 0
+		switch {
+		case dnswire.CanonicalNameLess(x, wc):
+			want = -1
+		case x != wc:
+			want = 1
+		}
+		if got := wildcardOrder(x, ce); got != want {
+			t.Fatalf("wildcardOrder(%q, %q) = %d, comparing with %q says %d", x, ce, got, wc, want)
+		}
+		var types []dnswire.Type
+		switch rnd.Intn(4) {
+		case 0:
+			types = []dnswire.Type{dnswire.TypeNS}
+		case 1:
+			types = []dnswire.Type{dnswire.TypeNS, dnswire.TypeSOA}
+		case 2:
+			types = []dnswire.Type{dnswire.TypeDNAME}
+		}
+		iv, _ := intervalOf(dnswire.RR{Name: x, Class: dnswire.ClassIN, Data: &dnswire.NSEC{NextDomain: pick(), Types: types}})
+		if got, want := iv.deniesWildcard(ce), iv.denies(wc); got != want {
+			t.Fatalf("NSEC %s -> %s %v: deniesWildcard(%q) = %v, denies(%q) = %v", iv.owner, iv.next, types, ce, got, wc, want)
+		}
 	}
 }

@@ -16,20 +16,44 @@ import (
 // zone's last NSEC wraps around to the apex, so it covers the names
 // after its owner that are still inside the zone.
 func NSECCoversName(rr dnswire.RR, name string) bool {
+	iv, ok := intervalOf(rr)
+	return ok && iv.covers(dnswire.CanonicalName(name))
+}
+
+// interval is an NSEC record with its owner and next name in canonical
+// form, so the tests of one proof canonicalise them once.
+type interval struct {
+	rr          dnswire.RR
+	owner, next string
+}
+
+func intervalOf(rr dnswire.RR) (interval, bool) {
 	nsec, ok := rr.Data.(*dnswire.NSEC)
 	if !ok {
+		return interval{}, false
+	}
+	return interval{rr, dnswire.CanonicalName(rr.Name), dnswire.CanonicalName(nsec.NextDomain)}, true
+}
+
+// covers is NSECCoversName for a canonical name.
+func (iv interval) covers(name string) bool {
+	if name == iv.owner || name == iv.next || !dnswire.CanonicalNameLess(iv.owner, name) {
 		return false
 	}
-	owner := dnswire.CanonicalName(rr.Name)
-	next := dnswire.CanonicalName(nsec.NextDomain)
-	name = dnswire.CanonicalName(name)
-	if name == owner || name == next || !dnswire.CanonicalNameLess(owner, name) {
-		return false
+	if dnswire.CanonicalNameLess(iv.owner, iv.next) {
+		return dnswire.CanonicalNameLess(name, iv.next)
 	}
-	if dnswire.CanonicalNameLess(owner, next) {
-		return dnswire.CanonicalNameLess(name, next)
+	return under(name, iv.next)
+}
+
+// under is dnswire.IsSubdomain for canonical names: child is equal to
+// or underneath parent.
+func under(child, parent string) bool {
+	if parent == "." || child == parent {
+		return true
 	}
-	return dnswire.IsSubdomain(name, next)
+	n := len(child) - len(parent)
+	return n > 0 && child[n-1] == '.' && child[n:] == parent
 }
 
 // NSECProvesNoData reports whether rr is an NSEC at exactly name whose
@@ -71,15 +95,34 @@ type NXDomainProof struct {
 //     above the name, whose subtree the zone does not speak for;
 //   - a held NSEC covers "*.<closest encloser>", where the closest
 //     encloser is the name's deepest ancestor that exists.
+//
+// When the wildcard sorts between the covering NSEC's owner and the
+// name and that NSEC covers it too (92 % of the scanner's proofs), the
+// wildcard is neither looked up nor built. That needs covering to
+// return, for a name between a record's owner and a name it returned
+// that record for, the same record: the store's search for the last
+// owner before a name does, and CoveringNSEC does for NSECs whose
+// intervals do not overlap.
 func ProveNXDomain(name string, covering func(name string) (dnswire.RR, bool)) (NXDomainProof, bool) {
 	name = dnswire.CanonicalName(name)
 	cover, ok := covering(name)
-	if !ok || !deniesName(cover, name) {
+	if !ok {
 		return NXDomainProof{}, false
 	}
-	wc := dnswire.Join("*", closestEncloser(cover, name))
+	iv, ok := intervalOf(cover)
+	if !ok || !iv.denies(name) {
+		return NXDomainProof{}, false
+	}
+	ce := iv.closestEncloser(name)
+	if wildcardOrder(name, ce) >= 0 && iv.deniesWildcard(ce) {
+		return NXDomainProof{Cover: cover, Wildcard: cover}, true
+	}
+	wc := dnswire.Join("*", ce)
 	wild, ok := covering(wc)
-	if !ok || !deniesName(wild, wc) {
+	if !ok {
+		return NXDomainProof{}, false
+	}
+	if wiv, ok := intervalOf(wild); !ok || !wiv.denies(wc) {
 		return NXDomainProof{}, false
 	}
 	return NXDomainProof{Cover: cover, Wildcard: wild}, true
@@ -95,18 +138,39 @@ func CoveringNSEC(rrs []dnswire.RR, name string) (dnswire.RR, bool) {
 	return dnswire.RR{}, false
 }
 
-// deniesName reports whether nsec covers name and may speak for it. A
-// next name below the name makes it an empty non-terminal, which
-// exists. An NSEC at a proper ancestor of the name that marks a
-// delegation (NS without SOA) or a DNAME says nothing about the subtree
-// below it: that lies in another zone, or is redirected.
-func deniesName(nsec dnswire.RR, name string) bool {
-	if !NSECCoversName(nsec, name) || dnswire.IsSubdomain(nsec.Data.(*dnswire.NSEC).NextDomain, name) {
+// denies reports whether the NSEC covers the canonical name and may
+// speak for it. A next name below the name makes it an empty
+// non-terminal, which exists. An NSEC at a proper ancestor of the name
+// must speak for the names below it (speaksBelow).
+func (iv interval) denies(name string) bool {
+	if !iv.covers(name) || under(iv.next, name) {
 		return false
 	}
-	if !dnswire.IsSubdomain(name, nsec.Name) {
-		return true
+	return !under(name, iv.owner) || speaksBelow(iv.rr)
+}
+
+// deniesWildcard is denies("*."+ce) for a canonical ce, without
+// building the wildcard name.
+func (iv interval) deniesWildcard(ce string) bool {
+	o, n := wildcardOrder(iv.owner, ce), wildcardOrder(iv.next, ce)
+	wraps := !dnswire.CanonicalNameLess(iv.owner, iv.next)
+	switch {
+	case o >= 0 || n == 0: // not after the owner, or at the next name
+		return false
+	case !wraps && n < 0: // past the next name
+		return false
+	case wraps && !under(ce, iv.next): // outside the wrapped zone
+		return false
+	case belowWildcard(iv.next, ce): // an empty non-terminal
+		return false
 	}
+	return !under(ce, iv.owner) || speaksBelow(iv.rr)
+}
+
+// speaksBelow reports whether an NSEC may deny names below its owner.
+// One that marks a delegation (NS without SOA) or a DNAME says nothing
+// about that subtree: it lies in another zone, or is redirected.
+func speaksBelow(nsec dnswire.RR) bool {
 	types := nsec.Data.(*dnswire.NSEC).Types
 	if slices.Contains(types, dnswire.TypeDNAME) {
 		return false
@@ -114,13 +178,53 @@ func deniesName(nsec dnswire.RR, name string) bool {
 	return !slices.Contains(types, dnswire.TypeNS) || slices.Contains(types, dnswire.TypeSOA)
 }
 
-// closestEncloser returns the closest encloser of a name that nsec
+// wildcardOrder compares the canonical name x with "*."+ce in canonical
+// order, returning -1, 0 or +1, without building the wildcard. A name
+// at or above ce sorts before it; one beside ce sorts as it does
+// against ce; one below ce sorts by its label directly under ce against
+// "*", and then as a descendant.
+func wildcardOrder(x, ce string) int {
+	if under(ce, x) {
+		return -1
+	}
+	if !under(x, ce) {
+		if dnswire.CanonicalNameLess(x, ce) {
+			return -1
+		}
+		return 1
+	}
+	above := aboveEncloser(x, ce)
+	label := above[strings.LastIndexByte(above, '.')+1:]
+	switch {
+	case label != "*":
+		return strings.Compare(label, "*")
+	case above == "*":
+		return 0
+	}
+	return 1
+}
+
+// belowWildcard reports whether the canonical name x lies strictly
+// below "*."+ce.
+func belowWildcard(x, ce string) bool {
+	return x != ce && under(x, ce) && strings.HasSuffix(aboveEncloser(x, ce), ".*")
+}
+
+// aboveEncloser returns the labels of x, a canonical name strictly below
+// ce, that lie above ce, without their final dot.
+func aboveEncloser(x, ce string) string {
+	if ce == "." {
+		return x[:len(x)-1]
+	}
+	return x[:len(x)-len(ce)-1]
+}
+
+// closestEncloser returns the closest encloser of a name the NSEC
 // covers. No name exists between the NSEC's owner and next name, so the
 // name's deepest existing ancestor is the deeper of its common ancestors
-// with the two (RFC 7129).
-func closestEncloser(nsec dnswire.RR, name string) string {
-	a := commonAncestor(name, dnswire.CanonicalName(nsec.Name))
-	b := commonAncestor(name, dnswire.CanonicalName(nsec.Data.(*dnswire.NSEC).NextDomain))
+// with the two (RFC 7129). The result is a suffix of name.
+func (iv interval) closestEncloser(name string) string {
+	a, b := commonAncestor(name, iv.owner), commonAncestor(name, iv.next)
 	if len(b) > len(a) {
 		return b
 	}
@@ -128,10 +232,15 @@ func closestEncloser(nsec dnswire.RR, name string) string {
 }
 
 // commonAncestor returns the deepest name that both canonical names a
-// and b are at or below.
+// and b are at or below, as a suffix of a: it drops a's labels from the
+// left until the rest is a label-aligned suffix of b.
 func commonAncestor(a, b string) string {
-	for a != "." && a != b && !(strings.HasSuffix(b, a) && b[len(b)-len(a)-1] == '.') {
-		a = dnswire.Parent(a)
+	for a != "." && !under(b, a) {
+		i := strings.IndexByte(a, '.')
+		if i < 0 || i == len(a)-1 {
+			return "."
+		}
+		a = a[i+1:]
 	}
 	return a
 }

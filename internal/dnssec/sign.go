@@ -7,6 +7,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"dnssecboot/internal/dnswire"
@@ -75,47 +76,53 @@ func ownerSigLabels(owner string) uint8 {
 }
 
 // signedData assembles RRSIG_RDATA(minus signature) | canonical RRset,
-// the byte string that DNSSEC signatures cover (RFC 4034 §3.1.8.1).
+// the byte string that DNSSEC signatures cover (RFC 4034 §3.1.8.1), in
+// one buffer. A set of one record needs no sorting, and so no copy.
 func signedData(sig *dnswire.RRSIG, rrset []dnswire.RR) ([]byte, error) {
-	sorted := make([]dnswire.RR, len(rrset))
-	copy(sorted, rrset)
-	if err := dnswire.SortCanonical(sorted); err != nil {
-		return nil, err
+	sorted := rrset
+	if len(rrset) > 1 {
+		sorted = slices.Clone(rrset)
+		if err := dnswire.SortCanonical(sorted); err != nil {
+			return nil, err
+		}
 	}
-	bare := *sig
-	bare.Signature = nil
-	out, err := dnswire.RDataWire(&bare)
+	// The signature ends the RRSIG RDATA: the rest is what it covers.
+	out, err := dnswire.AppendRDataWire(make([]byte, 0, signedDataCap), sig)
 	if err != nil {
 		return nil, err
 	}
+	out = out[:len(out)-len(sig.Signature)]
 	for _, rr := range sorted {
-		owner := signedOwnerName(dnswire.CanonicalName(rr.Name), sig.Labels)
-		nw, err := dnswire.CanonicalNameWire(owner)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, nw...)
-		rdata, err := dnswire.CanonicalRDATA(rr)
-		if err != nil {
+		if out, err = dnswire.AppendCanonicalNameWire(out, signedOwnerName(dnswire.CanonicalName(rr.Name), sig.Labels)); err != nil {
 			return nil, err
 		}
 		out = append(out,
 			byte(rr.Type()>>8), byte(rr.Type()),
 			byte(rr.Class>>8), byte(rr.Class),
 			byte(sig.OrigTTL>>24), byte(sig.OrigTTL>>16), byte(sig.OrigTTL>>8), byte(sig.OrigTTL),
-			byte(len(rdata)>>8), byte(len(rdata)))
-		out = append(out, rdata...)
+			0, 0) // RDATA length, filled in below
+		lenAt := len(out) - 2
+		if out, err = dnswire.AppendRDataWire(out, rr.Data); err != nil {
+			return nil, err
+		}
+		rdlen := len(out) - lenAt - 2
+		out[lenAt], out[lenAt+1] = byte(rdlen>>8), byte(rdlen)
 	}
 	return out, nil
 }
 
+// signedDataCap is signedData's first buffer size: the RRSIG fields
+// and an RRset of two Ed25519 DNSKEY, CDNSKEY or CDS records take under
+// 200 octets.
+const signedDataCap = 512
+
 // signedOwnerName reduces an owner name to the wildcard form when the
 // RRSIG labels field indicates wildcard expansion (RFC 4035 §5.3.2).
 func signedOwnerName(owner string, sigLabels uint8) string {
-	labels := dnswire.SplitLabels(owner)
-	if len(labels) <= int(sigLabels) {
+	if dnswire.CountLabels(owner) <= int(sigLabels) {
 		return owner
 	}
+	labels := dnswire.SplitLabels(owner)
 	keep := labels[len(labels)-int(sigLabels):]
 	name := "*"
 	for _, l := range keep {

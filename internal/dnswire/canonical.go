@@ -12,7 +12,13 @@ import (
 // CanonicalNameWire returns the uncompressed, lowercase wire encoding
 // of a domain name.
 func CanonicalNameWire(name string) ([]byte, error) {
-	return packName(nil, name, nil)
+	return AppendCanonicalNameWire(nil, name)
+}
+
+// AppendCanonicalNameWire appends the uncompressed, lowercase wire
+// encoding of a domain name to dst.
+func AppendCanonicalNameWire(dst []byte, name string) ([]byte, error) {
+	return packName(dst, name, nil)
 }
 
 // CanonicalRDATA returns the RDATA of rr in canonical form: names
@@ -65,6 +71,9 @@ func CanonicalNameLess(a, b string) bool {
 	// name without its one trailing dot, empty ones included.
 	moreA, moreB := a != "" && a != ".", b != "" && b != "."
 	a, b = strings.TrimSuffix(a, "."), strings.TrimSuffix(b, ".")
+	if moreA && moreB {
+		a, b = trimCommonLabels(a, b)
+	}
 	for moreA && moreB {
 		var la, lb string
 		la, a, moreA = lastLabel(a)
@@ -74,6 +83,22 @@ func CanonicalNameLess(a, b string) bool {
 		}
 	}
 	return !moreA && moreB
+}
+
+// trimCommonLabels drops the labels two names end with byte for byte,
+// up to the leftmost dot of their common tail, so names under one zone
+// are compared from the labels where they differ. Each keeps at least
+// one label, possibly empty, left of the cut.
+func trimCommonLabels(a, b string) (string, string) {
+	i, j := len(a), len(b)
+	for i > 0 && j > 0 && a[i-1] == b[j-1] {
+		i--
+		j--
+	}
+	if k := strings.IndexByte(a[i:], '.'); k >= 0 {
+		return a[:i+k], b[:j+k]
+	}
+	return a, b
 }
 
 // lastLabel splits the rightmost label off name, reporting whether any
@@ -95,6 +120,12 @@ func compareFold(a, b string) int {
 		}
 	}
 	return len(a) - len(b)
+}
+
+// EqualFoldASCII reports whether a and b are equal with ASCII letters
+// folded, the only case-insensitivity DNS names have (RFC 4343).
+func EqualFoldASCII(a, b string) bool {
+	return len(a) == len(b) && compareFold(a, b) == 0
 }
 
 func lowerASCII(c byte) byte {

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // FuzzUnpack throws arbitrary bytes at the wire-format parser. Unpack
-// must never panic; when it accepts a message, re-packing the parsed
+// must never panic; when it accepts a message, every name it decoded
+// must have the labels it was read from, and re-packing the parsed
 // form must also succeed without panicking (the scanner packs cached
 // responses back out when exporting). The reuse path must agree with a
 // fresh decode: the input decoded with UnpackFrom into a message that
@@ -94,6 +96,7 @@ func FuzzUnpack(f *testing.F) {
 		if m == nil {
 			t.Fatal("Unpack returned nil message with nil error")
 		}
+		checkNamesMatchWire(t, data, m)
 		want := describe(m)
 		// Accepted messages must survive the round trip. Packing may
 		// legitimately reject (e.g. oversized names reassembled from
@@ -135,4 +138,82 @@ func describe(m *Message) string {
 		}
 	}
 	return b.String()
+}
+
+// checkNamesMatchWire walks msg, which Unpack accepted as m, and checks
+// that every name m holds — question, owners and the names inside
+// RDATA — splits into the labels it was read from, lowercased: a name
+// repacks to the label sequence on the wire.
+func checkNamesMatchWire(t *testing.T, msg []byte, m *Message) {
+	t.Helper()
+	off := 12
+	check := func(name string, at int) int {
+		labels, next := wireLabels(msg, at)
+		if got := SplitLabels(name); !slices.Equal(got, labels) {
+			t.Fatalf("name at octet %d decoded as %q, labels %q; the wire holds labels %q", at, name, got, labels)
+		}
+		return next
+	}
+	for _, q := range m.Question {
+		off = check(q.Name, off) + 4
+	}
+	for _, sec := range [][]RR{m.Answer, m.Authority, m.Additional} {
+		for _, rr := range sec {
+			off = check(rr.Name, off) + 8
+			rdata := off + 2
+			off = rdata + (int(msg[off])<<8 | int(msg[off+1]))
+			switch d := rr.Data.(type) {
+			case *NS:
+				check(d.Target, rdata)
+			case *CNAME:
+				check(d.Target, rdata)
+			case *PTR:
+				check(d.Target, rdata)
+			case *DNAME:
+				check(d.Target, rdata)
+			case *SOA:
+				check(d.RName, check(d.MName, rdata))
+			case *MX:
+				check(d.Host, rdata+2)
+			case *SRV:
+				check(d.Target, rdata+6)
+			case *RRSIG:
+				check(d.SignerName, rdata+18)
+			case *NSEC:
+				check(d.NextDomain, rdata)
+			}
+		}
+	}
+}
+
+// wireLabels reads the name at off in a message Unpack accepted,
+// following compression pointers, and returns its labels with ASCII
+// letters lowercased and the offset after the name.
+func wireLabels(msg []byte, off int) ([]string, int) {
+	var labels []string
+	end := -1
+	for {
+		c := int(msg[off])
+		switch {
+		case c == 0:
+			if end < 0 {
+				end = off + 1
+			}
+			return labels, end
+		case c&0xC0 == 0xC0:
+			if end < 0 {
+				end = off + 2
+			}
+			off = (c&0x3F)<<8 | int(msg[off+1])
+		default:
+			label := []byte(string(msg[off+1 : off+1+c]))
+			for i, ch := range label {
+				if 'A' <= ch && ch <= 'Z' {
+					label[i] = ch + 'a' - 'A'
+				}
+			}
+			labels = append(labels, string(label))
+			off += 1 + c
+		}
+	}
 }

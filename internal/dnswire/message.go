@@ -88,7 +88,7 @@ func RDataWire(d RData) ([]byte, error) {
 // payload to dst. With a caller-reused dst the encode is allocation-free.
 func AppendRDataWire(dst []byte, d RData) ([]byte, error) {
 	b := newBuilder(dst)
-	d.pack(b) // RData packers pass compress=false, so cmap is unused
+	d.pack(b) // RData packers pass compress=false: no compression table
 	out, err := b.buf, b.err
 	b.release()
 	if err != nil {

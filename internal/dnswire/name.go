@@ -16,6 +16,10 @@ var (
 	ErrLabelTooLong = errors.New("dnswire: label exceeds 63 octets")
 	ErrEmptyLabel   = errors.New("dnswire: empty label")
 	ErrBadPointer   = errors.New("dnswire: bad compression pointer")
+	// ErrDotInLabel rejects a wire label holding a "." octet: names are
+	// carried as dot-separated strings, in which such a label would
+	// read as two.
+	ErrDotInLabel = errors.New("dnswire: label contains a dot")
 )
 
 const (
@@ -147,42 +151,113 @@ func canonicalWireLength(name string) (int, error) {
 	return n, nil
 }
 
-// packName appends the wire encoding of name to buf. If cmap is non-nil,
+// packName appends the wire encoding of name to buf. If t is non-nil,
 // compression pointers are emitted for suffixes already present in the
 // message, and new suffixes (at offsets representable in 14 bits) are
 // registered. Names are packed in their canonical (lowercase) form.
-func packName(buf []byte, name string, cmap map[string]int) ([]byte, error) {
-	return packNameOffset(buf, 0, name, cmap)
+func packName(buf []byte, name string, t *compTable) ([]byte, error) {
+	return packNameOffset(buf, 0, name, t)
 }
 
 // packNameOffset is packName for a message that starts at buf[base]:
 // compression offsets are registered and emitted relative to base, so a
 // message can be appended to a buffer that already holds other data.
-func packNameOffset(buf []byte, base int, name string, cmap map[string]int) ([]byte, error) {
+//
+// Labels are checked as they are written, and the length once they all
+// are: a suffix found in the table was checked when it was written, and
+// a canonical name of valid labels is len(name)+1 octets on the wire.
+// The errors are canonicalWireLength's, in its order. On error the
+// table may hold suffixes of the name, but the message fails with it.
+func packNameOffset(buf []byte, base int, name string, t *compTable) ([]byte, error) {
 	name = CanonicalName(name)
-	if _, err := canonicalWireLength(name); err != nil {
-		return nil, err
-	}
+	wireLen := len(name) + 1
 	for name != "." {
-		if cmap != nil {
-			if off, ok := cmap[name]; ok {
+		if t != nil {
+			if off, ok := t.find(name); ok {
+				if wireLen > maxNameWireLen {
+					return nil, ErrNameTooLong
+				}
 				return append(buf, byte(0xC0|off>>8), byte(off)), nil
 			}
 			if len(buf)-base < 0x3FFF {
-				cmap[name] = len(buf) - base
+				t.add(name, len(buf)-base)
 			}
 		}
-		label := name
-		if i := strings.IndexByte(name, '.'); i >= 0 {
-			label, name = name[:i], name[i+1:]
+		i := strings.IndexByte(name, '.') // CanonicalName leaves a trailing dot
+		switch {
+		case i == 0:
+			return nil, ErrEmptyLabel
+		case i > maxLabelLen:
+			return nil, ErrLabelTooLong
 		}
-		if name == "" {
+		buf = append(buf, byte(i))
+		buf = append(buf, name[:i]...)
+		if name = name[i+1:]; name == "" {
 			name = "."
 		}
-		buf = append(buf, byte(len(label)))
-		buf = append(buf, label...)
+	}
+	if wireLen > maxNameWireLen {
+		return nil, ErrNameTooLong
 	}
 	return append(buf, 0), nil
+}
+
+// compIndexAt is the table size from which compTable also keeps a map.
+// The largest table a message of the scan workloads needs holds 14
+// suffixes (99 % hold at most 7), the serving workload's 4
+// (EXPERIMENTS.md E-alloc), so every message they pack is searched
+// linearly; past 16 suffixes of equal length a map lookup is cheaper.
+const compIndexAt = 16
+
+// compTable is a message's name-compression table: every name suffix
+// written so far and its offset from the message start. It holds its
+// first compIndexAt suffixes in a slice searched linearly, so a message
+// of a few names neither hashes them nor clears a map; a message of
+// dozens of names moves them into index, so packing one of thousands
+// stays linear in its names.
+type compTable struct {
+	entries []compEntry
+	index   map[string]int // every suffix, once entries has filled
+}
+
+type compEntry struct {
+	suffix string
+	off    int
+}
+
+// reset empties t for the next message. A map left from a large message
+// is cleared only when the next large message fills entries again.
+func (t *compTable) reset() { t.entries = t.entries[:0] }
+
+func (t *compTable) find(suffix string) (int, bool) {
+	if len(t.entries) == compIndexAt {
+		off, ok := t.index[suffix]
+		return off, ok
+	}
+	for _, e := range t.entries {
+		if e.suffix == suffix {
+			return e.off, true
+		}
+	}
+	return 0, false
+}
+
+func (t *compTable) add(suffix string, off int) {
+	if len(t.entries) == compIndexAt {
+		t.index[suffix] = off
+		return
+	}
+	t.entries = append(t.entries, compEntry{suffix, off})
+	if len(t.entries) < compIndexAt {
+		return
+	}
+	if t.index == nil {
+		t.index = make(map[string]int, 4*compIndexAt)
+	}
+	clear(t.index)
+	for _, e := range t.entries {
+		t.index[e.suffix] = e.off
+	}
 }
 
 var errReservedLabel = errors.New("dnswire: reserved label type")
@@ -236,6 +311,8 @@ func appendUnpackedName(dst []byte, msg []byte, off int) ([]byte, int, error) {
 			for _, ch := range msg[off+1 : off+1+c] {
 				if ch >= 'A' && ch <= 'Z' {
 					ch += 'a' - 'A'
+				} else if ch == '.' {
+					return dst, 0, ErrDotInLabel
 				}
 				dst = append(dst, ch)
 			}

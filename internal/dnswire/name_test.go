@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -146,13 +147,13 @@ func TestPackNameLowercases(t *testing.T) {
 }
 
 func TestNameCompression(t *testing.T) {
-	cmap := make(map[string]int)
-	buf, err := packName(nil, "example.com.", cmap)
+	var table compTable
+	buf, err := packName(nil, "example.com.", &table)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plain := len(buf)
-	buf, err = packName(buf, "www.example.com.", cmap)
+	buf, err = packName(buf, "www.example.com.", &table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,6 +196,21 @@ func TestUnpackNameTruncated(t *testing.T) {
 	}
 }
 
+// TestUnpackRejectsDotInLabel: the one-label wire name \005x.com\000
+// must not decode as the two-label name x.com., in a bare name or as
+// the question of a response.
+func TestUnpackRejectsDotInLabel(t *testing.T) {
+	name := []byte{5, 'x', '.', 'c', 'o', 'm', 0}
+	if got, _, err := unpackName(name, 0); !errors.Is(err, ErrDotInLabel) {
+		t.Errorf("unpackName = %q, %v; want ErrDotInLabel", got, err)
+	}
+	msg := append([]byte{0, 1, 0x80, 0, 0, 1, 0, 0, 0, 0, 0, 0}, name...)
+	msg = append(msg, 0, byte(TypeA), 0, byte(ClassIN))
+	if m, err := Unpack(msg); !errors.Is(err, ErrDotInLabel) {
+		t.Errorf("Unpack accepted a dotted label: %v, %v", m, err)
+	}
+}
+
 func TestCanonicalNameLess(t *testing.T) {
 	// RFC 4034 §6.1 example ordering.
 	ordered := []string{
@@ -221,9 +237,11 @@ func TestCanonicalNameLess(t *testing.T) {
 // The in-place comparison must agree with the splitting one it
 // replaced on every input, including the corners: empty labels, names
 // with and without (or with several) trailing dots, "" and ".", labels
-// that look like separators ("-"), mixed case, and non-ASCII bytes.
+// that look like separators ("-"), mixed case, non-ASCII bytes, and
+// labels that end alike ("ab", "b"), so names share a tail that does
+// not start at a label boundary.
 func TestCanonicalNameLessMatchesSplit(t *testing.T) {
-	labels := []string{"a", "B", "z", "Z", "-", "0", "", ".", "é", "xn--", "aa", "Ab", "É", "\xff"}
+	labels := []string{"a", "B", "z", "Z", "-", "0", "", ".", "é", "xn--", "aa", "Ab", "É", "\xff", "b", "ab"}
 	rng := rand.New(rand.NewSource(1))
 	name := func() string {
 		var sb strings.Builder

@@ -6,7 +6,7 @@ import "sync"
 //
 // Both the builder and the parser are pooled: the scan hot path packs
 // and unpacks a handful of messages per zone, and allocating fresh
-// scratch (compression map, name-assembly buffer, intern table) per
+// scratch (compression table, name-assembly buffer, intern table) per
 // message made the codec the dominant source of garbage in whole-scan
 // profiles. Pooled scratch never escapes into results: the builder's
 // output buffer is caller-owned, and the parser copies every byte it
@@ -14,16 +14,12 @@ import "sync"
 
 type builder struct {
 	buf  []byte
-	base int            // message start within buf (AppendPack offset)
-	cmap map[string]int // compression map; nil disables compression
+	base int       // message start within buf (AppendPack offset)
+	comp compTable // compression table of the message being packed
 	err  error
 }
 
-var builderPool = sync.Pool{
-	New: func() any {
-		return &builder{cmap: make(map[string]int, 16)}
-	},
-}
+var builderPool = sync.Pool{New: func() any { return new(builder) }}
 
 // newBuilder returns a pooled builder appending to dst. Compression
 // offsets are taken relative to len(dst), so a message can be packed
@@ -33,7 +29,7 @@ func newBuilder(dst []byte) *builder {
 	b.buf = dst
 	b.base = len(dst)
 	b.err = nil
-	clear(b.cmap)
+	b.comp.reset()
 	//lint:allow poollife constructor hands pool ownership to the caller; every caller pairs it with release()
 	return b
 }
@@ -63,11 +59,11 @@ func (b *builder) name(n string, compress bool) {
 	if b.err != nil {
 		return
 	}
-	cmap := b.cmap
-	if !compress {
-		cmap = nil
+	var t *compTable
+	if compress {
+		t = &b.comp
 	}
-	out, err := packNameOffset(b.buf, b.base, n, cmap)
+	out, err := packNameOffset(b.buf, b.base, n, t)
 	if err != nil {
 		b.err = err
 		return

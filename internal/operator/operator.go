@@ -6,6 +6,7 @@
 package operator
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -57,40 +58,38 @@ type Result struct {
 	// identified operator (RFC 8901 multi-signer setups; the paper
 	// found these behind most CDS inconsistencies).
 	MultiOperator bool
-	// Operators lists every distinct identified operator, sorted.
+	// Operators lists every distinct identified operator, sorted, when
+	// there is more than one (MultiOperator).
 	Operators []string
 }
 
-// Identify determines the operator(s) for a domain's NS host set.
+// Identify determines the operator(s) for a domain's NS host set. Hosts
+// no rule matches are left out: a set of one identified operator and
+// unknown hosts is attributed to that operator (conservative, as the
+// paper tags ambiguous cases Unknown only when nothing matches).
 func (id *Identifier) Identify(nsHosts []string) Result {
-	seen := make(map[string]bool)
-	unknown := false
+	first := ""
+	var ops []string // made only for a second operator
 	for _, h := range nsHosts {
-		op := id.OperatorOfHost(h)
-		if op == Unknown {
-			unknown = true
-			continue
+		switch op := id.OperatorOfHost(h); {
+		case op == Unknown || op == first || slices.Contains(ops, op):
+		case first == "":
+			first = op
+		default:
+			if ops == nil {
+				ops = []string{first}
+			}
+			ops = append(ops, op)
 		}
-		seen[op] = true
 	}
-	var ops []string
-	for op := range seen {
-		ops = append(ops, op)
+	switch {
+	case first == "":
+		return Result{Operator: Unknown}
+	case ops == nil:
+		return Result{Operator: first}
 	}
 	sort.Strings(ops)
-	switch {
-	case len(ops) == 0:
-		return Result{Operator: Unknown}
-	case len(ops) == 1 && !unknown:
-		return Result{Operator: ops[0], Operators: ops}
-	case len(ops) == 1 && unknown:
-		// Partially identified: attribute to the known operator but do
-		// not flag multi-operator (conservative, as the paper tags
-		// ambiguous cases Unknown only when nothing matches).
-		return Result{Operator: ops[0], Operators: ops}
-	default:
-		return Result{Operator: ops[0], MultiOperator: true, Operators: ops}
-	}
+	return Result{Operator: ops[0], MultiOperator: true, Operators: ops}
 }
 
 // Default returns an identifier preloaded with the operators the

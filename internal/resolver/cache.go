@@ -195,12 +195,15 @@ type visitedKey struct{}
 
 var chainCounter atomic.Uint64
 
+// withChain returns ctx's chain id, starting a chain when ctx carries
+// none. The id is held by pointer (*uint64), so a context that carries
+// it in a field of its own (statsCtx) hands it out without boxing.
 func withChain(ctx context.Context) (context.Context, uint64) {
-	if id, ok := ctx.Value(chainIDKey{}).(uint64); ok {
-		return ctx, id
+	if id, ok := ctx.Value(chainIDKey{}).(*uint64); ok {
+		return ctx, *id
 	}
 	id := chainCounter.Add(1)
-	return context.WithValue(ctx, chainIDKey{}, id), id
+	return context.WithValue(ctx, chainIDKey{}, &id), id
 }
 
 // withVisited returns the chain's visited-host set, creating it on
@@ -217,12 +220,25 @@ func withVisited(ctx context.Context) (context.Context, map[string]bool) {
 
 // --- singleflight ---
 
+// flightKey names one deduplicated execution: what it resolves and for
+// which name.
+type flightKey struct {
+	kind byte // 'd' Delegation, 'z' zoneServers, 'a' AddrsOf
+	name string
+}
+
 // flightCall is one in-progress deduplicated execution.
 type flightCall struct {
-	leader uint64 // chain id of the executing caller
-	done   chan struct{}
-	val    any
-	err    error
+	leader uint64      // chain id of the executing caller
+	wait   *flightWait // made by the first caller to wait on it
+}
+
+// flightWait is where a flight's result reaches the callers waiting on
+// it. A flight nobody joins, nearly every one, never makes one.
+type flightWait struct {
+	done chan struct{}
+	val  any
+	err  error
 }
 
 // flightGroup collapses concurrent calls with the same key onto one
@@ -233,23 +249,23 @@ type flightCall struct {
 // hosting resolved from two goroutines cannot deadlock the scan.
 type flightGroup struct {
 	mu    sync.Mutex
-	calls map[string]*flightCall
-	waits map[uint64]string // chain id -> flight key it is waiting on
+	calls map[flightKey]flightCall
+	waits map[uint64]flightKey // chain id -> flight it is waiting on
 
 	// onWait, when set, is called (outside the lock) each time a chain
 	// registers as a waiter on a flight, with the flight's key. Tests
 	// use it for channel-based synchronisation instead of polling
 	// waiters() against a wall clock.
-	onWait func(key string)
+	onWait func(key flightKey)
 }
 
 // Do executes fn once for all concurrent callers sharing key. shared
 // reports whether this caller piggybacked on another chain's execution.
-func (g *flightGroup) Do(ctx context.Context, chain uint64, key string, fn func() (any, error)) (val any, shared bool, err error) {
+func (g *flightGroup) Do(ctx context.Context, chain uint64, key flightKey, fn func() (any, error)) (val any, shared bool, err error) {
 	g.mu.Lock()
 	if g.calls == nil {
-		g.calls = make(map[string]*flightCall)
-		g.waits = make(map[uint64]string)
+		g.calls = make(map[flightKey]flightCall)
+		g.waits = make(map[uint64]flightKey)
 	}
 	if c, ok := g.calls[key]; ok {
 		if c.leader == chain || g.wouldCycleLocked(chain, c.leader) {
@@ -257,6 +273,11 @@ func (g *flightGroup) Do(ctx context.Context, chain uint64, key string, fn func(
 			v, e := fn()
 			return v, false, e
 		}
+		if c.wait == nil {
+			c.wait = &flightWait{done: make(chan struct{})}
+			g.calls[key] = c
+		}
+		w := c.wait
 		g.waits[chain] = key
 		onWait := g.onWait
 		g.mu.Unlock()
@@ -264,11 +285,11 @@ func (g *flightGroup) Do(ctx context.Context, chain uint64, key string, fn func(
 			onWait(key)
 		}
 		select {
-		case <-c.done:
+		case <-w.done:
 			g.mu.Lock()
 			delete(g.waits, chain)
 			g.mu.Unlock()
-			return c.val, true, c.err
+			return w.val, true, w.err
 		case <-ctx.Done():
 			g.mu.Lock()
 			delete(g.waits, chain)
@@ -276,17 +297,20 @@ func (g *flightGroup) Do(ctx context.Context, chain uint64, key string, fn func(
 			return nil, true, ctx.Err()
 		}
 	}
-	c := &flightCall{leader: chain, done: make(chan struct{})}
-	g.calls[key] = c
+	g.calls[key] = flightCall{leader: chain}
 	g.mu.Unlock()
 
-	c.val, c.err = fn()
+	val, err = fn()
 
 	g.mu.Lock()
+	w := g.calls[key].wait
 	delete(g.calls, key)
 	g.mu.Unlock()
-	close(c.done)
-	return c.val, false, c.err
+	if w != nil {
+		w.val, w.err = val, err
+		close(w.done)
+	}
+	return val, false, err
 }
 
 // wouldCycleLocked walks the waits-for graph: if the prospective

@@ -236,7 +236,7 @@ func awaitJoin(t *testing.T, joined <-chan string, what string) {
 func TestSingleflightCoalescesConcurrentDelegations(t *testing.T) {
 	r, gate := singleServerWorld(t)
 	joined := make(chan string, 8)
-	r.flight.onWait = func(key string) { joined <- key }
+	r.flight.onWait = func(key flightKey) { joined <- key.name }
 	ctx := context.Background()
 
 	type res struct {
@@ -277,7 +277,7 @@ func TestSingleflightCoalescesConcurrentDelegations(t *testing.T) {
 func TestConcurrentAddrsOfCoalesces(t *testing.T) {
 	r, gate := singleServerWorld(t)
 	joined := make(chan string, 8)
-	r.flight.onWait = func(key string) { joined <- key }
+	r.flight.onWait = func(key flightKey) { joined <- key.name }
 	ctx := context.Background()
 
 	type res struct {
@@ -324,17 +324,17 @@ func TestConcurrentAddrsOfCoalesces(t *testing.T) {
 func TestFlightGroupCycleFallback(t *testing.T) {
 	var g flightGroup
 	parked := make(chan string, 8)
-	g.onWait = func(key string) { parked <- key }
+	g.onWait = func(key flightKey) { parked <- key.name }
 	ctx := context.Background()
 	aLeads := make(chan struct{})
 	bLeads := make(chan struct{})
 	results := make(chan string, 2)
 
 	go func() { // chain 1
-		v, _, _ := g.Do(ctx, 1, "k1", func() (any, error) {
+		v, _, _ := g.Do(ctx, 1, flightKey{'k', "1"}, func() (any, error) {
 			close(aLeads)
 			<-bLeads
-			inner, shared, _ := g.Do(ctx, 1, "k2", func() (any, error) {
+			inner, shared, _ := g.Do(ctx, 1, flightKey{'k', "2"}, func() (any, error) {
 				return "k2-from-chain1", nil
 			})
 			if !shared {
@@ -346,7 +346,7 @@ func TestFlightGroupCycleFallback(t *testing.T) {
 	}()
 	go func() { // chain 2
 		<-aLeads
-		v, _, _ := g.Do(ctx, 2, "k2", func() (any, error) {
+		v, _, _ := g.Do(ctx, 2, flightKey{'k', "2"}, func() (any, error) {
 			close(bLeads)
 			// Wait until chain 1 is parked on k2, completing the cycle
 			// (the onWait hook fires once chain 1 is registered).
@@ -355,7 +355,7 @@ func TestFlightGroupCycleFallback(t *testing.T) {
 			case <-time.After(30 * time.Second):
 				t.Error("chain 1 never parked on k2")
 			}
-			inner, shared, _ := g.Do(ctx, 2, "k1", func() (any, error) {
+			inner, shared, _ := g.Do(ctx, 2, flightKey{'k', "1"}, func() (any, error) {
 				return "k1-duplicated-locally", nil
 			})
 			if shared {

@@ -233,3 +233,28 @@ func TestQuestionNameCaseIsIgnored(t *testing.T) {
 		t.Errorf("%d mismatches counted for an upper-cased echo", n)
 	}
 }
+
+// exchangerFunc adapts a function to transport.Exchanger.
+type exchangerFunc func(ctx context.Context, server netip.AddrPort, q *dnswire.Message) (*dnswire.Message, error)
+
+func (f exchangerFunc) Exchange(ctx context.Context, server netip.AddrPort, q *dnswire.Message) (*dnswire.Message, error) {
+	return f(ctx, server, q)
+}
+
+// TestQuestionNameUnicodeFoldIsMismatch: names match case-insensitively
+// in ASCII only (RFC 4343). A response whose question spells
+// kelvin.test. with U+212A KELVIN SIGN, which Unicode folding equates
+// with "k", does not answer a query for kelvin.test.
+func TestQuestionNameUnicodeFoldIsMismatch(t *testing.T) {
+	wire := []byte{0, 0, 0x84, 3, 0, 1, 0, 0, 0, 0, 0, 0, // QR AA NXDOMAIN, one question
+		8, 0xE2, 0x84, 0xAA, 'e', 'l', 'v', 'i', 'n', 4, 't', 'e', 's', 't', 0, 0, byte(dnswire.TypeNS), 0, byte(dnswire.ClassIN)}
+	net := exchangerFunc(func(_ context.Context, _ netip.AddrPort, q *dnswire.Message) (*dnswire.Message, error) {
+		wire[0], wire[1] = byte(q.ID>>8), byte(q.ID)
+		return dnswire.Unpack(wire)
+	})
+	r := &Resolver{Net: net, Retry: &RetryPolicy{Attempts: 1}}
+	server := netip.AddrPortFrom(netip.MustParseAddr("192.0.2.82"), 53)
+	if resp, err := r.Exchange(context.Background(), server, "kelvin.test.", dnswire.TypeNS); !errors.Is(err, ErrMismatch) {
+		t.Fatalf("response for %q accepted for kelvin.test.: %v", resp.Question[0].Name, err)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -165,7 +166,7 @@ func (r *Resolver) Delegation(ctx context.Context, zoneName string) (*Delegation
 		return e.deleg, nil
 	}
 	ctx, chain := withChain(ctx)
-	v, shared, err := r.flight.Do(ctx, chain, "d:"+zoneName, func() (any, error) {
+	v, shared, err := r.flight.Do(ctx, chain, flightKey{'d', zoneName}, func() (any, error) {
 		servers, apex := r.startPoint(ctx, zoneName)
 		d, derr := r.delegationFrom(ctx, zoneName, servers, apex)
 		if derr != nil && (errors.Is(derr, ErrNXDomain) || errors.Is(derr, ErrLameReferal)) {
@@ -211,7 +212,7 @@ func (r *Resolver) zoneServers(ctx context.Context, zoneName string) ([]netip.Ad
 	}
 	r.noteCacheMiss(ctx, "z", zoneName)
 	ctx, chain := withChain(ctx)
-	v, shared, err := r.flight.Do(ctx, chain, "z:"+zoneName, func() (any, error) {
+	v, shared, err := r.flight.Do(ctx, chain, flightKey{'z', zoneName}, func() (any, error) {
 		d, derr := r.Delegation(ctx, zoneName)
 		if derr != nil {
 			if !errors.Is(derr, ErrNXDomain) && !errors.Is(derr, ErrLameReferal) {
@@ -365,23 +366,29 @@ func (r *Resolver) delegationFrom(ctx context.Context, zoneName string, servers 
 }
 
 // referralCut inspects a response for referral shape and returns the
-// cut name and NS set.
+// cut name and NS set: the authority section's NS records owned by the
+// first one's name. A set that is one run of the section, as servers
+// send it, is returned as that part of the section, capped so an append
+// copies it; otherwise it is gathered into a slice of its own.
 func referralCut(resp *dnswire.Message) (string, []dnswire.RR) {
 	if resp.Authoritative || len(resp.Answer) > 0 {
 		return "", nil
 	}
-	var cut string
-	var nsSet []dnswire.RR
-	for _, rr := range resp.Authority {
-		if rr.Type() != dnswire.TypeNS {
-			continue
-		}
-		name := dnswire.CanonicalName(rr.Name)
-		if cut == "" {
-			cut = name
-			nsSet = make([]dnswire.RR, 0, len(resp.Authority))
-		}
-		if name == cut {
+	isNSAt := func(rr dnswire.RR, cut string) bool {
+		return rr.Type() == dnswire.TypeNS && dnswire.CanonicalName(rr.Name) == cut
+	}
+	first := slices.IndexFunc(resp.Authority, func(rr dnswire.RR) bool { return rr.Type() == dnswire.TypeNS })
+	if first < 0 {
+		return "", nil
+	}
+	cut := dnswire.CanonicalName(resp.Authority[first].Name)
+	end := first + 1
+	for end < len(resp.Authority) && isNSAt(resp.Authority[end], cut) {
+		end++
+	}
+	nsSet := resp.Authority[first:end:end]
+	for _, rr := range resp.Authority[end:] {
+		if isNSAt(rr, cut) {
 			nsSet = append(nsSet, rr)
 		}
 	}
@@ -403,7 +410,8 @@ func (r *Resolver) serversForDelegation(ctx context.Context, d *Delegation) ([]n
 		}
 	}
 	var needsResolve []string
-	for _, host := range d.NSHosts() {
+	for _, rr := range d.ParentNS {
+		host := rr.Data.(*dnswire.NS).Target
 		addrs := glueByHost[dnswire.CanonicalName(host)]
 		if len(addrs) == 0 {
 			needsResolve = append(needsResolve, host)
@@ -540,7 +548,7 @@ func (r *Resolver) lookupOnce(ctx context.Context, name string, qtype dnswire.Ty
 		if resp.Authoritative || len(resp.Answer) > 0 {
 			return resp.Answer, resp.Rcode, nil
 		}
-		cut, _ := referralCut(resp)
+		cut, nsSet := referralCut(resp)
 		if cut == "" {
 			return nil, resp.Rcode, fmt.Errorf("%w: dead end at %s for %s", ErrLameReferal, server, name)
 		}
@@ -548,12 +556,7 @@ func (r *Resolver) lookupOnce(ctx context.Context, name string, qtype dnswire.Ty
 			return nil, resp.Rcode, fmt.Errorf("%w: referral to %s from %s (serving %s) for %s",
 				ErrLoop, cut, server, currentZone, name)
 		}
-		d := &Delegation{Zone: cut}
-		for _, rr := range resp.Authority {
-			if rr.Type() == dnswire.TypeNS && dnswire.CanonicalName(rr.Name) == cut {
-				d.ParentNS = append(d.ParentNS, rr)
-			}
-		}
+		d := &Delegation{Zone: cut, ParentNS: nsSet}
 		for _, rr := range resp.Additional {
 			if rr.Type() == dnswire.TypeA || rr.Type() == dnswire.TypeAAAA {
 				d.Glue = append(d.Glue, rr)
@@ -591,7 +594,7 @@ func (r *Resolver) AddrsOf(ctx context.Context, host string) ([]netip.Addr, erro
 	}
 	visited[host] = true
 	defer delete(visited, host)
-	v, shared, err := r.flight.Do(ctx, chain, "a:"+host, func() (any, error) {
+	v, shared, err := r.flight.Do(ctx, chain, flightKey{'a', host}, func() (any, error) {
 		addrs, err := r.resolveAddrs(ctx, host)
 		if err != nil {
 			return nil, err

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/netip"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,23 +138,31 @@ type queryStatsKey struct{}
 
 // WithQueryStats returns a context whose queries through this resolver
 // are additionally accounted into the returned stats. Used by the
-// scanner for accurate per-zone accounting under concurrency.
+// scanner for accurate per-zone accounting under concurrency. The
+// context is also one resolution chain (withChain), so the resolver
+// calls made with it must not run concurrently: one zone's scan makes
+// them one after another.
 func WithQueryStats(ctx context.Context) (context.Context, *QueryStats) {
-	c := &statsCtx{Context: ctx}
+	c := &statsCtx{Context: ctx, chain: chainCounter.Add(1)}
 	return c, &c.stats
 }
 
-// statsCtx is a context carrying QueryStats inside itself, so attaching
-// a zone's stats costs one allocation.
+// statsCtx is a context carrying QueryStats and a chain id inside
+// itself, so attaching a zone's stats costs one allocation and its
+// resolver calls none for their chain.
 type statsCtx struct {
 	context.Context
 	stats QueryStats
+	chain uint64
 }
 
 // Value implements context.Context.
 func (c *statsCtx) Value(key any) any {
-	if key == (queryStatsKey{}) {
+	switch key {
+	case queryStatsKey{}:
 		return &c.stats
+	case chainIDKey{}:
+		return &c.chain
 	}
 	return c.Context.Value(key)
 }
@@ -357,12 +364,13 @@ func (r *Resolver) exchangeOnce(ctx context.Context, server netip.AddrPort, name
 }
 
 // answers reports whether resp is a response to q: QR set, the same
-// opcode, and the same single question, its name compared
-// case-insensitively.
+// opcode, and the same single question, its name compared with ASCII
+// case folding only (RFC 4343): Unicode folding would take U+212A
+// KELVIN SIGN for "k".
 func answers(resp, q *dnswire.Message) bool {
 	if !resp.Response || resp.Opcode != q.Opcode || len(resp.Question) != 1 {
 		return false
 	}
 	got, want := resp.Question[0], q.Question[0]
-	return got.Type == want.Type && got.Class == want.Class && strings.EqualFold(got.Name, want.Name)
+	return got.Type == want.Type && got.Class == want.Class && dnswire.EqualFoldASCII(got.Name, want.Name)
 }

@@ -125,23 +125,32 @@ func nsecSigs(authority []dnswire.RR, owner string) (signer string, sigs []dnswi
 }
 
 // denied returns the stored proof that name does not exist, trying the
-// unexpired NSECs of every signer zone at or above it. A signer above a
-// zone cut proves nothing below it: its NSEC at the cut is a delegation
-// NSEC, which dnssec.ProveNXDomain refuses.
+// unexpired NSECs of every signer zone at or above it, from the name
+// itself up to the root: each candidate is a label-aligned suffix of
+// the canonical name. A signer above a zone cut proves nothing below
+// it: its NSEC at the cut is a delegation NSEC, which
+// dnssec.ProveNXDomain refuses.
 func (v *Validator) denied(name string) (nsecDenial, bool) {
+	name = dnswire.CanonicalName(name)
 	now := v.R.Now()
 	d := &v.denials
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	for signer := name; ; signer = dnswire.Parent(signer) {
+	for signer := name; ; {
 		if nsecs := d.bySigner[signer]; len(nsecs) > 0 {
 			covering := func(n string) (dnswire.RR, bool) { return coveringIn(nsecs, n, now) }
 			if p, ok := dnssec.ProveNXDomain(name, covering); ok {
 				return nsecDenial{NXDomainProof: p, signer: signer}, true
 			}
 		}
-		if signer == "." {
+		i := strings.IndexByte(signer, '.')
+		switch {
+		case signer == ".":
 			return nsecDenial{}, false
+		case i < 0 || i == len(signer)-1:
+			signer = "."
+		default:
+			signer = signer[i+1:]
 		}
 	}
 }
