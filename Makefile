@@ -149,11 +149,16 @@ ingest-smoke:
 	@echo "ingest-smoke: golden dump reduction and -zonefile scan match fixtures"
 
 # Observability round-trip: a traced scan's -trace-out stream must parse
-# back through `reanalyze -trace` (every line valid, zone+stage present).
+# back through `reanalyze -trace` (every line one exchange: zone, server,
+# question, rcode or error), and its -dump must give one `reanalyze -out
+# explain` line per record.
 obs-smoke:
 	mkdir -p artifacts
-	$(GO) run ./cmd/dnssec-scan -scale 500000 -trace-out artifacts/trace.jsonl -out headline
+	$(GO) run ./cmd/dnssec-scan -scale 500000 -trace-out artifacts/trace.jsonl -dump artifacts/obs.jsonl -out headline
 	$(GO) run ./cmd/reanalyze -trace artifacts/trace.jsonl
+	$(GO) run ./cmd/reanalyze -in artifacts/obs.jsonl -out explain > artifacts/explain.jsonl
+	test "$$(grep -c '^{"zone":' artifacts/explain.jsonl)" -eq "$$(wc -l < artifacts/obs.jsonl)"
+	@echo "obs-smoke: $$(wc -l < artifacts/explain.jsonl) records explained"
 
 # How much program there is: non-test Go lines per package (testdata/
 # excluded), totals for internal/, cmd/ and examples/ (whose mains are

@@ -15,17 +15,31 @@
 // cost object cut (scan.Body): the part of a dump that is identical
 // between a single-process, a sharded and a resumed run, ready for cmp.
 //
+// With -out explain it prints why each record was classified the way
+// the tables count it: one JSON line per record, in dump order, with
+// the zone, its parent, status, Figure 1 bucket, CDS flags, operator,
+// Table 3 rung and RFC 9615 violations. The lines come from the same
+// fold and classification the tables do, so a tally of them by bucket
+// or by rung and operator is Figure 1 or Table 3:
+//
+//	reanalyze -in obs.jsonl -out explain | grep '"zone":"example.com."'
+//
 // With -trace it instead validates and summarises a -trace-out JSONL
-// stream (the CI round-trip check for the trace format).
+// stream, one line per wire exchange, by outcome (the CI round-trip
+// check for the trace format).
 package main
 
 import (
+	"bufio"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
 
+	"dnssecboot/internal/classify"
 	"dnssecboot/internal/obs"
 	"dnssecboot/internal/report"
 	"dnssecboot/internal/scan"
@@ -34,12 +48,12 @@ import (
 func main() {
 	var (
 		in    = flag.String("in", "-", "JSONL observation dump (- for stdin)")
-		out   = flag.String("out", "all", "artefact: "+report.ArtefactChoices()+", or body: the records without their cost objects")
+		out   = flag.String("out", "all", "artefact: "+report.ArtefactChoices()+", body: the records without their cost objects, or explain: one line per record saying why it was classified so")
 		now   = flag.String("now", "2025-04-15T12:00:00Z", "validation timestamp (RFC 3339) matching the scan")
 		trace = flag.String("trace", "", "validate and summarise a -trace-out JSONL stream instead of reclassifying")
 	)
 	flag.Parse()
-	if err := report.CheckArtefact(*out, "body"); err != nil {
+	if err := report.CheckArtefact(*out, "body", "explain"); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -61,8 +75,14 @@ func main() {
 		}
 		defer f.Close()
 	}
-	if *out == "body" {
+	switch *out {
+	case "body":
 		if err := scan.Bodies(os.Stdout, f); err != nil {
+			fatal(err)
+		}
+		return
+	case "explain":
+		if err := explain(os.Stdout, f, ts); err != nil {
 			fatal(err)
 		}
 		return
@@ -80,9 +100,73 @@ func main() {
 	}
 }
 
+// explanation is one -out explain line.
+type explanation struct {
+	Zone          string                     `json:"zone"`
+	Status        string                     `json:"status"`
+	Parent        string                     `json:"parent,omitempty"`
+	Bucket        string                     `json:"bucket,omitempty"`
+	CDS           *classify.CDSInfo          `json:"cds,omitempty"`
+	Operator      string                     `json:"operator,omitempty"`
+	MultiOperator bool                       `json:"multi_operator,omitempty"`
+	Rung          string                     `json:"rung,omitempty"`
+	Violations    []classify.SignalViolation `json:"violations,omitempty"`
+}
+
+// explain writes the explanation of every record of the dump r, in
+// dump order, as the fold that builds the tables classifies it. A line
+// that is not a complete record stops it with the fold's error, after
+// the lines before it are written.
+func explain(w io.Writer, r io.Reader, now time.Time) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	_, _, err := report.NewAggregate().Fold(r, now, func(_ int, res *classify.Result) error {
+		return enc.Encode(explain1(res))
+	})
+	if ferr := bw.Flush(); err == nil {
+		err = ferr
+	}
+	return err
+}
+
+// explain1 is the explanation of one classification. An unresolved zone
+// has a status only: it is in no figure or table.
+func explain1(res *classify.Result) explanation {
+	e := explanation{Zone: res.Zone, Status: res.Status.String(), Parent: res.Parent}
+	if res.Status == classify.StatusUnresolved {
+		return e
+	}
+	e.Bucket, e.CDS = res.Bucket.String(), &res.CDS
+	e.Operator, e.MultiOperator = res.Operator.Operator, res.Operator.MultiOperator
+	e.Rung, e.Violations = rung(res.Signal), res.Signal.Violations
+	return e
+}
+
+// rung names the Table 3 rung a zone whose signals were probed landed
+// on; "" when they were not.
+func rung(s classify.SignalInfo) string {
+	switch {
+	case !s.Probed:
+		return ""
+	case !s.HasSignal:
+		return "no signal"
+	case s.AlreadySecured:
+		return "already secured"
+	case s.DeletionRequest:
+		return "deletion request"
+	case s.InvalidDNSSEC:
+		return "invalid dnssec"
+	case s.Correct:
+		return "correct"
+	default:
+		return "violations"
+	}
+}
+
 // summarizeTrace round-trips a -trace-out artefact through the trace
-// reader and prints per-stage/event counts. Any malformed line is fatal,
-// so CI can use this as a format check.
+// reader and prints how many exchanges ended in each rcode, or in an
+// error. Any malformed line is fatal, so CI can use this as a format
+// check.
 func summarizeTrace(path string) {
 	f := os.Stdin
 	if path != "-" {
@@ -98,19 +182,23 @@ func summarizeTrace(path string) {
 		fatal(err)
 	}
 	zones := make(map[string]bool)
-	byKind := make(map[string]int)
+	byOutcome := make(map[string]int)
 	for _, ev := range events {
 		zones[ev.Zone] = true
-		byKind[ev.Stage+"/"+ev.Event]++
+		if ev.Err != "" {
+			byOutcome["error"]++
+		} else {
+			byOutcome[ev.Rcode]++
+		}
 	}
-	fmt.Printf("trace: %d events across %d zones\n", len(events), len(zones))
-	kinds := make([]string, 0, len(byKind))
-	for k := range byKind {
-		kinds = append(kinds, k)
+	fmt.Printf("trace: %d exchanges across %d zones\n", len(events), len(zones))
+	outcomes := make([]string, 0, len(byOutcome))
+	for k := range byOutcome {
+		outcomes = append(outcomes, k)
 	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		fmt.Printf("  %-28s %d\n", k, byKind[k])
+	sort.Strings(outcomes)
+	for _, k := range outcomes {
+		fmt.Printf("  %-10s %d\n", k, byOutcome[k])
 	}
 }
 

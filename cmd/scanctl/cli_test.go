@@ -74,6 +74,17 @@ func TestFlagsAndExitCodes(t *testing.T) {
 	if out, err := exec.Command(filepath.Join(binDir, "dnssec-scan"), "-scale", "500000", "-dump", dump, "-out", "none").CombinedOutput(); err != nil {
 		t.Fatalf("writing the dump: %v\n%s", err, out)
 	}
+	// The same dump cut inside its third record.
+	torn := filepath.Join(dir, "torn.jsonl")
+	data, err := os.ReadFile(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := bytes.IndexByte(data, '\n') + 1
+	third := first + bytes.IndexByte(data[first:], '\n') + 1
+	if err := os.WriteFile(torn, data[:third+10], 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name   string
 		bin    string
@@ -128,6 +139,10 @@ func TestFlagsAndExitCodes(t *testing.T) {
 		{"reanalyze refuses a mistyped artefact before reading", "reanalyze",
 			[]string{"-in", filepath.Join(dir, "absent.jsonl"), "-out", "tabel3"}, 2, `unknown artefact "tabel3"`, "", ""},
 		{"reanalyze -out body", "reanalyze", []string{"-in", dump, "-out", "body"}, 0, "", "", `{"zone":`},
+		{"reanalyze -out explain", "reanalyze", []string{"-in", dump, "-out", "explain"}, 0, "", "", `{"zone":`},
+		{"reanalyze -out explain on a torn dump", "reanalyze", []string{"-in", torn, "-out", "explain"}, 1,
+			fmt.Sprintf("record 2 at byte %d is not a complete record", third), "", `{"zone":`},
+		{"deleted -trace-zone is an unknown flag", "dnssec-scan", []string{"-trace-zone", "example."}, 2, "flag provided but not defined: -trace-zone", "", ""},
 		{"reanalyze -out headline", "reanalyze", []string{"-in", dump, "-out", "headline"}, 0, "classified 700 observations", "", "resolved 700 zones"},
 		{"zonestat without a dump", "zonestat", nil, 2, "usage: zonestat", "", ""},
 		{"zonestat on a missing file", "zonestat", []string{filepath.Join(dir, "absent.zone")}, 1, "no such file", "", ""},

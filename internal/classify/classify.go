@@ -8,13 +8,10 @@
 package classify
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"dnssecboot/internal/dnssec"
 	"dnssecboot/internal/dnswire"
-	"dnssecboot/internal/obs"
 	"dnssecboot/internal/operator"
 	"dnssecboot/internal/scan"
 )
@@ -61,26 +58,28 @@ func (s Status) String() string {
 // CDSInfo is the §4.2 view of a zone's CDS/CDNSKEY publication.
 type CDSInfo struct {
 	// Present: at least one nameserver served CDS or CDNSKEY records.
-	Present bool
+	Present bool `json:"present"`
 	// QueryFailed: at least one nameserver failed the CDS query with an
 	// error/timeout (the pre-RFC 3597 behaviour, 7.6 M domains).
-	QueryFailed bool
+	QueryFailed bool `json:"query_failed"`
 	// Consistent: every nameserver that answered returned the same
 	// records.
-	Consistent bool
+	Consistent bool `json:"consistent"`
 	// Delete: the (consistent) content is an RFC 8078 deletion request.
-	Delete bool
+	Delete bool `json:"delete"`
 	// MatchesDNSKEY: every non-delete CDS corresponds to a DNSKEY
 	// actually present in the zone.
-	MatchesDNSKEY bool
+	MatchesDNSKEY bool `json:"matches_dnskey"`
 	// SigValid: the RRSIGs over the in-zone CDS verify under the zone's
 	// keys. Only meaningful when the zone is signed and CDS present.
-	SigValid bool
+	SigValid bool `json:"sig_valid"`
 	// InUnsignedZone: CDS served although the zone has no DNSKEY
 	// (a misconfiguration; 2 854 zones in the paper).
-	InUnsignedZone bool
+	InUnsignedZone bool `json:"in_unsigned_zone"`
 	// Records is the canonical (first answering NS) CDS+CDNSKEY set.
-	Records []dnswire.RR
+	// The tags name the findings in `reanalyze -out explain`, which
+	// leaves the records out.
+	Records []dnswire.RR `json:"-"`
 }
 
 // Potential is the Figure-1 bootstrapping-possibility bucket.
@@ -170,7 +169,10 @@ type SignalInfo struct {
 
 // Result is the full classification of one zone.
 type Result struct {
-	Zone     string
+	Zone string
+	// Parent is the zone that delegates Zone, where its DS is (or is
+	// not) published; empty when the delegation was not found.
+	Parent   string
 	Status   Status
 	Operator operator.Result
 	CDS      CDSInfo
@@ -188,10 +190,6 @@ type Classifier struct {
 	Operators *operator.Identifier
 	// Now anchors signature validity checks.
 	Now time.Time
-	// Tracer, when set, receives one stage:"classify" decision event per
-	// zone, extending the scan-time trace with the outcome the paper's
-	// §4 pipeline assigned. Nil disables tracing.
-	Tracer *obs.Tracer
 }
 
 // New builds a Classifier with the default operator rules.
@@ -201,10 +199,9 @@ func New(now time.Time) *Classifier {
 
 // Classify processes one observation.
 func (c *Classifier) Classify(o *scan.ZoneObservation) *Result {
-	r := &Result{Zone: o.Zone, Cost: o.Cost}
+	r := &Result{Zone: o.Zone, Parent: o.ParentZone, Cost: o.Cost}
 	if o.ResolveErr != "" {
 		r.Status = StatusUnresolved
-		c.traceDecision(r)
 		return r
 	}
 	r.Operator = c.Operators.Identify(o.AllNSHosts())
@@ -212,51 +209,7 @@ func (c *Classifier) Classify(o *scan.ZoneObservation) *Result {
 	r.CDS = c.cdsInfo(o, r.Status)
 	r.Bucket = bucketOf(r.Status, r.CDS)
 	r.Signal = c.signalInfo(o, r)
-	c.traceDecision(r)
 	return r
-}
-
-// traceDecision extends the zone's trace with the §4 classification
-// outcome: the deployment status, the Figure-1 bucket, and (when the
-// signal probes ran) the Table-3 verdict with any RFC 9615 violations.
-func (c *Classifier) traceDecision(r *Result) {
-	sp := c.Tracer.StartSpan(r.Zone)
-	if sp == nil {
-		return
-	}
-	sp.Emit(obs.TraceEvent{Stage: "classify", Event: "decision",
-		Outcome: r.Status.String(),
-		Detail:  fmt.Sprintf("bucket=%q cds_present=%t", r.Bucket, r.CDS.Present)})
-	if r.Signal.Probed {
-		ev := obs.TraceEvent{Stage: "classify", Event: "signal_verdict",
-			Outcome: signalVerdict(r.Signal), N: len(r.Signal.Violations)}
-		if len(r.Signal.Violations) > 0 {
-			parts := make([]string, len(r.Signal.Violations))
-			for i, v := range r.Signal.Violations {
-				parts[i] = string(v)
-			}
-			ev.Detail = strings.Join(parts, "; ")
-		}
-		sp.Emit(ev)
-	}
-}
-
-// signalVerdict names the Table-3 rung a zone landed on.
-func signalVerdict(s SignalInfo) string {
-	switch {
-	case !s.HasSignal:
-		return "no signal"
-	case s.AlreadySecured:
-		return "already secured"
-	case s.DeletionRequest:
-		return "deletion request"
-	case s.InvalidDNSSEC:
-		return "invalid dnssec"
-	case s.Correct:
-		return "correct"
-	default:
-		return "violations"
-	}
 }
 
 func statusOf(obs *scan.ZoneObservation) Status {

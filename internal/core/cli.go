@@ -52,14 +52,14 @@ type command struct {
 	// produces.
 	fingerprinted []string
 
-	year                                       int
-	zonefile, zoneOrigin, dump, out, csvDir    string
-	metricsOut, traceOut, traceZone, pprofAddr string
-	checkpoint, resume, shardSpec              string
-	progress, zoneStrict                       bool
-	shards, maxRestarts, killShard, killAfter  int
-	runDir                                     string
-	backoff, stallTimeout                      time.Duration
+	year                                      int
+	zonefile, zoneOrigin, dump, out, csvDir   string
+	metricsOut, traceOut, pprofAddr           string
+	checkpoint, resume, shardSpec             string
+	progress, zoneStrict                      bool
+	shards, maxRestarts, killShard, killAfter int
+	runDir                                    string
+	backoff, stallTimeout                     time.Duration
 }
 
 // register defines every flag once. The flags registered before the
@@ -89,8 +89,7 @@ func (c *command) register(shards int) {
 	fs.StringVar(&c.out, "out", "all", "artefact: "+report.ArtefactChoices("none"))
 	fs.StringVar(&c.csvDir, "csv-dir", "", "also write table1/2/3 + figure1 as CSV files into this directory")
 	fs.StringVar(&c.metricsOut, "metrics-out", "", "write a JSON metrics snapshot (counters, latency histograms) to this file after the scan")
-	fs.StringVar(&c.traceOut, "trace-out", "", "write per-zone trace events as JSON lines to this file")
-	fs.StringVar(&c.traceZone, "trace-zone", "", "restrict -trace-out to this zone's full decision trace")
+	fs.StringVar(&c.traceOut, "trace-out", "", "write one JSON line per wire exchange (zone, server, question, rcode or error, duration) to this file")
 	fs.BoolVar(&c.progress, "progress", false, "print live scan progress (zones/s, ETA, error rate) to stderr; with -shards a per-shard rollup")
 	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "write the run header a later -resume checks to this file (needs -dump, which records the progress)")
@@ -142,9 +141,6 @@ func (c *command) check() error {
 	}
 	if c.zonefile != "" && c.year != 0 {
 		return errors.New("-zonefile and -year are mutually exclusive: the target list comes from the dump, not the synthetic population")
-	}
-	if c.traceZone != "" && c.traceOut == "" {
-		return errors.New("-trace-zone requires -trace-out")
 	}
 	if c.shards < 0 {
 		return errors.New("-shards must not be negative")
@@ -299,7 +295,7 @@ func (c *command) scan() {
 			fatal("trace", err)
 		}
 		defer f.Close()
-		opts.Tracer = obs.NewTracer(f, c.traceZone)
+		opts.Tracer = obs.NewTracer(f)
 	}
 	if c.progress {
 		opts.ProgressWriter = os.Stderr
@@ -437,7 +433,7 @@ func (c *command) scan() {
 		if err := opts.Tracer.Close(); err != nil {
 			fatal("trace", err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d trace events to %s\n", opts.Tracer.Events(), c.traceOut)
+		fmt.Fprintf(os.Stderr, "wrote %d exchanges to %s\n", opts.Tracer.Events(), c.traceOut)
 	}
 	if opts.Registry != nil {
 		f, err := os.Create(c.metricsOut)
@@ -490,12 +486,12 @@ func (c *command) resumeDump(header *scan.Checkpoint, agg *report.Aggregate, tar
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	records, offset, err := agg.Fold(f, header.Now, func(k int, zone string) error {
+	records, offset, err := agg.Fold(f, header.Now, func(k int, res *classify.Result) error {
 		if k >= rng.Len() {
 			return fmt.Errorf("dump %s holds more than the %d records of zones [%d, %d)", c.dump, rng.Len(), rng.Lo, rng.Hi)
 		}
-		if want := dnswire.CanonicalName(targets[rng.Lo+k]); zone != want {
-			return fmt.Errorf("dump %s: record %d is zone %s, but zone %d is %s", c.dump, k, zone, rng.Lo+k, want)
+		if want := dnswire.CanonicalName(targets[rng.Lo+k]); res.Zone != want {
+			return fmt.Errorf("dump %s: record %d is zone %s, but zone %d is %s", c.dump, k, res.Zone, rng.Lo+k, want)
 		}
 		return nil
 	})

@@ -13,9 +13,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/netip"
 	"time"
 
 	"dnssecboot/internal/classify"
+	"dnssecboot/internal/dnswire"
 	"dnssecboot/internal/ecosystem"
 	"dnssecboot/internal/obs"
 	"dnssecboot/internal/rate"
@@ -78,8 +80,8 @@ type Options struct {
 	// rate-wait histograms, cache accounting). Nil means the resolver
 	// keeps a private registry and nothing is exported.
 	Registry *obs.Registry
-	// Tracer receives per-zone trace events from the scan and the
-	// classification (-trace-out / -trace-zone). Nil disables tracing.
+	// Tracer receives one line per wire exchange the scanner makes
+	// (-trace-out). Nil leaves nothing on the exchange path.
 	Tracer *obs.Tracer
 	// ProgressWriter receives live progress lines (zones/s, ETA, error
 	// rate) during the scan; nil disables progress reporting.
@@ -106,7 +108,9 @@ type Study struct {
 // NewScanner builds a scanner wired to a world, with the paper's
 // methodology defaults (Cloudflare sampling at 5 % full scans). When
 // opts request chaos (LossRate) the scanner's resolver reaches the
-// world's network through a Faults wrapper; the world is not changed.
+// world's network through a Faults wrapper, and with a Tracer through
+// the exchange trace around that, so an injected loss is traced as the
+// error the resolver saw; the world is not changed.
 func NewScanner(world *ecosystem.Ecosystem, opts Options) *scan.Scanner {
 	chaosSeed := opts.ChaosSeed
 	if chaosSeed == 0 {
@@ -115,6 +119,9 @@ func NewScanner(world *ecosystem.Ecosystem, opts Options) *scan.Scanner {
 	var net transport.Exchanger = world.Net
 	if opts.LossRate > 0 {
 		net = &transport.Faults{Inner: world.Net, Profile: transport.FaultProfile{Loss: opts.LossRate}, Seed: chaosSeed}
+	}
+	if opts.Tracer != nil {
+		net = tracedNet{net, opts.Tracer}
 	}
 	r := &resolver.Resolver{Net: net, Roots: world.Roots, Cache: resolver.NewCache(opts.CacheNegTTL)}
 	if opts.Registry != nil {
@@ -147,10 +154,33 @@ func NewScanner(world *ecosystem.Ecosystem, opts Options) *scan.Scanner {
 		SignalOnlyCandidates: opts.SignalOnlyCandidates,
 		TrustAnchor:          world.TrustAnchor,
 		Seed:                 opts.Seed,
-		Tracer:               opts.Tracer,
 		ProgressWriter:       opts.ProgressWriter,
 		ProgressInterval:     opts.ProgressInterval,
 	})
+}
+
+// tracedNet is the exchange trace: an Exchanger wrapping an Exchanger
+// that writes one line per exchange, for the zone whose scan made it.
+// It reads the response's rcode before returning and keeps nothing: the
+// response is reused by the next exchange.
+type tracedNet struct {
+	inner  transport.Exchanger
+	tracer *obs.Tracer
+}
+
+// Exchange implements transport.Exchanger.
+func (t tracedNet) Exchange(ctx context.Context, server netip.AddrPort, q *dnswire.Message) (*dnswire.Message, error) {
+	start := time.Now()
+	resp, err := t.inner.Exchange(ctx, server, q)
+	ev := obs.TraceEvent{Zone: resolver.ZoneOf(ctx), Server: server.String(),
+		Name: q.Question[0].Name, Qtype: q.Question[0].Type.String()}
+	if err != nil {
+		ev.Err = err.Error()
+	} else if resp != nil {
+		ev.Rcode = resp.Rcode.String()
+	}
+	t.tracer.Exchange(start, ev)
+	return resp, err
 }
 
 // Run executes the full pipeline — generate → scan → classify → report

@@ -232,7 +232,7 @@ func TestOfflineReanalysisMatchesLive(t *testing.T) {
 		snapshots = append(snapshots, renderAll(t, live))
 
 		offline := report.NewAggregate()
-		records, _, err := offline.Fold(&dump, study.World.Now, func(k int, _ string) error {
+		records, _, err := offline.Fold(&dump, study.World.Now, func(k int, _ *classify.Result) error {
 			if k > 0 && k%64 == 0 {
 				if got, want := renderAll(t, offline), snapshots[k/64-1]; got != want {
 					return fmt.Errorf("the fold of %d records diverged from the live accumulator:\nlive:\n%s\noffline:\n%s", k, want, got)

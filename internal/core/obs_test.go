@@ -4,38 +4,30 @@ import (
 	"bytes"
 	"context"
 	"io"
-	"strings"
 	"testing"
 
-	"dnssecboot/internal/classify"
 	"dnssecboot/internal/ecosystem"
 	"dnssecboot/internal/obs"
 	"dnssecboot/internal/scan"
+	"dnssecboot/internal/transport"
 )
 
-// TestTraceZoneIslandDecisionTrace is the acceptance fixture for
-// -trace-zone: tracing a known secure island must yield a decision
-// trace that names the parent zone, records the missing DS at the
-// parent, and carries the final classification decision.
-func TestTraceZoneIslandDecisionTrace(t *testing.T) {
-	world, err := ecosystem.Generate(ecosystem.Config{Seed: 7, ScaleDivisor: 300_000})
+// TestExchangeTraceCountsEveryQuery: the exchange trace writes one line
+// per wire query, the resolver's own count of them, through the loss
+// the Faults wrapper injects, each for a zone the scan covered.
+func TestExchangeTraceCountsEveryQuery(t *testing.T) {
+	world, err := ecosystem.Generate(ecosystem.Config{Seed: 11, ScaleDivisor: 300_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	island := ""
-	for z, tr := range world.Truth {
-		if tr.Spec.State == ecosystem.StateIsland {
-			island = z
-			break
-		}
-	}
-	if island == "" {
-		t.Fatal("no island zone at this scale")
-	}
-
 	var buf bytes.Buffer
-	tracer := obs.NewTracer(&buf, island)
-	if _, err := Run(context.Background(), Options{Seed: 7, World: world, Tracer: tracer}); err != nil {
+	registry, tracer := obs.NewRegistry(), obs.NewTracer(&buf)
+	study, err := Run(context.Background(), Options{
+		Seed: 11, World: world, Concurrency: 2,
+		LossRate: 0.05, RetryAttempts: 4,
+		Registry: registry, Tracer: tracer,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tracer.Close(); err != nil {
@@ -45,47 +37,46 @@ func TestTraceZoneIslandDecisionTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("trace does not round-trip: %v", err)
 	}
-	if len(events) == 0 {
-		t.Fatal("zone filter produced no events")
+	var queries int64
+	scanned := make(map[string]bool)
+	for _, o := range study.Observations {
+		queries += o.Queries
+		scanned[o.Zone] = true
 	}
-
-	var sawParent, sawMissingDS, sawDecision bool
-	parent := parentOf(island)
+	if got := registry.Snapshot().Counters["resolver_queries_total"]; int64(len(events)) != queries || got != queries {
+		t.Errorf("trace lines = %d, per-zone queries = %d, resolver_queries_total = %d; want all equal", len(events), queries, got)
+	}
+	lost := 0
 	for _, ev := range events {
-		if ev.Zone != island {
-			t.Fatalf("zone filter leaked an event for %q: %+v", ev.Zone, ev)
+		if !scanned[ev.Zone] {
+			t.Fatalf("trace line for a zone the scan did not cover: %+v", ev)
 		}
-		switch {
-		case ev.Stage == "resolve" && ev.Event == "delegation" && strings.Contains(ev.Detail, "parent="+parent):
-			sawParent = true
-		case ev.Stage == "resolve" && ev.Event == "ds_absent" && ev.Qtype == "DS":
-			sawMissingDS = true
-			if !strings.Contains(ev.Detail, parent) {
-				t.Errorf("ds_absent event does not name the parent zone: %+v", ev)
-			}
-		case ev.Stage == "classify" && ev.Event == "decision":
-			sawDecision = true
-			if ev.Outcome != classify.StatusIsland.String() {
-				t.Errorf("classification decision = %q, want %q", ev.Outcome, classify.StatusIsland)
-			}
+		if ev.Err != "" {
+			lost++
 		}
 	}
-	if !sawParent {
-		t.Error("trace never names the parent zone in a delegation event")
-	}
-	if !sawMissingDS {
-		t.Error("trace never records the missing DS at the parent")
-	}
-	if !sawDecision {
-		t.Error("trace never records the classification decision")
+	if lost == 0 {
+		t.Error("5 % loss left no error line in the trace")
 	}
 }
 
-func parentOf(zone string) string {
-	if i := strings.Index(zone, "."); i >= 0 && i+1 < len(zone) {
-		return zone[i+1:]
+// TestExchangeTraceOnlyWhenTracing: with no Tracer nothing sits between
+// the resolver and the network; with one, the trace is outermost, around
+// the injected faults.
+func TestExchangeTraceOnlyWhenTracing(t *testing.T) {
+	world, err := ecosystem.Generate(ecosystem.Config{Seed: 11, ScaleDivisor: 300_000})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return "."
+	if net := NewScanner(world, Options{}).Validator().R.Net; net != transport.Exchanger(world.Net) {
+		t.Errorf("untraced scanner exchanges through %T, want the world's network", net)
+	}
+	net := NewScanner(world, Options{LossRate: 0.05, Tracer: obs.NewTracer(io.Discard)}).Validator().R.Net
+	if tn, ok := net.(tracedNet); !ok {
+		t.Errorf("traced scanner exchanges through %T, want the exchange trace", net)
+	} else if _, ok := tn.inner.(*transport.Faults); !ok {
+		t.Errorf("the exchange trace wraps %T, want the injected faults", tn.inner)
+	}
 }
 
 // TestObservabilityIsBehaviourNeutral locks in the zero-interference
@@ -123,7 +114,7 @@ func TestObservabilityIsBehaviourNeutral(t *testing.T) {
 	}
 
 	plain := export(nil, nil)
-	traced := export(obs.NewRegistry(), obs.NewTracer(io.Discard, ""))
+	traced := export(obs.NewRegistry(), obs.NewTracer(io.Discard))
 	if !bytes.Equal(plain, traced) {
 		t.Fatalf("observability changed scan behaviour: exports differ (%d vs %d bytes)",
 			len(plain), len(traced))

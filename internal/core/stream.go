@@ -102,7 +102,6 @@ func RunStream(ctx context.Context, opts StreamOptions) (*StreamStudy, error) {
 		agg = report.NewAggregate()
 	}
 	classifier := classify.New(world.Now)
-	classifier.Tracer = opts.Tracer
 
 	scanner := NewScanner(world, opts.Options)
 	start := time.Now()

@@ -1,14 +1,14 @@
 // Package obs is the reproduction's observability layer: a
 // dependency-free metrics registry (counters, gauges, fixed-bucket
-// latency histograms), a structured trace-event stream with per-zone
-// spans, and a live progress reporter. The paper's YoDNS substrate is
+// latency histograms), a JSONL trace of wire exchanges, and a live
+// progress reporter. The paper's YoDNS substrate is
 // only trustworthy because its operators could watch the scanner work —
 // per-nameserver query behaviour, rate-limit pressure, where
 // classification time went (§3); this package gives our scan the same
 // visibility without pulling in a metrics framework.
 //
 // Every instrument is safe to use through a nil pointer: a nil
-// *Counter, *Histogram, *Span, *Tracer or *Progress turns each call
+// *Counter, *Histogram or *Progress turns each call
 // into a no-op without allocating, so instrumented hot paths cost
 // nothing when observation is disabled.
 package obs

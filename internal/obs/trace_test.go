@@ -2,44 +2,19 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-func TestNilTracerAndSpanAreNoOps(t *testing.T) {
-	var tr *Tracer
-	sp := tr.StartSpan("example.com.")
-	if sp != nil {
-		t.Fatal("nil tracer must return a nil span")
-	}
-	sp.Emit(TraceEvent{Stage: "query", Event: "attempt"})
-	sp.Emit(TraceEvent{Stage: "resolve", Event: "delegation"})
-	sp.End("ok")
-	if tr.Events() != 0 {
-		t.Fatal("nil tracer counted events")
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatalf("nil tracer Close: %v", err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		sp.Emit(TraceEvent{Stage: "query", Event: "attempt"})
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled span allocated %.1f per emit, want 0", allocs)
-	}
-}
-
-func TestSpanEmitsZoneAndTimestamps(t *testing.T) {
+func TestTracerWritesOneLinePerExchange(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(&buf, "")
-	sp := tr.StartSpan("island.example.")
-	sp.Emit(TraceEvent{Stage: "resolve", Event: "delegation", Name: "island.example.", Detail: "2 NS"})
+	tr := NewTracer(&buf)
+	start := time.Now()
 	time.Sleep(time.Millisecond)
-	sp.Emit(TraceEvent{Stage: "query", Event: "attempt", Server: "192.0.2.1:53", Qtype: "SOA", Attempt: 1})
-	sp.End("ok")
+	tr.Exchange(start, TraceEvent{Zone: "island.example.", Server: "192.0.2.1:53", Name: "island.example.", Qtype: "SOA", Rcode: "NOERROR"})
+	tr.Exchange(time.Now(), TraceEvent{Zone: "island.example.", Server: "[2001:db8::1]:53", Name: "a\\\"b\x01.example.", Qtype: "CDS", Err: `transport: timeout "quoted"`})
 	if err := tr.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -47,71 +22,29 @@ func TestSpanEmitsZoneAndTimestamps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadTrace: %v", err)
 	}
-	if len(evs) != 3 {
-		t.Fatalf("got %d events, want 3", len(evs))
+	if len(evs) != 2 || tr.Events() != 2 {
+		t.Fatalf("got %d events (Events() = %d), want 2", len(evs), tr.Events())
 	}
-	for _, ev := range evs {
-		if ev.Zone != "island.example." {
-			t.Fatalf("event zone = %q, want island.example.", ev.Zone)
-		}
+	if evs[0].DurUS < 1000 || evs[1].TUS < evs[0].DurUS {
+		t.Errorf("times do not follow the clock: %+v", evs)
 	}
-	if evs[1].TUS <= evs[0].TUS {
-		t.Fatalf("timestamps not increasing: %d then %d", evs[0].TUS, evs[1].TUS)
-	}
-	if evs[2].Stage != "scan" || evs[2].Event != "end" || evs[2].Outcome != "ok" {
-		t.Fatalf("end event = %+v", evs[2])
-	}
-	if got := tr.Events(); got != 3 {
-		t.Fatalf("Events() = %d, want 3", got)
-	}
-}
-
-func TestTracerZoneFilter(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(&buf, "keep.example.")
-	tr.StartSpan("keep.example.").Emit(TraceEvent{Stage: "query", Event: "attempt"})
-	tr.StartSpan("drop.example.").Emit(TraceEvent{Stage: "query", Event: "attempt"})
-	tr.StartSpan("keep.example.").End("ok")
-	if err := tr.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	evs, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatalf("ReadTrace: %v", err)
-	}
-	if len(evs) != 2 {
-		t.Fatalf("filter kept %d events, want 2:\n%s", len(evs), buf.String())
-	}
-	for _, ev := range evs {
-		if ev.Zone != "keep.example." {
-			t.Fatalf("filter leaked zone %q", ev.Zone)
-		}
-	}
-}
-
-func TestWithSpanRoundTrip(t *testing.T) {
-	ctx := context.Background()
-	if SpanFrom(ctx) != nil {
-		t.Fatal("empty context must carry no span")
-	}
-	if got := WithSpan(ctx, nil); got != ctx {
-		t.Fatal("attaching a nil span must return ctx unchanged")
-	}
-	tr := NewTracer(&bytes.Buffer{}, "")
-	sp := tr.StartSpan("example.com.")
-	if got := SpanFrom(WithSpan(ctx, sp)); got != sp {
-		t.Fatal("span did not round-trip through context")
+	want := TraceEvent{TUS: evs[1].TUS, DurUS: evs[1].DurUS, Zone: "island.example.", Server: "[2001:db8::1]:53",
+		Name: "a\\\"b\x01.example.", Qtype: "CDS", Err: `transport: timeout "quoted"`}
+	if evs[1] != want {
+		t.Errorf("escaped line does not round-trip:\n got %+v\nwant %+v", evs[1], want)
 	}
 }
 
 func TestReadTraceRejectsMalformedLines(t *testing.T) {
-	_, err := ReadTrace(strings.NewReader(`{"zone":"a.","stage":"query","event":"attempt"}` + "\nnot-json\n"))
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("want line-2 parse error, got %v", err)
-	}
-	_, err = ReadTrace(strings.NewReader(`{"stage":"query","event":"attempt"}` + "\n"))
-	if err == nil || !strings.Contains(err.Error(), "missing zone") {
-		t.Fatalf("want missing-zone error, got %v", err)
+	ok := `{"t_us":1,"zone":"a.","server":"192.0.2.1:53","name":"a.","qtype":"SOA","rcode":"NOERROR","dur_us":2}`
+	for _, tc := range []struct{ in, want string }{
+		{ok + "\nnot-json\n", "line 2"},
+		{`{"server":"192.0.2.1:53","name":"a.","qtype":"SOA","rcode":"NOERROR"}` + "\n", "missing zone"},
+		{`{"zone":"a.","server":"192.0.2.1:53","name":"a.","qtype":"SOA"}` + "\n", "rcode or an error"},
+	} {
+		if _, err := ReadTrace(strings.NewReader(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ReadTrace(%q) = %v, want an error naming %q", tc.in, err, tc.want)
+		}
 	}
 }
 

@@ -36,15 +36,15 @@ type folded struct {
 // Fold classifies the records at the head of a JSONL dump, with the
 // validation time now, and adds them to a in dump order. The lines are
 // decoded, reconstructed and classified on GOMAXPROCS workers. each,
-// when not nil, sees record k's zone before the record is added; an
-// error from it stops the fold and is returned as is.
+// when not nil, sees record k's classification before the record is
+// added; an error from it stops the fold and is returned as is.
 //
 // Fold returns the number of records added and the byte offset just
 // past the last of them. It stops at the first line that is not a
 // complete, decodable record, with an error wrapping ErrIncomplete, and
 // at a read error with that error; a dump that ends after a record's
 // newline gives a nil error.
-func (a *Aggregate) Fold(r io.Reader, now time.Time, each func(k int, zone string) error) (records int, offset int64, err error) {
+func (a *Aggregate) Fold(r io.Reader, now time.Time, each func(k int, res *classify.Result) error) (records int, offset int64, err error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	var torn bool // the dump ends inside a line
 	var readErr error
@@ -79,7 +79,7 @@ func (a *Aggregate) Fold(r io.Reader, now time.Time, each func(k int, zone strin
 			return incomplete(k, f.err)
 		}
 		if each != nil {
-			if err := each(k, f.res.Zone); err != nil {
+			if err := each(k, f.res); err != nil {
 				return err
 			}
 		}

@@ -25,8 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"dnssecboot/internal/obs"
 )
 
 // Cache is the state behind a Resolver's caching layer. Create it with
@@ -337,43 +335,29 @@ func (g *flightGroup) wouldCycleLocked(chain, leader uint64) bool {
 
 // --- counter plumbing ---
 //
-// Each note* records the event on the resolver-wide instruments, the
-// per-zone QueryStats carried in the context, and — when the zone is
-// being traced — the zone's span. kind and name make the name of the
-// cache entry involved ("d:<zone>", "z:<zone>", "a:<host>"), which is
-// built only for the trace.
+// Each note* records the event on the resolver-wide instruments and on
+// the per-zone QueryStats carried in the context.
 
 // NoteCacheHit is exported for callers that answer a lookup from state
-// of their own instead of asking — the scanner's validated NSEC denials
-// ("nsec:<name>") — so their hits land on the same counters and trace.
-func (r *Resolver) NoteCacheHit(ctx context.Context, kind, name string) {
+// of their own instead of asking — the scanner's validated NSEC
+// denials — so their hits land on the same counters.
+func (r *Resolver) NoteCacheHit(ctx context.Context) {
 	r.metrics().CacheHits.Inc()
 	if st := statsFrom(ctx); st != nil {
 		st.CacheHits.Add(1)
 	}
-	noteSpan(ctx, "cache_hit", kind, name)
 }
 
-func (r *Resolver) noteCacheMiss(ctx context.Context, kind, name string) {
+func (r *Resolver) noteCacheMiss(ctx context.Context) {
 	r.metrics().CacheMisses.Inc()
 	if st := statsFrom(ctx); st != nil {
 		st.CacheMisses.Add(1)
 	}
-	noteSpan(ctx, "cache_miss", kind, name)
 }
 
-func (r *Resolver) noteCoalesced(ctx context.Context, kind, name string) {
+func (r *Resolver) noteCoalesced(ctx context.Context) {
 	r.metrics().Coalesced.Inc()
 	if st := statsFrom(ctx); st != nil {
 		st.Coalesced.Add(1)
-	}
-	noteSpan(ctx, "coalesced", kind, name)
-}
-
-// noteSpan emits a resolve-stage event naming the cache entry kind:name
-// when ctx carries a span.
-func noteSpan(ctx context.Context, event, kind, name string) {
-	if sp := obs.SpanFrom(ctx); sp != nil {
-		sp.Emit(obs.TraceEvent{Stage: "resolve", Event: event, Name: kind + ":" + name})
 	}
 }

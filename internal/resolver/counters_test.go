@@ -39,7 +39,7 @@ func TestExchangeCounterContract(t *testing.T) {
 			if tc.attempts > 1 {
 				r.Retry = &RetryPolicy{Attempts: tc.attempts}
 			}
-			ctx, stats := WithQueryStats(context.Background())
+			ctx, stats := WithQueryStats(context.Background(), "test.")
 			r.Exchange(ctx, server, "www.test.", dnswire.TypeA)
 			if r.Queries() != tc.wantQueries || r.Retries() != tc.wantRetries || r.GaveUp() != tc.wantGaveUp {
 				t.Errorf("resolver counters queries=%d retries=%d gaveUp=%d, want %d/%d/%d",
@@ -60,13 +60,24 @@ func TestExchangeHardFailureCountsNoGaveUp(t *testing.T) {
 	r, _ := flakyWorld(t, transport.FaultProfile{})
 	r.Retry = &RetryPolicy{Attempts: 4}
 	dead := netip.AddrPortFrom(netip.MustParseAddr("198.51.100.99"), 53)
-	ctx, stats := WithQueryStats(context.Background())
+	ctx, stats := WithQueryStats(context.Background(), "test.")
 	r.Exchange(ctx, dead, "www.test.", dnswire.TypeA)
 	if r.Queries() != 1 || r.Retries() != 0 || r.GaveUp() != 0 {
 		t.Errorf("queries=%d retries=%d gaveUp=%d, want 1/0/0", r.Queries(), r.Retries(), r.GaveUp())
 	}
 	if stats.GaveUp.Load() != 0 {
 		t.Errorf("ctx gaveUp = %d, want 0", stats.GaveUp.Load())
+	}
+}
+
+// TestZoneOf: the zone a stats context accounts to is read back below
+// it, through contexts derived from it, and is "" outside one.
+func TestZoneOf(t *testing.T) {
+	ctx, _ := WithQueryStats(context.Background(), "example.")
+	ctx, cancel := context.WithTimeout(ctx, time.Minute)
+	defer cancel()
+	if got, none := ZoneOf(ctx), ZoneOf(context.Background()); got != "example." || none != "" {
+		t.Errorf("ZoneOf = %q below the stats context and %q outside it, want example. and nothing", got, none)
 	}
 }
 
@@ -80,7 +91,7 @@ func TestExchangeCancelledBackoffCountsNoRetry(t *testing.T) {
 	r.Retry = &RetryPolicy{Attempts: 3, BaseBackoff: 10 * time.Second}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	ctx, stats := WithQueryStats(ctx)
+	ctx, stats := WithQueryStats(ctx, "test.")
 	_, err := r.Exchange(ctx, server, "www.test.", dnswire.TypeA)
 	if err == nil {
 		t.Fatal("expected cancellation error")

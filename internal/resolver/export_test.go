@@ -40,6 +40,5 @@ func (g *flightGroup) waiters() int {
 func (h *healthTracker) tripped(server netip.AddrPort) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := h.m[server]
-	return s != nil && s.consecutive >= trippedAfter
+	return h.m[server] >= trippedAfter
 }

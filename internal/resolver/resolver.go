@@ -158,11 +158,11 @@ func (d *Delegation) NSHosts() []string {
 func (r *Resolver) Delegation(ctx context.Context, zoneName string) (*Delegation, error) {
 	zoneName = dnswire.CanonicalName(zoneName)
 	if err, ok := r.cache().negLookup(zoneName); ok {
-		r.NoteCacheHit(ctx, "neg", zoneName)
+		r.NoteCacheHit(ctx)
 		return nil, err
 	}
 	if e, ok := r.cache().posLookup(zoneName); ok && e.deleg != nil {
-		r.NoteCacheHit(ctx, "d", zoneName)
+		r.NoteCacheHit(ctx)
 		return e.deleg, nil
 	}
 	ctx, chain := withChain(ctx)
@@ -175,7 +175,7 @@ func (r *Resolver) Delegation(ctx context.Context, zoneName string) (*Delegation
 		return d, derr
 	})
 	if shared {
-		r.noteCoalesced(ctx, "d", zoneName)
+		r.noteCoalesced(ctx)
 	}
 	if err != nil {
 		return nil, err
@@ -207,10 +207,10 @@ func (r *Resolver) zoneServers(ctx context.Context, zoneName string) ([]netip.Ad
 		return r.Roots, ".", nil
 	}
 	if e, ok := r.cache().posLookup(zoneName); ok {
-		r.NoteCacheHit(ctx, "z", zoneName)
+		r.NoteCacheHit(ctx)
 		return e.servers, e.apex, nil
 	}
-	r.noteCacheMiss(ctx, "z", zoneName)
+	r.noteCacheMiss(ctx)
 	ctx, chain := withChain(ctx)
 	v, shared, err := r.flight.Do(ctx, chain, flightKey{'z', zoneName}, func() (any, error) {
 		d, derr := r.Delegation(ctx, zoneName)
@@ -238,7 +238,7 @@ func (r *Resolver) zoneServers(ctx context.Context, zoneName string) ([]netip.Ad
 		return e, nil
 	})
 	if shared {
-		r.noteCoalesced(ctx, "z", zoneName)
+		r.noteCoalesced(ctx)
 	}
 	if err != nil {
 		return nil, "", err
@@ -583,10 +583,10 @@ func (r *Resolver) lookupOnce(ctx context.Context, name string, qtype dnswire.Ty
 func (r *Resolver) AddrsOf(ctx context.Context, host string) ([]netip.Addr, error) {
 	host = dnswire.CanonicalName(host)
 	if addrs, ok := r.cache().addrLookup(host); ok {
-		r.NoteCacheHit(ctx, "a", host)
+		r.NoteCacheHit(ctx)
 		return addrs, nil
 	}
-	r.noteCacheMiss(ctx, "a", host)
+	r.noteCacheMiss(ctx)
 	ctx, chain := withChain(ctx)
 	ctx, visited := withVisited(ctx)
 	if visited[host] {
@@ -603,7 +603,7 @@ func (r *Resolver) AddrsOf(ctx context.Context, host string) ([]netip.Addr, erro
 		return addrs, nil
 	})
 	if shared {
-		r.noteCoalesced(ctx, "a", host)
+		r.noteCoalesced(ctx)
 	}
 	if err != nil {
 		return nil, err

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"dnssecboot/internal/dnswire"
-	"dnssecboot/internal/obs"
 	"dnssecboot/internal/transport"
 )
 
@@ -134,26 +133,39 @@ type QueryStats struct {
 	Coalesced atomic.Int64
 }
 
-type queryStatsKey struct{}
+type (
+	queryStatsKey struct{}
+	zoneKey       struct{}
+)
 
 // WithQueryStats returns a context whose queries through this resolver
-// are additionally accounted into the returned stats. Used by the
-// scanner for accurate per-zone accounting under concurrency. The
-// context is also one resolution chain (withChain), so the resolver
-// calls made with it must not run concurrently: one zone's scan makes
-// them one after another.
-func WithQueryStats(ctx context.Context) (context.Context, *QueryStats) {
-	c := &statsCtx{Context: ctx, chain: chainCounter.Add(1)}
+// are additionally accounted into the returned stats, on behalf of
+// zone (ZoneOf). Used by the scanner for accurate per-zone accounting
+// under concurrency. The context is also one resolution chain
+// (withChain), so the resolver calls made with it must not run
+// concurrently: one zone's scan makes them one after another.
+func WithQueryStats(ctx context.Context, zone string) (context.Context, *QueryStats) {
+	c := &statsCtx{Context: ctx, chain: chainCounter.Add(1), zone: zone}
 	return c, &c.stats
 }
 
-// statsCtx is a context carrying QueryStats and a chain id inside
-// itself, so attaching a zone's stats costs one allocation and its
-// resolver calls none for their chain.
+// ZoneOf returns the zone ctx accounts its queries to (WithQueryStats),
+// or "" outside a zone's scan.
+func ZoneOf(ctx context.Context) string {
+	if c, ok := ctx.Value(zoneKey{}).(*statsCtx); ok {
+		return c.zone
+	}
+	return ""
+}
+
+// statsCtx is a context carrying QueryStats, a chain id and a zone name
+// inside itself, so attaching a zone's stats costs one allocation and
+// its resolver calls none for their chain.
 type statsCtx struct {
 	context.Context
 	stats QueryStats
 	chain uint64
+	zone  string
 }
 
 // Value implements context.Context.
@@ -163,6 +175,8 @@ func (c *statsCtx) Value(key any) any {
 		return &c.stats
 	case chainIDKey{}:
 		return &c.chain
+	case zoneKey{}:
+		return c
 	}
 	return c.Context.Value(key)
 }
@@ -179,32 +193,20 @@ func statsFrom(ctx context.Context) *QueryStats {
 // on an address that recovers mid-run.
 type healthTracker struct {
 	mu sync.Mutex
-	m  map[netip.AddrPort]*serverHealth
-}
-
-type serverHealth struct {
-	consecutive int   // consecutive transient failures
-	failures    int64 // lifetime failures (metrics)
-	successes   int64
+	m  map[netip.AddrPort]int // consecutive transient failures, absent at 0
 }
 
 func (h *healthTracker) note(server netip.AddrPort, ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.m == nil {
-		h.m = make(map[netip.AddrPort]*serverHealth)
-	}
-	s := h.m[server]
-	if s == nil {
-		s = &serverHealth{}
-		h.m[server] = s
-	}
-	if ok {
-		s.consecutive = 0
-		s.successes++
-	} else {
-		s.consecutive++
-		s.failures++
+	switch {
+	case !ok:
+		if h.m == nil {
+			h.m = make(map[netip.AddrPort]int)
+		}
+		h.m[server]++
+	case h.m[server] != 0:
+		delete(h.m, server)
 	}
 }
 
@@ -223,7 +225,7 @@ func (h *healthTracker) order(dst, servers []netip.AddrPort, start int) []netip.
 	n, tripped := len(servers), 0
 	for i := range servers {
 		s := servers[(start+i)%n]
-		if st := h.m[s]; st != nil && st.consecutive >= trippedAfter {
+		if h.m[s] >= trippedAfter {
 			tripped++
 			continue
 		}
@@ -231,7 +233,7 @@ func (h *healthTracker) order(dst, servers []netip.AddrPort, start int) []netip.
 	}
 	for i := 0; tripped > 0; i++ {
 		s := servers[(start+i)%n]
-		if st := h.m[s]; st != nil && st.consecutive >= trippedAfter {
+		if h.m[s] >= trippedAfter {
 			dst = append(dst, s)
 			tripped--
 		}
@@ -248,7 +250,6 @@ func (h *healthTracker) order(dst, servers []netip.AddrPort, start int) []netip.
 func (r *Resolver) Exchange(ctx context.Context, server netip.AddrPort, name string, qtype dnswire.Type) (*dnswire.Message, error) {
 	attempts := r.Retry.attempts()
 	m := r.metrics()
-	sp := obs.SpanFrom(ctx)
 	var errs []error
 	var lastServFail *dnswire.Message
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -264,22 +265,8 @@ func (r *Resolver) Exchange(ctx context.Context, server netip.AddrPort, name str
 			if st := statsFrom(ctx); st != nil {
 				st.Retries.Add(1)
 			}
-			if sp != nil {
-				sp.Emit(obs.TraceEvent{Stage: "query", Event: "retry", Server: server.String(),
-					Name: name, Qtype: qtype.String(), Attempt: attempt + 1})
-			}
 		}
 		resp, err := r.exchangeOnce(ctx, server, name, qtype)
-		if sp != nil {
-			ev := obs.TraceEvent{Stage: "query", Event: "attempt", Server: server.String(),
-				Name: name, Qtype: qtype.String(), Attempt: attempt + 1}
-			if err != nil {
-				ev.Err = err.Error()
-			} else {
-				ev.Rcode = resp.Rcode.String()
-			}
-			sp.Emit(ev)
-		}
 		switch {
 		case err == nil && resp.Rcode == dnswire.RcodeServFail:
 			r.health.note(server, false)
@@ -305,10 +292,6 @@ func (r *Resolver) Exchange(ctx context.Context, server netip.AddrPort, name str
 	m.GaveUp.Inc()
 	if st := statsFrom(ctx); st != nil {
 		st.GaveUp.Add(1)
-	}
-	if sp != nil {
-		sp.Emit(obs.TraceEvent{Stage: "query", Event: "gave_up", Server: server.String(),
-			Name: name, Qtype: qtype.String(), N: attempts})
 	}
 	if lastServFail != nil {
 		return lastServFail, nil

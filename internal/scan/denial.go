@@ -2,7 +2,6 @@ package scan
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -54,15 +53,6 @@ type storedNSEC struct {
 type nsecDenial struct {
 	dnssec.NXDomainProof
 	signer string
-}
-
-// String names the records of the proof, for the trace.
-func (d *nsecDenial) String() string {
-	s := fmt.Sprintf("validated NSEC %s -> %s (signer %s)", d.Cover.Name, d.Cover.Data.(*dnswire.NSEC).NextDomain, d.signer)
-	if d.Wildcard.Name != d.Cover.Name {
-		s += fmt.Sprintf(", wildcard NSEC %s -> %s", d.Wildcard.Name, d.Wildcard.Data.(*dnswire.NSEC).NextDomain)
-	}
-	return s
 }
 
 // learnDenials keeps the NSEC records of an NXDOMAIN answer for name

@@ -10,7 +10,6 @@ import (
 
 	"dnssecboot/internal/dnssec"
 	"dnssecboot/internal/dnswire"
-	"dnssecboot/internal/obs"
 	"dnssecboot/internal/resolver"
 	"dnssecboot/internal/scan"
 	"dnssecboot/internal/server"
@@ -138,13 +137,12 @@ func (o *onlineSigner) Exchange(ctx context.Context, srv netip.AddrPort, q *dnsw
 
 // scanner returns a scanner with nothing learned yet, on cache's clock
 // (a private cache on the wall clock when cache is nil).
-func (w *denialWorld) scanner(tracer *obs.Tracer, cache *resolver.Cache) *scan.Scanner {
+func (w *denialWorld) scanner(cache *resolver.Cache) *scan.Scanner {
 	return scan.New(scan.Config{
 		Resolver: &resolver.Resolver{Net: w.log, Cache: cache,
 			Roots: []netip.AddrPort{netip.AddrPortFrom(netip.MustParseAddr("192.0.2.60"), 53)}},
 		Now:          rowsNow,
 		ProbeSignals: true,
-		Tracer:       tracer,
 	})
 }
 
@@ -165,7 +163,7 @@ func probes(t *testing.T, asked []question, zoneName string) int {
 func (w *denialWorld) scanAfter(t *testing.T, first, second string) (zo *scan.ZoneObservation, sent int, asked []question) {
 	t.Helper()
 	ctx := context.Background()
-	s := w.scanner(nil, nil)
+	s := w.scanner(nil)
 	s.ScanZone(ctx, first)
 	asked = w.log.take()
 	if n := probes(t, asked, first); n == 0 {
@@ -174,7 +172,7 @@ func (w *denialWorld) scanAfter(t *testing.T, first, second string) (zo *scan.Zo
 	zo = s.ScanZone(ctx, second)
 	again := w.log.take()
 	sent, asked = probes(t, again, second), append(asked, again...)
-	if warm, cold := bodyOf(t, zo), bodyOf(t, w.scanner(nil, nil).ScanZone(ctx, second)); !bytes.Equal(warm, cold) {
+	if warm, cold := bodyOf(t, zo), bodyOf(t, w.scanner(nil).ScanZone(ctx, second)); !bytes.Equal(warm, cold) {
 		t.Errorf("%s: body differs from a cold scan\nwarm %s\ncold %s", second, warm, cold)
 	}
 	w.log.take()
@@ -197,30 +195,7 @@ func TestDenialStore(t *testing.T) {
 			t.Errorf("outcomes = %s/%s/%s, want nxdomain throughout", so.Outcome, so.CDSOutcome, so.CDNSKEYOutcome)
 		}
 
-		// The denial is a cache hit in the zone's cost, and its trace
-		// names the record that proved it.
-		var trace bytes.Buffer
-		tr := obs.NewTracer(&trace, "b.test.")
-		s := w.scanner(tr, nil)
-		s.ScanZone(ctx, "a.test.")
-		zo = s.ScanZone(ctx, "b.test.")
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		events, err := obs.ReadTrace(&trace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		owner, _ := zone.SignalName("b.test.", nsHost)
-		var hit, detail bool
-		for _, ev := range events {
-			hit = hit || ev.Event == "cache_hit" && ev.Name == "nsec:"+owner
-			detail = detail || ev.Event == "signal_probe" &&
-				ev.Detail == "validated NSEC ns1.example.com. -> example.com. (signer example.com.)"
-		}
-		if !hit || !detail {
-			t.Errorf("trace lacks the denial (cache_hit %t, signal_probe detail %t):\n%s", hit, detail, trace.String())
-		}
+		// The denial is a cache hit in the zone's cost.
 		if zo.CacheHits == 0 {
 			t.Error("denied probe not counted in cost.cache_hits")
 		}
@@ -283,7 +258,7 @@ func TestDenialStore(t *testing.T) {
 			defer mu.Unlock()
 			now = now.Add(d)
 		}
-		s := w.scanner(nil, cache)
+		s := w.scanner(cache)
 		s.ScanZone(ctx, "a.test.")
 		w.log.take()
 		advance(299 * time.Second)

@@ -3,7 +3,6 @@ package scan
 import (
 	"context"
 	"errors"
-	"fmt"
 	"hash/fnv"
 	"io"
 	"net/netip"
@@ -11,7 +10,6 @@ import (
 
 	"dnssecboot/internal/dnssec"
 	"dnssecboot/internal/dnswire"
-	"dnssecboot/internal/obs"
 	"dnssecboot/internal/resolver"
 	"dnssecboot/internal/transport"
 	"dnssecboot/internal/zone"
@@ -49,9 +47,6 @@ type Config struct {
 	// resilience a lossy network demands. Nil leaves the Resolver's own
 	// policy (possibly none) in place.
 	Retry *resolver.RetryPolicy
-	// Tracer, when non-nil, receives a per-zone span of trace events
-	// (resolve, query, validate stages) for every scanned zone.
-	Tracer *obs.Tracer
 	// ProgressWriter, when non-nil, receives live progress lines
 	// (zones/s, ETA, error rate) from ScanStream every ProgressInterval
 	// (default 2 s).
@@ -89,9 +84,7 @@ func (s *Scanner) Validator() *Validator { return s.val }
 func (s *Scanner) ScanZone(ctx context.Context, zoneName string) *ZoneObservation {
 	zoneName = dnswire.CanonicalName(zoneName)
 	zo := &ZoneObservation{Zone: zoneName}
-	sp := s.cfg.Tracer.StartSpan(zoneName)
-	ctx = obs.WithSpan(ctx, sp)
-	ctx, stats := resolver.WithQueryStats(ctx)
+	ctx, stats := resolver.WithQueryStats(ctx, zoneName)
 	defer func() {
 		zo.Cost = Cost{
 			Queries:     stats.Queries.Load(),
@@ -101,36 +94,17 @@ func (s *Scanner) ScanZone(ctx context.Context, zoneName string) *ZoneObservatio
 			CacheMisses: stats.CacheMisses.Load(),
 			Coalesced:   stats.Coalesced.Load(),
 		}
-		if zo.ResolveErr != "" {
-			sp.End("resolve_error")
-		} else {
-			sp.End("ok")
-		}
 	}()
 
 	d, err := s.cfg.Resolver.Delegation(ctx, zoneName)
 	if err != nil {
 		zo.ResolveErr = err.Error()
-		if sp != nil {
-			sp.Emit(obs.TraceEvent{Stage: "resolve", Event: "delegation_error", Err: err.Error()})
-		}
 		return zo
 	}
 	zo.ParentZone = d.ParentZone
 	zo.ParentNS = d.NSHosts()
 	zo.DS = d.DS
 	zo.DSSigs = d.DSSigs
-	if sp != nil {
-		sp.Emit(obs.TraceEvent{Stage: "resolve", Event: "delegation", Name: d.ParentZone,
-			Detail: fmt.Sprintf("parent=%s ns=%d ds=%d", d.ParentZone, len(zo.ParentNS), len(d.DS))})
-		if len(d.DS) == 0 {
-			// The referral from the parent is where a DS RRset would
-			// appear; record its absence explicitly so a -trace-zone dump
-			// of a secure island shows the missing DS at the parent.
-			sp.Emit(obs.TraceEvent{Stage: "resolve", Event: "ds_absent", Name: zoneName,
-				Qtype: "DS", Detail: "no DS at parent " + d.ParentZone})
-		}
-	}
 
 	// Resolve every NS host to its addresses.
 	var pairsBuf [8]hostAddr
@@ -187,10 +161,6 @@ func (s *Scanner) ScanZone(ctx context.Context, zoneName string) *ZoneObservatio
 		selected = samplePairs(pairs)
 		zo.SampledNS = len(selected) < len(pairs)
 	}
-	if sp != nil && zo.SampledNS {
-		sp.Emit(obs.TraceEvent{Stage: "scan", Event: "ns_sampled",
-			Detail: fmt.Sprintf("querying %d of %d ns addresses", len(selected), len(pairs))})
-	}
 	zo.PerNS = make([]NSObservation, 0, len(selected))
 	for _, p := range selected {
 		zo.PerNS = append(zo.PerNS, s.observeNS(ctx, zoneName, p.host, p.addr))
@@ -208,9 +178,6 @@ func (s *Scanner) ScanZone(ctx context.Context, zoneName string) *ZoneObservatio
 		} else {
 			zo.ChainValid = true
 		}
-		if sp != nil {
-			sp.Emit(validateEvent("chain", zo.ChainErr))
-		}
 	} else if zo.IsSigned() {
 		// Secure island: still check internal consistency so classify
 		// can distinguish well-signed islands from broken ones.
@@ -222,9 +189,6 @@ func (s *Scanner) ScanZone(ctx context.Context, zoneName string) *ZoneObservatio
 			zo.ChainErr = err.Error()
 		} else {
 			zo.ChainValid = true
-		}
-		if sp != nil {
-			sp.Emit(validateEvent("island_consistency", zo.ChainErr))
 		}
 	}
 
@@ -238,32 +202,11 @@ func (s *Scanner) ScanZone(ctx context.Context, zoneName string) *ZoneObservatio
 		zo.allNS = hosts
 		zo.Signals = make([]SignalObservation, 0, len(hosts))
 		for _, host := range hosts {
-			sig, denial, denied := s.probeSignal(ctx, zoneName, host)
-			zo.Signals = append(zo.Signals, sig)
-			if sp != nil {
-				ev := obs.TraceEvent{Stage: "scan", Event: "signal_probe", Name: sig.Owner,
-					Server: sig.NSHost, Outcome: sig.Outcome.String(), N: len(sig.Records)}
-				if denied {
-					ev.Detail = denial.String()
-				}
-				sp.Emit(ev)
-			}
+			zo.Signals = append(zo.Signals, s.probeSignal(ctx, zoneName, host))
 		}
 		s.checkZoneCuts(ctx, zo)
 	}
 	return zo
-}
-
-// validateEvent builds the validate-stage trace event for one check.
-func validateEvent(check, chainErr string) obs.TraceEvent {
-	ev := obs.TraceEvent{Stage: "validate", Event: check}
-	if chainErr != "" {
-		ev.Err = chainErr
-		ev.Outcome = "invalid"
-	} else {
-		ev.Outcome = "valid"
-	}
-	return ev
 }
 
 func (s *Scanner) signalCandidate(obs *ZoneObservation) bool {
@@ -451,9 +394,8 @@ func (s *Scanner) verifyApexSOA(resp *dnswire.Message, keys []dnswire.RR) error 
 // timed out) is never masked by the success. An NXDOMAIN for CDS also
 // answers CDNSKEY without a second lookup: it says the owner name does
 // not exist, whatever the type (RFC 8020 §2). An owner that validated
-// NSECs from earlier answers already prove absent is not asked at all;
-// the proof is returned for the trace, with denied set.
-func (s *Scanner) probeSignal(ctx context.Context, child, nsHost string) (so SignalObservation, denial nsecDenial, denied bool) {
+// NSECs from earlier answers already prove absent is not asked at all.
+func (s *Scanner) probeSignal(ctx context.Context, child, nsHost string) (so SignalObservation) {
 	so.NSHost = nsHost
 	owner, err := zone.SignalName(child, nsHost)
 	if err != nil {
@@ -461,13 +403,13 @@ func (s *Scanner) probeSignal(ctx context.Context, child, nsHost string) (so Sig
 		so.Outcome = OutcomeError
 		so.CDSOutcome = OutcomeError
 		so.CDNSKEYOutcome = OutcomeError
-		return so, nsecDenial{}, false
+		return so
 	}
 	so.Owner = owner
-	if d, ok := s.val.denied(owner); ok {
-		s.cfg.Resolver.NoteCacheHit(ctx, "nsec", owner)
+	if _, ok := s.val.denied(owner); ok {
+		s.cfg.Resolver.NoteCacheHit(ctx)
 		so.Outcome, so.CDSOutcome, so.CDNSKEYOutcome = OutcomeNXDomain, OutcomeNXDomain, OutcomeNXDomain
-		return so, d, true
+		return so
 	}
 	so.CDSOutcome = s.probeSignalType(ctx, &so, dnswire.TypeCDS)
 	if so.CDSOutcome == OutcomeNXDomain {
@@ -477,7 +419,7 @@ func (s *Scanner) probeSignal(ctx context.Context, child, nsHost string) (so Sig
 	}
 	so.Outcome = aggregateSignalOutcome(so.CDSOutcome, so.CDNSKEYOutcome, len(so.Records) > 0)
 	if len(so.Records) == 0 {
-		return so, nsecDenial{}, false
+		return so
 	}
 
 	// RFC 9615 requires the signalling records to be DNSSEC-secure.
@@ -497,7 +439,7 @@ func (s *Scanner) probeSignal(ctx context.Context, child, nsHost string) (so Sig
 		}
 	}
 	so.Secure = secure
-	return so, nsecDenial{}, false
+	return so
 }
 
 // probeSignalType performs one CDS-or-CDNSKEY lookup at the signal
