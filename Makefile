@@ -150,12 +150,14 @@ ingest-smoke:
 
 # Observability round-trip: a traced scan's -trace-out stream must parse
 # back through `reanalyze -trace` (every line one exchange: zone, server,
-# question, rcode or error), and its -dump must give one `reanalyze -out
-# explain` line per record.
+# question, rcode or error) to an exchange total equal to its line count,
+# and its -dump must give one `reanalyze -out explain` line per record.
 obs-smoke:
 	mkdir -p artifacts
 	$(GO) run ./cmd/dnssec-scan -scale 500000 -trace-out artifacts/trace.jsonl -dump artifacts/obs.jsonl -out headline
-	$(GO) run ./cmd/reanalyze -trace artifacts/trace.jsonl
+	$(GO) run ./cmd/reanalyze -trace artifacts/trace.jsonl > artifacts/trace-summary.txt
+	cat artifacts/trace-summary.txt
+	test "$$(sed -n 's/^trace: \([0-9]*\) exchanges.*/\1/p' artifacts/trace-summary.txt)" -eq "$$(wc -l < artifacts/trace.jsonl)"
 	$(GO) run ./cmd/reanalyze -in artifacts/obs.jsonl -out explain > artifacts/explain.jsonl
 	test "$$(grep -c '^{"zone":' artifacts/explain.jsonl)" -eq "$$(wc -l < artifacts/obs.jsonl)"
 	@echo "obs-smoke: $$(wc -l < artifacts/explain.jsonl) records explained"

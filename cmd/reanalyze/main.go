@@ -177,21 +177,23 @@ func summarizeTrace(path string) {
 		}
 		defer f.Close()
 	}
-	events, err := obs.ReadTrace(f)
-	if err != nil {
-		fatal(err)
-	}
+	exchanges := 0
 	zones := make(map[string]bool)
 	byOutcome := make(map[string]int)
-	for _, ev := range events {
+	err := obs.ReadTrace(f, func(ev obs.TraceEvent) error {
+		exchanges++
 		zones[ev.Zone] = true
 		if ev.Err != "" {
 			byOutcome["error"]++
 		} else {
 			byOutcome[ev.Rcode]++
 		}
+		return nil
+	})
+	if err != nil {
+		fatal(err)
 	}
-	fmt.Printf("trace: %d exchanges across %d zones\n", len(events), len(zones))
+	fmt.Printf("trace: %d exchanges across %d zones\n", exchanges, len(zones))
 	outcomes := make([]string, 0, len(byOutcome))
 	for k := range byOutcome {
 		outcomes = append(outcomes, k)

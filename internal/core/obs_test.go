@@ -33,8 +33,11 @@ func TestExchangeTraceCountsEveryQuery(t *testing.T) {
 	if err := tracer.Close(); err != nil {
 		t.Fatal(err)
 	}
-	events, err := obs.ReadTrace(&buf)
-	if err != nil {
+	var events []obs.TraceEvent
+	if err := obs.ReadTrace(&buf, func(ev obs.TraceEvent) error {
+		events = append(events, ev)
+		return nil
+	}); err != nil {
 		t.Fatalf("trace does not round-trip: %v", err)
 	}
 	var queries int64

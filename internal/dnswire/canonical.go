@@ -2,6 +2,7 @@ package dnswire
 
 import (
 	"bytes"
+	"cmp"
 	"sort"
 	"strings"
 )
@@ -57,15 +58,20 @@ func SortCanonical(rrs []RR) error {
 // CanonicalNameLess compares two domain names in DNSSEC canonical
 // ordering (RFC 4034 §6.1): by reversed label sequence, each label
 // compared as a lowercase octet string.
+func CanonicalNameLess(a, b string) bool { return CanonicalNameCompare(a, b) < 0 }
+
+// CanonicalNameCompare returns a negative number, zero or a positive
+// number as a sorts before, with or after b in canonical order
+// (CanonicalNameLess).
 //
 // It walks the labels right to left in place, folding ASCII case as it
 // goes, so it does not allocate: it runs inside the server's NSEC
 // binary search and every zone's name sort. A name with a byte ≥ 0x80
 // takes the splitting path, whose Unicode-aware lowercasing can change
 // a label's bytes in ways ASCII folding does not.
-func CanonicalNameLess(a, b string) bool {
+func CanonicalNameCompare(a, b string) int {
 	if !isASCII(a) || !isASCII(b) {
-		return canonicalNameLessSplit(a, b)
+		return canonicalNameCompareSplit(a, b)
 	}
 	// "" and "." have no labels; otherwise the labels are those of the
 	// name without its one trailing dot, empty ones included.
@@ -79,10 +85,16 @@ func CanonicalNameLess(a, b string) bool {
 		la, a, moreA = lastLabel(a)
 		lb, b, moreB = lastLabel(b)
 		if c := compareFold(la, lb); c != 0 {
-			return c < 0
+			return c
 		}
 	}
-	return !moreA && moreB
+	switch {
+	case moreB:
+		return -1
+	case moreA:
+		return 1
+	}
+	return 0
 }
 
 // trimCommonLabels drops the labels two names end with byte for byte,
@@ -144,20 +156,20 @@ func isASCII(s string) bool {
 	return true
 }
 
-// canonicalNameLessSplit is CanonicalNameLess by splitting both
+// canonicalNameCompareSplit is CanonicalNameCompare by splitting both
 // canonicalised names into label slices: correct for any input, but it
 // allocates on every call.
-func canonicalNameLessSplit(a, b string) bool {
+func canonicalNameCompareSplit(a, b string) int {
 	la, lb := SplitLabels(CanonicalName(a)), SplitLabels(CanonicalName(b))
 	i, j := len(la)-1, len(lb)-1
 	for i >= 0 && j >= 0 {
-		if la[i] != lb[j] {
-			return la[i] < lb[j]
+		if c := strings.Compare(la[i], lb[j]); c != 0 {
+			return c
 		}
 		i--
 		j--
 	}
-	return i < j
+	return cmp.Compare(i, j)
 }
 
 // RRsetKey identifies an RRset within a zone or message.

@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
 	"strings"
@@ -260,8 +261,12 @@ func TestCanonicalNameLessMatchesSplit(t *testing.T) {
 	}
 	for range pairs {
 		a, b := name(), name()
-		if got, want := CanonicalNameLess(a, b), canonicalNameLessSplit(a, b); got != want {
-			t.Fatalf("CanonicalNameLess(%q, %q) = %v, split version says %v", a, b, got, want)
+		want := canonicalNameCompareSplit(a, b)
+		if got := CanonicalNameLess(a, b); got != (want < 0) {
+			t.Fatalf("CanonicalNameLess(%q, %q) = %v, split version says %v", a, b, got, want < 0)
+		}
+		if got := CanonicalNameCompare(a, b); cmp.Compare(got, 0) != want {
+			t.Fatalf("CanonicalNameCompare(%q, %q) = %d, split version says %d", a, b, got, want)
 		}
 	}
 }

@@ -57,6 +57,9 @@ type Ecosystem struct {
 	strayKey     *dnssec.Key // source of orphan/errant DS material
 	opIndex      int
 	variantCount int
+	// nsData holds one NS payload per nameserver host, shared by every
+	// delegation and apex NS set that names it.
+	nsData map[string]*dnswire.NS
 }
 
 type tldInfra struct {
@@ -121,6 +124,7 @@ func Generate(cfg Config) (*Ecosystem, error) {
 		rng:                rand.New(rand.NewSource(cfg.Seed)),
 		tlds:               make(map[string]*tldInfra),
 		ops:                make(map[string]*opInfra),
+		nsData:             make(map[string]*dnswire.NS),
 	}
 	stray, err := dnssec.GenerateKey(dnswire.AlgEd25519, dnswire.DNSKEYFlagZone|dnswire.DNSKEYFlagSEP, eco.rng)
 	if err != nil {
@@ -170,6 +174,27 @@ func (e *Ecosystem) scaled(n int) int {
 }
 
 const signCfgAlg = dnswire.AlgEd25519
+
+// ns returns the shared NS payload naming host. Zones treat RDATA as
+// immutable once added, so one payload serves every record.
+func (e *Ecosystem) ns(host string) *dnswire.NS {
+	d := e.nsData[host]
+	if d == nil {
+		d = dnswire.NewNS(host)
+		e.nsData[host] = d
+	}
+	return d
+}
+
+// The RDATA of every generated zone's web records, shared as ns shares
+// NS payloads.
+var (
+	webApexA = &dnswire.A{Addr: netip.MustParseAddr("203.0.113.10")}
+	webWWWA  = &dnswire.A{Addr: netip.MustParseAddr("203.0.113.11")}
+	webMailA = &dnswire.A{Addr: netip.MustParseAddr("203.0.113.25")}
+	webSPF   = &dnswire.TXT{Strings: []string{"v=spf1 mx -all"}}
+	webCAA   = &dnswire.CAA{Flags: 0, Tag: "issue", Value: "ca.example.net"}
+)
 
 func (e *Ecosystem) signCfg() zone.SignConfig {
 	return zone.SignConfig{Now: e.Now, Algorithm: signCfgAlg}
@@ -524,21 +549,25 @@ func (e *Ecosystem) addZone(op *opInfra, spec ZoneSpec) error {
 
 	// Delegation in the registry.
 	for _, nh := range parentNS {
-		ti.zone.MustAdd(dnswire.RR{Name: name, TTL: 86400, Data: dnswire.NewNS(nh)})
+		ti.zone.MustAdd(dnswire.RR{Name: name, TTL: 86400, Data: e.ns(nh)})
 	}
 
 	// The child zone itself: a realistic small web presence.
 	z := zone.New(name)
-	z.SetBasics(childNS[0], childNS, uint32(2025041500+idx%1000))
-	z.MustAdd(dnswire.RR{Name: name, TTL: 3600, Data: &dnswire.A{Addr: netip.MustParseAddr("203.0.113.10")}})
-	z.MustAdd(dnswire.RR{Name: "www." + name, TTL: 3600, Data: &dnswire.A{Addr: netip.MustParseAddr("203.0.113.11")}})
+	z.SetBasics(childNS[0], nil, uint32(2025041500+idx%1000))
+	for _, h := range childNS {
+		z.MustAdd(dnswire.RR{Name: name, TTL: 3600, Data: e.ns(h)})
+	}
+	z.MustAdd(dnswire.RR{Name: name, TTL: 3600, Data: webApexA})
+	z.MustAdd(dnswire.RR{Name: "www." + name, TTL: 3600, Data: webWWWA})
 	if idx%3 == 0 {
-		z.MustAdd(dnswire.RR{Name: name, TTL: 3600, Data: &dnswire.MX{Preference: 10, Host: "mail." + name}})
-		z.MustAdd(dnswire.RR{Name: "mail." + name, TTL: 3600, Data: &dnswire.A{Addr: netip.MustParseAddr("203.0.113.25")}})
-		z.MustAdd(dnswire.RR{Name: name, TTL: 3600, Data: &dnswire.TXT{Strings: []string{"v=spf1 mx -all"}}})
+		mail := "mail." + name
+		z.MustAdd(dnswire.RR{Name: name, TTL: 3600, Data: &dnswire.MX{Preference: 10, Host: mail}})
+		z.MustAdd(dnswire.RR{Name: mail, TTL: 3600, Data: webMailA})
+		z.MustAdd(dnswire.RR{Name: name, TTL: 3600, Data: webSPF})
 	}
 	if idx%7 == 0 {
-		z.MustAdd(dnswire.RR{Name: name, TTL: 3600, Data: &dnswire.CAA{Flags: 0, Tag: "issue", Value: "ca.example.net"}})
+		z.MustAdd(dnswire.RR{Name: name, TTL: 3600, Data: webCAA})
 	}
 
 	signed := spec.State == StateSecured || spec.State == StateIsland ||
@@ -617,6 +646,7 @@ func (e *Ecosystem) addZone(op *opInfra, spec ZoneSpec) error {
 		}
 	}
 
+	z.Build()
 	e.Targets = append(e.Targets, name)
 	e.Truth[name] = &Truth{Zone: name, Operator: p.Name, TLD: tld, Spec: spec}
 	return nil
@@ -728,6 +758,9 @@ func (e *Ecosystem) finalize() error {
 					return err
 				}
 			}
+		}
+		for _, sz := range op.signalZones {
+			sz.Build()
 		}
 		for _, bz := range op.baseZones {
 			if err := bz.Sign(e.signCfg()); err != nil {

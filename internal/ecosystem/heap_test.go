@@ -19,8 +19,8 @@ func TestWorldHeapBudget(t *testing.T) {
 		t.Skip("scale 20000 is skipped under -short")
 	}
 	const (
-		maxBytesPerZone   = 2000
-		maxObjectsPerZone = 28
+		maxBytesPerZone   = 1250
+		maxObjectsPerZone = 12
 	)
 	var before, after runtime.MemStats
 	runtime.GC()

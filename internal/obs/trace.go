@@ -63,10 +63,12 @@ func (t *Tracer) Exchange(start time.Time, ev TraceEvent) {
 	t.events++
 }
 
-// ReadTrace parses a JSONL trace stream, returning every event. Used by
+// ReadTrace parses a JSONL trace stream and calls each with every
+// event, in order. A malformed line, or an error from each, stops it
+// with an error naming the line. It holds one line at a time, so a
+// trace of any length is read in constant memory. Used by
 // `reanalyze -trace` to round-trip -trace-out artefacts in CI.
-func ReadTrace(r io.Reader) ([]TraceEvent, error) {
-	var events []TraceEvent
+func ReadTrace(r io.Reader, each func(TraceEvent) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	line := 0
@@ -78,18 +80,20 @@ func ReadTrace(r io.Reader) ([]TraceEvent, error) {
 		}
 		var ev TraceEvent
 		if err := json.Unmarshal(raw, &ev); err != nil {
-			return events, fmt.Errorf("trace line %d: %w", line, err)
+			return fmt.Errorf("trace line %d: %w", line, err)
 		}
 		if ev.Zone == "" || ev.Server == "" || ev.Name == "" || ev.Qtype == "" {
-			return events, fmt.Errorf("trace line %d: missing zone, server, name or qtype", line)
+			return fmt.Errorf("trace line %d: missing zone, server, name or qtype", line)
 		}
 		if (ev.Rcode == "") == (ev.Err == "") {
-			return events, fmt.Errorf("trace line %d: want an rcode or an error", line)
+			return fmt.Errorf("trace line %d: want an rcode or an error", line)
 		}
-		events = append(events, ev)
+		if err := each(ev); err != nil {
+			return fmt.Errorf("trace line %d: %w", line, err)
+		}
 	}
 	if err := sc.Err(); err != nil {
-		return events, fmt.Errorf("trace line %d: %w", line, err)
+		return fmt.Errorf("trace line %d: %w", line, err)
 	}
-	return events, nil
+	return nil
 }

@@ -2,6 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -18,8 +22,11 @@ func TestTracerWritesOneLinePerExchange(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	evs, err := ReadTrace(&buf)
-	if err != nil {
+	var evs []TraceEvent
+	if err := ReadTrace(&buf, func(ev TraceEvent) error {
+		evs = append(evs, ev)
+		return nil
+	}); err != nil {
 		t.Fatalf("ReadTrace: %v", err)
 	}
 	if len(evs) != 2 || tr.Events() != 2 {
@@ -42,9 +49,67 @@ func TestReadTraceRejectsMalformedLines(t *testing.T) {
 		{`{"server":"192.0.2.1:53","name":"a.","qtype":"SOA","rcode":"NOERROR"}` + "\n", "missing zone"},
 		{`{"zone":"a.","server":"192.0.2.1:53","name":"a.","qtype":"SOA"}` + "\n", "rcode or an error"},
 	} {
-		if _, err := ReadTrace(strings.NewReader(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := ReadTrace(strings.NewReader(tc.in), func(TraceEvent) error { return nil }); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("ReadTrace(%q) = %v, want an error naming %q", tc.in, err, tc.want)
 		}
+	}
+	stop := errors.New("stop")
+	err := ReadTrace(strings.NewReader(ok+"\n"+ok+"\n"), func(TraceEvent) error { return stop })
+	if !errors.Is(err, stop) || !strings.Contains(err.Error(), "line 1") {
+		t.Errorf("ReadTrace with a failing callback = %v, want %v naming line 1", err, stop)
+	}
+}
+
+// traceLines is an io.Reader of n trace lines, each made as it is read,
+// so the reader itself holds one line.
+type traceLines struct {
+	n, i    int
+	line    []byte
+	pending []byte
+}
+
+func (g *traceLines) Read(p []byte) (int, error) {
+	for len(g.pending) == 0 {
+		if g.i == g.n {
+			return 0, io.EOF
+		}
+		g.line = fmt.Appendf(g.line[:0], `{"t_us":%d,"zone":"z%d.example.","server":"192.0.2.1:53","name":"z%d.example.","qtype":"SOA","rcode":"NOERROR","dur_us":3}`+"\n", g.i, g.i%5000, g.i)
+		g.pending = g.line
+		g.i++
+	}
+	n := copy(p, g.pending)
+	g.pending = g.pending[n:]
+	return n, nil
+}
+
+// TestReadTraceStreams: reading a long trace keeps the live heap flat.
+// A reader that keeps every event grows it by about 210 B per line,
+// 42 MB here.
+func TestReadTraceStreams(t *testing.T) {
+	const lines = 200_000
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var seen int
+	var base, end uint64
+	err := ReadTrace(&traceLines{n: lines}, func(ev TraceEvent) error {
+		seen++
+		switch seen {
+		case 1000:
+			base = liveHeap()
+		case lines:
+			end = liveHeap()
+		}
+		return nil
+	})
+	if err != nil || seen != lines {
+		t.Fatalf("read %d of %d lines: %v", seen, lines, err)
+	}
+	if end > base+512<<10 {
+		t.Errorf("live heap grew by %d kB over %d lines", (end-base)>>10, lines-1000)
 	}
 }
 

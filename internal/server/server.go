@@ -415,26 +415,16 @@ func (s *Server) coveringNSEC3(z *zone.Zone, name string) (dnswire.RR, bool) {
 	return dnswire.RR{}, false
 }
 
-// coveringNSEC finds the NSEC record whose interval covers qname. The
-// zone's canonical name order makes this a binary search: the covering
-// NSEC (if any) is owned by the closest preceding name that has one.
+// coveringNSEC finds the NSEC record whose interval covers qname: the
+// only candidate is the one at the closest owner before qname that has
+// an NSEC, found by one search of the zone's canonical order (glue
+// names carry none and are passed over).
 func (s *Server) coveringNSEC(z *zone.Zone, qname string) (dnswire.RR, bool) {
-	names := z.Names()
-	if len(names) == 0 {
+	nsec, ok := z.Preceding(qname, dnswire.TypeNSEC)
+	if !ok {
 		return dnswire.RR{}, false
 	}
-	qname = dnswire.CanonicalName(qname)
-	idx := sort.Search(len(names), func(i int) bool {
-		return !dnswire.CanonicalNameLess(names[i], qname)
-	}) - 1
-	// Walk back from the closest preceding name, skipping glue names
-	// that carry no NSEC: the first NSEC found is the only candidate.
-	for i := idx; i >= 0; i-- {
-		if nsec, ok := z.First(names[i], dnswire.TypeNSEC); ok {
-			return nsec, dnssec.NSECCoversName(nsec, qname)
-		}
-	}
-	return dnswire.RR{}, false
+	return nsec, dnssec.NSECCoversName(nsec, dnswire.CanonicalName(qname))
 }
 
 // appendSigs adds the RRSIGs at owner covering covered to the section

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"context"
+	"maps"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -17,13 +19,25 @@ import (
 // It delivers every query instantly; loss, outages and latency are
 // injected by wrapping it in Faults.
 type MemNetwork struct {
-	mu       sync.RWMutex
+	// mu guards hosts and prefixes, the routes as registered.
+	mu       sync.Mutex
 	hosts    map[netip.Addr]Handler
 	prefixes []prefixRoute
+	// routes is the snapshot of hosts and prefixes that exchanges read
+	// without a lock. A registration clears it and the first exchange
+	// after one takes a new copy, so a world that registers all its
+	// servers before it is scanned copies its routes once.
+	routes atomic.Pointer[routeTable]
 
 	queries  atomic.Int64
 	bytesOut atomic.Int64 // query bytes
 	bytesIn  atomic.Int64 // response bytes
+}
+
+// routeTable is one snapshot of the routes; it is never changed.
+type routeTable struct {
+	hosts    map[netip.Addr]Handler
+	prefixes []prefixRoute
 }
 
 type prefixRoute struct {
@@ -41,6 +55,7 @@ func (n *MemNetwork) Register(addr netip.Addr, h Handler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.hosts[addr] = h
+	n.routes.Store(nil)
 }
 
 // RegisterPrefix binds handler to every address within prefix; used to
@@ -50,15 +65,31 @@ func (n *MemNetwork) RegisterPrefix(p netip.Prefix, h Handler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.prefixes = append(n.prefixes, prefixRoute{prefix: p, handler: h})
+	n.routes.Store(nil)
+}
+
+// table returns the current routes snapshot, copying the routes first
+// if a registration cleared it.
+func (n *MemNetwork) table() *routeTable {
+	if rt := n.routes.Load(); rt != nil {
+		return rt
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	rt := n.routes.Load()
+	if rt == nil {
+		rt = &routeTable{hosts: maps.Clone(n.hosts), prefixes: slices.Clone(n.prefixes)}
+		n.routes.Store(rt)
+	}
+	return rt
 }
 
 func (n *MemNetwork) route(addr netip.Addr) (Handler, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if h, ok := n.hosts[addr]; ok {
+	rt := n.table()
+	if h, ok := rt.hosts[addr]; ok {
 		return h, true
 	}
-	for _, pr := range n.prefixes {
+	for _, pr := range rt.prefixes {
 		if pr.prefix.Contains(addr) {
 			return pr.handler, true
 		}

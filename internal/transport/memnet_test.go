@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"net/netip"
+	"sync"
 	"testing"
 
 	"dnssecboot/internal/dnswire"
@@ -193,5 +194,55 @@ func TestMemNetworkEDNSPayloadFloor(t *testing.T) {
 				t.Errorf("UDP size %d, %d records: %d queries, want %d", size, tc.records, queries, tc.queries)
 			}
 		}
+	}
+}
+
+// TestMemNetworkRegisterDuringExchanges: routes added while exchanges
+// run reach every exchange that starts after them, and never disturb
+// the routes already there. Run under -race this is the check that an
+// exchange reads the routes without a lock.
+func TestMemNetworkRegisterDuringExchanges(t *testing.T) {
+	n := NewMemNetwork()
+	first := netip.MustParseAddr("192.0.2.1")
+	n.Register(first, echoHandler(dnswire.RcodeNoError))
+	const added = 200
+	done := make(chan struct{})
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q := dnswire.NewQuery(1, "example.", dnswire.TypeA)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, err := n.Exchange(context.Background(), netip.AddrPortFrom(first, 53), q); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	q := dnswire.NewQuery(2, "example.", dnswire.TypeA)
+	for i := range added {
+		addr := netip.AddrFrom4([4]byte{10, 0, byte(i / 250), byte(1 + i%250)})
+		if i%2 == 0 {
+			n.Register(addr, echoHandler(dnswire.RcodeNoError))
+		} else {
+			n.RegisterPrefix(netip.PrefixFrom(addr, 32), echoHandler(dnswire.RcodeNoError))
+		}
+		if _, err := n.Exchange(context.Background(), netip.AddrPortFrom(addr, 53), q); err != nil {
+			t.Fatalf("route %d (%s) just added: %v", i, addr, err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Errorf("exchange with the first route: %v", err)
 	}
 }

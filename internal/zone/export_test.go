@@ -16,5 +16,6 @@ func (z *Zone) RemoveName(name string) {
 	name = dnswire.CanonicalName(name)
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	z.storeLocked(name, nil)
+	z.buildLocked()
+	z.deleteLocked(z.ownerLocked(name))
 }

@@ -464,3 +464,99 @@ func TestStoreConcurrentReaders(t *testing.T) {
 		wg.Wait()
 	}
 }
+
+// TestReadersDuringRebuild: readers race a writer that adds and removes
+// sets, so reads keep finding the zone to rebuild. The writer touches
+// only AAAA sets, which the model never holds, at existing owners, a
+// new owner and a name below a cut, so every other read must give the
+// model's answer whichever state the writer is in; a churned set is
+// either empty or the one record added. Run it under -race.
+func TestReadersDuringRebuild(t *testing.T) {
+	churnOwners := []string{"a.example.", "churn.example.", "z.example.", "deep.ns.sub.example."}
+	churn := func(owner string) dnswire.RR {
+		return dnswire.RR{Name: owner, Class: dnswire.ClassIN, TTL: 300, Data: &dnswire.AAAA{Addr: netip.MustParseAddr("2001:db8::1")}}
+	}
+	for seed := range int64(4) {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 4*30)
+		rng.Read(data)
+		for i := 0; i < len(data); i += 4 {
+			if data[i]%10 >= 4 { // adds and RemoveSets only: the zone is signed once, below
+				data[i] = 0
+			}
+		}
+		r := newStoreRun(t, false)
+		r.run(data)
+		cfg := SignConfig{Now: testNow, SkipNSEC: seed%2 == 1}
+		if err := r.z.Sign(cfg); err != nil {
+			t.Fatal(err)
+		}
+		r.m.sign(cfg, r.z.Keys)
+		z, m := r.z, r.m
+		base := m.names()
+		names := append(slices.Clone(modelNames), "x.example.", "churn.example.")
+
+		done := make(chan struct{})
+		var writer sync.WaitGroup
+		writer.Add(1)
+		go func() {
+			defer writer.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				owner := churnOwners[i%len(churnOwners)]
+				z.MustAdd(churn(owner))
+				z.RemoveSet(owner, dnswire.TypeAAAA)
+			}
+		}()
+		var readers sync.WaitGroup
+		for reader := range 4 {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				rng := rand.New(rand.NewSource(int64(reader)))
+				for range 10 * len(names) {
+					name := names[rng.Intn(len(names))]
+					for _, typ := range modelTypes {
+						if got, want := rrText(z.AppendRRset(nil, name, typ)), rrText(m.set(name, typ)); got != want {
+							t.Errorf("reader %d: RRset %s %s:\n%s\nmodel\n%s", reader, name, typ, got, want)
+						}
+						if got, want := rrText(z.AppendSigs(nil, name, typ)), rrText(dnssec.SigsCovering(m.set(name, dnswire.TypeRRSIG), name, typ)); got != want {
+							t.Errorf("reader %d: Sigs %s %s:\n%s\nmodel\n%s", reader, name, typ, got, want)
+						}
+					}
+					if got := rrText(z.AppendRRset(nil, name, dnswire.TypeAAAA)); got != "" && got != rrText([]dnswire.RR{churn(name)}) {
+						t.Errorf("reader %d: churned AAAA at %s:\n%s", reader, name, got)
+					}
+					if got, want := z.FindCut(name), m.findCut(name); got != want {
+						t.Errorf("reader %d: FindCut %s = %q, model %q", reader, name, got, want)
+					}
+					got := z.Names()
+					if extra := slices.DeleteFunc(slices.Clone(got), func(n string) bool { return slices.Contains(base, n) }); len(extra) > 1 ||
+						len(extra) == 1 && !slices.Contains(churnOwners, extra[0]) || len(got)-len(extra) != len(base) ||
+						!slices.IsSortedFunc(got, compareOwners) {
+						t.Errorf("reader %d: Names %v, model %v", reader, got, base)
+					}
+				}
+			}()
+		}
+		readers.Wait()
+		close(done)
+		writer.Wait()
+	}
+}
+
+// findCut is FindCut on the model: the shallowest cut at or above
+// name, below the apex.
+func (m *model) findCut(name string) string {
+	cut := ""
+	for n := name; n != m.origin && n != "."; n = dnswire.Parent(n) {
+		if m.cut(n) {
+			cut = n
+		}
+	}
+	return cut
+}

@@ -92,14 +92,11 @@ func (z *Zone) Sign(cfg SignConfig) error {
 
 	z.Unsign()
 
-	// Publish DNSKEYs.
-	keyTTL := uint32(3600)
-	for _, k := range z.Keys {
-		z.MustAdd(dnswire.RR{Name: z.Origin, Class: z.Class, TTL: keyTTL, Data: k.DNSKEY()})
-	}
-
-	// Build the NSEC chain over authoritative names (cuts included,
-	// occluded names excluded).
+	// The chain covers the authoritative names: cuts included, occluded
+	// names excluded. Every name and bitmap is read before the first
+	// record is added, because an Add only appends and a read after it
+	// would build the zone again; the apex's bitmaps name the DNSKEY
+	// RRset published below.
 	nsecTTL := cfg.NSECTTL
 	if nsecTTL == 0 {
 		nsecTTL = soa.Data.(*dnswire.SOA).Minimum
@@ -111,34 +108,55 @@ func (z *Zone) Sign(cfg SignConfig) error {
 		}
 		authNames = append(authNames, n)
 	}
-	if cfg.SkipNSEC {
-		z.deferSigs(authNames, by)
-		return nil
-	}
-	if cfg.UseNSEC3 {
-		nsec3Names, err := z.buildNSEC3Chain(authNames, nsecTTL, cfg)
-		if err != nil {
+	var chain []dnswire.RR
+	switch {
+	case cfg.SkipNSEC:
+	case cfg.UseNSEC3:
+		var err error
+		if chain, err = z.nsec3Chain(authNames, nsecTTL, cfg); err != nil {
 			return err
 		}
-		z.deferSigs(append(authNames, nsec3Names...), by)
-		return nil
-	}
-	for i, name := range authNames {
-		next := authNames[(i+1)%len(authNames)]
-		types := z.TypesAt(name)
-		types = append(types, dnswire.TypeRRSIG, dnswire.TypeNSEC)
-		types = dedupeSortTypes(types)
-		if z.DelegationAt(name) {
-			// At a cut only NS (+DS) appear in the bitmap; no RRSIG for
-			// the NS set itself but the NSEC/DS at the cut are signed.
-			types = filterCutTypes(types, z, name)
+	default:
+		chain = make([]dnswire.RR, len(authNames))
+		for i, name := range authNames {
+			types := z.bitmap(name, dnswire.TypeRRSIG, dnswire.TypeNSEC)
+			chain[i] = dnswire.RR{Name: name, Class: z.Class, TTL: nsecTTL,
+				Data: &dnswire.NSEC{NextDomain: authNames[(i+1)%len(authNames)], Types: types}}
 		}
-		z.MustAdd(dnswire.RR{Name: name, Class: z.Class, TTL: nsecTTL,
-			Data: &dnswire.NSEC{NextDomain: next, Types: types}})
 	}
 
-	z.deferSigs(authNames, by)
+	// Publish DNSKEYs.
+	keyTTL := uint32(3600)
+	for _, k := range z.Keys {
+		z.MustAdd(dnswire.RR{Name: z.Origin, Class: z.Class, TTL: keyTTL, Data: k.DNSKEY()})
+	}
+	for _, rr := range chain {
+		z.MustAdd(rr)
+	}
+	z.deferSigs(by)
 	return nil
+}
+
+// bitmap returns the type bitmap of an NSEC or NSEC3 record at name:
+// the types present there plus extra, plus DNSKEY at the apex, sorted,
+// each once; at a zone cut only the types authoritative there.
+func (z *Zone) bitmap(name string, extra ...dnswire.Type) []dnswire.Type {
+	if name == z.Origin {
+		extra = append(extra, dnswire.TypeDNSKEY)
+	}
+	z.rlock()
+	lo, hi := z.ownerLocked(name)
+	own := z.recs[lo:hi]
+	types := appendTypes(make([]dnswire.Type, 0, len(own)+len(extra)), own)
+	cut := z.cutLocked(name)
+	z.mu.RUnlock()
+	types = dedupeSortTypes(append(types, extra...))
+	if cut {
+		// At a cut only NS (+DS) appear in the bitmap; no RRSIG for
+		// the NS set itself but the NSEC/DS at the cut are signed.
+		types = filterCutTypes(types)
+	}
+	return types
 }
 
 // signer is what one Sign call captured for the signatures it defers:
@@ -206,38 +224,66 @@ type pendingSig struct {
 func (*pendingSig) Type() dnswire.Type { return dnswire.TypeRRSIG }
 
 // deferSigs puts a placeholder for by's signatures over every
-// authoritative RRset at names: every type but RRSIG, and but NS at a
-// zone cut (delegation NS is not authoritative here). Sign has emptied
-// the RRSIG sets, so each holds its placeholders in eager signing's
-// order. One owner's placeholders share one allocation.
-func (z *Zone) deferSigs(names []string, by *signer) {
+// authoritative RRset: at every owner not below a zone cut, every type
+// but RRSIG, and but NS at a cut (delegation NS is not authoritative
+// here). Sign has emptied the RRSIG sets, so each holds its
+// placeholders in eager signing's order. The zone is rewritten into one
+// new slice, and all its placeholders share one allocation.
+func (z *Zone) deferSigs(by *signer) {
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	for _, name := range names {
-		recs := z.owners[name]
-		isCut := z.cutLocked(name)
-		var covered []dnswire.Type
-		for _, rr := range recs {
-			typ := rr.Type()
-			if rr.Class != z.Class || typ == dnswire.TypeRRSIG || (isCut && typ == dnswire.TypeNS) ||
-				(len(covered) > 0 && covered[len(covered)-1] == typ) {
-				continue
-			}
-			covered = append(covered, typ)
+	z.buildLocked()
+	var covered []dnswire.Type
+	n := 0
+	for i := 0; i < len(z.recs); i = ownerEnd(z.recs, i) {
+		covered = z.coveredLocked(covered[:0], i)
+		n += len(covered)
+	}
+	if n == 0 {
+		return
+	}
+	pending := make([]pendingSig, 0, n)
+	out := make([]dnswire.RR, 0, len(z.recs)+n)
+	for i := 0; i < len(z.recs); {
+		j := ownerEnd(z.recs, i)
+		own := z.recs[i:j]
+		covered = z.coveredLocked(covered[:0], i)
+		lo, hi := len(own), len(own)
+		if len(covered) > 0 {
+			lo, hi = span(own, dnswire.TypeRRSIG, z.Class)
 		}
-		if len(covered) == 0 {
+		out = append(out, own[:lo]...)
+		for _, typ := range covered {
+			pending = append(pending, pendingSig{covered: typ, by: by})
+			out = append(out, dnswire.RR{Name: own[0].Name, Class: z.Class, Data: &pending[len(pending)-1]})
+		}
+		out = append(out, own[hi:]...)
+		i = j
+	}
+	z.recs, z.sorted = out, len(out)
+	z.index = indexOwners(out)
+	z.lazy = true
+}
+
+// coveredLocked appends to dst the types Sign signs at the owner whose
+// records start at recs[i]: none below a cut, else each type of the
+// zone's class but RRSIG, and but NS at a cut.
+func (z *Zone) coveredLocked(dst []dnswire.Type, i int) []dnswire.Type {
+	name := z.recs[i].Name
+	if z.occludedLocked(name) {
+		return dst
+	}
+	isCut := z.cutLocked(name)
+	n := len(dst)
+	for _, rr := range z.recs[i:ownerEnd(z.recs, i)] {
+		typ := rr.Type()
+		if rr.Class != z.Class || typ == dnswire.TypeRRSIG || (isCut && typ == dnswire.TypeNS) ||
+			(len(dst) > n && dst[len(dst)-1] == typ) {
 			continue
 		}
-		pending := make([]pendingSig, len(covered))
-		placeholders := make([]dnswire.RR, len(covered))
-		for i, typ := range covered {
-			pending[i] = pendingSig{covered: typ, by: by}
-			placeholders[i] = dnswire.RR{Name: name, Class: z.Class, Data: &pending[i]}
-		}
-		lo, hi := span(recs, dnswire.TypeRRSIG, z.Class)
-		z.owners[name] = slices.Replace(recs, lo, hi, placeholders...)
-		z.lazy = true
+		dst = append(dst, typ)
 	}
+	return dst
 }
 
 // AppendSigs appends the RRSIGs at owner covering covered to dst and
@@ -248,7 +294,7 @@ func (z *Zone) deferSigs(names []string, by *signer) {
 func (z *Zone) AppendSigs(dst []dnswire.RR, owner string, covered dnswire.Type) []dnswire.RR {
 	owner = dnswire.CanonicalName(owner)
 	n := len(dst)
-	z.mu.RLock()
+	z.rlock()
 	dst, p := z.appendSigsLocked(dst, owner, covered)
 	if p == nil {
 		z.mu.RUnlock()
@@ -259,12 +305,13 @@ func (z *Zone) AppendSigs(dst []dnswire.RR, owner string, covered dnswire.Type) 
 	made := p.by.sign(set, covered)
 	z.mu.Lock()
 	defer z.mu.Unlock()
+	z.buildLocked()
 	switch i, q := z.placeholderLocked(owner, covered); q {
 	case nil: // another reader or a write made them meanwhile
 	case p:
-		z.replaceLocked(owner, i, made)
+		z.replaceLocked(i, made)
 	default: // a later Sign's
-		z.makeLocked(owner, i, q)
+		z.makeLocked(i, q)
 	}
 	dst, _ = z.appendSigsLocked(dst[:n], owner, covered)
 	return dst
@@ -291,36 +338,36 @@ func (z *Zone) appendSigsLocked(dst []dnswire.RR, owner string, covered dnswire.
 }
 
 // placeholderLocked finds the placeholder for covered among owner's
-// records, or with covered 0 the first one: its index in the owner's
-// slice and itself, or -1 and nil.
+// records, or with covered 0 the first one: its offset in the built
+// zone and itself, or -1 and nil.
 func (z *Zone) placeholderLocked(owner string, covered dnswire.Type) (int, *pendingSig) {
-	recs := z.owners[owner]
-	lo, hi := span(recs, dnswire.TypeRRSIG, z.Class)
-	for i := lo; i < hi; i++ {
-		if p, ok := recs[i].Data.(*pendingSig); ok && (covered == 0 || p.covered == covered) {
+	lo, hi := z.ownerLocked(owner)
+	slo, shi := span(z.recs[lo:hi], dnswire.TypeRRSIG, z.Class)
+	for i := lo + slo; i < lo+shi; i++ {
+		if p, ok := z.recs[i].Data.(*pendingSig); ok && (covered == 0 || p.covered == covered) {
 			return i, p
 		}
 	}
 	return -1, nil
 }
 
-// makeLocked replaces the placeholder p, at index i of owner's
-// records, with its signatures over the RRset as it is now.
-func (z *Zone) makeLocked(owner string, i int, p *pendingSig) {
-	z.replaceLocked(owner, i, p.by.sign(z.setLocked(owner, p.covered), p.covered))
+// makeLocked replaces the placeholder p, at offset i of the built zone,
+// with its signatures over the RRset as it is now.
+func (z *Zone) makeLocked(i int, p *pendingSig) {
+	z.replaceLocked(i, p.by.sign(z.setLocked(z.recs[i].Name, p.covered), p.covered))
 }
 
 // signPendingLocked makes the pending signatures over (owner, typ), if
 // any.
 func (z *Zone) signPendingLocked(owner string, typ dnswire.Type) {
 	if i, p := z.placeholderLocked(owner, typ); p != nil {
-		z.makeLocked(owner, i, p)
+		z.makeLocked(i, p)
 	}
 }
 
 // signOwner makes every pending signature at owner.
 func (z *Zone) signOwner(owner string) {
-	z.mu.RLock()
+	z.rlock()
 	_, p := z.placeholderLocked(owner, 0)
 	z.mu.RUnlock()
 	if p == nil {
@@ -328,32 +375,67 @@ func (z *Zone) signOwner(owner string) {
 	}
 	z.mu.Lock()
 	defer z.mu.Unlock()
+	z.buildLocked()
 	z.signOwnerLocked(owner)
 }
 
 func (z *Zone) signOwnerLocked(owner string) {
 	for i, p := z.placeholderLocked(owner, 0); p != nil; i, p = z.placeholderLocked(owner, 0) {
-		z.makeLocked(owner, i, p)
+		z.makeLocked(i, p)
 	}
 }
 
-// replaceLocked puts sigs in place of the placeholder at index i of
-// owner's records.
-func (z *Zone) replaceLocked(owner string, i int, sigs []dnswire.RR) {
-	z.storeLocked(owner, slices.Replace(z.owners[owner], i, i+1, sigs...))
+// signAll makes every pending signature in the zone.
+func (z *Zone) signAll() {
+	z.mu.RLock()
+	lazy := z.lazy
+	z.mu.RUnlock()
+	if !lazy {
+		return
+	}
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	z.buildLocked()
+	z.signAllLocked()
 }
 
-// buildNSEC3Chain hashes every authoritative name, sorts the hashes,
-// and installs the NSEC3 records plus the apex NSEC3PARAM (RFC 5155
-// §7.1). It returns the NSEC3 owner names so they can be signed.
-func (z *Zone) buildNSEC3Chain(authNames []string, ttl uint32, cfg SignConfig) ([]string, error) {
-	z.MustAdd(dnswire.RR{Name: z.Origin, Class: z.Class, TTL: 0, Data: &dnswire.NSEC3PARAM{
-		HashAlg: dnssec.NSEC3HashAlgSHA1, Iterations: cfg.NSEC3Iterations, Salt: cfg.NSEC3Salt,
-	}})
+// signAllLocked makes every pending signature in the built zone, which
+// then holds no placeholder.
+func (z *Zone) signAllLocked() {
+	if !z.lazy {
+		return
+	}
+	for i := 0; i < len(z.recs); {
+		if p, ok := z.recs[i].Data.(*pendingSig); ok {
+			z.makeLocked(i, p) // offset i now holds what replaced p
+			continue
+		}
+		i++
+	}
+	z.lazy = false
+}
+
+// replaceLocked puts sigs in place of the placeholder at offset i of the
+// built zone. One signature takes its slot; any other number moves the
+// records after it, so the zone is indexed again and stays built.
+func (z *Zone) replaceLocked(i int, sigs []dnswire.RR) {
+	if len(sigs) == 1 {
+		z.recs[i] = sigs[0]
+		return
+	}
+	z.recs = slices.Replace(z.recs, i, i+1, sigs...)
+	z.sorted = len(z.recs)
+	z.index = indexOwners(z.recs)
+}
+
+// nsec3Chain hashes every authoritative name, sorts the hashes, and
+// returns the NSEC3 records plus the apex NSEC3PARAM (RFC 5155 §7.1)
+// for Sign to add.
+func (z *Zone) nsec3Chain(authNames []string, ttl uint32, cfg SignConfig) ([]dnswire.RR, error) {
 	type hashed struct {
-		hash  []byte
-		owner string
-		name  string
+		hash   []byte
+		owner  string
+		bitmap []dnswire.Type
 	}
 	entries := make([]hashed, 0, len(authNames))
 	for _, name := range authNames {
@@ -365,33 +447,29 @@ func (z *Zone) buildNSEC3Chain(authNames []string, ttl uint32, cfg SignConfig) (
 		if err != nil {
 			return nil, err
 		}
-		entries = append(entries, hashed{hash: h, owner: owner, name: name})
+		extra := []dnswire.Type{dnswire.TypeRRSIG}
+		if name == z.Origin {
+			extra = append(extra, dnswire.TypeNSEC3PARAM)
+		}
+		entries = append(entries, hashed{hash: h, owner: owner, bitmap: z.bitmap(name, extra...)})
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		return bytes.Compare(entries[i].hash, entries[j].hash) < 0
 	})
-	var owners []string
+	chain := make([]dnswire.RR, 0, 1+len(entries))
+	chain = append(chain, dnswire.RR{Name: z.Origin, Class: z.Class, TTL: 0, Data: &dnswire.NSEC3PARAM{
+		HashAlg: dnssec.NSEC3HashAlgSHA1, Iterations: cfg.NSEC3Iterations, Salt: cfg.NSEC3Salt,
+	}})
 	for i, e := range entries {
-		next := entries[(i+1)%len(entries)]
-		types := z.TypesAt(e.name)
-		types = append(types, dnswire.TypeRRSIG)
-		if e.name == z.Origin {
-			types = append(types, dnswire.TypeNSEC3PARAM)
-		}
-		types = dedupeSortTypes(types)
-		if z.DelegationAt(e.name) {
-			types = filterCutTypes(types, z, e.name)
-		}
-		z.MustAdd(dnswire.RR{Name: e.owner, Class: z.Class, TTL: ttl, Data: &dnswire.NSEC3{
+		chain = append(chain, dnswire.RR{Name: e.owner, Class: z.Class, TTL: ttl, Data: &dnswire.NSEC3{
 			HashAlg:    dnssec.NSEC3HashAlgSHA1,
 			Iterations: cfg.NSEC3Iterations,
 			Salt:       cfg.NSEC3Salt,
-			NextHashed: next.hash,
-			Types:      types,
+			NextHashed: entries[(i+1)%len(entries)].hash,
+			Types:      e.bitmap,
 		}})
-		owners = append(owners, e.owner)
 	}
-	return owners, nil
+	return chain, nil
 }
 
 // ResignRRset refreshes the RRSIG over one RRset (owner, typ) in an
@@ -440,18 +518,21 @@ func (z *Zone) ResignRRset(owner string, typ dnswire.Type, cfg SignConfig) error
 func (z *Zone) Unsign() {
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	dnssecRecord := func(rr dnswire.RR) bool {
+	z.buildLocked()
+	n := len(z.recs)
+	z.recs = slices.DeleteFunc(z.recs, func(rr dnswire.RR) bool {
 		switch rr.Type() {
 		case dnswire.TypeRRSIG, dnswire.TypeNSEC, dnswire.TypeNSEC3, dnswire.TypeNSEC3PARAM, dnswire.TypeDNSKEY:
 			return rr.Class == z.Class
 		}
 		return false
+	})
+	if len(z.recs) < n {
+		z.sorted = len(z.recs)
+		z.index = nil
 	}
-	for owner, recs := range z.owners {
-		if slices.ContainsFunc(recs, dnssecRecord) {
-			z.storeLocked(owner, slices.DeleteFunc(recs, dnssecRecord))
-		}
-	}
+	// Every placeholder was an RRSIG of the zone's class.
+	z.lazy = false
 }
 
 // PublishCDS installs CDS and CDNSKEY RRsets derived from the zone's
@@ -548,7 +629,7 @@ func dedupeSortTypes(types []dnswire.Type) []dnswire.Type {
 // filterCutTypes restricts an NSEC bitmap at a delegation to the types
 // that are authoritative at a cut: NS, DS and NSEC itself (RFC 4035
 // §2.3: the parent zone lists only NS/DS/NSEC/RRSIG at cuts).
-func filterCutTypes(types []dnswire.Type, z *Zone, name string) []dnswire.Type {
+func filterCutTypes(types []dnswire.Type) []dnswire.Type {
 	out := types[:0]
 	for _, t := range types {
 		switch t {

@@ -7,6 +7,7 @@ package zone
 
 import (
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"sort"
 	"strings"
@@ -21,19 +22,23 @@ import (
 type Zone struct {
 	Origin string
 	Class  dnswire.Class
+	// lazy, guarded by mu, is set once Sign has deferred a signature:
+	// from then on an RRSIG set may hold pendingSig placeholders. It
+	// sits beside Class so the struct packs into 128 bytes.
+	lazy bool
 
 	mu sync.RWMutex
-	// owners holds each owner name's records in one slice: RRsets are
-	// contiguous runs ordered by type, then class, ascending, and each
-	// keeps its insertion order. An owner without records has no entry.
-	owners map[string][]dnswire.RR
-	// namesCache holds the owner names in canonical order; it is
-	// dropped when an owner appears or disappears and rebuilt lazily,
-	// keeping NXDOMAIN proofs O(log n) even in very large zones.
-	namesCache []string
-	// lazy is set once Sign has deferred a signature: from then on an
-	// RRSIG set may hold pendingSig placeholders.
-	lazy bool
+	// recs holds every record of the zone in one slice. Built, it is
+	// sorted by canonical owner, then type, then class, each RRset
+	// keeps its insertion order, and an owner's records share one name
+	// string. Add appends after the built records; the first read after
+	// that builds the slice again (buildLocked).
+	recs []dnswire.RR
+	// sorted counts the leading records that are in built form.
+	sorted int
+	// index finds each owner's first record in the built slice (find);
+	// nil when records have moved since it was made.
+	index []uint32
 
 	// Keys holds the zone's signing keys when it is DNSSEC-signed.
 	// The first SEP key is used as the KSK, the first non-SEP key as
@@ -46,8 +51,208 @@ func New(origin string) *Zone {
 	return &Zone{
 		Origin: dnswire.CanonicalName(origin),
 		Class:  dnswire.ClassIN,
-		owners: make(map[string][]dnswire.RR),
+		index:  noOwners,
 	}
+}
+
+// noOwners is the index of a zone without records: one empty slot. It
+// is shared, so it is never written.
+var noOwners = []uint32{0}
+
+// ownerSeed keys the owner index's hash. The index is never iterated,
+// so the per-process seed changes no output.
+var ownerSeed = maphash.MakeSeed()
+
+// rlock read-locks the zone in built form. A reader that finds records
+// appended or moved since the last build builds it under the write lock
+// first, so readers holding the read lock never change the zone.
+func (z *Zone) rlock() {
+	z.mu.RLock()
+	for z.index == nil || z.sorted < len(z.recs) {
+		z.mu.RUnlock()
+		z.mu.Lock()
+		z.buildLocked()
+		z.mu.Unlock()
+		z.mu.RLock()
+	}
+}
+
+// Build puts the zone in the form its reads need now rather than at
+// the first read after a write: a generator calls it on a finished
+// zone, so the zone it serves is never rebuilt while it is read.
+func (z *Zone) Build() {
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	z.buildLocked()
+}
+
+// buildLocked sorts the records appended since the last build in among
+// the built ones, applying Add's RRset rule to them, and remakes the
+// owner index. Every write that looks a record up calls it first.
+func (z *Zone) buildLocked() {
+	if z.sorted < len(z.recs) {
+		z.recs = merge(z.recs[:z.sorted], z.recs[z.sorted:])
+		z.sorted = len(z.recs)
+		z.index = nil
+	}
+	if z.index == nil {
+		z.index = indexOwners(z.recs)
+	}
+}
+
+// merge returns built, a zone's built records, with added, the records
+// appended since, sorted in. Each added record joins its RRset as Add
+// always has: it replaces an identical record in place, or else goes to
+// the end of the set. It allocates one slice for the result.
+func merge(built, added []dnswire.RR) []dnswire.RR {
+	// Sort added's runs of one owner by owner, then by position, so an
+	// owner's records keep their order: a generator appends an owner's
+	// records together, so there are far fewer runs than records.
+	type run struct{ lo, hi int }
+	var small [16]run // a generated child zone has a few runs
+	runs := small[:0]
+	for i := 0; i < len(added); {
+		j := ownerEnd(added, i)
+		runs = append(runs, run{i, j})
+		i = j
+	}
+	slices.SortFunc(runs, func(a, b run) int {
+		if c := compareOwners(added[a.lo].Name, added[b.lo].Name); c != 0 {
+			return c
+		}
+		return a.lo - b.lo
+	})
+	out := make([]dnswire.RR, 0, len(built)+len(added))
+	i := 0
+	for r := 0; r < len(runs); {
+		owner := added[runs[r].lo].Name
+		j := seek(built, i, owner)
+		out = append(out, built[i:j]...)
+		start := len(out)
+		if j < len(built) && built[j].Name == owner {
+			owner = built[j].Name
+			i = ownerEnd(built, j)
+			out = append(out, built[j:i]...)
+		} else {
+			i = j
+		}
+		for ; r < len(runs) && added[runs[r].lo].Name == owner; r++ {
+			for _, rr := range added[runs[r].lo:runs[r].hi] {
+				rr.Name = owner
+				out = addToOwner(out, start, rr)
+			}
+		}
+	}
+	return append(out, built[i:]...)
+}
+
+// addToOwner adds rr to the owner's records at recs[start:], which
+// end recs: an identical record is replaced in place, else rr goes to
+// the end of its RRset.
+func addToOwner(recs []dnswire.RR, start int, rr dnswire.RR) []dnswire.RR {
+	lo, hi := span(recs[start:], rr.Type(), rr.Class)
+	for i := start + lo; i < start+hi; i++ {
+		if recs[i].Equal(rr) {
+			recs[i] = rr
+			return recs
+		}
+	}
+	return slices.Insert(recs, start+hi, rr)
+}
+
+// compareOwners orders owner names canonically. Two different strings
+// never compare equal, so each owner's records stay one run.
+func compareOwners(a, b string) int {
+	if a == b {
+		return 0
+	}
+	if c := dnswire.CanonicalNameCompare(a, b); c != 0 {
+		return c
+	}
+	return strings.Compare(a, b)
+}
+
+// seek returns the first index at or after i of the sorted recs whose
+// owner does not sort before owner. It gallops from i, because the
+// next owner merged in is usually close.
+func seek(recs []dnswire.RR, i int, owner string) int {
+	lo, hi, step := i, i, 1
+	for hi < len(recs) && compareOwners(recs[hi].Name, owner) < 0 {
+		lo = hi + 1
+		hi = lo + step
+		step *= 2
+	}
+	hi = min(hi, len(recs))
+	return lo + sort.Search(hi-lo, func(k int) bool { return compareOwners(recs[lo+k].Name, owner) >= 0 })
+}
+
+// ownerEnd returns the end of the run of records at recs[i]'s owner.
+func ownerEnd(recs []dnswire.RR, i int) int {
+	own := recs[i].Name
+	j := i + 1
+	for j < len(recs) && recs[j].Name == own {
+		j++
+	}
+	return j
+}
+
+// countOwners returns the number of owners of sorted records.
+func countOwners(recs []dnswire.RR) int {
+	n := 0
+	for i := 0; i < len(recs); i = ownerEnd(recs, i) {
+		n++
+	}
+	return n
+}
+
+// indexOwners returns the owner index of built records: an
+// open-addressed table of at least two slots per owner, each nonzero
+// slot one plus the offset of an owner's first record, found by linear
+// probing from the owner's hash.
+func indexOwners(recs []dnswire.RR) []uint32 {
+	owners := countOwners(recs)
+	if owners == 0 {
+		return noOwners
+	}
+	size := 2
+	for size < 2*owners {
+		size <<= 1
+	}
+	index := make([]uint32, size)
+	mask := uint64(size - 1)
+	for i := 0; i < len(recs); i = ownerEnd(recs, i) {
+		s := maphash.String(ownerSeed, recs[i].Name) & mask
+		for index[s] != 0 {
+			s = (s + 1) & mask
+		}
+		index[s] = uint32(i + 1)
+	}
+	return index
+}
+
+// find returns the offset of owner's first record in the built zone,
+// or -1.
+func (z *Zone) find(owner string) int {
+	mask := uint64(len(z.index) - 1)
+	for s := maphash.String(ownerSeed, owner) & mask; ; s = (s + 1) & mask {
+		v := z.index[s]
+		if v == 0 {
+			return -1
+		}
+		if z.recs[v-1].Name == owner {
+			return int(v - 1)
+		}
+	}
+}
+
+// ownerLocked returns the bounds [lo, hi) of owner's records in the
+// built zone; they are empty when it has none.
+func (z *Zone) ownerLocked(owner string) (lo, hi int) {
+	i := z.find(owner)
+	if i < 0 {
+		return 0, 0
+	}
+	return i, ownerEnd(z.recs, i)
 }
 
 // span returns the bounds [lo, hi) of the RRset (typ, class) in recs,
@@ -70,30 +275,29 @@ func span(recs []dnswire.RR, typ dnswire.Type, class dnswire.Class) (lo, hi int)
 // setLocked returns owner's RRset (typ) of the zone's class, which
 // aliases the store.
 func (z *Zone) setLocked(owner string, typ dnswire.Type) []dnswire.RR {
-	recs := z.owners[owner]
-	lo, hi := span(recs, typ, z.Class)
-	return recs[lo:hi]
+	lo, hi := z.ownerLocked(owner)
+	own := z.recs[lo:hi]
+	slo, shi := span(own, typ, z.Class)
+	return own[slo:shi]
 }
 
-// storeLocked makes recs owner's records, dropping the names cache
-// only when the owner appears or disappears.
-func (z *Zone) storeLocked(owner string, recs []dnswire.RR) {
-	_, had := z.owners[owner]
-	if len(recs) == 0 {
-		delete(z.owners, owner)
-	} else {
-		z.owners[owner] = recs
+// deleteLocked removes the records [lo, hi) of the built zone.
+func (z *Zone) deleteLocked(lo, hi int) {
+	if lo == hi {
+		return
 	}
-	if had != (len(recs) > 0) {
-		z.namesCache = nil
-	}
+	z.recs = slices.Delete(z.recs, lo, hi)
+	z.sorted = len(z.recs)
+	z.index = nil
 }
 
 // Add inserts rr into the zone, replacing an identical record if
 // present (RRset semantics: no duplicate RDATA within a set). A pending
 // signature over the RRset it joins is made first, and so are all the
 // owner's when rr is itself an RRSIG, so the zone ends as eager signing
-// would have left it.
+// would have left it. Only then does Add look anything up: on a zone
+// without pending signatures it appends, and the next read sorts the
+// record in.
 func (z *Zone) Add(rr dnswire.RR) error {
 	rr.Name = dnswire.CanonicalName(rr.Name)
 	if !dnswire.IsSubdomain(rr.Name, z.Origin) {
@@ -104,23 +308,19 @@ func (z *Zone) Add(rr dnswire.RR) error {
 	}
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	typ := rr.Type()
 	if z.lazy {
-		if typ == dnswire.TypeRRSIG {
+		z.buildLocked()
+		if typ := rr.Type(); typ == dnswire.TypeRRSIG {
 			z.signOwnerLocked(rr.Name)
 		} else {
 			z.signPendingLocked(rr.Name, typ)
 		}
 	}
-	recs := z.owners[rr.Name]
-	lo, hi := span(recs, typ, rr.Class)
-	for i := lo; i < hi; i++ {
-		if recs[i].Equal(rr) {
-			recs[i] = rr
-			return nil
-		}
+	if z.recs == nil {
+		// A generated child zone's records, appended one by one, fit.
+		z.recs = make([]dnswire.RR, 0, 8)
 	}
-	z.storeLocked(rr.Name, slices.Insert(recs, hi, rr))
+	z.recs = append(z.recs, rr)
 	return nil
 }
 
@@ -139,13 +339,13 @@ func (z *Zone) RemoveSet(name string, typ dnswire.Type) {
 	z.mu.Lock()
 	defer z.mu.Unlock()
 	cn := dnswire.CanonicalName(name)
+	z.buildLocked()
 	if z.lazy && typ != dnswire.TypeRRSIG {
 		z.signPendingLocked(cn, typ)
 	}
-	recs := z.owners[cn]
-	if lo, hi := span(recs, typ, z.Class); lo < hi {
-		z.storeLocked(cn, slices.Delete(recs, lo, hi))
-	}
+	lo, hi := z.ownerLocked(cn)
+	slo, shi := span(z.recs[lo:hi], typ, z.Class)
+	z.deleteLocked(lo+slo, lo+shi)
 }
 
 // RRset returns a copy of the RRset (name, type), or nil. The RRSIG set
@@ -163,7 +363,7 @@ func (z *Zone) AppendRRset(dst []dnswire.RR, name string, typ dnswire.Type) []dn
 	if typ == dnswire.TypeRRSIG {
 		z.signOwner(name)
 	}
-	z.mu.RLock()
+	z.rlock()
 	defer z.mu.RUnlock()
 	return append(dst, z.setLocked(name, typ)...)
 }
@@ -177,7 +377,7 @@ func (z *Zone) First(name string, typ dnswire.Type) (dnswire.RR, bool) {
 	if typ == dnswire.TypeRRSIG {
 		z.signOwner(name)
 	}
-	z.mu.RLock()
+	z.rlock()
 	defer z.mu.RUnlock()
 	if set := z.setLocked(name, typ); len(set) > 0 {
 		return set[0], true
@@ -189,71 +389,83 @@ func (z *Zone) First(name string, typ dnswire.Type) (dnswire.RR, bool) {
 // An empty non-terminal — a name with no records of its own but with
 // records beneath it — exists (RFC 4592 §2.2.2), so it gets NODATA,
 // never NXDOMAIN (RFC 8020 §2). Descendants sort right after name in
-// canonical order, so the first name ≥ name decides.
+// canonical order, so the first record at or after name decides.
 func (z *Zone) NameExists(name string) bool {
 	name = dnswire.CanonicalName(name)
-	z.mu.RLock()
-	_, own := z.owners[name]
-	z.mu.RUnlock()
-	if own {
+	z.rlock()
+	defer z.mu.RUnlock()
+	if z.find(name) >= 0 {
 		return true
 	}
-	names := z.Names()
-	i := sort.Search(len(names), func(i int) bool { return !dnswire.CanonicalNameLess(names[i], name) })
-	return i < len(names) && dnswire.IsSubdomain(names[i], name)
+	i := z.searchLocked(name)
+	return i < len(z.recs) && dnswire.IsSubdomain(z.recs[i].Name, name)
+}
+
+// searchLocked returns the offset of the first record of the built zone
+// whose owner does not sort before name.
+func (z *Zone) searchLocked(name string) int {
+	return sort.Search(len(z.recs), func(i int) bool { return !dnswire.CanonicalNameLess(z.recs[i].Name, name) })
+}
+
+// Preceding returns the first record of type typ at the last owner
+// that sorts canonically before name and has one: the NSEC whose
+// interval may cover a name the zone does not hold.
+func (z *Zone) Preceding(name string, typ dnswire.Type) (dnswire.RR, bool) {
+	name = dnswire.CanonicalName(name)
+	z.rlock()
+	defer z.mu.RUnlock()
+	for i := z.searchLocked(name) - 1; i >= 0; i-- {
+		if rr := z.recs[i]; rr.Class == z.Class && rr.Type() == typ {
+			return z.setLocked(rr.Name, typ)[0], true
+		}
+	}
+	return dnswire.RR{}, false
 }
 
 // TypesAt returns the sorted set of record types present at name.
 func (z *Zone) TypesAt(name string) []dnswire.Type {
 	name = dnswire.CanonicalName(name)
-	z.mu.RLock()
+	z.rlock()
 	defer z.mu.RUnlock()
-	var types []dnswire.Type
-	for _, rr := range z.owners[name] {
-		if t := rr.Type(); len(types) == 0 || types[len(types)-1] != t {
-			types = append(types, t)
+	lo, hi := z.ownerLocked(name)
+	return appendTypes(nil, z.recs[lo:hi])
+}
+
+// appendTypes appends the types of own, one owner's records, to dst,
+// each once.
+func appendTypes(dst []dnswire.Type, own []dnswire.RR) []dnswire.Type {
+	n := len(dst)
+	for _, rr := range own {
+		if t := rr.Type(); len(dst) == n || dst[len(dst)-1] != t {
+			dst = append(dst, t)
 		}
 	}
-	return types
+	return dst
 }
 
 // Names returns every owner name in the zone in DNSSEC canonical
-// order. The result is cached until an owner appears or disappears;
-// callers must not modify the returned slice.
+// order, in a slice made for the call.
 func (z *Zone) Names() []string {
-	z.mu.RLock()
-	cached := z.namesCache
-	z.mu.RUnlock()
-	if cached != nil {
-		return cached
+	z.rlock()
+	defer z.mu.RUnlock()
+	names := make([]string, 0, countOwners(z.recs))
+	for i := 0; i < len(z.recs); i = ownerEnd(z.recs, i) {
+		names = append(names, z.recs[i].Name)
 	}
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	if z.namesCache != nil {
-		return z.namesCache
-	}
-	names := make([]string, 0, len(z.owners))
-	for name := range z.owners {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool { return dnswire.CanonicalNameLess(names[i], names[j]) })
-	z.namesCache = names
 	return names
 }
 
 // All returns every record in the zone, grouped by owner in canonical
 // order, types ascending within an owner.
 func (z *Zone) All() []dnswire.RR {
-	var out []dnswire.RR
-	for _, n := range z.Names() {
-		z.signOwner(n)
-		z.mu.RLock()
-		for _, rr := range z.owners[n] {
-			if rr.Class == z.Class {
-				out = append(out, rr)
-			}
+	z.signAll()
+	z.rlock()
+	defer z.mu.RUnlock()
+	out := make([]dnswire.RR, 0, len(z.recs))
+	for _, rr := range z.recs {
+		if rr.Class == z.Class {
+			out = append(out, rr)
 		}
-		z.mu.RUnlock()
 	}
 	return out
 }
@@ -283,7 +495,7 @@ func (z *Zone) NSHosts() []string {
 // at a name strictly below the apex.
 func (z *Zone) DelegationAt(name string) bool {
 	name = dnswire.CanonicalName(name)
-	z.mu.RLock()
+	z.rlock()
 	defer z.mu.RUnlock()
 	return z.cutLocked(name)
 }
@@ -299,7 +511,7 @@ func (z *Zone) FindCut(qname string) string {
 	qname = dnswire.CanonicalName(qname)
 	// Inspect every ancestor of qname strictly below the apex: the
 	// shallowest cut wins, the last one found on the way up.
-	z.mu.RLock()
+	z.rlock()
 	defer z.mu.RUnlock()
 	cut := ""
 	for n := qname; n != z.Origin && n != "."; n = dnswire.Parent(n) {
@@ -310,11 +522,27 @@ func (z *Zone) FindCut(qname string) string {
 	return cut
 }
 
+// occludedLocked reports whether a strict ancestor of name below the
+// apex is a zone cut.
+func (z *Zone) occludedLocked(name string) bool {
+	if name == z.Origin || name == "." {
+		return false
+	}
+	for n := dnswire.Parent(name); n != z.Origin && n != "."; n = dnswire.Parent(n) {
+		if z.cutLocked(n) {
+			return true
+		}
+	}
+	return false
+}
+
 // Occluded reports whether name sits strictly below a zone cut (glue
 // and other below-cut data are not authoritative and never signed).
 func (z *Zone) Occluded(name string) bool {
-	cut := z.FindCut(name)
-	return cut != "" && dnswire.CanonicalName(name) != cut
+	name = dnswire.CanonicalName(name)
+	z.rlock()
+	defer z.mu.RUnlock()
+	return z.occludedLocked(name)
 }
 
 // WildcardFor returns the wildcard owner ("*.<closest encloser>") that
@@ -355,16 +583,13 @@ func (z *Zone) SetBasics(primaryNS string, nsHosts []string, serial uint32) {
 // Size returns the number of records in the zone, counting pending
 // signatures without making them.
 func (z *Zone) Size() int {
-	z.mu.RLock()
+	z.rlock()
 	defer z.mu.RUnlock()
-	n := 0
-	for _, recs := range z.owners {
-		n += len(recs)
-		if z.lazy {
-			for _, rr := range recs {
-				if p, ok := rr.Data.(*pendingSig); ok {
-					n += len(p.by.keys(p.covered)) - 1
-				}
+	n := len(z.recs)
+	if z.lazy {
+		for _, rr := range z.recs {
+			if p, ok := rr.Data.(*pendingSig); ok {
+				n += len(p.by.keys(p.covered)) - 1
 			}
 		}
 	}
@@ -378,20 +603,17 @@ func (z *Zone) Size() int {
 func (z *Zone) Clone() *Zone {
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	if z.lazy {
-		for owner := range z.owners {
-			z.signOwnerLocked(owner)
-		}
+	z.buildLocked()
+	z.signAllLocked()
+	return &Zone{
+		Origin: z.Origin,
+		Class:  z.Class,
+		recs:   slices.Clone(z.recs),
+		sorted: len(z.recs),
+		// An index is never written once made, only replaced.
+		index: z.index,
+		Keys:  append([]*dnssec.Key(nil), z.Keys...),
 	}
-	c := New(z.Origin)
-	c.Class = z.Class
-	c.Keys = append([]*dnssec.Key(nil), z.Keys...)
-	for owner, recs := range z.owners {
-		c.owners[owner] = slices.Clone(recs)
-	}
-	// The cache is never written in place, only replaced.
-	c.namesCache = z.namesCache
-	return c
 }
 
 // IsSigned reports whether the zone currently contains a DNSKEY RRset.
