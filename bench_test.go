@@ -230,6 +230,23 @@ func BenchmarkScanStream(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerate measures world generation at scale 20000 (14 470
+// zones): the sequential plan and publish phases and the parallel
+// materialising and signing, on GOMAXPROCS goroutines (set it with
+// -cpu).
+func BenchmarkGenerate(b *testing.B) {
+	b.ReportAllocs()
+	zones := 0
+	for i := 0; i < b.N; i++ {
+		world, err := ecosystem.Generate(ecosystem.Config{Seed: 1, ScaleDivisor: 20_000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		zones += len(world.Targets)
+	}
+	b.ReportMetric(float64(zones)/b.Elapsed().Seconds(), "zones/s")
+}
+
 // BenchmarkJSONLWrite measures the JSONL export (`-dump`) alone: every
 // observation of a scale-200000 world written through one JSONLWriter
 // to a discarding writer. An op is the whole set; ns/record and
@@ -567,10 +584,10 @@ func BenchmarkChainValidationUncached(b *testing.B) {
 
 func firstSignalTarget(b *testing.B, study *core.Study) string {
 	b.Helper()
-	for _, tr := range study.World.Truth {
+	for zone, tr := range study.World.Truth {
 		if tr.Operator == "Cloudflare" && tr.Spec.Signal && tr.Spec.State == ecosystem.StateIsland &&
 			tr.Spec.SignalAnomaly == ecosystem.SigOK && tr.Spec.CDS == ecosystem.CDSMatch && !tr.Spec.CDSInconsistent {
-			return tr.Zone
+			return zone
 		}
 	}
 	b.Fatal("no signal target")

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"dnssecboot/internal/core"
@@ -34,8 +35,9 @@ func worldDigest(t *testing.T, w *ecosystem.Ecosystem) string {
 }
 
 // TestWorldDigest is the byte oracle for the whole world: the zones are
-// the same right after Generate and after a full scan has read them in
-// scan order with four workers.
+// the same right after Generate, whether it materialises them on one
+// goroutine or four, and after a full scan has read them in scan order
+// with four workers.
 func TestWorldDigest(t *testing.T) {
 	for _, scale := range []int{200_000, 20_000} {
 		t.Run(fmt.Sprint(scale), func(t *testing.T) {
@@ -43,12 +45,16 @@ func TestWorldDigest(t *testing.T) {
 				t.Skip("scale 20000 is skipped under -short")
 			}
 			want := worldDigests[scale]
-			fresh, err := ecosystem.Generate(ecosystem.Config{Seed: 1, ScaleDivisor: scale})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := worldDigest(t, fresh); got != want {
-				t.Errorf("generated world digest %s, want %s", got, want)
+			for _, procs := range []int{1, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				fresh, err := ecosystem.Generate(ecosystem.Config{Seed: 1, ScaleDivisor: scale})
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := worldDigest(t, fresh); got != want {
+					t.Errorf("world generated at GOMAXPROCS %d: digest %s, want %s", procs, got, want)
+				}
 			}
 			st, err := core.RunStream(context.Background(), core.StreamOptions{
 				Options: core.Options{Seed: 1, ScaleDivisor: scale, Concurrency: 4},

@@ -38,12 +38,3 @@ func HeldZones(e *Ecosystem) []*zone.Zone {
 	sort.SliceStable(out, func(i, j int) bool { return dnswire.CanonicalNameLess(out[i].Origin, out[j].Origin) })
 	return out
 }
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}

@@ -1,14 +1,19 @@
 package ecosystem
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"sort"
 	"time"
 
 	"dnssecboot/internal/dnssec"
 	"dnssecboot/internal/dnswire"
+	"dnssecboot/internal/ordered"
 	"dnssecboot/internal/server"
 	"dnssecboot/internal/transport"
 	"dnssecboot/internal/zone"
@@ -40,7 +45,8 @@ type Ecosystem struct {
 	// Targets is the scan list (registrable domains), shuffled
 	// deterministically.
 	Targets []string
-	// Truth maps each target to its ground truth.
+	// Truth maps each target to its ground truth. The zones of one
+	// operator, registry and ZoneSpec share one *Truth.
 	Truth map[string]*Truth
 	// Now is the simulated time (hand it to the scanner).
 	Now time.Time
@@ -78,12 +84,18 @@ type opInfra struct {
 	hostAddrs  map[string][]netip.Addr
 	baseZones  map[string]*zone.Zone // registrable base -> zone
 	// signalZones maps NS host -> its _signal zone (AB operators).
-	signalZones map[string]*zone.Zone
-	// corruption lists applied after the signal zones are signed.
+	signalZones map[string]*signalZone
+	variantHost string
+	counter     int
+}
+
+// signalZone is one of an AB operator's _signal zones, with the signal
+// owners whose signatures finalize corrupts or expires once it is
+// signed.
+type signalZone struct {
+	zone          *zone.Zone
 	badSigOwners  []string
 	expiredOwners []string
-	variantHost   string
-	counter       int
 }
 
 // tlds hosted by the synthetic registries. co.uk and com.bo are
@@ -104,7 +116,21 @@ var defaultTLDWeights = map[string]int{
 	"nl": 1, "se": 1,
 }
 
-// Generate builds the world.
+// Generate builds the world. The infrastructure (root, registries,
+// operators and their keys) is built first, sequentially; then the
+// target zones pass through three phases:
+//
+//   - plan, sequential: every choice that depends on generation order —
+//     each zone's name, nameservers, variant server and key seeds, drawn
+//     from the one seeded stream in the order a one-pass build drew them;
+//   - materialise, on GOMAXPROCS goroutines: each zone's keys, records,
+//     signatures and variant, from its plan alone;
+//   - publish, sequential in plan order: what zones share — registry
+//     delegations and DS, signal records, servers, Truth and Targets.
+//
+// Last, finalize signs the infrastructure zones on the same pool of
+// goroutines, and the targets are shuffled. The world's bytes do not
+// depend on GOMAXPROCS, and no goroutine outlives the call.
 func Generate(cfg Config) (*Ecosystem, error) {
 	if cfg.ScaleDivisor <= 0 {
 		cfg.ScaleDivisor = 2000
@@ -117,7 +143,6 @@ func Generate(cfg Config) (*Ecosystem, error) {
 	}
 	eco := &Ecosystem{
 		Net:                transport.NewMemNetwork(),
-		Truth:              make(map[string]*Truth),
 		Now:                cfg.Now,
 		CloudflareSuffixes: []string{"ns.cloudflare.com."},
 		cfg:                cfg,
@@ -146,10 +171,8 @@ func Generate(cfg Config) (*Ecosystem, error) {
 			return nil, err
 		}
 	}
-	for _, p := range cfg.Profiles {
-		if err := eco.addTargets(p); err != nil {
-			return nil, err
-		}
+	if err := eco.addTargets(); err != nil {
+		return nil, err
 	}
 	if err := eco.finalize(); err != nil {
 		return nil, err
@@ -316,7 +339,7 @@ func (e *Ecosystem) buildOperator(p Profile) error {
 		hosts:       make([]string, len(p.NSHosts)),
 		hostAddrs:   make(map[string][]netip.Addr),
 		baseZones:   make(map[string]*zone.Zone),
-		signalZones: make(map[string]*zone.Zone),
+		signalZones: make(map[string]*signalZone),
 	}
 	op.srv.Behavior = p.Behavior
 	for i, h := range p.NSHosts {
@@ -404,7 +427,7 @@ func (e *Ecosystem) buildOperator(p Profile) error {
 			if err := sz.GenerateKeys(e.signCfg(), e.rng); err != nil {
 				return err
 			}
-			op.signalZones[h] = sz
+			op.signalZones[h] = &signalZone{zone: sz}
 			op.srv.AddZone(sz)
 			bz := op.baseZones[baseOf(h)]
 			for _, nh := range op.hosts[:min(2, len(op.hosts))] {
@@ -448,25 +471,106 @@ func (e *Ecosystem) ensureVariant(op *opInfra) error {
 	return nil
 }
 
-func (e *Ecosystem) addTargets(p Profile) error {
-	op := e.ops[p.Name]
-	segs := append([]Segment(nil), p.Segments...)
-	var explicit int
-	for _, s := range segs {
-		explicit += s.N
-	}
-	if rest := p.Total - explicit; rest > 0 {
-		segs = append(segs, seg(rest, ZoneSpec{State: StateUnsigned}))
-	}
-	for _, s := range segs {
-		n := e.scaled(s.N)
-		for i := 0; i < n; i++ {
-			if err := e.addZone(op, s.Spec); err != nil {
-				return err
-			}
+// addTargets builds every operator's target zones: planned one by one
+// in profile and segment order, materialised in parallel, published in
+// plan order (see Generate).
+func (e *Ecosystem) addTargets() error {
+	pl := &planner{e: e, truths: make(map[Truth]*Truth)}
+	total := 0
+	for _, p := range e.cfg.Profiles {
+		op := e.ops[p.Name]
+		segs := append([]Segment(nil), p.Segments...)
+		var explicit int
+		for _, s := range segs {
+			explicit += s.N
+		}
+		if rest := p.Total - explicit; rest > 0 {
+			segs = append(segs, seg(rest, ZoneSpec{State: StateUnsigned}))
+		}
+		for _, s := range segs {
+			n := e.scaled(s.N)
+			pl.runs = append(pl.runs, segmentRun{op: op, spec: s.Spec, n: n})
+			total += n
 		}
 	}
-	return nil
+	e.Targets = make([]string, 0, total)
+	e.Truth = make(map[string]*Truth, total)
+	_, err := ordered.Map(context.Background(), runtime.GOMAXPROCS(0), pl.next,
+		func(_ context.Context, p zonePlan) builtZone {
+			b := builtZone{plan: p}
+			b.err = e.materialise(&b)
+			return b
+		},
+		func(_ int, b builtZone) error { return e.publish(b) })
+	if err != nil {
+		return err
+	}
+	return pl.err
+}
+
+// segmentRun is n zones of one operator and spec, in generation order.
+type segmentRun struct {
+	op   *opInfra
+	spec ZoneSpec
+	n    int
+}
+
+// planner walks the target zones in generation order, making each
+// one's order-dependent choices. It runs alongside materialise and
+// publish: it alone touches the seeded stream, the operators' counters
+// and variant infrastructure, the shared NS payloads and truths, and
+// publish alone the registries, signal zones, servers, Truth and
+// Targets.
+type planner struct {
+	e      *Ecosystem
+	runs   []segmentRun
+	run, i int // the next zone is the i-th of runs[run]
+	truths map[Truth]*Truth
+	err    error
+}
+
+// next plans the next zone; at the end, or on an error kept in err, it
+// returns false.
+func (pl *planner) next() (zonePlan, bool) {
+	for pl.run < len(pl.runs) && pl.i == pl.runs[pl.run].n {
+		pl.run, pl.i = pl.run+1, 0
+	}
+	if pl.run == len(pl.runs) || pl.err != nil {
+		return zonePlan{}, false
+	}
+	pl.i++
+	r := pl.runs[pl.run]
+	p, err := pl.plan(r.op, r.spec)
+	if err != nil {
+		pl.err = err
+		return zonePlan{}, false
+	}
+	return p, true
+}
+
+// zonePlan is everything a target zone's bytes depend on that is not
+// its own: what it shares with other zones, and the key seeds drawn for
+// it. A zone is materialised from its plan alone.
+type zonePlan struct {
+	op       *opInfra
+	truth    *Truth
+	registry *tldInfra
+	name     string
+	idx      int // the zone's index among its operator's
+	parentNS [2]*dnswire.NS
+	childNS  [2]*dnswire.NS
+	// copyTo also serves the zone (a multi-operator partner's server)
+	// or, with CDSInconsistent, its variant (the partner's or the
+	// operator's variant server); nil for neither.
+	copyTo *server.Server
+	// seeds holds 32-byte Ed25519 key seeds, read in order: the zone's
+	// KSK and ZSK if it is signed, then its variant's; nil for none.
+	seeds *bytes.Reader
+}
+
+// signed reports whether a zone of this spec is DNSSEC-signed.
+func (s ZoneSpec) signed() bool {
+	return s.State == StateSecured || s.State == StateIsland || (s.State == StateInvalid && !s.ErrantDS)
 }
 
 // tldMix is an operator's TLD weights, keys sorted once so that every
@@ -507,8 +611,9 @@ func (m tldMix) pick(counter int) string {
 	return m.tlds[0]
 }
 
-func (e *Ecosystem) addZone(op *opInfra, spec ZoneSpec) error {
-	p := op.profile
+// plan makes the order-dependent choices of op's next zone of spec.
+func (pl *planner) plan(op *opInfra, spec ZoneSpec) (zonePlan, error) {
+	e := pl.e
 	idx := op.counter
 	op.counter++
 
@@ -516,67 +621,107 @@ func (e *Ecosystem) addZone(op *opInfra, spec ZoneSpec) error {
 	if spec.ParkingNS {
 		tld = "com.bo"
 	}
-	name := fmt.Sprintf("%s-z%06d.%s.", p.Slug, idx, tld)
-	ti := e.tlds[tld]
+	p := zonePlan{op: op, registry: e.tlds[tld], idx: idx,
+		name: fmt.Sprintf("%s-z%06d.%s.", op.profile.Slug, idx, tld)}
 
 	// NS host selection.
 	h0 := op.hosts[(2*idx)%len(op.hosts)]
 	h1 := op.hosts[(2*idx+1)%len(op.hosts)]
-	parentNS := []string{h0, h1}
+	parentNS := [2]string{h0, h1}
 	childNS := parentNS
-	var partner *opInfra
 	switch {
 	case spec.ParkingNS:
-		parentNS = []string{h0, "ns1.desc.io."}
+		parentNS = [2]string{h0, "ns1.desc.io."}
 		childNS = parentNS
 	case spec.MultiOperator != "":
-		partner = e.ops[spec.MultiOperator]
+		partner := e.ops[spec.MultiOperator]
 		if partner == nil {
-			return fmt.Errorf("ecosystem: unknown partner operator %q", spec.MultiOperator)
+			return p, fmt.Errorf("ecosystem: unknown partner operator %q", spec.MultiOperator)
 		}
-		parentNS = []string{h0, partner.hosts[0]}
+		parentNS = [2]string{h0, partner.hosts[0]}
 		childNS = parentNS
+		p.copyTo = partner.srv
 	case spec.CDSInconsistent:
 		if err := e.ensureVariant(op); err != nil {
-			return err
+			return p, err
 		}
-		parentNS = []string{h0, op.variantHost}
+		parentNS = [2]string{h0, op.variantHost}
 		childNS = parentNS
+		p.copyTo = op.variantSrv
 	case spec.SignalAnomaly == SigNSMismatch:
 		h2 := op.hosts[(2*idx+2)%len(op.hosts)]
-		childNS = []string{h0, h2} // differs from the TLD's view
+		childNS = [2]string{h0, h2} // differs from the TLD's view
+	}
+	for i := range parentNS {
+		p.parentNS[i], p.childNS[i] = e.ns(parentNS[i]), e.ns(childNS[i])
 	}
 
-	// Delegation in the registry.
-	for _, nh := range parentNS {
-		ti.zone.MustAdd(dnswire.RR{Name: name, TTL: 86400, Data: e.ns(nh)})
+	n := 0
+	if spec.signed() {
+		n += 64
+	}
+	if spec.CDSInconsistent {
+		n += 64
+	}
+	if n > 0 {
+		seeds := make([]byte, n)
+		if _, err := io.ReadFull(e.rng, seeds); err != nil {
+			return p, err
+		}
+		p.seeds = bytes.NewReader(seeds)
 	}
 
-	// The child zone itself: a realistic small web presence.
+	key := Truth{Operator: op.profile.Name, TLD: tld, Spec: spec}
+	if p.truth = pl.truths[key]; p.truth == nil {
+		p.truth = new(Truth)
+		*p.truth = key
+		pl.truths[key] = p.truth
+	}
+	return p, nil
+}
+
+// builtZone is a materialised target zone: the zone, its CDS variant,
+// and what publishing them adds to zones it shares.
+type builtZone struct {
+	plan       zonePlan
+	z, variant *zone.Zone
+	ds         *dnswire.DS // for the registry; nil for none
+	// signal is the CDS/CDNSKEY content to publish in the operator's
+	// signal zones; nil when the zone does not signal.
+	signal []dnswire.RR
+	err    error
+}
+
+// materialise builds, keys and signs the zone b.plan plans, and its
+// variant: a realistic small web presence. It touches nothing another
+// zone touches, so zones are materialised in parallel.
+func (e *Ecosystem) materialise(b *builtZone) error {
+	p := &b.plan
+	spec, prof, name := p.truth.Spec, p.op.profile, p.name
+
 	z := zone.New(name)
-	z.SetBasics(childNS[0], nil, uint32(2025041500+idx%1000))
-	for _, h := range childNS {
-		z.MustAdd(dnswire.RR{Name: name, TTL: 3600, Data: e.ns(h)})
+	b.z = z
+	z.SetBasics(p.childNS[0].Target, nil, uint32(2025041500+p.idx%1000))
+	for _, ns := range p.childNS {
+		z.MustAdd(dnswire.RR{Name: name, TTL: 3600, Data: ns})
 	}
 	z.MustAdd(dnswire.RR{Name: name, TTL: 3600, Data: webApexA})
 	z.MustAdd(dnswire.RR{Name: "www." + name, TTL: 3600, Data: webWWWA})
-	if idx%3 == 0 {
+	if p.idx%3 == 0 {
 		mail := "mail." + name
 		z.MustAdd(dnswire.RR{Name: name, TTL: 3600, Data: &dnswire.MX{Preference: 10, Host: mail}})
 		z.MustAdd(dnswire.RR{Name: mail, TTL: 3600, Data: webMailA})
 		z.MustAdd(dnswire.RR{Name: name, TTL: 3600, Data: webSPF})
 	}
-	if idx%7 == 0 {
+	if p.idx%7 == 0 {
 		z.MustAdd(dnswire.RR{Name: name, TTL: 3600, Data: webCAA})
 	}
 
-	signed := spec.State == StateSecured || spec.State == StateIsland ||
-		(spec.State == StateInvalid && !spec.ErrantDS)
-	if signed {
-		if err := z.GenerateKeys(e.signCfg(), e.rng); err != nil {
+	if spec.signed() {
+		if err := z.GenerateKeys(e.signCfg(), p.seeds); err != nil {
 			return err
 		}
-		if err := e.installCDS(z, spec.CDS, p); err != nil {
+		if err := e.installCDS(z, spec.CDS, prof); err != nil {
 			return err
 		}
 		sc := e.signCfg()
@@ -590,33 +735,33 @@ func (e *Ecosystem) addZone(op *opInfra, spec ZoneSpec) error {
 		}
 	} else if spec.CDS != CDSNone {
 		// CDS in an unsigned zone (§4.2, Canal Dominios).
-		if err := e.installCDS(z, spec.CDS, p); err != nil {
+		if err := e.installCDS(z, spec.CDS, prof); err != nil {
 			return err
 		}
 	}
 
-	// DS at the parent.
+	// DS for the parent.
+	var dsKey *dnssec.Key
 	switch {
 	case spec.State == StateSecured, spec.State == StateInvalid && !spec.ErrantDS:
-		if err := e.addDSTo(ti.zone, name, z); err != nil {
-			return err
-		}
+		dsKey = z.Keys[0]
 	case spec.ErrantDS:
-		ds, err := dnssec.DSFromKey(name, e.strayKey.DNSKEY(), dnswire.DigestSHA256)
+		dsKey = e.strayKey
+	}
+	if dsKey != nil {
+		ds, err := dnssec.DSFromKey(name, dsKey.DNSKEY(), dnswire.DigestSHA256)
 		if err != nil {
 			return err
 		}
-		ti.zone.MustAdd(dnswire.RR{Name: name, TTL: 86400, Data: ds})
+		b.ds = ds
 	}
-
-	op.srv.AddZone(z)
 
 	// Inconsistent-CDS variants served by the second operator or the
 	// variant server.
 	if spec.CDSInconsistent {
 		v := z.Clone()
 		v.Keys = nil
-		if err := v.GenerateKeys(e.signCfg(), e.rng); err != nil {
+		if err := v.GenerateKeys(e.signCfg(), p.seeds); err != nil {
 			return err
 		}
 		v.RemoveSet(name, dnswire.TypeCDS)
@@ -624,31 +769,65 @@ func (e *Ecosystem) addZone(op *opInfra, spec ZoneSpec) error {
 		if err := v.PublishCDS(dnswire.DigestSHA256); err != nil {
 			return err
 		}
-		sc := e.signCfg()
-		if err := v.Sign(sc); err != nil {
+		if err := v.Sign(e.signCfg()); err != nil {
 			return err
 		}
-		if partner != nil {
-			partner.srv.AddZone(v)
-		} else {
-			op.variantSrv.AddZone(v)
-		}
-	} else if partner != nil {
-		// Consistent multi-operator zone: the partner serves an
-		// identical copy.
-		partner.srv.AddZone(z)
+		b.variant = v
 	}
 
-	// RFC 9615 signal records.
-	if spec.Signal && p.SignalOperator {
-		if err := e.publishSignals(op, z, spec, childNS); err != nil {
-			return err
+	// RFC 9615 signal content: the zone's CDS/CDNSKEY.
+	if spec.Signal && prof.SignalOperator {
+		content := append(z.RRset(name, dnswire.TypeCDS), z.RRset(name, dnswire.TypeCDNSKEY)...)
+		if len(content) == 0 {
+			// Zones without in-zone CDS (e.g. the unsigned-with-signal
+			// population) still show stray signal records in the wild.
+			cds, err := dnssec.CDSFromKey(name, e.strayKey.DNSKEY(), dnswire.DigestSHA256)
+			if err != nil {
+				return err
+			}
+			content = []dnswire.RR{{Name: name, Class: dnswire.ClassIN, TTL: 3600, Data: cds}}
+		}
+		// deSEC filters deletion requests out of signal zones.
+		if !dnssec.IsDeleteSet(content) || prof.SignalDeletes {
+			b.signal = content
 		}
 	}
 
 	z.Build()
-	e.Targets = append(e.Targets, name)
-	e.Truth[name] = &Truth{Zone: name, Operator: p.Name, TLD: tld, Spec: spec}
+	return nil
+}
+
+// publish adds a materialised zone to what it shares with others: its
+// registry's delegation and DS, its servers, its operator's signal
+// zones, Truth and Targets.
+func (e *Ecosystem) publish(b builtZone) error {
+	if b.err != nil {
+		return b.err
+	}
+	p := &b.plan
+	reg := p.registry.zone
+	for _, ns := range p.parentNS {
+		reg.MustAdd(dnswire.RR{Name: p.name, TTL: 86400, Data: ns})
+	}
+	if b.ds != nil {
+		reg.MustAdd(dnswire.RR{Name: p.name, TTL: 86400, Data: b.ds})
+	}
+	p.op.srv.AddZone(b.z)
+	switch {
+	case b.variant != nil:
+		p.copyTo.AddZone(b.variant)
+	case p.copyTo != nil:
+		// Consistent multi-operator zone: the partner serves an
+		// identical copy.
+		p.copyTo.AddZone(b.z)
+	}
+	if b.signal != nil {
+		if err := publishSignals(p, b.signal); err != nil {
+			return err
+		}
+	}
+	e.Targets = append(e.Targets, p.name)
+	e.Truth[p.name] = p.truth
 	return nil
 }
 
@@ -686,45 +865,32 @@ func (e *Ecosystem) installCDS(z *zone.Zone, mode CDSMode, p Profile) error {
 	return fmt.Errorf("ecosystem: unhandled CDS mode %v", mode)
 }
 
-// publishSignals copies the zone's CDS/CDNSKEY content into the signal
+// publishSignals copies a zone's CDS/CDNSKEY content into the signal
 // zones of the operator's nameservers, honouring the injected anomaly.
-func (e *Ecosystem) publishSignals(op *opInfra, z *zone.Zone, spec ZoneSpec, childNS []string) error {
-	content := append(z.RRset(z.Origin, dnswire.TypeCDS), z.RRset(z.Origin, dnswire.TypeCDNSKEY)...)
-	if len(content) == 0 {
-		// Zones without in-zone CDS (e.g. the unsigned-with-signal
-		// population) still show stray signal records in the wild.
-		cds, err := dnssec.CDSFromKey(z.Origin, e.strayKey.DNSKEY(), dnswire.DigestSHA256)
-		if err != nil {
-			return err
-		}
-		content = []dnswire.RR{{Name: z.Origin, Class: dnswire.ClassIN, TTL: 3600, Data: cds}}
+func publishSignals(p *zonePlan, content []dnswire.RR) error {
+	hosts := p.childNS[:]
+	if p.truth.Spec.SignalAnomaly == SigMissingOneNS {
+		hosts = hosts[:1]
 	}
-	if dnssec.IsDeleteSet(content) && !op.profile.SignalDeletes {
-		return nil // deSEC filters deletion requests out of signal zones
-	}
-	hosts := childNS
-	if spec.SignalAnomaly == SigMissingOneNS {
-		hosts = childNS[:1]
-	}
-	for _, h := range hosts {
-		sz := op.signalZones[dnswire.CanonicalName(h)]
+	for _, ns := range hosts {
+		sz := p.op.signalZones[ns.Target]
 		if sz == nil {
 			continue // not this operator's host (multi-operator, typo NS)
 		}
-		recs, err := zone.SignalRecords(z.Origin, h, content)
+		recs, err := zone.SignalRecords(p.name, ns.Target, content)
 		if err != nil {
 			continue // name too long: cannot be signalled (§2)
 		}
 		for _, rr := range recs {
-			if err := sz.Add(rr); err != nil {
+			if err := sz.zone.Add(rr); err != nil {
 				return err
 			}
 		}
-		switch spec.SignalAnomaly {
+		switch p.truth.Spec.SignalAnomaly {
 		case SigBadSig:
-			op.badSigOwners = append(op.badSigOwners, recs[0].Name)
+			sz.badSigOwners = append(sz.badSigOwners, recs[0].Name)
 		case SigExpiredSig:
-			op.expiredOwners = append(op.expiredOwners, recs[0].Name)
+			sz.expiredOwners = append(sz.expiredOwners, recs[0].Name)
 		default:
 			// SigOK and the structural anomalies (zone cut, NS subset,
 			// unsigned zone) are applied when the signal zone itself is
@@ -734,48 +900,31 @@ func (e *Ecosystem) publishSignals(op *opInfra, z *zone.Zone, spec ZoneSpec, chi
 	return nil
 }
 
-// finalize signs the infrastructure zones (children first so parents
-// sign final DS sets), applies signal corruptions, and derives the
-// trust anchor.
+// finalize signs the infrastructure zones, applies the signal
+// corruptions, and derives the trust anchor. Every DS is in place, and
+// each zone's signing reads only the zone, so the zones are signed in
+// parallel.
 func (e *Ecosystem) finalize() error {
-	for _, op := range e.ops {
-		for _, sz := range op.signalZones {
-			if err := sz.Sign(e.signCfg()); err != nil {
-				return err
-			}
-		}
-		for _, owner := range op.badSigOwners {
-			sz := op.signalZones[signalZoneOf(op, owner)]
-			if sz != nil {
-				corruptSigsAt(sz, owner, dnswire.TypeCDS)
-				corruptSigsAt(sz, owner, dnswire.TypeCDNSKEY)
-			}
-		}
-		for _, owner := range op.expiredOwners {
-			sz := op.signalZones[signalZoneOf(op, owner)]
-			if sz != nil {
-				if err := expireSigsAt(sz, owner, e.Now); err != nil {
-					return err
-				}
-			}
-		}
-		for _, sz := range op.signalZones {
-			sz.Build()
-		}
-		for _, bz := range op.baseZones {
-			if err := bz.Sign(e.signCfg()); err != nil {
-				return err
-			}
-		}
-	}
+	var tasks []func() error
 	bigCfg := e.signCfg()
 	bigCfg.SkipNSEC = true
-	for _, ti := range e.tlds {
-		if err := ti.zone.Sign(bigCfg); err != nil {
-			return err
+	for _, name := range sortedKeys(e.tlds) {
+		z := e.tlds[name].zone
+		tasks = append(tasks, func() error { return z.Sign(bigCfg) })
+	}
+	for _, name := range sortedKeys(e.ops) {
+		op := e.ops[name]
+		for _, h := range sortedKeys(op.signalZones) {
+			sz := op.signalZones[h]
+			tasks = append(tasks, func() error { return e.finishSignalZone(sz) })
+		}
+		for _, base := range sortedKeys(op.baseZones) {
+			bz := op.baseZones[base]
+			tasks = append(tasks, func() error { return bz.Sign(e.signCfg()) })
 		}
 	}
-	if err := e.root.Sign(e.signCfg()); err != nil {
+	tasks = append(tasks, func() error { return e.root.Sign(e.signCfg()) })
+	if err := inParallel(tasks); err != nil {
 		return err
 	}
 	rootDS, err := dnssec.DSFromKey(".", e.root.Keys[0].DNSKEY(), dnswire.DigestSHA256)
@@ -786,15 +935,40 @@ func (e *Ecosystem) finalize() error {
 	return nil
 }
 
-// signalZoneOf finds which of the operator's signal zones contains
-// owner.
-func signalZoneOf(op *opInfra, owner string) string {
-	for h, sz := range op.signalZones {
-		if dnswire.IsSubdomain(owner, sz.Origin) {
-			return h
+// finishSignalZone signs a signal zone, corrupts and expires the
+// signatures of its anomalous owners, and builds it.
+func (e *Ecosystem) finishSignalZone(sz *signalZone) error {
+	if err := sz.zone.Sign(e.signCfg()); err != nil {
+		return err
+	}
+	for _, owner := range sz.badSigOwners {
+		corruptSigsAt(sz.zone, owner, dnswire.TypeCDS)
+		corruptSigsAt(sz.zone, owner, dnswire.TypeCDNSKEY)
+	}
+	for _, owner := range sz.expiredOwners {
+		if err := expireSigsAt(sz.zone, owner, e.Now); err != nil {
+			return err
 		}
 	}
-	return ""
+	sz.zone.Build()
+	return nil
+}
+
+// inParallel runs every task on GOMAXPROCS goroutines and returns the
+// first error in task order. No task is running when it returns.
+func inParallel(tasks []func() error) error {
+	i := 0
+	_, err := ordered.Map(context.Background(), runtime.GOMAXPROCS(0),
+		func() (func() error, bool) {
+			if i == len(tasks) {
+				return nil, false
+			}
+			i++
+			return tasks[i-1], true
+		},
+		func(_ context.Context, task func() error) error { return task() },
+		func(_ int, err error) error { return err })
+	return err
 }
 
 // corruptSigsAt flips bits in every RRSIG over (owner, covered),
@@ -825,16 +999,21 @@ func expireSigsAt(z *zone.Zone, owner string, now time.Time) error {
 	}
 	_, zsk := zoneKeysOf(z)
 	opts := dnssec.ExpiredWindow(now, z.Origin)
-	z.RemoveSet(owner, dnswire.TypeRRSIG)
+	// Every set is read before the first signature is added, so the
+	// zone is not rebuilt between the adds.
+	var sigs []dnswire.RR
 	for _, typ := range z.TypesAt(owner) {
 		if typ == dnswire.TypeRRSIG {
 			continue
 		}
-		set := z.RRset(owner, typ)
-		sig, err := dnssec.SignRRset(set, zsk, opts)
+		sig, err := dnssec.SignRRset(z.RRset(owner, typ), zsk, opts)
 		if err != nil {
 			return err
 		}
+		sigs = append(sigs, sig)
+	}
+	z.RemoveSet(owner, dnswire.TypeRRSIG)
+	for _, sig := range sigs {
 		z.MustAdd(sig)
 	}
 	return nil
@@ -859,13 +1038,15 @@ func zoneKeysOf(z *zone.Zone) (ksk, zsk *dnssec.Key) {
 }
 
 // Operators lists the generated operator names.
-func (e *Ecosystem) Operators() []string {
-	out := make([]string, 0, len(e.ops))
-	for name := range e.ops {
-		out = append(out, name)
+func (e *Ecosystem) Operators() []string { return sortedKeys(e.ops) }
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(out)
-	return out
+	sort.Strings(keys)
+	return keys
 }
 
 // OperatorServer exposes an operator's primary server (tests).
@@ -906,7 +1087,8 @@ func (e *Ecosystem) SignalZoneFootprint() []SignalZoneStats {
 			continue
 		}
 		st := SignalZoneStats{Operator: name, Zones: len(op.signalZones)}
-		for _, sz := range op.signalZones {
+		for _, h := range op.signalZones {
+			sz := h.zone
 			st.Records += sz.Size()
 			for _, n := range sz.Names() {
 				for _, t := range []dnswire.Type{dnswire.TypeCDS, dnswire.TypeCDNSKEY} {

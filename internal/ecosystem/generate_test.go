@@ -2,8 +2,11 @@ package ecosystem
 
 import (
 	"context"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"dnssecboot/internal/dnswire"
 	"dnssecboot/internal/resolver"
@@ -573,5 +576,37 @@ func TestSignalZoneFootprint(t *testing.T) {
 	cf, ok := byOp["Cloudflare"]
 	if !ok || cf.SignalRRs <= ds.SignalRRs {
 		t.Errorf("Cloudflare footprint should dominate: cf=%+v desec=%+v", cf, ds)
+	}
+}
+
+// TestGenerateErrorsLeaveNoGoroutine: a zone that cannot be planned (an
+// unknown partner operator) or materialised (matching CDS in a keyless
+// zone) fails Generate with its error, and no goroutine of the parallel
+// phases is left running.
+func TestGenerateErrorsLeaveNoGoroutine(t *testing.T) {
+	ok := seg(300, ZoneSpec{State: StateSecured, CDS: CDSMatch})
+	for _, tc := range []struct {
+		bad  ZoneSpec
+		want string
+	}{
+		{ZoneSpec{State: StateUnsigned, MultiOperator: "Nobody"}, `unknown partner operator "Nobody"`},
+		{ZoneSpec{State: StateUnsigned, CDS: CDSMatch}, "CDSMatch on keyless zone"},
+	} {
+		before := runtime.NumGoroutine()
+		_, err := Generate(Config{Seed: 1, ScaleDivisor: 1, Profiles: []Profile{{
+			Name: "Tiny", Slug: "tiny", NSHosts: []string{"ns1.tiny.net.", "ns2.tiny.net."}, HostsPerZone: 2,
+			Segments: []Segment{ok, seg(1, tc.bad), ok},
+		}}})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Generate with a %+v zone: %v, want %q", tc.bad, err, tc.want)
+		}
+		// A worker has exited once it is no longer counted; allow it
+		// the moment between its last deferred call and its exit.
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("%d goroutines before Generate, %d after it failed", before, n)
+		}
 	}
 }

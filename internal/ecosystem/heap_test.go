@@ -19,8 +19,8 @@ func TestWorldHeapBudget(t *testing.T) {
 		t.Skip("scale 20000 is skipped under -short")
 	}
 	const (
-		maxBytesPerZone   = 1250
-		maxObjectsPerZone = 12
+		maxBytesPerZone   = 1100
+		maxObjectsPerZone = 11
 	)
 	var before, after runtime.MemStats
 	runtime.GC()

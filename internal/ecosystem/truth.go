@@ -161,11 +161,11 @@ type Segment struct {
 	Spec ZoneSpec
 }
 
-// Truth is the generator's ground-truth record for one zone, used by
-// tests to check that the measurement pipeline rediscovers what was
-// planted.
+// Truth is the generator's ground truth for a zone, used by tests to
+// check that the measurement pipeline rediscovers what was planted. The
+// zone's name is its key in Ecosystem.Truth; zones of one operator,
+// registry and spec share one Truth.
 type Truth struct {
-	Zone     string
 	Operator string
 	TLD      string
 	Spec     ZoneSpec

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -254,5 +255,48 @@ func TestConcurrentFirstReads(t *testing.T) {
 	}
 	if signed == 0 {
 		t.Fatal("no RRset was signed")
+	}
+}
+
+// TestLazyAddDoesNotRebuild: re-adding RRSIGs to a built, lazily signed
+// zone, as a generator corrupting or expiring signatures does, allocates
+// nothing per record however large the zone: Add finds pending
+// signatures among the built records instead of rebuilding the zone
+// (once a copy of every record per Add). The zone then reads as before.
+func TestLazyAddDoesNotRebuild(t *testing.T) {
+	const names, owners = 2000, 50
+	rng := rand.New(rand.NewSource(1))
+	z := New("example.")
+	z.SetBasics("ns1.example.", []string{"ns1.example."}, 1)
+	for i := range names {
+		z.MustAdd(dnswire.RR{Name: fmt.Sprintf("h%04d.example.", i), TTL: 300, Data: &dnswire.TXT{Strings: []string{"x"}}})
+	}
+	if err := z.GenerateKeys(SignConfig{Algorithm: dnswire.AlgEd25519}, rng); err != nil {
+		t.Fatal(err)
+	}
+	if err := z.Sign(SignConfig{Now: testNow}); err != nil {
+		t.Fatal(err)
+	}
+	var sigs []dnswire.RR
+	for i := range owners {
+		sigs = append(sigs, z.RRset(fmt.Sprintf("h%04d.example.", i*37), dnswire.TypeRRSIG)...)
+	}
+	for i := range owners {
+		z.RemoveSet(fmt.Sprintf("h%04d.example.", i*37), dnswire.TypeRRSIG)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, rr := range sigs {
+		z.MustAdd(rr)
+	}
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b > 64*uint64(len(sigs)) {
+		t.Errorf("re-adding %d RRSIGs to a zone of %d records allocated %d B", len(sigs), z.Size(), b)
+	}
+	for i := range owners {
+		owner := fmt.Sprintf("h%04d.example.", i*37)
+		if got, want := rrText(z.RRset(owner, dnswire.TypeRRSIG)), rrText(sigs[2*i:2*i+2]); got != want {
+			t.Fatalf("RRSIGs at %s after re-adding:\n%s\nwant\n%s", owner, got, want)
+		}
 	}
 }

@@ -416,16 +416,16 @@ func (z *Zone) signAllLocked() {
 }
 
 // replaceLocked puts sigs in place of the placeholder at offset i of the
-// built zone. One signature takes its slot; any other number moves the
-// records after it, so the zone is indexed again and stays built.
+// built records. One signature takes its slot; any other number moves the
+// records after it, so the built records are indexed again.
 func (z *Zone) replaceLocked(i int, sigs []dnswire.RR) {
 	if len(sigs) == 1 {
 		z.recs[i] = sigs[0]
 		return
 	}
 	z.recs = slices.Replace(z.recs, i, i+1, sigs...)
-	z.sorted = len(z.recs)
-	z.index = indexOwners(z.recs)
+	z.sorted += len(sigs) - 1
+	z.index = indexOwners(z.recs[:z.sorted])
 }
 
 // nsec3Chain hashes every authoritative name, sorts the hashes, and
