@@ -1,6 +1,7 @@
 package dnssec
 
 import (
+	"bytes"
 	"crypto/sha1"
 	"strings"
 
@@ -8,9 +9,9 @@ import (
 )
 
 // NSEC3 support (RFC 5155): the hashed-denial alternative to NSEC.
-// Hash comparisons work on the base32hex owner labels directly —
-// base32hex was chosen by the RFC precisely because it preserves the
-// byte-wise ordering of the underlying hashes.
+// Owner labels are base32hex, which the RFC chose because it keeps the
+// byte-wise order of the hashes; interval checks decode the owner label
+// and compare raw hashes.
 
 // NSEC3HashAlgSHA1 is the only defined NSEC3 hash algorithm.
 const NSEC3HashAlgSHA1 uint8 = 1
@@ -18,7 +19,8 @@ const NSEC3HashAlgSHA1 uint8 = 1
 // NSEC3Hash computes the RFC 5155 §5 hash of a domain name:
 // IH(0) = H(owner-wire), IH(k) = H(IH(k-1) || salt), iterated.
 func NSEC3Hash(name string, iterations uint16, salt []byte) ([]byte, error) {
-	wire, err := dnswire.CanonicalNameWire(name)
+	var buf [256]byte
+	wire, err := dnswire.AppendCanonicalNameWire(buf[:0], name)
 	if err != nil {
 		return nil, err
 	}
@@ -42,17 +44,24 @@ func NSEC3HashLabel(name string, iterations uint16, salt []byte) (string, error)
 // NSEC3Owner returns the full owner name of the NSEC3 record for name
 // in the given zone.
 func NSEC3Owner(name, zoneOrigin string, iterations uint16, salt []byte) (string, error) {
-	label, err := NSEC3HashLabel(name, iterations, salt)
+	h, err := NSEC3Hash(name, iterations, salt)
 	if err != nil {
 		return "", err
 	}
-	return dnswire.Join(label, zoneOrigin), nil
+	return NSEC3HashOwner(h, zoneOrigin), nil
+}
+
+// NSEC3HashOwner returns the owner name of the NSEC3 record for a name
+// whose hash is hash, in the zone at zoneOrigin.
+func NSEC3HashOwner(hash []byte, zoneOrigin string) string {
+	return dnswire.Join(base32HexEncode(hash), zoneOrigin)
 }
 
 const base32HexAlphabet = "0123456789abcdefghijklmnopqrstuv"
 
 func base32HexEncode(b []byte) string {
 	var sb strings.Builder
+	sb.Grow((len(b)*8 + 4) / 5)
 	var acc, bits uint
 	for _, c := range b {
 		acc = acc<<8 | uint(c)
@@ -106,19 +115,40 @@ func NSEC3Covers(rr dnswire.RR, name string) bool {
 	if !ok || n.HashAlg != NSEC3HashAlgSHA1 {
 		return false
 	}
-	label, err := NSEC3HashLabel(name, n.Iterations, n.Salt)
-	if err != nil {
+	h, err := NSEC3Hash(name, n.Iterations, n.Salt)
+	return err == nil && NSEC3CoversHash(rr, h)
+}
+
+// NSEC3CoversHash is NSEC3Covers for a name already hashed with rr's
+// parameters: it compares hash with the hash the owner label encodes
+// and NextHashed, without hashing or encoding again.
+func NSEC3CoversHash(rr dnswire.RR, hash []byte) bool {
+	n, ok := nsec3Params(rr)
+	if !ok || n.HashAlg != NSEC3HashAlgSHA1 {
 		return false
 	}
-	owner := ownerHashLabel(rr)
-	next := base32HexEncode(n.NextHashed)
-	if label == owner || label == next {
+	// Decode the owner label, either case, dropping the pad bits.
+	label, _, _ := strings.Cut(rr.Name, ".")
+	var buf [64]byte
+	owner, acc, bits := buf[:0], uint(0), uint(0)
+	for _, c := range []byte(strings.ToLower(label)) {
+		v := strings.IndexByte(base32HexAlphabet, c)
+		if v < 0 {
+			return false
+		}
+		if acc, bits = acc<<5|uint(v), bits+5; bits >= 8 {
+			bits -= 8
+			owner = append(owner, byte(acc>>bits))
+		}
+	}
+	next := n.NextHashed
+	if bytes.Equal(hash, owner) || bytes.Equal(hash, next) {
 		return false
 	}
-	if owner < next {
-		return owner < label && label < next
+	if bytes.Compare(owner, next) < 0 {
+		return bytes.Compare(owner, hash) < 0 && bytes.Compare(hash, next) < 0
 	}
-	return label > owner || label < next
+	return bytes.Compare(hash, owner) > 0 || bytes.Compare(hash, next) < 0
 }
 
 // NSEC3ProvesNoData reports whether rr matches name and omits typ from

@@ -2,6 +2,10 @@ package dnssec
 
 import (
 	"encoding/hex"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"dnssecboot/internal/dnswire"
@@ -144,5 +148,85 @@ func TestCheckDenialNSEC3Shapes(t *testing.T) {
 	}
 	if CheckDenialNSEC3(nil, "www.z.", dnswire.TypeA) {
 		t.Error("empty authority accepted")
+	}
+}
+
+// stringNSEC3Covers is NSEC3Covers as it was before it compared raw
+// hashes: the name hashed and encoded again, and base32hex labels
+// compared as strings.
+func stringNSEC3Covers(rr dnswire.RR, name string) bool {
+	n, ok := nsec3Params(rr)
+	if !ok || n.HashAlg != NSEC3HashAlgSHA1 {
+		return false
+	}
+	label, err := NSEC3HashLabel(name, n.Iterations, n.Salt)
+	if err != nil {
+		return false
+	}
+	owner := ownerHashLabel(rr)
+	next := base32HexEncode(n.NextHashed)
+	if label == owner || label == next {
+		return false
+	}
+	if owner < next {
+		return owner < label && label < next
+	}
+	return label > owner || label < next
+}
+
+// TestNSEC3CoversMatchesStrings: over random names and NSEC3 records —
+// intervals forward and wrapping around, a one-record chain, owners and
+// next hashes equal to the name's hash, owner labels in upper case —
+// the raw-hash check gives the string comparison's answer.
+func TestNSEC3CoversMatchesStrings(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	random := func() []byte {
+		b := make([]byte, 20)
+		rng.Read(b)
+		return b
+	}
+	covered, wraps := 0, 0
+	for i := range 20_000 {
+		name := fmt.Sprintf("n%d-%d.zone.", i, rng.Intn(1000))
+		iterations, salt := uint16(rng.Intn(3)), random()[:rng.Intn(4)]
+		h, err := NSEC3Hash(name, iterations, salt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner, next := random(), random()
+		switch rng.Intn(8) {
+		case 0:
+			owner = h
+		case 1:
+			next = h
+		case 2:
+			next = owner // a chain of one record
+		case 3: // the name's hash just inside the interval
+			owner, next = slices.Clone(h), slices.Clone(h)
+			owner[19]--
+			next[19]++
+		}
+		label := base32HexEncode(owner)
+		if rng.Intn(4) == 0 {
+			label = strings.ToUpper(label)
+		}
+		rr := dnswire.RR{Name: label + ".zone.", Class: dnswire.ClassIN, Data: &dnswire.NSEC3{
+			HashAlg: NSEC3HashAlgSHA1, Iterations: iterations, Salt: salt, NextHashed: next}}
+		want := stringNSEC3Covers(rr, name)
+		if got := NSEC3Covers(rr, name); got != want {
+			t.Fatalf("NSEC3Covers(%s, %s) = %v, the string comparison %v", rr, name, got, want)
+		}
+		if got := NSEC3CoversHash(rr, h); got != want {
+			t.Fatalf("NSEC3CoversHash(%s, hash of %s) = %v, the string comparison %v", rr, name, got, want)
+		}
+		if want {
+			covered++
+			if string(owner) > string(next) {
+				wraps++
+			}
+		}
+	}
+	if covered < 5000 || wraps < 1000 {
+		t.Errorf("only %d names covered, %d by a wrapping interval", covered, wraps)
 	}
 }

@@ -58,7 +58,7 @@ type textAppender interface {
 // nothing: it runs for every RRSIG a server answer adds and every
 // duplicate check of Zone.Add.
 func (r RR) Equal(o RR) bool {
-	if CanonicalName(r.Name) != CanonicalName(o.Name) || r.Class != o.Class || r.Type() != o.Type() {
+	if r.Name != o.Name && CanonicalName(r.Name) != CanonicalName(o.Name) || r.Class != o.Class || r.Type() != o.Type() {
 		return false
 	}
 	scratch := equalScratch.Get().(*[]byte)

@@ -8,7 +8,9 @@ import (
 	"math/rand"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"dnssecboot/internal/dnssec"
@@ -73,6 +75,9 @@ type tldInfra struct {
 	zone *zone.Zone
 	srv  *server.Server
 	addr netip.Addr
+	// delegations holds the target zones' NS and DS records, in publish
+	// order; finalize adds them to the zone in one step.
+	delegations []dnswire.RR
 }
 
 type opInfra struct {
@@ -90,10 +95,11 @@ type opInfra struct {
 }
 
 // signalZone is one of an AB operator's _signal zones, with the signal
-// owners whose signatures finalize corrupts or expires once it is
-// signed.
+// records publish collects for it and the signal owners whose
+// signatures finalize corrupts or expires once it is signed.
 type signalZone struct {
 	zone          *zone.Zone
+	records       []dnswire.RR
 	badSigOwners  []string
 	expiredOwners []string
 }
@@ -475,7 +481,7 @@ func (e *Ecosystem) ensureVariant(op *opInfra) error {
 // in profile and segment order, materialised in parallel, published in
 // plan order (see Generate).
 func (e *Ecosystem) addTargets() error {
-	pl := &planner{e: e, truths: make(map[Truth]*Truth)}
+	pl := &planner{e: e, truths: make(map[Truth]*Truth), runTruths: make(map[string]*Truth)}
 	total := 0
 	for _, p := range e.cfg.Profiles {
 		op := e.ops[p.Name]
@@ -495,6 +501,18 @@ func (e *Ecosystem) addTargets() error {
 	}
 	e.Targets = make([]string, 0, total)
 	e.Truth = make(map[string]*Truth, total)
+	// Size each registry's delegations for its zones' NS and DS records.
+	zones := make(map[*tldInfra]int)
+	counters := make(map[*opInfra]int)
+	for _, r := range pl.runs {
+		for range r.n {
+			zones[e.tlds[registryOf(r.op, r.spec, counters[r.op])]]++
+			counters[r.op]++
+		}
+	}
+	for ti, n := range zones {
+		ti.delegations = make([]dnswire.RR, 0, 3*n)
+	}
 	_, err := ordered.Map(context.Background(), runtime.GOMAXPROCS(0), pl.next,
 		func(_ context.Context, p zonePlan) builtZone {
 			b := builtZone{plan: p}
@@ -526,7 +544,10 @@ type planner struct {
 	runs   []segmentRun
 	run, i int // the next zone is the i-th of runs[run]
 	truths map[Truth]*Truth
-	err    error
+	// runTruths holds the current run's truths by registry, so that the
+	// shared truths are looked up once per run and registry.
+	runTruths map[string]*Truth
+	err       error
 }
 
 // next plans the next zone; at the end, or on an error kept in err, it
@@ -534,6 +555,7 @@ type planner struct {
 func (pl *planner) next() (zonePlan, bool) {
 	for pl.run < len(pl.runs) && pl.i == pl.runs[pl.run].n {
 		pl.run, pl.i = pl.run+1, 0
+		clear(pl.runTruths)
 	}
 	if pl.run == len(pl.runs) || pl.err != nil {
 		return zonePlan{}, false
@@ -617,12 +639,8 @@ func (pl *planner) plan(op *opInfra, spec ZoneSpec) (zonePlan, error) {
 	idx := op.counter
 	op.counter++
 
-	tld := op.tldMix.pick(idx)
-	if spec.ParkingNS {
-		tld = "com.bo"
-	}
-	p := zonePlan{op: op, registry: e.tlds[tld], idx: idx,
-		name: fmt.Sprintf("%s-z%06d.%s.", op.profile.Slug, idx, tld)}
+	tld := registryOf(op, spec, idx)
+	p := zonePlan{op: op, registry: e.tlds[tld], idx: idx, name: zoneName(op.profile.Slug, idx, tld)}
 
 	// NS host selection.
 	h0 := op.hosts[(2*idx)%len(op.hosts)]
@@ -671,13 +689,32 @@ func (pl *planner) plan(op *opInfra, spec ZoneSpec) (zonePlan, error) {
 		p.seeds = bytes.NewReader(seeds)
 	}
 
-	key := Truth{Operator: op.profile.Name, TLD: tld, Spec: spec}
-	if p.truth = pl.truths[key]; p.truth == nil {
-		p.truth = new(Truth)
-		*p.truth = key
-		pl.truths[key] = p.truth
+	if p.truth = pl.runTruths[tld]; p.truth == nil {
+		key := Truth{Operator: op.profile.Name, TLD: tld, Spec: spec}
+		if p.truth = pl.truths[key]; p.truth == nil {
+			p.truth = new(Truth)
+			*p.truth = key
+			pl.truths[key] = p.truth
+		}
+		pl.runTruths[tld] = p.truth
 	}
 	return p, nil
+}
+
+// registryOf returns the registry of op's idx-th zone, of spec.
+func registryOf(op *opInfra, spec ZoneSpec, idx int) string {
+	if spec.ParkingNS {
+		return "com.bo"
+	}
+	return op.tldMix.pick(idx)
+}
+
+// zoneName returns the name of an operator's idx-th zone under tld:
+// "<slug>-z<idx, six digits at least>.<tld>.".
+func zoneName(slug string, idx int, tld string) string {
+	var buf [20]byte
+	num := strconv.AppendInt(buf[:0], int64(idx), 10)
+	return slug + "-z" + "000000"[min(len(num), 6):] + string(num) + "." + tld + "."
 }
 
 // builtZone is a materialised target zone: the zone, its CDS variant,
@@ -693,50 +730,62 @@ type builtZone struct {
 }
 
 // materialise builds, keys and signs the zone b.plan plans, and its
-// variant: a realistic small web presence. It touches nothing another
-// zone touches, so zones are materialised in parallel.
+// variant: a realistic small web presence. Each zone's records are
+// collected first and the zone is built from them in one step, then
+// signed in one pass. It touches nothing another zone touches, so
+// zones are materialised in parallel.
 func (e *Ecosystem) materialise(b *builtZone) error {
 	p := &b.plan
 	spec, prof, name := p.truth.Spec, p.op.profile, p.name
 
 	z := zone.New(name)
 	b.z = z
-	z.SetBasics(p.childNS[0].Target, nil, uint32(2025041500+p.idx%1000))
-	for _, ns := range p.childNS {
-		z.MustAdd(dnswire.RR{Name: name, TTL: 3600, Data: ns})
-	}
-	z.MustAdd(dnswire.RR{Name: name, TTL: 3600, Data: webApexA})
-	z.MustAdd(dnswire.RR{Name: "www." + name, TTL: 3600, Data: webWWWA})
-	if p.idx%3 == 0 {
-		mail := "mail." + name
-		z.MustAdd(dnswire.RR{Name: name, TTL: 3600, Data: &dnswire.MX{Preference: 10, Host: mail}})
-		z.MustAdd(dnswire.RR{Name: mail, TTL: 3600, Data: webMailA})
-		z.MustAdd(dnswire.RR{Name: name, TTL: 3600, Data: webSPF})
-	}
-	if p.idx%7 == 0 {
-		z.MustAdd(dnswire.RR{Name: name, TTL: 3600, Data: webCAA})
-	}
-
 	if spec.signed() {
 		if err := z.GenerateKeys(e.signCfg(), p.seeds); err != nil {
 			return err
 		}
-		if err := e.installCDS(z, spec.CDS, prof); err != nil {
-			return err
-		}
+	}
+	// The records owner by owner in canonical order (apex, mail, www),
+	// so that building the zone merges nothing; the apex's web records
+	// come first, and a variant swaps in its own CDS after them.
+	recs := make([]dnswire.RR, 0, 16)
+	recs = append(recs, zone.NewSOA(name, p.childNS[0].Target, uint32(2025041500+p.idx%1000)))
+	for _, ns := range p.childNS {
+		recs = append(recs, dnswire.RR{Name: name, TTL: 3600, Data: ns})
+	}
+	recs = append(recs, dnswire.RR{Name: name, TTL: 3600, Data: webApexA})
+	var below [2]dnswire.RR
+	others := below[:0]
+	if p.idx%3 == 0 {
+		mail := "mail." + name
+		recs = append(recs, dnswire.RR{Name: name, TTL: 3600, Data: &dnswire.MX{Preference: 10, Host: mail}},
+			dnswire.RR{Name: name, TTL: 3600, Data: webSPF})
+		others = append(others, dnswire.RR{Name: mail, TTL: 3600, Data: webMailA})
+	}
+	if p.idx%7 == 0 {
+		recs = append(recs, dnswire.RR{Name: name, TTL: 3600, Data: webCAA})
+	}
+	others = append(others, dnswire.RR{Name: "www." + name, TTL: 3600, Data: webWWWA})
+	web := len(recs)
+	// CDS in an unsigned zone is a finding of its own (§4.2, Canal
+	// Dominios).
+	cds, err := e.cdsRecords(z, spec.CDS, prof)
+	if err != nil {
+		return err
+	}
+	if err := z.AddRecords(append(append(recs, cds...), others...)); err != nil {
+		return err
+	}
+	if spec.signed() {
 		sc := e.signCfg()
 		sc.Expired = spec.State == StateInvalid
 		if err := z.Sign(sc); err != nil {
 			return err
 		}
 		if spec.CDS == CDSBadSig {
-			corruptSigsAt(z, name, dnswire.TypeCDS)
-			corruptSigsAt(z, name, dnswire.TypeCDNSKEY)
-		}
-	} else if spec.CDS != CDSNone {
-		// CDS in an unsigned zone (§4.2, Canal Dominios).
-		if err := e.installCDS(z, spec.CDS, prof); err != nil {
-			return err
+			if err := corruptSigsAt(z, name, dnswire.TypeCDS, dnswire.TypeCDNSKEY); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -757,16 +806,18 @@ func (e *Ecosystem) materialise(b *builtZone) error {
 	}
 
 	// Inconsistent-CDS variants served by the second operator or the
-	// variant server.
+	// variant server: the same web records, its own keys and CDS.
 	if spec.CDSInconsistent {
-		v := z.Clone()
-		v.Keys = nil
+		v := zone.New(name)
 		if err := v.GenerateKeys(e.signCfg(), p.seeds); err != nil {
 			return err
 		}
-		v.RemoveSet(name, dnswire.TypeCDS)
-		v.RemoveSet(name, dnswire.TypeCDNSKEY)
-		if err := v.PublishCDS(dnswire.DigestSHA256); err != nil {
+		ksk, _ := v.SigningKeys()
+		vcds, err := zone.CDSRecords(name, ksk, dnswire.DigestSHA256)
+		if err != nil {
+			return err
+		}
+		if err := v.AddRecords(append(append(recs[:web], vcds...), others...)); err != nil {
 			return err
 		}
 		if err := v.Sign(e.signCfg()); err != nil {
@@ -777,40 +828,39 @@ func (e *Ecosystem) materialise(b *builtZone) error {
 
 	// RFC 9615 signal content: the zone's CDS/CDNSKEY.
 	if spec.Signal && prof.SignalOperator {
-		content := append(z.RRset(name, dnswire.TypeCDS), z.RRset(name, dnswire.TypeCDNSKEY)...)
+		content := cds
 		if len(content) == 0 {
 			// Zones without in-zone CDS (e.g. the unsigned-with-signal
 			// population) still show stray signal records in the wild.
-			cds, err := dnssec.CDSFromKey(name, e.strayKey.DNSKEY(), dnswire.DigestSHA256)
+			stray, err := dnssec.CDSFromKey(name, e.strayKey.DNSKEY(), dnswire.DigestSHA256)
 			if err != nil {
 				return err
 			}
-			content = []dnswire.RR{{Name: name, Class: dnswire.ClassIN, TTL: 3600, Data: cds}}
+			content = []dnswire.RR{{Name: name, Class: dnswire.ClassIN, TTL: 3600, Data: stray}}
 		}
 		// deSEC filters deletion requests out of signal zones.
 		if !dnssec.IsDeleteSet(content) || prof.SignalDeletes {
 			b.signal = content
 		}
 	}
-
-	z.Build()
 	return nil
 }
 
 // publish adds a materialised zone to what it shares with others: its
 // registry's delegation and DS, its servers, its operator's signal
-// zones, Truth and Targets.
+// zones, Truth and Targets. Registry and signal records are collected
+// here and added to their zones by finalize.
 func (e *Ecosystem) publish(b builtZone) error {
 	if b.err != nil {
 		return b.err
 	}
 	p := &b.plan
-	reg := p.registry.zone
+	reg := p.registry
 	for _, ns := range p.parentNS {
-		reg.MustAdd(dnswire.RR{Name: p.name, TTL: 86400, Data: ns})
+		reg.delegations = append(reg.delegations, dnswire.RR{Name: p.name, TTL: 86400, Data: ns})
 	}
 	if b.ds != nil {
-		reg.MustAdd(dnswire.RR{Name: p.name, TTL: 86400, Data: b.ds})
+		reg.delegations = append(reg.delegations, dnswire.RR{Name: p.name, TTL: 86400, Data: b.ds})
 	}
 	p.op.srv.AddZone(b.z)
 	switch {
@@ -822,20 +872,18 @@ func (e *Ecosystem) publish(b builtZone) error {
 		p.copyTo.AddZone(b.z)
 	}
 	if b.signal != nil {
-		if err := publishSignals(p, b.signal); err != nil {
-			return err
-		}
+		publishSignals(p, b.signal)
 	}
 	e.Targets = append(e.Targets, p.name)
 	e.Truth[p.name] = p.truth
 	return nil
 }
 
-// installCDS publishes the zone's CDS/CDNSKEY per the spec.
-func (e *Ecosystem) installCDS(z *zone.Zone, mode CDSMode, p Profile) error {
+// cdsRecords returns the CDS/CDNSKEY records z publishes per mode.
+func (e *Ecosystem) cdsRecords(z *zone.Zone, mode CDSMode, p Profile) ([]dnswire.RR, error) {
 	switch mode {
 	case CDSNone:
-		return nil
+		return nil, nil
 	case CDSMatch, CDSBadSig:
 		digests := []uint8{dnswire.DigestSHA256}
 		if p.Name == "deSEC" {
@@ -844,30 +892,31 @@ func (e *Ecosystem) installCDS(z *zone.Zone, mode CDSMode, p Profile) error {
 			digests = append(digests, dnswire.DigestSHA384)
 		}
 		if len(z.Keys) == 0 {
-			return fmt.Errorf("ecosystem: CDSMatch on keyless zone %s", z.Origin)
+			return nil, fmt.Errorf("ecosystem: CDSMatch on keyless zone %s", z.Origin)
 		}
-		return z.PublishCDS(digests...)
+		ksk, _ := z.SigningKeys()
+		return zone.CDSRecords(z.Origin, ksk, digests...)
 	case CDSDelete:
-		z.PublishDeleteCDS()
-		return nil
+		return []dnswire.RR{
+			{Name: z.Origin, Class: dnswire.ClassIN, TTL: 0, Data: dnssec.DeleteCDS()},
+			{Name: z.Origin, Class: dnswire.ClassIN, TTL: 0, Data: dnssec.DeleteCDNSKEY()},
+		}, nil
 	case CDSOrphan:
 		cds, err := dnssec.CDSFromKey(z.Origin, e.strayKey.DNSKEY(), dnswire.DigestSHA256)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		z.RemoveSet(z.Origin, dnswire.TypeCDS)
-		z.RemoveSet(z.Origin, dnswire.TypeCDNSKEY)
-		z.MustAdd(dnswire.RR{Name: z.Origin, Class: dnswire.ClassIN, TTL: 3600, Data: cds})
-		z.MustAdd(dnswire.RR{Name: z.Origin, Class: dnswire.ClassIN, TTL: 3600,
-			Data: &dnswire.CDNSKEY{DNSKEY: *e.strayKey.DNSKEY()}})
-		return nil
+		return []dnswire.RR{
+			{Name: z.Origin, Class: dnswire.ClassIN, TTL: 3600, Data: cds},
+			{Name: z.Origin, Class: dnswire.ClassIN, TTL: 3600, Data: &dnswire.CDNSKEY{DNSKEY: *e.strayKey.DNSKEY()}},
+		}, nil
 	}
-	return fmt.Errorf("ecosystem: unhandled CDS mode %v", mode)
+	return nil, fmt.Errorf("ecosystem: unhandled CDS mode %v", mode)
 }
 
 // publishSignals copies a zone's CDS/CDNSKEY content into the signal
 // zones of the operator's nameservers, honouring the injected anomaly.
-func publishSignals(p *zonePlan, content []dnswire.RR) error {
+func publishSignals(p *zonePlan, content []dnswire.RR) {
 	hosts := p.childNS[:]
 	if p.truth.Spec.SignalAnomaly == SigMissingOneNS {
 		hosts = hosts[:1]
@@ -881,11 +930,7 @@ func publishSignals(p *zonePlan, content []dnswire.RR) error {
 		if err != nil {
 			continue // name too long: cannot be signalled (§2)
 		}
-		for _, rr := range recs {
-			if err := sz.zone.Add(rr); err != nil {
-				return err
-			}
-		}
+		sz.records = append(sz.records, recs...)
 		switch p.truth.Spec.SignalAnomaly {
 		case SigBadSig:
 			sz.badSigOwners = append(sz.badSigOwners, recs[0].Name)
@@ -897,20 +942,26 @@ func publishSignals(p *zonePlan, content []dnswire.RR) error {
 			// built, not per signalled owner.
 		}
 	}
-	return nil
 }
 
-// finalize signs the infrastructure zones, applies the signal
+// finalize adds the collected delegations and signal records to their
+// zones, signs the infrastructure zones, applies the signal
 // corruptions, and derives the trust anchor. Every DS is in place, and
-// each zone's signing reads only the zone, so the zones are signed in
-// parallel.
+// each zone's task reads and writes only the zone, so the zones are
+// finished in parallel.
 func (e *Ecosystem) finalize() error {
 	var tasks []func() error
 	bigCfg := e.signCfg()
 	bigCfg.SkipNSEC = true
 	for _, name := range sortedKeys(e.tlds) {
-		z := e.tlds[name].zone
-		tasks = append(tasks, func() error { return z.Sign(bigCfg) })
+		ti := e.tlds[name]
+		tasks = append(tasks, func() error {
+			if err := ti.zone.AddRecords(ti.delegations); err != nil {
+				return err
+			}
+			ti.delegations = nil
+			return ti.zone.Sign(bigCfg)
+		})
 	}
 	for _, name := range sortedKeys(e.ops) {
 		op := e.ops[name]
@@ -935,22 +986,26 @@ func (e *Ecosystem) finalize() error {
 	return nil
 }
 
-// finishSignalZone signs a signal zone, corrupts and expires the
-// signatures of its anomalous owners, and builds it.
+// finishSignalZone adds a signal zone's records, signs it, and corrupts
+// and expires the signatures of its anomalous owners in place.
 func (e *Ecosystem) finishSignalZone(sz *signalZone) error {
+	if err := sz.zone.AddRecords(sz.records); err != nil {
+		return err
+	}
+	sz.records = nil
 	if err := sz.zone.Sign(e.signCfg()); err != nil {
 		return err
 	}
 	for _, owner := range sz.badSigOwners {
-		corruptSigsAt(sz.zone, owner, dnswire.TypeCDS)
-		corruptSigsAt(sz.zone, owner, dnswire.TypeCDNSKEY)
+		if err := corruptSigsAt(sz.zone, owner, dnswire.TypeCDS, dnswire.TypeCDNSKEY); err != nil {
+			return err
+		}
 	}
 	for _, owner := range sz.expiredOwners {
 		if err := expireSigsAt(sz.zone, owner, e.Now); err != nil {
 			return err
 		}
 	}
-	sz.zone.Build()
 	return nil
 }
 
@@ -971,70 +1026,37 @@ func inParallel(tasks []func() error) error {
 	return err
 }
 
-// corruptSigsAt flips bits in every RRSIG over (owner, covered),
-// leaving the records and other signatures intact.
-func corruptSigsAt(z *zone.Zone, owner string, covered dnswire.Type) {
+// corruptSigsAt flips bits in every RRSIG at owner over a type of
+// covered, leaving the records and other signatures intact.
+func corruptSigsAt(z *zone.Zone, owner string, covered ...dnswire.Type) error {
 	sigs := z.RRset(owner, dnswire.TypeRRSIG)
 	if len(sigs) == 0 {
-		return
+		return nil
 	}
-	z.RemoveSet(owner, dnswire.TypeRRSIG)
-	for _, rr := range sigs {
+	for i, rr := range sigs {
 		sig := rr.Data.(*dnswire.RRSIG)
-		if sig.TypeCovered == covered && len(sig.Signature) > 0 {
+		if slices.Contains(covered, sig.TypeCovered) && len(sig.Signature) > 0 {
 			dup := *sig
 			dup.Signature = append([]byte(nil), sig.Signature...)
 			dup.Signature[0] ^= 0xFF
-			rr.Data = &dup
+			sigs[i].Data = &dup
 		}
-		z.MustAdd(rr)
 	}
+	return z.ReplaceRRset(owner, dnswire.TypeRRSIG, sigs)
 }
 
 // expireSigsAt re-signs every RRset at owner with an already-expired
 // validity window (the decayed-test-zone case of §4.4).
 func expireSigsAt(z *zone.Zone, owner string, now time.Time) error {
-	if len(z.Keys) == 0 {
-		return fmt.Errorf("ecosystem: cannot expire sigs in keyless zone %s", z.Origin)
-	}
-	_, zsk := zoneKeysOf(z)
-	opts := dnssec.ExpiredWindow(now, z.Origin)
-	// Every set is read before the first signature is added, so the
-	// zone is not rebuilt between the adds.
-	var sigs []dnswire.RR
 	for _, typ := range z.TypesAt(owner) {
 		if typ == dnswire.TypeRRSIG {
 			continue
 		}
-		sig, err := dnssec.SignRRset(z.RRset(owner, typ), zsk, opts)
-		if err != nil {
+		if err := z.ResignRRset(owner, typ, zone.SignConfig{Now: now, Expired: true}); err != nil {
 			return err
 		}
-		sigs = append(sigs, sig)
-	}
-	z.RemoveSet(owner, dnswire.TypeRRSIG)
-	for _, sig := range sigs {
-		z.MustAdd(sig)
 	}
 	return nil
-}
-
-func zoneKeysOf(z *zone.Zone) (ksk, zsk *dnssec.Key) {
-	for _, k := range z.Keys {
-		if k.IsSEP() && ksk == nil {
-			ksk = k
-		}
-		if !k.IsSEP() && zsk == nil {
-			zsk = k
-		}
-	}
-	if ksk == nil {
-		ksk = zsk
-	}
-	if zsk == nil {
-		zsk = ksk
-	}
-	return
 }
 
 // Operators lists the generated operator names.

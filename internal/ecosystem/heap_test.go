@@ -44,3 +44,36 @@ func TestWorldHeapBudget(t *testing.T) {
 		t.Errorf("world holds %.1f heap objects per zone, budget %d", objectsPerZone, maxObjectsPerZone)
 	}
 }
+
+// TestGenerateAllocBudget bounds what Generate allocates at scale 20000
+// per scan target, bytes and heap objects, live or not: each zone is
+// built once, from its records in one step, and signed in one pass, so
+// a change that copies zones again shows here before it shows as GC
+// time.
+func TestGenerateAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale 20000 is skipped under -short")
+	}
+	const (
+		maxBytesPerZone   = 1530
+		maxObjectsPerZone = 13
+	)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w, err := Generate(Config{Seed: 1, ScaleDivisor: 20_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	zones := float64(len(w.Targets))
+	bytesPerZone := float64(after.TotalAlloc-before.TotalAlloc) / zones
+	objectsPerZone := float64(after.Mallocs-before.Mallocs) / zones
+	t.Logf("%.0f zones: Generate allocates %.0f B and %.1f heap objects per zone", zones, bytesPerZone, objectsPerZone)
+	if bytesPerZone > maxBytesPerZone {
+		t.Errorf("Generate allocates %.0f B per zone, budget %d", bytesPerZone, maxBytesPerZone)
+	}
+	if objectsPerZone > maxObjectsPerZone {
+		t.Errorf("Generate allocates %.1f heap objects per zone, budget %d", objectsPerZone, maxObjectsPerZone)
+	}
+}

@@ -403,23 +403,23 @@ func (s *Server) nsec3Proofs(z *zone.Zone, m *dnswire.Message, qname string, nxd
 }
 
 // coveringNSEC3 finds the NSEC3 record whose hash interval covers
-// name. NSEC3 owner names sort in hash order under canonical name
+// name, hashing it once. NSEC3 owner names sort in hash order under canonical name
 // ordering (one base32hex label under the apex), so the only candidate
 // is the last NSEC3 before name's hashed owner, one search of the zone,
 // or, when the hash precedes every owner's, the zone's last NSEC3, whose
 // interval wraps around.
 func (s *Server) coveringNSEC3(z *zone.Zone, name string, p *dnswire.NSEC3PARAM) (dnswire.RR, bool) {
-	owner, err := dnssec.NSEC3Owner(name, z.Origin, p.Iterations, p.Salt)
+	h, err := dnssec.NSEC3Hash(name, p.Iterations, p.Salt)
 	if err != nil {
 		return dnswire.RR{}, false
 	}
-	rr, ok := z.Preceding(owner, dnswire.TypeNSEC3)
+	rr, ok := z.Preceding(dnssec.NSEC3HashOwner(h, z.Origin), dnswire.TypeNSEC3)
 	if !ok {
 		// base32hex uses only 0-9 and a-v, so every NSEC3 owner sorts
 		// before w.<apex>.
 		rr, ok = z.Preceding(dnswire.Join("w", z.Origin), dnswire.TypeNSEC3)
 	}
-	return rr, ok && dnssec.NSEC3Covers(rr, name)
+	return rr, ok && dnssec.NSEC3CoversHash(rr, h)
 }
 
 // coveringNSEC finds the NSEC record whose interval covers qname: the

@@ -1,6 +1,7 @@
 package zone
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"slices"
@@ -252,12 +253,41 @@ func (r *storeRun) run(data []byte) []string {
 	r.t.Helper()
 	var trail []string
 	for ; len(data) >= 4; data = data[4:] {
-		op, read := r.step(data[0], modelNames[int(data[1])%len(modelNames)], data[2], data[3])
+		var op string
+		var read bool
+		if data[0] >= 240 {
+			op, data = r.addRecords(data)
+		} else {
+			op, read = r.step(data[0], modelNames[int(data[1])%len(modelNames)], data[2], data[3])
+		}
 		trail = append(trail, op)
 		r.check(trail, r.eager || read)
 	}
 	r.check(trail, true)
 	return trail
+}
+
+// addRecords runs the op an op byte of 240 or more picks: one
+// AddRecords call with the records of the next value%8+1 groups (their
+// owner, type and value; the op byte is not read), which the model adds
+// one by one. Every other op is checked right after it, so this is the
+// one that builds a zone from many records at once, in whatever
+// stretches of owners the groups give. It returns the data left from
+// its last group on.
+func (r *storeRun) addRecords(data []byte) (string, []byte) {
+	n := min(int(data[3])%8+1, len(data)/4-1)
+	var recs []dnswire.RR
+	for range n {
+		data = data[4:]
+		recs = append(recs, record(modelNames[int(data[1])%len(modelNames)], data[2], data[3]))
+	}
+	for _, rr := range recs {
+		r.m.add(rr)
+	}
+	if err := r.z.AddRecords(recs); err != nil {
+		r.t.Fatal(err)
+	}
+	return fmt.Sprintf("AddRecords %d", n), data
 }
 
 // record builds an rr of the add type picked by b at name, its RDATA

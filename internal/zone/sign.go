@@ -60,19 +60,25 @@ func (z *Zone) GenerateKeys(cfg SignConfig, rng io.Reader) error {
 
 // Sign signs the zone: publishes the DNSKEY RRset, builds the NSEC
 // chain, and records an RRSIG for every authoritative RRset. Previous
-// DNSSEC records (DNSKEY/RRSIG/NSEC) are replaced. Delegation NS sets
-// and occluded (glue) names are left unsigned, per RFC 4035 §2.2.
+// DNSSEC records (DNSKEY/RRSIG/NSEC/NSEC3/NSEC3PARAM) are replaced.
+// Delegation NS sets and occluded (glue) names are left unsigned, per
+// RFC 4035 §2.2.
 //
-// Only the signatures themselves are deferred: each is made, with the
-// keys and validity window of this call, when first read (Sigs, RRset,
-// All, WriteTo, Clone) or before a write changes the RRset it covers.
-// The zone always reads as if every signature had been made here.
+// Sign counts what it adds in one pass over the built zone and writes
+// the signed zone into one slice in a second. Only the signatures
+// themselves are deferred: each is made, with the keys and validity
+// window of this call, when first read (Sigs, RRset, All, WriteTo) or
+// before a write changes the RRset it covers. The zone always reads as
+// if every signature had been made here.
 func (z *Zone) Sign(cfg SignConfig) error {
 	if len(z.Keys) == 0 {
 		return errors.New("zone: no keys; call GenerateKeys first")
 	}
-	soa := z.SOA()
-	if soa == nil {
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	z.buildLocked()
+	soa := z.setLocked(z.Origin, dnswire.TypeSOA)
+	if len(soa) == 0 {
 		return errors.New("zone: cannot sign a zone without a SOA")
 	}
 	now := cfg.Now
@@ -84,73 +90,207 @@ func (z *Zone) Sign(cfg SignConfig) error {
 		opts = dnssec.ExpiredWindow(now, z.Origin)
 	}
 	by := z.newSigner(opts)
-	for _, k := range slices.Concat(by.seps, by.zsk) {
-		if err := k.CanSign(); err != nil {
-			return fmt.Errorf("zone: cannot sign with %s: %w", k, err)
+	for _, keys := range [][]*dnssec.Key{by.seps, by.zsk} {
+		for _, k := range keys {
+			if err := k.CanSign(); err != nil {
+				return fmt.Errorf("zone: cannot sign with %s: %w", k, err)
+			}
 		}
 	}
-
-	z.Unsign()
-
-	// The chain covers the authoritative names: cuts included, occluded
-	// names excluded. Every name and bitmap is read before the first
-	// record is added, because an Add only appends and a read after it
-	// would build the zone again; the apex's bitmaps name the DNSKEY
-	// RRset published below.
-	nsecTTL := cfg.NSECTTL
-	if nsecTTL == 0 {
-		nsecTTL = soa.Data.(*dnswire.SOA).Minimum
+	s := &signing{z: z, nsec: !cfg.SkipNSEC && !cfg.UseNSEC3, ttl: cfg.NSECTTL}
+	if s.ttl == 0 {
+		s.ttl = soa[0].Data.(*dnswire.SOA).Minimum
 	}
-	var authNames []string
-	for _, n := range z.Names() {
-		if z.Occluded(n) {
-			continue
-		}
-		authNames = append(authNames, n)
+	s.apex = make([]dnswire.RR, 0, len(z.Keys)+1)
+	for _, k := range z.Keys {
+		// The apex's records share its owner's name string.
+		rr := dnswire.RR{Name: soa[0].Name, Class: z.Class, TTL: 3600, Data: k.DNSKEY()}
+		s.apex = addToOwner(s.apex, 0, rr)
 	}
-	var chain []dnswire.RR
-	switch {
-	case cfg.SkipNSEC:
-	case cfg.UseNSEC3:
-		var err error
-		if chain, err = z.nsec3Chain(authNames, nsecTTL, cfg); err != nil {
+	if cfg.UseNSEC3 && !cfg.SkipNSEC {
+		param, chain, err := z.nsec3Chain(s.ttl, cfg)
+		if err != nil {
 			return err
 		}
-	default:
-		chain = make([]dnswire.RR, len(authNames))
-		for i, name := range authNames {
-			types := z.bitmap(name, dnswire.TypeRRSIG, dnswire.TypeNSEC)
-			chain[i] = dnswire.RR{Name: name, Class: z.Class, TTL: nsecTTL,
-				Data: &dnswire.NSEC{NextDomain: authNames[(i+1)%len(authNames)], Types: types}}
-		}
+		s.apex, s.nsec3 = append(s.apex, param), chain
 	}
-
-	// Publish DNSKEYs.
-	keyTTL := uint32(3600)
-	for _, k := range z.Keys {
-		z.MustAdd(dnswire.RR{Name: z.Origin, Class: z.Class, TTL: keyTTL, Data: k.DNSKEY()})
+	recs, sigs := s.pass()
+	s.out = make([]dnswire.RR, 0, recs)
+	s.pending = make([]pendingSig, 0, sigs)
+	s.by = by
+	s.pass()
+	if s.last != nil {
+		s.last.NextDomain = s.first
 	}
-	for _, rr := range chain {
-		z.MustAdd(rr)
-	}
-	z.deferSigs(by)
+	z.recs, z.sorted, z.index = s.out, len(s.out), indexOwners(s.out)
+	z.lazy = sigs > 0
 	return nil
 }
 
-// bitmap returns the type bitmap of an NSEC or NSEC3 record at name:
-// the types present there plus extra, plus DNSKEY at the apex, sorted,
-// each once; at a zone cut only the types authoritative there.
-func (z *Zone) bitmap(name string, extra ...dnswire.Type) []dnswire.Type {
-	if name == z.Origin {
-		extra = append(extra, dnswire.TypeDNSKEY)
+// signing is one Sign call's walk over the built zone. The first pass
+// (by nil) counts what the second writes into out.
+type signing struct {
+	z     *Zone
+	nsec  bool         // chain the authoritative owners with NSEC
+	ttl   uint32       // of the NSEC and NSEC3 records
+	apex  []dnswire.RR // the DNSKEY RRset, and NSEC3PARAM with NSEC3
+	nsec3 []dnswire.RR // the NSEC3 chain in canonical owner order
+
+	by      *signer
+	out     []dnswire.RR
+	pending []pendingSig
+	first   string        // the first NSEC's owner
+	last    *dnswire.NSEC // the last NSEC made, its next name unset
+	cut     string        // the last zone cut passed that is not occluded
+}
+
+// The first pass's stand-ins for the NSEC records and placeholders the
+// second one makes: the types are all it reads.
+var (
+	countedNSEC = &dnswire.NSEC{}
+	countedSig  = &pendingSig{}
+)
+
+// pass walks the owners of the signed zone in canonical order — each
+// owner of the built zone that keeps a record and each NSEC3 owner —
+// and appends their records to out; the first pass only counts them.
+// It returns the number of records and placeholders.
+func (s *signing) pass() (recs, sigs int) {
+	z := s.z
+	s.cut = ""
+	var scratch [32]dnswire.RR // the first pass's records of one owner
+	for i, e := 0, 0; i < len(z.recs) || e < len(s.nsec3); {
+		var own, chain []dnswire.RR
+		if e == len(s.nsec3) || i < len(z.recs) && compareOwners(z.recs[i].Name, s.nsec3[e].Name) <= 0 {
+			own, i = z.recs[i:ownerEnd(z.recs, i)], ownerEnd(z.recs, i)
+		}
+		if e < len(s.nsec3) && (own == nil || own[0].Name == s.nsec3[e].Name) {
+			chain, e = s.nsec3[e:ownerEnd(s.nsec3, e)], ownerEnd(s.nsec3, e)
+		}
+		first := chain
+		if own != nil {
+			first = own
+		}
+		name := first[0].Name
+		if s.by != nil {
+			s.out, _ = s.appendOwner(s.out, name, own, chain)
+			continue
+		}
+		dst, n := s.appendOwner(scratch[:0], name, own, chain)
+		recs, sigs = recs+len(dst), sigs+n
 	}
-	z.rlock()
-	lo, hi := z.ownerLocked(name)
-	own := z.recs[lo:hi]
-	types := appendTypes(make([]dnswire.Type, 0, len(own)+len(extra)), own)
-	cut := z.cutLocked(name)
-	z.mu.RUnlock()
-	types = dedupeSortTypes(append(types, extra...))
+	return recs, sigs
+}
+
+// appendOwner appends the signed records at name to dst: those of own
+// that Sign does not replace, what Sign adds there (an NSEC, the
+// apex's additions, chain's NSEC3), and a placeholder in the RRSIG set
+// for each RRset signed there — every type at an owner not below a
+// zone cut, but NS at a cut. It returns the extended slice and the
+// number of placeholders; an owner that keeps nothing appends nothing.
+func (s *signing) appendOwner(dst []dnswire.RR, name string, own, chain []dnswire.RR) ([]dnswire.RR, int) {
+	z := s.z
+	start := len(dst)
+	for _, rr := range own {
+		if !replaced(rr, z.Class) {
+			dst = append(dst, rr)
+		}
+	}
+	kept := len(dst)
+	if kept == start && len(chain) == 0 {
+		return dst, 0
+	}
+	// Owners come in canonical order, so a name below a cut comes after
+	// it, before any name that is not: the last cut seen that is not
+	// itself occluded is the only one that can occlude name.
+	occluded := s.cut != "" && dnswire.IsSubdomain(name, s.cut)
+	lo, hi := span(dst[start:], dnswire.TypeNS, z.Class)
+	cut := name != z.Origin && lo < hi
+	if cut && !occluded {
+		s.cut = name
+	}
+	if s.nsec && !occluded {
+		dst = append(dst, s.nsecAt(name, dst[start:], cut))
+	}
+	if name == z.Origin {
+		dst = append(dst, s.apex...)
+	}
+	if dst = append(dst, chain...); len(dst) > kept {
+		sortOwner(dst[start:])
+	}
+	if occluded {
+		return dst, 0
+	}
+	var buf [16]dnswire.RR
+	sigs, last := buf[:0], dnswire.Type(0)
+	for _, rr := range dst[start:] {
+		typ := rr.Type()
+		if rr.Class != z.Class || typ == dnswire.TypeRRSIG || (cut && typ == dnswire.TypeNS) || typ == last {
+			continue
+		}
+		last = typ
+		p := countedSig
+		if s.by != nil {
+			s.pending = append(s.pending, pendingSig{covered: typ, by: s.by})
+			p = &s.pending[len(s.pending)-1]
+		}
+		sigs = append(sigs, dnswire.RR{Name: name, Class: z.Class, Data: p})
+	}
+	lo, _ = span(dst[start:], dnswire.TypeRRSIG, z.Class)
+	return slices.Insert(dst, start+lo, sigs...), len(sigs)
+}
+
+// nsecAt returns the NSEC record at name, which keeps the records own.
+func (s *signing) nsecAt(name string, own []dnswire.RR, cut bool) dnswire.RR {
+	rr := dnswire.RR{Name: name, Class: s.z.Class, TTL: s.ttl, Data: countedNSEC}
+	if s.by == nil {
+		return rr
+	}
+	nsec := &dnswire.NSEC{Types: s.z.bitmap(name, own, cut, dnswire.TypeRRSIG, dnswire.TypeNSEC)}
+	if s.last == nil {
+		s.first = name
+	} else {
+		s.last.NextDomain = name
+	}
+	s.last, rr.Data = nsec, nsec
+	return rr
+}
+
+// replaced reports whether Sign replaces rr: a DNSSEC record of the
+// zone's class.
+func replaced(rr dnswire.RR, class dnswire.Class) bool {
+	switch rr.Type() {
+	case dnswire.TypeRRSIG, dnswire.TypeNSEC, dnswire.TypeNSEC3, dnswire.TypeNSEC3PARAM, dnswire.TypeDNSKEY:
+		return rr.Class == class
+	}
+	return false
+}
+
+// sortOwner sorts one owner's records by type, then class, keeping
+// each RRset's order; only Sign's few additions are out of place.
+func sortOwner(own []dnswire.RR) {
+	for i := 1; i < len(own); i++ {
+		for j := i; j > 0; j-- {
+			a, b := own[j-1], own[j]
+			if ta, tb := a.Type(), b.Type(); ta < tb || ta == tb && a.Class <= b.Class {
+				break
+			}
+			own[j-1], own[j] = b, a
+		}
+	}
+}
+
+// bitmap returns the type bitmap of an NSEC or NSEC3 record at name,
+// whose records are own: their types plus extra, plus DNSKEY at the
+// apex, sorted, each once; at a zone cut only the types authoritative
+// there.
+func (z *Zone) bitmap(name string, own []dnswire.RR, cut bool, extra ...dnswire.Type) []dnswire.Type {
+	types := appendTypes(make([]dnswire.Type, 0, len(own)+len(extra)+1), own)
+	types = append(types, extra...)
+	if name == z.Origin {
+		types = append(types, dnswire.TypeDNSKEY)
+	}
+	types = dedupeSortTypes(types)
 	if cut {
 		// At a cut only NS (+DS) appear in the bitmap; no RRSIG for
 		// the NS set itself but the NSEC/DS at the cut are signed.
@@ -173,7 +313,7 @@ type signer struct {
 }
 
 func (z *Zone) newSigner(opts dnssec.SignOptions) *signer {
-	ksk, zsk := z.signingKeys()
+	ksk, zsk := z.SigningKeys()
 	by := &signer{zsk: []*dnssec.Key{zsk}, opts: opts}
 	for _, k := range z.Keys {
 		if k.IsSEP() {
@@ -222,69 +362,6 @@ type pendingSig struct {
 }
 
 func (*pendingSig) Type() dnswire.Type { return dnswire.TypeRRSIG }
-
-// deferSigs puts a placeholder for by's signatures over every
-// authoritative RRset: at every owner not below a zone cut, every type
-// but RRSIG, and but NS at a cut (delegation NS is not authoritative
-// here). Sign has emptied the RRSIG sets, so each holds its
-// placeholders in eager signing's order. The zone is rewritten into one
-// new slice, and all its placeholders share one allocation.
-func (z *Zone) deferSigs(by *signer) {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	z.buildLocked()
-	var covered []dnswire.Type
-	n := 0
-	for i := 0; i < len(z.recs); i = ownerEnd(z.recs, i) {
-		covered = z.coveredLocked(covered[:0], i)
-		n += len(covered)
-	}
-	if n == 0 {
-		return
-	}
-	pending := make([]pendingSig, 0, n)
-	out := make([]dnswire.RR, 0, len(z.recs)+n)
-	for i := 0; i < len(z.recs); {
-		j := ownerEnd(z.recs, i)
-		own := z.recs[i:j]
-		covered = z.coveredLocked(covered[:0], i)
-		lo, hi := len(own), len(own)
-		if len(covered) > 0 {
-			lo, hi = span(own, dnswire.TypeRRSIG, z.Class)
-		}
-		out = append(out, own[:lo]...)
-		for _, typ := range covered {
-			pending = append(pending, pendingSig{covered: typ, by: by})
-			out = append(out, dnswire.RR{Name: own[0].Name, Class: z.Class, Data: &pending[len(pending)-1]})
-		}
-		out = append(out, own[hi:]...)
-		i = j
-	}
-	z.recs, z.sorted = out, len(out)
-	z.index = indexOwners(out)
-	z.lazy = true
-}
-
-// coveredLocked appends to dst the types Sign signs at the owner whose
-// records start at recs[i]: none below a cut, else each type of the
-// zone's class but RRSIG, and but NS at a cut.
-func (z *Zone) coveredLocked(dst []dnswire.Type, i int) []dnswire.Type {
-	name := z.recs[i].Name
-	if z.occludedLocked(name) {
-		return dst
-	}
-	isCut := z.cutLocked(name)
-	n := len(dst)
-	for _, rr := range z.recs[i:ownerEnd(z.recs, i)] {
-		typ := rr.Type()
-		if rr.Class != z.Class || typ == dnswire.TypeRRSIG || (isCut && typ == dnswire.TypeNS) ||
-			(len(dst) > n && dst[len(dst)-1] == typ) {
-			continue
-		}
-		dst = append(dst, typ)
-	}
-	return dst
-}
 
 // AppendSigs appends the RRSIGs at owner covering covered to dst and
 // returns the extended slice. A signature Sign deferred is made here on
@@ -428,38 +505,49 @@ func (z *Zone) replaceLocked(i int, sigs []dnswire.RR) {
 	z.index = indexOwners(z.recs[:z.sorted])
 }
 
-// nsec3Chain hashes every authoritative name, sorts the hashes, and
-// returns the NSEC3 records plus the apex NSEC3PARAM (RFC 5155 §7.1)
-// for Sign to add.
-func (z *Zone) nsec3Chain(authNames []string, ttl uint32, cfg SignConfig) ([]dnswire.RR, error) {
+// nsec3Chain hashes every authoritative name of the built zone that
+// keeps a record once Sign replaces the DNSSEC ones, and returns the
+// apex NSEC3PARAM and the NSEC3 records (RFC 5155 §7.1) in hash order,
+// which is their owners' canonical order.
+func (z *Zone) nsec3Chain(ttl uint32, cfg SignConfig) (dnswire.RR, []dnswire.RR, error) {
 	type hashed struct {
 		hash   []byte
 		owner  string
 		bitmap []dnswire.Type
 	}
-	entries := make([]hashed, 0, len(authNames))
-	for _, name := range authNames {
+	var entries []hashed
+	var kept []dnswire.RR
+	for i := 0; i < len(z.recs); {
+		j := ownerEnd(z.recs, i)
+		name := z.recs[i].Name
+		kept = kept[:0]
+		for _, rr := range z.recs[i:j] {
+			if !replaced(rr, z.Class) {
+				kept = append(kept, rr)
+			}
+		}
+		i = j
+		if len(kept) == 0 || z.occludedLocked(name) {
+			continue
+		}
 		h, err := dnssec.NSEC3Hash(name, cfg.NSEC3Iterations, cfg.NSEC3Salt)
 		if err != nil {
-			return nil, err
-		}
-		owner, err := dnssec.NSEC3Owner(name, z.Origin, cfg.NSEC3Iterations, cfg.NSEC3Salt)
-		if err != nil {
-			return nil, err
+			return dnswire.RR{}, nil, err
 		}
 		extra := []dnswire.Type{dnswire.TypeRRSIG}
 		if name == z.Origin {
 			extra = append(extra, dnswire.TypeNSEC3PARAM)
 		}
-		entries = append(entries, hashed{hash: h, owner: owner, bitmap: z.bitmap(name, extra...)})
+		entries = append(entries, hashed{hash: h, owner: dnssec.NSEC3HashOwner(h, z.Origin),
+			bitmap: z.bitmap(name, kept, z.cutLocked(name), extra...)})
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		return bytes.Compare(entries[i].hash, entries[j].hash) < 0
 	})
-	chain := make([]dnswire.RR, 0, 1+len(entries))
-	chain = append(chain, dnswire.RR{Name: z.Origin, Class: z.Class, TTL: 0, Data: &dnswire.NSEC3PARAM{
+	param := dnswire.RR{Name: z.Origin, Class: z.Class, TTL: 0, Data: &dnswire.NSEC3PARAM{
 		HashAlg: dnssec.NSEC3HashAlgSHA1, Iterations: cfg.NSEC3Iterations, Salt: cfg.NSEC3Salt,
-	}})
+	}}
+	chain := make([]dnswire.RR, 0, len(entries))
 	for i, e := range entries {
 		chain = append(chain, dnswire.RR{Name: e.owner, Class: z.Class, TTL: ttl, Data: &dnswire.NSEC3{
 			HashAlg:    dnssec.NSEC3HashAlgSHA1,
@@ -469,12 +557,13 @@ func (z *Zone) nsec3Chain(authNames []string, ttl uint32, cfg SignConfig) ([]dns
 			Types:      e.bitmap,
 		}})
 	}
-	return chain, nil
+	return param, chain, nil
 }
 
 // ResignRRset refreshes the RRSIG over one RRset (owner, typ) in an
 // already-signed zone, e.g. after a registry updates a DS set in place.
-// Signatures over other RRsets at owner are preserved.
+// Signatures over other RRsets at owner are preserved, and the new one
+// goes last.
 func (z *Zone) ResignRRset(owner string, typ dnswire.Type, cfg SignConfig) error {
 	if len(z.Keys) == 0 {
 		return errors.New("zone: no keys")
@@ -487,52 +576,21 @@ func (z *Zone) ResignRRset(owner string, typ dnswire.Type, cfg SignConfig) error
 	if cfg.Expired {
 		opts = dnssec.ExpiredWindow(now, z.Origin)
 	}
-	ksk, zsk := z.signingKeys()
-	key := zsk
+	ksk, key := z.SigningKeys()
 	if typ == dnswire.TypeDNSKEY {
 		key = ksk
 	}
-	owner = dnswire.CanonicalName(owner)
-	// Drop existing signatures covering typ, keep the rest.
-	old := z.RRset(owner, dnswire.TypeRRSIG)
-	z.RemoveSet(owner, dnswire.TypeRRSIG)
-	for _, rr := range old {
-		if rr.Data.(*dnswire.RRSIG).TypeCovered != typ {
-			z.MustAdd(rr)
-		}
-	}
-	set := z.RRset(owner, typ)
-	if len(set) == 0 {
-		return nil // RRset deleted entirely; nothing to sign
-	}
-	sig, err := dnssec.SignRRset(set, key, opts)
-	if err != nil {
-		return err
-	}
-	z.MustAdd(sig)
-	return nil
-}
-
-// Unsign removes all DNSSEC records (DNSKEY, RRSIG, NSEC, NSEC3,
-// NSEC3PARAM) from the zone, leaving keys in place.
-func (z *Zone) Unsign() {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	z.buildLocked()
-	n := len(z.recs)
-	z.recs = slices.DeleteFunc(z.recs, func(rr dnswire.RR) bool {
-		switch rr.Type() {
-		case dnswire.TypeRRSIG, dnswire.TypeNSEC, dnswire.TypeNSEC3, dnswire.TypeNSEC3PARAM, dnswire.TypeDNSKEY:
-			return rr.Class == z.Class
-		}
-		return false
+	sigs := slices.DeleteFunc(z.RRset(owner, dnswire.TypeRRSIG), func(rr dnswire.RR) bool {
+		return rr.Data.(*dnswire.RRSIG).TypeCovered == typ
 	})
-	if len(z.recs) < n {
-		z.sorted = len(z.recs)
-		z.index = nil
+	if set := z.RRset(owner, typ); len(set) > 0 {
+		sig, err := dnssec.SignRRset(set, key, opts)
+		if err != nil {
+			return err
+		}
+		sigs = append(sigs, sig)
 	}
-	// Every placeholder was an RRSIG of the zone's class.
-	z.lazy = false
+	return z.ReplaceRRset(owner, dnswire.TypeRRSIG, sigs)
 }
 
 // PublishCDS installs CDS and CDNSKEY RRsets derived from the zone's
@@ -542,7 +600,7 @@ func (z *Zone) PublishCDS(digestTypes ...uint8) error {
 	if len(z.Keys) == 0 {
 		return errors.New("zone: no keys to derive CDS from")
 	}
-	ksk, _ := z.signingKeys()
+	ksk, _ := z.SigningKeys()
 	return z.PublishCDSFor(ksk, digestTypes...)
 }
 
@@ -550,21 +608,35 @@ func (z *Zone) PublishCDS(digestTypes ...uint8) error {
 // during a rollover the CDS names the incoming KSK while the zone is
 // still chained through the outgoing one.
 func (z *Zone) PublishCDSFor(ksk *dnssec.Key, digestTypes ...uint8) error {
-	if len(digestTypes) == 0 {
-		digestTypes = []uint8{dnswire.DigestSHA256}
+	recs, err := CDSRecords(z.Origin, ksk, digestTypes...)
+	if err != nil {
+		return err
 	}
 	z.RemoveSet(z.Origin, dnswire.TypeCDS)
 	z.RemoveSet(z.Origin, dnswire.TypeCDNSKEY)
-	for _, dt := range digestTypes {
-		cds, err := dnssec.CDSFromKey(z.Origin, ksk.DNSKEY(), dt)
-		if err != nil {
-			return err
-		}
-		z.MustAdd(dnswire.RR{Name: z.Origin, Class: z.Class, TTL: 3600, Data: cds})
+	for _, rr := range recs {
+		rr.Class = z.Class
+		z.MustAdd(rr)
 	}
-	z.MustAdd(dnswire.RR{Name: z.Origin, Class: z.Class, TTL: 3600,
-		Data: &dnswire.CDNSKEY{DNSKEY: *ksk.DNSKEY()}})
 	return nil
+}
+
+// CDSRecords returns the CDS records publishing ksk at origin, one per
+// digest type given (SHA-256 when none is), then the matching CDNSKEY,
+// of class IN.
+func CDSRecords(origin string, ksk *dnssec.Key, digestTypes ...uint8) ([]dnswire.RR, error) {
+	if len(digestTypes) == 0 {
+		digestTypes = []uint8{dnswire.DigestSHA256}
+	}
+	recs := make([]dnswire.RR, 0, len(digestTypes)+1)
+	for _, dt := range digestTypes {
+		cds, err := dnssec.CDSFromKey(origin, ksk.DNSKEY(), dt)
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, dnswire.RR{Name: origin, Class: dnswire.ClassIN, TTL: 3600, Data: cds})
+	}
+	return append(recs, dnswire.RR{Name: origin, Class: dnswire.ClassIN, TTL: 3600, Data: &dnswire.CDNSKEY{DNSKEY: *ksk.DNSKEY()}}), nil
 }
 
 // PublishDeleteCDS installs the RFC 8078 §4 deletion request as the
@@ -609,21 +681,15 @@ func SignalZoneName(nsHost string) string {
 	return dnswire.Join("_signal", nsHost)
 }
 
+// dedupeSortTypes sorts types in place and drops repeats: an insertion
+// sort, as a bitmap holds a few types.
 func dedupeSortTypes(types []dnswire.Type) []dnswire.Type {
-	seen := make(map[dnswire.Type]bool, len(types))
-	out := types[:0]
-	for _, t := range types {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
+	for i := 1; i < len(types); i++ {
+		for j := i; j > 0 && types[j] < types[j-1]; j-- {
+			types[j], types[j-1] = types[j-1], types[j]
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return slices.Compact(types)
 }
 
 // filterCutTypes restricts an NSEC bitmap at a delegation to the types

@@ -18,7 +18,10 @@ import (
 	"dnssecboot/internal/dnswire"
 )
 
-// Zone is a mutable authoritative zone rooted at Origin.
+// Zone is a mutable authoritative zone rooted at Origin. It is built
+// one way, records in and one exact slice in canonical order with its
+// owner index out: by AddRecords for a batch, by the first read after
+// an Add, and by Sign, which writes the signed zone in one pass.
 type Zone struct {
 	Origin string
 	Class  dnswire.Class
@@ -77,15 +80,6 @@ func (z *Zone) rlock() {
 	}
 }
 
-// Build puts the zone in the form its reads need now rather than at
-// the first read after a write: a generator calls it on a finished
-// zone, so the zone it serves is never rebuilt while it is read.
-func (z *Zone) Build() {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	z.buildLocked()
-}
-
 // buildLocked sorts the records appended since the last build in among
 // the built ones, applying Add's RRset rule to them, and remakes the
 // owner index. Every write that looks a record up calls it first.
@@ -105,23 +99,8 @@ func (z *Zone) buildLocked() {
 // always has: it replaces an identical record in place, or else goes to
 // the end of the set. It allocates one slice for the result.
 func merge(built, added []dnswire.RR) []dnswire.RR {
-	// Sort added's runs of one owner by owner, then by position, so an
-	// owner's records keep their order: a generator appends an owner's
-	// records together, so there are far fewer runs than records.
-	type run struct{ lo, hi int }
 	var small [16]run // a generated child zone has a few runs
-	runs := small[:0]
-	for i := 0; i < len(added); {
-		j := ownerEnd(added, i)
-		runs = append(runs, run{i, j})
-		i = j
-	}
-	slices.SortFunc(runs, func(a, b run) int {
-		if c := compareOwners(added[a.lo].Name, added[b.lo].Name); c != 0 {
-			return c
-		}
-		return a.lo - b.lo
-	})
+	runs := sortRuns(added, small[:0])
 	out := make([]dnswire.RR, 0, len(built)+len(added))
 	i := 0
 	for r := 0; r < len(runs); {
@@ -146,6 +125,51 @@ func merge(built, added []dnswire.RR) []dnswire.RR {
 	return append(out, built[i:]...)
 }
 
+// run is the records added[lo:hi] of one owner.
+type run struct{ lo, hi int }
+
+// sortRuns appends added's runs of one owner to runs, sorted by owner,
+// then by position, so an owner's records keep their order. Runs come
+// in ascending stretches (a generator adds a zone's owners, a registry
+// its delegations, in order), so adjacent stretches are merged pairwise
+// until one is left: O(runs × log stretches) compares.
+func sortRuns(added []dnswire.RR, runs []run) []run {
+	runs = slices.Grow(runs, countOwners(added))
+	for i := 0; i < len(added); i = runs[len(runs)-1].hi {
+		runs = append(runs, run{i, ownerEnd(added, i)})
+	}
+	less := func(a, b run) bool { return compareOwners(added[a.lo].Name, added[b.lo].Name) < 0 }
+	var small [16]int
+	bounds := small[:1] // where each stretch starts, then the end
+	for i := 1; i < len(runs); i++ {
+		if less(runs[i], runs[i-1]) {
+			bounds = append(bounds, i)
+		}
+	}
+	bounds = append(bounds, len(runs))
+	var buf []run
+	if len(bounds) > 2 {
+		buf = make([]run, 0, len(runs))
+	}
+	for len(bounds) > 2 {
+		out, next := buf[:0], bounds[:1]
+		for k := 2; k < len(bounds)+1; k += 2 {
+			a, b := runs[bounds[k-2]:bounds[k-1]], runs[bounds[k-1]:bounds[min(k, len(bounds)-1)]]
+			for len(a) > 0 && len(b) > 0 { // a tie takes a's run, the earlier
+				if less(b[0], a[0]) {
+					out, b = append(out, b[0]), b[1:]
+				} else {
+					out, a = append(out, a[0]), a[1:]
+				}
+			}
+			out = append(append(out, a...), b...)
+			next = append(next, bounds[min(k, len(bounds)-1)])
+		}
+		runs, buf, bounds = out, runs, next
+	}
+	return runs
+}
+
 // addToOwner adds rr to the owner's records at recs[start:], which
 // end recs: an identical record is replaced in place, else rr goes to
 // the end of its RRset.
@@ -157,7 +181,10 @@ func addToOwner(recs []dnswire.RR, start int, rr dnswire.RR) []dnswire.RR {
 			return recs
 		}
 	}
-	return slices.Insert(recs, start+hi, rr)
+	if at := start + hi; at < len(recs) {
+		return slices.Insert(recs, at, rr)
+	}
+	return append(recs, rr)
 }
 
 // compareOwners orders owner names canonically. Two different strings
@@ -289,16 +316,6 @@ func (z *Zone) setLocked(owner string, typ dnswire.Type) []dnswire.RR {
 	return own[slo:shi]
 }
 
-// deleteLocked removes the records [lo, hi) of the built zone.
-func (z *Zone) deleteLocked(lo, hi int) {
-	if lo == hi {
-		return
-	}
-	z.recs = slices.Delete(z.recs, lo, hi)
-	z.sorted = len(z.recs)
-	z.index = nil
-}
-
 // Add inserts rr into the zone, replacing an identical record if
 // present (RRset semantics: no duplicate RDATA within a set). A pending
 // signature over the RRset it joins is made first, and so are all the
@@ -308,6 +325,47 @@ func (z *Zone) deleteLocked(lo, hi int) {
 // placeholder, nor join a set that still has one, so the placeholder is
 // looked up among the built records and Add never rebuilds the zone.
 func (z *Zone) Add(rr dnswire.RR) error {
+	if err := z.admit(&rr); err != nil {
+		return err
+	}
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	z.joinLocked(rr)
+	z.recs = append(z.recs, rr)
+	return nil
+}
+
+// AddRecords adds recs as Add would add each in turn, and builds the
+// zone at once: one new exact slice, indexed once, and no copy per
+// record. It canonicalises recs in place and keeps no reference to it;
+// an out-of-zone record fails the call before the zone changes.
+func (z *Zone) AddRecords(recs []dnswire.RR) error {
+	for i := range recs {
+		if i > 0 && recs[i].Name == recs[i-1].Name && recs[i].Class != 0 {
+			continue // the owner is the admitted one before it
+		}
+		if err := z.admit(&recs[i]); err != nil {
+			return err
+		}
+	}
+	if len(recs) == 0 {
+		return nil
+	}
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	for _, rr := range recs {
+		z.joinLocked(rr)
+	}
+	z.buildLocked()
+	z.recs = merge(z.recs, recs)
+	z.sorted = len(z.recs)
+	z.index = indexOwners(z.recs)
+	return nil
+}
+
+// admit canonicalises rr's owner and gives it the zone's class if it
+// has none; it fails when rr is out of zone.
+func (z *Zone) admit(rr *dnswire.RR) error {
 	rr.Name = dnswire.CanonicalName(rr.Name)
 	if !dnswire.IsSubdomain(rr.Name, z.Origin) {
 		return fmt.Errorf("zone: %s is out of zone %s", rr.Name, z.Origin)
@@ -315,21 +373,20 @@ func (z *Zone) Add(rr dnswire.RR) error {
 	if rr.Class == 0 {
 		rr.Class = z.Class
 	}
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	if z.lazy {
-		if typ := rr.Type(); typ == dnswire.TypeRRSIG {
-			z.signOwnerLocked(rr.Name)
-		} else {
-			z.signPendingLocked(rr.Name, typ)
-		}
-	}
-	if z.recs == nil {
-		// A generated child zone's records, appended one by one, fit.
-		z.recs = make([]dnswire.RR, 0, 8)
-	}
-	z.recs = append(z.recs, rr)
 	return nil
+}
+
+// joinLocked makes the pending signatures over the RRset rr joins, or
+// all at its owner when rr is an RRSIG.
+func (z *Zone) joinLocked(rr dnswire.RR) {
+	if !z.lazy {
+		return
+	}
+	if typ := rr.Type(); typ == dnswire.TypeRRSIG {
+		z.signOwnerLocked(rr.Name)
+	} else {
+		z.signPendingLocked(rr.Name, typ)
+	}
 }
 
 // MustAdd is Add that panics on error; for use in construction code and
@@ -344,16 +401,45 @@ func (z *Zone) MustAdd(rr dnswire.RR) {
 // drops the pending ones too; removing any other set first makes its
 // pending signatures, which stay behind as eager signing's would.
 func (z *Zone) RemoveSet(name string, typ dnswire.Type) {
+	_ = z.ReplaceRRset(name, typ, nil)
+}
+
+// ReplaceRRset replaces the RRset (owner, typ) of the zone's class
+// with recs, as RemoveSet and an Add of each would, rewriting recs. A
+// set that keeps its size is written in place: the zone stays built.
+func (z *Zone) ReplaceRRset(owner string, typ dnswire.Type, recs []dnswire.RR) error {
+	owner = dnswire.CanonicalName(owner)
+	set := recs[:0]
+	for _, rr := range recs {
+		if err := z.admit(&rr); err != nil {
+			return err
+		}
+		if rr.Name != owner || rr.Type() != typ || rr.Class != z.Class {
+			return fmt.Errorf("zone: %s %s is not in the RRset %s %s", rr.Name, rr.Type(), owner, typ)
+		}
+		set = addToOwner(set, 0, rr)
+	}
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	cn := dnswire.CanonicalName(name)
 	z.buildLocked()
 	if z.lazy && typ != dnswire.TypeRRSIG {
-		z.signPendingLocked(cn, typ)
+		z.signPendingLocked(owner, typ)
 	}
-	lo, hi := z.ownerLocked(cn)
+	lo, hi := z.ownerLocked(owner)
+	if lo == hi { // a new owner: the next read sorts it in
+		z.recs = append(z.recs, set...)
+		return nil
+	}
+	for i := range set {
+		set[i].Name = z.recs[lo].Name
+	}
 	slo, shi := span(z.recs[lo:hi], typ, z.Class)
-	z.deleteLocked(lo+slo, lo+shi)
+	z.recs = slices.Replace(z.recs, lo+slo, lo+shi, set...)
+	if len(set) != shi-slo {
+		z.sorted = len(z.recs)
+		z.index = indexOwners(z.recs)
+	}
+	return nil
 }
 
 // RRset returns a copy of the RRset (name, type), or nil. The RRSIG set
@@ -579,13 +665,19 @@ func (z *Zone) WildcardFor(qname string) string {
 // SetBasics installs a standard SOA and apex NS records; a convenience
 // used throughout the generator and tests.
 func (z *Zone) SetBasics(primaryNS string, nsHosts []string, serial uint32) {
-	z.MustAdd(dnswire.RR{Name: z.Origin, TTL: 3600, Data: &dnswire.SOA{
-		MName: dnswire.CanonicalName(primaryNS), RName: dnswire.CanonicalName("hostmaster." + strings.TrimPrefix(z.Origin, ".")),
-		Serial: serial, Refresh: 7200, Retry: 3600, Expire: 1209600, Minimum: 300,
-	}})
+	z.MustAdd(NewSOA(z.Origin, primaryNS, serial))
 	for _, h := range nsHosts {
 		z.MustAdd(dnswire.RR{Name: z.Origin, TTL: 3600, Data: dnswire.NewNS(h)})
 	}
+}
+
+// NewSOA returns SetBasics' SOA record.
+func NewSOA(origin, primaryNS string, serial uint32) dnswire.RR {
+	origin = dnswire.CanonicalName(origin)
+	return dnswire.RR{Name: origin, TTL: 3600, Data: &dnswire.SOA{
+		MName: dnswire.CanonicalName(primaryNS), RName: dnswire.CanonicalName("hostmaster." + strings.TrimPrefix(origin, ".")),
+		Serial: serial, Refresh: 7200, Retry: 3600, Expire: 1209600, Minimum: 300,
+	}}
 }
 
 // Size returns the number of records in the zone, counting pending
@@ -604,33 +696,13 @@ func (z *Zone) Size() int {
 	return n
 }
 
-// Clone returns a deep-enough copy of the zone (records are value
-// copies; RData payloads are shared, which is safe because the library
-// treats them as immutable once added). Pending signatures are made
-// first, so the copy and the original hold the same signature bytes.
-func (z *Zone) Clone() *Zone {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	z.buildLocked()
-	z.signAllLocked()
-	return &Zone{
-		Origin: z.Origin,
-		Class:  z.Class,
-		recs:   slices.Clone(z.recs),
-		sorted: len(z.recs),
-		// An index is never written once made, only replaced.
-		index: z.index,
-		Keys:  append([]*dnssec.Key(nil), z.Keys...),
-	}
-}
-
 // IsSigned reports whether the zone currently contains a DNSKEY RRset.
 func (z *Zone) IsSigned() bool {
 	return len(z.RRset(z.Origin, dnswire.TypeDNSKEY)) > 0
 }
 
-// signingKeys splits the key list into KSK and ZSK roles.
-func (z *Zone) signingKeys() (ksk, zsk *dnssec.Key) {
+// SigningKeys splits the key list into KSK and ZSK roles.
+func (z *Zone) SigningKeys() (ksk, zsk *dnssec.Key) {
 	for _, k := range z.Keys {
 		if k.IsSEP() && ksk == nil {
 			ksk = k
