@@ -69,13 +69,13 @@ fuzz-smoke:
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzNXDOMAINProof -fuzztime 30s
 	$(GO) test ./internal/report/ -run '^$$' -fuzz FuzzFold -fuzztime 30s
 
-# One iteration of every benchmark — checks they still run, not their
-# numbers — then 200 of BenchmarkScanStream, enough collections for its
+# One iteration of every benchmark of every package — checks they still
+# run, not their numbers — then 200 of BenchmarkScanStream, enough collections for its
 # per-zone allocations, bytes and GC CPU share (ROADMAP item 2b), plus
 # a metrics snapshot from a small instrumented scan, kept as a CI
 # artefact so latency/counter regressions are diffable.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/... ./cmd/...
 	$(GO) test -run '^$$' -bench ScanStream -benchtime 200x .
 	mkdir -p artifacts
 	$(GO) run ./cmd/dnssec-scan -scale 500000 -metrics-out artifacts/metrics.json -out queries

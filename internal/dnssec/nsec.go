@@ -43,17 +43,7 @@ func (iv interval) covers(name string) bool {
 	if dnswire.CanonicalNameLess(iv.owner, iv.next) {
 		return dnswire.CanonicalNameLess(name, iv.next)
 	}
-	return under(name, iv.next)
-}
-
-// under is dnswire.IsSubdomain for canonical names: child is equal to
-// or underneath parent.
-func under(child, parent string) bool {
-	if parent == "." || child == parent {
-		return true
-	}
-	n := len(child) - len(parent)
-	return n > 0 && child[n-1] == '.' && child[n:] == parent
+	return dnswire.CanonicalSubdomain(name, iv.next)
 }
 
 // NSECProvesNoData reports whether rr is an NSEC at exactly name whose
@@ -143,10 +133,10 @@ func CoveringNSEC(rrs []dnswire.RR, name string) (dnswire.RR, bool) {
 // non-terminal, which exists. An NSEC at a proper ancestor of the name
 // must speak for the names below it (speaksBelow).
 func (iv interval) denies(name string) bool {
-	if !iv.covers(name) || under(iv.next, name) {
+	if !iv.covers(name) || dnswire.CanonicalSubdomain(iv.next, name) {
 		return false
 	}
-	return !under(name, iv.owner) || speaksBelow(iv.rr)
+	return !dnswire.CanonicalSubdomain(name, iv.owner) || speaksBelow(iv.rr)
 }
 
 // deniesWildcard is denies("*."+ce) for a canonical ce, without
@@ -159,12 +149,12 @@ func (iv interval) deniesWildcard(ce string) bool {
 		return false
 	case !wraps && n < 0: // past the next name
 		return false
-	case wraps && !under(ce, iv.next): // outside the wrapped zone
+	case wraps && !dnswire.CanonicalSubdomain(ce, iv.next): // outside the wrapped zone
 		return false
 	case belowWildcard(iv.next, ce): // an empty non-terminal
 		return false
 	}
-	return !under(ce, iv.owner) || speaksBelow(iv.rr)
+	return !dnswire.CanonicalSubdomain(ce, iv.owner) || speaksBelow(iv.rr)
 }
 
 // speaksBelow reports whether an NSEC may deny names below its owner.
@@ -184,10 +174,10 @@ func speaksBelow(nsec dnswire.RR) bool {
 // against ce; one below ce sorts by its label directly under ce against
 // "*", and then as a descendant.
 func wildcardOrder(x, ce string) int {
-	if under(ce, x) {
+	if dnswire.CanonicalSubdomain(ce, x) {
 		return -1
 	}
-	if !under(x, ce) {
+	if !dnswire.CanonicalSubdomain(x, ce) {
 		if dnswire.CanonicalNameLess(x, ce) {
 			return -1
 		}
@@ -207,7 +197,7 @@ func wildcardOrder(x, ce string) int {
 // belowWildcard reports whether the canonical name x lies strictly
 // below "*."+ce.
 func belowWildcard(x, ce string) bool {
-	return x != ce && under(x, ce) && strings.HasSuffix(aboveEncloser(x, ce), ".*")
+	return x != ce && dnswire.CanonicalSubdomain(x, ce) && strings.HasSuffix(aboveEncloser(x, ce), ".*")
 }
 
 // aboveEncloser returns the labels of x, a canonical name strictly below
@@ -235,7 +225,7 @@ func (iv interval) closestEncloser(name string) string {
 // and b are at or below, as a suffix of a: it drops a's labels from the
 // left until the rest is a label-aligned suffix of b.
 func commonAncestor(a, b string) string {
-	for a != "." && !under(b, a) {
+	for a != "." && !dnswire.CanonicalSubdomain(b, a) {
 		i := strings.IndexByte(a, '.')
 		if i < 0 || i == len(a)-1 {
 			return "."

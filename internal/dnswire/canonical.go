@@ -2,7 +2,6 @@ package dnswire
 
 import (
 	"bytes"
-	"cmp"
 	"sort"
 	"strings"
 )
@@ -66,13 +65,11 @@ func CanonicalNameLess(a, b string) bool { return CanonicalNameCompare(a, b) < 0
 //
 // It walks the labels right to left in place, folding ASCII case as it
 // goes, so it does not allocate: it runs inside the server's NSEC
-// binary search and every zone's name sort. A name with a byte ≥ 0x80
-// takes the splitting path, whose Unicode-aware lowercasing can change
-// a label's bytes in ways ASCII folding does not.
+// binary search and every zone's name sort. The labels both names end
+// with byte for byte are skipped unread; a label pair it compares that
+// holds a byte ≥ 0x80 is lowercased Unicode-aware first, which can
+// change its bytes in ways ASCII folding does not.
 func CanonicalNameCompare(a, b string) int {
-	if !isASCII(a) || !isASCII(b) {
-		return canonicalNameCompareSplit(a, b)
-	}
 	// "" and "." have no labels; otherwise the labels are those of the
 	// name without its one trailing dot, empty ones included.
 	moreA, moreB := a != "" && a != ".", b != "" && b != "."
@@ -84,7 +81,7 @@ func CanonicalNameCompare(a, b string) int {
 		var la, lb string
 		la, a, moreA = lastLabel(a)
 		lb, b, moreB = lastLabel(b)
-		if c := compareFold(la, lb); c != 0 {
+		if c := compareLabels(la, lb); c != 0 {
 			return c
 		}
 	}
@@ -95,6 +92,14 @@ func CanonicalNameCompare(a, b string) int {
 		return 1
 	}
 	return 0
+}
+
+// compareLabels compares two labels as if both were lowercased.
+func compareLabels(a, b string) int {
+	if isASCII(a) && isASCII(b) {
+		return compareFold(a, b)
+	}
+	return strings.Compare(strings.ToLower(a), strings.ToLower(b))
 }
 
 // trimCommonLabels drops the labels two names end with byte for byte,
@@ -154,22 +159,6 @@ func isASCII(s string) bool {
 		}
 	}
 	return true
-}
-
-// canonicalNameCompareSplit is CanonicalNameCompare by splitting both
-// canonicalised names into label slices: correct for any input, but it
-// allocates on every call.
-func canonicalNameCompareSplit(a, b string) int {
-	la, lb := SplitLabels(CanonicalName(a)), SplitLabels(CanonicalName(b))
-	i, j := len(la)-1, len(lb)-1
-	for i >= 0 && j >= 0 {
-		if c := strings.Compare(la[i], lb[j]); c != 0 {
-			return c
-		}
-		i--
-		j--
-	}
-	return cmp.Compare(i, j)
 }
 
 // RRsetKey identifies an RRset within a zone or message.

@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 )
@@ -32,4 +33,21 @@ func (m *Message) Summary() string {
 	}
 	fmt.Fprintf(&sb, " an=%d au=%d ad=%d", len(m.Answer), len(m.Authority), len(m.Additional))
 	return sb.String()
+}
+
+// canonicalNameCompareSplit is CanonicalNameCompare by splitting both
+// canonicalised names into label slices: correct for any input, but it
+// allocates on every call. It is the oracle the in-place comparison is
+// tested against.
+func canonicalNameCompareSplit(a, b string) int {
+	la, lb := SplitLabels(CanonicalName(a)), SplitLabels(CanonicalName(b))
+	i, j := len(la)-1, len(lb)-1
+	for i >= 0 && j >= 0 {
+		if c := strings.Compare(la[i], lb[j]); c != 0 {
+			return c
+		}
+		i--
+		j--
+	}
+	return cmp.Compare(i, j)
 }

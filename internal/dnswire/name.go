@@ -46,14 +46,39 @@ func CanonicalName(s string) string {
 }
 
 // isCanonicalASCII reports whether s is ASCII without upper-case
-// letters and ends in a dot.
+// letters and ends in a dot. A name of eight bytes or more is read a
+// word at a time, the last word overlapping the one before it.
 func isCanonicalASCII(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c >= 0x80 || 'A' <= c && c <= 'Z' {
+	if len(s) < 8 {
+		for i := 0; i < len(s); i++ {
+			if c := s[i]; c >= 0x80 || 'A' <= c && c <= 'Z' {
+				return false
+			}
+		}
+		return s[len(s)-1] == '.'
+	}
+	for i := 0; ; i += 8 {
+		if i > len(s)-8 {
+			i = len(s) - 8
+		}
+		if !canonicalWord(s[i : i+8]) {
 			return false
 		}
+		if i == len(s)-8 {
+			return s[len(s)-1] == '.'
+		}
 	}
-	return s[len(s)-1] == '.'
+}
+
+// canonicalWord reports whether the eight bytes of b are ASCII and not
+// upper-case letters. A byte c < 0x80 plus 0x3f sets its top bit when
+// c ≥ 'A', plus 0x25 when c > 'Z', and neither sum carries into the
+// next byte.
+func canonicalWord(b string) bool {
+	const ones, tops = 0x0101010101010101, 0x8080808080808080
+	w := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+	return w&tops == 0 && (w+0x3f*ones)&^(w+0x25*ones)&tops == 0
 }
 
 // SplitLabels splits a presentation-form name into its labels, not
@@ -77,11 +102,11 @@ func CountLabels(name string) int {
 
 // Parent returns the name with its leftmost label removed; the parent of
 // the root is the root.
-func Parent(name string) string {
-	name = CanonicalName(name)
-	if name == "." {
-		return "."
-	}
+func Parent(name string) string { return CanonicalParent(CanonicalName(name)) }
+
+// CanonicalParent is Parent for a name already in CanonicalName's form,
+// which it does not check again.
+func CanonicalParent(name string) string {
 	i := strings.IndexByte(name, '.')
 	if i < 0 || i == len(name)-1 {
 		return "."
@@ -92,11 +117,13 @@ func Parent(name string) string {
 // IsSubdomain reports whether child is equal to or underneath parent.
 // Both arguments are normalised before comparison.
 func IsSubdomain(child, parent string) bool {
-	child, parent = CanonicalName(child), CanonicalName(parent)
-	if parent == "." {
-		return true
-	}
-	if child == parent {
+	return CanonicalSubdomain(CanonicalName(child), CanonicalName(parent))
+}
+
+// CanonicalSubdomain is IsSubdomain for names already in CanonicalName's
+// form, which it does not check again.
+func CanonicalSubdomain(child, parent string) bool {
+	if parent == "." || child == parent {
 		return true
 	}
 	n := len(child) - len(parent) // compared in place: no "."+parent

@@ -306,3 +306,28 @@ func TestNameRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCanonicalNameWordScan: the word-at-a-time check of an already
+// canonical name agrees with a byte-by-byte one for every byte value at
+// every offset of names 1 to 24 bytes long.
+func TestCanonicalNameWordScan(t *testing.T) {
+	bytewise := func(s string) bool {
+		for i := 0; i < len(s); i++ {
+			if c := s[i]; c >= 0x80 || 'A' <= c && c <= 'Z' {
+				return false
+			}
+		}
+		return s[len(s)-1] == '.'
+	}
+	for n := 1; n <= 24; n++ {
+		for at := 0; at < n; at++ {
+			for c := 0; c < 256; c++ {
+				b := []byte(strings.Repeat("a", n-1) + ".")
+				b[at] = byte(c)
+				if s := string(b); isCanonicalASCII(s) != bytewise(s) {
+					t.Fatalf("isCanonicalASCII(%q) = %v", s, !bytewise(s))
+				}
+			}
+		}
+	}
+}

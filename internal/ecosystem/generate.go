@@ -501,17 +501,27 @@ func (e *Ecosystem) addTargets() error {
 	}
 	e.Targets = make([]string, 0, total)
 	e.Truth = make(map[string]*Truth, total)
-	// Size each registry's delegations for its zones' NS and DS records.
+	// Size each registry's delegations for its zones' NS and DS records,
+	// and each operator's and partner's server for the zones it will
+	// hold, so that publishing grows neither step by step.
 	zones := make(map[*tldInfra]int)
 	counters := make(map[*opInfra]int)
+	held := make(map[*server.Server]int)
 	for _, r := range pl.runs {
 		for range r.n {
 			zones[e.tlds[registryOf(r.op, r.spec, counters[r.op])]]++
 			counters[r.op]++
 		}
+		held[r.op.srv] += r.n
+		if partner := e.ops[r.spec.MultiOperator]; partner != nil {
+			held[partner.srv] += r.n
+		}
 	}
 	for ti, n := range zones {
 		ti.delegations = make([]dnswire.RR, 0, 3*n)
+	}
+	for srv, n := range held {
+		srv.Reserve(n)
 	}
 	_, err := ordered.Map(context.Background(), runtime.GOMAXPROCS(0), pl.next,
 		func(_ context.Context, p zonePlan) builtZone {

@@ -11,6 +11,7 @@ package server
 
 import (
 	"context"
+	"maps"
 	"math/rand"
 	"net/netip"
 	"sort"
@@ -75,6 +76,16 @@ func (s *Server) AddZone(z *zone.Zone) {
 	s.zones[z.Origin] = z
 }
 
+// Reserve makes room for n more zones, so that adding them does not
+// grow the server's zone map step by step.
+func (s *Server) Reserve(n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	zones := make(map[string]*zone.Zone, len(s.zones)+n)
+	maps.Copy(zones, s.zones)
+	s.zones = zones
+}
+
 // Zone returns the zone exactly matching origin, or nil.
 func (s *Server) Zone(origin string) *zone.Zone {
 	s.mu.RLock()
@@ -96,23 +107,22 @@ func (s *Server) Zones() []string {
 	return out
 }
 
-// findZone returns the most-specific zone whose origin encloses qname.
-// A child zone hosted alongside its parent wins for names under it.
-// Lookup walks the name's ancestor chain, so it is O(labels) even when
-// the server hosts hundreds of thousands of zones.
-func (s *Server) findZone(qname string, qtype dnswire.Type) *zone.Zone {
+// findZone returns the most-specific zone whose origin encloses name,
+// which is canonical. A child zone hosted alongside its parent wins for
+// names under it. Lookup walks the name's ancestor chain, so it is
+// O(labels) even when the server hosts hundreds of thousands of zones.
+func (s *Server) findZone(name string, qtype dnswire.Type) *zone.Zone {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	name := dnswire.CanonicalName(qname)
 	if qtype == dnswire.TypeDS && name != "." {
 		// DS records live on the parent side of a zone cut: when the
 		// server hosts both parent and child, the child's apex must not
 		// capture its own DS query (RFC 4035 §3.1.4.1).
 		if _, hostsChild := s.zones[name]; hostsChild {
-			name = dnswire.Parent(name)
+			name = dnswire.CanonicalParent(name)
 		}
 	}
-	for ; ; name = dnswire.Parent(name) {
+	for ; ; name = dnswire.CanonicalParent(name) {
 		if z, ok := s.zones[name]; ok {
 			return z
 		}
@@ -168,6 +178,7 @@ func (s *Server) HandleDNSInto(_ context.Context, _ netip.Addr, q, m *dnswire.Me
 	question := q.Question[0]
 	qname := dnswire.CanonicalName(question.Name)
 	qtype := question.Type
+	edns, hasEDNS := q.GetEDNS()
 
 	if (s.LegacyUnknownTypes || s.DropUnknownTypes) && !classicTypes[qtype] {
 		if s.DropUnknownTypes {
@@ -183,7 +194,7 @@ func (s *Server) HandleDNSInto(_ context.Context, _ netip.Addr, q, m *dnswire.Me
 			Name: qname, Class: dnswire.ClassIN, TTL: 3789,
 			Data: &dnswire.Generic{T: dnswire.Type(13), Octets: hinfoRFC8482},
 		})
-		finish(m, q)
+		finish(m, q, edns, hasEDNS)
 		return true, nil
 	}
 
@@ -192,66 +203,74 @@ func (s *Server) HandleDNSInto(_ context.Context, _ netip.Addr, q, m *dnswire.Me
 		reply(m, q, dnswire.RcodeRefused)
 		return true, nil
 	}
-	s.answerFromZone(m, z, qname, qtype, q.DNSSECOK())
-	finish(m, q)
+	s.answerFromZone(m, z, qname, qtype, hasEDNS && edns.DO)
+	finish(m, q, edns, hasEDNS)
 	return true, nil
 }
 
 // hinfoRFC8482 is the wire RDATA of `HINFO "RFC8482" ""`.
 var hinfoRFC8482 = []byte{7, 'R', 'F', 'C', '8', '4', '8', '2', 0}
 
-// answerFromZone answers (qname, qtype) from z into the empty message m.
+// answerFromZone answers (qname, qtype) from z into the empty message
+// m, from one read of the zone.
 func (s *Server) answerFromZone(m *dnswire.Message, z *zone.Zone, qname string, qtype dnswire.Type, do bool) {
+	var r zone.Reader
+	z.Read(&r, qname, func() { s.answer(m, &r, z.Origin, qname, qtype, do) })
+}
+
+// answer answers (qname, qtype) from r, a read of the zone at origin
+// at qname.
+func (s *Server) answer(m *dnswire.Message, r *zone.Reader, origin, qname string, qtype dnswire.Type, do bool) {
 	m.Response, m.Authoritative = true, true
 
 	// DS at a zone cut is answered authoritatively by the parent
 	// (RFC 4035 §3.1.4.1), never as a referral.
-	if qtype == dnswire.TypeDS && z.DelegationAt(qname) {
-		if m.Answer = z.AppendRRset(m.Answer, qname, dnswire.TypeDS); len(m.Answer) > 0 {
-			s.appendSigs(z, &m.Answer, qname, dnswire.TypeDS, do)
-		} else {
-			s.negative(z, m, qname, do)
+	if qtype == dnswire.TypeDS && qname != origin {
+		if _, cut := r.First(qname, dnswire.TypeNS); cut {
+			if m.Answer = r.AppendRRset(m.Answer, qname, dnswire.TypeDS); len(m.Answer) > 0 {
+				s.appendSigs(r, &m.Answer, qname, dnswire.TypeDS, do)
+			} else {
+				s.negative(r, m, origin, qname, do)
+			}
+			return
 		}
-		return
 	}
 
 	// Referral: qname at or below a zone cut (but not the apex itself).
-	if cut := z.FindCut(qname); cut != "" {
-		s.referral(m, z, cut, do)
+	if cut := r.FindCut(qname); cut != "" {
+		s.referral(m, r, origin, cut, do)
 		return
 	}
 
-	if z.NameExists(qname) {
+	if r.Exists() {
 		// CNAME handling.
 		if qtype != dnswire.TypeCNAME {
-			if m.Answer = z.AppendRRset(m.Answer, qname, dnswire.TypeCNAME); len(m.Answer) > 0 {
-				target := m.Answer[0].Data.(*dnswire.CNAME).Target
-				s.appendSigs(z, &m.Answer, qname, dnswire.TypeCNAME, do)
-				if dnswire.IsSubdomain(target, z.Origin) && z.FindCut(target) == "" {
+			if m.Answer = r.AppendRRset(m.Answer, qname, dnswire.TypeCNAME); len(m.Answer) > 0 {
+				target := dnswire.CanonicalName(m.Answer[0].Data.(*dnswire.CNAME).Target)
+				s.appendSigs(r, &m.Answer, qname, dnswire.TypeCNAME, do)
+				if dnswire.CanonicalSubdomain(target, origin) && r.FindCut(target) == "" {
 					n := len(m.Answer)
-					if m.Answer = z.AppendRRset(m.Answer, target, qtype); len(m.Answer) > n {
-						s.appendSigs(z, &m.Answer, target, qtype, do)
+					if m.Answer = r.AppendRRset(m.Answer, target, qtype); len(m.Answer) > n {
+						s.appendSigs(r, &m.Answer, target, qtype, do)
 					}
 				}
 				return
 			}
 		}
 		if qtype == dnswire.TypeANY {
-			for _, t := range z.TypesAt(qname) {
-				m.Answer = z.AppendRRset(m.Answer, qname, t)
-			}
+			m.Answer = r.AppendAll(m.Answer)
 			return
 		}
-		if m.Answer = z.AppendRRset(m.Answer, qname, qtype); len(m.Answer) > 0 {
+		if m.Answer = r.AppendRRset(m.Answer, qname, qtype); len(m.Answer) > 0 {
 			set := m.Answer
-			s.appendSigs(z, &m.Answer, qname, qtype, do)
-			if qtype == dnswire.TypeNS && qname == z.Origin && !s.MinimalResponses {
-				s.addGlue(z, m, set)
+			s.appendSigs(r, &m.Answer, qname, qtype, do)
+			if qtype == dnswire.TypeNS && qname == origin && !s.MinimalResponses {
+				s.addGlue(r, m, origin, set)
 			}
 			return
 		}
 		// NODATA.
-		s.negative(z, m, qname, do)
+		s.negative(r, m, origin, qname, do)
 		return
 	}
 
@@ -259,144 +278,123 @@ func (s *Server) answerFromZone(m *dnswire.Message, z *zone.Zone, qname string, 
 	// closest encloser, expand it under qname. The wildcard's RRSIGs are
 	// served as-is; their Labels field lets validators verify the
 	// expansion (RFC 4035 §3.1.3.3).
-	if wc := z.WildcardFor(qname); wc != "" {
-		if m.Answer = z.AppendRRset(m.Answer, wc, qtype); len(m.Answer) > 0 {
+	if wc := r.Wildcard(); wc != "" {
+		if m.Answer = r.AppendRRset(m.Answer, wc, qtype); len(m.Answer) > 0 {
 			for i := range m.Answer {
 				m.Answer[i].Name = qname
 			}
 			if do {
-				s.appendSigsAs(z, &m.Answer, wc, qtype, qname)
+				s.appendSigsAs(r, &m.Answer, wc, qtype, qname)
 				// Prove no exact match existed (the wildcard-answer
 				// NSEC requirement).
-				if nsec, ok := s.coveringNSEC(z, qname); ok {
+				if nsec, ok := coveringNSEC(r, qname); ok {
 					appendUnique(&m.Authority, nsec)
-					s.appendSigs(z, &m.Authority, nsec.Name, dnswire.TypeNSEC, do)
+					s.appendSigs(r, &m.Authority, nsec.Name, dnswire.TypeNSEC, do)
 				}
 			}
 			return
 		}
 		// Wildcard exists but not for this type: NODATA.
-		s.negative(z, m, qname, do)
+		s.negative(r, m, origin, qname, do)
 		return
 	}
 
 	// NXDOMAIN.
 	m.Rcode = dnswire.RcodeNXDomain
-	s.negative(z, m, qname, do)
-	if _, nsecZone := z.First(z.Origin, dnswire.TypeNSEC); do && nsecZone {
+	s.negative(r, m, origin, qname, do)
+	if _, nsecZone := r.First(origin, dnswire.TypeNSEC); do && nsecZone {
 		// The NSECs covering the denied name and the wildcard at its
 		// closest encloser (RFC 4035 §3.1.3.2); often the same record.
-		ce, _ := closestEncloser(z, qname)
-		cover, coverOK := s.coveringNSEC(z, qname)
-		wild, wildOK := s.coveringNSEC(z, dnswire.Join("*", ce))
+		ce, _ := r.Encloser()
+		cover, coverOK := coveringNSEC(r, qname)
+		wild, wildOK := r.WildcardNSEC(ce)
 		if coverOK {
 			appendUnique(&m.Authority, cover)
-			s.appendSigs(z, &m.Authority, cover.Name, dnswire.TypeNSEC, do)
+			s.appendSigs(r, &m.Authority, cover.Name, dnswire.TypeNSEC, do)
 		}
 		if wildOK && !(coverOK && cover.Name == wild.Name) {
 			appendUnique(&m.Authority, wild)
-			s.appendSigs(z, &m.Authority, wild.Name, dnswire.TypeNSEC, do)
+			s.appendSigs(r, &m.Authority, wild.Name, dnswire.TypeNSEC, do)
 		}
 	}
-}
-
-// closestEncloser returns the longest existing ancestor of qname, a
-// name the zone does not hold, and next, the ancestor one label below
-// it on the way to qname (RFC 5155's next closer name).
-func closestEncloser(z *zone.Zone, qname string) (ce, next string) {
-	next = qname
-	ce = dnswire.Parent(qname)
-	for ce != "." && !z.NameExists(ce) {
-		next = ce
-		ce = dnswire.Parent(ce)
-	}
-	return ce, next
 }
 
 // referral answers with the delegation at cut into the empty message m.
-func (s *Server) referral(m *dnswire.Message, z *zone.Zone, cut string, do bool) {
+func (s *Server) referral(m *dnswire.Message, r *zone.Reader, origin, cut string, do bool) {
 	m.Response, m.Authoritative = true, false
-	m.Authority = z.AppendRRset(m.Authority, cut, dnswire.TypeNS)
+	m.Authority = r.AppendRRset(m.Authority, cut, dnswire.TypeNS)
 	nsSet := m.Authority
 	n := len(m.Authority)
-	if m.Authority = z.AppendRRset(m.Authority, cut, dnswire.TypeDS); len(m.Authority) > n {
-		s.appendSigs(z, &m.Authority, cut, dnswire.TypeDS, do)
+	if m.Authority = r.AppendRRset(m.Authority, cut, dnswire.TypeDS); len(m.Authority) > n {
+		s.appendSigs(r, &m.Authority, cut, dnswire.TypeDS, do)
 	} else if do {
 		// Prove the unsigned delegation with the cut's NSEC.
-		if m.Authority = z.AppendRRset(m.Authority, cut, dnswire.TypeNSEC); len(m.Authority) > n {
-			s.appendSigs(z, &m.Authority, cut, dnswire.TypeNSEC, do)
+		if m.Authority = r.AppendRRset(m.Authority, cut, dnswire.TypeNSEC); len(m.Authority) > n {
+			s.appendSigs(r, &m.Authority, cut, dnswire.TypeNSEC, do)
 		}
 	}
-	s.addGlue(z, m, nsSet)
+	s.addGlue(r, m, origin, nsSet)
 }
 
-func (s *Server) addGlue(z *zone.Zone, m *dnswire.Message, nsSet []dnswire.RR) {
+// addGlue adds the address records of the in-zone hosts of nsSet.
+func (s *Server) addGlue(r *zone.Reader, m *dnswire.Message, origin string, nsSet []dnswire.RR) {
 	for _, rr := range nsSet {
-		host := rr.Data.(*dnswire.NS).Target
-		if !dnswire.IsSubdomain(host, z.Origin) {
-			continue
-		}
-		for _, t := range []dnswire.Type{dnswire.TypeA, dnswire.TypeAAAA} {
-			m.Additional = z.AppendRRset(m.Additional, host, t)
+		host := dnswire.CanonicalName(rr.Data.(*dnswire.NS).Target)
+		if dnswire.CanonicalSubdomain(host, origin) {
+			m.Additional = r.AppendRRset(m.Additional, host, dnswire.TypeA)
+			m.Additional = r.AppendRRset(m.Additional, host, dnswire.TypeAAAA)
 		}
 	}
 }
 
-func (s *Server) negative(z *zone.Zone, m *dnswire.Message, qname string, do bool) {
-	if soa, ok := z.First(z.Origin, dnswire.TypeSOA); ok {
+func (s *Server) negative(r *zone.Reader, m *dnswire.Message, origin, qname string, do bool) {
+	if soa, ok := r.First(origin, dnswire.TypeSOA); ok {
 		m.Authority = append(m.Authority, soa)
-		s.appendSigs(z, &m.Authority, z.Origin, dnswire.TypeSOA, do)
+		s.appendSigs(r, &m.Authority, origin, dnswire.TypeSOA, do)
 	}
 	if !do {
 		return
 	}
-	if s.nsec3Zone(z) {
-		s.nsec3Proofs(z, m, qname, m.Rcode == dnswire.RcodeNXDomain)
+	if param, nsec3 := r.First(origin, dnswire.TypeNSEC3PARAM); nsec3 {
+		s.nsec3Proofs(r, m, origin, qname, param.Data.(*dnswire.NSEC3PARAM), m.Rcode == dnswire.RcodeNXDomain)
 		return
 	}
 	if m.Rcode == dnswire.RcodeNoError {
 		// NODATA proof: the qname's own NSEC.
 		n := len(m.Authority)
-		if m.Authority = z.AppendRRset(m.Authority, qname, dnswire.TypeNSEC); len(m.Authority) > n {
-			s.appendSigs(z, &m.Authority, qname, dnswire.TypeNSEC, do)
+		if m.Authority = r.AppendRRset(m.Authority, qname, dnswire.TypeNSEC); len(m.Authority) > n {
+			s.appendSigs(r, &m.Authority, qname, dnswire.TypeNSEC, do)
 		}
 	}
 }
 
-// nsec3Zone reports whether z uses NSEC3 denial.
-func (s *Server) nsec3Zone(z *zone.Zone) bool {
-	_, ok := z.First(z.Origin, dnswire.TypeNSEC3PARAM)
-	return ok
-}
-
-// nsec3Proofs attaches the RFC 5155 denial records: for NODATA the
-// NSEC3 matching qname; for NXDOMAIN the closest-encloser match plus
-// covers for the next-closer and wildcard names (RFC 7129).
-func (s *Server) nsec3Proofs(z *zone.Zone, m *dnswire.Message, qname string, nxdomain bool) {
-	params, _ := z.First(z.Origin, dnswire.TypeNSEC3PARAM)
-	p := params.Data.(*dnswire.NSEC3PARAM)
+// nsec3Proofs attaches the RFC 5155 denial records of a zone hashed
+// with p: for NODATA the NSEC3 matching qname; for NXDOMAIN the
+// closest-encloser match plus covers for the next-closer and wildcard
+// names (RFC 7129).
+func (s *Server) nsec3Proofs(r *zone.Reader, m *dnswire.Message, origin, qname string, p *dnswire.NSEC3PARAM, nxdomain bool) {
 	attach := func(name string, covering bool) {
 		var rr dnswire.RR
 		var ok bool
 		if covering {
-			rr, ok = s.coveringNSEC3(z, name, p)
+			rr, ok = coveringNSEC3(r, origin, name, p)
 		} else {
-			owner, err := dnssec.NSEC3Owner(name, z.Origin, p.Iterations, p.Salt)
+			owner, err := dnssec.NSEC3Owner(name, origin, p.Iterations, p.Salt)
 			if err != nil {
 				return
 			}
-			rr, ok = z.First(owner, dnswire.TypeNSEC3)
+			rr, ok = r.First(owner, dnswire.TypeNSEC3)
 		}
 		if ok {
 			appendUnique(&m.Authority, rr)
-			s.appendSigs(z, &m.Authority, rr.Name, dnswire.TypeNSEC3, true)
+			s.appendSigs(r, &m.Authority, rr.Name, dnswire.TypeNSEC3, true)
 		}
 	}
 	if !nxdomain {
 		attach(qname, false)
 		return
 	}
-	ce, next := closestEncloser(z, qname)
+	ce, next := r.Encloser()
 	attach(ce, false)                   // closest-encloser match
 	attach(next, true)                  // next-closer cover
 	attach(dnswire.Join("*", ce), true) // wildcard cover
@@ -408,37 +406,37 @@ func (s *Server) nsec3Proofs(z *zone.Zone, m *dnswire.Message, qname string, nxd
 // is the last NSEC3 before name's hashed owner, one search of the zone,
 // or, when the hash precedes every owner's, the zone's last NSEC3, whose
 // interval wraps around.
-func (s *Server) coveringNSEC3(z *zone.Zone, name string, p *dnswire.NSEC3PARAM) (dnswire.RR, bool) {
+func coveringNSEC3(r *zone.Reader, origin, name string, p *dnswire.NSEC3PARAM) (dnswire.RR, bool) {
 	h, err := dnssec.NSEC3Hash(name, p.Iterations, p.Salt)
 	if err != nil {
 		return dnswire.RR{}, false
 	}
-	rr, ok := z.Preceding(dnssec.NSEC3HashOwner(h, z.Origin), dnswire.TypeNSEC3)
+	rr, ok := r.Preceding(dnssec.NSEC3HashOwner(h, origin), dnswire.TypeNSEC3)
 	if !ok {
 		// base32hex uses only 0-9 and a-v, so every NSEC3 owner sorts
 		// before w.<apex>.
-		rr, ok = z.Preceding(dnswire.Join("w", z.Origin), dnswire.TypeNSEC3)
+		rr, ok = r.Preceding(dnswire.Join("w", origin), dnswire.TypeNSEC3)
 	}
 	return rr, ok && dnssec.NSEC3CoversHash(rr, h)
 }
 
-// coveringNSEC finds the NSEC record whose interval covers qname: the
-// only candidate is the one at the closest owner before qname that has
+// coveringNSEC finds the NSEC record whose interval covers name: the
+// only candidate is the one at the closest owner before name that has
 // an NSEC, found by one search of the zone's canonical order (glue
 // names carry none and are passed over).
-func (s *Server) coveringNSEC(z *zone.Zone, qname string) (dnswire.RR, bool) {
-	nsec, ok := z.Preceding(qname, dnswire.TypeNSEC)
+func coveringNSEC(r *zone.Reader, name string) (dnswire.RR, bool) {
+	nsec, ok := r.Preceding(name, dnswire.TypeNSEC)
 	if !ok {
 		return dnswire.RR{}, false
 	}
-	return nsec, dnssec.NSECCoversName(nsec, dnswire.CanonicalName(qname))
+	return nsec, dnssec.NSECCoversName(nsec, name)
 }
 
 // appendSigs adds the RRSIGs at owner covering covered to the section
 // when the query set DO.
-func (s *Server) appendSigs(z *zone.Zone, section *[]dnswire.RR, owner string, covered dnswire.Type, do bool) {
+func (s *Server) appendSigs(r *zone.Reader, section *[]dnswire.RR, owner string, covered dnswire.Type, do bool) {
 	if do {
-		s.appendSigsAs(z, section, owner, covered, "")
+		s.appendSigsAs(r, section, owner, covered, "")
 	}
 }
 
@@ -446,9 +444,9 @@ func (s *Server) appendSigs(z *zone.Zone, section *[]dnswire.RR, owner string, c
 // section, renamed to as unless that is empty (a wildcard expansion),
 // corrupted at CorruptSigRate, skipping any the section already holds.
 // They are appended straight from the zone and compacted in place.
-func (s *Server) appendSigsAs(z *zone.Zone, section *[]dnswire.RR, owner string, covered dnswire.Type, as string) {
+func (s *Server) appendSigsAs(r *zone.Reader, section *[]dnswire.RR, owner string, covered dnswire.Type, as string) {
 	n := len(*section)
-	sec := z.AppendSigs(*section, owner, covered)
+	sec := r.AppendSigs(*section, owner, covered)
 	out := sec[:n]
 	for _, rr := range sec[n:] {
 		if s.chance(s.CorruptSigRate) {
@@ -494,14 +492,15 @@ func holds(section []dnswire.RR, rr dnswire.RR) bool {
 	return false
 }
 
-// finish copies query identity and EDNS state onto the response.
-func finish(m, q *dnswire.Message) {
+// finish copies query identity and EDNS state, e if the query had it,
+// onto the response.
+func finish(m, q *dnswire.Message, e dnswire.EDNS, hasEDNS bool) {
 	m.ID = q.ID
 	m.Response = true
 	m.Opcode = q.Opcode
 	m.Question = q.Question
 	m.RecursionDesired = q.RecursionDesired
-	if e, ok := q.GetEDNS(); ok {
+	if hasEDNS {
 		m.SetEDNS(dnswire.EDNS{UDPSize: dnswire.MaxUDPPayload, DO: e.DO})
 	}
 }

@@ -84,7 +84,9 @@ func (n *MemNetwork) table() *routeTable {
 	return rt
 }
 
-func (n *MemNetwork) route(addr netip.Addr) (Handler, bool) {
+// Route returns the handler bound to addr: the one registered for it,
+// else the first prefix registered that contains it.
+func (n *MemNetwork) Route(addr netip.Addr) (Handler, bool) {
 	rt := n.table()
 	if h, ok := rt.hosts[addr]; ok {
 		return h, true
@@ -120,7 +122,7 @@ var memScratchPool = sync.Pool{New: func() any { return new(memScratch) }}
 // without the size limit, modelling TCP fallback. Both responses count
 // towards the bytes received.
 func (n *MemNetwork) Exchange(ctx context.Context, server netip.AddrPort, query *dnswire.Message) (*dnswire.Message, error) {
-	h, ok := n.route(server.Addr())
+	h, ok := n.Route(server.Addr())
 	if !ok {
 		return nil, ErrUnreachable
 	}

@@ -61,3 +61,53 @@ func (z *Zone) Clone() *Zone {
 		Keys:  append([]*dnssec.Key(nil), z.Keys...),
 	}
 }
+
+// read lends fn a Reader of the zone at name, canonicalised.
+func (z *Zone) read(name string, fn func(r *Reader)) {
+	var r Reader
+	z.Read(&r, dnswire.CanonicalName(name), func() { fn(&r) })
+}
+
+// NameExists reports whether the zone holds records at or below name.
+func (z *Zone) NameExists(name string) (exists bool) {
+	z.read(name, func(r *Reader) { exists = r.Exists() })
+	return exists
+}
+
+// DelegationAt reports whether name is a zone cut: an NS RRset exists at
+// a name strictly below the apex.
+func (z *Zone) DelegationAt(name string) (cut bool) {
+	name = dnswire.CanonicalName(name)
+	z.read(name, func(r *Reader) {
+		_, ns := r.First(name, dnswire.TypeNS)
+		cut = ns && name != z.Origin
+	})
+	return cut
+}
+
+// FindCut returns the shallowest zone cut at or above qname, below the
+// apex, or "".
+func (z *Zone) FindCut(qname string) (cut string) {
+	qname = dnswire.CanonicalName(qname)
+	z.read(qname, func(r *Reader) { cut = r.FindCut(qname) })
+	return cut
+}
+
+// WildcardFor returns the wildcard owner that would synthesise answers
+// for qname, or "" when qname exists or none applies.
+func (z *Zone) WildcardFor(qname string) (wc string) {
+	z.read(qname, func(r *Reader) {
+		if !r.Exists() {
+			wc = r.Wildcard()
+		}
+	})
+	return wc
+}
+
+// AppendSigs appends the RRSIGs at owner covering covered to dst, making
+// them if Sign deferred them.
+func (z *Zone) AppendSigs(dst []dnswire.RR, owner string, covered dnswire.Type) []dnswire.RR {
+	owner = dnswire.CanonicalName(owner)
+	z.read(owner, func(r *Reader) { dst = r.AppendSigs(dst, owner, covered) })
+	return dst
+}

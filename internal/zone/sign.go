@@ -363,57 +363,6 @@ type pendingSig struct {
 
 func (*pendingSig) Type() dnswire.Type { return dnswire.TypeRRSIG }
 
-// AppendSigs appends the RRSIGs at owner covering covered to dst and
-// returns the extended slice. A signature Sign deferred is made here on
-// first read, outside the lock, and stored under it only if no other
-// reader or write made it in the meantime, so every reader sees the
-// same bytes.
-func (z *Zone) AppendSigs(dst []dnswire.RR, owner string, covered dnswire.Type) []dnswire.RR {
-	owner = dnswire.CanonicalName(owner)
-	n := len(dst)
-	z.rlock()
-	dst, p := z.appendSigsLocked(dst, owner, covered)
-	if p == nil {
-		z.mu.RUnlock()
-		return dst
-	}
-	set := slices.Clone(z.setLocked(owner, covered))
-	z.mu.RUnlock()
-	made := p.by.sign(set, covered)
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	z.buildLocked()
-	switch i, q := z.placeholderLocked(owner, covered); q {
-	case nil: // another reader or a write made them meanwhile
-	case p:
-		z.replaceLocked(i, made)
-	default: // a later Sign's
-		z.makeLocked(i, q)
-	}
-	dst, _ = z.appendSigsLocked(dst[:n], owner, covered)
-	return dst
-}
-
-// appendSigsLocked appends the RRSIGs made at owner covering covered to
-// dst, and returns the placeholder standing for them if they are not
-// made yet.
-func (z *Zone) appendSigsLocked(dst []dnswire.RR, owner string, covered dnswire.Type) ([]dnswire.RR, *pendingSig) {
-	var pending *pendingSig
-	for _, rr := range z.setLocked(owner, dnswire.TypeRRSIG) {
-		switch d := rr.Data.(type) {
-		case *dnswire.RRSIG:
-			if d.TypeCovered == covered {
-				dst = append(dst, rr)
-			}
-		case *pendingSig:
-			if d.covered == covered {
-				pending = d
-			}
-		}
-	}
-	return dst, pending
-}
-
 // placeholderLocked finds the placeholder for covered among owner's
 // records, or with covered 0 the first one: its offset in the built
 // zone and itself, or -1 and nil.
@@ -440,20 +389,6 @@ func (z *Zone) signPendingLocked(owner string, typ dnswire.Type) {
 	if i, p := z.placeholderLocked(owner, typ); p != nil {
 		z.makeLocked(i, p)
 	}
-}
-
-// signOwner makes every pending signature at owner.
-func (z *Zone) signOwner(owner string) {
-	z.rlock()
-	_, p := z.placeholderLocked(owner, 0)
-	z.mu.RUnlock()
-	if p == nil {
-		return
-	}
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	z.buildLocked()
-	z.signOwnerLocked(owner)
 }
 
 func (z *Zone) signOwnerLocked(owner string) {
