@@ -64,7 +64,7 @@ func TestFlagsAndExitCodes(t *testing.T) {
 	// The dump a resume beside those headers would read: never opened,
 	// since the header is refused first.
 	absentDump := filepath.Join(dir, "absent.jsonl")
-	// A zone dump whose fourth line is malformed, for zonestat.
+	// A zone dump whose fourth line is malformed, for zonestat and dnsd.
 	badZone := filepath.Join(dir, "bad.zone")
 	if err := os.WriteFile(badZone, []byte("$ORIGIN uk.\n@ 3600 IN SOA ns1.uk. host.uk. 1 2 3 4 5\nexample 3600 IN NS ns1.example.uk.\nbroken 3600 IN NS\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -149,6 +149,7 @@ func TestFlagsAndExitCodes(t *testing.T) {
 		{"zonestat skips a malformed record", "zonestat", []string{badZone}, 0, "-> 1 targets", "", `"bad_record":1`},
 		{"zonestat -strict refuses a malformed record", "zonestat", []string{"-strict", badZone}, 1, "line 4: NS wants", "", ""},
 		{"dnsd refuses an unknown flag", "dnsd", []string{"-nope"}, 2, "flag provided but not defined: -nope", "", ""},
+		{"dnsd refuses a malformed zone", "dnsd", []string{"-listen", "127.0.0.1:0", badZone}, 1, "line 4: NS wants", "listening", ""},
 		{"dnsd on a missing zone file", "dnsd", []string{"-listen", "127.0.0.1:0", filepath.Join(dir, "absent.db")}, 1, "no such file", "listening", ""},
 		{"zonesign without -zone", "zonesign", []string{"-in", zonesignInput(t, dir)}, 2, "-zone is required", "", ""},
 		{"zonesign refuses an unknown algorithm", "zonesign", []string{"-zone", "example.", "-in", zonesignInput(t, dir), "-alg", "gost"}, 1, `unknown algorithm "gost"`, "", ""},

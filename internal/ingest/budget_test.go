@@ -69,12 +69,13 @@ func peakHeap(fn func()) uint64 {
 	return 0
 }
 
-// TestIngestPeakHeapBudget pins the tentpole's constant-memory claim:
-// streaming a ~150k-record dump through the full pipeline must peak at
-// under 2x the heap of the plain buffer-everything zone.Parse of the
-// same input. (In practice the streaming peak is a small fraction of
-// the parse peak — the 2x ceiling is the acceptance bound, with the
-// dedup set and batch window as the only live state.)
+// TestIngestPeakHeapBudget pins the constant-memory claim: streaming a
+// ~150k-record dump through the full pipeline must peak at under 2x the
+// heap of the plain buffer-everything zone.Parse of the same input. The
+// streaming peak is not a small fraction of the parse peak — the dedup
+// set, the batch window and the garbage made between collections all
+// count: on a 2-vCPU box it measured 33.3–34.1 MB against 45.0 MB
+// (0.75x).
 func TestIngestPeakHeapBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-hundred-MB allocation churn in -short mode")
@@ -97,11 +98,13 @@ func TestIngestPeakHeapBudget(t *testing.T) {
 
 	var res *Result
 	ingestPeak := peakHeap(func() {
-		r, err := Ingest(context.Background(), strings.NewReader(dump), Config{Workers: 4})
-		if err != nil {
-			t.Errorf("Ingest: %v", err)
-		}
-		res = r
+		withProcs(4, func() {
+			r, err := Ingest(context.Background(), strings.NewReader(dump), Config{})
+			if err != nil {
+				t.Errorf("Ingest: %v", err)
+			}
+			res = r
+		})
 	})
 	if t.Failed() {
 		t.FailNow()

@@ -11,7 +11,8 @@ import (
 // FuzzIngest drives arbitrary bytes — garbage, near-valid master files,
 // corrupt gzip — through the full pipeline and holds two invariants:
 // no panic ever, and the outcome is identical for 1 and 2 workers
-// (same error-ness, same targets, same stats). The 4KiB line cap keeps
+// (same error-ness, same targets, same stats). Three-line batches put
+// batch boundaries inside small inputs, and the 4KiB line cap keeps
 // a hostile input (one endless line, unterminated parens) from turning
 // the fuzzer's memory limit into flakiness: the pipeline must hold its
 // own bound, not inherit the harness's.
@@ -38,10 +39,14 @@ func FuzzIngest(f *testing.F) {
 	f.Add(gzipSeed(mixedDump)[:20]) // truncated gzip
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg := Config{Workers: 1, BatchLines: 3, MaxLineBytes: 4096}
-		r1, err1 := Ingest(context.Background(), bytes.NewReader(data), cfg)
-		cfg.Workers = 2
-		r2, err2 := Ingest(context.Background(), bytes.NewReader(data), cfg)
+		var r1, r2 *Result
+		var err1, err2 error
+		withProcs(1, func() {
+			r1, err1 = ingest(context.Background(), bytes.NewReader(data), Config{}, 4096, 3)
+		})
+		withProcs(2, func() {
+			r2, err2 = ingest(context.Background(), bytes.NewReader(data), Config{}, 4096, 3)
+		})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("worker count changed error-ness: %v vs %v", err1, err2)
 		}

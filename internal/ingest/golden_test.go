@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -186,7 +187,9 @@ func TestGoldenDump(t *testing.T) {
 	// Every worker count must reproduce the fixtures byte-for-byte.
 	var ref *ingest.Result
 	for _, workers := range []int{1, 2, 4} {
-		res, err := ingest.File(context.Background(), goldenDumpPath, ingest.Config{Workers: workers})
+		prev := runtime.GOMAXPROCS(workers)
+		res, err := ingest.File(context.Background(), goldenDumpPath, ingest.Config{})
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -6,28 +6,31 @@
 // discarding glue, non-NS records, out-of-zone garbage and duplicate
 // delegations, while counting every skip so the reduction is auditable.
 //
-// The pipeline is a four-stage stream:
+// The pipeline is a three-stage stream:
 //
-//	chunked reader → logical-line assembler → parallel record parsers → order-preserving reducer
+//	zone.LineReader → parallel record parsers → order-preserving reducer
 //
-// Only the assembler is sequential (directive state and blank-owner
-// continuation are order-dependent); record parsing fans out through
-// ordered.Map, which hands the batches back in input order, so the
-// emitted target list is byte-identical for every worker count. Live
-// memory is bounded by Map's window (ordered.Window(Workers) batches) plus
-// the deduplication set — independent of the dump size.
+// The reader is the zone package's, the one that zone.Parse uses: it
+// reads the dump in a fixed window under a per-line cap, joins and
+// strips each logical line, and is the only sequential stage ($ORIGIN,
+// $TTL and blank-owner continuation are order-dependent). Record
+// parsing (zone.Line.Record) fans out through ordered.Map, which hands
+// the batches back in input order, so the emitted target list is
+// byte-identical for every worker count. Live memory is bounded by
+// Map's window (ordered.Window(workers) batches) plus the deduplication
+// set — independent of the dump size.
 package ingest
 
 import (
 	"bufio"
 	"compress/gzip"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"sort"
-	"strings"
 
 	"dnssecboot/internal/dnswire"
 	"dnssecboot/internal/obs"
@@ -69,24 +72,11 @@ type Config struct {
 	// directive or the first SOA owner, whichever the stream yields
 	// first; until one appears, no record is judged out of zone.
 	Origin string
-	// Workers bounds the parallel record parsers. Zero or negative
-	// means min(GOMAXPROCS, 8).
-	Workers int
-	// BatchLines is the number of logical lines per parse batch (the
-	// unit of fan-out and reordering). Zero means 256.
-	BatchLines int
-	// MaxLineBytes caps one physical or logical (parenthesis-joined)
-	// line. Zero means zone.MaxLogicalLineBytes. Over-long lines are
-	// skipped in O(1) memory (lenient) or abort the run (strict).
-	MaxLineBytes int
 	// Strict promotes record-level problems (unparseable lines,
 	// over-long lines, invalid owner names) from counted skips to
 	// positional fatal errors. Structural problems — unreadable input,
 	// gzip corruption or truncation, $INCLUDE — are always fatal.
 	Strict bool
-	// PSL is the public-suffix list driving the registrable-domain
-	// reduction. Nil means psl.Default().
-	PSL *psl.List
 	// Registry, when non-nil, receives ingest.* counters (lines,
 	// records, targets and per-reason skips) after the run.
 	Registry *obs.Registry
@@ -142,28 +132,15 @@ func File(ctx context.Context, path string, cfg Config) (*Result, error) {
 
 // Ingest streams r through the reduction pipeline. The reader is
 // consumed exactly once; gzip compression is detected from the first
-// two bytes.
+// two bytes. Records are parsed on min(GOMAXPROCS, 8) workers.
 func Ingest(ctx context.Context, r io.Reader, cfg Config) (*Result, error) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > 8 {
-			workers = 8
-		}
-	}
-	batchLines := cfg.BatchLines
-	if batchLines <= 0 {
-		batchLines = 256
-	}
-	maxLine := cfg.MaxLineBytes
-	if maxLine <= 0 {
-		maxLine = zone.MaxLogicalLineBytes
-	}
-	list := cfg.PSL
-	if list == nil {
-		list = psl.Default()
-	}
+	return ingest(ctx, r, cfg, zone.MaxLogicalLineBytes, 256)
+}
 
+// ingest is Ingest with the line cap and the lines per parse batch (the
+// unit of fan-out and reordering) as arguments.
+func ingest(ctx context.Context, r io.Reader, cfg Config, maxLine, batchLines int) (*Result, error) {
+	workers := min(runtime.GOMAXPROCS(0), 8)
 	br := bufio.NewReaderSize(r, 128*1024)
 	var src io.Reader = br
 	magic, _ := br.Peek(2)
@@ -176,20 +153,11 @@ func Ingest(ctx context.Context, r io.Reader, cfg Config) (*Result, error) {
 		defer zr.Close()
 		src = zr
 	}
-
-	asm := &assembler{
-		lr:     &lineReader{br: bufio.NewReaderSize(src, 64*1024), max: maxLine},
-		origin: ".",
-		ttl:    3600,
-		max:    maxLine,
-	}
-	if cfg.Origin != "" {
-		asm.origin = dnswire.CanonicalName(cfg.Origin)
-	}
+	rd := zone.NewLineReader(src, cfg.Origin, maxLine)
 
 	g := &ingester{
 		cfg:   cfg,
-		psl:   list,
+		psl:   psl.Default(),
 		apex:  ".",
 		seen:  make(map[string]bool),
 		stats: Stats{Gzip: isGzip, Skipped: make(map[string]int)},
@@ -199,25 +167,25 @@ func Ingest(ctx context.Context, r io.Reader, cfg Config) (*Result, error) {
 		g.apexKnown = true
 	}
 
-	// Source: the sequential assembler, one batch of lineItems per pull.
-	// A read error is stashed and ends the source after the partial
+	// Source: the sequential reader, one batch of lines per pull. A
+	// fatal read error is stashed and ends the source after the partial
 	// batch in hand, so every line before the damage is still reduced.
 	var readErr error
-	next := func() ([]lineItem, bool) {
+	next := func() ([]record, bool) {
 		if readErr != nil {
 			return nil, false
 		}
-		batch := make([]lineItem, 0, batchLines)
+		batch := make([]record, 0, batchLines)
 		for len(batch) < batchLines {
-			item, ok, err := asm.next()
-			if err != nil {
-				readErr = err
+			l, err := rd.Next()
+			var bad *zone.LineError
+			if err != nil && !errors.As(err, &bad) {
+				if !errors.Is(err, io.EOF) {
+					readErr = err
+				}
 				break
 			}
-			if !ok {
-				break
-			}
-			batch = append(batch, item)
+			batch = append(batch, record{line: l, bad: bad})
 		}
 		return batch, len(batch) > 0
 	}
@@ -232,9 +200,7 @@ func Ingest(ctx context.Context, r io.Reader, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("ingest: %w", err)
 	}
 
-	g.stats.PhysicalLines = asm.physical
-	g.stats.LogicalLines = asm.logical
-	g.stats.Directives = asm.directives
+	g.stats.PhysicalLines, g.stats.LogicalLines, g.stats.Directives = rd.Counts()
 	g.stats.Origin = g.apex
 	g.stats.Targets = len(g.targets)
 
@@ -255,32 +221,28 @@ func Ingest(ctx context.Context, r io.Reader, cfg Config) (*Result, error) {
 	return &Result{Targets: g.targets, Stats: g.stats}, nil
 }
 
-// parsedBatch is one batch of lines with its per-line parse results.
-type parsedBatch struct {
-	items []lineItem
-	rrs   []dnswire.RR
-	errs  []error
+// record is one logical line of the dump and what it parsed to.
+type record struct {
+	line zone.Line
+	rr   dnswire.RR
+	// bad is the line's problem: the reader's, which skipped it, or
+	// the record parser's.
+	bad *zone.LineError
 }
 
-// parseBatch is the order-free stage: one zone.ParseRecord per line.
-func parseBatch(_ context.Context, items []lineItem) parsedBatch {
-	out := parsedBatch{items: items, rrs: make([]dnswire.RR, len(items)), errs: make([]error, len(items))}
-	for i, item := range items {
-		if item.err != "" {
-			continue // structural problem, counted downstream
+// parseBatch is the order-free stage: one zone.Line.Record per line.
+func parseBatch(_ context.Context, batch []record) []record {
+	for i := range batch {
+		r := &batch[i]
+		if r.bad != nil {
+			continue
 		}
-		rr, err := zone.ParseRecord(item.text, item.origin, item.ttl)
-		if err == nil {
-			// The presentation parser accepts any label string; enforce
-			// the wire limits here so 300-octet owners from dirty dumps
-			// are skips, not scan targets.
-			if _, nerr := dnswire.NameWireLength(rr.Name); nerr != nil {
-				err = fmt.Errorf("owner: %w", nerr)
-			}
+		var err error
+		if r.rr, err = r.line.Record(); err != nil {
+			errors.As(err, &r.bad)
 		}
-		out.rrs[i], out.errs[i] = rr, err
 	}
-	return out
+	return batch
 }
 
 // ingester is the sequential reduction state.
@@ -300,23 +262,23 @@ func (g *ingester) skip(reason string) {
 
 // recordProblem handles a record-level failure: fatal in strict mode,
 // a counted skip (with a bounded error sample) otherwise.
-func (g *ingester) recordProblem(line int, msg string) error {
+func (g *ingester) recordProblem(bad *zone.LineError) error {
 	if g.cfg.Strict {
-		return fmt.Errorf("ingest: line %d: %s", line, msg)
+		return fmt.Errorf("ingest: line %d: %s", bad.Line, bad.Msg)
 	}
 	g.skip(SkipBadRecord)
 	if len(g.stats.FirstErrors) < maxErrorSamples {
-		g.stats.FirstErrors = append(g.stats.FirstErrors, fmt.Sprintf("line %d: %s", line, msg))
+		g.stats.FirstErrors = append(g.stats.FirstErrors, fmt.Sprintf("line %d: %s", bad.Line, bad.Msg))
 	}
 	return nil
 }
 
-// reduceBatch is the order-preserving stage, run on Ingest's goroutine:
-// every record flows through the registrable-domain reduction in exact
-// input order; a strict-mode record error aborts the run.
-func (g *ingester) reduceBatch(_ int, b parsedBatch) error {
-	for i := range b.items {
-		if err := g.reduce(b.items[i], b.rrs[i], b.errs[i]); err != nil {
+// reduceBatch is the order-preserving stage: every record flows through
+// the registrable-domain reduction in exact input order; a strict-mode
+// record error aborts the run.
+func (g *ingester) reduceBatch(_ int, batch []record) error {
+	for i := range batch {
+		if err := g.reduce(&batch[i]); err != nil {
 			return err
 		}
 	}
@@ -324,22 +286,18 @@ func (g *ingester) reduceBatch(_ int, b parsedBatch) error {
 }
 
 // reduce classifies one parsed record (or line failure) in input order.
-func (g *ingester) reduce(item lineItem, rr dnswire.RR, parseErr error) error {
-	if item.err != "" {
-		return g.recordProblem(item.line, item.err)
+func (g *ingester) reduce(r *record) error {
+	if r.bad != nil {
+		return g.recordProblem(r.bad)
 	}
-	if parseErr != nil {
-		// ParseRecord sees every item as line 1 of its own one-line
-		// parse; strip that prefix so messages carry only the dump line.
-		return g.recordProblem(item.line, strings.TrimPrefix(parseErr.Error(), "zone: line 1: "))
-	}
+	rr := r.rr
 	g.stats.Records++
 
 	// Apex autodetection: the first $ORIGIN in effect, or the first SOA
 	// owner, whichever the stream yields first.
 	if !g.apexKnown {
-		if item.origin != "." {
-			g.apex = item.origin
+		if r.line.Origin != "." {
+			g.apex = r.line.Origin
 			g.apexKnown = true
 		} else if rr.Type() == dnswire.TypeSOA {
 			g.apex = rr.Name
@@ -357,7 +315,7 @@ func (g *ingester) reduce(item lineItem, rr dnswire.RR, parseErr error) error {
 		return nil
 	}
 
-	owner := rr.Name // canonical: ParseRecord normalises
+	owner := rr.Name // canonical: Record normalises
 	if g.apexKnown {
 		if owner == g.apex {
 			g.skip(SkipApex)

@@ -6,10 +6,12 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"dnssecboot/internal/obs"
+	"dnssecboot/internal/zone"
 )
 
 func ingestString(t *testing.T, input string, cfg Config) *Result {
@@ -87,6 +89,12 @@ func TestIngestReduction(t *testing.T) {
 	}
 }
 
+// withProcs runs fn at GOMAXPROCS n, which sets Ingest's worker count.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
 // The emitted target list and every stat must be identical for every
 // worker count — order preservation is the pipeline's core contract.
 // Tiny batches force heavy reordering.
@@ -104,7 +112,14 @@ func TestIngestWorkerCountDeterminism(t *testing.T) {
 	}
 	var ref *Result
 	for _, workers := range []int{1, 2, 4} {
-		res := ingestString(t, sb.String(), Config{Workers: workers, BatchLines: 7})
+		var res *Result
+		var err error
+		withProcs(workers, func() {
+			res, err = ingest(context.Background(), strings.NewReader(sb.String()), Config{}, zone.MaxLogicalLineBytes, 7)
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		if ref == nil {
 			ref = res
 			if len(res.Targets) != 3000 {
@@ -220,6 +235,41 @@ func TestIngestBlankOwnerContinuation(t *testing.T) {
 	}
 }
 
+// A blank owner is the last stated owner, an absolute name: a $ORIGIN
+// between the two lines does not move it into another zone. zone.Parse
+// reads the same bytes as two www.example. records.
+func TestIngestBlankOwnerAcrossOrigin(t *testing.T) {
+	input := "$ORIGIN example.\nwww 60 IN NS ns1.example.\n$ORIGIN other.\n\t60 IN NS ns2.example.\n"
+	res := ingestString(t, input, Config{})
+	if res.Stats.Records != 2 {
+		t.Fatalf("records = %d, want 2; errors %v", res.Stats.Records, res.Stats.FirstErrors)
+	}
+	want := map[string]int{SkipDuplicate: 1}
+	if !reflect.DeepEqual(res.Stats.Skipped, want) {
+		t.Errorf("skipped = %v, want %v (the second record is www.example. again)", res.Stats.Skipped, want)
+	}
+	if !reflect.DeepEqual(res.Targets, []string{"www.example."}) {
+		t.Errorf("targets = %v, want [www.example.]", res.Targets)
+	}
+}
+
+// A relative $ORIGIN resolves against the origin in force, as in
+// zone.Parse; an unknown directive is a counted bad line.
+func TestIngestOriginDirectives(t *testing.T) {
+	res := ingestString(t, "$ORIGIN example.\n$ORIGIN sub\nwww IN NS ns1\n", Config{})
+	if res.Stats.Origin != "sub.example." {
+		t.Errorf("origin = %q, want sub.example.", res.Stats.Origin)
+	}
+	if res.Stats.Skipped[SkipOutOfZone] != 0 || res.Stats.Records != 1 {
+		t.Errorf("stats = %+v, want one in-zone record", res.Stats)
+	}
+
+	res = ingestString(t, "$ORIGIN example.\n$GENERATE 1-2 host$ A 192.0.2.$\n", Config{})
+	if want := []string{"line 2: unknown directive $GENERATE"}; !reflect.DeepEqual(res.Stats.FirstErrors, want) {
+		t.Errorf("FirstErrors = %q, want %q", res.Stats.FirstErrors, want)
+	}
+}
+
 // Unbalanced parentheses: counted in lenient mode, positional fatal in
 // strict mode; subsequent records still ingest in lenient mode.
 func TestIngestUnbalancedParens(t *testing.T) {
@@ -278,8 +328,10 @@ func TestIngestOverlongLineSkipped(t *testing.T) {
 	input := "$ORIGIN test.\n" +
 		"huge.test. IN TXT \"" + strings.Repeat("x", 8192) + "\"\n" +
 		"a.test. IN NS ns1.a.test.\n"
-	cfg := Config{MaxLineBytes: 1024}
-	res := ingestString(t, input, cfg)
+	res, err := ingest(context.Background(), strings.NewReader(input), Config{}, 1024, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Stats.Skipped[SkipBadRecord] != 1 {
 		t.Errorf("bad_record skips = %d, want 1", res.Stats.Skipped[SkipBadRecord])
 	}
@@ -290,13 +342,12 @@ func TestIngestOverlongLineSkipped(t *testing.T) {
 		t.Errorf("targets = %v, want [a.test.]", res.Targets)
 	}
 
-	cfg.Strict = true
-	if _, err := Ingest(context.Background(), strings.NewReader(input), cfg); err == nil {
+	if _, err := ingest(context.Background(), strings.NewReader(input), Config{Strict: true}, 1024, 256); err == nil {
 		t.Error("strict mode ingested an over-long line without error")
 	}
 }
 
-// A parenthesised join exceeding the cap is also bounded: the assembler
+// A parenthesised join exceeding the cap is also bounded: the reader
 // gives up on the logical line, it does not buffer it.
 func TestIngestOverlongLogicalJoinSkipped(t *testing.T) {
 	var sb strings.Builder
@@ -305,7 +356,10 @@ func TestIngestOverlongLogicalJoinSkipped(t *testing.T) {
 		sb.WriteString("\"" + strings.Repeat("y", 400) + "\"\n")
 	}
 	sb.WriteString(")\na.test. IN NS ns1.a.test.\n")
-	res := ingestString(t, sb.String(), Config{MaxLineBytes: 1024})
+	res, err := ingest(context.Background(), strings.NewReader(sb.String()), Config{}, 1024, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Stats.Skipped[SkipBadRecord] == 0 {
 		t.Errorf("over-long logical join not skipped; errors %v", res.Stats.FirstErrors)
 	}

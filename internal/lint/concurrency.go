@@ -19,16 +19,14 @@ import (
 // context.Context must thread it — calling context.Background() or
 // context.TODO() below a ctx parameter silently detaches cancellation
 // from the scan, and a ctx parameter that is never used at all is a
-// dropped deadline. Goroutine closures must not capture loop variables
-// implicitly; Go 1.22 made the per-iteration copy safe, but an implicit
-// capture still hides which iteration a goroutine belongs to, so the
-// value is passed as an argument or the site carries a pragma.
+// dropped deadline. (Goroutine closures may capture loop variables:
+// the module is Go 1.22, whose per-iteration variables make the capture
+// correct.)
 
 func analyzeConcurrency(fset *token.FileSet, pkg *Package, cfg Config) []Finding {
 	findings := checkAtomicMix(fset, pkg)
 	if cfg.HotPath[pkg.Path] {
 		findings = append(findings, checkContextThreading(fset, pkg)...)
-		findings = append(findings, checkLoopCapture(fset, pkg)...)
 	}
 	return findings
 }
@@ -192,105 +190,4 @@ func checkCtxFunc(fset *token.FileSet, pkg *Package, ft *ast.FuncType, body *ast
 		}
 	}
 	return findings
-}
-
-// checkLoopCapture flags goroutine closures that reference a loop
-// variable of an enclosing for/range statement instead of taking it as
-// an argument.
-func checkLoopCapture(fset *token.FileSet, pkg *Package) []Finding {
-	var findings []Finding
-	var active []types.Object // loop variables of enclosing loops
-
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		switch n := n.(type) {
-		case nil:
-			return
-		case *ast.ForStmt:
-			vars := loopVarsFor(pkg, n.Init)
-			active = append(active, vars...)
-			walkChildren(n, walk)
-			active = active[:len(active)-len(vars)]
-			return
-		case *ast.RangeStmt:
-			vars := loopVarsRange(pkg, n)
-			active = append(active, vars...)
-			walkChildren(n, walk)
-			active = active[:len(active)-len(vars)]
-			return
-		case *ast.GoStmt:
-			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok && len(active) > 0 {
-				ast.Inspect(lit.Body, func(inner ast.Node) bool {
-					id, ok := inner.(*ast.Ident)
-					if !ok {
-						return true
-					}
-					obj := pkg.Info.Uses[id]
-					if obj == nil {
-						return true
-					}
-					for _, lv := range active {
-						if obj == lv {
-							findings = append(findings, Finding{Pos: fset.Position(id.Pos()), Check: CheckConcurrency,
-								Msg: fmt.Sprintf("goroutine closure captures loop variable %q; pass it as an argument", id.Name)})
-						}
-					}
-					return true
-				})
-			}
-			// Arguments evaluated at go-statement time are fine; the
-			// closure body was just scanned. Recurse for nested loops.
-			walkChildren(n, walk)
-			return
-		}
-		walkChildren(n, walk)
-	}
-	for _, file := range pkg.Files {
-		walkChildren(file, walk)
-	}
-	return findings
-}
-
-// walkChildren applies fn to each direct child of n.
-func walkChildren(n ast.Node, fn func(ast.Node)) {
-	ast.Inspect(n, func(child ast.Node) bool {
-		if child == n || child == nil {
-			return child == n
-		}
-		fn(child)
-		return false
-	})
-}
-
-// loopVarsFor extracts the := variables of a classic for initialiser.
-func loopVarsFor(pkg *Package, init ast.Stmt) []types.Object {
-	assign, ok := init.(*ast.AssignStmt)
-	if !ok || assign.Tok != token.DEFINE {
-		return nil
-	}
-	var out []types.Object
-	for _, lhs := range assign.Lhs {
-		if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
-			if obj := pkg.Info.Defs[id]; obj != nil {
-				out = append(out, obj)
-			}
-		}
-	}
-	return out
-}
-
-// loopVarsRange extracts the := variables of a range statement.
-func loopVarsRange(pkg *Package, rng *ast.RangeStmt) []types.Object {
-	if rng.Tok != token.DEFINE {
-		return nil
-	}
-	var out []types.Object
-	for _, e := range []ast.Expr{rng.Key, rng.Value} {
-		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-			if obj := pkg.Info.Defs[id]; obj != nil {
-				out = append(out, obj)
-			}
-		}
-	}
-	return out
 }

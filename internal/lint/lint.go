@@ -89,8 +89,8 @@ type Config struct {
 	// Deterministic maps import paths to the file basenames covered by
 	// the nondeterminism analyzer. A nil slice covers the whole package.
 	Deterministic map[string][]string
-	// HotPath lists the import paths whose ctx-threading and
-	// loop-capture rules are enforced (the resolver/scan hot paths).
+	// HotPath lists the import paths whose ctx-threading rule is
+	// enforced (the resolver/scan hot paths).
 	HotPath map[string]bool
 	// Lifecycle lists the import paths covered by the dataflow
 	// analyzers (poollife, lockdiscipline, goroutinelife): everywhere

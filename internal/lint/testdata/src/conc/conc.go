@@ -1,6 +1,6 @@
 // Package conc exercises the concurrency analyzer. The test harness
-// registers this package as a hot path, enabling the ctx-threading and
-// loop-capture rules on top of the everywhere-on atomic-mix rule.
+// registers this package as a hot path, enabling the ctx-threading rule
+// on top of the everywhere-on atomic-mix rule.
 package conc
 
 import (
@@ -42,20 +42,12 @@ func Threaded(ctx context.Context) error {
 
 func work(ctx context.Context) error { return ctx.Err() }
 
-// Spawn captures the loop variable inside the goroutine closure.
+// Spawn captures the loop variable inside the goroutine closure: clean,
+// since Go 1.22 gives each iteration its own variable.
 func Spawn(items []int, out chan<- int) {
 	for _, it := range items {
 		go func() {
-			out <- it // want `goroutine closure captures loop variable "it"`
+			out <- it
 		}()
-	}
-}
-
-// SpawnArg passes the loop variable as an argument: clean.
-func SpawnArg(items []int, out chan<- int) {
-	for _, it := range items {
-		go func(v int) {
-			out <- v
-		}(it)
 	}
 }

@@ -383,6 +383,75 @@ func TestFlightGroupCycleFallback(t *testing.T) {
 	}
 }
 
+// TestFlightGroupCancelledWaiterReleases cancels a chain parked on
+// another chain's flight and requires the group to stay usable: the
+// waiter returns its context's error, and the next Do on the group (a
+// new key, while the leader still runs) proceeds instead of blocking on
+// a lock the cancelled waiter kept.
+func TestFlightGroupCancelledWaiterReleases(t *testing.T) {
+	var g flightGroup
+	parked := make(chan string, 8)
+	g.onWait = func(key flightKey) { parked <- key.name }
+	started := make(chan struct{})
+	release := make(chan struct{})
+	leaderDone := make(chan error, 1)
+	go func() { // chain 1 leads k
+		_, _, err := g.Do(context.Background(), 1, flightKey{'k', "k"}, func() (any, error) {
+			close(started)
+			<-release
+			return "led", nil
+		})
+		leaderDone <- err
+	}()
+	<-started
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waiterDone := make(chan error, 1)
+	go func() { // chain 2 joins k, then is cancelled
+		_, shared, err := g.Do(ctx, 2, flightKey{'k', "k"}, func() (any, error) {
+			return nil, errors.New("the waiter must not run the flight")
+		})
+		if !shared {
+			t.Error("chain 2 should have joined chain 1's flight")
+		}
+		waiterDone <- err
+	}()
+	awaitJoin(t, parked, "chain 2 to join the flight")
+	cancel()
+	select {
+	case err := <-waiterDone:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled waiter never returned")
+	}
+
+	next := make(chan any, 1)
+	go func() { // chain 3 on another key
+		v, _, _ := g.Do(context.Background(), 3, flightKey{'k', "other"}, func() (any, error) {
+			return "next", nil
+		})
+		next <- v
+	}()
+	select {
+	case v := <-next:
+		if v != "next" {
+			t.Errorf("next Do = %v, want next", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the Do after a cancelled waiter blocked")
+	}
+
+	close(release)
+	if err := <-leaderDone; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	if n := g.waiters(); n != 0 {
+		t.Errorf("waiters after the flight = %d, want 0", n)
+	}
+}
+
 // TestMisbehavingReferralsFailFast covers the referral-direction fix: a
 // server answering with upward, sideways, self or unrelated-sibling
 // referrals must yield ErrLoop after a handful of queries, instead of

@@ -1,12 +1,19 @@
 package zone
 
 import (
+	"errors"
+	"strings"
 	"testing"
 )
 
 // FuzzParseZone drives the master-file parser with arbitrary text. The
 // parser must reject garbage with an error, never a panic, and any
-// accepted zone must render back to text without panicking.
+// accepted zone must render back to text without panicking. The same
+// text also goes through a LineReader capped at 4 KiB, so over-long
+// physical lines and joins are reached with small inputs: every line
+// it returns or refuses must lie within the lines it has read, and no
+// returned line may outgrow two caps (a join under the cap plus one
+// physical line).
 func FuzzParseZone(f *testing.F) {
 	seeds := []string{
 		"",
@@ -22,11 +29,32 @@ func FuzzParseZone(f *testing.F) {
 		"$INCLUDE other.zone\n",
 		"\x00\x01\x02",
 		"@ IN NS ns1.example.com.\n@ IN CDS 0 0 0 00\n",
+		"big IN TXT \"" + strings.Repeat("a", 5000) + "\"\nwww IN A 192.0.2.1\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
+		const limit = 4096
+		rd := NewLineReader(strings.NewReader(text), "example.com.", limit)
+		for {
+			l, err := rd.Next()
+			var le *LineError
+			if err != nil && !errors.As(err, &le) {
+				break // the end, or $INCLUDE ended the file
+			}
+			if le != nil {
+				l.Num = le.Line
+			} else if len(l.Text) > 2*limit+1 {
+				t.Fatalf("line %d is %d bytes long", l.Num, len(l.Text))
+			} else {
+				_, _ = l.Record()
+			}
+			if physical, _, _ := rd.Counts(); l.Num < 1 || l.Num > physical {
+				t.Fatalf("line %d (%v) outside the %d lines read", l.Num, err, physical)
+			}
+		}
+
 		z, err := ParseString(text, "example.com.")
 		if err != nil {
 			return

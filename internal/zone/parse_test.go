@@ -286,3 +286,76 @@ func TestParseRR(t *testing.T) {
 		t.Error("garbage accepted")
 	}
 }
+
+// A blank owner is the last stated owner, an absolute name: a $ORIGIN
+// between the two lines does not move it (RFC 1035 §5.1).
+func TestParseBlankOwnerAcrossOrigin(t *testing.T) {
+	z, err := ParseString("$ORIGIN example.\nwww 60 IN NS ns1.example.\n$ORIGIN other.\n\t60 IN NS ns2.example.\n", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := z.RRset("www.example.", dnswire.TypeNS); len(got) != 2 {
+		t.Errorf("www.example. NS = %v, want both records", got)
+	}
+}
+
+// A relative $ORIGIN resolves against the origin in force (RFC 1035
+// §5.1), and a directive the reader does not know is refused by name.
+func TestParseOriginDirectives(t *testing.T) {
+	z, err := ParseString("$ORIGIN example.\n$ORIGIN sub\n@ IN NS ns1\n", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if z.Origin != "sub.example." {
+		t.Errorf("origin = %s, want sub.example.", z.Origin)
+	}
+	ns := z.RRset("sub.example.", dnswire.TypeNS)
+	if len(ns) != 1 || ns[0].Data.String() != "ns1.sub.example." {
+		t.Errorf("NS = %v, want ns1.sub.example.", ns)
+	}
+
+	_, err = ParseString("$ORIGIN example.\n$GENERATE 1-2 host$ A 192.0.2.$\n", "")
+	if want := "zone: line 2: unknown directive $GENERATE"; err == nil || err.Error() != want {
+		t.Errorf("$GENERATE: error = %v, want %q", err, want)
+	}
+}
+
+// An owner the wire cannot carry fails the record, so a server never
+// loads a name it cannot pack; Parse names the line.
+func TestParseRejectsOverlongOwner(t *testing.T) {
+	label := strings.Repeat("a", 63)
+	owner := strings.Repeat(label+".", 5) + "example." // 5*64+9 = 329 octets
+	const want = "owner: dnswire: name exceeds 255 octets"
+	if _, err := ParseRR(owner + " 60 IN NS ns1.example."); err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("ParseRR: error = %v, want %q", err, want)
+	}
+	_, err := ParseString("$ORIGIN example.\n@ 60 IN NS ns1.example.\n"+owner+" 60 IN NS ns1.example.\n", "")
+	if err == nil || err.Error() != "zone: line 3: "+want {
+		t.Errorf("Parse: error = %v, want line 3: %s", err, want)
+	}
+}
+
+// A record problem names the line the record starts on, also when its
+// parentheses carry it over several lines.
+func TestParseErrorNamesFirstLine(t *testing.T) {
+	_, err := ParseString("$ORIGIN example.\n@ IN SOA ns1 host (\n 1 2 3\n x 5 )\n", "")
+	if err == nil || !strings.HasPrefix(err.Error(), "zone: line 2: SOA field 6") {
+		t.Errorf("error = %v, want one naming line 2", err)
+	}
+	_, err = ParseString("$ORIGIN example.\n@ IN NS ns1\nwww.other. IN A 192.0.2.1\n", "")
+	if want := "zone: line 3: www.other. is out of zone example."; err == nil || err.Error() != want {
+		t.Errorf("out-of-zone error = %v, want %q", err, want)
+	}
+}
+
+// BenchmarkParseRR parses one CDS line, the shape scan.FromJSON
+// re-parses for every signal record of a dump.
+func BenchmarkParseRR(b *testing.B) {
+	const line = "example.com.\t3600\tIN\tCDS\t12345 13 2 49FD46E6C4B45C55D4AC69CBD3CD34AC1AFE51DE49FD46E6C4B45C55D4AC69CB"
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseRR(line); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
